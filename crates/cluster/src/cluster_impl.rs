@@ -5,6 +5,7 @@ use std::cell::{Cell, RefCell};
 use power::{PowerState, TransitionKind};
 use simcore::{pairwise_sum, pool, SimTime, SumTree};
 
+use crate::argmax::ArgmaxTree;
 use crate::{
     ClusterError, Host, HostId, HostSpec, Migration, MigrationModel, PlacementMap, Resources,
     ServiceClass, VmId, VmSpec,
@@ -256,6 +257,14 @@ pub struct Cluster {
     /// rebuilds it in O(hosts) — the same cost the sweep itself pays.
     power_tree: RefCell<SumTree>,
     power_stale: Cell<bool>,
+    /// Argmax tree over per-host free memory for
+    /// [`most_free_host`](Self::most_free_host): leaf `h` is
+    /// [`mem_free_gb`](Self::mem_free_gb) for an operational host and
+    /// `-∞` otherwise. Built lazily by the first query (so runs without
+    /// VM arrivals never pay for it) and point-updated wherever a host's
+    /// committed memory or operational state changes.
+    free_tree: RefCell<ArgmaxTree>,
+    free_stale: Cell<bool>,
     /// Lazy operational-capacity cache, revalidated on power transitions.
     cap_cache: Cell<f64>,
     cap_dirty: Cell<bool>,
@@ -331,6 +340,8 @@ impl Cluster {
             accounting: AccountingMode::default(),
             power_tree: RefCell::new(SumTree::new()),
             power_stale: Cell::new(true),
+            free_tree: RefCell::new(ArgmaxTree::default()),
+            free_stale: Cell::new(true),
             cap_cache: Cell::new(0.0),
             cap_dirty: Cell::new(true),
             on_count,
@@ -380,6 +391,7 @@ impl Cluster {
     pub fn set_accounting_mode(&mut self, mode: AccountingMode) {
         self.accounting = mode;
         self.power_stale.set(true);
+        self.free_stale.set(true);
         self.cap_dirty.set(true);
         self.dirty_marks += 2;
     }
@@ -604,6 +616,64 @@ impl Cluster {
         (self.hosts[host.index()].capacity().mem_gb - self.mem_committed_gb(host)).max(0.0)
     }
 
+    /// The operational host with the most free memory, provided it has
+    /// at least `mem_gb` free; `None` when no operational host fits.
+    /// Ties go to the highest host index.
+    ///
+    /// O(log hosts) amortized: the answer is the root of an argmax tree
+    /// over per-host free memory that placement, migration and power
+    /// transitions keep current; the first query builds it in O(hosts).
+    pub fn most_free_host(&self, mem_gb: f64) -> Option<HostId> {
+        if self.free_stale.get() {
+            self.free_tree
+                .borrow_mut()
+                .rebuild(self.hosts.len(), |i| self.free_key(i));
+            self.free_stale.set(false);
+        }
+        let (i, free) = self.free_tree.borrow().max();
+        let host = (free >= mem_gb).then_some(HostId(i as u32));
+        debug_assert_eq!(
+            host,
+            self.scan_most_free_host(mem_gb),
+            "stale most-free-memory tree"
+        );
+        host
+    }
+
+    /// Scan-based reference for [`most_free_host`](Self::most_free_host):
+    /// `max_by` keeps the last of equal maxima, the tree's tie rule.
+    fn scan_most_free_host(&self, mem_gb: f64) -> Option<HostId> {
+        self.hosts
+            .iter()
+            .filter(|h| h.is_operational())
+            .map(|h| h.id())
+            .filter(|&h| self.mem_free_gb(h) >= mem_gb)
+            .max_by(|&a, &b| {
+                self.mem_free_gb(a)
+                    .partial_cmp(&self.mem_free_gb(b))
+                    .expect("memory is finite")
+            })
+    }
+
+    /// Leaf key of host `i` in the most-free-memory tree.
+    fn free_key(&self, i: usize) -> f64 {
+        if self.hosts[i].is_operational() {
+            self.mem_free_gb(HostId(i as u32))
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
+    /// Refreshes host `i`'s leaf in the most-free-memory tree after its
+    /// committed memory or operational state changed (a no-op until the
+    /// first query builds the tree).
+    fn note_free_changed(&mut self, i: usize) {
+        if !self.free_stale.get() {
+            let key = self.free_key(i);
+            self.free_tree.get_mut().set(i, key);
+        }
+    }
+
     /// Whether `host` can be powered down: no placed VMs, no inbound
     /// migrations.
     ///
@@ -636,6 +706,7 @@ impl Cluster {
         }
         self.placement.place(vm, host);
         self.host_mem_committed[host.index()] += spec.mem_gb();
+        self.note_free_changed(host.index());
         self.dirty_marks += 1;
         Ok(())
     }
@@ -657,6 +728,7 @@ impl Cluster {
         }
         let host = self.placement.remove(vm);
         self.host_mem_committed[host.index()] -= self.vms[vm.index()].mem_gb();
+        self.note_free_changed(host.index());
         self.dirty_marks += 1;
         Ok(host)
     }
@@ -709,6 +781,7 @@ impl Cluster {
         self.in_flight_migrations += 1;
         self.inbound[to.index()] += 1;
         self.host_mem_committed[to.index()] += spec.mem_gb();
+        self.note_free_changed(to.index());
         self.migrations_started += 1;
         self.dirty_marks += 2;
         Ok(completes_at)
@@ -739,6 +812,10 @@ impl Cluster {
         // The inbound reservation becomes the placed footprint on the
         // destination (net zero there); the source gives the memory up.
         self.host_mem_committed[migration.from.index()] -= self.vms[vm.index()].mem_gb();
+        // Both leaves: under scan accounting the destination's total is
+        // re-folded in a new order even though its net change is zero.
+        self.note_free_changed(migration.from.index());
+        self.note_free_changed(migration.to.index());
         self.migrations_completed += 1;
         self.dirty_marks += 2;
         Ok(migration)
@@ -766,6 +843,7 @@ impl Cluster {
         self.in_flight_migrations -= 1;
         self.inbound[migration.to.index()] -= 1;
         self.host_mem_committed[migration.to.index()] -= self.vms[vm.index()].mem_gb();
+        self.note_free_changed(migration.to.index());
         self.migrations_failed += 1;
         self.dirty_marks += 2;
         Ok(migration)
@@ -862,8 +940,8 @@ impl Cluster {
     /// aggregate absorbs the host's new draw (one O(log hosts) leaf
     /// update — never a fleet rescan, which at 64k hosts would dominate
     /// the event loop via the per-completion power sample), and the
-    /// operational count/capacity change when the host crossed the `On`
-    /// boundary.
+    /// operational count/capacity and the host's most-free-memory leaf
+    /// change when the host crossed the `On` boundary.
     fn note_power_changed(&mut self, i: usize, was_on: bool) {
         self.dirty_marks += 1;
         if self.accounting == AccountingMode::Incremental && !self.power_stale.get() {
@@ -873,6 +951,7 @@ impl Cluster {
         let is_on = self.hosts[i].is_operational();
         if is_on != was_on {
             self.cap_dirty.set(true);
+            self.note_free_changed(i);
             self.dirty_marks += 1;
             if is_on {
                 self.on_count += 1;

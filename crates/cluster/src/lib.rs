@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod argmax;
 mod cluster_impl;
 mod error;
 mod host;

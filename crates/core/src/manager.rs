@@ -368,18 +368,17 @@ impl VirtManager {
         tracer.exit(s_wake);
         mark(&mut reasons, actions.len(), ActionReason::CapacityWake);
         // Bring the utilization index up to date with this round's fresh
-        // predictions before the first destination pick. It sits after
-        // the capacity wake (which rewrites `draining`/`arriving`
-        // directly) and before overload mitigation, whose per-VM
-        // least-loaded picks are the first index consumers; every later
-        // mutation flows through `move_vm`/`set_draining_trial`, which
-        // keep the index current. Under `PlanMode::Scan` (or when
-        // consolidation is skipped) this is a no-op and the index stays
+        // predictions before the first destination pick, every round —
+        // fail-safe and unmanaged rounds included. It sits after the
+        // capacity wake (which rewrites `draining`/`arriving` directly)
+        // and before overload mitigation, whose per-VM least-loaded picks
+        // are the first index consumers whether or not consolidation
+        // runs; every later mutation flows through
+        // `move_vm`/`set_draining_trial`, which keep the index current.
+        // Under `PlanMode::Scan` this is a no-op and the index stays
         // invalid, so every lookup falls back to the full scan.
         tracer.enter(s_index);
-        if power_managed && !failsafe {
-            ctx.refresh_index();
-        }
+        ctx.refresh_index();
         tracer.exit(s_index);
         tracer.enter(s_overload);
         drm::mitigate_overloads(&mut ctx, &self.config, &mut actions, &mut budget);
@@ -1057,6 +1056,36 @@ mod tests {
                 .any(|a| matches!(a, ManagementAction::Migrate { .. })),
             "{actions2:?}"
         );
+    }
+
+    #[test]
+    fn failsafe_rounds_pick_overload_destinations_through_a_live_index() {
+        let recovery = crate::RecoveryConfig::new()
+            .with_max_retries(100)
+            .with_failsafe(SimDuration::from_hours(2), 1);
+        let cfg = agile_config()
+            .with_recovery(recovery)
+            .with_plan_mode(crate::PlanMode::Indexed);
+        let mut mgr = VirtManager::new(cfg, 2, 3);
+        let mut oracle = VirtManager::new(ManagerConfig::new(PowerPolicy::oracle()), 2, 3);
+        // Host 0 is overloaded (7.5 of 8 cores) and reported a failure,
+        // which holds the single-failure fail-safe for two hours.
+        for round in 1..=3u64 {
+            let mut o = obs(
+                SimTime::from_secs(300 * (round - 1)),
+                &[(PowerState::On, &[4.0, 3.5]), (PowerState::On, &[0.5])],
+            );
+            o.hosts[0].failed_transitions = 1;
+            let actions = mgr.plan(&o);
+            oracle.plan(&o);
+            assert!(mgr.recovery().failsafe_active());
+            let d = mgr.last_decision().unwrap();
+            assert!(d.failsafe);
+            assert!(d.actions.overload_migrations >= 1, "{actions:?}");
+            assert!(mgr.ctx.index_valid(), "round {round}: index left invalid");
+            assert_eq!(mgr.index_work_counters().refreshes, round);
+            assert_eq!(oracle.index_work_counters().refreshes, 0);
+        }
     }
 
     #[test]

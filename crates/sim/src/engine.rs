@@ -199,9 +199,10 @@ pub struct DatacenterSim {
     /// completion it force-fails without consuming a random draw.
     hung: Vec<bool>,
     hung_transitions: u64,
-    /// Correlated rack-outage windows `(rack, start, end)`, pre-generated
-    /// at run start; transitions completing inside one force-fail.
-    rack_bursts: Vec<(usize, SimTime, SimTime)>,
+    /// Correlated rack-outage windows `(start, end)` bucketed by rack,
+    /// pre-generated at run start; transitions completing inside one of
+    /// their rack's windows force-fail.
+    rack_bursts: Vec<Vec<(SimTime, SimTime)>>,
     lifetimes: Vec<Lifetime>,
     placement_retries: u64,
     rejected_admissions: u64,
@@ -701,11 +702,12 @@ impl DatacenterSim {
         let racks = self.cluster.num_hosts().div_ceil(rack_size);
         let duration = self.failures.rack_burst_duration();
         let mut rng = RngStream::new(self.seed).substream(0x7ACC);
+        self.rack_bursts = vec![Vec::new(); racks];
         let mut t = SimTime::ZERO;
         while t <= end {
-            for rack in 0..racks {
+            for windows in &mut self.rack_bursts {
                 if rng.chance(prob) {
-                    self.rack_bursts.push((rack, t, t + duration));
+                    windows.push((t, t + duration));
                 }
             }
             t += self.control_interval;
@@ -718,10 +720,9 @@ impl DatacenterSim {
         if rack_size == 0 || self.rack_bursts.is_empty() {
             return false;
         }
-        let rack = host.index() / rack_size;
-        self.rack_bursts
+        self.rack_bursts[host.index() / rack_size]
             .iter()
-            .any(|&(r, start, stop)| r == rack && start <= now && now < stop)
+            .any(|&(start, stop)| start <= now && now < stop)
     }
 
     /// Rolls the hang die for a transition just begun; on a hang, the
@@ -752,27 +753,16 @@ impl DatacenterSim {
     }
 
     /// Provisions an arriving VM on the operational host with the most
-    /// free memory; retries next control round if nothing fits right now.
+    /// free memory (ties to the highest host index), found in
+    /// O(log hosts) by [`Cluster::most_free_host`]; retries next control
+    /// round if nothing fits right now.
     fn vm_arrive(&mut self, vm: VmId, now: SimTime, end: SimTime) {
         let mem_needed = self
             .cluster
             .vm(vm)
             .expect("lifecycle events reference fleet VMs")
             .mem_gb();
-        let dest = self
-            .cluster
-            .hosts()
-            .iter()
-            .filter(|h| h.is_operational())
-            .map(|h| h.id())
-            .filter(|&h| self.cluster.mem_free_gb(h) >= mem_needed)
-            .max_by(|&a, &b| {
-                self.cluster
-                    .mem_free_gb(a)
-                    .partial_cmp(&self.cluster.mem_free_gb(b))
-                    .expect("memory is finite")
-            });
-        match dest {
+        match self.cluster.most_free_host(mem_needed) {
             Some(host) => {
                 self.cluster
                     .place(vm, host)

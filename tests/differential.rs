@@ -27,7 +27,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use agilepm::cluster::AccountingMode;
-use agilepm::core::{PlanMode, PowerPolicy};
+use agilepm::core::{ManagerConfig, PlanMode, PowerPolicy, RecoveryConfig};
+use agilepm::obs::Json;
 use agilepm::sim::{Experiment, Scenario, SimReport, SimulationBuilder, SweepBuilder};
 use agilepm::simcore::SimDuration;
 use agilepm::workload::{DemandTrace, Fleet};
@@ -173,32 +174,91 @@ fn indexed_planning_matches_scan_reference() {
     });
 }
 
+/// Rounds in a JSONL trace whose `manager-decision` record was planned
+/// in fail-safe and carried at least one overload migration.
+fn failsafe_overload_rounds(trace: &str) -> usize {
+    trace
+        .lines()
+        .filter_map(|line| Json::parse(line).ok())
+        .filter(|r| r.get("record").and_then(Json::as_str) == Some("manager-decision"))
+        .filter(|r| r.get("failsafe").and_then(Json::as_bool) == Some(true))
+        .filter(|r| {
+            r.get("overload_migrations")
+                .and_then(Json::as_i64)
+                .is_some_and(|n| n > 0)
+        })
+        .count()
+}
+
 #[test]
 fn indexed_planning_matches_scan_under_fault_injection() {
     // The index must stay coherent through quarantines, fail-safe
     // rounds, cancelled drains, and aborted migrations — all of which
-    // perturb the hosts the planner may touch.
-    let input = experiment_spec().zip(&failure_spec(499));
+    // perturb the hosts the planner may touch. Fail-safe rounds skip
+    // consolidation but still pick overload destinations through the
+    // index, so at least one case must plan such a migration for the
+    // comparison to cover that path. These small worlds rarely trip the
+    // default fail-safe (8 failures in 30 min) or overload a host, so
+    // half the cases also draw a hair-trigger manager: fail-safe after
+    // one failure, held for 2 h, and underload / target / overload
+    // thresholds of 0.4 / 0.5 / 0.55.
+    static SINK_SERIAL: AtomicU64 = AtomicU64::new(0);
+    static FAILSAFE_OVERLOAD_CASES: AtomicU64 = AtomicU64::new(0);
+    let input = experiment_spec()
+        .zip(&failure_spec(499))
+        .zip(&gen::boolean());
     check::check_cases(
         "Indexed == Scan planning under faults",
         32,
         &input,
-        |(spec, failures)| {
+        |&((spec, failures), hair_trigger)| {
             let scenario = spec.scenario.build();
-            let run = |mode: PlanMode| {
-                check_support::run_experiment(
-                    spec.experiment()
-                        .plan_mode(mode)
-                        .failure_model(failures.build())
-                        .record_events(),
-                )
-                .map_err(|e| format!("{spec:?}/{failures:?}: {} run failed: {e:?}", mode.label()))
+            let mut experiment = spec.experiment().failure_model(failures.build());
+            if hair_trigger {
+                experiment = experiment.manager_config(
+                    ManagerConfig::for_fleet(spec.policy, spec.scenario.hosts, spec.scenario.vms())
+                        .with_underload_threshold(0.4)
+                        .with_target_utilization(0.5)
+                        .with_overload_threshold(0.55)
+                        .with_recovery(
+                            RecoveryConfig::new().with_failsafe(SimDuration::from_hours(2), 1),
+                        ),
+                );
+            }
+            let run = |mode: PlanMode, trace: Option<&std::path::Path>| {
+                let mut experiment = experiment.clone().plan_mode(mode).record_events();
+                if let Some(path) = trace {
+                    experiment = experiment.trace_path(path);
+                }
+                check_support::run_experiment(experiment).map_err(|e| {
+                    format!("{spec:?}/{failures:?}: {} run failed: {e:?}", mode.label())
+                })
             };
-            let indexed = run(PlanMode::Indexed)?;
-            let scan = run(PlanMode::Scan)?;
+            // The trace sink does not perturb the run
+            // (`jsonl_sink_does_not_perturb_the_simulation`).
+            let path = std::env::temp_dir().join(format!(
+                "agilepm-differential-faults-{}-{}.jsonl",
+                std::process::id(),
+                SINK_SERIAL.fetch_add(1, Ordering::Relaxed)
+            ));
+            let indexed = run(PlanMode::Indexed, Some(&path));
+            let trace = std::fs::read_to_string(&path).unwrap_or_default();
+            let _ = std::fs::remove_file(&path);
+            let indexed = indexed?;
+            if failsafe_overload_rounds(&trace) > 0 {
+                FAILSAFE_OVERLOAD_CASES.fetch_add(1, Ordering::Relaxed);
+            }
+            let scan = run(PlanMode::Scan, None)?;
             assert_plan_modes_equivalent(&scenario, &indexed, &scan, "indexed-vs-scan-faults")
         },
     );
+    // A single-case replay need not land on such a round.
+    if check::Config::from_env().replay.is_none() {
+        assert!(
+            FAILSAFE_OVERLOAD_CASES.load(Ordering::Relaxed) > 0,
+            "no generated case planned an overload migration in a fail-safe round"
+        );
+    }
 }
 
 #[test]
