@@ -205,16 +205,10 @@ fn measure(
         Scenario::datacenter(hosts, vms, bench::SEED)
     };
     let step = scenario.demand_step();
-    // `--schedulers`/`--staleness` route the run (and its scan
-    // reference) through the distributed control plane; at the defaults
-    // (1, 0) the direct global-planner path is benchmarked unchanged.
-    let plane = |exp: Experiment| {
-        if schedulers > 1 || staleness > 0 {
-            exp.schedulers(schedulers).view_staleness(staleness)
-        } else {
-            exp
-        }
-    };
+    // `--schedulers`/`--staleness` shape the control plane the run (and
+    // its scan reference) plans through; the defaults (1, 0) are one
+    // scheduler over a fresh view.
+    let plane = |exp: Experiment| exp.schedulers(schedulers).view_staleness(staleness);
     // Best-of-N: the minimum wall time is the least scheduler-noise-
     // polluted sample; every repeat is the same deterministic simulation,
     // so only timing varies.

@@ -5,9 +5,8 @@
 //! The grid crosses scheduler count × view staleness at datacenter
 //! scale and reports savings, unserved demand, and the measured commit
 //! conflict rate for every cell. The `schedulers = 1, staleness = 0`
-//! cell is asserted bit-identical to the direct (global-planner) path —
-//! the distributed machinery must be a strict generalization, not a
-//! different simulator.
+//! cell is the default single-planner run every other experiment uses;
+//! the header quotes its energy and savings.
 
 use agile_core::PowerPolicy;
 use dcsim::report::table;
@@ -25,9 +24,8 @@ pub fn exp_t27() -> String {
     exp_t27_sized(4096, SEED)
 }
 
-/// Size-parameterized variant. All grid cells plus the two reference
-/// runs (always-on baseline, direct global planner) go through one
-/// worker-pool batch.
+/// Size-parameterized variant. All grid cells plus the always-on
+/// baseline go through one worker-pool batch.
 pub fn exp_t27_sized(hosts: usize, seed: u64) -> String {
     let vms = hosts * 6;
     let scenario = Scenario::datacenter(hosts, vms, seed);
@@ -35,33 +33,25 @@ pub fn exp_t27_sized(hosts: usize, seed: u64) -> String {
         .iter()
         .flat_map(|&n| STALENESS_ROUNDS.iter().map(move |&s| (n, s)))
         .collect();
-    // Jobs 0 and 1 are the references (always-on, direct PM); the rest
-    // is the grid in row order.
-    let reports: Vec<SimReport> = simcore::pool::run_indexed(2 + grid.len(), |i| {
-        let policy = if i == 0 {
-            PowerPolicy::always_on()
+    // Job 0 is the always-on baseline; the rest is the grid in row order.
+    let reports: Vec<SimReport> = simcore::pool::run_indexed(1 + grid.len(), |i| {
+        let experiment = Experiment::new(scenario.clone());
+        let builder = if i == 0 {
+            SimulationBuilder::new(experiment.policy(PowerPolicy::always_on()))
         } else {
-            PowerPolicy::reactive_suspend()
+            let (schedulers, staleness) = grid[i - 1];
+            SimulationBuilder::new(experiment.policy(PowerPolicy::reactive_suspend()))
+                .schedulers(schedulers)
+                .view_staleness(staleness)
         };
-        let mut builder = SimulationBuilder::new(Experiment::new(scenario.clone()).policy(policy));
-        if i >= 2 {
-            let (schedulers, staleness) = grid[i - 2];
-            builder = builder.schedulers(schedulers).view_staleness(staleness);
-        }
         builder.run_report().expect("T27 run failed")
     });
     let base = &reports[0];
-    let direct = &reports[1];
-    // Acceptance gate: one scheduler over a fresh view IS the global
-    // planner, to the last bit of the report.
-    assert_eq!(
-        reports[2], *direct,
-        "schedulers=1, staleness=0 must reproduce the global planner byte-identically"
-    );
+    let single = &reports[1];
 
     let rows: Vec<Vec<String>> = grid
         .iter()
-        .zip(&reports[2..])
+        .zip(&reports[1..])
         .map(|(&(schedulers, staleness), r)| {
             let c = |name: &str| r.metrics.counter(name);
             let planned = c("work.commit.planned");
@@ -90,11 +80,11 @@ pub fn exp_t27_sized(hosts: usize, seed: u64) -> String {
         .collect();
     format!(
         "Distributed control plane at {hosts} hosts / {vms} VMs (24 h diurnal, seed {seed}),\n\
-         commit latency 0 rounds; schedulers=1 staleness=0 verified bit-identical to the\n\
-         global planner (always-on {:.0} kWh, direct PM {:.0} kWh, {:.1}% savings):\n{}",
+         commit latency 0 rounds; the schedulers=1 staleness=0 cell is the default\n\
+         single planner (always-on {:.0} kWh, PM {:.0} kWh, {:.1}% savings):\n{}",
         base.energy_kwh(),
-        direct.energy_kwh(),
-        direct.savings_vs(base) * 100.0,
+        single.energy_kwh(),
+        single.savings_vs(base) * 100.0,
         table(
             &[
                 "schedulers",
@@ -116,9 +106,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn t27_reports_every_grid_cell_and_the_identity_gate() {
+    fn t27_reports_every_grid_cell() {
         let t = exp_t27_sized(8, 3);
-        assert!(t.contains("bit-identical"));
+        assert!(t.contains("single planner"));
         assert!(t.contains("conflict rate"));
         let rows: Vec<&str> = t
             .lines()

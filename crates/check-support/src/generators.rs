@@ -165,28 +165,16 @@ impl ExperimentSpec {
     /// appended by the test overrides the default, which keeps the
     /// indexed-vs-scan differential pair meaningful on every matrix leg.
     ///
-    /// Likewise, `AGILEPM_SCHEDULERS` (unset means the classic direct
-    /// path) routes every generated run through the distributed control
-    /// plane with that many schedulers, clamped to the world's host
-    /// count so small shrunk worlds stay buildable.
+    /// Likewise, `AGILEPM_SCHEDULERS` (unset means 1) sets the control
+    /// plane's scheduler count, clamped to the world's host count so
+    /// small shrunk worlds stay buildable.
     pub fn experiment(&self) -> Experiment {
-        let mut experiment = self.direct_experiment();
-        if let Some(schedulers) = default_schedulers() {
-            experiment = experiment.schedulers(schedulers.min(self.scenario.hosts));
-        }
-        experiment
-    }
-
-    /// The same experiment with the `AGILEPM_SCHEDULERS` routing left
-    /// off: always the classic direct (global-planner) path. The
-    /// control-plane differential uses this as its reference leg so the
-    /// comparison stays meaningful on every CI matrix leg.
-    pub fn direct_experiment(&self) -> Experiment {
         Experiment::new(self.scenario.build())
             .policy(self.policy)
             .horizon(SimDuration::from_hours(self.horizon_hours))
             .control_interval(SimDuration::from_mins(self.control_mins))
             .plan_mode(default_plan_mode())
+            .schedulers(default_schedulers().min(self.scenario.hosts))
     }
 }
 
@@ -206,21 +194,20 @@ pub fn default_plan_mode() -> PlanMode {
     }
 }
 
-/// The scheduler count selected by `AGILEPM_SCHEDULERS`: `None` when
-/// unset (the classic direct path), `Some(n)` to route every generated
-/// run through the distributed control plane with `n` schedulers.
+/// The control plane's scheduler count selected by
+/// `AGILEPM_SCHEDULERS` (default 1).
 ///
 /// # Panics
 ///
 /// Panics on a non-numeric or zero value — a typo in a CI matrix must
-/// fail loudly, not silently test the default path.
-pub fn default_schedulers() -> Option<usize> {
+/// fail loudly, not silently test the default count.
+pub fn default_schedulers() -> usize {
     match std::env::var("AGILEPM_SCHEDULERS") {
         Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
+            Ok(n) if n >= 1 => n,
             _ => panic!("AGILEPM_SCHEDULERS must be a positive integer, got `{v}`"),
         },
-        Err(_) => None,
+        Err(_) => 1,
     }
 }
 

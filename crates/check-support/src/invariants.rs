@@ -136,8 +136,8 @@ pub fn check_work_counters(report: &SimReport) -> Result<(), String> {
     // can never outrun the cluster's dirty marks (which charge one mark
     // per operational host per demand sweep). Each scheduler in a
     // distributed control plane maintains its own index, so the bound
-    // scales with the planner count (`work.commit.schedulers`, 1 on the
-    // direct path). Trivially true in scan mode, where every
+    // scales with the planner count (`work.commit.schedulers`, 1 by
+    // default). Trivially true in scan mode, where every
     // `work.index.*` counter stays zero.
     let rebuckets = c("work.index.rebuckets");
     let schedulers = c("work.commit.schedulers").max(1);

@@ -45,8 +45,7 @@ run-ONLY FLAGS:
                        (bit-identical reports; indexed keeps utilization-
                        bucket indices so picks stop scanning the fleet)
   --schedulers N       split the fleet across N concurrent schedulers over
-                       the conflict-checked placement store [default 1;
-                       1 is bit-identical to the global planner]
+                       the conflict-checked placement store [default 1]
   --staleness R        scheduler views of foreign partitions lag R control
                        rounds behind ground truth [default 0]
   --resume-fail P      resume failure probability    [default 0]
@@ -200,9 +199,7 @@ fn run(args: &[String]) -> CmdResult {
             "`--schedulers` must be positive".to_string(),
         )));
     }
-    if schedulers > 1 || staleness > 0 {
-        experiment = experiment.schedulers(schedulers).view_staleness(staleness);
-    }
+    experiment = experiment.schedulers(schedulers).view_staleness(staleness);
     if resume_fail > 0.0 {
         experiment = experiment.failure_model(FailureModel::new(resume_fail, 0.0));
     }

@@ -40,13 +40,13 @@ struct DemandScratch {
     interactive: Vec<f64>,
     batch: Vec<f64>,
     tax: Vec<f64>,
-    /// Per-host served cores (sharded path only; 0 for non-operational).
+    /// Per-host served cores (0 for non-operational).
     served: Vec<f64>,
-    /// Per-host unserved cores (sharded path only).
+    /// Per-host unserved cores.
     unserved: Vec<f64>,
-    /// Per-host unserved interactive cores (sharded path only).
+    /// Per-host unserved interactive cores.
     unserved_interactive: Vec<f64>,
-    /// Per-host unserved batch cores (sharded path only).
+    /// Per-host unserved batch cores.
     unserved_batch: Vec<f64>,
 }
 
@@ -65,12 +65,9 @@ struct ServeShard<'a> {
     unserved_batch: &'a mut [f64],
 }
 
-/// Serves one shard of hosts: identical per-host arithmetic to the serial
-/// serve loop, but writing each host's served/unserved contributions into
-/// per-host buffers instead of folding them. The caller folds the buffers
-/// serially in host-index order, which replays the exact addend sequence
-/// of the serial loop (non-operational hosts contribute a `+0.0` served
-/// term, a bitwise no-op on the non-negative accumulator).
+/// Serves one shard of hosts, writing each host's served/unserved
+/// contributions into per-host buffers instead of folding them. The
+/// caller folds the buffers in host-index order on its own thread.
 fn serve_shard(now: SimTime, sh: ServeShard<'_>) {
     for (i, host) in sh.hosts.iter_mut().enumerate() {
         let cap = host.capacity().cpu_cores;
@@ -275,8 +272,8 @@ pub struct Cluster {
     host_mem_committed: Vec<f64>,
     /// Reusable buffers for [`apply_demand_into`](Self::apply_demand_into).
     scratch: DemandScratch,
-    /// Worker threads for the sharded demand/power paths; `1` keeps the
-    /// original serial code paths.
+    /// Worker threads for the sharded demand/power paths; `1` runs their
+    /// one shard on the calling thread.
     threads: usize,
     /// Reusable per-host power buffer for the sharded power scan.
     power_scratch: RefCell<Vec<f64>>,
@@ -355,12 +352,12 @@ impl Cluster {
     }
 
     /// Sets the worker-thread count for the sharded per-tick demand and
-    /// power computations. `1` (the default) keeps everything on the
-    /// calling thread via the original serial code paths. The requested
-    /// count is honored exactly (never capped by `available_parallelism`),
-    /// and every count produces bit-identical results: shard boundaries
-    /// are a pure function of the fleet size and all floating-point
-    /// reductions stay on the calling thread in host-index order.
+    /// power computations. `1` (the default) runs them as one shard on the
+    /// calling thread. The requested count is honored exactly (never
+    /// capped by `available_parallelism`), and every count produces
+    /// bit-identical results: shard boundaries are a pure function of the
+    /// fleet size and all floating-point reductions stay on the calling
+    /// thread in host-index order.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -1057,88 +1054,60 @@ impl Cluster {
             host_tax[m.to.index()] += tax;
         }
 
-        let mut served = 0.0f64;
-        let mut unserved = unserved_unplaced;
+        // Workers compute each host's serve outcome into disjoint
+        // per-host buffers (every slot is overwritten, so they are only
+        // sized, never re-zeroed); the fold below adds the per-host
+        // contributions on this thread in host-index order, so the result
+        // is bit-identical at any thread count (the `+0.0` served term of
+        // a non-operational host is a bitwise no-op on the non-negative
+        // accumulator).
         let utilization = &mut out.host_utilization;
         let host_demand = &mut out.host_demand_cores;
-        reset_zeroed(utilization, n);
-        reset_zeroed(host_demand, n);
-        if self.threads > 1 && n > 1 {
-            // Sharded serve path: workers compute each host's serve
-            // outcome into disjoint per-host buffers; the fold below adds
-            // the per-host contributions on this thread in host-index
-            // order, replaying the serial loop's exact addend sequence so
-            // the result is bit-identical at any thread count (the
-            // `+0.0` served term of a non-operational host is a bitwise
-            // no-op on the non-negative accumulator).
-            let served_c = &mut scratch.served;
-            let unserved_c = &mut scratch.unserved;
-            let unserved_int_c = &mut scratch.unserved_interactive;
-            let unserved_bat_c = &mut scratch.unserved_batch;
-            reset_zeroed(served_c, n);
-            reset_zeroed(unserved_c, n);
-            reset_zeroed(unserved_int_c, n);
-            reset_zeroed(unserved_bat_c, n);
-            let ranges = pool::shard_ranges(n, self.threads);
-            let mut hosts_it = pool::split_mut(&mut self.hosts, &ranges).into_iter();
-            let mut util_it = pool::split_mut(utilization, &ranges).into_iter();
-            let mut dem_it = pool::split_mut(host_demand, &ranges).into_iter();
-            let mut srv_it = pool::split_mut(served_c, &ranges).into_iter();
-            let mut uns_it = pool::split_mut(unserved_c, &ranges).into_iter();
-            let mut uni_it = pool::split_mut(unserved_int_c, &ranges).into_iter();
-            let mut unb_it = pool::split_mut(unserved_bat_c, &ranges).into_iter();
-            let shards: Vec<ServeShard<'_>> = ranges
-                .iter()
-                .map(|r| ServeShard {
-                    hosts: hosts_it.next().expect("one host chunk per range"),
-                    tax: &host_tax[r.clone()],
-                    interactive: &host_interactive[r.clone()],
-                    batch: &host_batch[r.clone()],
-                    utilization: util_it.next().expect("one chunk per range"),
-                    demand: dem_it.next().expect("one chunk per range"),
-                    served: srv_it.next().expect("one chunk per range"),
-                    unserved: uns_it.next().expect("one chunk per range"),
-                    unserved_interactive: uni_it.next().expect("one chunk per range"),
-                    unserved_batch: unb_it.next().expect("one chunk per range"),
-                })
-                .collect();
-            pool::for_each_shard(self.threads, shards, |_, sh| serve_shard(now, sh));
-            for i in 0..n {
-                served += served_c[i];
-                unserved += unserved_c[i];
-                unserved_interactive += unserved_int_c[i];
-                unserved_batch += unserved_bat_c[i];
-            }
-        } else {
-            for (i, host) in self.hosts.iter_mut().enumerate() {
-                let cap = host.capacity().cpu_cores;
-                let demand = host_tax[i] + host_interactive[i] + host_batch[i];
-                host_demand[i] = demand;
-                if host.is_operational() {
-                    let mut remaining = cap;
-                    let served_tax = host_tax[i].min(remaining);
-                    remaining -= served_tax;
-                    let served_interactive = host_interactive[i].min(remaining);
-                    remaining -= served_interactive;
-                    let served_batch = host_batch[i].min(remaining);
-
-                    let s = served_tax + served_interactive + served_batch;
-                    served += s;
-                    unserved += demand - s;
-                    unserved_interactive += host_interactive[i] - served_interactive;
-                    unserved_batch += host_batch[i] - served_batch;
-                    utilization[i] = if cap > 0.0 { s / cap } else { 0.0 };
-                    host.power_mut().set_utilization(now, utilization[i]);
-                } else {
-                    // VMs must not sit on non-operational hosts (the
-                    // cluster enforces evacuation), but migration taxes
-                    // can reference an endpoint mid-transition; treat
-                    // that demand as lost.
-                    unserved += demand;
-                    unserved_interactive += host_interactive[i];
-                    unserved_batch += host_batch[i];
-                }
-            }
+        let served_c = &mut scratch.served;
+        let unserved_c = &mut scratch.unserved;
+        let unserved_int_c = &mut scratch.unserved_interactive;
+        let unserved_bat_c = &mut scratch.unserved_batch;
+        for v in [
+            &mut *utilization,
+            &mut *host_demand,
+            &mut *served_c,
+            &mut *unserved_c,
+            &mut *unserved_int_c,
+            &mut *unserved_bat_c,
+        ] {
+            v.resize(n, 0.0);
+        }
+        let ranges = pool::shard_ranges(n, self.threads);
+        let mut hosts_it = pool::split_mut(&mut self.hosts, &ranges).into_iter();
+        let mut util_it = pool::split_mut(utilization, &ranges).into_iter();
+        let mut dem_it = pool::split_mut(host_demand, &ranges).into_iter();
+        let mut srv_it = pool::split_mut(served_c, &ranges).into_iter();
+        let mut uns_it = pool::split_mut(unserved_c, &ranges).into_iter();
+        let mut uni_it = pool::split_mut(unserved_int_c, &ranges).into_iter();
+        let mut unb_it = pool::split_mut(unserved_bat_c, &ranges).into_iter();
+        let shards: Vec<ServeShard<'_>> = ranges
+            .iter()
+            .map(|r| ServeShard {
+                hosts: hosts_it.next().expect("one host chunk per range"),
+                tax: &host_tax[r.clone()],
+                interactive: &host_interactive[r.clone()],
+                batch: &host_batch[r.clone()],
+                utilization: util_it.next().expect("one chunk per range"),
+                demand: dem_it.next().expect("one chunk per range"),
+                served: srv_it.next().expect("one chunk per range"),
+                unserved: uns_it.next().expect("one chunk per range"),
+                unserved_interactive: uni_it.next().expect("one chunk per range"),
+                unserved_batch: unb_it.next().expect("one chunk per range"),
+            })
+            .collect();
+        pool::for_each_shard(self.threads, shards, |_, sh| serve_shard(now, sh));
+        let mut served = 0.0f64;
+        let mut unserved = unserved_unplaced;
+        for i in 0..n {
+            served += served_c[i];
+            unserved += unserved_c[i];
+            unserved_interactive += unserved_int_c[i];
+            unserved_batch += unserved_bat_c[i];
         }
         // Migration tax is overhead, not offered VM demand; keep the
         // invariant offered = served + unserved by counting tax in both
@@ -1186,15 +1155,9 @@ impl Cluster {
             AccountingMode::Scan => self.scan_total_power_w(),
             AccountingMode::Incremental => {
                 if self.power_stale.get() {
-                    let n = self.hosts.len();
-                    let mut tree = self.power_tree.borrow_mut();
-                    if self.threads > 1 && n > 1 {
-                        let buf = self.sharded_power_draws();
-                        tree.rebuild(n, |i| buf[i]);
-                    } else {
-                        tree.rebuild(n, |i| self.hosts[i].power().power_w());
-                    }
-                    drop(tree);
+                    let buf = self.power_draws();
+                    self.power_tree.borrow_mut().rebuild(buf.len(), |i| buf[i]);
+                    drop(buf);
                     self.power_stale.set(false);
                 }
                 let v = self.power_tree.borrow().root();
@@ -1211,44 +1174,20 @@ impl Cluster {
     /// Scan-based reference for [`total_power_w`](Self::total_power_w):
     /// the fixed-shape [`pairwise_sum`] over per-host draws that the
     /// incremental tree maintains under point updates.
-    ///
-    /// With more than one worker thread the per-host draws are computed
-    /// in parallel shards into a reusable buffer first; the fold then
-    /// runs over the same addends in the same tree shape as the serial
-    /// path, so the result is bit-identical at any thread count.
     fn scan_total_power_w(&self) -> f64 {
-        let n = self.hosts.len();
-        if self.threads > 1 && n > 1 {
-            let buf = self.sharded_power_draws();
-            pairwise_sum(n, |i| buf[i])
-        } else {
-            pairwise_sum(n, |i| self.hosts[i].power().power_w())
-        }
+        let buf = self.power_draws();
+        pairwise_sum(buf.len(), |i| buf[i])
     }
 
     /// Fills the reusable power scratch buffer with every host's current
     /// draw using the worker pool, returning the borrow for the caller's
-    /// fold or rebuild.
-    fn sharded_power_draws(&self) -> std::cell::RefMut<'_, Vec<f64>> {
-        let n = self.hosts.len();
+    /// fold or rebuild. The fold then runs over the same addends in the
+    /// same tree shape at any thread count, so it is bit-identical.
+    fn power_draws(&self) -> std::cell::RefMut<'_, Vec<f64>> {
+        let hosts = &self.hosts;
         let mut buf = self.power_scratch.borrow_mut();
-        reset_zeroed(&mut buf, n);
-        let ranges = pool::shard_ranges(n, self.threads);
-        let mut buf_it = pool::split_mut(&mut buf, &ranges).into_iter();
-        let shards: Vec<(&[Host], &mut [f64])> = ranges
-            .iter()
-            .map(|r| {
-                (
-                    &self.hosts[r.clone()],
-                    buf_it.next().expect("one chunk per range"),
-                )
-            })
-            .collect();
-        pool::for_each_shard(self.threads, shards, |_, (hosts, out)| {
-            for (o, h) in out.iter_mut().zip(hosts) {
-                *o = h.power().power_w();
-            }
-        });
+        buf.resize(hosts.len(), 0.0);
+        pool::fill(self.threads, &mut buf, |i| hosts[i].power().power_w());
         buf
     }
 

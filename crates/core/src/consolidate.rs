@@ -6,8 +6,6 @@
 //! and mark them *draining*. Once a draining host is empty, the manager
 //! emits the power-down.
 
-use std::ops::Range;
-
 use cluster::{HostId, VmId};
 use obs::SpanTracer;
 use simcore::{pool, SimTime};
@@ -22,10 +20,10 @@ use crate::{
 /// drain candidates while spare capacity allows.
 ///
 /// Mutates `ctx.draining` (the manager copies it back), appends migration
-/// actions, and decrements `budget`. `threads > 1` shards the candidate
-/// scoring scan across worker threads (deterministically — see
+/// actions, and decrements `budget`. The candidate scoring scan is
+/// sharded across `threads` workers (deterministically — see
 /// [`pick_candidate`]); planning, evacuation, and the LIFO undo journal
-/// always stay serial.
+/// always stay on the calling thread.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_consolidation(
     ctx: &mut PlanContext,
@@ -109,15 +107,42 @@ pub(crate) fn plan_consolidation(
     }
 }
 
+/// Whether `host` may start draining this round — the one predicate both
+/// candidate picks share. `pool_capacity` is the active plus arriving
+/// capacity and `required` the capacity the fleet must keep.
+#[allow(clippy::too_many_arguments)]
+fn drainable(
+    ctx: &PlanContext,
+    cfg: &ManagerConfig,
+    gate: &HysteresisGate,
+    recovery: &RecoveryTracker,
+    now: SimTime,
+    host: usize,
+    pool_capacity: f64,
+    required: f64,
+) -> bool {
+    ctx.operational[host]
+        && !ctx.draining[host]
+        // A host receiving a VM this round is filling, not emptying.
+        && ctx.inbound_moves[host] == 0
+        && ctx.util(host) < cfg.underload_threshold()
+        && gate.may_power_down(HostId(host as u32), now)
+        // Quarantined hosts stay out of the park-candidate set:
+        // evacuating one would strand it on (its power-down is blocked)
+        // while paying the migration cost anyway.
+        && !recovery.is_quarantined(host)
+        // Removing this host must still leave enough capacity.
+        && pool_capacity - ctx.cpu_capacity[host] >= required
+}
+
 /// Picks the least-loaded drainable host, if the fleet can spare it.
 ///
-/// With `threads > 1` the qualification scan is sharded: each worker
-/// finds its shard's first-wins minimum over a fixed contiguous index
-/// range, and the shard winners are merged here in ascending shard order
-/// with the same strict less-than rule. Because shard ranges are
-/// ascending and first-wins-within-shard plus first-wins-across-shards
-/// composes to first-wins-globally, the result is identical to the
-/// serial scan for any thread count.
+/// The qualification scan is sharded: each worker finds its shard's
+/// first-wins minimum over a fixed contiguous index range, and the shard
+/// winners are merged here in ascending shard order with the same strict
+/// less-than rule. Because shard ranges are ascending and
+/// first-wins-within-shard plus first-wins-across-shards composes to
+/// first-wins-globally, the result is the same for any thread count.
 fn pick_candidate(
     ctx: &mut PlanContext,
     cfg: &ManagerConfig,
@@ -165,65 +190,27 @@ fn pick_candidate(
         + (cfg.spare_hosts() as f64 + cfg.drain_deadband_frac()) * max_host_cap;
 
     // Least-loaded qualifying host; first wins on ties, matching
-    // `Iterator::min_by` over ascending indices.
-    let scan_range = |range: Range<usize>| -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for h in range {
-            let qualifies = ctx.operational[h]
-                && !ctx.draining[h]
-                && ctx.util(h) < cfg.underload_threshold()
-                && gate.may_power_down(HostId(h as u32), now)
-                // Quarantined hosts stay out of the park-candidate set:
-                // evacuating one would strand it on (its power-down is
-                // blocked) while paying the migration cost anyway.
-                && !recovery.is_quarantined(h)
-                // Removing this host must still leave enough capacity.
-                && active_capacity + arriving_capacity - ctx.cpu_capacity[h] >= required;
-            if !qualifies {
-                continue;
-            }
-            best = match best {
-                Some(b)
-                    if ctx
-                        .util(h)
-                        .partial_cmp(&ctx.util(b))
-                        .expect("utilization is finite")
-                        .is_lt() =>
-                {
-                    Some(h)
-                }
-                Some(b) => Some(b),
-                None => Some(h),
-            };
+    // `Iterator::min_by` over ascending indices — within a shard and
+    // again across the shard winners.
+    let pool_capacity = active_capacity + arriving_capacity;
+    let first_min = |best: Option<usize>, h: usize| match best {
+        Some(b)
+            if !ctx
+                .util(h)
+                .partial_cmp(&ctx.util(b))
+                .expect("utilization is finite")
+                .is_lt() =>
+        {
+            Some(b)
         }
-        best
+        _ => Some(h),
     };
-    let n = ctx.num_hosts();
-    if threads > 1 && n > 1 {
-        let ranges = pool::shard_ranges(n, threads);
-        let winners = pool::map_shards(threads, ranges, |_, r| scan_range(r));
-        // Merge in ascending shard order with the same strict less-than:
-        // an earlier shard's winner survives a tie, matching first-wins.
-        let mut best: Option<usize> = None;
-        for h in winners.into_iter().flatten() {
-            best = match best {
-                Some(b)
-                    if ctx
-                        .util(h)
-                        .partial_cmp(&ctx.util(b))
-                        .expect("utilization is finite")
-                        .is_lt() =>
-                {
-                    Some(h)
-                }
-                Some(b) => Some(b),
-                None => Some(h),
-            };
-        }
-        best
-    } else {
-        scan_range(0..n)
-    }
+    let winners = pool::map_shards(threads, pool::shard_ranges(n, threads), |_, range| {
+        range
+            .filter(|&h| drainable(ctx, cfg, gate, recovery, now, h, pool_capacity, required))
+            .fold(None, first_min)
+    });
+    winners.into_iter().flatten().fold(None, first_min)
 }
 
 /// Indexed twin of [`pick_candidate`]: the capacity aggregates come from
@@ -251,13 +238,9 @@ fn pick_candidate_indexed(
     let total_pred = ctx.total_predicted();
     let required = total_pred / cfg.target_utilization()
         + (cfg.spare_hosts() as f64 + cfg.drain_deadband_frac()) * max_host_cap;
+    let pool_capacity = active_capacity + arriving_capacity;
     let qualifies = |ctx: &PlanContext, h: usize| {
-        ctx.operational[h]
-            && !ctx.draining[h]
-            && ctx.util(h) < cfg.underload_threshold()
-            && gate.may_power_down(HostId(h as u32), now)
-            && !recovery.is_quarantined(h)
-            && active_capacity + arriving_capacity - ctx.cpu_capacity[h] >= required
+        drainable(ctx, cfg, gate, recovery, now, h, pool_capacity, required)
     };
     let mut examined = 0u64;
     let mut best: Option<(f64, usize)> = None;
@@ -391,6 +374,7 @@ fn undo_moves(ctx: &mut PlanContext, journal: &[MoveUndo]) {
         // Trial moves only ever pick non-migrating VMs, so the flag's
         // prior value is always false.
         ctx.migrating_vm[u.vm] = false;
+        ctx.inbound_moves[u.to] -= 1;
         ctx.host_pred_cpu[u.from] = u.old_pred_from;
         ctx.host_pred_cpu[u.to] = u.old_pred_to;
         ctx.mem_committed[u.to] = u.old_mem_to;

@@ -90,7 +90,7 @@ pub struct VirtManager {
     predicted_buf: Vec<f64>,
     ctx: PlanContext,
     /// Worker threads for the sharded prediction fill and consolidation
-    /// candidate scan; `1` keeps planning fully serial.
+    /// candidate scan; `1` runs their one shard on the calling thread.
     threads: usize,
     /// Log-bucket histogram of total actions per round — deterministic
     /// (counts actions, not time), feeds the decision record's
@@ -149,10 +149,10 @@ impl VirtManager {
 
     /// Sets the worker-thread count for the sharded planning paths (the
     /// per-VM prediction fill and the consolidation candidate scan). `1`
-    /// (the default) keeps planning fully serial; any count produces
-    /// bit-identical plans — shard boundaries are fixed and every
-    /// floating-point reduction stays on the calling thread in index
-    /// order.
+    /// (the default) runs them as one shard on the calling thread; any
+    /// count produces bit-identical plans — shard boundaries are fixed
+    /// and every floating-point reduction stays on the calling thread in
+    /// index order.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -265,41 +265,25 @@ impl VirtManager {
         self.stats.failsafe_rounds = rstats.failsafe_rounds;
 
         // Feed the predictors and collect per-VM predictions into the
-        // reusable buffer. Each prediction only touches its own predictor
-        // and output slot, so the sharded fill is trivially identical to
-        // the serial one.
+        // reusable buffer, sharded. Each prediction only touches its own
+        // predictor and output slot, so any thread count gives the same
+        // buffer.
         let n_vms = obs.vms.len();
-        if self.threads > 1 && n_vms > 1 {
-            self.predicted_buf.clear();
-            self.predicted_buf.resize(n_vms, 0.0);
-            let ranges = pool::shard_ranges(n_vms, self.threads);
-            let mut pred_it = pool::split_mut(&mut self.predictors, &ranges).into_iter();
-            let mut out_it = pool::split_mut(&mut self.predicted_buf, &ranges).into_iter();
-            let shards: Vec<_> = ranges
-                .iter()
-                .map(|r| {
-                    (
-                        &obs.vms[r.clone()],
-                        pred_it.next().expect("one chunk per range"),
-                        out_it.next().expect("one chunk per range"),
-                    )
-                })
-                .collect();
-            pool::for_each_shard(self.threads, shards, |_, (vms, preds, out)| {
-                for ((vm, p), o) in vms.iter().zip(preds.iter_mut()).zip(out.iter_mut()) {
-                    p.observe(vm.cpu_demand);
-                    *o = p.predict().clamp(0.0, vm.cpu_cap);
-                }
-            });
-        } else {
-            self.predicted_buf.clear();
-            let predictors = &mut self.predictors;
-            self.predicted_buf
-                .extend(obs.vms.iter().zip(predictors).map(|(vm, p)| {
-                    p.observe(vm.cpu_demand);
-                    p.predict().clamp(0.0, vm.cpu_cap)
-                }));
-        }
+        self.predicted_buf.resize(n_vms, 0.0);
+        let ranges = pool::shard_ranges(n_vms, self.threads);
+        let preds = pool::split_mut(&mut self.predictors, &ranges);
+        let outs = pool::split_mut(&mut self.predicted_buf, &ranges);
+        let shards: Vec<_> = ranges
+            .iter()
+            .map(|r| &obs.vms[r.clone()])
+            .zip(preds.into_iter().zip(outs))
+            .collect();
+        pool::for_each_shard(self.threads, shards, |_, (vms, (preds, out))| {
+            for ((vm, p), o) in vms.iter().zip(preds.iter_mut()).zip(out.iter_mut()) {
+                p.observe(vm.cpu_demand);
+                *o = p.predict().clamp(0.0, vm.cpu_cap);
+            }
+        });
 
         // Feed the time-of-day profile (proactive pre-waking).
         if let Some(profile) = &mut self.profile {

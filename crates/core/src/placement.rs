@@ -1,9 +1,9 @@
 //! The shared placement store: the commit point of the distributed
 //! control plane.
 //!
-//! With one global planner, plans are self-consistent by construction —
-//! the planner saw the whole fleet an instant ago and never claims the
-//! same VM or the same host headroom twice in one round. With N
+//! With one scheduler over a fresh view, plans are self-consistent by
+//! construction — the planner saw the whole fleet an instant ago and
+//! never claims the same VM or the same host headroom twice in one round. With N
 //! schedulers planning concurrently over partially-stale views (and with
 //! a control-loop latency between planning and committing), that
 //! guarantee disappears: two schedulers can race for the headroom of one
@@ -36,9 +36,9 @@
 //! The headroom check mirrors the planner's own admission arithmetic
 //! (`mem_committed + vm_mem > mem_capacity + 1e-9`, destination-add with
 //! no source-subtract until the migration completes) bit-for-bit, so a
-//! single fresh scheduler — `schedulers = 1, staleness = 0, latency = 0`
-//! — has every action admitted and reproduces the global planner
-//! byte-identically.
+//! single fresh scheduler — `schedulers = 1, staleness = 0, latency = 0`,
+//! the default every managed run uses — has every action admitted (the
+//! differential suite's lone-scheduler property checks exactly that).
 
 use std::ops::Range;
 

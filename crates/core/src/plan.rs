@@ -52,6 +52,11 @@ pub(crate) struct PlanContext {
     pub vm_batch: Vec<bool>,
     /// VMs per host under the tentative plan.
     pub vms_by_host: Vec<Vec<usize>>,
+    /// VMs tentatively moved onto each host this round. A receiving host
+    /// is no drain candidate: its inbound VMs are not movable
+    /// (`migrating_vm`), so a trial evacuation would look complete while
+    /// the host is filling up.
+    pub inbound_moves: Vec<u32>,
     /// Sum of `predicted_vm`, computed once per rebuild (predictions are
     /// immutable within a round, so hot paths read this instead of
     /// re-summing O(VMs)).
@@ -166,6 +171,8 @@ impl PlanContext {
         );
         self.draining.clear();
         self.draining.extend_from_slice(draining);
+        self.inbound_moves.clear();
+        self.inbound_moves.resize(nh, 0);
         self.migrating_vm.clear();
         self.migrating_vm
             .extend(obs.vms.iter().map(|v| v.migrating));
@@ -366,9 +373,11 @@ impl PlanContext {
         self.vms_by_host[from].retain(|&v| v != vm);
         self.vms_by_host[to].push(vm);
         self.vm_host[vm] = Some(to);
-        self.migrating_vm[vm] = true; // one move per VM per round
-                                      // Both endpoints' utilizations changed; their stored buckets are
-                                      // stale until the overlay folds or the next refresh.
+        self.inbound_moves[to] += 1;
+        // One move per VM per round.
+        self.migrating_vm[vm] = true;
+        // Both endpoints' utilizations changed; their stored buckets are
+        // stale until the overlay folds or the next refresh.
         self.touch_host(from);
         self.touch_host(to);
     }

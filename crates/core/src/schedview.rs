@@ -14,8 +14,8 @@
 //!   `(fresh, stale, partition)`; and
 //! * when one scheduler owns every host, the merge degenerates to the
 //!   fresh observation regardless of the staleness setting — which is
-//!   why `schedulers = 1` reproduces the global planner byte-identically
-//!   at *any* configured staleness.
+//!   why `schedulers = 1` produces the same report at *any* configured
+//!   staleness.
 
 use std::ops::Range;
 

@@ -25,7 +25,7 @@
 //!     .policy(PowerPolicy::reactive_suspend())
 //!     .horizon(SimDuration::from_hours(2));
 //! let out = SimulationBuilder::new(experiment)
-//!     .threads(2) // bit-identical to the serial engine
+//!     .threads(2) // bit-identical to one thread
 //!     .capture_cluster(true)
 //!     .build()?
 //!     .run()?;
@@ -68,7 +68,7 @@ impl SimulationBuilder {
     }
 
     /// Sets the worker-thread count for the deterministic sharded tick
-    /// engine (default 1 — the original serial engine). Any count
+    /// engine (default 1 — one shard on the calling thread). Any count
     /// produces a bit-identical [`SimReport`]; the count is honored
     /// exactly, never capped by the machine's core count.
     /// [`build`](Self::build) rejects `0`.
@@ -177,18 +177,17 @@ impl SimulationBuilder {
             .resolve_config()
             .try_validate()
             .map_err(|e| invalid(format!("manager config: {e}")))?;
-        if let Some((schedulers, _, _)) = self.experiment.control_plane_knobs() {
-            if schedulers == 0 {
-                return Err(invalid(
-                    "control plane needs at least one scheduler".to_string(),
-                ));
-            }
-            let hosts = self.experiment.scenario().host_specs().len();
-            if schedulers > hosts {
-                return Err(invalid(format!(
-                    "more schedulers ({schedulers}) than hosts ({hosts})"
-                )));
-            }
+        let knobs @ (schedulers, _, _) = self.experiment.control_plane_knobs();
+        if schedulers == 0 {
+            return Err(invalid(
+                "control plane needs at least one scheduler".to_string(),
+            ));
+        }
+        let hosts = self.experiment.scenario().host_specs().len();
+        if schedulers > hosts {
+            return Err(invalid(format!(
+                "more schedulers ({schedulers}) than hosts ({hosts})"
+            )));
         }
 
         let analytic = if self.dvfs.is_some() {
@@ -205,7 +204,7 @@ impl SimulationBuilder {
             if self.profiling {
                 return Err(invalid(format!("{mode} has no event loop to profile")));
             }
-            if self.experiment.control_plane_knobs().is_some() {
+            if knobs != (1, 0, 0) {
                 return Err(invalid(format!("{mode} has no schedulers to distribute")));
             }
             let inner = match self.dvfs {
@@ -452,7 +451,17 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.to_string().contains("more schedulers"), "{err}");
+        // One scheduler per host is the largest plane.
+        assert!(SimulationBuilder::new(experiment(10))
+            .schedulers(4)
+            .build()
+            .is_ok());
         let e = Experiment::new(Scenario::small_test(10)).policy(PowerPolicy::oracle());
+        // The default single scheduler is no distribution request.
+        assert!(SimulationBuilder::new(e.clone())
+            .schedulers(1)
+            .build()
+            .is_ok());
         let err = SimulationBuilder::new(e).schedulers(2).build().unwrap_err();
         assert!(err.to_string().contains("no schedulers"), "{err}");
         let err = SimulationBuilder::new(experiment(10))

@@ -58,9 +58,9 @@ pub struct Experiment {
     trace_path: Option<PathBuf>,
     accounting: AccountingMode,
     plan_mode: Option<PlanMode>,
-    schedulers: Option<usize>,
-    view_staleness: Option<usize>,
-    control_latency: Option<usize>,
+    schedulers: usize,
+    view_staleness: usize,
+    control_latency: usize,
 }
 
 /// Where the manager configuration comes from: a bare policy gets
@@ -85,9 +85,9 @@ impl Experiment {
             trace_path: None,
             accounting: AccountingMode::default(),
             plan_mode: None,
-            schedulers: None,
-            view_staleness: None,
-            control_latency: None,
+            schedulers: 1,
+            view_staleness: 0,
+            control_latency: 0,
         }
     }
 
@@ -181,48 +181,35 @@ impl Experiment {
         self
     }
 
-    /// Runs `count` concurrent scheduler replicas over fixed contiguous
-    /// host partitions, every commit arbitrated by the shared
-    /// conflict-checked placement store. Setting any control-plane knob
-    /// (this, [`view_staleness`](Self::view_staleness), or
-    /// [`control_latency`](Self::control_latency)) routes the run through
-    /// the distributed commit path; `schedulers(1)` with zero staleness
-    /// and latency reproduces the default path byte-identically, which is
-    /// what the differential suite verifies. Ignored by the analytic
-    /// (`Oracle`/DVFS) paths — the builder rejects the combination.
+    /// Runs `count` concurrent scheduler replicas (default 1) over fixed
+    /// contiguous host partitions, every commit arbitrated by the shared
+    /// conflict-checked placement store. Ignored by the analytic
+    /// (`Oracle`/DVFS) paths — the builder rejects any non-default
+    /// control-plane knob there.
     pub fn schedulers(mut self, count: usize) -> Self {
-        self.schedulers = Some(count);
+        self.schedulers = count;
         self
     }
 
     /// Each scheduler observes remote partitions through a snapshot this
     /// many control rounds old (default 0 = fully fresh). Only visible
-    /// with more than one scheduler; implies the distributed commit path.
+    /// with more than one scheduler.
     pub fn view_staleness(mut self, rounds: usize) -> Self {
-        self.view_staleness = Some(rounds);
+        self.view_staleness = rounds;
         self
     }
 
     /// Plans computed at tick `t` commit at tick `t + rounds` (default 0
-    /// = same tick). Implies the distributed commit path.
+    /// = same tick).
     pub fn control_latency(mut self, rounds: usize) -> Self {
-        self.control_latency = Some(rounds);
+        self.control_latency = rounds;
         self
     }
 
-    /// The resolved control-plane knobs — `Some` iff any of them was set.
-    pub(crate) fn control_plane_knobs(&self) -> Option<(usize, usize, usize)> {
-        if self.schedulers.is_none()
-            && self.view_staleness.is_none()
-            && self.control_latency.is_none()
-        {
-            return None;
-        }
-        Some((
-            self.schedulers.unwrap_or(1),
-            self.view_staleness.unwrap_or(0),
-            self.control_latency.unwrap_or(0),
-        ))
+    /// The control-plane knobs: `(schedulers, view staleness, control
+    /// latency)`.
+    pub(crate) fn control_plane_knobs(&self) -> (usize, usize, usize) {
+        (self.schedulers, self.view_staleness, self.control_latency)
     }
 
     /// The scenario under test.
@@ -258,9 +245,7 @@ impl Experiment {
             self.scenario.fleet().len(),
         );
         let mut sim = DatacenterSim::new(&self.scenario, Some(manager), interval, self.horizon)?;
-        if let Some((schedulers, staleness, latency)) = self.control_plane_knobs() {
-            sim.set_control_plane(schedulers, staleness, latency);
-        }
+        sim.set_control_plane(self.schedulers, self.view_staleness, self.control_latency);
         sim.set_accounting_mode(self.accounting);
         sim.set_failure_model(self.failures);
         if self.record_events {
@@ -505,14 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn control_plane_knobs_default_to_unset() {
+    fn control_plane_knobs_default_to_one_fresh_scheduler() {
         let e = Experiment::new(Scenario::small_test(5));
-        assert_eq!(e.control_plane_knobs(), None);
-        // Setting any one knob engages the distributed commit path with
-        // defaults for the others.
+        assert_eq!(e.control_plane_knobs(), (1, 0, 0));
         let e = e.view_staleness(2);
-        assert_eq!(e.control_plane_knobs(), Some((1, 2, 0)));
+        assert_eq!(e.control_plane_knobs(), (1, 2, 0));
         let e = e.schedulers(4).control_latency(1);
-        assert_eq!(e.control_plane_knobs(), Some((4, 2, 1)));
+        assert_eq!(e.control_plane_knobs(), (4, 2, 1));
     }
 }

@@ -7,11 +7,11 @@
 //! * [`run_indexed`] — coarse-grained parallelism *across* independent
 //!   jobs (whole simulations, sweep points). Workers claim indices
 //!   atomically and results come back in index order.
-//! * [`shard_ranges`] / [`map_shards`] / [`for_each_shard`] — fine-grained
-//!   parallelism *inside* a run. The caller partitions its state into
-//!   fixed, contiguous shards (one disjoint slice chunk per shard) and the
-//!   pool runs one closure per shard on scoped threads, returning per-shard
-//!   results **in shard order**. Shard boundaries depend only on
+//! * [`shard_ranges`] / [`map_shards`] / [`for_each_shard`] / [`fill`] —
+//!   fine-grained parallelism *inside* a run. The caller partitions its
+//!   state into fixed, contiguous shards (one disjoint slice chunk per
+//!   shard) and the pool runs one closure per shard on scoped threads,
+//!   returning per-shard results **in shard order**. Shard boundaries depend only on
 //!   `(len, threads)`, never on timing, and the shard helpers honor the
 //!   requested thread count exactly (they do not consult
 //!   `available_parallelism`), so a `--threads 8` run exercises the same
@@ -170,6 +170,28 @@ where
     })
 }
 
+/// Overwrites `out[i]` with `f(i)` for every index, the slice split into
+/// [`shard_ranges`]`(out.len(), threads)` and each shard filled by one
+/// worker (see [`map_shards`]; one shard runs inline). Every element is
+/// computed by the same expression whatever the thread count, so the
+/// result is bit-identical at any count.
+pub fn fill<T, F>(threads: usize, out: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let ranges = shard_ranges(out.len(), threads);
+    let shards: Vec<_> = split_mut(out, &ranges)
+        .into_iter()
+        .zip(ranges.iter().map(|r| r.start))
+        .collect();
+    for_each_shard(threads, shards, |_, (chunk, base)| {
+        for (k, slot) in chunk.iter_mut().enumerate() {
+            *slot = f(base + k);
+        }
+    });
+}
+
 /// Side-effect-only variant of [`map_shards`]: runs `f(shard_index, item)`
 /// once per item on scoped worker threads, discarding results. Same
 /// thread-count semantics and panic propagation as [`map_shards`].
@@ -280,6 +302,16 @@ mod tests {
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
         }
+    }
+
+    #[test]
+    fn fill_writes_every_index_at_any_thread_count() {
+        for threads in [1usize, 2, 3, 8] {
+            let mut out = vec![0usize; 11];
+            fill(threads, &mut out, |i| i * 3);
+            assert_eq!(out, (0..11).map(|i| i * 3).collect::<Vec<_>>());
+        }
+        fill(4, &mut [] as &mut [u8], |_| unreachable!("no elements"));
     }
 
     #[test]

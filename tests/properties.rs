@@ -275,7 +275,7 @@ fn distributed_control_plane_invariants() {
             let scenario = spec.scenario.build();
             let run = || {
                 check_support::run_experiment(
-                    spec.direct_experiment()
+                    spec.experiment()
                         .schedulers(schedulers)
                         .view_staleness(*staleness)
                         .control_latency(*latency)
