@@ -1,5 +1,5 @@
 //! Scale-out hot-path benchmark (the F8 companion): wall-clock ticks/sec,
-//! profiler attribution, and peak RSS at increasing cluster sizes.
+//! span attribution, and peak RSS at increasing cluster sizes.
 //!
 //! Writes `BENCH_scaleout.json`. With `--check-baseline FILE` the run
 //! fails (exit 1) if ticks/sec at any matching size regresses more than
@@ -37,124 +37,120 @@ struct Row {
     wall_secs: f64,
     ticks_per_sec: f64,
     peak_rss_kb: u64,
-    /// Planning mode of the measured run.
-    plan_mode: PlanMode,
     /// Ticks/sec of the scan-reference rerun (scan accounting AND scan
     /// planning), when it was performed — its report, with the
     /// mode-variant search-cost counters dropped, must match
     /// bit-for-bit or the bench aborts.
     scan_ticks_per_sec: Option<f64>,
+    /// Wall seconds of each engine phase (the depth-1 spans).
     phases: Vec<(String, f64)>,
     /// Full hierarchical span summary of the best run.
-    spans: Option<SpanSummary>,
+    spans: SpanSummary,
     /// Deterministic `work.*` op-counters from the metrics snapshot —
     /// the wall-clock-free superlinearity evidence.
     work: Vec<(String, u64)>,
 }
 
-fn main() {
-    let mut sizes: Vec<usize> = vec![64, 256, 1024];
-    let mut out_path = String::from("BENCH_scaleout.json");
-    let mut baseline: Option<String> = None;
-    let mut repeat = 3usize;
-    let mut threads = 1usize;
-    let mut plan_mode = PlanMode::Indexed;
-    let mut ladder = false;
-    let mut wake_slo_secs = 12u64;
-    let mut schedulers = 1usize;
-    let mut staleness = 0usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+const USAGE: &str = "\
+usage: scaleout [--sizes N,N,..] [--repeat N] [--threads N] [--out PATH]
+                [--check-baseline PATH] [--ladder] [--wake-slo SECS]
+                [--schedulers N] [--staleness R]";
+
+/// Parsed command line.
+#[derive(Debug)]
+struct Args {
+    sizes: Vec<usize>,
+    out_path: String,
+    baseline: Option<String>,
+    repeat: usize,
+    threads: usize,
+    ladder: bool,
+    wake_slo_secs: u64,
+    schedulers: usize,
+    staleness: usize,
+}
+
+/// Parses the flags (program name already stripped). Every malformed
+/// input — a missing or non-numeric value, a zero count, an unknown
+/// flag — is an error message, never a panic.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        sizes: vec![64, 256, 1024],
+        out_path: String::from("BENCH_scaleout.json"),
+        baseline: None,
+        repeat: 3,
+        threads: 1,
+        ladder: false,
+        wake_slo_secs: 12,
+        schedulers: 1,
+        staleness: 0,
+    };
+    let mut argv = argv.into_iter();
+    while let Some(flag) = argv.next() {
+        let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
             "--sizes" => {
-                let list = args.next().expect("--sizes needs a comma-separated list");
-                sizes = list
+                let list = value()?;
+                args.sizes = list
                     .split(',')
-                    .map(|s| s.trim().parse().expect("bad size"))
-                    .collect();
+                    .map(|s| positive(&flag, s))
+                    .collect::<Result<_, _>>()?;
             }
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--check-baseline" => {
-                baseline = Some(args.next().expect("--check-baseline needs a path"))
-            }
-            "--repeat" => {
-                repeat = args
-                    .next()
-                    .expect("--repeat needs a count")
-                    .parse()
-                    .expect("bad repeat count");
-                assert!(repeat >= 1, "--repeat must be at least 1");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("bad thread count");
-                assert!(threads >= 1, "--threads must be at least 1");
-            }
-            "--plan-mode" => {
-                plan_mode = match args
-                    .next()
-                    .expect("--plan-mode needs scan|indexed")
-                    .as_str()
-                {
-                    "scan" => PlanMode::Scan,
-                    "indexed" => PlanMode::Indexed,
-                    other => panic!("--plan-mode must be scan or indexed, got {other:?}"),
-                };
-            }
-            "--ladder" => ladder = true,
-            "--schedulers" => {
-                schedulers = args
-                    .next()
-                    .expect("--schedulers needs a count")
-                    .parse()
-                    .expect("bad scheduler count");
-                assert!(schedulers >= 1, "--schedulers must be at least 1");
-            }
-            "--staleness" => {
-                staleness = args
-                    .next()
-                    .expect("--staleness needs a round count")
-                    .parse()
-                    .expect("bad staleness");
-            }
-            "--wake-slo" => {
-                wake_slo_secs = args
-                    .next()
-                    .expect("--wake-slo needs seconds")
-                    .parse()
-                    .expect("bad wake SLO");
-                assert!(wake_slo_secs >= 1, "--wake-slo must be at least 1 second");
-            }
-            other => panic!("unknown argument {other:?}"),
+            "--out" => args.out_path = value()?,
+            "--check-baseline" => args.baseline = Some(value()?),
+            "--repeat" => args.repeat = positive(&flag, &value()?)?,
+            "--threads" => args.threads = positive(&flag, &value()?)?,
+            "--ladder" => args.ladder = true,
+            "--schedulers" => args.schedulers = positive(&flag, &value()?)?,
+            "--staleness" => args.staleness = number(&flag, &value()?)?,
+            "--wake-slo" => args.wake_slo_secs = positive(&flag, &value()?)?,
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    Ok(args)
+}
+
+/// A non-negative integer flag value.
+fn number<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.trim()
+        .parse()
+        .map_err(|_| format!("{flag}: `{text}` is not a non-negative integer"))
+}
+
+/// A flag value that must be at least 1.
+fn positive<T: std::str::FromStr + Default + PartialEq>(
+    flag: &str,
+    text: &str,
+) -> Result<T, String> {
+    let n = number(flag, text)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
+fn main() {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("scaleout: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     // `--ladder` benches the joint sleep+speed path instead: the C6→S3→S5
     // scenario under the joint-ladder policy at `--wake-slo` seconds. The
     // scan reference rerun keeps the same policy, so the bit-identity
     // cross-check covers the rung-selection path too.
-    let policy = if ladder {
-        PowerPolicy::joint_ladder(simcore::SimDuration::from_secs(wake_slo_secs))
+    let policy = if args.ladder {
+        PowerPolicy::joint_ladder(simcore::SimDuration::from_secs(args.wake_slo_secs))
     } else {
         PowerPolicy::reactive_suspend()
     };
 
     let mut rows = Vec::new();
-    for &hosts in &sizes {
-        let row = measure(
-            hosts,
-            hosts <= VERIFY_SCAN_MAX_HOSTS,
-            repeat,
-            threads,
-            plan_mode,
-            ladder,
-            policy,
-            schedulers,
-            staleness,
-        );
+    for &hosts in &args.sizes {
+        let row = measure(hosts, &args, policy);
         let before = BEFORE.iter().find(|(h, _, _)| *h == hosts);
         println!(
             "{:>5} hosts {:>6} vms: {:>8.0} ticks/s ({:.2} s wall, peak RSS {} MB){}{}",
@@ -175,31 +171,20 @@ fn main() {
         rows.push(row);
     }
 
-    let json = render_json(&rows, threads, ladder, wake_slo_secs, schedulers, staleness);
-    std::fs::write(&out_path, &json).expect("write benchmark json");
-    println!("wrote {out_path}");
+    let json = render_json(&rows, &args);
+    std::fs::write(&args.out_path, &json).expect("write benchmark json");
+    println!("wrote {}", args.out_path);
 
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path).expect("read baseline");
+    if let Some(path) = &args.baseline {
+        let text = std::fs::read_to_string(path).expect("read baseline");
         check_baseline(&rows, &text);
         println!("baseline check passed ({path})");
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn measure(
-    hosts: usize,
-    verify_scan: bool,
-    repeat: usize,
-    threads: usize,
-    plan_mode: PlanMode,
-    ladder: bool,
-    policy: PowerPolicy,
-    schedulers: usize,
-    staleness: usize,
-) -> Row {
+fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
     let vms = hosts * 6;
-    let scenario = if ladder {
+    let scenario = if args.ladder {
         Scenario::datacenter_ladder(hosts, vms, bench::SEED)
     } else {
         Scenario::datacenter(hosts, vms, bench::SEED)
@@ -208,39 +193,38 @@ fn measure(
     // `--schedulers`/`--staleness` shape the control plane the run (and
     // its scan reference) plans through; the defaults (1, 0) are one
     // scheduler over a fresh view.
-    let plane = |exp: Experiment| exp.schedulers(schedulers).view_staleness(staleness);
+    let plane = |exp: Experiment| {
+        exp.schedulers(args.schedulers)
+            .view_staleness(args.staleness)
+    };
     // Best-of-N: the minimum wall time is the least scheduler-noise-
     // polluted sample; every repeat is the same deterministic simulation,
     // so only timing varies.
-    let mut best: Option<(f64, _, _, _)> = None;
-    for _ in 0..repeat {
-        let exp = plane(
-            Experiment::new(scenario.clone())
-                .policy(policy)
-                .plan_mode(plan_mode),
-        );
+    let mut best: Option<(f64, _, _)> = None;
+    for _ in 0..args.repeat {
+        let exp = plane(Experiment::new(scenario.clone()).policy(policy));
         let t0 = Instant::now();
         let out = SimulationBuilder::new(exp)
-            .threads(threads)
+            .threads(args.threads)
             .profiling(true)
             .build()
             .and_then(|sim| sim.run())
             .expect("scale-out run failed");
         let wall = t0.elapsed().as_secs_f64();
-        let profile = out.profile.expect("profiled run returns a profile");
-        if best.as_ref().is_none_or(|(w, _, _, _)| wall < *w) {
-            best = Some((wall, out.report, profile, out.spans));
+        let spans = out.spans.expect("profiled run returns a span tree");
+        if best.as_ref().is_none_or(|(w, _, _)| wall < *w) {
+            best = Some((wall, out.report, spans));
         }
     }
-    let (wall_secs, report, profile, spans) = best.expect("at least one repeat");
+    let (wall_secs, report, spans) = best.expect("at least one repeat");
     let ticks = report.horizon.as_millis() / step.as_millis() + 1;
 
     // Rerun against the O(n)-scan references (scan accounting and scan
     // planning) and require a bit-identical report — both optimizations
     // must be unobservable. The counters that measure *how* each plan
     // mode searched are mode-variant by design and are dropped from the
-    // comparison when the measured run planned in indexed mode.
-    let scan_ticks_per_sec = verify_scan.then(|| {
+    // comparison.
+    let scan_ticks_per_sec = (hosts <= VERIFY_SCAN_MAX_HOSTS).then(|| {
         let exp = plane(
             Experiment::new(scenario)
                 .policy(policy)
@@ -249,22 +233,20 @@ fn measure(
         );
         let t0 = Instant::now();
         let scan_report = SimulationBuilder::new(exp)
-            .threads(threads)
+            .threads(args.threads)
             .run_report()
             .expect("scan reference run failed");
         let scan_wall = t0.elapsed().as_secs_f64();
         let strip = |r: &dcsim::SimReport| {
             let mut r = r.clone();
-            if plan_mode == PlanMode::Indexed {
-                r.metrics.entries.retain(|e| {
-                    !matches!(
-                        e.name.as_str(),
-                        "work.plan.candidates_scanned"
-                            | "work.plan.hosts_rescored"
-                            | "work.plan.fold_elements"
-                    ) && !e.name.starts_with("work.index.")
-                });
-            }
+            r.metrics.entries.retain(|e| {
+                !matches!(
+                    e.name.as_str(),
+                    "work.plan.candidates_scanned"
+                        | "work.plan.hosts_rescored"
+                        | "work.plan.fold_elements"
+                ) && !e.name.starts_with("work.index.")
+            });
             r
         };
         assert_eq!(
@@ -282,10 +264,9 @@ fn measure(
         wall_secs,
         ticks_per_sec: ticks as f64 / wall_secs,
         peak_rss_kb: peak_rss_kb(),
-        plan_mode,
         scan_ticks_per_sec,
-        phases: profile
-            .phases
+        phases: spans
+            .children_of("")
             .iter()
             .map(|p| (p.name.clone(), p.total_secs))
             .collect(),
@@ -318,14 +299,15 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-fn render_json(
-    rows: &[Row],
-    threads: usize,
-    ladder: bool,
-    wake_slo_secs: u64,
-    schedulers: usize,
-    staleness: usize,
-) -> String {
+fn render_json(rows: &[Row], args: &Args) -> String {
+    let Args {
+        threads,
+        ladder,
+        wake_slo_secs,
+        schedulers,
+        staleness,
+        ..
+    } = args;
     let mut out = format!(
         "{{\n  \"threads\": {threads},\n  \"ladder\": {ladder},\n  \
          \"wake_slo_secs\": {wake_slo_secs},\n  \"schedulers\": {schedulers},\n  \
@@ -348,7 +330,9 @@ fn render_json(
             r.wall_secs,
             r.ticks_per_sec,
             r.peak_rss_kb,
-            r.plan_mode.label()
+            // Scaleout always measures the production planner; the label
+            // keeps the artifact schema.
+            PlanMode::Indexed.label()
         ));
         if let Some(tps) = r.scan_ticks_per_sec {
             out.push_str(&format!(
@@ -376,10 +360,7 @@ fn render_json(
             }
         }
         out.push_str("}, \"spans\": ");
-        match &r.spans {
-            Some(s) => out.push_str(&s.to_json().to_string_compact()),
-            None => out.push_str("null"),
-        }
+        out.push_str(&r.spans.to_json().to_string_compact());
         out.push('}');
         if i + 1 < rows.len() {
             out.push(',');
@@ -470,4 +451,78 @@ fn biggest_mover(row: &Row, entry: &Json) -> Option<String> {
             was * 100.0
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(str::to_string))
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let args = parse(
+            "--sizes 64,256 --repeat 2 --threads 4 --ladder --wake-slo 30 \
+             --schedulers 4 --staleness 0 --out x.json",
+        )
+        .expect("valid flags");
+        assert_eq!(args.sizes, [64, 256]);
+        assert_eq!((args.repeat, args.threads, args.schedulers), (2, 4, 4));
+        assert_eq!((args.ladder, args.wake_slo_secs), (true, 30));
+        assert_eq!((args.staleness, args.out_path.as_str()), (0, "x.json"));
+        assert_eq!(parse("").expect("defaults").sizes, [64, 256, 1024]);
+    }
+
+    #[test]
+    fn a_missing_value_is_an_error() {
+        for line in [
+            "--sizes",
+            "--repeat",
+            "--out",
+            "--check-baseline",
+            "--staleness",
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("needs a value"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_non_numeric_value_is_an_error() {
+        for line in [
+            "--sizes 6x",
+            "--sizes 64,",
+            "--repeat three",
+            "--staleness -1",
+            "--wake-slo 1.5",
+        ] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("not a non-negative integer"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_counts_are_errors() {
+        for flag in [
+            "--repeat",
+            "--threads",
+            "--schedulers",
+            "--sizes",
+            "--wake-slo",
+        ] {
+            let err = parse(&format!("{flag} 0")).expect_err(flag);
+            assert!(err.contains("at least 1"), "{flag}: {err}");
+        }
+        assert_eq!(parse("--staleness 0").map(|a| a.staleness), Ok(0));
+    }
+
+    #[test]
+    fn unknown_flags_are_errors() {
+        for line in ["--bogus", "--plan-mode scan"] {
+            let err = parse(line).expect_err(line);
+            assert!(err.contains("unknown argument"), "{line}: {err}");
+        }
+    }
 }

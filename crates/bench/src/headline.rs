@@ -259,18 +259,44 @@ pub fn exp_profile_sized(hosts: usize, vms: usize, seed: u64) -> String {
     .and_then(|sim| sim.run())
     .expect("headline scenario runs");
     let report = out.report;
-    let profile = out.profile.expect("profiled run returns a profile");
+    let spans = out.spans.expect("profiled run returns a span tree");
     let peak_queue = match report.metrics.get("sim.queue.peak") {
         Some(obs::MetricValue::Gauge(v)) => *v as u64,
         _ => 0,
     };
     format!(
         "Simulator phase profile, {hosts} hosts / {vms} VMs, 24 h diurnal, seed {seed}:\n\
-         {profile}\
+         {}\
          peak event queue: {peak_queue} entries\n\
          rounds: {}\n",
+        phase_table(&spans),
         report.metrics.counter("sim.rounds")
     )
+}
+
+/// The engine phases (the depth-1 spans) as a flat table: total wall
+/// time, calls, and mean microseconds per call.
+fn phase_table(spans: &obs::SpanSummary) -> String {
+    let phases = spans.children_of("");
+    let width = phases
+        .iter()
+        .map(|p| p.name.len())
+        .max()
+        .unwrap_or(0)
+        .max(5);
+    let mut out = format!("wall-clock: {:.3} s\n", spans.wall_secs);
+    for p in phases {
+        let mean_us = if p.calls > 0 {
+            p.total_secs * 1e6 / p.calls as f64
+        } else {
+            0.0
+        };
+        out.push_str(&format!(
+            "{:<width$}  {:>10.3} s  {:>10} calls  {:>10.1} us/call\n",
+            p.name, p.total_secs, p.calls, mean_us
+        ));
+    }
+    out
 }
 
 #[cfg(test)]

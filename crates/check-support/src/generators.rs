@@ -7,7 +7,7 @@
 //! property testing — a few hosts, a few dozen VMs, hours not days — so
 //! hundreds of generated runs stay fast in debug builds.
 
-use agile_core::{PlanMode, PowerPolicy};
+use agile_core::PowerPolicy;
 use check::gen::{self, Gen};
 use dcsim::{Experiment, FailureModel, Scenario};
 use simcore::SimDuration;
@@ -157,15 +157,12 @@ pub struct ExperimentSpec {
 impl ExperimentSpec {
     /// The configured (not yet run) experiment.
     ///
-    /// The planning mode defaults from the `AGILEPM_PLAN_MODE`
-    /// environment variable (`scan` or `indexed`; unset means `scan`) so
-    /// CI can re-run the whole property suite in indexed mode without a
-    /// second copy of every test. An explicit
-    /// [`Experiment::plan_mode`](dcsim::Experiment::plan_mode) call
-    /// appended by the test overrides the default, which keeps the
-    /// indexed-vs-scan differential pair meaningful on every matrix leg.
+    /// The planning mode is left at its default
+    /// ([`PlanMode::Indexed`](agile_core::PlanMode::Indexed)); the
+    /// indexed-vs-scan differential tests append an explicit
+    /// [`Experiment::plan_mode`](dcsim::Experiment::plan_mode) call.
     ///
-    /// Likewise, `AGILEPM_SCHEDULERS` (unset means 1) sets the control
+    /// `AGILEPM_SCHEDULERS` (unset means 1) sets the control
     /// plane's scheduler count, clamped to the world's host count so
     /// small shrunk worlds stay buildable.
     pub fn experiment(&self) -> Experiment {
@@ -173,24 +170,7 @@ impl ExperimentSpec {
             .policy(self.policy)
             .horizon(SimDuration::from_hours(self.horizon_hours))
             .control_interval(SimDuration::from_mins(self.control_mins))
-            .plan_mode(default_plan_mode())
             .schedulers(default_schedulers().min(self.scenario.hosts))
-    }
-}
-
-/// The plan mode selected by `AGILEPM_PLAN_MODE` (`scan`/`indexed`,
-/// default [`PlanMode::Scan`]).
-///
-/// # Panics
-///
-/// Panics on an unrecognized value — a typo in a CI matrix must fail
-/// loudly, not silently test the default mode.
-pub fn default_plan_mode() -> PlanMode {
-    match std::env::var("AGILEPM_PLAN_MODE") {
-        Ok(v) if v.eq_ignore_ascii_case("indexed") => PlanMode::Indexed,
-        Ok(v) if v.eq_ignore_ascii_case("scan") => PlanMode::Scan,
-        Ok(v) => panic!("AGILEPM_PLAN_MODE must be `scan` or `indexed`, got `{v}`"),
-        Err(_) => PlanMode::Scan,
     }
 }
 

@@ -43,9 +43,9 @@ pub fn run_experiment(experiment: Experiment) -> Result<SimReport, SimError> {
 }
 
 pub use generators::{
-    default_plan_mode, default_schedulers, demand_trace, experiment_spec, failure_spec, fleet_mix,
-    ladder_policy, managed_policy, policy, scenario_spec, scheduler_count, workload_kind,
-    ExperimentSpec, FailureSpec, FleetMix, ScenarioSpec, WorkloadKind,
+    default_schedulers, demand_trace, experiment_spec, failure_spec, fleet_mix, ladder_policy,
+    managed_policy, policy, scenario_spec, scheduler_count, workload_kind, ExperimentSpec,
+    FailureSpec, FleetMix, ScenarioSpec, WorkloadKind,
 };
 pub use invariants::{
     check_cluster, check_commit_ledger, check_energy_breakdown, check_energy_ordering,

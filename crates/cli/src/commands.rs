@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fs;
 
-use agile_core::{PlanMode, PowerPolicy};
+use agile_core::PowerPolicy;
 use dcsim::report::{policy_comparison, series_csv, table};
 use dcsim::{Experiment, FailureModel, Scenario, SimReport, SimulationBuilder};
 use obs::{Json, SpanStat, SpanSummary};
@@ -41,9 +41,6 @@ run-ONLY FLAGS:
   --policy P           always-on | suspend | off | oracle | ladder[:SECS]
                        [default suspend]; ladder parks drained hosts on the
                        deepest C6/S3/S5 rung that wakes within SECS (12)
-  --plan-mode M        scan | indexed consolidation planning [default indexed]
-                       (bit-identical reports; indexed keeps utilization-
-                       bucket indices so picks stop scanning the fleet)
   --schedulers N       split the fleet across N concurrent schedulers over
                        the conflict-checked placement store [default 1]
   --staleness R        scheduler views of foreign partitions lag R control
@@ -61,10 +58,11 @@ run-ONLY FLAGS:
                        `perf-report` (timing never enters the report)
 
 perf-report:
-  reads a JSON Lines trace (the `--trace-out` file), a bare span-summary
-  JSON object, or a scaleout bench artifact (BENCH_scaleout.json), and
-  prints the attribution table. `diff` matches spans by call path and
-  prints deltas sorted by magnitude, naming the biggest mover.
+  reads a JSON Lines trace (the `--trace-out` file of a `--profile` run),
+  a bare span-summary JSON object, or a scaleout bench artifact
+  (BENCH_scaleout.json), and prints the attribution table. `diff`
+  matches spans by call path and prints deltas sorted by magnitude,
+  naming the biggest mover.
 
 sweep FLAGS:
   --kind K             wake-latency | headroom | interval | reliability  [required]
@@ -119,16 +117,6 @@ fn parse_policy(name: &str) -> Result<PowerPolicy, ArgError> {
     }
 }
 
-fn parse_plan_mode(name: &str) -> Result<PlanMode, ArgError> {
-    match name {
-        "scan" => Ok(PlanMode::Scan),
-        "indexed" => Ok(PlanMode::Indexed),
-        other => Err(ArgError(format!(
-            "unknown plan mode `{other}` (scan | indexed)"
-        ))),
-    }
-}
-
 fn build_scenario(flags: &Flags) -> Result<Scenario, ArgError> {
     let hosts = flags.usize_or("hosts", 32)?;
     let vms = flags.usize_or("vms", hosts * 6)?;
@@ -176,7 +164,6 @@ fn run(args: &[String]) -> CmdResult {
             "churn",
             "threads",
             "policy",
-            "plan-mode",
             "schedulers",
             "staleness",
             "resume-fail",
@@ -188,10 +175,9 @@ fn run(args: &[String]) -> CmdResult {
         &["metrics", "profile"],
     )?;
     let policy = parse_policy(flags.str_or("policy", "suspend"))?;
-    let plan_mode = parse_plan_mode(flags.str_or("plan-mode", "indexed"))?;
     let scenario = build_scenario(&flags)?;
     let resume_fail = flags.f64_or("resume-fail", 0.0)?;
-    let mut experiment = configure(&flags, scenario, policy)?.plan_mode(plan_mode);
+    let mut experiment = configure(&flags, scenario, policy)?;
     let schedulers = flags.usize_or("schedulers", 1)?;
     let staleness = flags.usize_or("staleness", 0)?;
     if schedulers == 0 {
@@ -606,9 +592,9 @@ fn perf_diff(path_a: &str, path_b: &str) -> CmdResult {
 }
 
 /// Loads attribution data from any artifact the toolchain produces: a
-/// JSON Lines trace (uses the `run-summary` record's span tree, falling
-/// back to the flat phase profile), a bare span-summary object, or a
-/// scaleout bench artifact (`"runs"` with per-phase totals).
+/// JSON Lines trace (the `run-summary` record's span tree), a bare
+/// span-summary object, or a scaleout bench artifact (`"runs"` with span
+/// trees or, in older artifacts, only per-phase totals).
 fn load_sections(path: &str) -> Result<Vec<PerfSection>, Box<dyn Error>> {
     let text = fs::read_to_string(path).map_err(|e| ArgError(format!("{path}: {e}")))?;
     for line in text.lines() {
@@ -644,60 +630,25 @@ fn load_sections(path: &str) -> Result<Vec<PerfSection>, Box<dyn Error>> {
     ))))
 }
 
-/// Builds a section from a trace's `run-summary` record. Prefers the
-/// hierarchical span tree (present when the run was profiled); falls
-/// back to the flat wall-clock phase profile.
+/// Builds a section from a trace's `run-summary` record. The span tree
+/// is present only when the run was profiled; an unprofiled trace is an
+/// error that says how to get one.
 fn trace_section(record: &Json) -> Result<PerfSection, Box<dyn Error>> {
     let label = format!(
         "{} / {}",
         record.get("scenario").and_then(Json::as_str).unwrap_or("?"),
         record.get("policy").and_then(Json::as_str).unwrap_or("?"),
     );
-    let summary = match record.get("spans") {
-        Some(spans) if *spans != Json::Null => {
-            SpanSummary::from_json(spans).map_err(|e| ArgError(format!("{e:?}")))?
-        }
-        _ => {
-            let profile = record
-                .get("profile")
-                .ok_or_else(|| ArgError("run-summary has no profile".to_string()))?;
-            flat_summary_from_profile(profile)?
-        }
-    };
+    let spans = record
+        .get("spans")
+        .filter(|spans| **spans != Json::Null)
+        .ok_or_else(|| {
+            ArgError(format!(
+                "{label}: run-summary has no span tree; re-run with `--profile`"
+            ))
+        })?;
+    let summary = SpanSummary::from_json(spans).map_err(|e| ArgError(format!("{e:?}")))?;
     Ok(PerfSection { label, summary })
-}
-
-/// Converts a `ProfileSummary` JSON rendering into a depth-1 span
-/// summary so the report and diff paths are uniform.
-fn flat_summary_from_profile(profile: &Json) -> Result<SpanSummary, Box<dyn Error>> {
-    let wall_secs = profile
-        .get("wall_secs")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    let phases = profile
-        .get("phases")
-        .and_then(Json::as_array)
-        .ok_or_else(|| ArgError("profile has no `phases` array".to_string()))?;
-    let spans = phases
-        .iter()
-        .map(|p| {
-            let name = p
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string();
-            let total_secs = p.get("total_secs").and_then(Json::as_f64).unwrap_or(0.0);
-            SpanStat {
-                path: name.clone(),
-                name,
-                depth: 1,
-                calls: p.get("calls").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-                total_secs,
-                self_secs: total_secs,
-            }
-        })
-        .collect();
-    Ok(SpanSummary { spans, wall_secs })
 }
 
 /// Builds a section from one entry of a scaleout artifact's `runs`
@@ -1012,6 +963,26 @@ mod tests {
             sections[0].summary.span("plan").is_some(),
             "span tree has the plan phase"
         );
+
+        // An unprofiled trace has no span tree: a typed error that names
+        // the flag to add, not a panic or an empty table.
+        let unprofiled = dir.join("perf_unprofiled.jsonl");
+        dispatch(&argv(&[
+            "run",
+            "--hosts",
+            "4",
+            "--vms",
+            "12",
+            "--hours",
+            "2",
+            "--trace-out",
+            unprofiled.to_str().expect("utf8 path"),
+        ]))
+        .expect("unprofiled run succeeds");
+        let err = load_sections(unprofiled.to_str().expect("utf8 path"))
+            .err()
+            .expect("unprofiled trace is rejected");
+        assert!(err.to_string().contains("--profile"), "{err}");
 
         // A bare span-summary object loads too.
         let bare = dir.join("perf_bare.json");

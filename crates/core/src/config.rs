@@ -566,8 +566,8 @@ impl ManagerConfig {
         self
     }
 
-    /// Selects the consolidation planner: the reference full-fleet
-    /// `Scan` (the default) or the utilization-bucketed `Indexed` path.
+    /// Selects the consolidation planner: the utilization-bucketed
+    /// `Indexed` path (the default) or the reference full-fleet `Scan`.
     /// Both produce bit-identical plans; see [`PlanMode`].
     pub fn with_plan_mode(mut self, mode: PlanMode) -> Self {
         self.plan_mode = mode;

@@ -50,16 +50,17 @@ use obs::Json;
 /// Consolidation planner selection (scan sweep vs bucket index), the
 /// planning analogue of `cluster::AccountingMode`.
 ///
-/// Both modes produce bit-identical `SimReport`s; `Indexed` replaces the
-/// per-decision O(hosts) sweeps with bucket walks so candidate work per
-/// round is sublinear in fleet size at steady state. `Scan` remains the
-/// default reference semantics.
+/// Both modes produce bit-identical `SimReport`s; `Indexed` (the
+/// default, and the only production planner) replaces the per-decision
+/// O(hosts) sweeps with bucket walks so candidate work per round is
+/// sublinear in fleet size at steady state. `Scan` is the reference the
+/// differential tests select by name.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanMode {
     /// Full-fleet linear sweeps per decision (the reference semantics).
-    #[default]
     Scan,
     /// Utilization-bucketed host indices refreshed once per round.
+    #[default]
     Indexed,
 }
 
@@ -577,7 +578,7 @@ mod tests {
 
     #[test]
     fn plan_mode_labels() {
-        assert_eq!(PlanMode::default(), PlanMode::Scan);
+        assert_eq!(PlanMode::default(), PlanMode::Indexed);
         assert_eq!(PlanMode::Scan.label(), "scan");
         assert_eq!(PlanMode::Indexed.label(), "indexed");
     }

@@ -19,9 +19,6 @@
 //!   JSON, and collapsed-stack flamegraph text. Wall time never touches
 //!   simulation state, so runs stay bit-deterministic with tracing on
 //!   or off.
-//! * [`profile`] — the frozen [`ProfileSummary`] table (still the flat
-//!   top-level view of a trace) and the deprecated flat
-//!   `PhaseProfiler`, superseded by [`SpanTracer`].
 //!
 //! # Design rule: observe, never steer
 //!
@@ -35,7 +32,6 @@
 
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod sink;
 pub mod span;
 
@@ -44,7 +40,5 @@ pub use metrics::{
     CounterId, GaugeId, Histogram, HistogramId, MetricEntry, MetricValue, MetricsRegistry,
     MetricsSnapshot, Quantiles,
 };
-#[allow(deprecated)]
-pub use profile::{PhaseId, PhaseProfiler, PhaseStat, ProfileSummary};
 pub use sink::{CountingSink, JsonlSink, MemorySink, NullSink, TraceSink};
 pub use span::{SpanName, SpanStat, SpanSummary, SpanTracer};

@@ -1,6 +1,6 @@
 //! Hierarchical wall-clock span tracing.
 //!
-//! [`SpanTracer`] generalizes the flat phase profiler to *nested* spans:
+//! [`SpanTracer`] records *nested* wall-clock spans:
 //! `plan > consolidate > candidate_scan`, `execute > migration`, and so
 //! on. Each distinct call path gets one arena node holding cumulative
 //! wall time and call count, and a bounded ring of recent span events
@@ -25,7 +25,6 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::json::{Json, JsonError};
-use crate::profile::{PhaseStat, ProfileSummary};
 
 /// Handle to an interned span name (see [`SpanTracer::name`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,27 +278,6 @@ impl SpanTracer {
         }
     }
 
-    /// The flat, top-level view: one [`PhaseStat`] per depth-1 span, in
-    /// first-seen order — the drop-in replacement for the old
-    /// phase-profiler summary.
-    pub fn flat_summary(&self) -> ProfileSummary {
-        ProfileSummary {
-            phases: self.nodes[0]
-                .children
-                .iter()
-                .map(|&c| {
-                    let n = &self.nodes[c];
-                    PhaseStat {
-                        name: self.names[n.name].clone(),
-                        calls: n.calls,
-                        total_secs: n.total.as_secs_f64(),
-                    }
-                })
-                .collect(),
-            wall_secs: self.created.elapsed().as_secs_f64(),
-        }
-    }
-
     /// Renders the buffered recent events as chrome://tracing JSON
     /// (load via `chrome://tracing` or <https://ui.perfetto.dev>).
     pub fn to_chrome_json(&self) -> Json {
@@ -545,7 +523,6 @@ mod tests {
         assert_eq!(t.node_count(), 1);
         assert_eq!(t.event_count(), 0);
         assert!(t.summary().spans.is_empty());
-        assert!(t.flat_summary().phases.is_empty());
     }
 
     #[test]
@@ -577,24 +554,6 @@ mod tests {
         // Totals include children; self excludes them.
         let plan_stat = s.span("plan").unwrap();
         assert!(plan_stat.total_secs >= plan_stat.self_secs);
-    }
-
-    #[test]
-    fn flat_summary_matches_depth_one() {
-        let mut t = SpanTracer::enabled();
-        let a = t.name("observe");
-        let b = t.name("plan");
-        let inner = t.name("scan");
-        t.enter(a);
-        t.exit(a);
-        t.enter(b);
-        t.enter(inner);
-        t.exit(inner);
-        t.exit(b);
-        let flat = t.flat_summary();
-        let names: Vec<&str> = flat.phases.iter().map(|p| p.name.as_str()).collect();
-        assert_eq!(names, ["observe", "plan"]);
-        assert_eq!(flat.phase("plan").unwrap().calls, 1);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! ```
 
 use cluster::Cluster;
-use obs::{ProfileSummary, SpanSummary};
+use obs::SpanSummary;
 use power::DvfsModel;
 
 use crate::{Experiment, SimError, SimReport};
@@ -77,8 +77,8 @@ impl SimulationBuilder {
         self
     }
 
-    /// Enables wall-clock phase profiling; the profile comes back in
-    /// [`SimOutput::profile`], out-of-band of the bit-deterministic
+    /// Enables wall-clock span tracing; the span tree comes back in
+    /// [`SimOutput::spans`], out-of-band of the bit-deterministic
     /// report. Incompatible with the analytic (Oracle/DVFS) modes.
     pub fn profiling(mut self, enable: bool) -> Self {
         self.profiling = enable;
@@ -90,14 +90,6 @@ impl SimulationBuilder {
     /// modes, which simulate no cluster.
     pub fn capture_cluster(mut self, enable: bool) -> Self {
         self.capture_cluster = enable;
-        self
-    }
-
-    /// Selects the consolidation planning mode on the wrapped experiment
-    /// — convenience for callers that only hold the builder. See
-    /// [`Experiment::plan_mode`].
-    pub fn plan_mode(mut self, mode: agile_core::PlanMode) -> Self {
-        self.experiment = self.experiment.plan_mode(mode);
         self
     }
 
@@ -227,7 +219,6 @@ impl SimulationBuilder {
         Ok(Simulation {
             inner: SimKind::Engine {
                 sim: Box::new(sim),
-                profiling: self.profiling,
                 capture_cluster: self.capture_cluster,
             },
         })
@@ -247,7 +238,6 @@ enum SimKind {
     Engine {
         /// Boxed: the engine is much larger than the analytic variants.
         sim: Box<crate::DatacenterSim>,
-        profiling: bool,
         capture_cluster: bool,
     },
     Oracle {
@@ -270,27 +260,23 @@ impl Simulation {
         match self.inner {
             SimKind::Engine {
                 sim,
-                profiling,
                 capture_cluster,
             } => {
-                let (report, cluster, profile, spans) = sim.run_inner()?;
+                let (report, cluster, spans) = sim.run_inner()?;
                 Ok(SimOutput {
                     report,
                     cluster: capture_cluster.then_some(cluster),
-                    profile: profiling.then_some(profile),
                     spans,
                 })
             }
             SimKind::Oracle { experiment } => Ok(SimOutput {
                 report: experiment.run_oracle(),
                 cluster: None,
-                profile: None,
                 spans: None,
             }),
             SimKind::Dvfs { experiment, model } => Ok(SimOutput {
                 report: experiment.dvfs_report(&model),
                 cluster: None,
-                profile: None,
                 spans: None,
             }),
         }
@@ -298,7 +284,7 @@ impl Simulation {
 }
 
 /// Everything a run can produce. The report is always present; the
-/// cluster and profile appear only when requested on the builder.
+/// cluster and span summary appear only when requested on the builder.
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct SimOutput {
@@ -307,11 +293,9 @@ pub struct SimOutput {
     /// The final cluster, when built with
     /// [`SimulationBuilder::capture_cluster`].
     pub cluster: Option<Cluster>,
-    /// The wall-clock phase profile, when built with
-    /// [`SimulationBuilder::profiling`].
-    pub profile: Option<ProfileSummary>,
-    /// The full hierarchical span summary (per-phase attribution down to
-    /// `candidate_scan`/`trial`/`undo`), when built with
+    /// The wall-clock span summary (per-phase attribution down to
+    /// `candidate_scan`/`trial`/`undo`; the depth-1 spans are the
+    /// engine phases), when built with
     /// [`SimulationBuilder::profiling`].
     pub spans: Option<SpanSummary>,
 }
@@ -338,7 +322,7 @@ mod tests {
             .unwrap();
         assert!(out.report.energy_j > 0.0);
         assert!(out.cluster.is_none());
-        assert!(out.profile.is_none());
+        assert!(out.spans.is_none());
     }
 
     #[test]
@@ -352,7 +336,7 @@ mod tests {
             .unwrap();
         let cluster = out.cluster.expect("requested cluster");
         assert!(cluster.placement().check_invariants());
-        assert!(out.profile.is_some());
+        assert!(out.spans.is_some());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::events::{EventKind, EventRecord};
 use crate::metrics::MetricsCollector;
 use crate::trace::{self, SimTelemetry};
 use crate::{FailureModel, Scenario, SimError, SimReport};
-use obs::{NullSink, ProfileSummary, SpanName, SpanSummary, SpanTracer, TraceSink};
+use obs::{NullSink, SpanName, SpanSummary, SpanTracer, TraceSink};
 use power::TransitionKind;
 use simcore::RngStream;
 use workload::Lifetime;
@@ -383,8 +383,8 @@ impl DatacenterSim {
     /// (`rescore`/`overload`/`consolidate` > `candidate_scan`/`trial` >
     /// `undo`/...) and the executor records under `execute`
     /// (`migration`/`power`). The numbers only ever leave through the
-    /// `run-summary` trace record and the out-of-band profile/span
-    /// summaries — never the report, which must stay bit-deterministic.
+    /// `run-summary` trace record and the out-of-band span summary —
+    /// never the report, which must stay bit-deterministic.
     pub fn enable_profiling(&mut self) {
         self.tracer.enable();
     }
@@ -478,9 +478,8 @@ impl DatacenterSim {
     }
 
     /// Runs to the horizon and returns every output the engine produces:
-    /// the bit-deterministic report, the final cluster, the wall-clock
-    /// flat phase profile, and (when tracing was enabled) the full
-    /// hierarchical span summary. This is the single execution path
+    /// the bit-deterministic report, the final cluster, and (when
+    /// tracing was enabled) the hierarchical span summary. This is the single execution path
     /// behind [`crate::SimulationBuilder`].
     ///
     /// # Errors
@@ -489,7 +488,7 @@ impl DatacenterSim {
     /// bugs; recoverable action rejections are counted in the report).
     pub(crate) fn run_inner(
         mut self,
-    ) -> Result<(SimReport, Cluster, ProfileSummary, Option<SpanSummary>), SimError> {
+    ) -> Result<(SimReport, Cluster, Option<SpanSummary>), SimError> {
         let end = SimTime::ZERO + self.horizon;
         self.generate_rack_bursts(end);
         while let Some(t) = self.queue.peek_time() {
@@ -620,15 +619,14 @@ impl DatacenterSim {
             self.event_log.take().unwrap_or_default(),
             self.telemetry.registry.snapshot(),
         );
-        let profile = self.tracer.flat_summary();
         let spans = self.tracer.is_enabled().then(|| self.tracer.summary());
         if self.sink.enabled() {
             self.sink
-                .emit(&trace::run_summary_json(&report, &profile, spans.as_ref()));
+                .emit(&trace::run_summary_json(&report, spans.as_ref()));
         }
         // Trace output is advisory; a failed flush must not fail the run.
         let _ = self.sink.flush();
-        Ok((report, self.cluster, profile, spans))
+        Ok((report, self.cluster, spans))
     }
 
     /// Completes (or fault-injects) a due power transition.
@@ -1121,7 +1119,7 @@ mod tests {
         let s = Scenario::small_test(1);
         let sim =
             DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(2)).unwrap();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
         assert!(report.energy_j > 0.0);
         assert_eq!(report.policy, "Unmanaged");
         assert_eq!(report.migrations, 0);
@@ -1135,7 +1133,7 @@ mod tests {
         let unmanaged = DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(4))
             .unwrap()
             .run_inner()
-            .map(|(r, _, _, _)| r)
+            .map(|(r, _, _)| r)
             .unwrap();
         let managed = DatacenterSim::new(
             &s,
@@ -1145,7 +1143,7 @@ mod tests {
         )
         .unwrap()
         .run_inner()
-        .map(|(r, _, _, _)| r)
+        .map(|(r, _, _)| r)
         .unwrap();
         // Base DRM may migrate a little, but energy should be within a few
         // percent of the unmanaged cluster (all hosts stay on).
@@ -1166,7 +1164,7 @@ mod tests {
         )
         .unwrap()
         .run_inner()
-        .map(|(r, _, _, _)| r)
+        .map(|(r, _, _)| r)
         .unwrap();
         let pm = DatacenterSim::new(
             &s,
@@ -1176,7 +1174,7 @@ mod tests {
         )
         .unwrap()
         .run_inner()
-        .map(|(r, _, _, _)| r)
+        .map(|(r, _, _)| r)
         .unwrap();
         assert!(
             pm.savings_vs(&base) > 0.15,
@@ -1235,7 +1233,7 @@ mod tests {
         )
         .unwrap()
         .run_inner()
-        .map(|(r, c, _, _)| (r, c))
+        .map(|(r, c, _)| (r, c))
         .unwrap();
         assert!(report.energy_j > 0.0);
         // Departed VMs must not still be placed at the end.
@@ -1267,7 +1265,7 @@ mod tests {
         )
         .unwrap();
         sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
         assert!(!report.events.is_empty());
         // Every started migration has a completion, in time order.
         let starts = report
@@ -1291,7 +1289,7 @@ mod tests {
         )
         .unwrap()
         .run_inner()
-        .map(|(r, _, _, _)| r)
+        .map(|(r, _, _)| r)
         .unwrap();
         assert!(plain.events.is_empty());
     }
@@ -1327,7 +1325,7 @@ mod tests {
         let s = Scenario::new("full-house", hosts, fleet, SimDuration::from_mins(5), 1);
         let mut sim = DatacenterSim::new(&s, None, SimDuration::from_mins(5), horizon).unwrap();
         sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
         // The silent-drop bug: previously this arrival vanished without a
         // trace. Now it is a counted, logged rejection.
         assert_eq!(report.rejected_admissions, 1);
@@ -1352,7 +1350,7 @@ mod tests {
             .unwrap();
             sim.set_failure_model(FailureModel::none().with_migration_failures(p));
             sim.enable_event_log();
-            sim.run_inner().map(|(r, c, _, _)| (r, c)).unwrap()
+            sim.run_inner().map(|(r, c, _)| (r, c)).unwrap()
         };
         let (report, cluster) = mk(0.3);
         assert!(
@@ -1384,7 +1382,7 @@ mod tests {
         .unwrap();
         sim.set_failure_model(FailureModel::none().with_hangs(0.4, 8.0));
         sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
         assert!(report.hung_transitions > 0, "p=0.4 must hang something");
         let stuck = report
             .events
@@ -1419,7 +1417,7 @@ mod tests {
             SimDuration::from_mins(30),
         ));
         sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
         assert!(
             report.transition_failures > 0,
             "a day of 5%-per-epoch rack bursts must catch some transitions"
@@ -1450,7 +1448,7 @@ mod tests {
                     .with_rack_bursts(3, 0.02, SimDuration::from_mins(20)),
             );
             sim.enable_event_log();
-            sim.run_inner().map(|(r, _, _, _)| r).unwrap()
+            sim.run_inner().map(|(r, _, _)| r).unwrap()
         };
         let a = run();
         let b = run();
@@ -1473,7 +1471,7 @@ mod tests {
             )
             .unwrap()
             .run_inner()
-            .map(|(r, _, _, _)| r)
+            .map(|(r, _, _)| r)
             .unwrap()
         };
         let a = run();
@@ -1496,7 +1494,7 @@ mod tests {
             )
             .unwrap();
             sim.set_control_plane(1, staleness, 0);
-            sim.run_inner().map(|(r, _, _, _)| r).unwrap()
+            sim.run_inner().map(|(r, _, _)| r).unwrap()
         };
         assert_eq!(run(0), run(5));
     }
@@ -1514,7 +1512,7 @@ mod tests {
             .unwrap();
             sim.set_control_plane(4, 2, 1);
             sim.enable_event_log();
-            sim.run_inner().map(|(r, _, _, _)| r).unwrap()
+            sim.run_inner().map(|(r, _, _)| r).unwrap()
         };
         let a = run();
         let b = run();
@@ -1553,7 +1551,7 @@ mod tests {
         )
         .unwrap();
         sim.set_control_plane(2, 0, 1);
-        let report = sim.run_inner().map(|(r, _, _, _)| r).unwrap();
+        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
         let m = &report.metrics;
         assert_eq!(
             m.counter("work.commit.planned"),

@@ -158,9 +158,10 @@ impl Experiment {
     }
 
     /// Selects the consolidation planning mode (default:
-    /// [`PlanMode::Scan`]). The indexed mode maintains utilization-bucket
-    /// indices so candidate/destination picks stop scanning the full
-    /// fleet; reports must be bit-identical between the two. Overrides
+    /// [`PlanMode::Indexed`]). The scan mode sweeps the full fleet per
+    /// candidate/destination pick and exists as the reference the
+    /// indexed mode is verified against — reports must be bit-identical
+    /// between the two. Overrides
     /// the mode carried by an explicit
     /// [`manager_config`](Self::manager_config).
     pub fn plan_mode(mut self, mode: PlanMode) -> Self {
@@ -433,6 +434,25 @@ impl Experiment {
 mod tests {
     use super::*;
     use crate::SimulationBuilder;
+
+    #[test]
+    fn managed_runs_plan_indexed_by_default() {
+        let experiment = Experiment::new(Scenario::datacenter(8, 32, 11))
+            .policy(PowerPolicy::reactive_suspend())
+            .horizon(SimDuration::from_hours(6));
+        let refreshes = |e: Experiment| {
+            SimulationBuilder::new(e)
+                .run_report()
+                .unwrap()
+                .metrics
+                .counter("work.index.refreshes")
+        };
+        assert!(
+            refreshes(experiment.clone()) > 0,
+            "default must plan indexed"
+        );
+        assert_eq!(refreshes(experiment.plan_mode(PlanMode::Scan)), 0);
+    }
 
     #[test]
     fn policy_ladder_orders_energy() {

@@ -13,9 +13,7 @@
 //!
 //! One family constructor exists per classic experiment
 //! (`SweepBuilder::wake_latency`, `::scale`, `::slo_frontier`, ...) and
-//! [`SweepBuilder::over`] builds custom sweeps. The original fourteen
-//! `*_sweep` free functions remain as deprecated one-line shims over the
-//! families and will be removed after one release.
+//! [`SweepBuilder::over`] builds custom sweeps.
 
 use agile_core::{ManagerConfig, PowerPolicy, PredictorConfig};
 use power::breakeven::LowPowerMode;
@@ -571,389 +569,6 @@ fn full_fault_surface(p: f64) -> FailureModel {
     model
 }
 
-/// One row of the T26 savings-vs-SLO frontier: the three contenders
-/// evaluated at one wake-latency SLO. The DVFS-only and suspend-only
-/// reports do not depend on the SLO (neither policy reads it) but are
-/// repeated per row so each row is self-contained.
-#[derive(Debug, Clone)]
-pub struct SloFrontierPoint {
-    /// The wake-latency SLO of this row.
-    pub slo: SimDuration,
-    /// Analytic DVFS-only baseline: every host on, clocked down.
-    pub dvfs_only: SimReport,
-    /// Reactive suspend-only parking (fixed S3 rung, nominal clocks).
-    pub suspend_only: SimReport,
-    /// Joint ladder policy on C6→S3→S5 hardware with DVFS attached.
-    pub joint_ladder: SimReport,
-}
-
-/// Experiment F7 shim. See [`SweepBuilder::wake_latency`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::wake_latency(hosts, vms, latencies, seed).run()`"
-)]
-pub fn wake_latency_sweep(
-    hosts: usize,
-    vms: usize,
-    latencies: &[SimDuration],
-    seed: u64,
-) -> Result<Vec<(SimDuration, SimReport)>, SimError> {
-    single_leg_rows(SweepBuilder::wake_latency(hosts, vms, latencies, seed))
-}
-
-/// Experiment F6 shim. See [`SweepBuilder::proportionality`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::proportionality(hosts, vms, levels, policy, seed).run()`"
-)]
-pub fn proportionality_sweep(
-    hosts: usize,
-    vms: usize,
-    levels: &[f64],
-    policy: PowerPolicy,
-    seed: u64,
-) -> Result<Vec<(f64, SimReport)>, SimError> {
-    single_leg_rows(SweepBuilder::proportionality(
-        hosts, vms, levels, policy, seed,
-    ))
-}
-
-/// Experiment F10 shim. See [`SweepBuilder::headroom`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::headroom(hosts, vms, targets, mode, seed).run()`"
-)]
-pub fn headroom_sweep(
-    hosts: usize,
-    vms: usize,
-    targets: &[f64],
-    mode: LowPowerMode,
-    seed: u64,
-) -> Result<Vec<(f64, SimReport)>, SimError> {
-    single_leg_rows(SweepBuilder::headroom(hosts, vms, targets, mode, seed))
-}
-
-/// Experiment F11 shim. See [`SweepBuilder::hysteresis`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::hysteresis(hosts, vms, min_on_times, mode, seed).run()`"
-)]
-pub fn hysteresis_sweep(
-    hosts: usize,
-    vms: usize,
-    min_on_times: &[SimDuration],
-    mode: LowPowerMode,
-    seed: u64,
-) -> Result<Vec<(SimDuration, SimReport)>, SimError> {
-    single_leg_rows(SweepBuilder::hysteresis(
-        hosts,
-        vms,
-        min_on_times,
-        mode,
-        seed,
-    ))
-}
-
-/// Experiment F8 shim (single policy). See [`SweepBuilder::scale`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::scale(host_counts, &[policy], seed).run()`"
-)]
-pub fn scale_sweep(
-    host_counts: &[usize],
-    policy: PowerPolicy,
-    seed: u64,
-) -> Result<Vec<(usize, SimReport)>, SimError> {
-    single_leg_rows(SweepBuilder::scale(host_counts, &[policy], seed))
-}
-
-/// Experiment F8 shim (full grid). See [`SweepBuilder::scale`].
-///
-/// # Errors
-///
-/// Propagates the first failing run in output order.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::scale(host_counts, policies, seed).run()`"
-)]
-pub fn scale_sweep_policies(
-    host_counts: &[usize],
-    policies: &[PowerPolicy],
-    seed: u64,
-) -> Result<Vec<(usize, PowerPolicy, SimReport)>, SimError> {
-    let policies = policies.to_vec();
-    let rows = SweepBuilder::scale(host_counts, &policies, seed).run()?;
-    Ok(rows
-        .into_iter()
-        .flat_map(|row| {
-            let hosts = row.value;
-            policies
-                .iter()
-                .copied()
-                .zip(row.reports)
-                .map(move |(policy, report)| (hosts, policy, report))
-        })
-        .collect())
-}
-
-/// Experiment T13 shim. See [`SweepBuilder::reliability`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::reliability(hosts, vms, failure_probs, seed).run()`"
-)]
-pub fn reliability_sweep(
-    hosts: usize,
-    vms: usize,
-    failure_probs: &[f64],
-    seed: u64,
-) -> Result<Vec<(f64, SimReport)>, SimError> {
-    single_leg_rows(SweepBuilder::reliability(hosts, vms, failure_probs, seed))
-}
-
-/// Experiment T13b shim. See [`SweepBuilder::failure_overhead`].
-///
-/// # Errors
-///
-/// Propagates the first failing run in output order.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::failure_overhead(hosts, vms, intensities, seed).run()`"
-)]
-pub fn failure_overhead_sweep(
-    hosts: usize,
-    vms: usize,
-    intensities: &[f64],
-    seed: u64,
-) -> Result<Vec<(f64, SimReport, SimReport)>, SimError> {
-    two_leg_rows(SweepBuilder::failure_overhead(
-        hosts,
-        vms,
-        intensities,
-        seed,
-    ))
-}
-
-/// Experiment T12 shim. See [`SweepBuilder::predictors`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::predictors(hosts, vms, predictors, mode, seed).run()`"
-)]
-pub fn predictor_sweep(
-    hosts: usize,
-    vms: usize,
-    predictors: &[(&str, PredictorConfig)],
-    mode: LowPowerMode,
-    seed: u64,
-) -> Result<Vec<(String, SimReport)>, SimError> {
-    let rows = SweepBuilder::predictors(hosts, vms, predictors, mode, seed).run()?;
-    Ok(rows
-        .into_iter()
-        .map(|row| (row.value.0, into_single(row.reports)))
-        .collect())
-}
-
-/// Experiment F16 shim. See [`SweepBuilder::curve_shapes`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::curve_shapes(hosts, vms, seed).run()`"
-)]
-pub fn curve_shape_sweep(
-    hosts: usize,
-    vms: usize,
-    seed: u64,
-) -> Result<Vec<(String, SimReport, SimReport)>, SimError> {
-    let rows = SweepBuilder::curve_shapes(hosts, vms, seed).run()?;
-    Ok(rows
-        .into_iter()
-        .map(|row| {
-            let (base, pm) = into_pair(row.reports);
-            (row.value.to_string(), base, pm)
-        })
-        .collect())
-}
-
-/// Experiment F17 shim. See [`SweepBuilder::interval`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::interval(hosts, vms, intervals, seed).run()`"
-)]
-pub fn interval_sweep(
-    hosts: usize,
-    vms: usize,
-    intervals: &[SimDuration],
-    seed: u64,
-) -> Result<Vec<(SimDuration, SimReport, SimReport)>, SimError> {
-    two_leg_rows(SweepBuilder::interval(hosts, vms, intervals, seed))
-}
-
-/// Experiment T18 shim. See [`SweepBuilder::prewake`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::prewake(hosts, vms, seed).run()` (labels via `prewake_label`)"
-)]
-pub fn prewake_sweep(
-    hosts: usize,
-    vms: usize,
-    seed: u64,
-) -> Result<Vec<(String, SimReport)>, SimError> {
-    let rows = SweepBuilder::prewake(hosts, vms, seed).run()?;
-    Ok(rows
-        .into_iter()
-        .map(|row| {
-            let (mode, prewake) = row.value;
-            (prewake_label(mode, prewake), into_single(row.reports))
-        })
-        .collect())
-}
-
-/// Experiment T21 shim. See [`SweepBuilder::psu`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::psu(hosts, vms, seed).run()`"
-)]
-pub fn psu_sweep(
-    hosts: usize,
-    vms: usize,
-    seed: u64,
-) -> Result<Vec<(String, SimReport, SimReport)>, SimError> {
-    let rows = SweepBuilder::psu(hosts, vms, seed).run()?;
-    Ok(rows
-        .into_iter()
-        .map(|row| {
-            let (base, pm) = into_pair(row.reports);
-            (row.value.to_string(), base, pm)
-        })
-        .collect())
-}
-
-/// Experiment T26 shim. See [`SweepBuilder::slo_frontier`].
-///
-/// # Errors
-///
-/// Propagates the first failing run.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SweepBuilder::slo_frontier(hosts, vms, slos, seed).run()`"
-)]
-pub fn slo_frontier_sweep(
-    hosts: usize,
-    vms: usize,
-    slos: &[SimDuration],
-    seed: u64,
-) -> Result<(SimReport, Vec<SloFrontierPoint>), SimError> {
-    let rows = SweepBuilder::slo_frontier(hosts, vms, slos, seed).run()?;
-    let baseline = match rows.first() {
-        Some(row) => row.reports[0].clone(),
-        // No SLO rows: run the baseline leg alone, as the old driver did.
-        None => SimulationBuilder::new(
-            Experiment::new(Scenario::datacenter(hosts, vms, seed))
-                .policy(PowerPolicy::always_on()),
-        )
-        .run_report()?,
-    };
-    let points = rows
-        .into_iter()
-        .map(|row| {
-            let mut legs = row.reports.into_iter();
-            let _baseline = legs.next();
-            SloFrontierPoint {
-                slo: row.value,
-                dvfs_only: legs.next().expect("four legs per row"),
-                suspend_only: legs.next().expect("four legs per row"),
-                joint_ladder: legs.next().expect("four legs per row"),
-            }
-        })
-        .collect();
-    Ok((baseline, points))
-}
-
-/// Unwraps single-leg rows into the classic `(value, report)` pairs.
-fn single_leg_rows<X>(sweep: SweepBuilder<X>) -> Result<Vec<(X, SimReport)>, SimError>
-where
-    X: Sync,
-{
-    let rows = sweep.run()?;
-    Ok(rows
-        .into_iter()
-        .map(|row| (row.value, into_single(row.reports)))
-        .collect())
-}
-
-/// Unwraps two-leg rows into the classic `(value, first, second)`
-/// triples.
-fn two_leg_rows<X>(sweep: SweepBuilder<X>) -> Result<Vec<(X, SimReport, SimReport)>, SimError>
-where
-    X: Sync,
-{
-    let rows = sweep.run()?;
-    Ok(rows
-        .into_iter()
-        .map(|row| {
-            let (a, b) = into_pair(row.reports);
-            (row.value, a, b)
-        })
-        .collect())
-}
-
-fn into_single(reports: Vec<SimReport>) -> SimReport {
-    let mut it = reports.into_iter();
-    let report = it.next().expect("row has one leg");
-    assert!(it.next().is_none(), "row has one leg");
-    report
-}
-
-fn into_pair(reports: Vec<SimReport>) -> (SimReport, SimReport) {
-    let mut it = reports.into_iter();
-    let a = it.next().expect("row has two legs");
-    let b = it.next().expect("row has two legs");
-    assert!(it.next().is_none(), "row has two legs");
-    (a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1151,19 +766,5 @@ mod tests {
         assert_eq!(rows.len(), 2);
         // More demanded spares keeps more hosts on.
         assert!(rows[1].report().avg_hosts_on >= rows[0].report().avg_hosts_on);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_agree_with_the_builder() {
-        let rows = SweepBuilder::scale(&[4], &[PowerPolicy::reactive_suspend()], 13)
-            .run()
-            .unwrap();
-        let shim = scale_sweep(&[4], PowerPolicy::reactive_suspend(), 13).unwrap();
-        assert_eq!(shim.len(), 1);
-        assert_eq!(shim[0].0, 4);
-        assert_eq!(shim[0].1, rows[0].reports[0]);
-        let grid = scale_sweep_policies(&[4], &[PowerPolicy::reactive_suspend()], 13).unwrap();
-        assert_eq!(grid[0].2, rows[0].reports[0]);
     }
 }

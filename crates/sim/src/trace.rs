@@ -10,15 +10,15 @@
 //! * `action-rejected` — the cluster refused a stale management action.
 //! * `manager-decision` — see [`agile_core::DecisionRecord::to_json`].
 //! * `run-summary` — one final record with the report headline, the
-//!   metrics snapshot, the wall-clock phase profile, and (when tracing
-//!   is enabled) the hierarchical span summary.
+//!   metrics snapshot, and the hierarchical wall-clock span summary
+//!   (`spans`; `null` unless the run was profiled).
 //!
 //! [`SimTelemetry`] owns the engine's [`MetricsRegistry`] and the handles
 //! to every metric it updates; names are dot-paths (`sim.migrations.
 //! started`, `power.residency_secs.on`, ...) listed in `DESIGN.md`.
 
 use cluster::Cluster;
-use obs::{CounterId, GaugeId, HistogramId, Json, MetricsRegistry, ProfileSummary, SpanSummary};
+use obs::{CounterId, GaugeId, HistogramId, Json, MetricsRegistry, SpanSummary};
 use power::PowerState;
 use simcore::SimTime;
 
@@ -31,15 +31,11 @@ pub(crate) fn event_json(time: SimTime, kind: &EventKind) -> Json {
     EventRecord { time, kind: *kind }.to_json()
 }
 
-/// The final trace record: report headline + metrics + wall-clock
-/// profile and span tree (the only place wall time appears; it never
-/// enters the deterministic [`SimReport`]). `spans` is present only when
-/// the tracer ran enabled.
-pub(crate) fn run_summary_json(
-    report: &SimReport,
-    profile: &ProfileSummary,
-    spans: Option<&SpanSummary>,
-) -> Json {
+/// The final trace record: report headline + metrics + wall-clock span
+/// tree (the only place wall time appears; it never enters the
+/// deterministic [`SimReport`]). `spans` is present only when the tracer
+/// ran enabled.
+pub(crate) fn run_summary_json(report: &SimReport, spans: Option<&SpanSummary>) -> Json {
     Json::obj([
         ("record", Json::Str("run-summary".into())),
         ("scenario", Json::Str(report.scenario.clone())),
@@ -50,7 +46,6 @@ pub(crate) fn run_summary_json(
         ("unserved_ratio", Json::Num(report.unserved_ratio)),
         ("migrations", Json::Int(report.migrations as i64)),
         ("metrics", report.metrics.to_json()),
-        ("profile", profile.to_json()),
         (
             "spans",
             match spans {

@@ -516,8 +516,6 @@ fn assert_ladder_degenerates(
 
 #[test]
 fn joint_ladder_at_s3_slo_degenerates_to_reactive_suspend() {
-    // Plan mode follows AGILEPM_PLAN_MODE, so the CI matrix exercises
-    // this degeneracy under both scan and indexed planning.
     check::check(
         "JointLadder(12s) == PM-Suspend(S3)",
         &experiment_spec(),
