@@ -4,7 +4,7 @@ use agile_core::{
     ClusterObservation, HostObservation, ManagerConfig, PowerPolicy, VirtManager, VmObservation,
 };
 use bench::microbench::time;
-use cluster::{HostId, VmId};
+use cluster::HostId;
 use power::PowerState;
 use simcore::{RngStream, SimTime};
 
@@ -16,11 +16,10 @@ fn observation(hosts: usize) -> ClusterObservation {
     let mut vm_obs = Vec::with_capacity(hosts * vms_per_host);
     for h in 0..hosts {
         let mut demand = 0.0;
-        for v in 0..vms_per_host {
+        for _ in 0..vms_per_host {
             let d = rng.uniform(0.2, 1.8);
             demand += d;
             vm_obs.push(VmObservation {
-                id: VmId((h * vms_per_host + v) as u32),
                 host: Some(HostId(h as u32)),
                 cpu_demand: d,
                 cpu_cap: 2.0,
@@ -45,7 +44,7 @@ fn observation(hosts: usize) -> ClusterObservation {
     ClusterObservation {
         now: SimTime::from_secs(300),
         hosts: host_obs,
-        vms: vm_obs,
+        vms: vm_obs.into_iter().collect(),
     }
 }
 
@@ -58,7 +57,7 @@ fn main() {
             hosts * 4,
         );
         time(&format!("manager_plan_{hosts}_hosts"), 3, 20, || {
-            mgr.plan(&obs).len()
+            mgr.plan(&obs).expect("well-shaped observation").len()
         });
     }
 }

@@ -1,9 +1,11 @@
 //! Scale-out hot-path benchmark (the F8 companion): wall-clock ticks/sec,
 //! span attribution, and peak RSS at increasing cluster sizes.
 //!
-//! Writes `BENCH_scaleout.json`. With `--check-baseline FILE` the run
-//! fails (exit 1) if ticks/sec at any matching size regresses more than
-//! 30 % below the checked-in baseline — the CI perf smoke gate.
+//! Writes `BENCH_scaleout.json`. Each size runs `--repeat` times: the
+//! headline `wall_secs` is the best run, and the median, min and max
+//! over the repeats record the spread. With `--check-baseline FILE` the
+//! run fails (exit 1) if ticks/sec at any matching size regresses more
+//! than 30 % below the checked-in baseline — the CI perf smoke gate.
 
 use std::time::Instant;
 
@@ -11,6 +13,7 @@ use agile_core::{PlanMode, PowerPolicy};
 use cluster::AccountingMode;
 use dcsim::{Experiment, Scenario, SimulationBuilder};
 use obs::{Json, SpanSummary};
+use simcore::percentile;
 
 /// Pre-optimization reference numbers, measured on this benchmark before
 /// the incremental-accounting/zero-alloc work landed (same scenario
@@ -34,7 +37,11 @@ struct Row {
     hosts: usize,
     vms: usize,
     ticks: u64,
+    /// Best-of-N wall seconds (the minimum over the repeats).
     wall_secs: f64,
+    /// Median and maximum wall seconds over the repeats.
+    wall_secs_median: f64,
+    wall_secs_max: f64,
     ticks_per_sec: f64,
     peak_rss_kb: u64,
     /// Ticks/sec of the scan-reference rerun (scan accounting AND scan
@@ -153,11 +160,15 @@ fn main() {
         let row = measure(hosts, &args, policy);
         let before = BEFORE.iter().find(|(h, _, _)| *h == hosts);
         println!(
-            "{:>5} hosts {:>6} vms: {:>8.0} ticks/s ({:.2} s wall, peak RSS {} MB){}{}",
+            "{:>5} hosts {:>6} vms: {:>8.0} ticks/s ({:.2} s wall, median {:.2} s, max {:.2} s \
+             over {}, peak RSS {} MB){}{}",
             row.hosts,
             row.vms,
             row.ticks_per_sec,
             row.wall_secs,
+            row.wall_secs_median,
+            row.wall_secs_max,
+            args.repeat,
             row.peak_rss_kb / 1024,
             match row.scan_ticks_per_sec {
                 Some(tps) => format!(", scan ref {tps:.0} ticks/s, reports identical"),
@@ -198,9 +209,12 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
             .view_staleness(args.staleness)
     };
     // Best-of-N: the minimum wall time is the least scheduler-noise-
-    // polluted sample; every repeat is the same deterministic simulation,
-    // so only timing varies.
-    let mut best: Option<(f64, _, _)> = None;
+    // polluted sample. Every repeat is the same deterministic simulation,
+    // so only timing may vary: each repeat's report must equal the
+    // first's.
+    let mut walls = Vec::with_capacity(args.repeat);
+    let mut first: Option<dcsim::SimReport> = None;
+    let mut best: Option<(f64, SpanSummary)> = None;
     for _ in 0..args.repeat {
         let exp = plane(Experiment::new(scenario.clone()).policy(policy));
         let t0 = Instant::now();
@@ -212,11 +226,22 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
             .expect("scale-out run failed");
         let wall = t0.elapsed().as_secs_f64();
         let spans = out.spans.expect("profiled run returns a span tree");
-        if best.as_ref().is_none_or(|(w, _, _)| wall < *w) {
-            best = Some((wall, out.report, spans));
+        match &first {
+            None => first = Some(out.report),
+            Some(first) => assert_eq!(
+                first,
+                &out.report,
+                "repeat {} at {hosts} hosts diverged from the first",
+                walls.len() + 1
+            ),
         }
+        if best.as_ref().is_none_or(|(w, _)| wall < *w) {
+            best = Some((wall, spans));
+        }
+        walls.push(wall);
     }
-    let (wall_secs, report, spans) = best.expect("at least one repeat");
+    let (wall_secs, spans) = best.expect("at least one repeat");
+    let report = first.expect("at least one repeat");
     let ticks = report.horizon.as_millis() / step.as_millis() + 1;
 
     // Rerun against the O(n)-scan references (scan accounting and scan
@@ -262,6 +287,8 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
         vms,
         ticks,
         wall_secs,
+        wall_secs_median: percentile(&walls, 50.0).expect("at least one repeat"),
+        wall_secs_max: walls.iter().copied().fold(wall_secs, f64::max),
         ticks_per_sec: ticks as f64 / wall_secs,
         peak_rss_kb: peak_rss_kb(),
         scan_ticks_per_sec,
@@ -323,11 +350,15 @@ fn render_json(rows: &[Row], args: &Args) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"hosts\": {}, \"vms\": {}, \"ticks\": {}, \"wall_secs\": {:.4}, \
+             \"wall_secs_median\": {:.4}, \"wall_secs_min\": {:.4}, \"wall_secs_max\": {:.4}, \
              \"ticks_per_sec\": {:.1}, \"peak_rss_kb\": {}, \"plan_mode\": \"{}\", ",
             r.hosts,
             r.vms,
             r.ticks,
             r.wall_secs,
+            r.wall_secs_median,
+            r.wall_secs,
+            r.wall_secs_max,
             r.ticks_per_sec,
             r.peak_rss_kb,
             // Scaleout always measures the production planner; the label

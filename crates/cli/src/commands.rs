@@ -482,6 +482,9 @@ fn breakeven(args: &[String]) -> CmdResult {
 struct PerfSection {
     label: String,
     summary: SpanSummary,
+    /// `(median, min, max)` wall seconds over a scaleout run's repeats,
+    /// when the artifact records them (older artifacts do not).
+    spread: Option<(f64, f64, f64)>,
 }
 
 fn perf_report(args: &[String]) -> CmdResult {
@@ -496,6 +499,11 @@ fn perf_report(args: &[String]) -> CmdResult {
         Some(path) if !path.starts_with('-') && args.len() == 1 => {
             for section in load_sections(path)? {
                 println!("== {}", section.label);
+                if let Some((median, min, max)) = section.spread {
+                    println!(
+                        "wall over repeats: median {median:.3} s, min {min:.3} s, max {max:.3} s"
+                    );
+                }
                 print!("{}", section.summary);
                 print_attribution(&section.summary);
             }
@@ -623,6 +631,7 @@ fn load_sections(path: &str) -> Result<Vec<PerfSection>, Box<dyn Error>> {
         return Ok(vec![PerfSection {
             label: path.to_string(),
             summary: SpanSummary::from_json(&json).map_err(|e| ArgError(format!("{e:?}")))?,
+            spread: None,
         }]);
     }
     Err(Box::new(ArgError(format!(
@@ -648,7 +657,11 @@ fn trace_section(record: &Json) -> Result<PerfSection, Box<dyn Error>> {
             ))
         })?;
     let summary = SpanSummary::from_json(spans).map_err(|e| ArgError(format!("{e:?}")))?;
-    Ok(PerfSection { label, summary })
+    Ok(PerfSection {
+        label,
+        summary,
+        spread: None,
+    })
 }
 
 /// Builds a section from one entry of a scaleout artifact's `runs`
@@ -657,11 +670,21 @@ fn trace_section(record: &Json) -> Result<PerfSection, Box<dyn Error>> {
 fn scaleout_section(run: &Json) -> Result<PerfSection, Box<dyn Error>> {
     let hosts = run.get("hosts").and_then(Json::as_f64).unwrap_or(0.0) as u64;
     let label = format!("hosts={hosts}");
+    let secs = |key| run.get(key).and_then(Json::as_f64);
+    let spread = match (
+        secs("wall_secs_median"),
+        secs("wall_secs_min"),
+        secs("wall_secs_max"),
+    ) {
+        (Some(median), Some(min), Some(max)) => Some((median, min, max)),
+        _ => None,
+    };
     if let Some(spans) = run.get("spans") {
         if *spans != Json::Null {
             return Ok(PerfSection {
                 label,
                 summary: SpanSummary::from_json(spans).map_err(|e| ArgError(format!("{e:?}")))?,
+                spread,
             });
         }
     }
@@ -690,6 +713,7 @@ fn scaleout_section(run: &Json) -> Result<PerfSection, Box<dyn Error>> {
     Ok(PerfSection {
         label,
         summary: SpanSummary { spans, wall_secs },
+        spread,
     })
 }
 
@@ -996,13 +1020,20 @@ mod tests {
             &bench,
             r#"{"runs": [
                 {"hosts": 64, "wall_secs": 1.0, "phases": {"plan": 0.6, "execute": 0.2}},
-                {"hosts": 256, "wall_secs": 4.0, "phases": {"plan": 2.9, "execute": 0.7}}
+                {"hosts": 256, "wall_secs": 4.0, "wall_secs_median": 4.5,
+                 "wall_secs_min": 4.0, "wall_secs_max": 6.0,
+                 "phases": {"plan": 2.9, "execute": 0.7}}
             ]}"#,
         )
         .expect("write bench artifact");
         let sections = load_sections(bench.to_str().expect("utf8 path")).expect("bench loads");
         assert_eq!(sections.len(), 2);
         assert_eq!(sections[1].label, "hosts=256");
+        // The spread is read when recorded and absent from older runs.
+        assert_eq!(sections[0].spread, None);
+        assert_eq!(sections[1].spread, Some((4.5, 4.0, 6.0)));
+        dispatch(&argv(&["perf-report", bench.to_str().expect("utf8 path")]))
+            .expect("spread renders");
         assert_eq!(
             sections[1].summary.span("plan").map(|s| s.total_secs),
             Some(2.9)

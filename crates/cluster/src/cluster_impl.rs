@@ -138,9 +138,10 @@ impl<'a> ClusterShardView<'a> {
         self.vms
     }
 
-    /// The host the VM currently runs on, if placed.
-    pub fn host_of(&self, vm: VmId) -> Option<HostId> {
-        self.placement.host_of(vm)
+    /// Every VM's host (`None` while unplaced), indexable by
+    /// `VmId::index()` — the placement map's own column.
+    pub fn vm_hosts(&self) -> &'a [Option<HostId>] {
+        self.placement.vm_hosts()
     }
 
     /// Whether a live migration of `vm` is in flight.

@@ -44,6 +44,12 @@ impl PlacementMap {
         self.vm_to_host[vm.index()]
     }
 
+    /// Every VM's host (`None` while unplaced), indexed by
+    /// `VmId::index()`.
+    pub(crate) fn vm_hosts(&self) -> &[Option<HostId>] {
+        &self.vm_to_host
+    }
+
     /// The VMs on `host`, in id order.
     ///
     /// # Panics

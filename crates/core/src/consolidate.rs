@@ -413,7 +413,6 @@ mod tests {
             });
             for &d in *demands {
                 vms.push(VmObservation {
-                    id: VmId(vms.len() as u32),
                     host: Some(HostId(h as u32)),
                     cpu_demand: d,
                     cpu_cap: 8.0,
@@ -428,7 +427,7 @@ mod tests {
             ClusterObservation {
                 now: SimTime::ZERO,
                 hosts,
-                vms,
+                vms: vms.into_iter().collect(),
             },
             preds,
         )
@@ -584,13 +583,12 @@ mod tests {
             failed_transitions: 0,
             ladder: Default::default(),
         });
-        for (i, (h, mem)) in [(0u32, 24.0), (0, 24.0), (1, 40.0)].iter().enumerate() {
+        for (h, mem) in [(0u32, 24.0), (0, 24.0), (1, 40.0)] {
             vms.push(VmObservation {
-                id: VmId(i as u32),
-                host: Some(HostId(*h)),
+                host: Some(HostId(h)),
                 cpu_demand: 0.2,
                 cpu_cap: 8.0,
-                mem_gb: *mem,
+                mem_gb: mem,
                 migrating: false,
                 service_class: Default::default(),
             });
@@ -599,7 +597,7 @@ mod tests {
         let o = ClusterObservation {
             now: SimTime::ZERO,
             hosts,
-            vms,
+            vms: vms.into_iter().collect(),
         };
         let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
         let c = cfg();
@@ -661,29 +659,25 @@ mod tests {
         });
         // Awkward mantissas so a recomputed (re-associated) total would
         // differ in the low bits and fail this test.
-        for (i, (h, mem, demand)) in [
+        for (h, mem, demand) in [
             (0u32, 24.0, 0.1 + 0.2),
             (0, 24.0, 1.0 / 3.0),
             (1, 40.0, 0.7),
-        ]
-        .iter()
-        .enumerate()
-        {
+        ] {
             vms.push(VmObservation {
-                id: VmId(i as u32),
-                host: Some(HostId(*h)),
-                cpu_demand: *demand,
+                host: Some(HostId(h)),
+                cpu_demand: demand,
                 cpu_cap: 8.0,
-                mem_gb: *mem,
+                mem_gb: mem,
                 migrating: false,
                 service_class: Default::default(),
             });
-            preds.push(*demand);
+            preds.push(demand);
         }
         let o = ClusterObservation {
             now: SimTime::ZERO,
             hosts,
-            vms,
+            vms: vms.into_iter().collect(),
         };
         let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
         let c = cfg();

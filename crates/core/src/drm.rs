@@ -154,7 +154,6 @@ mod tests {
             });
             for &d in *demands {
                 vms.push(VmObservation {
-                    id: VmId(vms.len() as u32),
                     host: Some(HostId(h as u32)),
                     cpu_demand: d,
                     cpu_cap: 8.0,
@@ -169,7 +168,7 @@ mod tests {
             ClusterObservation {
                 now: SimTime::ZERO,
                 hosts,
-                vms,
+                vms: vms.into_iter().collect(),
             },
             preds,
         )
@@ -283,7 +282,9 @@ mod tests {
         let (o, mut preds) = obs(&[&[4.0, 4.0], &[]]);
         preds[0] = 4.0;
         let mut o = o;
-        o.vms[0].migrating = true;
+        let mut rows: Vec<VmObservation> = (0..o.vms.len()).filter_map(|i| o.vms.get(i)).collect();
+        rows[0].migrating = true;
+        o.vms = rows.into_iter().collect();
         let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();

@@ -59,8 +59,8 @@ pub use config::{ConfigError, ManagerConfig, PackingPolicy, PowerPolicy};
 pub use decision::{DecisionActions, DecisionRecord, DecisionTrigger};
 pub use hysteresis::HysteresisGate;
 pub use index::{pairwise_sum, IndexWorkCounters, PlanMode, SumTree, UtilizationIndex};
-pub use manager::{RoundStats, VirtManager};
-pub use observation::{ClusterObservation, HostObservation, VmObservation};
+pub use manager::{PlanError, RoundStats, VirtManager};
+pub use observation::{ClusterObservation, HostObservation, VmColumns, VmObservation};
 pub use placement::{CommitStats, ConflictReason, PlacementFacts, PlacementStore};
 pub use predict::{Predictor, PredictorConfig};
 pub use prewake::DayProfile;

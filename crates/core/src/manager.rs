@@ -1,5 +1,8 @@
 //! The management loop body.
 
+use std::error::Error;
+use std::fmt;
+
 use cluster::HostId;
 use power::breakeven::LowPowerMode;
 use power::PowerState;
@@ -46,6 +49,45 @@ impl RoundStats {
         self.power_ups_requested + self.power_downs_requested
     }
 }
+
+/// Why [`VirtManager::plan`] refused an observation.
+///
+/// Marked `#[non_exhaustive]`: downstream matches need a wildcard arm.
+#[non_exhaustive]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanError {
+    /// The observation describes a different fleet than the manager was
+    /// created for.
+    Shape {
+        /// Hosts the manager was created for.
+        expected_hosts: usize,
+        /// VMs the manager was created for.
+        expected_vms: usize,
+        /// Hosts in the observation.
+        actual_hosts: usize,
+        /// VMs in the observation.
+        actual_vms: usize,
+    },
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::Shape {
+                expected_hosts,
+                expected_vms,
+                actual_hosts,
+                actual_vms,
+            } => write!(
+                f,
+                "observation has {actual_hosts} hosts and {actual_vms} VMs, \
+                 but the manager was created for {expected_hosts} hosts and {expected_vms} VMs"
+            ),
+        }
+    }
+}
+
+impl Error for PlanError {}
 
 /// The power-aware virtualization manager.
 ///
@@ -98,7 +140,8 @@ pub struct VirtManager {
     actions_hist: Histogram,
 }
 
-/// Capacity requirement vs. supply, assessed before any action.
+/// Capacity requirement vs. supply, plus the decision record's host
+/// counts, assessed in one host pass before any action.
 struct CapacityAssessment {
     /// Capacity urgent demand alone requires (no spares).
     required_urgent: f64,
@@ -108,6 +151,13 @@ struct CapacityAssessment {
     available: f64,
     /// Raw time-of-day forecast, when the profile produced one.
     forecast: Option<f64>,
+    /// Operational hosts predicted above the overload threshold.
+    overloaded_hosts: usize,
+    /// Operational, non-draining hosts predicted below the underload
+    /// threshold.
+    underloaded_hosts: usize,
+    /// Operational, non-draining hosts.
+    candidate_hosts: usize,
 }
 
 impl VirtManager {
@@ -218,11 +268,11 @@ impl VirtManager {
 
     /// Runs one management round.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the observation's host/VM counts differ from what the
-    /// manager was created with.
-    pub fn plan(&mut self, obs: &ClusterObservation) -> Vec<ManagementAction> {
+    /// Returns [`PlanError::Shape`] if the observation's host/VM counts
+    /// differ from what the manager was created with.
+    pub fn plan(&mut self, obs: &ClusterObservation) -> Result<Vec<ManagementAction>, PlanError> {
         self.plan_traced(obs, &mut SpanTracer::new())
     }
 
@@ -234,17 +284,24 @@ impl VirtManager {
     /// Tracing observes and never steers: with a disabled tracer this is
     /// byte-for-byte the same plan as [`plan`](Self::plan).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the observation's host/VM counts differ from what the
-    /// manager was created with.
+    /// Returns [`PlanError::Shape`] if the observation's host/VM counts
+    /// differ from what the manager was created with; the manager is
+    /// left untouched.
     pub fn plan_traced(
         &mut self,
         obs: &ClusterObservation,
         tracer: &mut SpanTracer,
-    ) -> Vec<ManagementAction> {
-        assert_eq!(obs.hosts.len(), self.draining.len(), "host count changed");
-        assert_eq!(obs.vms.len(), self.predictors.len(), "VM count changed");
+    ) -> Result<Vec<ManagementAction>, PlanError> {
+        if obs.hosts.len() != self.draining.len() || obs.vms.len() != self.predictors.len() {
+            return Err(PlanError::Shape {
+                expected_hosts: self.draining.len(),
+                expected_vms: self.predictors.len(),
+                actual_hosts: obs.hosts.len(),
+                actual_vms: obs.vms.len(),
+            });
+        }
         self.stats.rounds += 1;
 
         let s_rescore = tracer.name("rescore");
@@ -273,15 +330,16 @@ impl VirtManager {
         let ranges = pool::shard_ranges(n_vms, self.threads);
         let preds = pool::split_mut(&mut self.predictors, &ranges);
         let outs = pool::split_mut(&mut self.predicted_buf, &ranges);
+        let (demand, cap) = (obs.vms.cpu_demand(), obs.vms.cpu_cap());
         let shards: Vec<_> = ranges
             .iter()
-            .map(|r| &obs.vms[r.clone()])
+            .map(|r| (&demand[r.clone()], &cap[r.clone()]))
             .zip(preds.into_iter().zip(outs))
             .collect();
-        pool::for_each_shard(self.threads, shards, |_, (vms, (preds, out))| {
-            for ((vm, p), o) in vms.iter().zip(preds.iter_mut()).zip(out.iter_mut()) {
-                p.observe(vm.cpu_demand);
-                *o = p.predict().clamp(0.0, vm.cpu_cap);
+        pool::for_each_shard(self.threads, shards, |_, ((demand, cap), (preds, out))| {
+            for (((&d, &c), p), o) in demand.iter().zip(cap).zip(preds).zip(out) {
+                p.observe(d);
+                *o = p.predict().clamp(0.0, c);
             }
         });
 
@@ -295,7 +353,7 @@ impl VirtManager {
             // manager never acts.
             tracer.exit(s_rescore);
             self.last_decision = None;
-            return Vec::new();
+            return Ok(Vec::new());
         }
 
         let mut ctx = std::mem::take(&mut self.ctx);
@@ -319,19 +377,6 @@ impl VirtManager {
         // Snapshot the planner's view before any step mutates it — the
         // decision record explains this round from these inputs.
         let predicted_demand = ctx.total_predicted();
-        let overloaded_hosts = (0..ctx.num_hosts())
-            .filter(|&h| ctx.operational[h] && ctx.util(h) > self.config.overload_threshold())
-            .count();
-        let underloaded_hosts = (0..ctx.num_hosts())
-            .filter(|&h| {
-                ctx.operational[h]
-                    && !ctx.draining[h]
-                    && ctx.util(h) < self.config.underload_threshold()
-            })
-            .count();
-        let candidate_hosts = (0..ctx.num_hosts())
-            .filter(|&h| ctx.operational[h] && !ctx.draining[h])
-            .count();
         let capacity = self.assess_capacity(&ctx, obs);
         tracer.exit(s_rescore);
 
@@ -445,8 +490,8 @@ impl VirtManager {
             round: self.stats.rounds,
             now: obs.now,
             trigger: DecisionTrigger {
-                overload: overloaded_hosts > 0,
-                underload: underloaded_hosts > 0,
+                overload: capacity.overloaded_hosts > 0,
+                underload: capacity.underloaded_hosts > 0,
                 prewake: capacity.forecast.is_some_and(|f| f > predicted_demand),
             },
             observed_demand: obs.total_vm_demand(),
@@ -454,21 +499,22 @@ impl VirtManager {
             prewake_forecast: capacity.forecast,
             required_capacity: capacity.required,
             available_capacity,
-            candidate_hosts,
-            overloaded_hosts,
-            underloaded_hosts,
+            candidate_hosts: capacity.candidate_hosts,
+            overloaded_hosts: capacity.overloaded_hosts,
+            underloaded_hosts: capacity.underloaded_hosts,
             draining_hosts: self.draining.iter().filter(|&&d| d).count(),
             quarantined_hosts: self.recovery.quarantined_count(),
             failsafe,
             actions: round_actions,
             actions_per_round: self.actions_hist.quantiles(),
         });
-        actions
+        Ok(actions)
     }
 
-    /// Measures required vs. available capacity without acting — the
-    /// shared input of [`ensure_capacity`](Self::ensure_capacity) and the
-    /// round's decision record.
+    /// Measures required vs. available capacity and counts the decision
+    /// record's host classes without acting — the shared input of
+    /// [`ensure_capacity`](Self::ensure_capacity) and the round's
+    /// decision record.
     fn assess_capacity(&self, ctx: &PlanContext, obs: &ClusterObservation) -> CapacityAssessment {
         let cfg = &self.config;
         let mut total_pred = ctx.total_predicted();
@@ -481,20 +527,43 @@ impl VirtManager {
                 total_pred = total_pred.max(f);
             }
         }
-        let max_cap = (0..ctx.num_hosts())
-            .map(|h| ctx.cpu_capacity[h])
-            .fold(0.0, f64::max);
+        // One pass in ascending host order. `available` starts from
+        // `-0.0`, the neutral element `Iterator::sum` uses, so an empty
+        // sum stays bit-identical to the summed form.
+        let mut max_cap = 0.0f64;
+        let mut available = -0.0f64;
+        let (mut overloaded_hosts, mut underloaded_hosts, mut candidate_hosts) = (0, 0, 0);
+        for h in 0..ctx.num_hosts() {
+            let cap = ctx.cpu_capacity[h];
+            max_cap = max_cap.max(cap);
+            let candidate = ctx.operational[h] && !ctx.draining[h];
+            if candidate || ctx.arriving[h] {
+                available += cap;
+            }
+            if !ctx.operational[h] {
+                continue;
+            }
+            let util = ctx.util(h);
+            if util > cfg.overload_threshold() {
+                overloaded_hosts += 1;
+            }
+            if candidate {
+                candidate_hosts += 1;
+                if util < cfg.underload_threshold() {
+                    underloaded_hosts += 1;
+                }
+            }
+        }
         let required_urgent = total_pred / cfg.target_utilization();
         let required = required_urgent + cfg.spare_hosts() as f64 * max_cap;
-        let available: f64 = (0..ctx.num_hosts())
-            .filter(|&h| (ctx.operational[h] && !ctx.draining[h]) || ctx.arriving[h])
-            .map(|h| ctx.cpu_capacity[h])
-            .sum();
         CapacityAssessment {
             required_urgent,
             required,
             available,
             forecast,
+            overloaded_hosts,
+            underloaded_hosts,
+            candidate_hosts,
         }
     }
 
@@ -702,7 +771,6 @@ mod tests {
             });
             for &d in *demands {
                 vms.push(VmObservation {
-                    id: VmId(vms.len() as u32),
                     host: Some(HostId(h as u32)),
                     cpu_demand: d,
                     cpu_cap: 8.0,
@@ -715,7 +783,7 @@ mod tests {
         ClusterObservation {
             now,
             hosts: host_obs,
-            vms,
+            vms: vms.into_iter().collect(),
         }
     }
 
@@ -740,7 +808,7 @@ mod tests {
                 (PowerState::On, &[0.2]),
             ],
         );
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(actions.iter().all(|a| !a.is_power_action()));
         assert_eq!(mgr.stats().power_actions(), 0);
     }
@@ -753,7 +821,7 @@ mod tests {
             SimTime::ZERO,
             &[(PowerState::On, &[0.5, 0.5]), (PowerState::On, &[])],
         );
-        assert!(mgr.plan(&o).is_empty());
+        assert!(mgr.plan(&o).expect("well-shaped observation").is_empty());
     }
 
     #[test]
@@ -764,7 +832,7 @@ mod tests {
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(
             actions.iter().any(|a| matches!(
                 a,
@@ -782,7 +850,7 @@ mod tests {
             SimTime::from_secs(300),
             &[(PowerState::On, &[1.0, 0.5]), (PowerState::On, &[])],
         );
-        let actions2 = mgr.plan(&o2);
+        let actions2 = mgr.plan(&o2).expect("well-shaped observation");
         assert!(
             actions2.iter().any(|a| matches!(
                 a,
@@ -808,7 +876,7 @@ mod tests {
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[])],
         );
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(
             actions.iter().any(|a| matches!(
                 a,
@@ -830,7 +898,7 @@ mod tests {
             &[(PowerState::On, &[4.0, 3.5]), (PowerState::Suspended, &[])],
         );
         o.hosts[1].evacuated = true;
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(
             actions
                 .iter()
@@ -853,7 +921,7 @@ mod tests {
         );
         o.hosts[1].evacuated = true;
         o.hosts[2].evacuated = true;
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         let wakes: Vec<_> = actions
             .iter()
             .filter_map(|a| match a {
@@ -876,7 +944,7 @@ mod tests {
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
-        mgr.plan(&o);
+        mgr.plan(&o).expect("well-shaped observation");
         assert_eq!(mgr.draining_hosts(), vec![HostId(1)]);
         // Round 2: demand explodes before the drain finished; the drain
         // must be cancelled rather than waking anything (nothing to wake).
@@ -884,7 +952,7 @@ mod tests {
             SimTime::from_secs(300),
             &[(PowerState::On, &[7.0]), (PowerState::On, &[6.0])],
         );
-        let actions = mgr.plan(&o2);
+        let actions = mgr.plan(&o2).expect("well-shaped observation");
         assert!(mgr.draining_hosts().is_empty());
         assert!(actions
             .iter()
@@ -901,7 +969,7 @@ mod tests {
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[])],
         );
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(actions.iter().all(|a| !a.is_power_action()), "{actions:?}");
     }
 
@@ -912,7 +980,7 @@ mod tests {
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
-        mgr.plan(&o);
+        mgr.plan(&o).expect("well-shaped observation");
         assert_eq!(mgr.stats().rounds, 1);
         assert!(mgr.stats().migrations_requested >= 1);
     }
@@ -926,7 +994,7 @@ mod tests {
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         let reasons = mgr.last_round_reasons();
         assert_eq!(actions.len(), reasons.len());
         let migration_idx = actions
@@ -942,7 +1010,7 @@ mod tests {
             SimTime::from_secs(300),
             &[(PowerState::On, &[1.0, 0.5]), (PowerState::On, &[])],
         );
-        let actions2 = mgr.plan(&o2);
+        let actions2 = mgr.plan(&o2).expect("well-shaped observation");
         let reasons2 = mgr.last_round_reasons();
         let park_idx = actions2
             .iter()
@@ -963,7 +1031,7 @@ mod tests {
         );
         o.hosts[1].evacuated = true;
         o.hosts[1].failed_transitions = 1;
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(mgr.recovery().is_quarantined(1));
         assert!(
             actions
@@ -988,7 +1056,7 @@ mod tests {
         o.hosts[1].evacuated = true;
         o.hosts[1].failed_transitions = 1;
         // Round 1: inside the 2-minute backoff window — no wake.
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(!mgr.recovery().is_quarantined(1));
         assert!(actions
             .iter()
@@ -996,7 +1064,7 @@ mod tests {
         // Round 2, past the window: the retry goes out.
         let mut o2 = o.clone();
         o2.now = SimTime::from_secs(300);
-        let actions2 = mgr.plan(&o2);
+        let actions2 = mgr.plan(&o2).expect("well-shaped observation");
         assert!(
             actions2
                 .iter()
@@ -1020,7 +1088,7 @@ mod tests {
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
         o.hosts[0].failed_transitions = 1;
-        let actions = mgr.plan(&o);
+        let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(mgr.recovery().failsafe_active());
         assert!(actions.is_empty(), "{actions:?}");
         assert!(mgr.draining_hosts().is_empty());
@@ -1032,7 +1100,7 @@ mod tests {
         // resumes.
         let mut o2 = o.clone();
         o2.now = SimTime::from_secs(40 * 60);
-        let actions2 = mgr.plan(&o2);
+        let actions2 = mgr.plan(&o2).expect("well-shaped observation");
         assert!(!mgr.recovery().failsafe_active());
         assert!(
             actions2
@@ -1060,8 +1128,8 @@ mod tests {
                 &[(PowerState::On, &[4.0, 3.5]), (PowerState::On, &[0.5])],
             );
             o.hosts[0].failed_transitions = 1;
-            let actions = mgr.plan(&o);
-            oracle.plan(&o);
+            let actions = mgr.plan(&o).expect("well-shaped observation");
+            oracle.plan(&o).expect("well-shaped observation");
             assert!(mgr.recovery().failsafe_active());
             let d = mgr.last_decision().unwrap();
             assert!(d.failsafe);
@@ -1084,7 +1152,7 @@ mod tests {
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
-        mgr.plan(&o);
+        mgr.plan(&o).expect("well-shaped observation");
         assert_eq!(mgr.draining_hosts(), vec![HostId(1)]);
         // Round 2: host 1 is evacuated but reports a transition failure
         // (e.g. a previous suspend attempt failed): the drain is
@@ -1094,7 +1162,7 @@ mod tests {
             &[(PowerState::On, &[1.0, 0.5]), (PowerState::On, &[])],
         );
         o2.hosts[1].failed_transitions = 1;
-        let actions2 = mgr.plan(&o2);
+        let actions2 = mgr.plan(&o2).expect("well-shaped observation");
         assert!(mgr.recovery().is_quarantined(1));
         assert!(
             actions2
@@ -1109,10 +1177,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "host count changed")]
     fn rejects_mismatched_observation() {
-        let mut mgr = VirtManager::new(agile_config(), 3, 2);
+        let mut mgr = VirtManager::new(agile_config(), 3, 4);
         let o = obs(SimTime::ZERO, &[(PowerState::On, &[1.0, 0.5])]);
-        mgr.plan(&o);
+        let err = mgr.plan(&o).expect_err("1 host / 2 VMs against 3 / 4");
+        assert_eq!(
+            err,
+            PlanError::Shape {
+                expected_hosts: 3,
+                expected_vms: 4,
+                actual_hosts: 1,
+                actual_vms: 2,
+            }
+        );
+        assert!(err.to_string().contains("3 hosts and 4 VMs"), "{err}");
+        // A refused observation is no round: nothing was counted or kept.
+        assert_eq!(mgr.stats().rounds, 0);
+        assert!(mgr.last_decision().is_none());
     }
 }

@@ -5,7 +5,7 @@
 //! so policies cannot accidentally peek at simulator internals (e.g.
 //! future demand traces).
 
-use cluster::{HostId, ServiceClass, VmId};
+use cluster::{HostId, ServiceClass, VmSpec};
 use power::breakeven::LadderSummary;
 use power::{PowerState, TransitionKind};
 use simcore::SimTime;
@@ -92,13 +92,11 @@ impl HostObservation {
     }
 }
 
-/// What the manager sees about one VM.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What the manager sees about one VM: one row of [`VmColumns`]. The
+/// VM's id is its row index.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VmObservation {
-    /// The VM's id.
-    pub id: VmId,
-    /// The host the VM currently runs on (`None` only before initial
-    /// placement).
+    /// The host the VM currently runs on (`None` while unplaced).
     pub host: Option<HostId>,
     /// Measured CPU demand this round, cores.
     pub cpu_demand: f64,
@@ -112,20 +110,162 @@ pub struct VmObservation {
     pub service_class: ServiceClass,
 }
 
-impl Default for VmObservation {
-    /// An unplaced, idle placeholder (id 0) — the pre-fill value of
-    /// reusable observation buffers; the sharded observation fill
-    /// overwrites every slot before the manager sees it.
-    fn default() -> Self {
-        VmObservation {
-            id: VmId(0),
-            host: None,
-            cpu_demand: 0.0,
-            cpu_cap: 0.0,
-            mem_gb: 0.0,
-            migrating: false,
-            service_class: ServiceClass::default(),
+/// The VM side of a [`ClusterObservation`], one column per fact and one
+/// row per VM, indexed by `VmId::index()`.
+///
+/// Planning reads whole columns (every VM's demand, every VM's host), so
+/// they are stored as columns: the simulator fills them by copying its
+/// own per-VM slices and the planner copies them again, instead of
+/// gathering fields out of records. The columns are private so they
+/// always have equal length; [`push`](Self::push), [`get`](Self::get) and
+/// `FromIterator` speak in [`VmObservation`] rows.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct VmColumns {
+    host: Vec<Option<HostId>>,
+    cpu_demand: Vec<f64>,
+    cpu_cap: Vec<f64>,
+    mem_gb: Vec<f64>,
+    migrating: Vec<bool>,
+    service_class: Vec<ServiceClass>,
+}
+
+impl VmColumns {
+    /// Number of VMs.
+    pub fn len(&self) -> usize {
+        self.host.len()
+    }
+
+    /// Whether there are no VMs.
+    pub fn is_empty(&self) -> bool {
+        self.host.is_empty()
+    }
+
+    /// Appends one VM row.
+    pub fn push(&mut self, vm: VmObservation) {
+        self.host.push(vm.host);
+        self.cpu_demand.push(vm.cpu_demand);
+        self.cpu_cap.push(vm.cpu_cap);
+        self.mem_gb.push(vm.mem_gb);
+        self.migrating.push(vm.migrating);
+        self.service_class.push(vm.service_class);
+    }
+
+    /// Row `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<VmObservation> {
+        Some(VmObservation {
+            host: *self.host.get(i)?,
+            cpu_demand: self.cpu_demand[i],
+            cpu_cap: self.cpu_cap[i],
+            mem_gb: self.mem_gb[i],
+            migrating: self.migrating[i],
+            service_class: self.service_class[i],
+        })
+    }
+
+    /// Each VM's host (`None` while unplaced).
+    pub fn host(&self) -> &[Option<HostId>] {
+        &self.host
+    }
+
+    /// Each VM's measured CPU demand this round, cores.
+    pub fn cpu_demand(&self) -> &[f64] {
+        &self.cpu_demand
+    }
+
+    /// Each VM's configured CPU cap, cores.
+    pub fn cpu_cap(&self) -> &[f64] {
+        &self.cpu_cap
+    }
+
+    /// Each VM's memory footprint, GB.
+    pub fn mem_gb(&self) -> &[f64] {
+        &self.mem_gb
+    }
+
+    /// Whether each VM has a live migration in flight.
+    pub fn migrating(&self) -> &[bool] {
+        &self.migrating
+    }
+
+    /// Each VM's service class.
+    pub fn service_class(&self) -> &[ServiceClass] {
+        &self.service_class
+    }
+
+    /// Refills every column for one round, keeping the allocations. The
+    /// placement and the specs are copied; the round's demand column is
+    /// swapped in, so `cpu_demand` comes back holding the previous
+    /// round's column, ready to be overwritten as the next round's
+    /// demand buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inputs disagree on the number of VMs.
+    pub fn refill(
+        &mut self,
+        host: &[Option<HostId>],
+        cpu_demand: &mut Vec<f64>,
+        specs: &[VmSpec],
+        migrating: impl IntoIterator<Item = bool>,
+    ) {
+        let n = host.len();
+        assert_eq!(cpu_demand.len(), n, "demand column length mismatch");
+        assert_eq!(specs.len(), n, "spec count mismatch");
+        self.host.clear();
+        self.host.extend_from_slice(host);
+        std::mem::swap(&mut self.cpu_demand, cpu_demand);
+        self.cpu_cap.clear();
+        self.cpu_cap.extend(specs.iter().map(VmSpec::cpu_cap_cores));
+        self.mem_gb.clear();
+        self.mem_gb.extend(specs.iter().map(VmSpec::mem_gb));
+        self.migrating.clear();
+        self.migrating.extend(migrating);
+        assert_eq!(self.migrating.len(), n, "migrating column length mismatch");
+        self.service_class.clear();
+        self.service_class
+            .extend(specs.iter().map(VmSpec::service_class));
+    }
+
+    /// Overwrites `self` with `other`, column by column, reusing the
+    /// allocations (a derived `clone_from` would reallocate).
+    fn copy_from(&mut self, other: &VmColumns) {
+        self.host.clone_from(&other.host);
+        self.cpu_demand.clone_from(&other.cpu_demand);
+        self.cpu_cap.clone_from(&other.cpu_cap);
+        self.mem_gb.clone_from(&other.mem_gb);
+        self.migrating.clone_from(&other.migrating);
+        self.service_class.clone_from(&other.service_class);
+    }
+
+    /// Refills `self` with `stale`, then overwrites with `fresh` every row
+    /// whose fresh host satisfies `take_fresh` (`None` = unplaced).
+    pub(crate) fn splice(
+        &mut self,
+        fresh: &VmColumns,
+        stale: &VmColumns,
+        take_fresh: impl Fn(Option<HostId>) -> bool,
+    ) {
+        self.copy_from(stale);
+        for (i, &h) in fresh.host.iter().enumerate() {
+            if take_fresh(h) {
+                self.host[i] = h;
+                self.cpu_demand[i] = fresh.cpu_demand[i];
+                self.cpu_cap[i] = fresh.cpu_cap[i];
+                self.mem_gb[i] = fresh.mem_gb[i];
+                self.migrating[i] = fresh.migrating[i];
+                self.service_class[i] = fresh.service_class[i];
+            }
         }
+    }
+}
+
+impl FromIterator<VmObservation> for VmColumns {
+    fn from_iter<I: IntoIterator<Item = VmObservation>>(rows: I) -> Self {
+        let mut columns = VmColumns::default();
+        for vm in rows {
+            columns.push(vm);
+        }
+        columns
     }
 }
 
@@ -137,7 +277,7 @@ pub struct ClusterObservation {
     /// Per-host observations, indexed by `HostId::index()`.
     pub hosts: Vec<HostObservation>,
     /// Per-VM observations, indexed by `VmId::index()`.
-    pub vms: Vec<VmObservation>,
+    pub vms: VmColumns,
 }
 
 impl Default for ClusterObservation {
@@ -147,7 +287,7 @@ impl Default for ClusterObservation {
         ClusterObservation {
             now: SimTime::ZERO,
             hosts: Vec::new(),
-            vms: Vec::new(),
+            vms: VmColumns::default(),
         }
     }
 }
@@ -155,7 +295,7 @@ impl Default for ClusterObservation {
 impl ClusterObservation {
     /// Total measured VM demand, cores (excludes migration tax).
     pub fn total_vm_demand(&self) -> f64 {
-        self.vms.iter().map(|v| v.cpu_demand).sum()
+        self.vms.cpu_demand().iter().sum()
     }
 
     /// Ids of hosts currently in `state`.
@@ -214,9 +354,8 @@ mod tests {
         let obs = ClusterObservation {
             now: SimTime::ZERO,
             hosts: vec![host(PowerState::On, 1.0), host(PowerState::Suspended, 0.0)],
-            vms: vec![
+            vms: [
                 VmObservation {
-                    id: VmId(0),
                     host: Some(HostId(0)),
                     cpu_demand: 1.5,
                     cpu_cap: 2.0,
@@ -225,7 +364,6 @@ mod tests {
                     service_class: Default::default(),
                 },
                 VmObservation {
-                    id: VmId(1),
                     host: None,
                     cpu_demand: 0.5,
                     cpu_cap: 2.0,
@@ -233,7 +371,9 @@ mod tests {
                     migrating: false,
                     service_class: Default::default(),
                 },
-            ],
+            ]
+            .into_iter()
+            .collect(),
         };
         assert_eq!(obs.total_vm_demand(), 2.0);
         assert_eq!(obs.hosts_in_state(PowerState::Suspended).count(), 1);

@@ -133,22 +133,20 @@ impl PlanContext {
         }
         self.vms_by_host.resize_with(nh, Vec::new);
 
+        // VM hosts, per-host VM lists and host predicted demand in one
+        // pass over the host column. A host's predicted demand is the sum
+        // of its VMs' predictions in ascending VM order (migration tax is
+        // transient; plans are made on VM demand).
         self.vm_host.clear();
-        for (i, vm) in obs.vms.iter().enumerate() {
-            let h = vm.host.map(|h| h.index());
-            if let Some(h) = h {
-                self.vms_by_host[h].push(i);
-            }
-            self.vm_host.push(h);
-        }
-        // Host predicted demand = sum of its VMs' predictions (migration
-        // tax is transient; plans are made on VM demand).
         self.host_pred_cpu.clear();
         self.host_pred_cpu.resize(nh, 0.0);
-        for (i, &h) in self.vm_host.iter().enumerate() {
+        for (i, (&host, &pred)) in obs.vms.host().iter().zip(predicted_vm).enumerate() {
+            let h = host.map(|h| h.index());
             if let Some(h) = h {
-                self.host_pred_cpu[h] += predicted_vm[i];
+                self.vms_by_host[h].push(i);
+                self.host_pred_cpu[h] += pred;
             }
+            self.vm_host.push(h);
         }
 
         self.mem_committed.clear();
@@ -174,15 +172,15 @@ impl PlanContext {
         self.inbound_moves.clear();
         self.inbound_moves.resize(nh, 0);
         self.migrating_vm.clear();
-        self.migrating_vm
-            .extend(obs.vms.iter().map(|v| v.migrating));
+        self.migrating_vm.extend_from_slice(obs.vms.migrating());
         self.vm_mem.clear();
-        self.vm_mem.extend(obs.vms.iter().map(|v| v.mem_gb));
+        self.vm_mem.extend_from_slice(obs.vms.mem_gb());
         self.vm_batch.clear();
         self.vm_batch.extend(
             obs.vms
+                .service_class()
                 .iter()
-                .map(|v| v.service_class == ServiceClass::Batch),
+                .map(|&c| c == ServiceClass::Batch),
         );
         self.total_predicted_cache = self.predicted_vm.iter().sum();
         // Fresh predictions: whatever the bucket index held last round no
@@ -623,7 +621,7 @@ impl PlanContext {
 mod tests {
     use super::*;
     use crate::{HostObservation, PowerPolicy, VmObservation};
-    use cluster::{HostId, VmId};
+    use cluster::HostId;
     use power::PowerState;
     use simcore::SimTime;
 
@@ -640,8 +638,7 @@ mod tests {
             failed_transitions: 0,
             ladder: Default::default(),
         };
-        let vm = |id: u32, h: u32, demand: f64| VmObservation {
-            id: VmId(id),
+        let vm = |h: u32, demand: f64| VmObservation {
             host: Some(HostId(h)),
             cpu_demand: demand,
             cpu_cap: 4.0,
@@ -652,7 +649,7 @@ mod tests {
         ClusterObservation {
             now: SimTime::ZERO,
             hosts: vec![host(0, PowerState::On, 16.0), host(1, PowerState::On, 0.0)],
-            vms: vec![vm(0, 0, 3.0), vm(1, 0, 2.0)],
+            vms: [vm(0, 3.0), vm(0, 2.0)].into_iter().collect(),
         }
     }
 

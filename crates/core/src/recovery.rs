@@ -488,7 +488,7 @@ impl RecoveryTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HostObservation, VmObservation};
+    use crate::HostObservation;
     use cluster::HostId;
     use power::PowerState;
 
@@ -514,7 +514,7 @@ mod tests {
         ClusterObservation {
             now,
             hosts,
-            vms: Vec::<VmObservation>::new(),
+            vms: Default::default(),
         }
     }
 

@@ -47,20 +47,11 @@ pub fn merge_view(
             .enumerate()
             .map(|(i, (f, s))| if owned.contains(&i) { *f } else { *s }),
     );
-    into.vms.clear();
-    into.vms
-        .extend(fresh.vms.iter().zip(&stale.vms).map(|(f, s)| {
-            let fresh_owned = match f.host {
-                Some(h) => owned.contains(&h.index()),
-                // Unplaced VMs belong to no partition; everyone sees them fresh.
-                None => true,
-            };
-            if fresh_owned {
-                *f
-            } else {
-                *s
-            }
-        }));
+    into.vms.splice(&fresh.vms, &stale.vms, |h| match h {
+        Some(h) => owned.contains(&h.index()),
+        // Unplaced VMs belong to no partition; everyone sees them fresh.
+        None => true,
+    });
 }
 
 /// Whether `action` falls inside the scheduler's own partition, judged
@@ -77,8 +68,10 @@ pub fn owns_action(
     match *action {
         ManagementAction::Migrate { vm, .. } => view
             .vms
+            .host()
             .get(vm.index())
-            .and_then(|v| v.host)
+            .copied()
+            .flatten()
             .is_some_and(|h| owned.contains(&h.index())),
         ManagementAction::PowerUp { host } | ManagementAction::PowerDown { host, .. } => {
             owned.contains(&host.index())
@@ -105,9 +98,7 @@ mod tests {
                 .collect(),
             vms: vm_hosts
                 .iter()
-                .enumerate()
-                .map(|(i, h)| VmObservation {
-                    id: VmId(i as u32),
+                .map(|h| VmObservation {
                     host: h.map(HostId),
                     cpu_demand: cpu,
                     ..VmObservation::default()
@@ -131,10 +122,8 @@ mod tests {
         // VM 0 sits on an owned host: fresh. VM 1 moved to remote host 3:
         // stale entry (which still believes host 1). VM 2 is unplaced in
         // the fresh view: fresh wins.
-        assert_eq!(view.vms[0].cpu_demand, 2.0);
-        assert_eq!(view.vms[1].host, Some(HostId(1)));
-        assert_eq!(view.vms[1].cpu_demand, 1.0);
-        assert_eq!(view.vms[2].host, None);
+        assert_eq!(view.vms.cpu_demand(), &[2.0, 1.0, 2.0]);
+        assert_eq!(view.vms.host(), &[Some(HostId(0)), Some(HostId(1)), None]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use agile_core::{
 };
 use check::gen::{boolean, choice, f64_in, u64_in, usize_in, vec_of, Gen};
 use check::prop_assert;
-use cluster::{HostId, ServiceClass, VmId};
+use cluster::{HostId, ServiceClass};
 use power::PowerState;
 use simcore::{SimDuration, SimTime};
 
@@ -50,7 +50,7 @@ fn build_observation(states: Vec<usize>, raw_vms: Vec<RawVm>) -> ClusterObservat
         .map(|(i, _)| i)
         .collect();
     let mut vms = Vec::new();
-    for (k, ((demand, pick), batch)) in raw_vms.into_iter().enumerate() {
+    for ((demand, pick), batch) in raw_vms {
         let host = if operational.is_empty() {
             None
         } else {
@@ -62,7 +62,6 @@ fn build_observation(states: Vec<usize>, raw_vms: Vec<RawVm>) -> ClusterObservat
             hosts[h].evacuated = false;
         }
         vms.push(VmObservation {
-            id: VmId(k as u32),
             host: host.map(|h| HostId(h as u32)),
             cpu_demand: demand,
             cpu_cap: 2.0,
@@ -78,7 +77,7 @@ fn build_observation(states: Vec<usize>, raw_vms: Vec<RawVm>) -> ClusterObservat
     ClusterObservation {
         now: SimTime::from_secs(600),
         hosts,
-        vms,
+        vms: vms.into_iter().collect(),
     }
 }
 
@@ -127,7 +126,7 @@ fn planned_actions_are_well_formed() {
                 .with_min_on_time(SimDuration::ZERO)
                 .with_predictor(PredictorConfig::LastValue);
             let mut mgr = VirtManager::new(config, obs.hosts.len(), obs.vms.len());
-            let actions = mgr.plan(obs);
+            let actions = mgr.plan(obs).expect("well-shaped observation");
             prop_assert!(
                 mgr.last_round_reasons().len() == actions.len(),
                 "reasons and actions disagree"
@@ -138,7 +137,7 @@ fn planned_actions_are_well_formed() {
             for action in &actions {
                 match *action {
                     ManagementAction::Migrate { vm, to } => {
-                        let v = &obs.vms[vm.index()];
+                        let v = obs.vms.get(vm.index()).expect("planned VM exists");
                         prop_assert!(v.host.is_some(), "migrating unplaced {vm}");
                         prop_assert!(v.host.unwrap() != to, "self-migration of {vm}");
                         prop_assert!(!v.migrating, "vm {vm} already migrating");
@@ -203,7 +202,7 @@ fn consolidation_never_parks_a_host_receiving_vms() {
             .with_predictor(PredictorConfig::LastValue)
             .with_plan_mode(mode);
         let mut mgr = VirtManager::new(config, 10, obs.vms.len());
-        let actions = mgr.plan(&obs);
+        let actions = mgr.plan(&obs).expect("well-shaped observation");
         let reasons = mgr.last_round_reasons();
         let onto_9 = actions
             .iter()
@@ -244,7 +243,7 @@ fn always_on_never_power_manages() {
             let config =
                 ManagerConfig::for_fleet(PowerPolicy::always_on(), obs.hosts.len(), obs.vms.len());
             let mut mgr = VirtManager::new(config, obs.hosts.len(), obs.vms.len());
-            for action in mgr.plan(obs) {
+            for action in mgr.plan(obs).expect("well-shaped observation") {
                 prop_assert!(!action.is_power_action(), "power action {action}");
             }
             Ok(())
@@ -269,6 +268,7 @@ fn migration_budget_respected() {
             let mut mgr = VirtManager::new(config, obs.hosts.len(), obs.vms.len());
             let migrations = mgr
                 .plan(obs)
+                .expect("well-shaped observation")
                 .iter()
                 .filter(|a| matches!(a, ManagementAction::Migrate { .. }))
                 .count();

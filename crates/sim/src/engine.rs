@@ -5,7 +5,7 @@ use std::ops::Range;
 
 use agile_core::{
     schedview, ClusterObservation, HostObservation, ManagementAction, PlacementFacts,
-    PlacementStore, RoundStats, VirtManager, VmObservation,
+    PlacementStore, RoundStats, VirtManager,
 };
 use cluster::{AccountingMode, Cluster, ClusterError, DemandOutcome, HostId, VmId};
 use power::PowerState;
@@ -237,7 +237,9 @@ pub struct DatacenterSim {
     /// Reusable per-tick buffers: the demand vector, the demand outcome,
     /// and the manager observation, sized to the fleet on the first tick
     /// (the resizes after it are no-ops). Every tick overwrites each
-    /// slot, so steady-state ticks allocate nothing.
+    /// slot, so steady-state ticks allocate nothing. A managed round
+    /// swaps `demand_buf` into the observation's demand column, so the
+    /// two trade allocations every round.
     demand_buf: Vec<f64>,
     outcome_buf: DemandOutcome,
     obs_buf: ClusterObservation,
@@ -484,57 +486,74 @@ impl DatacenterSim {
     ///
     /// # Errors
     ///
-    /// Propagates unrecoverable cluster errors (these indicate engine
-    /// bugs; recoverable action rejections are counted in the report).
+    /// Propagates unrecoverable cluster and planning errors (these
+    /// indicate engine bugs; recoverable action rejections are counted
+    /// in the report).
     pub(crate) fn run_inner(
         mut self,
     ) -> Result<(SimReport, Cluster, Option<SpanSummary>), SimError> {
         let end = SimTime::ZERO + self.horizon;
         self.generate_rack_bursts(end);
-        while let Some(t) = self.queue.peek_time() {
-            if t > end {
-                break;
+        while let Some((now, event)) = self.next_event(end) {
+            self.handle(now, event, end)?;
+        }
+        self.finish()
+    }
+
+    /// Pops the next event due by `end`, tracking the peak queue length.
+    fn next_event(&mut self, end: SimTime) -> Option<(SimTime, Event)> {
+        if self.queue.peek_time()? > end {
+            return None;
+        }
+        self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
+        self.queue.pop()
+    }
+
+    /// Handles one event.
+    fn handle(&mut self, now: SimTime, event: Event, end: SimTime) -> Result<(), SimError> {
+        match event {
+            // Control ticks time their own observe/plan/execute
+            // phases; `dispatch` covers the event-loop work proper.
+            Event::Control => self.control_tick(now, end)?,
+            // A `?` below leaves the dispatch span open, but those
+            // errors are unrecoverable engine bugs that abort the
+            // whole run — the tracer is dropped with it.
+            Event::PowerDone(host) => {
+                self.tracer.enter(self.s_dispatch);
+                self.finish_power_transition(host, now)?;
+                self.collector
+                    .record_power(now, self.cluster.total_power_w());
+                self.tracer.exit(self.s_dispatch);
             }
-            self.peak_queue_len = self.peak_queue_len.max(self.queue.len());
-            let (now, event) = self.queue.pop().expect("peeked non-empty queue");
-            match event {
-                // Control ticks time their own observe/plan/execute
-                // phases; `dispatch` covers the event-loop work proper.
-                Event::Control => self.control_tick(now, end),
-                // A `?` below leaves the dispatch span open, but those
-                // errors are unrecoverable engine bugs that abort the
-                // whole run — the tracer is dropped with it.
-                Event::PowerDone(host) => {
-                    self.tracer.enter(self.s_dispatch);
-                    self.finish_power_transition(host, now)?;
-                    self.collector
-                        .record_power(now, self.cluster.total_power_w());
-                    self.tracer.exit(self.s_dispatch);
+            Event::MigrationDone(vm) => {
+                self.tracer.enter(self.s_dispatch);
+                let p = self.failures.migration_failure_prob();
+                if p > 0.0 && self.migration_fail_rng.chance(p) {
+                    self.cluster.fail_migration(vm, now)?;
+                    self.log(now, EventKind::MigrationFailed { vm });
+                } else {
+                    self.cluster.complete_migration(vm, now)?;
+                    self.log(now, EventKind::MigrationCompleted { vm });
                 }
-                Event::MigrationDone(vm) => {
-                    self.tracer.enter(self.s_dispatch);
-                    let p = self.failures.migration_failure_prob();
-                    if p > 0.0 && self.migration_fail_rng.chance(p) {
-                        self.cluster.fail_migration(vm, now)?;
-                        self.log(now, EventKind::MigrationFailed { vm });
-                    } else {
-                        self.cluster.complete_migration(vm, now)?;
-                        self.log(now, EventKind::MigrationCompleted { vm });
-                    }
-                    self.tracer.exit(self.s_dispatch);
-                }
-                Event::VmArrive(vm) => {
-                    self.tracer.enter(self.s_dispatch);
-                    self.vm_arrive(vm, now, end);
-                    self.tracer.exit(self.s_dispatch);
-                }
-                Event::VmDepart(vm) => {
-                    self.tracer.enter(self.s_dispatch);
-                    self.vm_depart(vm, now)?;
-                    self.tracer.exit(self.s_dispatch);
-                }
+                self.tracer.exit(self.s_dispatch);
+            }
+            Event::VmArrive(vm) => {
+                self.tracer.enter(self.s_dispatch);
+                self.vm_arrive(vm, now, end);
+                self.tracer.exit(self.s_dispatch);
+            }
+            Event::VmDepart(vm) => {
+                self.tracer.enter(self.s_dispatch);
+                self.vm_depart(vm, now)?;
+                self.tracer.exit(self.s_dispatch);
             }
         }
+        Ok(())
+    }
+
+    /// Closes the run at the horizon and assembles its outputs.
+    fn finish(mut self) -> Result<(SimReport, Cluster, Option<SpanSummary>), SimError> {
+        let end = SimTime::ZERO + self.horizon;
         self.cluster.sync(end);
         self.telemetry.record_residency(&self.cluster);
         self.telemetry
@@ -790,7 +809,7 @@ impl DatacenterSim {
         }
     }
 
-    fn control_tick(&mut self, now: SimTime, end: SimTime) {
+    fn control_tick(&mut self, now: SimTime, end: SimTime) -> Result<(), SimError> {
         // 1. Demand update, through the reusable tick buffers.
         self.tracer.enter(self.s_demand);
         let (traces, lifetimes, vm_caps) = (&self.traces, &self.lifetimes, &self.vm_caps);
@@ -810,7 +829,7 @@ impl DatacenterSim {
 
         // 2. Management round.
         if self.control.is_some() {
-            self.control_round(now);
+            self.control_round(now)?;
         }
         self.collector
             .record_power(now, self.cluster.total_power_w());
@@ -824,13 +843,17 @@ impl DatacenterSim {
         if next <= end {
             self.queue.schedule(next, Event::Control);
         }
+        Ok(())
     }
 
     /// One management round of the control plane: observe, plan per
     /// scheduler over its merged view, filter each plan to owned
     /// subjects, queue the batches behind the control-loop latency, and
     /// commit the due round through the placement store's conflict check.
-    fn control_round(&mut self, now: SimTime) {
+    ///
+    /// The observation carries this tick's demand vector, so it must
+    /// run after the tick's demand update.
+    fn control_round(&mut self, now: SimTime) -> Result<(), SimError> {
         let mut control = self.control.take().expect("caller checked");
 
         self.tracer.enter(self.s_observe);
@@ -850,7 +873,7 @@ impl DatacenterSim {
                 schedview::merge_view(&mut control.view_buf, &obs, stale, owned);
             }
             let view = if merge { &control.view_buf } else { &obs };
-            let mut actions = control.schedulers[s].plan_traced(view, &mut self.tracer);
+            let mut actions = control.schedulers[s].plan_traced(view, &mut self.tracer)?;
             let store = &mut control.store;
             actions.retain(|action| {
                 store.note_planned(action);
@@ -918,6 +941,7 @@ impl DatacenterSim {
         }
 
         self.control = Some(control);
+        Ok(())
     }
 
     /// Hands one admitted action to the cluster, timing it and counting
@@ -1014,20 +1038,20 @@ impl DatacenterSim {
     }
 
     /// Refills the reusable observation buffer from the cluster and the
-    /// tick's demand outcome — the zero-alloc replacement for collecting
+    /// tick's demand update — the zero-alloc replacement for collecting
     /// fresh host/VM vectors every round.
     ///
-    /// Workers overwrite disjoint contiguous spans of the host and VM
-    /// observation vectors through a [`cluster::ClusterShardView`] (the
-    /// `Cluster` itself is not `Sync`). No cross-element reduction happens
-    /// here, so the observation — and hence the whole run — is
-    /// bit-identical at any thread count.
-    fn fill_observation(&self, now: SimTime, obs: &mut ClusterObservation) {
+    /// Host workers overwrite disjoint contiguous spans of the host
+    /// observations through a [`cluster::ClusterShardView`] (the
+    /// `Cluster` itself is not `Sync`). The VM side is copied column by
+    /// column: hosts from the placement map, and the demand column is
+    /// the tick's own `demand_buf`, swapped in rather than re-evaluated.
+    /// No cross-element reduction happens here, so the observation — and
+    /// hence the whole run — is bit-identical at any thread count.
+    fn fill_observation(&mut self, now: SimTime, obs: &mut ClusterObservation) {
         obs.now = now;
         obs.hosts
             .resize_with(self.cluster.num_hosts(), HostObservation::default);
-        obs.vms
-            .resize_with(self.cluster.num_vms(), VmObservation::default);
         let view = self.cluster.shard_view();
         let host_demand = &self.outcome_buf.host_demand_cores;
         pool::fill(self.threads, &mut obs.hosts, |i| {
@@ -1045,27 +1069,12 @@ impl DatacenterSim {
                 ladder: h.ladder(),
             }
         });
-        // The closure must not capture `self` — the cluster's lazy caches
-        // make `DatacenterSim` non-`Sync` — so borrow the plain fields.
-        let (traces, lifetimes, vm_caps) = (&self.traces, &self.lifetimes, &self.vm_caps);
-        pool::fill(self.threads, &mut obs.vms, |i| {
-            let id = VmId(i as u32);
-            let spec = &view.vm_specs()[i];
-            let demand = if lifetimes[i].is_active(now) {
-                traces[i].at(now) * vm_caps[i]
-            } else {
-                0.0
-            };
-            VmObservation {
-                id,
-                host: view.host_of(id),
-                cpu_demand: demand,
-                cpu_cap: spec.cpu_cap_cores(),
-                mem_gb: spec.mem_gb(),
-                migrating: view.is_migrating(id),
-                service_class: spec.service_class(),
-            }
-        });
+        obs.vms.refill(
+            view.vm_hosts(),
+            &mut self.demand_buf,
+            view.vm_specs(),
+            (0..view.vm_specs().len()).map(|i| view.is_migrating(VmId(i as u32))),
+        );
     }
 }
 
@@ -1104,7 +1113,7 @@ fn place_round_robin(cluster: &mut Cluster, lifetimes: &[Lifetime]) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agile_core::{ManagerConfig, PowerPolicy};
+    use agile_core::{ManagerConfig, PowerPolicy, VmObservation};
 
     fn manager(policy: PowerPolicy, scenario: &Scenario) -> VirtManager {
         VirtManager::new(
@@ -1560,5 +1569,77 @@ mod tests {
                 + m.counter("work.commit.dropped_unowned")
                 + m.counter("work.commit.expired")
         );
+    }
+
+    /// VM `i` as a naive observer sees it at `now`: the demand trace
+    /// evaluated afresh, placement and migration read off the cluster,
+    /// cap, memory and class from the VM's spec.
+    fn naive_vm(sim: &DatacenterSim, i: usize, now: SimTime) -> VmObservation {
+        let vm = VmId(i as u32);
+        let spec = sim.cluster.vm(vm).expect("vm in range");
+        VmObservation {
+            host: sim.cluster.placement().host_of(vm),
+            cpu_demand: if sim.lifetimes[i].is_active(now) {
+                sim.traces[i].at(now) * spec.cpu_cap_cores()
+            } else {
+                0.0
+            },
+            cpu_cap: spec.cpu_cap_cores(),
+            mem_gb: spec.mem_gb(),
+            migrating: sim.cluster.migration_of(vm).is_some(),
+            service_class: spec.service_class(),
+        }
+    }
+
+    #[test]
+    fn observation_matches_a_naive_build_from_the_cluster() {
+        // Churn plus injected faults, on a control interval short enough
+        // that migrations are still in flight when the next round
+        // observes: every VM the manager sees must equal the naive build
+        // taken just before the tick, at the tick's time.
+        let s = Scenario::datacenter_churn(8, 48, 0.5, 11);
+        let horizon = SimDuration::from_hours(2);
+        for threads in [1, 2] {
+            let mut sim = DatacenterSim::new(
+                &s,
+                Some(manager(PowerPolicy::reactive_suspend(), &s)),
+                SimDuration::from_secs(5),
+                horizon,
+            )
+            .unwrap();
+            sim.set_failure_model(FailureModel::new(0.2, 0.2).with_migration_failures(0.2));
+            sim.set_threads(threads);
+            let end = SimTime::ZERO + horizon;
+            let (mut rounds, mut inactive, mut unplaced, mut migrating) = (0, 0, 0, 0);
+            while let Some((now, event)) = sim.next_event(end) {
+                // Nothing between popping a control event and observing
+                // moves a VM, so the cluster here is the one observed.
+                let naive: Option<Vec<VmObservation>> = (event == Event::Control).then(|| {
+                    (0..s.fleet().len())
+                        .map(|i| naive_vm(&sim, i, now))
+                        .collect()
+                });
+                sim.handle(now, event, end).unwrap();
+                let Some(naive) = naive else { continue };
+                let obs = &sim.obs_buf;
+                assert_eq!(obs.now, now);
+                assert_eq!(obs.vms.len(), naive.len());
+                for (i, want) in naive.iter().enumerate() {
+                    assert_eq!(
+                        obs.vms.get(i).as_ref(),
+                        Some(want),
+                        "vm {i} at {now:?}, {threads} thread(s)"
+                    );
+                    inactive += usize::from(!sim.lifetimes[i].is_active(now));
+                    unplaced += usize::from(want.host.is_none());
+                    migrating += usize::from(want.migrating);
+                }
+                rounds += 1;
+            }
+            assert_eq!(rounds, 2 * 720 + 1);
+            assert!(inactive > 0, "no inactive VM was observed");
+            assert!(unplaced > 0, "no unplaced VM was observed");
+            assert!(migrating > 0, "no migrating VM was observed");
+        }
     }
 }

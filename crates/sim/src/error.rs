@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use agile_core::PlanError;
 use cluster::{ClusterError, VmId};
 
 /// Errors returned by [`crate::SimulationBuilder`] runs.
@@ -25,6 +26,10 @@ pub enum SimError {
         /// The OS error text (the `io::Error` itself is not `Clone`).
         message: String,
     },
+    /// A scheduler refused the observation it was handed (indicates an
+    /// engine bug: the engine observes the fleet its managers were built
+    /// for).
+    Plan(PlanError),
     /// The simulation was configured inconsistently — rejected by
     /// [`crate::SimulationBuilder::build`] before anything ran.
     InvalidConfig {
@@ -40,6 +45,7 @@ impl fmt::Display for SimError {
                 write!(f, "initial placement failed: {vm} fits on no host")
             }
             SimError::Cluster(e) => write!(f, "cluster error during simulation: {e}"),
+            SimError::Plan(e) => write!(f, "planning failed: {e}"),
             SimError::TraceIo { path, message } => {
                 write!(f, "cannot open trace output {path}: {message}")
             }
@@ -54,6 +60,7 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Cluster(e) => Some(e),
+            SimError::Plan(e) => Some(e),
             _ => None,
         }
     }
@@ -62,6 +69,12 @@ impl Error for SimError {
 impl From<ClusterError> for SimError {
     fn from(e: ClusterError) -> Self {
         SimError::Cluster(e)
+    }
+}
+
+impl From<PlanError> for SimError {
+    fn from(e: PlanError) -> Self {
+        SimError::Plan(e)
     }
 }
 
@@ -75,6 +88,15 @@ mod tests {
         assert!(e.to_string().contains("vm4"));
         let e: SimError = ClusterError::UnknownVm(VmId(1)).into();
         assert!(e.to_string().contains("vm1"));
+        assert!(Error::source(&e).is_some());
+        let e: SimError = PlanError::Shape {
+            expected_hosts: 4,
+            expected_vms: 16,
+            actual_hosts: 3,
+            actual_vms: 16,
+        }
+        .into();
+        assert!(e.to_string().contains("3 hosts"), "{e}");
         assert!(Error::source(&e).is_some());
     }
 }

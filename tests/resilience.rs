@@ -247,7 +247,7 @@ fn failing_hosts_eventually_return_or_stay_quarantined() {
                 tracker.observe(&ClusterObservation {
                     now,
                     hosts,
-                    vms: Vec::new(),
+                    vms: Default::default(),
                 });
             };
             // Phase 1: 24 rounds with the generated failures landing.
