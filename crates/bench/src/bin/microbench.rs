@@ -87,29 +87,18 @@ fn main() {
     });
     assert!(enabled.node_count() > 1, "enabled tracer must record");
 
-    // Trace reads through the compact (quantized u16) representation vs
-    // dense f64 storage: same `at(t)` API, 4x smaller.
+    // Trace reads: one week of samples at the demand step.
     let step = scenario.demand_step();
     let samples: Vec<f64> = (0..2016) // one week at 5-min steps
         .map(|k| 0.5 + 0.4 * (k as f64 / 32.0).sin())
         .collect();
     let dense = DemandTrace::from_samples(step, samples);
-    let quantized = dense.clone().quantized();
     let horizon = simcore::SimTime::ZERO + step * dense.len() as u64;
     bench::microbench::time("trace_at_dense_2016", 8, 64, || {
         let mut acc = 0.0;
         let mut t = simcore::SimTime::ZERO;
         while t < horizon {
             acc += dense.at(t);
-            t += step;
-        }
-        acc
-    });
-    bench::microbench::time("trace_at_quantized_2016", 8, 64, || {
-        let mut acc = 0.0;
-        let mut t = simcore::SimTime::ZERO;
-        while t < horizon {
-            acc += quantized.at(t);
             t += step;
         }
         acc

@@ -4,8 +4,10 @@
 //! Writes `BENCH_scaleout.json`. Each size runs `--repeat` times: the
 //! headline `wall_secs` is the best run, and the median, min and max
 //! over the repeats record the spread. With `--check-baseline FILE` the
-//! run fails (exit 1) if ticks/sec at any matching size regresses more
-//! than 30 % below the checked-in baseline — the CI perf smoke gate.
+//! run fails (exit 1) if ticks/sec at any matching size falls below the
+//! baseline entry's floor (70 % unless the entry sets one), or its peak
+//! RSS exceeds the entry's `peak_rss_kb` by more than its `rss_margin`
+//! — the CI perf smoke gate.
 
 use std::time::Instant;
 
@@ -402,21 +404,48 @@ fn render_json(rows: &[Row], args: &Args) -> String {
     out
 }
 
-/// Fails the process if any measured size is >30 % slower than the
-/// baseline. The baseline file holds a `baseline` array of `{"hosts": N,
-/// "ticks_per_sec": X, "phases": {...}}` entries, where `phases` maps
-/// each phase to its wall seconds at baseline time. On a regression the
-/// phase whose *share* of attributed time grew the most over the
-/// baseline's shares is named — the gate says *where* the time went,
-/// not just that it went (shares, not raw seconds, so a uniformly
-/// slower CI machine does not finger an innocent phase).
+/// Fraction of an entry's baseline ticks/sec a run must reach when the
+/// entry sets no `floor` of its own.
+const DEFAULT_FLOOR: f64 = 0.7;
+
+/// Fails the process if any measured size misses a threshold of its
+/// baseline entry (see [`baseline_verdicts`]).
 fn check_baseline(rows: &[Row], baseline: &str) {
+    let mut failed = false;
+    for verdict in baseline_verdicts(rows, baseline) {
+        match verdict {
+            Ok(line) => println!("{line}"),
+            Err(message) => {
+                eprintln!("{message}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
+/// Judges every measured size against its baseline entry: `Ok` with a
+/// summary line for each threshold met, `Err` with the regression for
+/// each one missed. The baseline file holds a `baseline` array of
+/// `{"hosts": N, "ticks_per_sec": X, "phases": {...}}` entries, where
+/// `phases` maps each phase to its wall seconds at baseline time.
+///
+/// * Ticks/sec must reach `floor × ticks_per_sec` (`floor` defaults to
+///   [`DEFAULT_FLOOR`]). On a regression the phase whose *share* of
+///   attributed time grew the most over the baseline's shares is named
+///   — shares, not raw seconds, so a uniformly slower CI machine does
+///   not finger an innocent phase.
+/// * An entry that records `peak_rss_kb` also bounds memory: the run's
+///   peak RSS must stay within `peak_rss_kb × (1 + rss_margin)`.
+fn baseline_verdicts(rows: &[Row], baseline: &str) -> Vec<Result<String, String>> {
     let parsed = Json::parse(baseline).expect("baseline file is valid JSON");
     let entries = parsed
         .get("baseline")
         .and_then(Json::as_array)
         .expect("baseline file has a `baseline` array");
-    let mut failed = false;
+    let mut verdicts = Vec::new();
     for entry in entries {
         let hosts = entry.get("hosts").and_then(Json::as_f64).expect("hosts") as usize;
         let base_tps = entry
@@ -426,26 +455,50 @@ fn check_baseline(rows: &[Row], baseline: &str) {
         let Some(row) = rows.iter().find(|r| r.hosts == hosts) else {
             continue;
         };
-        let floor = 0.7 * base_tps;
-        if row.ticks_per_sec < floor {
-            eprintln!(
-                "PERF REGRESSION at {hosts} hosts: {:.0} ticks/s < 70% of baseline {:.0}",
-                row.ticks_per_sec, base_tps
+        let floor_frac = entry
+            .get("floor")
+            .and_then(Json::as_f64)
+            .unwrap_or(DEFAULT_FLOOR);
+        let floor = floor_frac * base_tps;
+        verdicts.push(if row.ticks_per_sec < floor {
+            let mut message = format!(
+                "PERF REGRESSION at {hosts} hosts: {:.0} ticks/s < {:.0}% of baseline {:.0}",
+                row.ticks_per_sec,
+                floor_frac * 100.0,
+                base_tps
             );
             if let Some(mover) = biggest_mover(row, entry) {
-                eprintln!("  phase that moved: {mover}");
+                message.push_str(&format!("\n  phase that moved: {mover}"));
             }
-            failed = true;
+            Err(message)
         } else {
-            println!(
+            Ok(format!(
                 "{hosts:>5} hosts: {:.0} ticks/s vs baseline {:.0} (floor {:.0}) ok",
                 row.ticks_per_sec, base_tps, floor
-            );
+            ))
+        });
+        if let Some(base_rss) = entry.get("peak_rss_kb").and_then(Json::as_f64) {
+            let margin = entry
+                .get("rss_margin")
+                .and_then(Json::as_f64)
+                .expect("an entry with peak_rss_kb sets rss_margin");
+            let ceiling = base_rss * (1.0 + margin);
+            let rss = row.peak_rss_kb;
+            verdicts.push(if rss as f64 > ceiling {
+                Err(format!(
+                    "RSS REGRESSION at {hosts} hosts: peak {rss} kB > baseline {base_rss:.0} kB \
+                     + {:.1}% ({ceiling:.0} kB)",
+                    margin * 100.0
+                ))
+            } else {
+                Ok(format!(
+                    "{hosts:>5} hosts: peak RSS {rss} kB vs baseline {base_rss:.0} kB \
+                     (ceiling {ceiling:.0}) ok"
+                ))
+            });
         }
     }
-    if failed {
-        std::process::exit(1);
-    }
+    verdicts
 }
 
 /// Names the phase whose share of attributed wall time grew the most
@@ -547,6 +600,56 @@ mod tests {
             assert!(err.contains("at least 1"), "{flag}: {err}");
         }
         assert_eq!(parse("--staleness 0").map(|a| a.staleness), Ok(0));
+    }
+
+    fn row(hosts: usize, ticks_per_sec: f64, peak_rss_kb: u64) -> Row {
+        Row {
+            hosts,
+            vms: hosts * 6,
+            ticks: 289,
+            wall_secs: 289.0 / ticks_per_sec,
+            wall_secs_median: 289.0 / ticks_per_sec,
+            wall_secs_max: 289.0 / ticks_per_sec,
+            ticks_per_sec,
+            peak_rss_kb,
+            scan_ticks_per_sec: None,
+            phases: vec![("demand".to_string(), 0.5), ("plan".to_string(), 0.5)],
+            spans: SpanSummary::default(),
+            work: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn the_gate_bounds_ticks_per_sec_and_peak_rss() {
+        let baseline = r#"{"baseline": [
+            {"hosts": 64, "ticks_per_sec": 1000.0},
+            {"hosts": 4096, "ticks_per_sec": 100.0, "floor": 0.5,
+             "peak_rss_kb": 100000, "rss_margin": 0.1}
+        ]}"#;
+        let failures = |rows: &[Row]| -> Vec<String> {
+            baseline_verdicts(rows, baseline)
+                .into_iter()
+                .filter_map(Result::err)
+                .collect()
+        };
+        // Within every threshold: two checks at 4096 hosts, one at 64.
+        let ok = [row(64, 700.0, 1), row(4096, 50.0, 110_000)];
+        assert_eq!(baseline_verdicts(&ok, baseline).len(), 3);
+        assert!(failures(&ok).is_empty());
+        // The default floor is 70 %.
+        let slow = failures(&[row(64, 699.0, 1)]);
+        assert_eq!(slow.len(), 1);
+        assert!(slow[0].contains("PERF REGRESSION at 64 hosts"), "{slow:?}");
+        // An entry's own floor replaces it.
+        let slow = failures(&[row(4096, 49.0, 100_000)]);
+        assert_eq!(slow.len(), 1);
+        assert!(slow[0].contains("< 50% of baseline"), "{slow:?}");
+        // Peak RSS beyond baseline + margin fails on its own.
+        let fat = failures(&[row(4096, 100.0, 110_001)]);
+        assert_eq!(fat.len(), 1);
+        assert!(fat[0].contains("RSS REGRESSION at 4096 hosts"), "{fat:?}");
+        // Sizes the baseline does not list are not judged.
+        assert!(baseline_verdicts(&[row(1024, 1.0, u64::MAX)], baseline).is_empty());
     }
 
     #[test]

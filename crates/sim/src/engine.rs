@@ -10,8 +10,8 @@ use agile_core::{
 use cluster::{AccountingMode, Cluster, ClusterError, DemandOutcome, HostId, VmId};
 use power::PowerState;
 use simcore::{pool, EventQueue, SimDuration, SimTime};
-use workload::DemandTrace;
 
+use crate::demand::DemandWindow;
 use crate::events::{EventKind, EventRecord};
 use crate::metrics::MetricsCollector;
 use crate::trace::{self, SimTelemetry};
@@ -186,8 +186,9 @@ fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
 #[derive(Debug)]
 pub struct DatacenterSim {
     cluster: Cluster,
-    traces: Vec<DemandTrace>,
-    vm_caps: Vec<f64>,
+    /// Every VM's demand per control tick, read from the scenario's
+    /// shared traces a window of ticks ahead.
+    demand: DemandWindow,
     /// The control plane holding the managers; `None` runs an unmanaged
     /// cluster.
     control: Option<ControlPlane>,
@@ -210,7 +211,6 @@ pub struct DatacenterSim {
     /// pre-generated at run start; transitions completing inside one of
     /// their rack's windows force-fail.
     rack_bursts: Vec<Vec<(SimTime, SimTime)>>,
-    lifetimes: Vec<Lifetime>,
     placement_retries: u64,
     rejected_admissions: u64,
     event_log: Option<Vec<EventRecord>>,
@@ -267,8 +267,8 @@ impl DatacenterSim {
             scenario.fleet().vm_specs().to_vec(),
             SimTime::ZERO,
         );
-        let lifetimes = scenario.fleet().lifetimes().lifetimes().to_vec();
-        place_round_robin(&mut cluster, &lifetimes)?;
+        let lifetimes = scenario.fleet().lifetimes().lifetimes();
+        place_round_robin(&mut cluster, lifetimes)?;
 
         let policy_label = manager
             .as_ref()
@@ -304,13 +304,7 @@ impl DatacenterSim {
         let control = manager.map(|m| ControlPlane::new(m, num_hosts, cluster.num_vms()));
         Ok(DatacenterSim {
             cluster,
-            traces: scenario.fleet().traces().to_vec(),
-            vm_caps: scenario
-                .fleet()
-                .vm_specs()
-                .iter()
-                .map(|s| s.cpu_cap_cores())
-                .collect(),
+            demand: DemandWindow::new(scenario.fleet(), control_interval, horizon),
             control,
             queue,
             control_interval,
@@ -330,7 +324,6 @@ impl DatacenterSim {
             hung: vec![false; num_hosts],
             hung_transitions: 0,
             rack_bursts: Vec::new(),
-            lifetimes,
             placement_retries: 0,
             rejected_admissions: 0,
             event_log: None,
@@ -812,15 +805,9 @@ impl DatacenterSim {
     fn control_tick(&mut self, now: SimTime, end: SimTime) -> Result<(), SimError> {
         // 1. Demand update, through the reusable tick buffers.
         self.tracer.enter(self.s_demand);
-        let (traces, lifetimes, vm_caps) = (&self.traces, &self.lifetimes, &self.vm_caps);
-        self.demand_buf.resize(traces.len(), 0.0);
-        pool::fill(self.threads, &mut self.demand_buf, |i| {
-            if lifetimes[i].is_active(now) {
-                traces[i].at(now) * vm_caps[i]
-            } else {
-                0.0
-            }
-        });
+        self.demand_buf.clear();
+        self.demand_buf
+            .extend_from_slice(self.demand.row(self.threads, now));
         self.cluster
             .apply_demand_into(now, &self.demand_buf, &mut self.outcome_buf);
         self.collector
@@ -1571,16 +1558,16 @@ mod tests {
         );
     }
 
-    /// VM `i` as a naive observer sees it at `now`: the demand trace
-    /// evaluated afresh, placement and migration read off the cluster,
-    /// cap, memory and class from the VM's spec.
-    fn naive_vm(sim: &DatacenterSim, i: usize, now: SimTime) -> VmObservation {
+    /// VM `i` as a naive observer sees it at `now`: the scenario's
+    /// demand trace evaluated afresh, placement and migration read off
+    /// the cluster, cap, memory and class from the VM's spec.
+    fn naive_vm(sim: &DatacenterSim, s: &Scenario, i: usize, now: SimTime) -> VmObservation {
         let vm = VmId(i as u32);
         let spec = sim.cluster.vm(vm).expect("vm in range");
         VmObservation {
             host: sim.cluster.placement().host_of(vm),
-            cpu_demand: if sim.lifetimes[i].is_active(now) {
-                sim.traces[i].at(now) * spec.cpu_cap_cores()
+            cpu_demand: if s.fleet().lifetimes().lifetimes()[i].is_active(now) {
+                s.fleet().traces()[i].at(now) * spec.cpu_cap_cores()
             } else {
                 0.0
             },
@@ -1616,7 +1603,7 @@ mod tests {
                 // moves a VM, so the cluster here is the one observed.
                 let naive: Option<Vec<VmObservation>> = (event == Event::Control).then(|| {
                     (0..s.fleet().len())
-                        .map(|i| naive_vm(&sim, i, now))
+                        .map(|i| naive_vm(&sim, &s, i, now))
                         .collect()
                 });
                 sim.handle(now, event, end).unwrap();
@@ -1630,7 +1617,7 @@ mod tests {
                         Some(want),
                         "vm {i} at {now:?}, {threads} thread(s)"
                     );
-                    inactive += usize::from(!sim.lifetimes[i].is_active(now));
+                    inactive += usize::from(!s.fleet().lifetimes().lifetimes()[i].is_active(now));
                     unplaced += usize::from(want.host.is_none());
                     migrating += usize::from(want.migrating);
                 }

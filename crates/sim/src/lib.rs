@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod builder;
+mod demand;
 mod engine;
 mod error;
 pub mod events;

@@ -7,6 +7,7 @@ use cluster::AccountingMode;
 use obs::{JsonlSink, MetricsSnapshot};
 use simcore::{SimDuration, SimTime};
 
+use crate::demand::DemandWindow;
 use crate::metrics::MetricsCollector;
 use crate::{DatacenterSim, FailureModel, Scenario, SimError, SimReport};
 
@@ -269,6 +270,8 @@ impl Experiment {
     /// consolidation, no power states — the classic alternative the
     /// paper's platform low-power states are contrasted against.
     /// Serves everything (violations zero) since capacity never leaves.
+    /// Demand is read through the engine's demand window, so only VMs
+    /// inside their lifetimes count.
     pub(crate) fn dvfs_report(&self, dvfs: &power::DvfsModel) -> SimReport {
         let interval = self
             .control_interval
@@ -277,7 +280,7 @@ impl Experiment {
         let num_hosts = hosts.len();
         let total_cap: f64 = hosts.iter().map(|h| h.capacity().cpu_cores).sum();
         let fleet = self.scenario.fleet();
-        let caps: Vec<f64> = fleet.vm_specs().iter().map(|s| s.cpu_cap_cores()).collect();
+        let mut window = DemandWindow::new(fleet, interval, self.horizon);
 
         let mut collector = MetricsCollector::new(interval);
         let mut energy_j = 0.0;
@@ -286,12 +289,7 @@ impl Experiment {
         let mut hosts_on = simcore::TimeSeries::new();
         let mut util_acc = simcore::Welford::new();
         while t <= end {
-            let demand: f64 = fleet
-                .traces()
-                .iter()
-                .zip(&caps)
-                .map(|(trace, cap)| trace.at(t) * cap)
-                .sum();
+            let demand: f64 = window.row(1, t).iter().sum();
             let fleet_util = (demand / total_cap).clamp(0.0, 1.0);
             util_acc.push(fleet_util);
             collector.record_latency_sample(fleet_util, demand);
@@ -337,7 +335,9 @@ impl Experiment {
     /// carry the offered demand runs at equal utilization on its real
     /// power curves; everything else draws zero; transitions are free and
     /// instant. Works for heterogeneous fleets; for a uniform fleet it
-    /// reduces to the classic ceil(demand/capacity) bound.
+    /// reduces to the classic ceil(demand/capacity) bound. Demand is read
+    /// through the engine's demand window, so only VMs inside their
+    /// lifetimes count.
     pub(crate) fn run_oracle(&self) -> SimReport {
         let interval = self
             .control_interval
@@ -356,7 +356,7 @@ impl Experiment {
                 .expect("efficiency is finite")
         });
         let fleet = self.scenario.fleet();
-        let caps: Vec<f64> = fleet.vm_specs().iter().map(|s| s.cpu_cap_cores()).collect();
+        let mut window = DemandWindow::new(fleet, interval, self.horizon);
 
         let mut collector = MetricsCollector::new(interval);
         let mut energy_j = 0.0;
@@ -365,12 +365,7 @@ impl Experiment {
         let mut hosts_on = simcore::TimeSeries::new();
         let mut util_acc = simcore::Welford::new();
         while t <= end {
-            let demand: f64 = fleet
-                .traces()
-                .iter()
-                .zip(&caps)
-                .map(|(trace, cap)| trace.at(t) * cap)
-                .sum();
+            let demand: f64 = window.row(1, t).iter().sum();
             // Take the shortest efficient prefix that fits the demand.
             let mut n = 0usize;
             let mut cap_sum = 0.0;
@@ -434,6 +429,7 @@ impl Experiment {
 mod tests {
     use super::*;
     use crate::SimulationBuilder;
+    use workload::{Fleet, Lifetime, LifetimePlan};
 
     #[test]
     fn managed_runs_plan_indexed_by_default() {
@@ -495,6 +491,49 @@ mod tests {
         assert_eq!(r.power_ups + r.power_downs, 0);
         assert!(r.energy_j > 0.0);
         assert_eq!(r.policy, "Oracle");
+    }
+
+    #[test]
+    fn baselines_count_only_vms_inside_their_lifetimes() {
+        // One world twice: as generated, and with extra transient VMs
+        // that all arrive after the horizon. Those VMs never exist during
+        // the run, so the Oracle and DVFS reports must not see them.
+        let world = Scenario::datacenter(8, 32, 11);
+        let horizon = SimDuration::from_hours(6);
+        let with_late_vms = |extra: usize| {
+            let fleet = world.fleet();
+            let late = Lifetime {
+                arrival: SimTime::ZERO + horizon + SimDuration::from_mins(5),
+                departure: None,
+            };
+            let specs = fleet.vm_specs().iter().chain(&fleet.vm_specs()[..extra]);
+            let traces = fleet.traces().iter().chain(&fleet.traces()[..extra]);
+            let lives = fleet.lifetimes().lifetimes().iter().copied();
+            let fleet = Fleet::from_parts(specs.copied().collect(), traces.cloned().collect())
+                .with_lifetime_plan(LifetimePlan::from_lifetimes(
+                    lives.chain(std::iter::repeat_n(late, extra)).collect(),
+                ));
+            let (hosts, step) = (world.host_specs().to_vec(), world.demand_step());
+            Scenario::new(world.name(), hosts, fleet, step, world.seed())
+        };
+        let (plain, padded) = (with_late_vms(0), with_late_vms(8));
+        let run = |scenario: &Scenario, dvfs: bool| {
+            let experiment = Experiment::new(scenario.clone())
+                .policy(PowerPolicy::oracle())
+                .horizon(horizon);
+            let mut builder = SimulationBuilder::new(experiment);
+            if dvfs {
+                builder = builder.dvfs_baseline(power::DvfsModel::typical_2013());
+            }
+            builder.run_report().unwrap()
+        };
+        for dvfs in [false, true] {
+            let want = run(&plain, dvfs);
+            let mut got = run(&padded, dvfs);
+            assert_eq!(got.num_vms, want.num_vms + 8);
+            got.num_vms = want.num_vms;
+            assert_eq!(got, want, "dvfs = {dvfs}");
+        }
     }
 
     #[test]

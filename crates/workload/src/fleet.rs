@@ -1,5 +1,7 @@
 //! VM fleet generation: classes of VMs mixed by weight.
 
+use std::sync::Arc;
+
 use cluster::{Resources, ServiceClass, VmSpec};
 use simcore::{RngStream, SimDuration};
 
@@ -177,7 +179,7 @@ impl FleetSpec {
         let n = vm_specs.len();
         Fleet {
             vm_specs,
-            traces,
+            traces: traces.into(),
             class_of,
             class_names: self.classes.iter().map(|c| c.name.clone()).collect(),
             lifetimes: LifetimePlan::all_permanent(n),
@@ -186,10 +188,13 @@ impl FleetSpec {
 }
 
 /// A generated fleet: VM specs plus per-VM demand traces.
+///
+/// The traces are immutable once built and shared: cloning a fleet (or
+/// a scenario holding one) copies a handle, not the samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
     vm_specs: Vec<VmSpec>,
-    traces: Vec<DemandTrace>,
+    traces: Arc<[DemandTrace]>,
     class_of: Vec<usize>,
     class_names: Vec<String>,
     lifetimes: LifetimePlan,
@@ -207,7 +212,7 @@ impl Fleet {
         let n = vm_specs.len();
         Fleet {
             vm_specs,
-            traces,
+            traces: traces.into(),
             class_of: vec![0; n],
             class_names: vec!["custom".to_string()],
             lifetimes: LifetimePlan::all_permanent(n),
@@ -240,6 +245,12 @@ impl Fleet {
         &self.traces
     }
 
+    /// A shared handle on the demand traces, for holders that outlive a
+    /// borrow of the fleet.
+    pub fn shared_traces(&self) -> Arc<[DemandTrace]> {
+        Arc::clone(&self.traces)
+    }
+
     /// Class name of VM `i`.
     ///
     /// # Panics
@@ -264,7 +275,7 @@ impl Fleet {
     pub fn aggregate_demand_cores(&self, k: usize) -> f64 {
         self.vm_specs
             .iter()
-            .zip(&self.traces)
+            .zip(self.traces.iter())
             .map(|(spec, t)| t.sample(k.min(t.len() - 1)) * spec.cpu_cap_cores())
             .sum()
     }

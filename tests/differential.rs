@@ -14,8 +14,6 @@
 //!   deterministic-sharding contract);
 //! * one scheduler over a fresh view vs any view staleness, and a lone
 //!   scheduler never conflicting with itself at commit;
-//! * `u16`-quantized vs dense f64 demand traces carrying the same
-//!   decoded samples;
 //! * pooled (`SweepBuilder::scale`) vs serial sweep execution;
 //! * a JSONL trace sink attached vs no sink at all;
 //! * the hierarchical span tracer enabled vs disabled (and with it the
@@ -33,7 +31,6 @@ use agilepm::core::{ManagerConfig, PlanMode, PowerPolicy, RecoveryConfig};
 use agilepm::obs::Json;
 use agilepm::sim::{Experiment, Scenario, SimReport, SimulationBuilder, SweepBuilder};
 use agilepm::simcore::SimDuration;
-use agilepm::workload::{DemandTrace, Fleet};
 use check::gen;
 use check_support::{
     check_energy_ordering, check_report, experiment_spec, failure_spec, scenario_spec,
@@ -316,62 +313,6 @@ fn sharded_engine_matches_serial() {
                 )?;
             }
             Ok(())
-        },
-    );
-}
-
-#[test]
-fn quantized_traces_match_dense_traces_with_the_same_samples() {
-    // Quantization itself is lossy, so the fair comparison is a
-    // quantized fleet against a dense fleet built from the *decoded*
-    // samples — those two must simulate bit-identically.
-    check::check(
-        "quantized == dense-decoded traces",
-        &experiment_spec(),
-        |spec| {
-            let base = spec.scenario.build();
-            let decoded = |t: &DemandTrace| -> Vec<f64> {
-                let q = t.clone().quantized();
-                (0..q.len()).map(|k| q.sample(k)).collect()
-            };
-            let rebuild = |quantize: bool| {
-                let traces: Vec<DemandTrace> = base
-                    .fleet()
-                    .traces()
-                    .iter()
-                    .map(|t| {
-                        let dense = DemandTrace::from_samples(t.step(), decoded(t));
-                        if quantize {
-                            dense.quantized()
-                        } else {
-                            dense
-                        }
-                    })
-                    .collect();
-                let fleet = Fleet::from_parts(base.fleet().vm_specs().to_vec(), traces)
-                    .with_lifetime_plan(base.fleet().lifetimes().clone());
-                Scenario::new(
-                    base.name().to_string(),
-                    base.host_specs().to_vec(),
-                    fleet,
-                    base.demand_step(),
-                    base.seed(),
-                )
-            };
-            let run = |scenario: Scenario| {
-                SimulationBuilder::new(
-                    Experiment::new(scenario)
-                        .policy(spec.policy)
-                        .horizon(SimDuration::from_hours(spec.horizon_hours))
-                        .control_interval(SimDuration::from_mins(spec.control_mins))
-                        .record_events(),
-                )
-                .run_report()
-                .map_err(|e| format!("{spec:?}: run failed: {e:?}"))
-            };
-            let quantized = run(rebuild(true))?;
-            let dense = run(rebuild(false))?;
-            assert_equivalent(&rebuild(false), &quantized, &dense, "quantized-vs-dense")
         },
     );
 }
