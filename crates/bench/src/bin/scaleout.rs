@@ -61,7 +61,7 @@ struct Row {
 }
 
 const USAGE: &str = "\
-usage: scaleout [--sizes N,N,..] [--repeat N] [--threads N] [--out PATH]
+usage: scaleout [--sizes N,N,..] [--repeat N] [--out PATH]
                 [--check-baseline PATH] [--ladder] [--wake-slo SECS]
                 [--schedulers N] [--staleness R]";
 
@@ -72,7 +72,6 @@ struct Args {
     out_path: String,
     baseline: Option<String>,
     repeat: usize,
-    threads: usize,
     ladder: bool,
     wake_slo_secs: u64,
     schedulers: usize,
@@ -88,7 +87,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         out_path: String::from("BENCH_scaleout.json"),
         baseline: None,
         repeat: 3,
-        threads: 1,
         ladder: false,
         wake_slo_secs: 12,
         schedulers: 1,
@@ -108,7 +106,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--out" => args.out_path = value()?,
             "--check-baseline" => args.baseline = Some(value()?),
             "--repeat" => args.repeat = positive(&flag, &value()?)?,
-            "--threads" => args.threads = positive(&flag, &value()?)?,
             "--ladder" => args.ladder = true,
             "--schedulers" => args.schedulers = positive(&flag, &value()?)?,
             "--staleness" => args.staleness = number(&flag, &value()?)?,
@@ -221,7 +218,6 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
         let exp = plane(Experiment::new(scenario.clone()).policy(policy));
         let t0 = Instant::now();
         let out = SimulationBuilder::new(exp)
-            .threads(args.threads)
             .profiling(true)
             .build()
             .and_then(|sim| sim.run())
@@ -260,7 +256,6 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
         );
         let t0 = Instant::now();
         let scan_report = SimulationBuilder::new(exp)
-            .threads(args.threads)
             .run_report()
             .expect("scan reference run failed");
         let scan_wall = t0.elapsed().as_secs_f64();
@@ -330,7 +325,6 @@ fn peak_rss_kb() -> u64 {
 
 fn render_json(rows: &[Row], args: &Args) -> String {
     let Args {
-        threads,
         ladder,
         wake_slo_secs,
         schedulers,
@@ -338,7 +332,7 @@ fn render_json(rows: &[Row], args: &Args) -> String {
         ..
     } = args;
     let mut out = format!(
-        "{{\n  \"threads\": {threads},\n  \"ladder\": {ladder},\n  \
+        "{{\n  \"ladder\": {ladder},\n  \
          \"wake_slo_secs\": {wake_slo_secs},\n  \"schedulers\": {schedulers},\n  \
          \"staleness\": {staleness},\n  \"before\": [\n"
     );
@@ -548,12 +542,12 @@ mod tests {
     #[test]
     fn well_formed_flags_parse() {
         let args = parse(
-            "--sizes 64,256 --repeat 2 --threads 4 --ladder --wake-slo 30 \
+            "--sizes 64,256 --repeat 2 --ladder --wake-slo 30 \
              --schedulers 4 --staleness 0 --out x.json",
         )
         .expect("valid flags");
         assert_eq!(args.sizes, [64, 256]);
-        assert_eq!((args.repeat, args.threads, args.schedulers), (2, 4, 4));
+        assert_eq!((args.repeat, args.schedulers), (2, 4));
         assert_eq!((args.ladder, args.wake_slo_secs), (true, 30));
         assert_eq!((args.staleness, args.out_path.as_str()), (0, "x.json"));
         assert_eq!(parse("").expect("defaults").sizes, [64, 256, 1024]);
@@ -589,13 +583,7 @@ mod tests {
 
     #[test]
     fn zero_counts_are_errors() {
-        for flag in [
-            "--repeat",
-            "--threads",
-            "--schedulers",
-            "--sizes",
-            "--wake-slo",
-        ] {
+        for flag in ["--repeat", "--schedulers", "--sizes", "--wake-slo"] {
             let err = parse(&format!("{flag} 0")).expect_err(flag);
             assert!(err.contains("at least 1"), "{flag}: {err}");
         }

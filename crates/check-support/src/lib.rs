@@ -22,24 +22,10 @@ pub mod invariants;
 
 use dcsim::{Experiment, SimError, SimReport, SimulationBuilder};
 
-/// Worker-thread count for property-suite runs: `AGILEPM_SIM_THREADS`
-/// when set (CI repeats the differential suite with `4` so every
-/// generated scenario also exercises the sharded tick engine), else 1.
-pub fn sim_threads() -> usize {
-    std::env::var("AGILEPM_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Runs a configured experiment through the [`SimulationBuilder`] with
-/// [`sim_threads`] workers. Thread count must be unobservable in the
-/// report, so every property holds identically at any setting.
+/// Runs a configured experiment through the [`SimulationBuilder`] and
+/// returns its report.
 pub fn run_experiment(experiment: Experiment) -> Result<SimReport, SimError> {
-    SimulationBuilder::new(experiment)
-        .threads(sim_threads())
-        .run_report()
+    SimulationBuilder::new(experiment).run_report()
 }
 
 pub use generators::{

@@ -35,7 +35,6 @@ COMMON FLAGS (run, compare):
   --interval-mins N    management interval           [default 5]
   --workload KIND      diurnal | spiky | churn | ladder  [default diurnal]
   --churn F            transient VM fraction (workload churn) [default 0.3]
-  --threads N          worker threads for the sharded tick engine [default 1]
 
 run-ONLY FLAGS:
   --policy P           always-on | suspend | off | oracle | ladder[:SECS]
@@ -162,7 +161,6 @@ fn run(args: &[String]) -> CmdResult {
             "interval-mins",
             "workload",
             "churn",
-            "threads",
             "policy",
             "schedulers",
             "staleness",
@@ -195,14 +193,7 @@ fn run(args: &[String]) -> CmdResult {
     if let Some(path) = flags.str_opt("trace-out") {
         experiment = experiment.trace_path(path);
     }
-    let threads = flags.usize_or("threads", 1)?;
-    if threads == 0 {
-        return Err(Box::new(ArgError(
-            "`--threads` must be positive".to_string(),
-        )));
-    }
     let report = SimulationBuilder::new(experiment)
-        .threads(threads)
         .profiling(flags.switch("profile"))
         .run_report()?;
     print_summary(&report);
@@ -287,17 +278,10 @@ fn compare(args: &[String]) -> CmdResult {
             "interval-mins",
             "workload",
             "churn",
-            "threads",
         ],
         &[],
     )?;
     let scenario = build_scenario(&flags)?;
-    let threads = flags.usize_or("threads", 1)?;
-    if threads == 0 {
-        return Err(Box::new(ArgError(
-            "`--threads` must be positive".to_string(),
-        )));
-    }
     let mut reports = Vec::new();
     for policy in [
         PowerPolicy::always_on(),
@@ -306,11 +290,7 @@ fn compare(args: &[String]) -> CmdResult {
         PowerPolicy::oracle(),
     ] {
         let experiment = configure(&flags, scenario.clone(), policy)?;
-        reports.push(
-            SimulationBuilder::new(experiment)
-                .threads(threads)
-                .run_report()?,
-        );
+        reports.push(SimulationBuilder::new(experiment).run_report()?);
     }
     print!("{}", policy_comparison(&reports.iter().collect::<Vec<_>>()));
     Ok(())
@@ -748,26 +728,6 @@ mod tests {
             "run", "--hosts", "4", "--vms", "12", "--hours", "2", "--policy", "suspend",
         ]))
         .expect("small run succeeds");
-    }
-
-    #[test]
-    fn run_with_threads_flag() {
-        dispatch(&argv(&[
-            "run",
-            "--hosts",
-            "4",
-            "--vms",
-            "12",
-            "--hours",
-            "2",
-            "--threads",
-            "2",
-        ]))
-        .expect("sharded run succeeds");
-        assert!(
-            dispatch(&argv(&["run", "--hosts", "4", "--threads", "0"])).is_err(),
-            "zero threads must be rejected"
-        );
     }
 
     #[test]

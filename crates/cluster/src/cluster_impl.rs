@@ -3,7 +3,7 @@
 use std::cell::{Cell, RefCell};
 
 use power::{PowerState, TransitionKind};
-use simcore::{pairwise_sum, pool, SimTime, SumTree};
+use simcore::{pairwise_sum, SimTime, SumTree};
 
 use crate::argmax::ArgmaxTree;
 use crate::{
@@ -31,167 +31,19 @@ pub enum AccountingMode {
 }
 
 /// Reusable scratch for [`Cluster::apply_demand_into`]: the per-host
-/// interactive/batch demand splits, the migration-tax vector, and the
-/// per-host served/unserved contribution buffers the sharded serve path
-/// folds from. Owned by the cluster so steady-state ticks allocate
-/// nothing after the first.
+/// interactive/batch demand splits and the migration-tax vector. Owned by
+/// the cluster so steady-state ticks allocate nothing after the first.
 #[derive(Debug, Clone, Default)]
 struct DemandScratch {
     interactive: Vec<f64>,
     batch: Vec<f64>,
     tax: Vec<f64>,
-    /// Per-host served cores (0 for non-operational).
-    served: Vec<f64>,
-    /// Per-host unserved cores.
-    unserved: Vec<f64>,
-    /// Per-host unserved interactive cores.
-    unserved_interactive: Vec<f64>,
-    /// Per-host unserved batch cores.
-    unserved_batch: Vec<f64>,
-}
-
-/// One shard's disjoint view of the serve loop's inputs and outputs, all
-/// slices covering the same contiguous host range.
-struct ServeShard<'a> {
-    hosts: &'a mut [Host],
-    tax: &'a [f64],
-    interactive: &'a [f64],
-    batch: &'a [f64],
-    utilization: &'a mut [f64],
-    demand: &'a mut [f64],
-    served: &'a mut [f64],
-    unserved: &'a mut [f64],
-    unserved_interactive: &'a mut [f64],
-    unserved_batch: &'a mut [f64],
-}
-
-/// Serves one shard of hosts, writing each host's served/unserved
-/// contributions into per-host buffers instead of folding them. The
-/// caller folds the buffers in host-index order on its own thread.
-fn serve_shard(now: SimTime, sh: ServeShard<'_>) {
-    for (i, host) in sh.hosts.iter_mut().enumerate() {
-        let cap = host.capacity().cpu_cores;
-        let demand = sh.tax[i] + sh.interactive[i] + sh.batch[i];
-        sh.demand[i] = demand;
-        if host.is_operational() {
-            let mut remaining = cap;
-            let served_tax = sh.tax[i].min(remaining);
-            remaining -= served_tax;
-            let served_interactive = sh.interactive[i].min(remaining);
-            remaining -= served_interactive;
-            let served_batch = sh.batch[i].min(remaining);
-
-            let s = served_tax + served_interactive + served_batch;
-            sh.served[i] = s;
-            sh.unserved[i] = demand - s;
-            sh.unserved_interactive[i] = sh.interactive[i] - served_interactive;
-            sh.unserved_batch[i] = sh.batch[i] - served_batch;
-            sh.utilization[i] = if cap > 0.0 { s / cap } else { 0.0 };
-            host.power_mut().set_utilization(now, sh.utilization[i]);
-        } else {
-            sh.served[i] = 0.0;
-            sh.unserved[i] = demand;
-            sh.unserved_interactive[i] = sh.interactive[i];
-            sh.unserved_batch[i] = sh.batch[i];
-            sh.utilization[i] = 0.0;
-        }
-    }
 }
 
 /// Clears and re-zeroes a scratch vector without shrinking its capacity.
 fn reset_zeroed(v: &mut Vec<f64>, n: usize) {
     v.clear();
     v.resize(n, 0.0);
-}
-
-/// An immutable, thread-shareable snapshot of the per-host and per-VM
-/// state the engine's sharded observation aggregation reads every tick.
-///
-/// [`Cluster`] itself is not `Sync` — its lazy accounting caches use
-/// interior mutability — so shard workers cannot share `&Cluster`. The
-/// view borrows only plain data (hosts, specs, placement, migrations, and
-/// the incremental accounting totals) and re-implements the same read
-/// logic, including the [`AccountingMode`] dispatch, so every answer is
-/// bit-identical to the corresponding `Cluster` query.
-///
-/// Obtain one with [`Cluster::shard_view`]; it is `Copy`, so each shard
-/// closure can capture its own.
-#[derive(Clone, Copy)]
-pub struct ClusterShardView<'a> {
-    hosts: &'a [Host],
-    vms: &'a [VmSpec],
-    placement: &'a PlacementMap,
-    migrations: &'a [Option<Migration>],
-    inbound: &'a [u32],
-    mem_committed: &'a [f64],
-    accounting: AccountingMode,
-}
-
-impl<'a> ClusterShardView<'a> {
-    /// All hosts, indexable by `HostId::index()`.
-    pub fn hosts(&self) -> &'a [Host] {
-        self.hosts
-    }
-
-    /// All VM specs, indexable by `VmId::index()`.
-    pub fn vm_specs(&self) -> &'a [VmSpec] {
-        self.vms
-    }
-
-    /// Every VM's host (`None` while unplaced), indexable by
-    /// `VmId::index()` — the placement map's own column.
-    pub fn vm_hosts(&self) -> &'a [Option<HostId>] {
-        self.placement.vm_hosts()
-    }
-
-    /// Whether a live migration of `vm` is in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vm` is out of range.
-    pub fn is_migrating(&self, vm: VmId) -> bool {
-        self.migrations[vm.index()].is_some()
-    }
-
-    /// Whether `host` can be powered down: no placed VMs, no inbound
-    /// migrations. Same answer as [`Cluster::is_evacuated`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is out of range.
-    pub fn is_evacuated(&self, host: HostId) -> bool {
-        self.placement.is_empty_host(host) && self.inbound[host.index()] == 0
-    }
-
-    /// Memory committed on `host` (placed VMs + inbound reservations),
-    /// GB. Bit-identical to [`Cluster::mem_committed_gb`]: incremental
-    /// accounting reads the running total, scan accounting re-folds from
-    /// first principles with the same `+0.0`-seeded fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is out of range.
-    pub fn mem_committed_gb(&self, host: HostId) -> f64 {
-        match self.accounting {
-            AccountingMode::Incremental => self.mem_committed[host.index()],
-            AccountingMode::Scan => {
-                let placed = self
-                    .placement
-                    .vms_on(host)
-                    .iter()
-                    .map(|&vm| self.vms[vm.index()].mem_gb())
-                    .fold(0.0f64, |a, b| a + b);
-                let inbound = self
-                    .migrations
-                    .iter()
-                    .flatten()
-                    .filter(|m| m.to == host)
-                    .map(|m| self.vms[m.vm.index()].mem_gb())
-                    .fold(0.0f64, |a, b| a + b);
-                placed + inbound
-            }
-        }
-    }
 }
 
 /// Result of applying one round of VM demand to the cluster.
@@ -273,11 +125,6 @@ pub struct Cluster {
     host_mem_committed: Vec<f64>,
     /// Reusable buffers for [`apply_demand_into`](Self::apply_demand_into).
     scratch: DemandScratch,
-    /// Worker threads for the sharded demand/power paths; `1` runs their
-    /// one shard on the calling thread.
-    threads: usize,
-    /// Reusable per-host power buffer for the sharded power scan.
-    power_scratch: RefCell<Vec<f64>>,
     /// Running count of in-flight migrations, maintained at
     /// [`begin_migration`](Self::begin_migration) /
     /// [`complete_migration`](Self::complete_migration) /
@@ -287,11 +134,11 @@ pub struct Cluster {
     /// Deterministic count of cache invalidations (dirty marks) at
     /// mutation sites. Counted where state *changes* — never at the
     /// read-and-clear revalidation sites, which fire on a mode-dependent
-    /// schedule — so the count is identical across accounting modes and
-    /// thread counts. The per-tick demand sweep charges one mark per
-    /// operational host (every such host's utilization is rewritten),
-    /// which makes `dirty_marks` an upper bound on how many hosts a
-    /// change-driven index may legitimately re-bucket.
+    /// schedule — so the count is identical across accounting modes.
+    /// The per-tick demand sweep charges one mark per operational host
+    /// (every such host's utilization is rewritten), which makes
+    /// `dirty_marks` an upper bound on how many hosts a change-driven
+    /// index may legitimately re-bucket.
     dirty_marks: u64,
 }
 
@@ -345,41 +192,8 @@ impl Cluster {
             on_count,
             host_mem_committed,
             scratch: DemandScratch::default(),
-            threads: 1,
-            power_scratch: RefCell::new(Vec::new()),
             in_flight_migrations: 0,
             dirty_marks: 0,
-        }
-    }
-
-    /// Sets the worker-thread count for the sharded per-tick demand and
-    /// power computations. `1` (the default) runs them as one shard on the
-    /// calling thread. The requested count is honored exactly (never
-    /// capped by `available_parallelism`), and every count produces
-    /// bit-identical results: shard boundaries are a pure function of the
-    /// fleet size and all floating-point reductions stay on the calling
-    /// thread in host-index order.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The worker-thread count for sharded per-tick computation.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// A `Copy + Sync` read-only view over the state the engine's sharded
-    /// observation fill needs — see [`ClusterShardView`]. Every query on
-    /// the view is bit-identical to the corresponding `Cluster` method.
-    pub fn shard_view(&self) -> ClusterShardView<'_> {
-        ClusterShardView {
-            hosts: &self.hosts,
-            vms: &self.vms,
-            placement: &self.placement,
-            migrations: &self.migrations,
-            inbound: &self.inbound,
-            mem_committed: &self.host_mem_committed,
-            accounting: self.accounting,
         }
     }
 
@@ -396,7 +210,7 @@ impl Cluster {
 
     /// Deterministic count of cache invalidations performed so far (see
     /// the `dirty_marks` field): a pure function of the scenario,
-    /// identical across accounting modes and thread counts.
+    /// identical across accounting modes.
     pub fn dirty_marks(&self) -> u64 {
         self.dirty_marks
     }
@@ -453,9 +267,20 @@ impl Cluster {
         &self.hosts
     }
 
+    /// All VM specs, indexable by `VmId::index()`.
+    pub fn vm_specs(&self) -> &[VmSpec] {
+        &self.vms
+    }
+
     /// The placement map.
     pub fn placement(&self) -> &PlacementMap {
         &self.placement
+    }
+
+    /// Every VM's host (`None` while unplaced), indexable by
+    /// `VmId::index()` — the placement map's own column.
+    pub fn vm_hosts(&self) -> &[Option<HostId>] {
+        self.placement.vm_hosts()
     }
 
     /// The migration model in use.
@@ -1055,60 +880,40 @@ impl Cluster {
             host_tax[m.to.index()] += tax;
         }
 
-        // Workers compute each host's serve outcome into disjoint
-        // per-host buffers (every slot is overwritten, so they are only
-        // sized, never re-zeroed); the fold below adds the per-host
-        // contributions on this thread in host-index order, so the result
-        // is bit-identical at any thread count (the `+0.0` served term of
-        // a non-operational host is a bitwise no-op on the non-negative
-        // accumulator).
+        // Serve each host (tax first, then interactive, then batch) and
+        // fold its served/unserved contributions in host-index order.
         let utilization = &mut out.host_utilization;
         let host_demand = &mut out.host_demand_cores;
-        let served_c = &mut scratch.served;
-        let unserved_c = &mut scratch.unserved;
-        let unserved_int_c = &mut scratch.unserved_interactive;
-        let unserved_bat_c = &mut scratch.unserved_batch;
-        for v in [
-            &mut *utilization,
-            &mut *host_demand,
-            &mut *served_c,
-            &mut *unserved_c,
-            &mut *unserved_int_c,
-            &mut *unserved_bat_c,
-        ] {
-            v.resize(n, 0.0);
-        }
-        let ranges = pool::shard_ranges(n, self.threads);
-        let mut hosts_it = pool::split_mut(&mut self.hosts, &ranges).into_iter();
-        let mut util_it = pool::split_mut(utilization, &ranges).into_iter();
-        let mut dem_it = pool::split_mut(host_demand, &ranges).into_iter();
-        let mut srv_it = pool::split_mut(served_c, &ranges).into_iter();
-        let mut uns_it = pool::split_mut(unserved_c, &ranges).into_iter();
-        let mut uni_it = pool::split_mut(unserved_int_c, &ranges).into_iter();
-        let mut unb_it = pool::split_mut(unserved_bat_c, &ranges).into_iter();
-        let shards: Vec<ServeShard<'_>> = ranges
-            .iter()
-            .map(|r| ServeShard {
-                hosts: hosts_it.next().expect("one host chunk per range"),
-                tax: &host_tax[r.clone()],
-                interactive: &host_interactive[r.clone()],
-                batch: &host_batch[r.clone()],
-                utilization: util_it.next().expect("one chunk per range"),
-                demand: dem_it.next().expect("one chunk per range"),
-                served: srv_it.next().expect("one chunk per range"),
-                unserved: uns_it.next().expect("one chunk per range"),
-                unserved_interactive: uni_it.next().expect("one chunk per range"),
-                unserved_batch: unb_it.next().expect("one chunk per range"),
-            })
-            .collect();
-        pool::for_each_shard(self.threads, shards, |_, sh| serve_shard(now, sh));
+        utilization.resize(n, 0.0);
+        host_demand.resize(n, 0.0);
         let mut served = 0.0f64;
         let mut unserved = unserved_unplaced;
-        for i in 0..n {
-            served += served_c[i];
-            unserved += unserved_c[i];
-            unserved_interactive += unserved_int_c[i];
-            unserved_batch += unserved_bat_c[i];
+        for (i, host) in self.hosts.iter_mut().enumerate() {
+            let (tax, interactive, batch) = (host_tax[i], host_interactive[i], host_batch[i]);
+            let demand = tax + interactive + batch;
+            host_demand[i] = demand;
+            if host.is_operational() {
+                let cap = host.capacity().cpu_cores;
+                let mut remaining = cap;
+                let served_tax = tax.min(remaining);
+                remaining -= served_tax;
+                let served_interactive = interactive.min(remaining);
+                remaining -= served_interactive;
+                let served_batch = batch.min(remaining);
+
+                let s = served_tax + served_interactive + served_batch;
+                served += s;
+                unserved += demand - s;
+                unserved_interactive += interactive - served_interactive;
+                unserved_batch += batch - served_batch;
+                utilization[i] = if cap > 0.0 { s / cap } else { 0.0 };
+                host.power_mut().set_utilization(now, utilization[i]);
+            } else {
+                unserved += demand;
+                unserved_interactive += interactive;
+                unserved_batch += batch;
+                utilization[i] = 0.0;
+            }
         }
         // Migration tax is overhead, not offered VM demand; keep the
         // invariant offered = served + unserved by counting tax in both
@@ -1156,9 +961,10 @@ impl Cluster {
             AccountingMode::Scan => self.scan_total_power_w(),
             AccountingMode::Incremental => {
                 if self.power_stale.get() {
-                    let buf = self.power_draws();
-                    self.power_tree.borrow_mut().rebuild(buf.len(), |i| buf[i]);
-                    drop(buf);
+                    let hosts = &self.hosts;
+                    self.power_tree
+                        .borrow_mut()
+                        .rebuild(hosts.len(), |i| hosts[i].power().power_w());
                     self.power_stale.set(false);
                 }
                 let v = self.power_tree.borrow().root();
@@ -1176,20 +982,8 @@ impl Cluster {
     /// the fixed-shape [`pairwise_sum`] over per-host draws that the
     /// incremental tree maintains under point updates.
     fn scan_total_power_w(&self) -> f64 {
-        let buf = self.power_draws();
-        pairwise_sum(buf.len(), |i| buf[i])
-    }
-
-    /// Fills the reusable power scratch buffer with every host's current
-    /// draw using the worker pool, returning the borrow for the caller's
-    /// fold or rebuild. The fold then runs over the same addends in the
-    /// same tree shape at any thread count, so it is bit-identical.
-    fn power_draws(&self) -> std::cell::RefMut<'_, Vec<f64>> {
         let hosts = &self.hosts;
-        let mut buf = self.power_scratch.borrow_mut();
-        buf.resize(hosts.len(), 0.0);
-        pool::fill(self.threads, &mut buf, |i| hosts[i].power().power_w());
-        buf
+        pairwise_sum(hosts.len(), |i| hosts[i].power().power_w())
     }
 
     /// Total cluster energy consumed so far, in joules.

@@ -8,7 +8,7 @@
 
 use cluster::{HostId, VmId};
 use obs::SpanTracer;
-use simcore::{pool, SimTime};
+use simcore::SimTime;
 
 use crate::plan::PlanContext;
 use crate::{
@@ -20,10 +20,7 @@ use crate::{
 /// drain candidates while spare capacity allows.
 ///
 /// Mutates `ctx.draining` (the manager copies it back), appends migration
-/// actions, and decrements `budget`. The candidate scoring scan is
-/// sharded across `threads` workers (deterministically — see
-/// [`pick_candidate`]); planning, evacuation, and the LIFO undo journal
-/// always stay on the calling thread.
+/// actions, and decrements `budget`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn plan_consolidation(
     ctx: &mut PlanContext,
@@ -33,7 +30,6 @@ pub(crate) fn plan_consolidation(
     now: SimTime,
     actions: &mut Vec<ManagementAction>,
     budget: &mut usize,
-    threads: usize,
     tracer: &mut SpanTracer,
 ) {
     let s_drain = tracer.name("drain");
@@ -61,7 +57,7 @@ pub(crate) fn plan_consolidation(
             return;
         }
         tracer.enter(s_scan);
-        let picked = pick_candidate(ctx, cfg, gate, recovery, now, threads);
+        let picked = pick_candidate(ctx, cfg, gate, recovery, now);
         tracer.exit(s_scan);
         let Some(candidate) = picked else {
             return;
@@ -136,27 +132,18 @@ fn drainable(
 }
 
 /// Picks the least-loaded drainable host, if the fleet can spare it.
-///
-/// The qualification scan is sharded: each worker finds its shard's
-/// first-wins minimum over a fixed contiguous index range, and the shard
-/// winners are merged here in ascending shard order with the same strict
-/// less-than rule. Because shard ranges are ascending and
-/// first-wins-within-shard plus first-wins-across-shards composes to
-/// first-wins-globally, the result is the same for any thread count.
 fn pick_candidate(
     ctx: &mut PlanContext,
     cfg: &ManagerConfig,
     gate: &HysteresisGate,
     recovery: &RecoveryTracker,
     now: SimTime,
-    threads: usize,
 ) -> Option<usize> {
     if ctx.index_valid() {
         return pick_candidate_indexed(ctx, cfg, gate, recovery, now);
     }
-    // Work accounting happens up front, on the coordinating side, so the
-    // counts are identical for every thread count: the aggregate fold and
-    // the qualification scan each visit every host exactly once.
+    // The aggregate fold and the qualification scan each visit every
+    // host exactly once.
     ctx.work.fold_elements += ctx.num_hosts() as u64;
     ctx.work.candidates_scanned += ctx.num_hosts() as u64;
     let ctx = &*ctx;
@@ -190,27 +177,22 @@ fn pick_candidate(
         + (cfg.spare_hosts() as f64 + cfg.drain_deadband_frac()) * max_host_cap;
 
     // Least-loaded qualifying host; first wins on ties, matching
-    // `Iterator::min_by` over ascending indices — within a shard and
-    // again across the shard winners.
+    // `Iterator::min_by` over ascending indices.
     let pool_capacity = active_capacity + arriving_capacity;
-    let first_min = |best: Option<usize>, h: usize| match best {
-        Some(b)
-            if !ctx
-                .util(h)
-                .partial_cmp(&ctx.util(b))
-                .expect("utilization is finite")
-                .is_lt() =>
-        {
+    (0..n)
+        .filter(|&h| drainable(ctx, cfg, gate, recovery, now, h, pool_capacity, required))
+        .fold(None, |best: Option<usize>, h| match best {
             Some(b)
-        }
-        _ => Some(h),
-    };
-    let winners = pool::map_shards(threads, pool::shard_ranges(n, threads), |_, range| {
-        range
-            .filter(|&h| drainable(ctx, cfg, gate, recovery, now, h, pool_capacity, required))
-            .fold(None, first_min)
-    });
-    winners.into_iter().flatten().fold(None, first_min)
+                if !ctx
+                    .util(h)
+                    .partial_cmp(&ctx.util(b))
+                    .expect("utilization is finite")
+                    .is_lt() =>
+            {
+                Some(b)
+            }
+            _ => Some(h),
+        })
 }
 
 /// Indexed twin of [`pick_candidate`]: the capacity aggregates come from
@@ -461,7 +443,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         // Host 2 (util 0.5/8) is the prime candidate and must fully drain.
@@ -495,7 +476,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(!ctx.draining[2], "quarantined host was drained");
@@ -518,7 +498,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(actions.is_empty());
@@ -545,7 +524,6 @@ mod tests {
             SimTime::from_secs(60),
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(actions.is_empty());
@@ -611,7 +589,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         // Only one 24 GB VM fits on host 1 (24 free); evacuation is
@@ -693,7 +670,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(
@@ -733,7 +709,6 @@ mod tests {
                 SimTime::ZERO,
                 &mut actions,
                 &mut budget,
-                1,
                 &mut SpanTracer::new(),
             );
             (actions, ctx.draining.clone(), budget)
@@ -770,7 +745,6 @@ mod tests {
             SimTime::ZERO,
             &mut actions,
             &mut budget,
-            1,
             &mut SpanTracer::new(),
         );
         assert!(ctx.movable_vms(0).is_empty());

@@ -14,7 +14,7 @@ use crate::{
     ManagerConfig, PowerPolicy, Predictor, RecoveryTracker, WorkCounters,
 };
 use obs::{Histogram, SpanTracer};
-use simcore::{pool, SimDuration};
+use simcore::SimDuration;
 
 /// Cumulative counts of actions the manager has requested — the
 /// "management overhead" the paper compares against base DRM (experiment
@@ -131,9 +131,6 @@ pub struct VirtManager {
     /// allocates nothing.
     predicted_buf: Vec<f64>,
     ctx: PlanContext,
-    /// Worker threads for the sharded prediction fill and consolidation
-    /// candidate scan; `1` runs their one shard on the calling thread.
-    threads: usize,
     /// Log-bucket histogram of total actions per round — deterministic
     /// (counts actions, not time), feeds the decision record's
     /// percentile summary.
@@ -192,24 +189,8 @@ impl VirtManager {
             stats: RoundStats::default(),
             predicted_buf: Vec::new(),
             ctx,
-            threads: 1,
             actions_hist: Histogram::new(),
         }
-    }
-
-    /// Sets the worker-thread count for the sharded planning paths (the
-    /// per-VM prediction fill and the consolidation candidate scan). `1`
-    /// (the default) runs them as one shard on the calling thread; any
-    /// count produces bit-identical plans — shard boundaries are fixed
-    /// and every floating-point reduction stays on the calling thread in
-    /// index order.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The worker-thread count for sharded planning.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The configuration.
@@ -322,26 +303,18 @@ impl VirtManager {
         self.stats.failsafe_rounds = rstats.failsafe_rounds;
 
         // Feed the predictors and collect per-VM predictions into the
-        // reusable buffer, sharded. Each prediction only touches its own
-        // predictor and output slot, so any thread count gives the same
-        // buffer.
-        let n_vms = obs.vms.len();
-        self.predicted_buf.resize(n_vms, 0.0);
-        let ranges = pool::shard_ranges(n_vms, self.threads);
-        let preds = pool::split_mut(&mut self.predictors, &ranges);
-        let outs = pool::split_mut(&mut self.predicted_buf, &ranges);
+        // reusable buffer.
+        self.predicted_buf.resize(obs.vms.len(), 0.0);
         let (demand, cap) = (obs.vms.cpu_demand(), obs.vms.cpu_cap());
-        let shards: Vec<_> = ranges
+        for (((&d, &c), p), o) in demand
             .iter()
-            .map(|r| (&demand[r.clone()], &cap[r.clone()]))
-            .zip(preds.into_iter().zip(outs))
-            .collect();
-        pool::for_each_shard(self.threads, shards, |_, ((demand, cap), (preds, out))| {
-            for (((&d, &c), p), o) in demand.iter().zip(cap).zip(preds).zip(out) {
-                p.observe(d);
-                *o = p.predict().clamp(0.0, c);
-            }
-        });
+            .zip(cap)
+            .zip(&mut self.predictors)
+            .zip(&mut self.predicted_buf)
+        {
+            p.observe(d);
+            *o = p.predict().clamp(0.0, c);
+        }
 
         // Feed the time-of-day profile (proactive pre-waking).
         if let Some(profile) = &mut self.profile {
@@ -427,7 +400,6 @@ impl VirtManager {
                 obs.now,
                 &mut actions,
                 &mut budget,
-                self.threads,
                 tracer,
             );
         }

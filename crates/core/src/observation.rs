@@ -43,9 +43,8 @@ pub struct HostObservation {
 }
 
 impl Default for HostObservation {
-    /// A zero-capacity placeholder (`Off`, id 0) — the pre-fill value of
-    /// reusable observation buffers; the sharded observation fill
-    /// overwrites every slot before the manager sees it.
+    /// A zero-capacity placeholder (`Off`, id 0), the base for
+    /// struct-update construction in tests and views.
     fn default() -> Self {
         HostObservation {
             id: HostId(0),

@@ -3,17 +3,12 @@
 //! [`WorkCounters`] counts *work*, not time: candidate scans, trial
 //! evacuations, rollbacks, destination re-scores. Every field is a pure
 //! function of the scenario seed — no clocks, no thread interleaving —
-//! so the counters are bit-identical across serial vs sharded and
-//! incremental vs scan runs, and the differential suite verifies them
-//! the same way it verifies energy totals. They are the superlinearity
-//! evidence for indexed candidate structures: plot
-//! `candidates_scanned` against fleet size and the O(hosts) scan per
-//! drain pick is visible directly, without wall-clock noise.
-//!
-//! Sharding must not change the counts, so the sharded scan paths
-//! increment once per *logical* element on the coordinating side (e.g.
-//! `candidates_scanned += num_hosts` per pick) rather than inside
-//! worker closures.
+//! so the counters are bit-identical across incremental vs scan runs,
+//! and the differential suite verifies them the same way it verifies
+//! energy totals. They are the superlinearity evidence for indexed
+//! candidate structures: plot `candidates_scanned` against fleet size
+//! and the O(hosts) scan per drain pick is visible directly, without
+//! wall-clock noise.
 
 use obs::Json;
 

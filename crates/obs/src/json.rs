@@ -140,12 +140,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input or trailing garbage.
+    /// Returns [`JsonError`] on malformed input, trailing garbage, or
+    /// arrays and objects nested more than [`MAX_DEPTH`] deep.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -339,6 +340,12 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting would overflow the
+/// stack; every document this workspace writes nests fewer than 20
+/// levels.
+pub const MAX_DEPTH: usize = 128;
+
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
         *pos += 1;
@@ -361,15 +368,22 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    if depth == MAX_DEPTH && matches!(bytes.get(*pos), Some(b'[' | b'{')) {
+        return Err(err(
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+            *pos,
+        ));
+    }
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
         Some(&c) => Err(err(&format!("unexpected byte `{}`", c as char), *pos)),
     }
@@ -488,7 +502,7 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
     Ok(code)
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -498,7 +512,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     loop {
         skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -511,7 +525,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -525,7 +539,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
         skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -604,6 +618,26 @@ mod tests {
     fn rejects_garbage() {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"\\x\""] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        // The error points at the first opener past the limit.
+        for (deep, offset) in [
+            (nested("[", "]", MAX_DEPTH + 1), MAX_DEPTH),
+            (nested("{\"k\":", "}", MAX_DEPTH + 1), 5 * MAX_DEPTH),
+            ("[".repeat(200_000), MAX_DEPTH),
+            ("{\"k\":".repeat(200_000), 5 * MAX_DEPTH),
+        ] {
+            let e = Json::parse(&deep).expect_err("too deep");
+            assert!(e.message.contains("nesting deeper"), "{e}");
+            assert_eq!(e.offset, offset);
         }
     }
 

@@ -2,12 +2,12 @@
 //!
 //! [`SimulationBuilder`] is the one front door to every way this crate
 //! can evaluate an [`Experiment`]: the discrete-event engine (optionally
-//! sharded across worker threads, optionally distributed across
-//! concurrent schedulers, optionally profiled, optionally returning the
-//! final cluster), the analytic `Oracle` bound, and the analytic
-//! DVFS-only baseline. The four legacy entry points (`Experiment::run`,
-//! `run_detailed`, `run_profiled`, `run_dvfs_baseline`) were removed
-//! after their one-release deprecation window.
+//! distributed across concurrent schedulers, optionally profiled,
+//! optionally returning the final cluster), the analytic `Oracle` bound,
+//! and the analytic DVFS-only baseline. The four legacy entry points
+//! (`Experiment::run`, `run_detailed`, `run_profiled`,
+//! `run_dvfs_baseline`) were removed after their one-release
+//! deprecation window.
 //!
 //! The builder validates the whole configuration up front:
 //! [`SimulationBuilder::build`] returns [`SimError::InvalidConfig`]
@@ -25,7 +25,6 @@
 //!     .policy(PowerPolicy::reactive_suspend())
 //!     .horizon(SimDuration::from_hours(2));
 //! let out = SimulationBuilder::new(experiment)
-//!     .threads(2) // bit-identical to one thread
 //!     .capture_cluster(true)
 //!     .build()?
 //!     .run()?;
@@ -43,12 +42,11 @@ use crate::{Experiment, SimError, SimReport};
 /// Builder for a validated, ready-to-run [`Simulation`].
 ///
 /// Wraps an [`Experiment`] (the *what*: scenario, policy, horizon,
-/// failure model, sinks) with execution options (the *how*: worker
-/// threads, profiling, cluster capture, analytic DVFS mode).
+/// failure model, sinks) with execution options (the *how*: profiling,
+/// cluster capture, analytic DVFS mode).
 #[derive(Debug, Clone)]
 pub struct SimulationBuilder {
     experiment: Experiment,
-    threads: usize,
     profiling: bool,
     capture_cluster: bool,
     dvfs: Option<DvfsModel>,
@@ -60,20 +58,18 @@ impl SimulationBuilder {
     pub fn new(experiment: Experiment) -> Self {
         SimulationBuilder {
             experiment,
-            threads: 1,
             profiling: false,
             capture_cluster: false,
             dvfs: None,
         }
     }
 
-    /// Sets the worker-thread count for the deterministic sharded tick
-    /// engine (default 1 — one shard on the calling thread). Any count
-    /// produces a bit-identical [`SimReport`]; the count is honored
-    /// exactly, never capped by the machine's core count.
-    /// [`build`](Self::build) rejects `0`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Has no effect: every run is single-threaded (run independent
+    /// simulations side by side with `simcore::pool::run_indexed` to use
+    /// more cores). Kept only because the frozen `perfbench` benchmark
+    /// still calls it; ROADMAP item 2's benchmark change removes those
+    /// calls and then this setter.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -142,16 +138,13 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] for an inconsistent configuration
-    /// (zero threads, zero horizon, control interval longer than the
-    /// horizon, invalid manager thresholds, or cluster/profile capture
-    /// requested from an analytic mode);
+    /// (zero horizon, control interval longer than the horizon, invalid
+    /// manager thresholds, or cluster/profile capture requested from an
+    /// analytic mode);
     /// [`SimError::InitialPlacement`] / [`SimError::TraceIo`] as for the
     /// engine.
     pub fn build(self) -> Result<Simulation, SimError> {
         let invalid = |message: String| SimError::InvalidConfig { message };
-        if self.threads == 0 {
-            return Err(invalid("threads must be at least 1".to_string()));
-        }
         let horizon = self.experiment.horizon_duration();
         if horizon.as_secs_f64() <= 0.0 {
             return Err(invalid("horizon must be non-zero".to_string()));
@@ -212,7 +205,6 @@ impl SimulationBuilder {
         }
 
         let mut sim = self.experiment.build_sim()?;
-        sim.set_threads(self.threads);
         if self.profiling {
             sim.enable_profiling();
         }
@@ -340,16 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_is_rejected() {
-        let err = SimulationBuilder::new(experiment(3))
-            .threads(0)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("threads"));
-    }
-
-    #[test]
     fn interval_beyond_horizon_is_rejected() {
         let e = experiment(4).control_interval(SimDuration::from_hours(3));
         let err = SimulationBuilder::new(e).build().unwrap_err();
@@ -404,22 +386,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.report.policy, "DVFS-only");
         assert_eq!(out.report.violation_fraction, 0.0);
-    }
-
-    #[test]
-    fn threaded_build_matches_serial_report() {
-        let serial = SimulationBuilder::new(experiment(9))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let sharded = SimulationBuilder::new(experiment(9))
-            .threads(4)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(serial.report, sharded.report);
     }
 
     #[test]

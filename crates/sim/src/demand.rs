@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use simcore::{pool, SimDuration, SimTime};
+use simcore::{SimDuration, SimTime};
 use workload::{DemandTrace, Fleet, Lifetime};
 
 /// Control ticks evaluated per refill. A constant: the values do not
@@ -56,19 +56,19 @@ impl DemandWindow {
     }
 
     /// Every VM's demand at the tick instant `now`, refilling the window
-    /// on `threads` shards when `now` falls outside it.
+    /// when `now` falls outside it.
     ///
     /// # Panics
     ///
     /// Panics if `now` is not a control tick of the run: a multiple of
     /// the control interval no later than the horizon.
-    pub(crate) fn row(&mut self, threads: usize, now: SimTime) -> &[f64] {
+    pub(crate) fn row(&mut self, now: SimTime) -> &[f64] {
         let step = self.interval.as_millis();
         assert_eq!(now.as_millis() % step, 0, "{now} is not a control tick");
         let k = (now.as_millis() / step) as usize;
         assert!(k < self.ticks, "{now} is past the horizon");
         if !(self.first..self.first + self.held).contains(&k) {
-            self.refill(threads, k);
+            self.refill(k);
         }
         let vms = self.caps.len();
         let at = (k - self.first) * vms;
@@ -76,41 +76,20 @@ impl DemandWindow {
     }
 
     /// Evaluates ticks `first ..` (up to [`WINDOW`], clipped to the run)
-    /// for every VM. The VMs split into [`pool::shard_ranges`]; each
-    /// shard walks its VMs one at a time through every held tick, writing
-    /// its column range of each row. Every value is the same expression
-    /// whatever the shard count, so the rows are bit-identical at any
-    /// thread count.
-    fn refill(&mut self, threads: usize, first: usize) {
+    /// for every VM, walking each VM's samples through every held tick
+    /// and writing its column of each row.
+    fn refill(&mut self, first: usize) {
         let vms = self.caps.len();
         self.first = first;
         self.held = WINDOW.min(self.ticks - first);
         self.rows.resize(self.held * vms, 0.0);
-        if vms == 0 {
-            return;
-        }
-        let ranges = pool::shard_ranges(vms, threads);
-        let mut shards: Vec<(usize, Vec<&mut [f64]>)> = ranges
-            .iter()
-            .map(|r| (r.start, Vec::with_capacity(self.held)))
-            .collect();
-        for row in self.rows.chunks_mut(vms) {
-            for (shard, part) in shards.iter_mut().zip(pool::split_mut(row, &ranges)) {
-                shard.1.push(part);
+        for i in 0..vms {
+            for k in 0..self.held {
+                let t = SimTime::ZERO + self.interval * (first + k) as u64;
+                self.rows[k * vms + i] =
+                    demand_at(&self.traces[i], self.lifetimes[i], self.caps[i], t);
             }
         }
-        let (traces, lifetimes, caps) = (&self.traces, &self.lifetimes, &self.caps);
-        let interval = self.interval;
-        pool::for_each_shard(threads, shards, |_, (base, mut rows)| {
-            let len = rows.first().map_or(0, |r| r.len());
-            for j in 0..len {
-                let i = base + j;
-                for (k, row) in rows.iter_mut().enumerate() {
-                    let t = SimTime::ZERO + interval * (first + k) as u64;
-                    row[j] = demand_at(&traces[i], lifetimes[i], caps[i], t);
-                }
-            }
-        });
     }
 }
 
@@ -235,24 +214,22 @@ mod tests {
             let interval = SimDuration::from_secs(case.interval_secs);
             let horizon = interval * (case.ticks - 1) + SimDuration::from_millis(case.slack_ms);
             let (traces, lifetimes) = (fleet.traces(), fleet.lifetimes().lifetimes());
-            for threads in [1, 2, 4] {
-                let mut window = DemandWindow::new(&fleet, interval, horizon);
-                for k in 0..case.ticks {
-                    let t = SimTime::ZERO + interval * k;
-                    let row = window.row(threads, t);
-                    prop_assert_eq!(row.len(), fleet.len());
-                    for (i, &got) in row.iter().enumerate() {
-                        let cap = fleet.vm_specs()[i].cpu_cap_cores();
-                        let want = if lifetimes[i].is_active(t) {
-                            traces[i].at(t) * cap
-                        } else {
-                            0.0
-                        };
-                        prop_assert!(
-                            got.to_bits() == want.to_bits(),
-                            "vm {i} at tick {k}, {threads} thread(s): {got} != {want}"
-                        );
-                    }
+            let mut window = DemandWindow::new(&fleet, interval, horizon);
+            for k in 0..case.ticks {
+                let t = SimTime::ZERO + interval * k;
+                let row = window.row(t);
+                prop_assert_eq!(row.len(), fleet.len());
+                for (i, &got) in row.iter().enumerate() {
+                    let cap = fleet.vm_specs()[i].cpu_cap_cores();
+                    let want = if lifetimes[i].is_active(t) {
+                        traces[i].at(t) * cap
+                    } else {
+                        0.0
+                    };
+                    prop_assert!(
+                        got.to_bits() == want.to_bits(),
+                        "vm {i} at tick {k}: {got} != {want}"
+                    );
                 }
             }
             Ok(())

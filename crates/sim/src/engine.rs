@@ -229,11 +229,6 @@ pub struct DatacenterSim {
     s_migration: SpanName,
     s_power: SpanName,
     peak_queue_len: usize,
-    /// Worker-thread count for the sharded per-tick paths (demand fill,
-    /// demand serve, power scan, observation fill, candidate scoring).
-    /// `1` runs the one shard on the calling thread; any count yields
-    /// bit-identical reports.
-    threads: usize,
     /// Reusable per-tick buffers: the demand vector, the demand outcome,
     /// and the manager observation, sized to the fleet on the first tick
     /// (the resizes after it are no-ops). Every tick overwrites each
@@ -338,7 +333,6 @@ impl DatacenterSim {
             s_migration,
             s_power,
             peak_queue_len: 0,
-            threads: 1,
             demand_buf: Vec::new(),
             outcome_buf: DemandOutcome::default(),
             obs_buf: ClusterObservation::default(),
@@ -399,25 +393,6 @@ impl DatacenterSim {
         self.failures = failures;
     }
 
-    /// Sets the worker-thread count for the deterministic sharded tick
-    /// engine and forwards it to the cluster's demand/power paths and the
-    /// managers' prediction/consolidation scoring. `1` (the default) runs
-    /// every shard loop as one shard on the calling thread; any count
-    /// produces a bit-identical [`SimReport`], because shard boundaries
-    /// are a pure function of the fleet size and every floating-point
-    /// reduction stays on the calling thread in index order. The count is
-    /// honored exactly — it is never capped by the machine's core count —
-    /// so determinism tests can exercise the sharded paths anywhere.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        self.cluster.set_threads(self.threads);
-        if let Some(control) = &mut self.control {
-            for m in &mut control.schedulers {
-                m.set_threads(self.threads);
-            }
-        }
-    }
-
     /// Re-partitions the control plane before the run: `schedulers`
     /// planner replicas over fixed contiguous host partitions, remote
     /// partitions observed `staleness` control rounds late, and plans
@@ -454,11 +429,6 @@ impl DatacenterSim {
         control.partitions = pool::shard_ranges(num_hosts, schedulers);
         control.staleness = staleness;
         control.latency = latency;
-    }
-
-    /// The worker-thread count (see [`set_threads`](Self::set_threads)).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Enables per-host power traces (memory-heavy; off by default).
@@ -806,8 +776,7 @@ impl DatacenterSim {
         // 1. Demand update, through the reusable tick buffers.
         self.tracer.enter(self.s_demand);
         self.demand_buf.clear();
-        self.demand_buf
-            .extend_from_slice(self.demand.row(self.threads, now));
+        self.demand_buf.extend_from_slice(self.demand.row(now));
         self.cluster
             .apply_demand_into(now, &self.demand_buf, &mut self.outcome_buf);
         self.collector
@@ -1028,39 +997,39 @@ impl DatacenterSim {
     /// tick's demand update — the zero-alloc replacement for collecting
     /// fresh host/VM vectors every round.
     ///
-    /// Host workers overwrite disjoint contiguous spans of the host
-    /// observations through a [`cluster::ClusterShardView`] (the
-    /// `Cluster` itself is not `Sync`). The VM side is copied column by
-    /// column: hosts from the placement map, and the demand column is
-    /// the tick's own `demand_buf`, swapped in rather than re-evaluated.
-    /// No cross-element reduction happens here, so the observation — and
-    /// hence the whole run — is bit-identical at any thread count.
+    /// The VM side is copied column by column: hosts from the placement
+    /// map, and the demand column is the tick's own `demand_buf`,
+    /// swapped in rather than re-evaluated.
     fn fill_observation(&mut self, now: SimTime, obs: &mut ClusterObservation) {
-        obs.now = now;
-        obs.hosts
-            .resize_with(self.cluster.num_hosts(), HostObservation::default);
-        let view = self.cluster.shard_view();
+        let cluster = &self.cluster;
         let host_demand = &self.outcome_buf.host_demand_cores;
-        pool::fill(self.threads, &mut obs.hosts, |i| {
-            let h = &view.hosts()[i];
-            HostObservation {
-                id: h.id(),
-                state: h.power_state(),
-                pending: h.power().pending().map(|(kind, _)| kind),
-                cpu_capacity: h.capacity().cpu_cores,
-                mem_capacity: h.capacity().mem_gb,
-                mem_committed: view.mem_committed_gb(h.id()),
-                cpu_demand: host_demand[i],
-                evacuated: view.is_evacuated(h.id()),
-                failed_transitions: h.power().failed_transitions(),
-                ladder: h.ladder(),
-            }
-        });
+        obs.now = now;
+        obs.hosts.clear();
+        obs.hosts.extend(
+            cluster
+                .hosts()
+                .iter()
+                .enumerate()
+                .map(|(i, h)| HostObservation {
+                    id: h.id(),
+                    state: h.power_state(),
+                    pending: h.power().pending().map(|(kind, _)| kind),
+                    cpu_capacity: h.capacity().cpu_cores,
+                    mem_capacity: h.capacity().mem_gb,
+                    mem_committed: cluster.mem_committed_gb(h.id()),
+                    cpu_demand: host_demand[i],
+                    evacuated: cluster.is_evacuated(h.id()),
+                    failed_transitions: h.power().failed_transitions(),
+                    ladder: h.ladder(),
+                }),
+        );
         obs.vms.refill(
-            view.vm_hosts(),
+            cluster.vm_hosts(),
             &mut self.demand_buf,
-            view.vm_specs(),
-            (0..view.vm_specs().len()).map(|i| view.is_migrating(VmId(i as u32))),
+            cluster.vm_specs(),
+            cluster
+                .vm_ids()
+                .map(|vm| cluster.migration_of(vm).is_some()),
         );
     }
 }
@@ -1586,47 +1555,40 @@ mod tests {
         // taken just before the tick, at the tick's time.
         let s = Scenario::datacenter_churn(8, 48, 0.5, 11);
         let horizon = SimDuration::from_hours(2);
-        for threads in [1, 2] {
-            let mut sim = DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                SimDuration::from_secs(5),
-                horizon,
-            )
-            .unwrap();
-            sim.set_failure_model(FailureModel::new(0.2, 0.2).with_migration_failures(0.2));
-            sim.set_threads(threads);
-            let end = SimTime::ZERO + horizon;
-            let (mut rounds, mut inactive, mut unplaced, mut migrating) = (0, 0, 0, 0);
-            while let Some((now, event)) = sim.next_event(end) {
-                // Nothing between popping a control event and observing
-                // moves a VM, so the cluster here is the one observed.
-                let naive: Option<Vec<VmObservation>> = (event == Event::Control).then(|| {
-                    (0..s.fleet().len())
-                        .map(|i| naive_vm(&sim, &s, i, now))
-                        .collect()
-                });
-                sim.handle(now, event, end).unwrap();
-                let Some(naive) = naive else { continue };
-                let obs = &sim.obs_buf;
-                assert_eq!(obs.now, now);
-                assert_eq!(obs.vms.len(), naive.len());
-                for (i, want) in naive.iter().enumerate() {
-                    assert_eq!(
-                        obs.vms.get(i).as_ref(),
-                        Some(want),
-                        "vm {i} at {now:?}, {threads} thread(s)"
-                    );
-                    inactive += usize::from(!s.fleet().lifetimes().lifetimes()[i].is_active(now));
-                    unplaced += usize::from(want.host.is_none());
-                    migrating += usize::from(want.migrating);
-                }
-                rounds += 1;
+        let mut sim = DatacenterSim::new(
+            &s,
+            Some(manager(PowerPolicy::reactive_suspend(), &s)),
+            SimDuration::from_secs(5),
+            horizon,
+        )
+        .unwrap();
+        sim.set_failure_model(FailureModel::new(0.2, 0.2).with_migration_failures(0.2));
+        let end = SimTime::ZERO + horizon;
+        let (mut rounds, mut inactive, mut unplaced, mut migrating) = (0, 0, 0, 0);
+        while let Some((now, event)) = sim.next_event(end) {
+            // Nothing between popping a control event and observing
+            // moves a VM, so the cluster here is the one observed.
+            let naive: Option<Vec<VmObservation>> = (event == Event::Control).then(|| {
+                (0..s.fleet().len())
+                    .map(|i| naive_vm(&sim, &s, i, now))
+                    .collect()
+            });
+            sim.handle(now, event, end).unwrap();
+            let Some(naive) = naive else { continue };
+            let obs = &sim.obs_buf;
+            assert_eq!(obs.now, now);
+            assert_eq!(obs.vms.len(), naive.len());
+            for (i, want) in naive.iter().enumerate() {
+                assert_eq!(obs.vms.get(i).as_ref(), Some(want), "vm {i} at {now:?}");
+                inactive += usize::from(!s.fleet().lifetimes().lifetimes()[i].is_active(now));
+                unplaced += usize::from(want.host.is_none());
+                migrating += usize::from(want.migrating);
             }
-            assert_eq!(rounds, 2 * 720 + 1);
-            assert!(inactive > 0, "no inactive VM was observed");
-            assert!(unplaced > 0, "no unplaced VM was observed");
-            assert!(migrating > 0, "no migrating VM was observed");
+            rounds += 1;
         }
+        assert_eq!(rounds, 2 * 720 + 1);
+        assert!(inactive > 0, "no inactive VM was observed");
+        assert!(unplaced > 0, "no unplaced VM was observed");
+        assert!(migrating > 0, "no migrating VM was observed");
     }
 }

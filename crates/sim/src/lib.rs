@@ -11,8 +11,8 @@
 //! * [`Scenario`] — a reproducible world: host fleet + VM fleet + seed.
 //! * [`Experiment`] — scenario × policy × horizon (*what* to simulate).
 //! * [`SimulationBuilder`] — the single entry point that validates and
-//!   runs an experiment (*how*: threads, profiling, cluster capture,
-//!   analytic DVFS mode) and produces a [`SimOutput`].
+//!   runs an experiment (*how*: profiling, cluster capture, analytic
+//!   DVFS mode) and produces a [`SimOutput`].
 //! * [`DatacenterSim`] — the underlying event loop, for callers that need
 //!   custom instrumentation.
 //! * [`sweeps::SweepBuilder`] — the one sweep engine: axis values ×

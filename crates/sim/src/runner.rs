@@ -14,8 +14,8 @@ use crate::{DatacenterSim, FailureModel, Scenario, SimError, SimReport};
 /// A configured simulation run: scenario × policy × horizon.
 ///
 /// `Experiment` describes *what* to simulate; hand it to
-/// [`crate::SimulationBuilder`] to choose *how* to run it (thread count,
-/// profiling, cluster capture) and to execute. The builder is the only
+/// [`crate::SimulationBuilder`] to choose *how* to run it (profiling,
+/// cluster capture) and to execute. The builder is the only
 /// entry point — the legacy `Experiment::run*` shims were removed after
 /// their one-release deprecation window.
 ///
@@ -289,7 +289,7 @@ impl Experiment {
         let mut hosts_on = simcore::TimeSeries::new();
         let mut util_acc = simcore::Welford::new();
         while t <= end {
-            let demand: f64 = window.row(1, t).iter().sum();
+            let demand: f64 = window.row(t).iter().sum();
             let fleet_util = (demand / total_cap).clamp(0.0, 1.0);
             util_acc.push(fleet_util);
             collector.record_latency_sample(fleet_util, demand);
@@ -365,7 +365,7 @@ impl Experiment {
         let mut hosts_on = simcore::TimeSeries::new();
         let mut util_acc = simcore::Welford::new();
         while t <= end {
-            let demand: f64 = window.row(1, t).iter().sum();
+            let demand: f64 = window.row(t).iter().sum();
             // Take the shortest efficient prefix that fits the demand.
             let mut n = 0usize;
             let mut cap_sum = 0.0;

@@ -33,6 +33,8 @@ pub enum ParseTraceError {
     },
     /// The file contained no samples.
     Empty,
+    /// The sample step was zero.
+    ZeroStep,
 }
 
 impl fmt::Display for ParseTraceError {
@@ -45,6 +47,7 @@ impl fmt::Display for ParseTraceError {
                 write!(f, "line {line}: sample {value} outside [0, 1]")
             }
             ParseTraceError::Empty => write!(f, "trace file contains no samples"),
+            ParseTraceError::ZeroStep => write!(f, "trace sample step must be non-zero"),
         }
     }
 }
@@ -55,7 +58,8 @@ impl Error for ParseTraceError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseTraceError`] naming the first offending line.
+/// Returns [`ParseTraceError`] naming the first offending line, or
+/// [`ParseTraceError::ZeroStep`] for a zero `step`.
 ///
 /// # Example
 ///
@@ -69,6 +73,9 @@ impl Error for ParseTraceError {}
 /// # Ok::<(), workload::io::ParseTraceError>(())
 /// ```
 pub fn parse_trace_csv(text: &str, step: SimDuration) -> Result<DemandTrace, ParseTraceError> {
+    if step.is_zero() {
+        return Err(ParseTraceError::ZeroStep);
+    }
     let mut samples = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
@@ -142,6 +149,13 @@ mod tests {
             parse_trace_csv("# only comments\n", SimDuration::from_mins(1)).unwrap_err(),
             ParseTraceError::Empty
         );
+    }
+
+    #[test]
+    fn rejects_a_zero_step() {
+        let e = parse_trace_csv("0.5\n", SimDuration::ZERO).unwrap_err();
+        assert_eq!(e, ParseTraceError::ZeroStep);
+        assert!(e.to_string().contains("non-zero"), "{e}");
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //! # Quickstart
 //!
 //! An [`sim::Experiment`] describes *what* to simulate; the
-//! [`sim::SimulationBuilder`] decides *how* to run it (worker threads,
-//! profiling, cluster capture) and validates the whole configuration
-//! before anything executes:
+//! [`sim::SimulationBuilder`] decides *how* to run it (profiling, cluster
+//! capture) and validates the whole configuration before anything
+//! executes:
 //!
 //! ```
 //! use agilepm::sim::{Experiment, Scenario, SimulationBuilder};

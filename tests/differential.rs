@@ -7,11 +7,9 @@
 //!
 //! * incremental vs `Scan` cluster accounting (PR 2's speedup);
 //! * `Indexed` vs `Scan` consolidation planning (the bucket-index
-//!   speedup), including failure-injected and sharded-thread variants
-//!   — the work counters that measure *how* each mode searched are
-//!   mode-variant by design and are compared structurally instead;
-//! * the tick engine at 1 vs 2, 4, and 8 worker threads (the
-//!   deterministic-sharding contract);
+//!   speedup), including a failure-injected variant — the work counters
+//!   that measure *how* each mode searched are mode-variant by design
+//!   and are compared structurally instead;
 //! * one scheduler over a fresh view vs any view staleness, and a lone
 //!   scheduler never conflicting with itself at commit;
 //! * pooled (`SweepBuilder::scale`) vs serial sweep execution;
@@ -262,62 +260,6 @@ fn indexed_planning_matches_scan_under_fault_injection() {
 }
 
 #[test]
-fn indexed_planning_matches_scan_on_the_sharded_engine() {
-    // Index maintenance lives on the control path, which stays serial
-    // even under the sharded tick engine — but the sharded scan path
-    // merges per-shard minima, so prove the index reproduces *that*
-    // ordering too.
-    check::check_cases(
-        "Indexed == Scan planning, 4 worker threads",
-        32,
-        &experiment_spec(),
-        |spec| {
-            let scenario = spec.scenario.build();
-            let run = |mode: PlanMode| {
-                SimulationBuilder::new(spec.experiment().plan_mode(mode).record_events())
-                    .threads(4)
-                    .run_report()
-                    .map_err(|e| format!("{spec:?}: {} run failed: {e:?}", mode.label()))
-            };
-            let indexed = run(PlanMode::Indexed)?;
-            let scan = run(PlanMode::Scan)?;
-            assert_plan_modes_equivalent(&scenario, &indexed, &scan, "indexed-vs-scan-sharded")
-        },
-    );
-}
-
-#[test]
-fn sharded_engine_matches_serial() {
-    // The deterministic-sharding contract: the same experiment at 2, 4,
-    // and 8 worker threads must produce a report bit-identical to the
-    // one-thread engine's — sharding may change wall-clock, never physics.
-    check::check(
-        "sharded == serial tick engine",
-        &experiment_spec(),
-        |spec| {
-            let scenario = spec.scenario.build();
-            let run = |threads: usize| {
-                SimulationBuilder::new(spec.experiment().record_events())
-                    .threads(threads)
-                    .run_report()
-                    .map_err(|e| format!("{spec:?}: {threads}-thread run failed: {e:?}"))
-            };
-            let serial = run(1)?;
-            for threads in [2, 4, 8] {
-                let sharded = run(threads)?;
-                assert_equivalent(
-                    &scenario,
-                    &serial,
-                    &sharded,
-                    &format!("serial-vs-{threads}-threads"),
-                )?;
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
 fn pooled_sweep_matches_serial_loop() {
     // SweepBuilder::scale dispatches the (size, policy) grid through
     // the bounded worker pool; the result must equal running the same
@@ -401,13 +343,12 @@ fn span_tracer_does_not_perturb_the_simulation() {
     // enabled must produce a report bit-identical to one with the
     // tracer off. The report embeds the metrics snapshot — including
     // the deterministic `work.*` op-counters — so this also proves the
-    // counters are tracer-independent, and the accounting/sharding
-    // pairs above prove them mode- and thread-independent.
+    // counters are tracer-independent, and the accounting pair above
+    // proves them mode-independent.
     check::check("tracer on == tracer off", &experiment_spec(), |spec| {
         let scenario = spec.scenario.build();
         let run = |profiling: bool| {
             SimulationBuilder::new(spec.experiment().record_events())
-                .threads(check_support::sim_threads())
                 .profiling(profiling)
                 .run_report()
                 .map_err(|e| format!("{spec:?}: profiling={profiling} run failed: {e:?}"))
@@ -473,26 +414,6 @@ fn joint_ladder_at_s3_slo_degenerates_to_reactive_suspend() {
 }
 
 #[test]
-fn joint_ladder_degeneracy_holds_on_the_sharded_engine() {
-    check::check_cases(
-        "JointLadder(12s) == PM-Suspend(S3), 4 worker threads",
-        32,
-        &experiment_spec(),
-        |spec| {
-            let run = |policy: PowerPolicy| {
-                SimulationBuilder::new(spec.experiment().policy(policy).record_events())
-                    .threads(4)
-                    .run_report()
-                    .map_err(|e| format!("{spec:?}: run failed: {e:?}"))
-            };
-            let ladder = run(PowerPolicy::joint_ladder(SimDuration::from_secs(12)))?;
-            let suspend = run(PowerPolicy::reactive_suspend())?;
-            assert_ladder_degenerates(spec, &ladder, &suspend, "ladder-vs-suspend-sharded")
-        },
-    );
-}
-
-#[test]
 fn policy_ladder_orders_energy_on_generated_diurnal_worlds() {
     // Oracle <= managed <= always-on, on worlds where consolidation has
     // something to harvest (the diurnal mix over a full day).
@@ -528,28 +449,25 @@ fn policy_ladder_orders_energy_on_generated_diurnal_worlds() {
 fn check_lone_scheduler_commits_everything(
     spec: &ExperimentSpec,
     failures: Option<&FailureSpec>,
-    threads: usize,
 ) -> Result<(), String> {
     let scenario = spec.scenario.build();
     let mut experiment = spec.experiment().schedulers(1).record_events();
     if let Some(failures) = failures {
         experiment = experiment.failure_model(failures.build());
     }
-    let report = SimulationBuilder::new(experiment)
-        .threads(threads)
-        .run_report()
-        .map_err(|e| format!("{spec:?}/{failures:?}: {threads}-thread run failed: {e:?}"))?;
+    let report = check_support::run_experiment(experiment)
+        .map_err(|e| format!("{spec:?}/{failures:?}: run failed: {e:?}"))?;
     check_report(&scenario, &report)?;
     let c = |name: &str| report.metrics.counter(name);
     check::prop_assert_eq!(
         c("work.commit.rejected"),
         0,
-        "{spec:?}/{failures:?}: a lone scheduler rejected its own commit on {threads} thread(s)"
+        "{spec:?}/{failures:?}: a lone scheduler rejected its own commit"
     );
     check::prop_assert_eq!(
         c("work.commit.planned"),
         c("work.commit.accepted"),
-        "{spec:?}/{failures:?}: a lone scheduler lost planned actions on {threads} thread(s)"
+        "{spec:?}/{failures:?}: a lone scheduler lost planned actions"
     );
     Ok(())
 }
@@ -559,7 +477,7 @@ fn lone_scheduler_never_conflicts_with_itself() {
     check::check(
         "lone scheduler never conflicts",
         &experiment_spec(),
-        |spec| check_lone_scheduler_commits_everything(spec, None, 1),
+        |spec| check_lone_scheduler_commits_everything(spec, None),
     );
 }
 
@@ -572,19 +490,7 @@ fn lone_scheduler_never_conflicts_under_fault_injection() {
     check::check(
         "lone scheduler never conflicts under faults",
         &input,
-        |(spec, failures)| check_lone_scheduler_commits_everything(spec, Some(failures), 1),
-    );
-}
-
-#[test]
-fn lone_scheduler_never_conflicts_on_the_sharded_engine() {
-    // The control plane sits on the serial control path; the sharded
-    // tick engine underneath must not be observable through it.
-    let input = experiment_spec().zip(&failure_spec(499));
-    check::check(
-        "lone scheduler never conflicts, 4 worker threads",
-        &input,
-        |(spec, failures)| check_lone_scheduler_commits_everything(spec, Some(failures), 4),
+        |(spec, failures)| check_lone_scheduler_commits_everything(spec, Some(failures)),
     );
 }
 

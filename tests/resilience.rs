@@ -184,7 +184,6 @@ fn joint_ladder_survives_fault_injection() {
                     .failure_model(failures.build())
                     .record_events(),
             )
-            .threads(check_support::sim_threads())
             .capture_cluster(true)
             .build()
             .map_err(|e| format!("{spec:?}: build failed: {e:?}"))?
