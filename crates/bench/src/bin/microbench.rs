@@ -5,27 +5,16 @@
 //! microbench`. Numbers are best-of-N per [`bench::microbench::time`].
 
 use agile_core::PowerPolicy;
-use cluster::AccountingMode;
 use dcsim::{Experiment, Scenario, SimulationBuilder};
 use obs::SpanTracer;
 use workload::DemandTrace;
 
 fn main() {
-    // The composed steady-state loop: a full simulated day at 64 hosts,
-    // incremental accounting vs the O(hosts × VMs) scan reference.
+    // The composed steady-state loop: a full simulated day at 64 hosts.
     let scenario = Scenario::datacenter(64, 384, bench::SEED);
-    bench::microbench::time("sim_day_64hosts_incremental", 1, 5, || {
+    bench::microbench::time("sim_day_64hosts", 1, 5, || {
         SimulationBuilder::new(
             Experiment::new(scenario.clone()).policy(PowerPolicy::reactive_suspend()),
-        )
-        .run_report()
-        .expect("sim run failed")
-    });
-    bench::microbench::time("sim_day_64hosts_scan_reference", 1, 5, || {
-        SimulationBuilder::new(
-            Experiment::new(scenario.clone())
-                .policy(PowerPolicy::reactive_suspend())
-                .accounting(AccountingMode::Scan),
         )
         .run_report()
         .expect("sim run failed")

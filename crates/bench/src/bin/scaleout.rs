@@ -12,7 +12,6 @@
 use std::time::Instant;
 
 use agile_core::{PlanMode, PowerPolicy};
-use cluster::AccountingMode;
 use dcsim::{Experiment, Scenario, SimulationBuilder};
 use obs::{Json, SpanSummary};
 use simcore::percentile;
@@ -28,10 +27,11 @@ const BEFORE: &[(usize, f64, u64)] = &[
     (4096, 12.7, 126_300),
 ];
 
-/// Largest size at which the run is repeated in [`AccountingMode::Scan`]
-/// to cross-check the incremental report (the scan reference costs
-/// O(hosts × VMs) per tick, so very large sizes skip it — the
-/// `determinism` integration test covers the semantics).
+/// Largest size at which the run is repeated with [`PlanMode::Scan`] to
+/// cross-check the indexed planner's report (the scan planner sweeps
+/// the whole fleet per decision, so very large sizes skip it — the
+/// differential suite's `indexed_planning_matches_scan_reference`
+/// covers the semantics).
 const VERIFY_SCAN_MAX_HOSTS: usize = 1024;
 
 /// One measured run at a given cluster size.
@@ -46,8 +46,8 @@ struct Row {
     wall_secs_max: f64,
     ticks_per_sec: f64,
     peak_rss_kb: u64,
-    /// Ticks/sec of the scan-reference rerun (scan accounting AND scan
-    /// planning), when it was performed — its report, with the
+    /// Ticks/sec of the scan-planner reference rerun, when it was
+    /// performed — its report, with the
     /// mode-variant search-cost counters dropped, must match
     /// bit-for-bit or the bench aborts.
     scan_ticks_per_sec: Option<f64>,
@@ -242,16 +242,14 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
     let report = first.expect("at least one repeat");
     let ticks = report.horizon.as_millis() / step.as_millis() + 1;
 
-    // Rerun against the O(n)-scan references (scan accounting and scan
-    // planning) and require a bit-identical report — both optimizations
-    // must be unobservable. The counters that measure *how* each plan
-    // mode searched are mode-variant by design and are dropped from the
-    // comparison.
+    // Rerun against the scan planner and require a bit-identical
+    // report — the bucket index must be unobservable. The counters that
+    // measure *how* each plan mode searched are mode-variant by design
+    // and are dropped from the comparison.
     let scan_ticks_per_sec = (hosts <= VERIFY_SCAN_MAX_HOSTS).then(|| {
         let exp = plane(
             Experiment::new(scenario)
                 .policy(policy)
-                .accounting(AccountingMode::Scan)
                 .plan_mode(PlanMode::Scan),
         );
         let t0 = Instant::now();
@@ -274,7 +272,7 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
         assert_eq!(
             strip(&report),
             strip(&scan_report),
-            "incremental/indexed vs scan reports diverged at {hosts} hosts"
+            "indexed vs scan planning reports diverged at {hosts} hosts"
         );
         ticks as f64 / scan_wall
     });

@@ -11,25 +11,6 @@ use crate::{
     ServiceClass, VmId, VmSpec,
 };
 
-/// How the cluster maintains its aggregate accounting (total power,
-/// operational capacity/count, per-host committed memory).
-///
-/// `Incremental` keeps running values updated at power and placement
-/// transitions so steady-state queries are O(1); `Scan` recomputes from
-/// first principles on every query. Both modes produce bit-identical
-/// results — the incremental caches are revalidated with the *same*
-/// index-order folds the scans use, and debug builds cross-check every
-/// incremental read against a scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccountingMode {
-    /// O(1) running totals and lazily-revalidated caches (the default).
-    #[default]
-    Incremental,
-    /// Full rescans on every query — the reference the incremental path
-    /// is checked against (see `crates/sim/tests/determinism.rs`).
-    Scan,
-}
-
 /// Reusable scratch for [`Cluster::apply_demand_into`]: the per-host
 /// interactive/batch demand splits and the migration-tax vector. Owned by
 /// the cluster so steady-state ticks allocate nothing after the first.
@@ -81,6 +62,10 @@ pub struct DemandOutcome {
 /// [`ClusterError`] on violation, so management policies cannot corrupt
 /// the physical model (e.g. suspending a host that still runs VMs).
 ///
+/// Aggregates (power, capacity, committed memory, most-free host) are
+/// kept incrementally; debug builds check every read against the
+/// accessor's private `scan_*` fold.
+///
 /// See the [crate-level example](crate) for basic usage.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -96,11 +81,9 @@ pub struct Cluster {
     migrations_completed: u64,
     migrations_failed: u64,
     migration_busy_secs: f64,
-    accounting: AccountingMode,
     /// Incrementally-maintained total-power aggregate: a fixed-shape
     /// pairwise tree whose root is bitwise equal to [`pairwise_sum`] over
-    /// the per-host draws, which is exactly what the scan reference
-    /// computes — so reads stay bit-identical to [`AccountingMode::Scan`].
+    /// the per-host draws, which is exactly what the scan fold computes.
     /// Single-host transitions refresh one leaf in O(log hosts); the
     /// per-tick demand sweep (which rewrites every operational host's
     /// draw) marks the whole tree stale instead, and the next read
@@ -133,8 +116,8 @@ pub struct Cluster {
     in_flight_migrations: usize,
     /// Deterministic count of cache invalidations (dirty marks) at
     /// mutation sites. Counted where state *changes* — never at the
-    /// read-and-clear revalidation sites, which fire on a mode-dependent
-    /// schedule — so the count is identical across accounting modes.
+    /// read-and-clear revalidation sites, which fire whenever a reader
+    /// happens to look — so the count is a pure function of the scenario.
     /// The per-tick demand sweep charges one mark per operational host
     /// (every such host's utilization is rewritten), which makes
     /// `dirty_marks` an upper bound on how many hosts a change-driven
@@ -182,7 +165,6 @@ impl Cluster {
             migrations_completed: 0,
             migrations_failed: 0,
             migration_busy_secs: 0.0,
-            accounting: AccountingMode::default(),
             power_tree: RefCell::new(SumTree::new()),
             power_stale: Cell::new(true),
             free_tree: RefCell::new(ArgmaxTree::default()),
@@ -197,27 +179,10 @@ impl Cluster {
         }
     }
 
-    /// Switches between incremental and scan-based accounting. Both modes
-    /// are bit-identical by construction; `Scan` exists as the reference
-    /// for determinism tests and debugging.
-    pub fn set_accounting_mode(&mut self, mode: AccountingMode) {
-        self.accounting = mode;
-        self.power_stale.set(true);
-        self.free_stale.set(true);
-        self.cap_dirty.set(true);
-        self.dirty_marks += 2;
-    }
-
     /// Deterministic count of cache invalidations performed so far (see
-    /// the `dirty_marks` field): a pure function of the scenario,
-    /// identical across accounting modes.
+    /// the `dirty_marks` field): a pure function of the scenario.
     pub fn dirty_marks(&self) -> u64 {
         self.dirty_marks
-    }
-
-    /// The accounting mode in use.
-    pub fn accounting_mode(&self) -> AccountingMode {
-        self.accounting
     }
 
     // ----- accessors -------------------------------------------------
@@ -361,21 +326,20 @@ impl Cluster {
             .collect()
     }
 
-    /// Number of hosts currently in the `On` state — O(1) under
-    /// incremental accounting (prefer this over
-    /// `operational_hosts().len()` in per-tick code).
+    /// Number of hosts currently in the `On` state — O(1) (prefer this
+    /// over `operational_hosts().len()` in per-tick code).
     pub fn num_operational_hosts(&self) -> usize {
-        match self.accounting {
-            AccountingMode::Scan => self.hosts.iter().filter(|h| h.is_operational()).count(),
-            AccountingMode::Incremental => {
-                debug_assert_eq!(
-                    self.on_count,
-                    self.hosts.iter().filter(|h| h.is_operational()).count(),
-                    "operational-host running count drifted"
-                );
-                self.on_count
-            }
-        }
+        debug_assert_eq!(
+            self.on_count,
+            self.scan_num_operational_hosts(),
+            "operational-host running count drifted"
+        );
+        self.on_count
+    }
+
+    /// Scan fold for [`num_operational_hosts`](Self::num_operational_hosts).
+    fn scan_num_operational_hosts(&self) -> usize {
+        self.hosts.iter().filter(|h| h.is_operational()).count()
     }
 
     /// Ids of hosts currently in `state`.
@@ -394,22 +358,17 @@ impl Cluster {
     ///
     /// Panics if `host` is out of range.
     pub fn mem_committed_gb(&self, host: HostId) -> f64 {
-        match self.accounting {
-            AccountingMode::Scan => self.scan_mem_committed_gb(host),
-            AccountingMode::Incremental => {
-                let v = self.host_mem_committed[host.index()];
-                debug_assert!(
-                    (v - self.scan_mem_committed_gb(host)).abs() < 1e-6,
-                    "committed-memory running total drifted on host {host}: \
-                     running {v}, scan {}",
-                    self.scan_mem_committed_gb(host)
-                );
-                v
-            }
-        }
+        let v = self.host_mem_committed[host.index()];
+        debug_assert!(
+            (v - self.scan_mem_committed_gb(host)).abs() < 1e-6,
+            "committed-memory running total drifted on host {host}: \
+             running {v}, scan {}",
+            self.scan_mem_committed_gb(host)
+        );
+        v
     }
 
-    /// Scan-based reference for [`mem_committed_gb`](Self::mem_committed_gb):
+    /// Scan fold for [`mem_committed_gb`](Self::mem_committed_gb):
     /// O(VMs on host) + O(in-flight migrations).
     fn scan_mem_committed_gb(&self, host: HostId) -> f64 {
         // Folded from +0.0 (not `Iterator::sum`, whose -0.0 identity
@@ -463,7 +422,7 @@ impl Cluster {
         host
     }
 
-    /// Scan-based reference for [`most_free_host`](Self::most_free_host):
+    /// Scan fold for [`most_free_host`](Self::most_free_host):
     /// `max_by` keeps the last of equal maxima, the tree's tie rule.
     fn scan_most_free_host(&self, mem_gb: f64) -> Option<HostId> {
         self.hosts
@@ -633,12 +592,10 @@ impl Cluster {
         self.inbound[migration.to.index()] -= 1;
         self.placement.relocate(vm, migration.to);
         // The inbound reservation becomes the placed footprint on the
-        // destination (net zero there); the source gives the memory up.
+        // destination (net zero there, so its free-memory leaf stands);
+        // the source gives the memory up.
         self.host_mem_committed[migration.from.index()] -= self.vms[vm.index()].mem_gb();
-        // Both leaves: under scan accounting the destination's total is
-        // re-folded in a new order even though its net change is zero.
         self.note_free_changed(migration.from.index());
-        self.note_free_changed(migration.to.index());
         self.migrations_completed += 1;
         self.dirty_marks += 2;
         Ok(migration)
@@ -767,7 +724,7 @@ impl Cluster {
     /// change when the host crossed the `On` boundary.
     fn note_power_changed(&mut self, i: usize, was_on: bool) {
         self.dirty_marks += 1;
-        if self.accounting == AccountingMode::Incremental && !self.power_stale.get() {
+        if !self.power_stale.get() {
             let draw = self.hosts[i].power().power_w();
             self.power_tree.get_mut().set(i, draw);
         }
@@ -949,36 +906,29 @@ impl Cluster {
 
     /// Total cluster power draw right now, in watts.
     ///
-    /// Under incremental accounting the value is the root of a
-    /// fixed-shape pairwise tree: single-host transitions refresh one
-    /// leaf, the per-tick demand sweep marks the tree stale and the next
-    /// read rebuilds it. Both the rebuild and every point update
-    /// reproduce [`pairwise_sum`] over the per-host draws bit-for-bit —
-    /// the exact fold the scan reference performs — so both modes are
-    /// bit-identical.
+    /// The value is the root of a fixed-shape pairwise tree: single-host
+    /// transitions refresh one leaf, the per-tick demand sweep marks the
+    /// tree stale and the next read rebuilds it. Both the rebuild and
+    /// every point update reproduce [`pairwise_sum`] over the per-host
+    /// draws bit-for-bit — the exact fold of the scan check.
     pub fn total_power_w(&self) -> f64 {
-        match self.accounting {
-            AccountingMode::Scan => self.scan_total_power_w(),
-            AccountingMode::Incremental => {
-                if self.power_stale.get() {
-                    let hosts = &self.hosts;
-                    self.power_tree
-                        .borrow_mut()
-                        .rebuild(hosts.len(), |i| hosts[i].power().power_w());
-                    self.power_stale.set(false);
-                }
-                let v = self.power_tree.borrow().root();
-                debug_assert_eq!(
-                    v.to_bits(),
-                    self.scan_total_power_w().to_bits(),
-                    "stale total-power tree"
-                );
-                v
-            }
+        if self.power_stale.get() {
+            let hosts = &self.hosts;
+            self.power_tree
+                .borrow_mut()
+                .rebuild(hosts.len(), |i| hosts[i].power().power_w());
+            self.power_stale.set(false);
         }
+        let v = self.power_tree.borrow().root();
+        debug_assert_eq!(
+            v.to_bits(),
+            self.scan_total_power_w().to_bits(),
+            "stale total-power tree"
+        );
+        v
     }
 
-    /// Scan-based reference for [`total_power_w`](Self::total_power_w):
+    /// Scan fold for [`total_power_w`](Self::total_power_w):
     /// the fixed-shape [`pairwise_sum`] over per-host draws that the
     /// incremental tree maintains under point updates.
     fn scan_total_power_w(&self) -> f64 {
@@ -993,30 +943,25 @@ impl Cluster {
 
     /// Total aggregate CPU capacity of operational hosts, in cores.
     ///
-    /// Cached between power transitions under incremental accounting
-    /// (same bit-identical revalidation as
-    /// [`total_power_w`](Self::total_power_w)).
+    /// Cached between power transitions; a host crossing the `On`
+    /// boundary marks the cache dirty and the next read re-folds it.
     pub fn operational_capacity_cores(&self) -> f64 {
-        match self.accounting {
-            AccountingMode::Scan => self.scan_operational_capacity_cores(),
-            AccountingMode::Incremental => {
-                if self.cap_dirty.get() {
-                    self.cap_cache.set(self.scan_operational_capacity_cores());
-                    self.cap_dirty.set(false);
-                }
-                let v = self.cap_cache.get();
-                debug_assert_eq!(
-                    v.to_bits(),
-                    self.scan_operational_capacity_cores().to_bits(),
-                    "stale operational-capacity cache"
-                );
-                v
-            }
+        if self.cap_dirty.get() {
+            self.cap_cache.set(self.scan_operational_capacity_cores());
+            self.cap_dirty.set(false);
         }
+        let v = self.cap_cache.get();
+        debug_assert_eq!(
+            v.to_bits(),
+            self.scan_operational_capacity_cores().to_bits(),
+            "stale operational-capacity cache"
+        );
+        v
     }
 
-    /// Scan-based reference for
-    /// [`operational_capacity_cores`](Self::operational_capacity_cores).
+    /// Scan fold for
+    /// [`operational_capacity_cores`](Self::operational_capacity_cores)
+    /// (also the cache's revalidation).
     fn scan_operational_capacity_cores(&self) -> f64 {
         self.hosts
             .iter()
@@ -1357,41 +1302,63 @@ mod tests {
         assert_eq!(c.capacity_of(HostId(1)), Resources::new(8.0, 32.0));
     }
 
+    /// Compares every incremental read with its scan fold bitwise — what
+    /// the accessors' `debug_assert`s do, but in release test builds too.
+    fn probe(c: &Cluster, step: &str) {
+        let mut reads = vec![
+            (c.total_power_w(), c.scan_total_power_w()),
+            (
+                c.operational_capacity_cores(),
+                c.scan_operational_capacity_cores(),
+            ),
+            (
+                c.num_operational_hosts() as f64,
+                c.scan_num_operational_hosts() as f64,
+            ),
+        ];
+        reads.extend(
+            c.host_ids()
+                .map(|h| (c.mem_committed_gb(h), c.scan_mem_committed_gb(h))),
+        );
+        for (k, (read, scan)) in reads.into_iter().enumerate() {
+            assert_eq!(
+                read.to_bits(),
+                scan.to_bits(),
+                "{step}: read {k} {read} vs scan {scan}"
+            );
+        }
+        for mem_gb in [0.0, 8.0, 24.0, 33.0] {
+            let (read, scan) = (c.most_free_host(mem_gb), c.scan_most_free_host(mem_gb));
+            assert_eq!(read, scan, "{step}: most free host for {mem_gb} GB");
+        }
+    }
+
     /// Drives one cluster through placements, migrations, power cycles,
-    /// and demand in the given accounting mode; returns a fingerprint of
-    /// every aggregate query.
-    fn accounting_fingerprint(mode: AccountingMode) -> Vec<f64> {
+    /// and demand, checking every aggregate read against its scan fold
+    /// after each step.
+    #[test]
+    fn incremental_accounting_matches_scan_bitwise() {
         let mut c = small_cluster();
-        c.set_accounting_mode(mode);
-        let mut probes = Vec::new();
-        let mut probe = |c: &Cluster| {
-            probes.push(c.total_power_w());
-            probes.push(c.operational_capacity_cores());
-            probes.push(c.num_operational_hosts() as f64);
-            for h in c.host_ids() {
-                probes.push(c.mem_committed_gb(h));
-            }
-        };
         c.place(VmId(0), HostId(0)).unwrap();
         c.place(VmId(1), HostId(0)).unwrap();
         c.place(VmId(2), HostId(1)).unwrap();
-        probe(&c);
+        probe(&c, "placed");
         let done = c
             .begin_migration(VmId(2), HostId(0), SimTime::ZERO)
             .unwrap();
-        probe(&c);
+        probe(&c, "migration begun");
         c.apply_demand(SimTime::from_secs(1), &[1.5, 0.5, 1.0, 0.0, 0.0, 0.0]);
-        probe(&c);
+        probe(&c, "demand mid-migration");
         c.complete_migration(VmId(2), done).unwrap();
         c.unplace(VmId(1)).unwrap();
-        probe(&c);
+        probe(&c, "migration completed");
         let off = c
             .begin_power_transition(HostId(1), TransitionKind::Suspend, done)
             .unwrap();
-        probe(&c);
+        probe(&c, "suspend begun");
         c.complete_power_transition(HostId(1), off).unwrap();
         c.apply_demand(off, &[2.0, 0.0, 0.5, 0.0, 0.0, 0.0]);
-        probe(&c);
+        probe(&c, "suspended");
         let on = c
             .begin_power_transition(
                 HostId(1),
@@ -1400,18 +1367,7 @@ mod tests {
             )
             .unwrap();
         c.fail_power_transition(HostId(1), on).unwrap();
-        probe(&c);
-        probes
-    }
-
-    #[test]
-    fn incremental_accounting_matches_scan_bitwise() {
-        let incr = accounting_fingerprint(AccountingMode::Incremental);
-        let scan = accounting_fingerprint(AccountingMode::Scan);
-        assert_eq!(incr.len(), scan.len());
-        for (k, (a, b)) in incr.iter().zip(&scan).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "probe {k}: {a} vs {b}");
-        }
+        probe(&c, "failed resume");
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod placement;
 mod resources;
 mod vm;
 
-pub use cluster_impl::{AccountingMode, Cluster, DemandOutcome};
+pub use cluster_impl::{Cluster, DemandOutcome};
 pub use error::ClusterError;
 pub use host::{Host, HostSpec};
 pub use ids::{HostId, VmId};

@@ -47,8 +47,7 @@
 
 use obs::Json;
 
-/// Consolidation planner selection (scan sweep vs bucket index), the
-/// planning analogue of `cluster::AccountingMode`.
+/// Consolidation planner selection (scan sweep vs bucket index).
 ///
 /// Both modes produce bit-identical `SimReport`s; `Indexed` (the
 /// default, and the only production planner) replaces the per-decision

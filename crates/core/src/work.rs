@@ -3,8 +3,8 @@
 //! [`WorkCounters`] counts *work*, not time: candidate scans, trial
 //! evacuations, rollbacks, destination re-scores. Every field is a pure
 //! function of the scenario seed — no clocks, no thread interleaving —
-//! so the counters are bit-identical across incremental vs scan runs,
-//! and the differential suite verifies them the same way it verifies
+//! so the counters repeat exactly from run to run, and the
+//! differential suite verifies them the same way it verifies
 //! energy totals. They are the superlinearity evidence for indexed
 //! candidate structures: plot `candidates_scanned` against fleet size
 //! and the O(hosts) scan per drain pick is visible directly, without

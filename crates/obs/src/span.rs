@@ -21,7 +21,7 @@
 //! ([`SpanTracer::to_chrome_json`]) or collapsed-stack flamegraph text
 //! ([`SpanTracer::to_collapsed`]).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::time::{Duration, Instant};
 
 use crate::json::{Json, JsonError};
@@ -423,7 +423,8 @@ impl SpanSummary {
     /// # Errors
     ///
     /// Returns [`JsonError`] when required fields are missing or
-    /// mistyped.
+    /// mistyped, or when a span's `depth` is not the number of
+    /// `;`-separated segments in its `path`.
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
         let missing = |what: &str| JsonError {
             message: format!("span summary: missing {what}"),
@@ -447,10 +448,22 @@ impl SpanSummary {
             .ok_or_else(|| missing("`spans` array"))?;
         let mut spans = Vec::with_capacity(arr.len());
         for j in arr {
+            let path = text(j, "path")?;
+            let depth = field(j, "depth")?;
+            let segments = path.split(';').count();
+            let depth = u32::try_from(segments)
+                .ok()
+                .filter(|_| depth == segments as f64)
+                .ok_or_else(|| JsonError {
+                    message: format!(
+                        "span summary: `{path}` has {segments} segments but depth {depth}"
+                    ),
+                    offset: 0,
+                })?;
             spans.push(SpanStat {
-                path: text(j, "path")?,
+                path,
                 name: text(j, "name")?,
-                depth: field(j, "depth")? as u32,
+                depth,
                 calls: field(j, "calls")? as u64,
                 total_secs: field(j, "total_secs")?,
                 self_secs: field(j, "self_secs")?,
@@ -464,18 +477,24 @@ impl fmt::Display for SpanSummary {
     /// Indented attribution table: total, self, calls, and the share of
     /// the parent span's time each path accounts for.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The span column is padded by hand: a `{:width$}` argument
+        // panics past `u16::MAX`, which a parsed summary can reach.
+        let pad = |f: &mut fmt::Formatter<'_>, n: usize| (0..n).try_for_each(|_| f.write_char(' '));
+        let indent = |s: &SpanStat| 2 * (s.depth as usize - 1);
         writeln!(f, "wall-clock: {:.3} s", self.wall_secs)?;
         let width = self
             .spans
             .iter()
-            .map(|s| s.name.len() + 2 * (s.depth as usize - 1))
+            .map(|s| s.name.chars().count() + indent(s))
             .max()
             .unwrap_or(0)
             .max(4);
+        f.write_str("span")?;
+        pad(f, width - 4)?;
         writeln!(
             f,
-            "{:<width$}  {:>12} {:>12} {:>10} {:>9}",
-            "span", "total s", "self s", "calls", "% parent"
+            "  {:>12} {:>12} {:>10} {:>9}",
+            "total s", "self s", "calls", "% parent"
         )?;
         for s in &self.spans {
             let parent_total = match s.path.rfind(';') {
@@ -486,17 +505,13 @@ impl fmt::Display for SpanSummary {
                 Some(p) if p > 0.0 => format!("{:.1}", 100.0 * s.total_secs / p),
                 _ => "-".to_string(),
             };
+            pad(f, indent(s))?;
+            f.write_str(&s.name)?;
+            pad(f, width - indent(s) - s.name.chars().count())?;
             writeln!(
                 f,
-                "{:>indent$}{:<rest$}  {:>12.3} {:>12.3} {:>10} {:>9}",
-                "",
-                s.name,
-                s.total_secs,
-                s.self_secs,
-                s.calls,
-                share,
-                indent = 2 * (s.depth as usize - 1),
-                rest = width - 2 * (s.depth as usize - 1),
+                "  {:>12.3} {:>12.3} {:>10} {:>9}",
+                s.total_secs, s.self_secs, s.calls, share,
             )?;
         }
         Ok(())
@@ -591,6 +606,41 @@ mod tests {
         let table = summary.to_string();
         assert!(table.contains("% parent"), "{table}");
         assert!(table.contains("  scan"), "{table}");
+    }
+
+    fn one_span(path: &str, depth: f64) -> Result<SpanSummary, JsonError> {
+        SpanSummary::from_json(&Json::parse(&format!(
+            r#"{{"wall_secs":1,"spans":[{{"path":"{path}","name":"x","depth":{depth},"calls":1,"total_secs":0.5,"self_secs":0.5}}]}}"#
+        ))?)
+    }
+
+    #[test]
+    fn depth_must_count_the_path_segments() {
+        let bad = [
+            ("a", 0.0),
+            ("a", 2.0),
+            ("a;b", 1.0),
+            ("a", 1.5),
+            ("a", 1e30),
+        ];
+        for (path, depth) in bad {
+            // An accepted depth 0 would underflow the table's indent.
+            let err = one_span(path, depth).map(|s| s.to_string()).unwrap_err();
+            assert!(
+                err.message.contains("segments"),
+                "`{path}` at {depth}: {err}"
+            );
+        }
+        let table = one_span("a;b", 2.0).unwrap().to_string();
+        assert!(table.contains("\n  x "), "{table}");
+    }
+
+    #[test]
+    fn deep_spans_render_past_the_format_width_limit() {
+        let depth = 40_000;
+        let path = vec!["a"; depth].join(";");
+        let table = one_span(&path, depth as f64).unwrap().to_string();
+        assert!(table.lines().skip(1).all(|l| l.len() > 2 * (depth - 1)));
     }
 
     #[test]

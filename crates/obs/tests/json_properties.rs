@@ -167,3 +167,40 @@ fn error_offsets_are_in_bounds() {
         },
     );
 }
+
+/// For any span array — paths of 1–4 segments, depths often wrong
+/// (zero, negative, fractional, huge or NaN) — `SpanSummary::from_json`
+/// either rejects it or yields a summary whose table renders.
+#[test]
+fn parsed_span_summaries_always_render() {
+    let path = vec_of(&one_of(vec!["plan", "a", "", "é→"]), 1..=4).map(|s| s.join(";"));
+    let depth = choice(vec![
+        i64_in(-2..=6).map(Json::Int),
+        one_of(vec![1.5, 1e30, f64::NAN]).map(Json::Num),
+        constant(Json::Int(i64::MAX)),
+    ]);
+    let span = path
+        .zip(&json_string())
+        .zip(&depth)
+        .map(|((path, name), depth)| {
+            Json::obj([
+                ("path", Json::Str(path)),
+                ("name", Json::Str(name)),
+                ("depth", depth),
+                ("calls", Json::Int(1)),
+                ("total_secs", Json::Num(0.5)),
+                ("self_secs", Json::Num(0.5)),
+            ])
+        });
+    let input = vec_of(&span, 0..=6).zip(&f64_in(0.0, 10.0));
+    check::check("span summary parse/render safe", &input, |(spans, wall)| {
+        let json = Json::obj([
+            ("wall_secs", Json::Num(*wall)),
+            ("spans", Json::Array(spans.clone())),
+        ]);
+        if let Ok(summary) = obs::SpanSummary::from_json(&json) {
+            prop_assert_eq!(summary.to_string().lines().count(), spans.len() + 2);
+        }
+        Ok(())
+    });
+}

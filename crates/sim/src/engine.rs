@@ -7,7 +7,7 @@ use agile_core::{
     schedview, ClusterObservation, HostObservation, ManagementAction, PlacementFacts,
     PlacementStore, RoundStats, VirtManager,
 };
-use cluster::{AccountingMode, Cluster, ClusterError, DemandOutcome, HostId, VmId};
+use cluster::{Cluster, ClusterError, DemandOutcome, HostId, VmId};
 use power::PowerState;
 use simcore::{pool, EventQueue, SimDuration, SimTime};
 
@@ -337,13 +337,6 @@ impl DatacenterSim {
             outcome_buf: DemandOutcome::default(),
             obs_buf: ClusterObservation::default(),
         })
-    }
-
-    /// Selects the cluster's accounting mode (see
-    /// [`cluster::AccountingMode`]); the default is incremental. `Scan`
-    /// is the O(hosts)-per-query reference used by determinism tests.
-    pub fn set_accounting_mode(&mut self, mode: AccountingMode) {
-        self.cluster.set_accounting_mode(mode);
     }
 
     /// Enables the audit log (see [`crate::events`]); entries land in

@@ -239,20 +239,15 @@ impl EventRecord {
                 .and_then(Json::as_str)
                 .ok_or_else(|| field_err(k))
         };
-        let vm = |k: &str| -> Result<VmId, JsonError> {
-            Ok(VmId(
-                json.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| field_err(k))? as u32,
-            ))
+        // Ids past `u32::MAX` are errors, not silently wrapped ids.
+        let u32_field = |k: &str| -> Result<u32, JsonError> {
+            json.get(k)
+                .and_then(Json::as_u64)
+                .and_then(|v| u32::try_from(v).ok())
+                .ok_or_else(|| field_err(k))
         };
-        let host = |k: &str| -> Result<HostId, JsonError> {
-            Ok(HostId(
-                json.get(k)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| field_err(k))? as u32,
-            ))
-        };
+        let vm = |k: &str| u32_field(k).map(VmId);
+        let host = |k: &str| u32_field(k).map(HostId);
         let time = SimTime::from_millis(
             (json
                 .get("t_seconds")
@@ -296,10 +291,7 @@ impl EventRecord {
             ("vm-lifecycle", Some("rejected")) => EventKind::VmArrivalRejected { vm: vm("vm")? },
             ("vm-lifecycle", Some("departed")) => EventKind::VmDeparted { vm: vm("vm")? },
             ("commit-rejected", _) => EventKind::CommitRejected {
-                scheduler: json
-                    .get("scheduler")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| field_err("scheduler"))? as u32,
+                scheduler: u32_field("scheduler")?,
                 reason: {
                     let label = str_field("reason")?;
                     agile_core::ConflictReason::from_label(label).ok_or_else(|| JsonError {
@@ -437,6 +429,44 @@ mod tests {
             ("t_seconds", Json::Num(1.0)),
         ]);
         assert!(EventRecord::from_json(&j).is_err());
+    }
+
+    /// Parses `fields` (with `{id}` substituted) as an event record.
+    fn parse_with_id(fields: &str, id: u64) -> Result<EventKind, JsonError> {
+        let text = format!(
+            r#"{{"t_seconds":1,{}}}"#,
+            fields.replace("{id}", &id.to_string())
+        );
+        EventRecord::from_json(&Json::parse(&text).unwrap()).map(|e| e.kind)
+    }
+
+    #[test]
+    fn vm_ids_past_u32_are_rejected_not_wrapped() {
+        let fields = r#""record":"migration","phase":"completed","vm":{id}"#;
+        let kind = parse_with_id(fields, u32::MAX.into()).unwrap();
+        assert_eq!(kind, EventKind::MigrationCompleted { vm: VmId(u32::MAX) });
+        assert!(
+            parse_with_id(fields, 1 << 32 | 1).is_err(),
+            "wrapped to VmId(1)"
+        );
+    }
+
+    #[test]
+    fn host_ids_past_u32_are_rejected_not_wrapped() {
+        let fields = r#""record":"power-transition","phase":"stuck","kind":"boot","host":{id}"#;
+        let kind = parse_with_id(fields, u32::MAX.into()).unwrap();
+        let host = HostId(u32::MAX);
+        assert_eq!(
+            kind,
+            EventKind::PowerStuck {
+                host,
+                kind: TransitionKind::Boot
+            }
+        );
+        assert!(
+            parse_with_id(fields, 1 << 32 | 1).is_err(),
+            "wrapped to HostId(1)"
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use std::path::PathBuf;
 
 use agile_core::{ManagerConfig, PlanMode, PowerPolicy, RoundStats, VirtManager};
-use cluster::AccountingMode;
 use obs::{JsonlSink, MetricsSnapshot};
 use simcore::{SimDuration, SimTime};
 
@@ -57,7 +56,6 @@ pub struct Experiment {
     failures: FailureModel,
     record_events: bool,
     trace_path: Option<PathBuf>,
-    accounting: AccountingMode,
     plan_mode: Option<PlanMode>,
     schedulers: usize,
     view_staleness: usize,
@@ -84,7 +82,6 @@ impl Experiment {
             failures: FailureModel::none(),
             record_events: false,
             trace_path: None,
-            accounting: AccountingMode::default(),
             plan_mode: None,
             schedulers: 1,
             view_staleness: 0,
@@ -145,16 +142,6 @@ impl Experiment {
     /// when the run starts, so `Experiment` stays `Clone`.
     pub fn trace_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.trace_path = Some(path.into());
-        self
-    }
-
-    /// Selects the cluster accounting mode (default:
-    /// [`AccountingMode::Incremental`]). The scan mode recomputes every
-    /// aggregate from scratch each query and exists as the reference the
-    /// incremental mode is verified against — reports must be
-    /// bit-identical between the two.
-    pub fn accounting(mut self, mode: AccountingMode) -> Self {
-        self.accounting = mode;
         self
     }
 
@@ -248,7 +235,6 @@ impl Experiment {
         );
         let mut sim = DatacenterSim::new(&self.scenario, Some(manager), interval, self.horizon)?;
         sim.set_control_plane(self.schedulers, self.view_staleness, self.control_latency);
-        sim.set_accounting_mode(self.accounting);
         sim.set_failure_model(self.failures);
         if self.record_events {
             sim.enable_event_log();

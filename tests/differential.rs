@@ -5,7 +5,6 @@
 //!
 //! The equivalence pairs under test:
 //!
-//! * incremental vs `Scan` cluster accounting (PR 2's speedup);
 //! * `Indexed` vs `Scan` consolidation planning (the bucket-index
 //!   speedup), including a failure-injected variant — the work counters
 //!   that measure *how* each mode searched are mode-variant by design
@@ -24,7 +23,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use agilepm::cluster::AccountingMode;
 use agilepm::core::{ManagerConfig, PlanMode, PowerPolicy, RecoveryConfig};
 use agilepm::obs::Json;
 use agilepm::sim::{Experiment, Scenario, SimReport, SimulationBuilder, SweepBuilder};
@@ -59,24 +57,6 @@ fn assert_equivalent(
         "{what}: serialized reports differ"
     );
     Ok(())
-}
-
-#[test]
-fn incremental_accounting_matches_scan_reference() {
-    check::check(
-        "incremental == Scan accounting",
-        &experiment_spec(),
-        |spec| {
-            let scenario = spec.scenario.build();
-            let run = |mode: AccountingMode| {
-                check_support::run_experiment(spec.experiment().accounting(mode).record_events())
-                    .map_err(|e| format!("{spec:?}: run failed: {e:?}"))
-            };
-            let incremental = run(AccountingMode::Incremental)?;
-            let scan = run(AccountingMode::Scan)?;
-            assert_equivalent(&scenario, &incremental, &scan, "incremental-vs-scan")
-        },
-    );
 }
 
 /// The `work.*` counters that measure *how* a planning mode searched —
@@ -343,8 +323,7 @@ fn span_tracer_does_not_perturb_the_simulation() {
     // enabled must produce a report bit-identical to one with the
     // tracer off. The report embeds the metrics snapshot — including
     // the deterministic `work.*` op-counters — so this also proves the
-    // counters are tracer-independent, and the accounting pair above
-    // proves them mode-independent.
+    // counters are tracer-independent.
     check::check("tracer on == tracer off", &experiment_spec(), |spec| {
         let scenario = spec.scenario.build();
         let run = |profiling: bool| {
