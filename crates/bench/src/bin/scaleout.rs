@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use agile_core::{PlanMode, PowerPolicy};
+use agile_core::PowerPolicy;
 use dcsim::{Experiment, Scenario, SimulationBuilder};
 use obs::{Json, SpanSummary};
 use simcore::percentile;
@@ -27,13 +27,6 @@ const BEFORE: &[(usize, f64, u64)] = &[
     (4096, 12.7, 126_300),
 ];
 
-/// Largest size at which the run is repeated with [`PlanMode::Scan`] to
-/// cross-check the indexed planner's report (the scan planner sweeps
-/// the whole fleet per decision, so very large sizes skip it — the
-/// differential suite's `indexed_planning_matches_scan_reference`
-/// covers the semantics).
-const VERIFY_SCAN_MAX_HOSTS: usize = 1024;
-
 /// One measured run at a given cluster size.
 struct Row {
     hosts: usize,
@@ -46,11 +39,6 @@ struct Row {
     wall_secs_max: f64,
     ticks_per_sec: f64,
     peak_rss_kb: u64,
-    /// Ticks/sec of the scan-planner reference rerun, when it was
-    /// performed — its report, with the
-    /// mode-variant search-cost counters dropped, must match
-    /// bit-for-bit or the bench aborts.
-    scan_ticks_per_sec: Option<f64>,
     /// Wall seconds of each engine phase (the depth-1 spans).
     phases: Vec<(String, f64)>,
     /// Full hierarchical span summary of the best run.
@@ -145,9 +133,7 @@ fn main() {
     };
 
     // `--ladder` benches the joint sleep+speed path instead: the C6→S3→S5
-    // scenario under the joint-ladder policy at `--wake-slo` seconds. The
-    // scan reference rerun keeps the same policy, so the bit-identity
-    // cross-check covers the rung-selection path too.
+    // scenario under the joint-ladder policy at `--wake-slo` seconds.
     let policy = if args.ladder {
         PowerPolicy::joint_ladder(simcore::SimDuration::from_secs(args.wake_slo_secs))
     } else {
@@ -160,7 +146,7 @@ fn main() {
         let before = BEFORE.iter().find(|(h, _, _)| *h == hosts);
         println!(
             "{:>5} hosts {:>6} vms: {:>8.0} ticks/s ({:.2} s wall, median {:.2} s, max {:.2} s \
-             over {}, peak RSS {} MB){}{}",
+             over {}, peak RSS {} MB){}",
             row.hosts,
             row.vms,
             row.ticks_per_sec,
@@ -169,10 +155,6 @@ fn main() {
             row.wall_secs_max,
             args.repeat,
             row.peak_rss_kb / 1024,
-            match row.scan_ticks_per_sec {
-                Some(tps) => format!(", scan ref {tps:.0} ticks/s, reports identical"),
-                None => String::from(", scan ref skipped (size cap)"),
-            },
             match before {
                 Some((_, tps, _)) => format!(", {:.1}x vs pre-opt", row.ticks_per_sec / tps),
                 None => String::new(),
@@ -200,13 +182,6 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
         Scenario::datacenter(hosts, vms, bench::SEED)
     };
     let step = scenario.demand_step();
-    // `--schedulers`/`--staleness` shape the control plane the run (and
-    // its scan reference) plans through; the defaults (1, 0) are one
-    // scheduler over a fresh view.
-    let plane = |exp: Experiment| {
-        exp.schedulers(args.schedulers)
-            .view_staleness(args.staleness)
-    };
     // Best-of-N: the minimum wall time is the least scheduler-noise-
     // polluted sample. Every repeat is the same deterministic simulation,
     // so only timing may vary: each repeat's report must equal the
@@ -215,7 +190,13 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
     let mut first: Option<dcsim::SimReport> = None;
     let mut best: Option<(f64, SpanSummary)> = None;
     for _ in 0..args.repeat {
-        let exp = plane(Experiment::new(scenario.clone()).policy(policy));
+        // `--schedulers`/`--staleness` shape the control plane the run
+        // plans through; the defaults (1, 0) are one scheduler over a
+        // fresh view.
+        let exp = Experiment::new(scenario.clone())
+            .policy(policy)
+            .schedulers(args.schedulers)
+            .view_staleness(args.staleness);
         let t0 = Instant::now();
         let out = SimulationBuilder::new(exp)
             .profiling(true)
@@ -242,41 +223,6 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
     let report = first.expect("at least one repeat");
     let ticks = report.horizon.as_millis() / step.as_millis() + 1;
 
-    // Rerun against the scan planner and require a bit-identical
-    // report — the bucket index must be unobservable. The counters that
-    // measure *how* each plan mode searched are mode-variant by design
-    // and are dropped from the comparison.
-    let scan_ticks_per_sec = (hosts <= VERIFY_SCAN_MAX_HOSTS).then(|| {
-        let exp = plane(
-            Experiment::new(scenario)
-                .policy(policy)
-                .plan_mode(PlanMode::Scan),
-        );
-        let t0 = Instant::now();
-        let scan_report = SimulationBuilder::new(exp)
-            .run_report()
-            .expect("scan reference run failed");
-        let scan_wall = t0.elapsed().as_secs_f64();
-        let strip = |r: &dcsim::SimReport| {
-            let mut r = r.clone();
-            r.metrics.entries.retain(|e| {
-                !matches!(
-                    e.name.as_str(),
-                    "work.plan.candidates_scanned"
-                        | "work.plan.hosts_rescored"
-                        | "work.plan.fold_elements"
-                ) && !e.name.starts_with("work.index.")
-            });
-            r
-        };
-        assert_eq!(
-            strip(&report),
-            strip(&scan_report),
-            "indexed vs scan planning reports diverged at {hosts} hosts"
-        );
-        ticks as f64 / scan_wall
-    });
-
     Row {
         hosts,
         vms,
@@ -286,7 +232,6 @@ fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
         wall_secs_max: walls.iter().copied().fold(wall_secs, f64::max),
         ticks_per_sec: ticks as f64 / wall_secs,
         peak_rss_kb: peak_rss_kb(),
-        scan_ticks_per_sec,
         phases: spans
             .children_of("")
             .iter()
@@ -345,7 +290,7 @@ fn render_json(rows: &[Row], args: &Args) -> String {
         out.push_str(&format!(
             "    {{\"hosts\": {}, \"vms\": {}, \"ticks\": {}, \"wall_secs\": {:.4}, \
              \"wall_secs_median\": {:.4}, \"wall_secs_min\": {:.4}, \"wall_secs_max\": {:.4}, \
-             \"ticks_per_sec\": {:.1}, \"peak_rss_kb\": {}, \"plan_mode\": \"{}\", ",
+             \"ticks_per_sec\": {:.1}, \"peak_rss_kb\": {}, ",
             r.hosts,
             r.vms,
             r.ticks,
@@ -355,15 +300,7 @@ fn render_json(rows: &[Row], args: &Args) -> String {
             r.wall_secs_max,
             r.ticks_per_sec,
             r.peak_rss_kb,
-            // Scaleout always measures the production planner; the label
-            // keeps the artifact schema.
-            PlanMode::Indexed.label()
         ));
-        if let Some(tps) = r.scan_ticks_per_sec {
-            out.push_str(&format!(
-                "\"scan_ticks_per_sec\": {tps:.1}, \"scan_report_identical\": true, "
-            ));
-        }
         if let Some((_, before_tps, _)) = BEFORE.iter().find(|(h, _, _)| *h == r.hosts) {
             out.push_str(&format!(
                 "\"speedup_vs_before\": {:.2}, ",
@@ -598,7 +535,6 @@ mod tests {
             wall_secs_max: 289.0 / ticks_per_sec,
             ticks_per_sec,
             peak_rss_kb,
-            scan_ticks_per_sec: None,
             phases: vec![("demand".to_string(), 0.5), ("plan".to_string(), 0.5)],
             spans: SpanSummary::default(),
             work: Vec::new(),

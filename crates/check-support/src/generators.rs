@@ -157,10 +157,9 @@ pub struct ExperimentSpec {
 impl ExperimentSpec {
     /// The configured (not yet run) experiment.
     ///
-    /// The planning mode is left at its default
-    /// ([`PlanMode::Indexed`](agile_core::PlanMode::Indexed)); the
-    /// indexed-vs-scan differential tests append an explicit
-    /// [`Experiment::plan_mode`](dcsim::Experiment::plan_mode) call.
+    /// Every run plans through the utilization index; in debug builds
+    /// each of its picks is checked against a full-fleet scan, so a
+    /// generated debug run is also an indexed-vs-scan comparison.
     ///
     /// `AGILEPM_SCHEDULERS` (unset means 1) sets the control
     /// plane's scheduler count, clamped to the world's host count so

@@ -92,6 +92,15 @@ impl Flags {
         }
     }
 
+    /// Integer flag with a default that must be at least 1 (a count of
+    /// hosts, VMs or schedulers).
+    pub fn positive_usize_or(&self, name: &str, default: usize) -> Result<usize, ArgError> {
+        match self.usize_or(name, default)? {
+            0 => Err(ArgError(format!("`--{name}` must be positive"))),
+            n => Ok(n),
+        }
+    }
+
     /// u64 flag with a default.
     pub fn u64_or(&self, name: &str, default: u64) -> Result<u64, ArgError> {
         match self.values.get(name) {

@@ -117,14 +117,19 @@ fn parse_policy(name: &str) -> Result<PowerPolicy, ArgError> {
 }
 
 fn build_scenario(flags: &Flags) -> Result<Scenario, ArgError> {
-    let hosts = flags.usize_or("hosts", 32)?;
-    let vms = flags.usize_or("vms", hosts * 6)?;
+    let hosts = flags.positive_usize_or("hosts", 32)?;
+    let vms = flags.positive_usize_or("vms", hosts * 6)?;
     let seed = flags.u64_or("seed", 2013)?;
     match flags.str_or("workload", "diurnal") {
         "diurnal" => Ok(Scenario::datacenter(hosts, vms, seed)),
         "spiky" => Ok(Scenario::datacenter_spiky(hosts, vms, seed)),
         "churn" => {
             let frac = flags.f64_or("churn", 0.3)?;
+            if !(0.0..=1.0).contains(&frac) {
+                return Err(ArgError(format!(
+                    "`--churn` must be a fraction in [0, 1], got `{frac}`"
+                )));
+            }
             Ok(Scenario::datacenter_churn(hosts, vms, frac, seed))
         }
         "ladder" => Ok(Scenario::datacenter_ladder(hosts, vms, seed)),
@@ -175,17 +180,14 @@ fn run(args: &[String]) -> CmdResult {
     let policy = parse_policy(flags.str_or("policy", "suspend"))?;
     let scenario = build_scenario(&flags)?;
     let resume_fail = flags.f64_or("resume-fail", 0.0)?;
+    let failures = FailureModel::try_new(resume_fail, 0.0)
+        .map_err(|e| ArgError(format!("`--resume-fail`: {e}")))?;
     let mut experiment = configure(&flags, scenario, policy)?;
-    let schedulers = flags.usize_or("schedulers", 1)?;
+    let schedulers = flags.positive_usize_or("schedulers", 1)?;
     let staleness = flags.usize_or("staleness", 0)?;
-    if schedulers == 0 {
-        return Err(Box::new(ArgError(
-            "`--schedulers` must be positive".to_string(),
-        )));
-    }
     experiment = experiment.schedulers(schedulers).view_staleness(staleness);
     if resume_fail > 0.0 {
-        experiment = experiment.failure_model(FailureModel::new(resume_fail, 0.0));
+        experiment = experiment.failure_model(failures);
     }
     if flags.str_opt("events").is_some() {
         experiment = experiment.record_events();
@@ -299,8 +301,8 @@ fn compare(args: &[String]) -> CmdResult {
 fn sweep(args: &[String]) -> CmdResult {
     use dcsim::SweepBuilder;
     let flags = Flags::parse(args, &["kind", "hosts", "vms", "seed", "csv"], &[])?;
-    let hosts = flags.usize_or("hosts", 16)?;
-    let vms = flags.usize_or("vms", hosts * 6)?;
+    let hosts = flags.positive_usize_or("hosts", 16)?;
+    let vms = flags.positive_usize_or("vms", hosts * 6)?;
     let seed = flags.u64_or("seed", 2013)?;
     let kind = flags
         .str_opt("kind")
@@ -753,6 +755,57 @@ mod tests {
         assert!(
             dispatch(&argv(&["run", "--hosts", "4", "--schedulers", "8"])).is_err(),
             "more schedulers than hosts must be rejected"
+        );
+    }
+
+    /// Asserts every command line fails at the flag boundary with an
+    /// error naming `flag`.
+    fn assert_flag_rejected(flag: &str, lines: &[&[&str]]) {
+        for line in lines {
+            let err = dispatch(&argv(line)).expect_err(&line.join(" "));
+            assert!(err.to_string().contains(flag), "{line:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn zero_hosts_are_rejected() {
+        assert_flag_rejected(
+            "`--hosts`",
+            &[
+                &["run", "--hosts", "0"],
+                &["compare", "--hosts", "0"],
+                &["sweep", "--kind", "headroom", "--hosts", "0"],
+            ],
+        );
+    }
+
+    #[test]
+    fn zero_vms_are_rejected() {
+        assert_flag_rejected(
+            "`--vms`",
+            &[
+                &["run", "--hosts", "4", "--vms", "0"],
+                &["compare", "--hosts", "4", "--vms", "0"],
+                &["sweep", "--kind", "headroom", "--hosts", "2", "--vms", "0"],
+            ],
+        );
+    }
+
+    #[test]
+    fn churn_outside_a_fraction_is_rejected() {
+        let churn = |f: &'static str| -> [&'static str; 7] {
+            ["run", "--hosts", "4", "--workload", "churn", "--churn", f]
+        };
+        assert_flag_rejected("`--churn`", &[&churn("2"), &churn("-1"), &churn("nan")]);
+    }
+
+    #[test]
+    fn resume_fail_outside_a_probability_is_rejected() {
+        let fail =
+            |p: &'static str| -> [&'static str; 5] { ["run", "--hosts", "4", "--resume-fail", p] };
+        assert_flag_rejected(
+            "`--resume-fail`",
+            &[&fail("2"), &fail("1"), &fail("-0.5"), &fail("nan")],
         );
     }
 

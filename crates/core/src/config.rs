@@ -5,7 +5,7 @@ use std::fmt;
 use power::breakeven::LowPowerMode;
 use simcore::SimDuration;
 
-use crate::{PlanMode, PredictorConfig, RecoveryConfig};
+use crate::{PredictorConfig, RecoveryConfig};
 
 /// A rejected configuration value, returned by the `try_with_*` builder
 /// variants on [`ManagerConfig`] and [`RecoveryConfig`] (the `with_*`
@@ -225,7 +225,6 @@ pub struct ManagerConfig {
     packing: PackingPolicy,
     predictor: PredictorConfig,
     recovery: RecoveryConfig,
-    plan_mode: PlanMode,
 }
 
 impl ManagerConfig {
@@ -250,7 +249,6 @@ impl ManagerConfig {
             packing: PackingPolicy::default(),
             predictor: PredictorConfig::default(),
             recovery: RecoveryConfig::new(),
-            plan_mode: PlanMode::default(),
         }
     }
 
@@ -566,14 +564,6 @@ impl ManagerConfig {
         self
     }
 
-    /// Selects the consolidation planner: the utilization-bucketed
-    /// `Indexed` path (the default) or the reference full-fleet `Scan`.
-    /// Both produce bit-identical plans; see [`PlanMode`].
-    pub fn with_plan_mode(mut self, mode: PlanMode) -> Self {
-        self.plan_mode = mode;
-        self
-    }
-
     /// Checks the cross-field invariants (underload < target < overload).
     /// [`crate::VirtManager::new`] calls this, so an inconsistent
     /// configuration fails fast at manager construction rather than
@@ -689,11 +679,6 @@ impl ManagerConfig {
     /// The failure-recovery policy.
     pub fn recovery(&self) -> &RecoveryConfig {
         &self.recovery
-    }
-
-    /// The consolidation planner selection.
-    pub fn plan_mode(&self) -> PlanMode {
-        self.plan_mode
     }
 }
 

@@ -132,6 +132,10 @@ fn drainable(
 }
 
 /// Picks the least-loaded drainable host, if the fleet can spare it.
+///
+/// The answer comes from [`pick_candidate_indexed`]; debug builds check
+/// it, and the index's capacity trees, against [`scan_pick_candidate`]
+/// and [`scan_capacity`] on every pick.
 fn pick_candidate(
     ctx: &mut PlanContext,
     cfg: &ManagerConfig,
@@ -139,45 +143,70 @@ fn pick_candidate(
     recovery: &RecoveryTracker,
     now: SimTime,
 ) -> Option<usize> {
-    if ctx.index_valid() {
-        return pick_candidate_indexed(ctx, cfg, gate, recovery, now);
-    }
-    // The aggregate fold and the qualification scan each visit every
-    // host exactly once.
-    ctx.work.fold_elements += ctx.num_hosts() as u64;
-    ctx.work.candidates_scanned += ctx.num_hosts() as u64;
-    let ctx = &*ctx;
-    // Capacity aggregates use the fixed-shape pairwise reduction shared
-    // with the indexed planner's maintained trees, so a from-scratch scan
-    // recompute and an incrementally-updated tree root are bitwise equal
-    // by construction (every tree node is a pure function of its leaves).
+    debug_assert!(ctx.index.valid, "candidate pick before refresh_index");
+    let pick = pick_candidate_indexed(ctx, cfg, gate, recovery, now);
+    debug_assert_eq!(
+        (
+            ctx.index.active_tree.root().to_bits(),
+            ctx.index.arriving_tree.root().to_bits()
+        ),
+        {
+            let (active, arriving) = scan_capacity(ctx);
+            (active.to_bits(), arriving.to_bits())
+        },
+        "capacity trees drifted from their pairwise sums"
+    );
+    debug_assert_eq!(
+        pick,
+        scan_pick_candidate(ctx, cfg, gate, recovery, now),
+        "indexed drain candidate differs from the scan"
+    );
+    pick
+}
+
+/// Active and arriving capacity recomputed from scratch with the
+/// fixed-shape pairwise reduction the index's [`SumTree`](crate::SumTree)s
+/// maintain, so the two are bitwise equal by construction (every tree
+/// node is a pure function of its leaves).
+fn scan_capacity(ctx: &PlanContext) -> (f64, f64) {
     let n = ctx.num_hosts();
-    let active_capacity = pairwise_sum(n, |h| {
+    let active = pairwise_sum(n, |h| {
         if ctx.operational[h] && !ctx.draining[h] {
             ctx.cpu_capacity[h]
         } else {
             0.0
         }
     });
-    let arriving_capacity = pairwise_sum(n, |h| {
+    let arriving = pairwise_sum(n, |h| {
         if ctx.arriving[h] {
             ctx.cpu_capacity[h]
         } else {
             0.0
         }
     });
+    (active, arriving)
+}
+
+/// Scan twin of [`pick_candidate`]: every host qualified against
+/// from-scratch aggregates, first-wins among equal minima (matching
+/// `Iterator::min_by` over ascending indices). Charges no counter.
+fn scan_pick_candidate(
+    ctx: &PlanContext,
+    cfg: &ManagerConfig,
+    gate: &HysteresisGate,
+    recovery: &RecoveryTracker,
+    now: SimTime,
+) -> Option<usize> {
+    let n = ctx.num_hosts();
+    let (active_capacity, arriving_capacity) = scan_capacity(ctx);
     let mut max_host_cap = 0.0f64;
     for h in 0..n {
         max_host_cap = max_host_cap.max(ctx.cpu_capacity[h]);
     }
-    let total_pred = ctx.total_predicted();
     // The dead-band separates the drain trigger from the wake trigger so
     // demand noise across a single threshold cannot cycle hosts.
-    let required = total_pred / cfg.target_utilization()
+    let required = ctx.total_predicted() / cfg.target_utilization()
         + (cfg.spare_hosts() as f64 + cfg.drain_deadband_frac()) * max_host_cap;
-
-    // Least-loaded qualifying host; first wins on ties, matching
-    // `Iterator::min_by` over ascending indices.
     let pool_capacity = active_capacity + arriving_capacity;
     (0..n)
         .filter(|&h| drainable(ctx, cfg, gate, recovery, now, h, pool_capacity, required))
@@ -195,18 +224,17 @@ fn pick_candidate(
         })
 }
 
-/// Indexed twin of [`pick_candidate`]: the capacity aggregates come from
-/// the maintained [`SumTree`](crate::SumTree) roots (bitwise equal to
-/// the scan's pairwise recompute), the touched overlay is scanned in
-/// full, and buckets ascend from 0 to the underload-threshold bucket
-/// until the first one holding a qualifying untouched host — which must
-/// contain the untouched minimum, because every host in a later bucket
-/// has strictly larger utilization. Merging the two lexicographic minima
-/// reproduces the scan's first-wins answer exactly.
+/// The indexed body of [`pick_candidate`]: the capacity aggregates come
+/// from the maintained [`SumTree`](crate::SumTree) roots, the touched
+/// overlay is scanned in full, and buckets ascend from 0 to the
+/// underload-threshold bucket until the first one holding a qualifying
+/// untouched host — which must contain the untouched minimum, because
+/// every host in a later bucket has strictly larger utilization. Merging
+/// the two lexicographic minima reproduces the scan's first-wins answer
+/// exactly.
 ///
 /// `work.plan.candidates_scanned` is charged with the hosts actually
-/// examined — the sublinearity evidence — so it is deliberately
-/// mode-variant, unlike the decision counters.
+/// examined — the sublinearity evidence.
 fn pick_candidate_indexed(
     ctx: &mut PlanContext,
     cfg: &ManagerConfig,
@@ -361,7 +389,7 @@ fn undo_moves(ctx: &mut PlanContext, journal: &[MoveUndo]) {
         ctx.host_pred_cpu[u.to] = u.old_pred_to;
         ctx.mem_committed[u.to] = u.old_mem_to;
         // The endpoints' utilizations changed again; keep their overlay
-        // marks current for the indexed planner (no-op under Scan).
+        // marks current for the index.
         ctx.note_undone_move(u.from, u.to);
     }
 }
@@ -369,9 +397,7 @@ fn undo_moves(ctx: &mut PlanContext, journal: &[MoveUndo]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        ClusterObservation, HostObservation, PlanMode, PowerPolicy, RecoveryConfig, VmObservation,
-    };
+    use crate::{ClusterObservation, HostObservation, PowerPolicy, RecoveryConfig, VmObservation};
     use power::PowerState;
     use simcore::SimDuration;
 
@@ -689,47 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_mode_picks_identically_to_scan() {
-        // The same fleet planned in both modes must drain the same host
-        // and emit the same migrations — the unit-scale version of the
-        // differential suite's bit-identity property.
-        let run = |mode: PlanMode| {
-            let (o, preds) = obs(&[&[2.0, 1.0], &[1.5], &[0.5], &[0.7]]);
-            let mut ctx = PlanContext::new(&o, preds, &[false; 4]);
-            ctx.mode = mode;
-            ctx.refresh_index();
-            let c = cfg();
-            let mut actions = Vec::new();
-            let mut budget = 8;
-            plan_consolidation(
-                &mut ctx,
-                &c,
-                &open_gate(4),
-                &clean_recovery(4),
-                SimTime::ZERO,
-                &mut actions,
-                &mut budget,
-                &mut SpanTracer::new(),
-            );
-            (actions, ctx.draining.clone(), budget)
-        };
-        let scan = run(PlanMode::Scan);
-        let indexed = run(PlanMode::Indexed);
-        assert_eq!(scan, indexed);
-        // And the indexed run really used the index: with four hosts in
-        // play it must have examined fewer hosts than four per pick or at
-        // least have kept the index live (refresh marks it valid).
-        let (o, preds) = obs(&[&[2.0, 1.0], &[1.5], &[0.5], &[0.7]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 4]);
-        ctx.mode = PlanMode::Indexed;
-        ctx.refresh_index();
-        assert!(
-            ctx.index_valid(),
-            "refresh under Indexed must arm the index"
-        );
-    }
-
-    #[test]
     fn continues_existing_drains_first() {
         let (o, preds) = obs(&[&[0.5, 0.5], &[2.0], &[2.0]]);
         // Host 0 was already marked draining in a previous round.
@@ -749,5 +734,166 @@ mod tests {
         );
         assert!(ctx.movable_vms(0).is_empty());
         assert!(actions.len() >= 2);
+    }
+
+    /// Asserts every pick the round can make equals its scan twin: both
+    /// destination picks for every VM, the drain candidate, and the
+    /// capacity trees' roots, bitwise.
+    fn assert_picks_match_scans(
+        ctx: &mut PlanContext,
+        c: &ManagerConfig,
+        gate: &HysteresisGate,
+        recovery: &RecoveryTracker,
+        world: &impl std::fmt::Debug,
+    ) {
+        for vm in 0..ctx.vm_host.len() {
+            let scan = ctx.scan_least_loaded_destination(vm, c);
+            assert_eq!(
+                ctx.least_loaded_destination(vm, c),
+                scan,
+                "{world:?}: vm {vm}"
+            );
+            let scan = ctx.scan_tightest_destination(vm, c);
+            assert_eq!(ctx.tightest_destination(vm, c), scan, "{world:?}: vm {vm}");
+        }
+        let (active, arriving) = scan_capacity(ctx);
+        assert_eq!(
+            ctx.index.active_tree.root().to_bits(),
+            active.to_bits(),
+            "{world:?}"
+        );
+        assert_eq!(
+            ctx.index.arriving_tree.root().to_bits(),
+            arriving.to_bits(),
+            "{world:?}"
+        );
+        let scan = scan_pick_candidate(ctx, c, gate, recovery, SimTime::ZERO);
+        let pick = pick_candidate(ctx, c, gate, recovery, SimTime::ZERO);
+        assert_eq!(pick, scan, "{world:?}: drain candidate");
+    }
+
+    /// Calls `f` on every world of 1-3 hosts (8, 4 and 8 cores, 32 GB)
+    /// and 0-4 VMs (8, 16, 8 and 16 GB): each host On or resuming; each
+    /// VM on any On host, within memory; each VM's predicted demand on a
+    /// 4-point grid whose top value is just under the 0.9 overload line
+    /// of an 8-core host and whose sums land exactly on the 0.75 target
+    /// (3 + 3 on 8 cores, 1.5 + 1.5 on 4), so some feasible hosts sit in
+    /// the very bucket a destination walk starts or stops at. The last
+    /// argument names the world as
+    /// `(hosts, resuming-host mask, VMs, placement, demands)`.
+    fn for_each_small_world(mut f: impl FnMut(&ClusterObservation, &[f64], [usize; 5])) {
+        const CPU: [f64; 3] = [8.0, 4.0, 8.0];
+        const VM_MEM: [f64; 4] = [8.0, 16.0, 8.0, 16.0];
+        const GRID: [f64; 4] = [0.5, 1.5, 3.0, 7.0];
+        // Digit `i` of `code` in base `radix`.
+        let digit = |code: usize, radix: usize, i: usize| code / radix.pow(i as u32) % radix;
+        for nh in 1..=3usize {
+            for resuming in 0..1usize << nh {
+                let on: Vec<usize> = (0..nh).filter(|&h| digit(resuming, 2, h) == 0).collect();
+                let max_vms = if on.is_empty() { 0 } else { 4 };
+                for nv in 0..=max_vms {
+                    for place in 0..on.len().pow(nv as u32) {
+                        let host_of = |v: usize| on[digit(place, on.len(), v)];
+                        let mut mem = [0.0f64; 3];
+                        for v in 0..nv {
+                            mem[host_of(v)] += VM_MEM[v];
+                        }
+                        if mem.iter().any(|&m| m > 32.0) {
+                            continue;
+                        }
+                        let hosts = (0..nh)
+                            .map(|h| HostObservation {
+                                id: HostId(h as u32),
+                                state: if digit(resuming, 2, h) == 1 {
+                                    PowerState::Resuming
+                                } else {
+                                    PowerState::On
+                                },
+                                pending: None,
+                                cpu_capacity: CPU[h],
+                                mem_capacity: 32.0,
+                                mem_committed: mem[h],
+                                cpu_demand: 0.0,
+                                evacuated: mem[h] == 0.0,
+                                failed_transitions: 0,
+                                ladder: Default::default(),
+                            })
+                            .collect();
+                        let mut o = ClusterObservation {
+                            now: SimTime::ZERO,
+                            hosts,
+                            vms: Default::default(),
+                        };
+                        for demands in 0..4usize.pow(nv as u32) {
+                            let pred: Vec<f64> =
+                                (0..nv).map(|v| GRID[digit(demands, 4, v)]).collect();
+                            o.vms = (0..nv)
+                                .map(|v| VmObservation {
+                                    host: Some(HostId(host_of(v) as u32)),
+                                    cpu_demand: pred[v],
+                                    cpu_cap: 8.0,
+                                    mem_gb: VM_MEM[v],
+                                    migrating: false,
+                                    service_class: Default::default(),
+                                })
+                                .collect();
+                            f(&o, &pred, [nh, resuming, nv, place, demands]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_picks_match_scan_twins_on_every_small_world() {
+        // Checks every pick after the round's refresh, inside and after a
+        // rolled-back consolidation trial (which drains a host), and after
+        // a run of overload-style moves whose own picks are checked too —
+        // in release builds as well, where the per-pick debug checks are
+        // compiled out.
+        let c = cfg();
+        let mut ctx = PlanContext::default();
+        let (mut worlds, mut trials, mut moves) = (0u64, 0u64, 0u64);
+        for_each_small_world(|o, pred, world| {
+            let nh = o.hosts.len();
+            let (gate, recovery) = (open_gate(nh), clean_recovery(nh));
+            ctx.rebuild(o, pred, &[false; 3][..nh]);
+            ctx.refresh_index();
+            worlds += 1;
+            assert_picks_match_scans(&mut ctx, &c, &gate, &recovery, &world);
+            if let Some(cand) = pick_candidate(&mut ctx, &c, &gate, &recovery, SimTime::ZERO) {
+                let mut journal = Vec::new();
+                ctx.set_draining_trial(cand, true);
+                evacuate(
+                    &mut ctx,
+                    &c,
+                    cand,
+                    &mut Vec::new(),
+                    &mut 8,
+                    Some(&mut journal),
+                );
+                assert_picks_match_scans(&mut ctx, &c, &gate, &recovery, &world);
+                undo_moves(&mut ctx, &journal);
+                ctx.set_draining_trial(cand, false);
+                assert_picks_match_scans(&mut ctx, &c, &gate, &recovery, &world);
+                trials += 1;
+            }
+            for vm in 0..pred.len() {
+                let scan = ctx.scan_least_loaded_destination(vm, &c);
+                let pick = ctx.least_loaded_destination(vm, &c);
+                assert_eq!(pick, scan, "{world:?}: move of vm {vm}");
+                if let Some(dest) = pick {
+                    ctx.move_vm(vm, dest);
+                    moves += 1;
+                }
+            }
+            assert_picks_match_scans(&mut ctx, &c, &gate, &recovery, &world);
+        });
+        assert_eq!(worlds, 31_874);
+        assert!(
+            trials > 5_000 && moves > 40_000,
+            "{trials} trials, {moves} moves"
+        );
     }
 }

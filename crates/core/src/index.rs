@@ -3,16 +3,20 @@
 //!
 //! The consolidation planner repeatedly asks order statistics of the
 //! fleet — "least-loaded qualifying drain candidate", "tightest feasible
-//! migration destination" — and the scan path answers each query with an
-//! O(hosts) sweep. [`UtilizationIndex`] answers the same queries from
-//! utilization buckets maintained once per round, so steady-state rounds
-//! examine only the few buckets near the decision thresholds.
+//! migration destination" — which a naive planner answers with an
+//! O(hosts) sweep per query. [`UtilizationIndex`] answers the same
+//! queries from utilization buckets maintained once per round, so
+//! steady-state rounds examine only the few buckets near the decision
+//! thresholds.
 //!
 //! # The bit-identity contract
 //!
-//! Indexed planning ([`PlanMode::Indexed`]) must produce `SimReport`s
-//! bit-identical to the scan planner ([`PlanMode::Scan`]) — the
-//! differential suite enforces it. That contract pins three design
+//! Each indexed pick equals its scan twin, checked on every pick in
+//! debug: `PlanContext::{least_loaded_destination,
+//! tightest_destination}` and `consolidate::pick_candidate` each
+//! `debug_assert_eq!` their answer against a private `scan_*` sweep of
+//! the whole fleet (the scans charge no `work.*` counter, so debug and
+//! release builds count the same). That contract pins three design
 //! choices:
 //!
 //! * **Monotone quantization.** A host's bucket is
@@ -22,7 +26,7 @@
 //!   in the first non-empty qualifying bucket of an ascending
 //!   (descending) walk, and equal utilizations always share a bucket —
 //!   cross-bucket ordering can never reorder a tie.
-//! * **Lexicographic tie-breaks.** The scan paths use
+//! * **Lexicographic tie-breaks.** The scan twins use
 //!   `Iterator::min_by` (first-wins: lowest index among equal minima)
 //!   and `Iterator::max_by` (last-wins: highest index among equal
 //!   maxima). Both are exactly the lexicographic min/max of
@@ -31,11 +35,11 @@
 //!   replaying the scan's exact visit order.
 //! * **Fixed-shape aggregates.** The drain-candidate capacity gate sums
 //!   active and arriving capacity. A running sum updated incrementally
-//!   would round differently from the scan's fold, so both modes use the
+//!   would round differently from the scan's fold, so both paths use the
 //!   same fixed-shape pairwise reduction: [`pairwise_sum`] recomputed
-//!   from scratch (scan) and [`SumTree`] with O(log n) leaf updates
-//!   (indexed) produce bitwise-equal roots by construction — every tree
-//!   node is a pure function of its leaves.
+//!   from scratch (the scan twin) and [`SumTree`] with O(log n) leaf
+//!   updates (the index) produce bitwise-equal roots by construction —
+//!   every tree node is a pure function of its leaves.
 //!
 //! Only the ordering key (predicted utilization) is indexed. All
 //! qualification predicates — operational, draining, hysteresis,
@@ -47,30 +51,16 @@
 
 use obs::Json;
 
-/// Consolidation planner selection (scan sweep vs bucket index).
-///
-/// Both modes produce bit-identical `SimReport`s; `Indexed` (the
-/// default, and the only production planner) replaces the per-decision
-/// O(hosts) sweeps with bucket walks so candidate work per round is
-/// sublinear in fleet size at steady state. `Scan` is the reference the
-/// differential tests select by name.
+/// Has no effect: the utilization-bucket index is the only planner (each
+/// pick is checked against a full-fleet scan in debug builds instead).
+/// Kept only because the frozen `perfbench` benchmark still names
+/// `PlanMode::Indexed`; ROADMAP item 2's benchmark change removes that
+/// call and then this enum.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Full-fleet linear sweeps per decision (the reference semantics).
-    Scan,
     /// Utilization-bucketed host indices refreshed once per round.
     #[default]
     Indexed,
-}
-
-impl PlanMode {
-    /// Stable lowercase label (artifact and CLI naming).
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlanMode::Scan => "scan",
-            PlanMode::Indexed => "indexed",
-        }
-    }
 }
 
 /// Buckets per unit of utilization: fine enough that steady-state walks
@@ -573,12 +563,5 @@ mod tests {
         values.sort_unstable();
         assert_eq!(values, vec![1, 2, 3, 4, 5]);
         assert_eq!(w.to_json().get("rebuckets").unwrap().as_i64(), Some(2));
-    }
-
-    #[test]
-    fn plan_mode_labels() {
-        assert_eq!(PlanMode::default(), PlanMode::Indexed);
-        assert_eq!(PlanMode::Scan.label(), "scan");
-        assert_eq!(PlanMode::Indexed.label(), "indexed");
     }
 }

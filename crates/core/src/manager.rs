@@ -175,8 +175,6 @@ impl VirtManager {
             .prewake_lookahead()
             .map(|_| DayProfile::new(SimDuration::from_mins(30), 0.5));
         let recovery = RecoveryTracker::new(config.recovery().clone(), num_hosts);
-        let mut ctx = PlanContext::default();
-        ctx.mode = config.plan_mode();
         VirtManager {
             config,
             predictors,
@@ -188,7 +186,7 @@ impl VirtManager {
             last_decision: None,
             stats: RoundStats::default(),
             predicted_buf: Vec::new(),
-            ctx,
+            ctx: PlanContext::default(),
             actions_hist: Histogram::new(),
         }
     }
@@ -242,7 +240,7 @@ impl VirtManager {
 
     /// Deterministic counts of the utilization-index maintenance work done
     /// so far (refreshes, re-buckets, inserts, removes, overlay folds).
-    /// All zero under [`PlanMode::Scan`](crate::PlanMode::Scan).
+    /// All zero under the `Oracle` policy, which never plans.
     pub fn index_work_counters(&self) -> IndexWorkCounters {
         self.ctx.index_work
     }
@@ -377,8 +375,6 @@ impl VirtManager {
         // are the first index consumers whether or not consolidation
         // runs; every later mutation flows through
         // `move_vm`/`set_draining_trial`, which keep the index current.
-        // Under `PlanMode::Scan` this is a no-op and the index stays
-        // invalid, so every lookup falls back to the full scan.
         tracer.enter(s_index);
         ctx.refresh_index();
         tracer.exit(s_index);
@@ -1087,9 +1083,7 @@ mod tests {
         let recovery = crate::RecoveryConfig::new()
             .with_max_retries(100)
             .with_failsafe(SimDuration::from_hours(2), 1);
-        let cfg = agile_config()
-            .with_recovery(recovery)
-            .with_plan_mode(crate::PlanMode::Indexed);
+        let cfg = agile_config().with_recovery(recovery);
         let mut mgr = VirtManager::new(cfg, 2, 3);
         let mut oracle = VirtManager::new(ManagerConfig::new(PowerPolicy::oracle()), 2, 3);
         // Host 0 is overloaded (7.5 of 8 cores) and reported a failure,
@@ -1106,7 +1100,7 @@ mod tests {
             let d = mgr.last_decision().unwrap();
             assert!(d.failsafe);
             assert!(d.actions.overload_migrations >= 1, "{actions:?}");
-            assert!(mgr.ctx.index_valid(), "round {round}: index left invalid");
+            assert!(mgr.ctx.index.valid, "round {round}: index left invalid");
             assert_eq!(mgr.index_work_counters().refreshes, round);
             assert_eq!(oracle.index_work_counters().refreshes, 0);
         }

@@ -8,9 +8,7 @@
 
 use cluster::ServiceClass;
 
-use crate::{
-    ClusterObservation, IndexWorkCounters, ManagerConfig, PlanMode, UtilizationIndex, WorkCounters,
-};
+use crate::{ClusterObservation, IndexWorkCounters, ManagerConfig, UtilizationIndex, WorkCounters};
 
 /// Touched-overlay size bound: past this many in-round-moved hosts the
 /// overlay is folded back into the buckets, so overlay scans during
@@ -64,12 +62,10 @@ pub(crate) struct PlanContext {
     /// Deterministic op-counters, accumulated *across* rounds —
     /// [`rebuild`](Self::rebuild) deliberately leaves them untouched.
     pub work: WorkCounters,
-    /// Consolidation planner selection (set once at manager
-    /// construction; [`rebuild`](Self::rebuild) leaves it untouched).
-    pub mode: PlanMode,
-    /// Utilization-bucket index for [`PlanMode::Indexed`]. Invalidated
-    /// by every rebuild (fresh predictions), revalidated by
-    /// [`refresh_index`](Self::refresh_index) once per round.
+    /// Utilization-bucket index every pick walks. Invalidated by every
+    /// rebuild (fresh predictions), revalidated by
+    /// [`refresh_index`](Self::refresh_index) once per round, before the
+    /// first pick.
     pub index: UtilizationIndex,
     /// Index-maintenance op-counters, accumulated across rounds like
     /// [`Self::work`].
@@ -104,11 +100,13 @@ pub(crate) fn lex_max(best: &mut Option<(f64, usize)>, cand: (f64, usize)) {
 
 impl PlanContext {
     /// Builds a fresh context from an observation, per-VM predictions,
-    /// and the manager's persistent drain set.
+    /// and the manager's persistent drain set, with the index refreshed
+    /// as a round's picks find it.
     #[cfg(test)]
     pub fn new(obs: &ClusterObservation, predicted_vm: Vec<f64>, draining: &[bool]) -> Self {
         let mut ctx = PlanContext::default();
         ctx.rebuild(obs, &predicted_vm, draining);
+        ctx.refresh_index();
         ctx
     }
 
@@ -189,7 +187,7 @@ impl PlanContext {
     }
 
     /// Rebuilds the utilization-bucket index and capacity aggregates for
-    /// this round's predictions (no-op under [`PlanMode::Scan`]).
+    /// this round's predictions.
     ///
     /// Every host is re-scored (one divide and compare) but only hosts
     /// whose *bucket* changed pay list surgery — counted as
@@ -197,9 +195,6 @@ impl PlanContext {
     /// `work.cluster.dirty_marks`: a bucket can only move when some
     /// cluster observation actually changed.
     pub fn refresh_index(&mut self) {
-        if self.mode != PlanMode::Indexed {
-            return;
-        }
         let n = self.num_hosts();
         self.index.ensure_hosts(n);
         self.index.clear_touched();
@@ -268,22 +263,13 @@ impl PlanContext {
         );
     }
 
-    /// Whether indexed queries may be served this round (mode is
-    /// `Indexed` and the per-round refresh has run since the last
-    /// rebuild). Callers outside that window — e.g. a failsafe round,
-    /// where the refresh is skipped entirely — fall back to the scan
-    /// paths, which return the identical answer.
-    pub fn index_valid(&self) -> bool {
-        self.mode == PlanMode::Indexed && self.index.valid
-    }
-
     /// Marks `host`'s bucket stale after an in-round utilization change
-    /// (a tentative move or its undo). No-op when the index is not live.
+    /// (a tentative move or its undo). No-op before the round's refresh.
     ///
     /// Folds the overlay back into the buckets past its size bound so
     /// overlay scans stay O(bound) during mass-consolidation waves.
     fn touch_host(&mut self, host: usize) {
-        if !self.index_valid() {
+        if !self.index.valid {
             return;
         }
         self.index.touch(host);
@@ -306,12 +292,11 @@ impl PlanContext {
     }
 
     /// Flips `draining[host]` for a consolidation trial (or its
-    /// rollback), keeping the active-capacity aggregate current when the
-    /// index is live. The flip itself is exactly the plain assignment
-    /// the scan path performs.
+    /// rollback), keeping the active-capacity aggregate current once the
+    /// round's refresh has built it.
     pub fn set_draining_trial(&mut self, host: usize, draining: bool) {
         self.draining[host] = draining;
-        if self.index_valid() {
+        if self.index.valid {
             let leaf = if self.operational[host] && !draining {
                 self.cpu_capacity[host]
             } else {
@@ -429,16 +414,52 @@ impl PlanContext {
     /// Chooses the feasible destination for `vm` with the *lowest*
     /// resulting utilization (load-balancing placement, used by DRM).
     ///
-    /// Takes `&mut self` only to count the re-scoring work; the scan
-    /// itself never mutates the plan. With a live index the answer comes
-    /// from an ascending bucket walk instead of the full sweep — the
-    /// tie-break (first-wins: lowest index among equal minima) is
-    /// preserved exactly, so both paths return the same host.
+    /// Takes `&mut self` only to count the re-scoring work; the pick
+    /// itself never mutates the plan. The answer comes from an ascending
+    /// bucket walk; debug builds check it against
+    /// [`scan_least_loaded_destination`](Self::scan_least_loaded_destination)
+    /// on every pick.
     pub fn least_loaded_destination(&mut self, vm: usize, cfg: &ManagerConfig) -> Option<usize> {
-        if self.index_valid() {
-            return self.least_loaded_destination_indexed(vm, cfg);
-        }
-        self.work.hosts_rescored += self.num_hosts() as u64;
+        debug_assert!(self.index.valid, "destination pick before refresh_index");
+        let pick = self.least_loaded_destination_indexed(vm, cfg);
+        debug_assert_eq!(
+            pick,
+            self.scan_least_loaded_destination(vm, cfg),
+            "indexed least-loaded destination for VM {vm} differs from the scan"
+        );
+        pick
+    }
+
+    /// Chooses the feasible destination for `vm` with the *highest*
+    /// resulting utilization (best-fit-decreasing packing, used by
+    /// consolidation).
+    ///
+    /// Takes `&mut self` only to count the re-scoring work; the pick
+    /// itself never mutates the plan. The answer comes from a descending
+    /// bucket walk; debug builds check it against
+    /// [`scan_tightest_destination`](Self::scan_tightest_destination) on
+    /// every pick.
+    pub fn tightest_destination(&mut self, vm: usize, cfg: &ManagerConfig) -> Option<usize> {
+        debug_assert!(self.index.valid, "destination pick before refresh_index");
+        let pick = self.tightest_destination_indexed(vm, cfg);
+        debug_assert_eq!(
+            pick,
+            self.scan_tightest_destination(vm, cfg),
+            "indexed tightest destination for VM {vm} differs from the scan"
+        );
+        pick
+    }
+
+    /// Scan twin of [`least_loaded_destination`]: every feasible host,
+    /// first-wins among equal minima (`Iterator::min_by`). Charges no
+    /// counter.
+    ///
+    /// [`least_loaded_destination`]: Self::least_loaded_destination
+    pub(crate) fn scan_least_loaded_destination(
+        &self,
+        vm: usize,
+        cfg: &ManagerConfig,
+    ) -> Option<usize> {
         (0..self.num_hosts())
             .filter(|&h| self.can_accept(h, vm, cfg))
             .min_by(|&a, &b| {
@@ -448,20 +469,16 @@ impl PlanContext {
             })
     }
 
-    /// Chooses the feasible destination for `vm` with the *highest*
-    /// resulting utilization (best-fit-decreasing packing, used by
-    /// consolidation).
+    /// Scan twin of [`tightest_destination`]: every feasible host,
+    /// last-wins among equal maxima (`Iterator::max_by`). Charges no
+    /// counter.
     ///
-    /// Takes `&mut self` only to count the re-scoring work; the scan
-    /// itself never mutates the plan. With a live index the answer comes
-    /// from a descending bucket walk instead of the full sweep — the
-    /// tie-break (last-wins: highest index among equal maxima, matching
-    /// `Iterator::max_by`) is preserved exactly.
-    pub fn tightest_destination(&mut self, vm: usize, cfg: &ManagerConfig) -> Option<usize> {
-        if self.index_valid() {
-            return self.tightest_destination_indexed(vm, cfg);
-        }
-        self.work.hosts_rescored += self.num_hosts() as u64;
+    /// [`tightest_destination`]: Self::tightest_destination
+    pub(crate) fn scan_tightest_destination(
+        &self,
+        vm: usize,
+        cfg: &ManagerConfig,
+    ) -> Option<usize> {
         (0..self.num_hosts())
             .filter(|&h| self.can_accept(h, vm, cfg))
             .max_by(|&a, &b| {
@@ -471,9 +488,9 @@ impl PlanContext {
             })
     }
 
-    /// Indexed twin of [`least_loaded_destination`]: the touched overlay
-    /// is scanned in full, then buckets ascend until the first one
-    /// holding a feasible untouched host — which must contain the
+    /// The indexed body of [`least_loaded_destination`]: the touched
+    /// overlay is scanned in full, then buckets ascend until the first
+    /// one holding a feasible untouched host — which must contain the
     /// untouched minimum, because every host in a later bucket has
     /// strictly larger utilization. The two lexicographic minima merge
     /// into the global first-wins answer.
@@ -550,7 +567,7 @@ impl PlanContext {
         best.map(|(_, h)| h)
     }
 
-    /// Indexed twin of [`tightest_destination`]: overlay scan plus a
+    /// The indexed body of [`tightest_destination`]: overlay scan plus a
     /// descending bucket walk. The walk starts at the highest bucket any
     /// *feasible* host can occupy for **this** VM: `can_accept` demands
     /// `host_pred + vm_pred ≤ target × capacity (+1e-9)`, i.e.
@@ -722,6 +739,7 @@ mod tests {
         });
         let mut ctx = PlanContext::new(&obs, vec![1.0, 1.0], &[false, false, false]);
         ctx.host_pred_cpu[1] = 3.0; // host1 busier than host2
+        ctx.refresh_index();
         let cfg = cfg();
         assert_eq!(ctx.least_loaded_destination(0, &cfg), Some(2));
         assert_eq!(ctx.tightest_destination(0, &cfg), Some(1));

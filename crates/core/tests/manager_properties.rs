@@ -4,7 +4,7 @@
 //! toward the smallest all-on cluster and replay from the printed seed.
 
 use agile_core::{
-    ActionReason, ClusterObservation, HostObservation, ManagementAction, ManagerConfig, PlanMode,
+    ActionReason, ClusterObservation, HostObservation, ManagementAction, ManagerConfig,
     PowerPolicy, PredictorConfig, VirtManager, VmObservation,
 };
 use check::gen::{boolean, choice, f64_in, u64_in, usize_in, vec_of, Gen};
@@ -196,41 +196,35 @@ fn consolidation_never_parks_a_host_receiving_vms() {
     }
     let obs = build_observation(states, raw_vms);
     assert!(obs.hosts[9].evacuated);
-    for mode in [PlanMode::Scan, PlanMode::Indexed] {
-        let config = ManagerConfig::for_fleet(PowerPolicy::reactive_suspend(), 10, obs.vms.len())
-            .with_min_on_time(SimDuration::ZERO)
-            .with_predictor(PredictorConfig::LastValue)
-            .with_plan_mode(mode);
-        let mut mgr = VirtManager::new(config, 10, obs.vms.len());
-        let actions = mgr.plan(&obs).expect("well-shaped observation");
-        let reasons = mgr.last_round_reasons();
-        let onto_9 = actions
-            .iter()
-            .zip(reasons)
-            .filter(|(a, r)| {
-                matches!(a, ManagementAction::Migrate { to: HostId(9), .. })
-                    && **r == ActionReason::OverloadMitigation
-            })
-            .count();
-        assert!(
-            onto_9 > 0,
-            "{mode:?}: overload must relieve host 0 onto host 9"
-        );
-        assert!(
-            !actions.iter().any(|a| matches!(
-                a,
-                ManagementAction::PowerDown {
-                    host: HostId(9),
-                    ..
-                }
-            )),
-            "{mode:?}: parked host 9 while migrating onto it: {actions:?}"
-        );
-        assert!(
-            reasons.contains(&ActionReason::Consolidation),
-            "{mode:?}: consolidation stopped instead of draining another host: {actions:?}"
-        );
-    }
+    let config = ManagerConfig::for_fleet(PowerPolicy::reactive_suspend(), 10, obs.vms.len())
+        .with_min_on_time(SimDuration::ZERO)
+        .with_predictor(PredictorConfig::LastValue);
+    let mut mgr = VirtManager::new(config, 10, obs.vms.len());
+    let actions = mgr.plan(&obs).expect("well-shaped observation");
+    let reasons = mgr.last_round_reasons();
+    let onto_9 = actions
+        .iter()
+        .zip(reasons)
+        .filter(|(a, r)| {
+            matches!(a, ManagementAction::Migrate { to: HostId(9), .. })
+                && **r == ActionReason::OverloadMitigation
+        })
+        .count();
+    assert!(onto_9 > 0, "overload must relieve host 0 onto host 9");
+    assert!(
+        !actions.iter().any(|a| matches!(
+            a,
+            ManagementAction::PowerDown {
+                host: HostId(9),
+                ..
+            }
+        )),
+        "parked host 9 while migrating onto it: {actions:?}"
+    );
+    assert!(
+        reasons.contains(&ActionReason::Consolidation),
+        "consolidation stopped instead of draining another host: {actions:?}"
+    );
 }
 
 /// AlwaysOn never emits power actions, for any observation.

@@ -56,7 +56,6 @@ pub struct Experiment {
     failures: FailureModel,
     record_events: bool,
     trace_path: Option<PathBuf>,
-    plan_mode: Option<PlanMode>,
     schedulers: usize,
     view_staleness: usize,
     control_latency: usize,
@@ -82,7 +81,6 @@ impl Experiment {
             failures: FailureModel::none(),
             record_events: false,
             trace_path: None,
-            plan_mode: None,
             schedulers: 1,
             view_staleness: 0,
             control_latency: 0,
@@ -107,17 +105,13 @@ impl Experiment {
 
     /// The manager configuration this experiment will run.
     pub(crate) fn resolve_config(&self) -> ManagerConfig {
-        let config = match &self.config {
+        match &self.config {
             ConfigSource::Policy(p) => ManagerConfig::for_fleet(
                 *p,
                 self.scenario.host_specs().len(),
                 self.scenario.fleet().len(),
             ),
             ConfigSource::Explicit(c) => c.clone(),
-        };
-        match self.plan_mode {
-            Some(mode) => config.with_plan_mode(mode),
-            None => config,
         }
     }
 
@@ -145,15 +139,12 @@ impl Experiment {
         self
     }
 
-    /// Selects the consolidation planning mode (default:
-    /// [`PlanMode::Indexed`]). The scan mode sweeps the full fleet per
-    /// candidate/destination pick and exists as the reference the
-    /// indexed mode is verified against — reports must be bit-identical
-    /// between the two. Overrides
-    /// the mode carried by an explicit
-    /// [`manager_config`](Self::manager_config).
-    pub fn plan_mode(mut self, mode: PlanMode) -> Self {
-        self.plan_mode = Some(mode);
+    /// Has no effect: the utilization-bucket index is the only planner,
+    /// and debug builds check each of its picks against a full-fleet
+    /// scan. Kept only because the frozen `perfbench` benchmark still
+    /// calls it; ROADMAP item 2's benchmark change removes that call and
+    /// then this setter.
+    pub fn plan_mode(self, _mode: PlanMode) -> Self {
         self
     }
 
@@ -422,18 +413,12 @@ mod tests {
         let experiment = Experiment::new(Scenario::datacenter(8, 32, 11))
             .policy(PowerPolicy::reactive_suspend())
             .horizon(SimDuration::from_hours(6));
-        let refreshes = |e: Experiment| {
-            SimulationBuilder::new(e)
-                .run_report()
-                .unwrap()
-                .metrics
-                .counter("work.index.refreshes")
-        };
-        assert!(
-            refreshes(experiment.clone()) > 0,
-            "default must plan indexed"
-        );
-        assert_eq!(refreshes(experiment.plan_mode(PlanMode::Scan)), 0);
+        let refreshes = SimulationBuilder::new(experiment)
+            .run_report()
+            .unwrap()
+            .metrics
+            .counter("work.index.refreshes");
+        assert!(refreshes > 0, "default must plan indexed");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Exact-value gate on the deterministic `work.*` op-counters.
 //!
-//! A pinned 256-host scenario runs once per planning mode and every
+//! A pinned 256-host scenario runs under three configurations and every
 //! `work.*` counter in each metrics snapshot must match
 //! `ci/counters_baseline.json` exactly — no tolerance. The counters are
 //! pure functions of the scenario seed (no clocks, no thread
@@ -10,18 +10,18 @@
 //! re-running with `AGILEPM_BLESS=1` and committing the updated
 //! baseline.
 //!
-//! The scan-mode run pins the reference planner; the indexed-mode run
-//! pins both the decision counters (which must equal scan's — the
-//! differential suite proves that on generated worlds, this pins it on
-//! the big one) and the `work.index.*` maintenance counters, whose
-//! drift would mean the index is being refreshed or re-bucketed on a
-//! different schedule. The distributed run pins the placement store's
-//! commit arbitration under 4 schedulers with stale views and delayed
-//! commits.
+//! The indexed run pins both the decision counters and the
+//! `work.index.*` maintenance counters, whose drift would mean the index
+//! is being refreshed or re-bucketed on a different schedule. The
+//! ladder run pins the rung-selection path. The distributed run pins
+//! the placement store's commit arbitration under 4 schedulers with
+//! stale views and delayed commits. Debug builds check every planner
+//! pick against a full-fleet scan without charging any counter, so the
+//! baseline holds under both `cargo test` and `cargo test --release`.
 
 use std::path::Path;
 
-use agilepm::core::{PlanMode, PowerPolicy};
+use agilepm::core::PowerPolicy;
 use agilepm::obs::{Json, MetricValue};
 use agilepm::sim::{Experiment, Scenario, SimulationBuilder};
 use agilepm::simcore::SimDuration;
@@ -31,16 +31,11 @@ use agilepm::simcore::SimDuration;
 const HOSTS: usize = 256;
 const SEED: u64 = 2013;
 
-fn work_counters_for(
-    scenario: Scenario,
-    policy: PowerPolicy,
-    mode: PlanMode,
-) -> Vec<(String, u64)> {
+fn work_counters_for(scenario: Scenario, policy: PowerPolicy) -> Vec<(String, u64)> {
     let report = SimulationBuilder::new(
         Experiment::new(scenario)
             .policy(policy)
-            .horizon(SimDuration::from_hours(24))
-            .plan_mode(mode),
+            .horizon(SimDuration::from_hours(24)),
     )
     .run_report()
     .expect("pinned run succeeds");
@@ -55,11 +50,10 @@ fn work_counters_for(
         .collect()
 }
 
-fn work_counters(mode: PlanMode) -> Vec<(String, u64)> {
+fn work_counters() -> Vec<(String, u64)> {
     work_counters_for(
         Scenario::datacenter(HOSTS, HOSTS * 6, SEED),
         PowerPolicy::reactive_suspend(),
-        mode,
     )
 }
 
@@ -69,13 +63,12 @@ fn ladder_counters() -> Vec<(String, u64)> {
     work_counters_for(
         Scenario::datacenter_ladder(HOSTS, HOSTS * 6, SEED),
         PowerPolicy::joint_ladder(SimDuration::from_secs(12)),
-        PlanMode::Scan,
     )
 }
 
 /// The distributed run pins the control plane's commit arbitration: the
 /// pinned scenario planned by 4 schedulers over 1-round-stale partial
-/// views with a 1-round commit latency (indexed planning), so the
+/// views with a 1-round commit latency, so the
 /// `work.commit.*` ledger — accepts, per-reason rejections, unowned
 /// drops, horizon expiries — is gated exactly alongside the plan
 /// counters.
@@ -84,7 +77,6 @@ fn distributed_counters() -> Vec<(String, u64)> {
         Experiment::new(Scenario::datacenter(HOSTS, HOSTS * 6, SEED))
             .policy(PowerPolicy::reactive_suspend())
             .horizon(SimDuration::from_hours(24))
-            .plan_mode(PlanMode::Indexed)
             .schedulers(4)
             .view_staleness(1)
             .control_latency(1),
@@ -114,7 +106,6 @@ fn render_counters(out: &mut String, key: &str, counters: &[(String, u64)], last
 }
 
 fn render_baseline(
-    scan: &[(String, u64)],
     indexed: &[(String, u64)],
     ladder: &[(String, u64)],
     distributed: &[(String, u64)],
@@ -123,7 +114,6 @@ fn render_baseline(
         "{{\n  \"scenario\": \"datacenter-{HOSTS}\",\n  \"seed\": {SEED},\n  \
          \"policy\": \"pm-suspend\",\n"
     );
-    render_counters(&mut out, "counters", scan, false);
     render_counters(&mut out, "counters_indexed", indexed, false);
     render_counters(&mut out, "counters_ladder", ladder, false);
     render_counters(&mut out, "counters_distributed", distributed, true);
@@ -156,11 +146,9 @@ fn assert_counters_match(blessed: &[(String, Json)], counters: &[(String, u64)],
 #[test]
 fn work_counters_match_the_blessed_baseline_exactly() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("ci/counters_baseline.json");
-    let scan = work_counters(PlanMode::Scan);
-    let indexed = work_counters(PlanMode::Indexed);
+    let indexed = work_counters();
     let ladder = ladder_counters();
     let distributed = distributed_counters();
-    assert!(!scan.is_empty(), "pinned run produced no work.* counters");
     assert!(
         indexed
             .iter()
@@ -179,11 +167,8 @@ fn work_counters_match_the_blessed_baseline_exactly() {
     );
 
     if std::env::var_os("AGILEPM_BLESS").is_some() {
-        std::fs::write(
-            &path,
-            render_baseline(&scan, &indexed, &ladder, &distributed),
-        )
-        .expect("write baseline");
+        std::fs::write(&path, render_baseline(&indexed, &ladder, &distributed))
+            .expect("write baseline");
         return;
     }
 
@@ -195,7 +180,6 @@ fn work_counters_match_the_blessed_baseline_exactly() {
     });
     let json = Json::parse(&text).expect("baseline is valid JSON");
     for (key, counters) in [
-        ("counters", &scan),
         ("counters_indexed", &indexed),
         ("counters_ladder", &ladder),
         ("counters_distributed", &distributed),

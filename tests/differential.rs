@@ -5,10 +5,11 @@
 //!
 //! The equivalence pairs under test:
 //!
-//! * `Indexed` vs `Scan` consolidation planning (the bucket-index
-//!   speedup), including a failure-injected variant — the work counters
-//!   that measure *how* each mode searched are mode-variant by design
-//!   and are compared structurally instead;
+//! * indexed vs scan planning, pick by pick: in debug builds every
+//!   indexed destination and drain-candidate pick is checked against its
+//!   full-fleet scan twin, so every generated debug run below is also
+//!   that comparison (`indexed_planning_matches_scan_under_fault_injection`
+//!   adds faults and a hair-trigger manager to reach fail-safe rounds);
 //! * one scheduler over a fresh view vs any view staleness, and a lone
 //!   scheduler never conflicting with itself at commit;
 //! * pooled (`SweepBuilder::scale`) vs serial sweep execution;
@@ -23,7 +24,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use agilepm::core::{ManagerConfig, PlanMode, PowerPolicy, RecoveryConfig};
+use agilepm::core::{ManagerConfig, PowerPolicy, RecoveryConfig};
 use agilepm::obs::Json;
 use agilepm::sim::{Experiment, Scenario, SimReport, SimulationBuilder, SweepBuilder};
 use agilepm::simcore::SimDuration;
@@ -59,99 +60,6 @@ fn assert_equivalent(
     Ok(())
 }
 
-/// The `work.*` counters that measure *how* a planning mode searched —
-/// scan charges per-host sweep work, indexed charges bucket walks plus
-/// index maintenance — so they legitimately differ between modes.
-/// Everything else in the report must match bit-for-bit.
-const PLAN_MODE_VARIANT_COUNTERS: [&str; 3] = [
-    "work.plan.candidates_scanned",
-    "work.plan.hosts_rescored",
-    "work.plan.fold_elements",
-];
-
-/// The `work.*` counters that must NOT depend on the planning mode: what
-/// the planner *decided* (trials, rollbacks, migrations) rather than how
-/// it searched.
-const PLAN_MODE_INVARIANT_COUNTERS: [&str; 5] = [
-    "work.plan.trials_attempted",
-    "work.plan.trials_rolled_back",
-    "work.plan.rollback_moves",
-    "work.plan.undo_depth_max",
-    "work.plan.migrations_planned",
-];
-
-/// Indexed-vs-scan equivalence: full invariant catalog on both, the
-/// decision counters equal, and — after dropping the search-cost
-/// counters — bit-identical reports including their serialized form.
-fn assert_plan_modes_equivalent(
-    scenario: &Scenario,
-    indexed: &SimReport,
-    scan: &SimReport,
-    what: &str,
-) -> Result<(), String> {
-    check_report(scenario, indexed)?;
-    check_report(scenario, scan)?;
-    for name in PLAN_MODE_INVARIANT_COUNTERS {
-        check::prop_assert_eq!(
-            indexed.metrics.counter(name),
-            scan.metrics.counter(name),
-            "{what}: mode-invariant counter {name} differs"
-        );
-    }
-    let strip = |report: &SimReport| {
-        let mut r = report.clone();
-        r.metrics.entries.retain(|e| {
-            !PLAN_MODE_VARIANT_COUNTERS.contains(&e.name.as_str())
-                && !e.name.starts_with("work.index.")
-        });
-        r
-    };
-    let indexed = strip(indexed);
-    let scan = strip(scan);
-    check::prop_assert!(
-        indexed == scan,
-        "{what}: reports differ beyond search-cost counters (energy {} vs {} J, {} vs {} migrations)",
-        indexed.energy_j,
-        scan.energy_j,
-        indexed.migrations,
-        scan.migrations
-    );
-    check::prop_assert_eq!(
-        indexed.to_json().to_string_compact(),
-        scan.to_json().to_string_compact(),
-        "{what}: serialized reports differ"
-    );
-    Ok(())
-}
-
-#[test]
-fn indexed_planning_matches_scan_reference() {
-    check::check("Indexed == Scan planning", &experiment_spec(), |spec| {
-        let scenario = spec.scenario.build();
-        let run = |mode: PlanMode| {
-            check_support::run_experiment(spec.experiment().plan_mode(mode).record_events())
-                .map_err(|e| format!("{spec:?}: {} run failed: {e:?}", mode.label()))
-        };
-        let indexed = run(PlanMode::Indexed)?;
-        let scan = run(PlanMode::Scan)?;
-        // Non-vacuousness: under a power-managing policy the index must
-        // actually have been maintained — otherwise this property would
-        // silently compare scan against scan.
-        if matches!(spec.policy, PowerPolicy::Reactive { .. }) {
-            check::prop_assert!(
-                indexed.metrics.counter("work.index.refreshes") > 0,
-                "{spec:?}: indexed run never refreshed the index"
-            );
-            check::prop_assert_eq!(
-                scan.metrics.counter("work.index.refreshes"),
-                0,
-                "{spec:?}: scan run maintained an index"
-            );
-        }
-        assert_plan_modes_equivalent(&scenario, &indexed, &scan, "indexed-vs-scan")
-    });
-}
-
 /// Rounds in a JSONL trace whose `manager-decision` record was planned
 /// in fail-safe and carried at least one overload migration.
 fn failsafe_overload_rounds(trace: &str) -> usize {
@@ -172,21 +80,22 @@ fn failsafe_overload_rounds(trace: &str) -> usize {
 fn indexed_planning_matches_scan_under_fault_injection() {
     // The index must stay coherent through quarantines, fail-safe
     // rounds, cancelled drains, and aborted migrations — all of which
-    // perturb the hosts the planner may touch. Fail-safe rounds skip
-    // consolidation but still pick overload destinations through the
-    // index, so at least one case must plan such a migration for the
-    // comparison to cover that path. These small worlds rarely trip the
-    // default fail-safe (8 failures in 30 min) or overload a host, so
-    // half the cases also draw a hair-trigger manager: fail-safe after
-    // one failure, held for 2 h, and underload / target / overload
-    // thresholds of 0.4 / 0.5 / 0.55.
+    // perturb the hosts the planner may touch. In debug builds every
+    // pick is checked against its scan twin, so the run itself is the
+    // comparison. Fail-safe rounds skip consolidation but still pick
+    // overload destinations through the index, so at least one case
+    // must plan such a migration for the check to cover that path. These
+    // small worlds rarely trip the default fail-safe (8 failures in
+    // 30 min) or overload a host, so half the cases also draw a
+    // hair-trigger manager: fail-safe after one failure, held for 2 h,
+    // and underload / target / overload thresholds of 0.4 / 0.5 / 0.55.
     static SINK_SERIAL: AtomicU64 = AtomicU64::new(0);
     static FAILSAFE_OVERLOAD_CASES: AtomicU64 = AtomicU64::new(0);
     let input = experiment_spec()
         .zip(&failure_spec(499))
         .zip(&gen::boolean());
     check::check_cases(
-        "Indexed == Scan planning under faults",
+        "indexed planning under faults",
         32,
         &input,
         |&((spec, failures), hair_trigger)| {
@@ -203,31 +112,23 @@ fn indexed_planning_matches_scan_under_fault_injection() {
                         ),
                 );
             }
-            let run = |mode: PlanMode, trace: Option<&std::path::Path>| {
-                let mut experiment = experiment.clone().plan_mode(mode).record_events();
-                if let Some(path) = trace {
-                    experiment = experiment.trace_path(path);
-                }
-                check_support::run_experiment(experiment).map_err(|e| {
-                    format!("{spec:?}/{failures:?}: {} run failed: {e:?}", mode.label())
-                })
-            };
-            // The trace sink does not perturb the run
-            // (`jsonl_sink_does_not_perturb_the_simulation`).
+            // The decision records in the trace show which rounds planned
+            // overload migrations in fail-safe.
             let path = std::env::temp_dir().join(format!(
                 "agilepm-differential-faults-{}-{}.jsonl",
                 std::process::id(),
                 SINK_SERIAL.fetch_add(1, Ordering::Relaxed)
             ));
-            let indexed = run(PlanMode::Indexed, Some(&path));
+            let report =
+                check_support::run_experiment(experiment.record_events().trace_path(&path))
+                    .map_err(|e| format!("{spec:?}/{failures:?}: run failed: {e:?}"));
             let trace = std::fs::read_to_string(&path).unwrap_or_default();
             let _ = std::fs::remove_file(&path);
-            let indexed = indexed?;
+            let report = report?;
             if failsafe_overload_rounds(&trace) > 0 {
                 FAILSAFE_OVERLOAD_CASES.fetch_add(1, Ordering::Relaxed);
             }
-            let scan = run(PlanMode::Scan, None)?;
-            assert_plan_modes_equivalent(&scenario, &indexed, &scan, "indexed-vs-scan-faults")
+            check_report(&scenario, &report)
         },
     );
     // A single-case replay need not land on such a round.
