@@ -5,9 +5,11 @@
 //! headline `wall_secs` is the best run, and the median, min and max
 //! over the repeats record the spread. With `--check-baseline FILE` the
 //! run fails (exit 1) if ticks/sec at any matching size falls below the
-//! baseline entry's floor (70 % unless the entry sets one), or its peak
-//! RSS exceeds the entry's `peak_rss_kb` by more than its `rss_margin`
-//! — the CI perf smoke gate.
+//! baseline entry's floor (70 % unless the entry sets one), its peak
+//! RSS exceeds the entry's `peak_rss_kb` by more than its `rss_margin`,
+//! or its hosts rescored per planned migration exceeds the entry's
+//! `hosts_rescored_per_migration` by more than 1 % — the CI perf smoke
+//! gate.
 
 use std::time::Instant;
 
@@ -46,6 +48,25 @@ struct Row {
     /// Deterministic `work.*` op-counters from the metrics snapshot —
     /// the wall-clock-free superlinearity evidence.
     work: Vec<(String, u64)>,
+}
+
+impl Row {
+    /// A `work.*` counter of the run (0 when absent).
+    fn counter(&self, name: &str) -> u64 {
+        self.work
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |&(_, v)| v)
+    }
+
+    /// Hosts a destination pick examined per planned migration
+    /// (`work.plan.hosts_rescored / work.plan.migrations_planned`): the
+    /// deterministic per-pick search cost. `None` when nothing was
+    /// planned.
+    fn hosts_rescored_per_migration(&self) -> Option<f64> {
+        let planned = self.counter("work.plan.migrations_planned");
+        (planned > 0).then(|| self.counter("work.plan.hosts_rescored") as f64 / planned as f64)
+    }
 }
 
 const USAGE: &str = "\
@@ -301,6 +322,9 @@ fn render_json(rows: &[Row], args: &Args) -> String {
             r.ticks_per_sec,
             r.peak_rss_kb,
         ));
+        if let Some(ratio) = r.hosts_rescored_per_migration() {
+            out.push_str(&format!("\"hosts_rescored_per_migration\": {ratio:.4}, "));
+        }
         if let Some((_, before_tps, _)) = BEFORE.iter().find(|(h, _, _)| *h == r.hosts) {
             out.push_str(&format!(
                 "\"speedup_vs_before\": {:.2}, ",
@@ -337,6 +361,12 @@ fn render_json(rows: &[Row], args: &Args) -> String {
 /// entry sets no `floor` of its own.
 const DEFAULT_FLOOR: f64 = 0.7;
 
+/// How far a run's hosts rescored per planned migration may exceed its
+/// baseline entry's value. The counters are deterministic, so the only
+/// slack needed is for the artifact's 4-decimal rounding; 1 % still
+/// fails any change that makes destination picks examine more hosts.
+const SEARCH_COST_MARGIN: f64 = 0.01;
+
 /// Fails the process if any measured size misses a threshold of its
 /// baseline entry (see [`baseline_verdicts`]).
 fn check_baseline(rows: &[Row], baseline: &str) {
@@ -368,6 +398,9 @@ fn check_baseline(rows: &[Row], baseline: &str) {
 ///   not finger an innocent phase.
 /// * An entry that records `peak_rss_kb` also bounds memory: the run's
 ///   peak RSS must stay within `peak_rss_kb × (1 + rss_margin)`.
+/// * An entry that records `hosts_rescored_per_migration` also bounds
+///   the planner's search cost: the run's ratio must stay within that
+///   value × (1 + [`SEARCH_COST_MARGIN`]).
 fn baseline_verdicts(rows: &[Row], baseline: &str) -> Vec<Result<String, String>> {
     let parsed = Json::parse(baseline).expect("baseline file is valid JSON");
     let entries = parsed
@@ -424,6 +457,26 @@ fn baseline_verdicts(rows: &[Row], baseline: &str) -> Vec<Result<String, String>
                     "{hosts:>5} hosts: peak RSS {rss} kB vs baseline {base_rss:.0} kB \
                      (ceiling {ceiling:.0}) ok"
                 ))
+            });
+        }
+        if let Some(base) = entry
+            .get("hosts_rescored_per_migration")
+            .and_then(Json::as_f64)
+        {
+            let ceiling = base * (1.0 + SEARCH_COST_MARGIN);
+            verdicts.push(match row.hosts_rescored_per_migration() {
+                Some(ratio) if ratio <= ceiling => Ok(format!(
+                    "{hosts:>5} hosts: {ratio:.4} hosts rescored per planned migration vs \
+                     baseline {base:.4} (ceiling {ceiling:.4}) ok"
+                )),
+                Some(ratio) => Err(format!(
+                    "SEARCH-COST REGRESSION at {hosts} hosts: {ratio:.4} hosts rescored per \
+                     planned migration > baseline {base:.4} + {:.0}% ({ceiling:.4})",
+                    SEARCH_COST_MARGIN * 100.0
+                )),
+                None => Err(format!(
+                    "SEARCH-COST REGRESSION at {hosts} hosts: no migration was planned"
+                )),
             });
         }
     }
@@ -526,6 +579,16 @@ mod tests {
     }
 
     fn row(hosts: usize, ticks_per_sec: f64, peak_rss_kb: u64) -> Row {
+        row_with_search(hosts, ticks_per_sec, peak_rss_kb, 0, 0)
+    }
+
+    fn row_with_search(
+        hosts: usize,
+        ticks_per_sec: f64,
+        peak_rss_kb: u64,
+        hosts_rescored: u64,
+        migrations_planned: u64,
+    ) -> Row {
         Row {
             hosts,
             vms: hosts * 6,
@@ -537,7 +600,13 @@ mod tests {
             peak_rss_kb,
             phases: vec![("demand".to_string(), 0.5), ("plan".to_string(), 0.5)],
             spans: SpanSummary::default(),
-            work: Vec::new(),
+            work: vec![
+                ("work.plan.hosts_rescored".to_string(), hosts_rescored),
+                (
+                    "work.plan.migrations_planned".to_string(),
+                    migrations_planned,
+                ),
+            ],
         }
     }
 
@@ -572,6 +641,41 @@ mod tests {
         assert!(fat[0].contains("RSS REGRESSION at 4096 hosts"), "{fat:?}");
         // Sizes the baseline does not list are not judged.
         assert!(baseline_verdicts(&[row(1024, 1.0, u64::MAX)], baseline).is_empty());
+    }
+
+    #[test]
+    fn the_gate_bounds_hosts_rescored_per_planned_migration() {
+        let baseline = r#"{"baseline": [
+            {"hosts": 4096, "ticks_per_sec": 100.0, "hosts_rescored_per_migration": 6.0}
+        ]}"#;
+        let verdicts = |rescored: u64, planned: u64| {
+            baseline_verdicts(
+                &[row_with_search(4096, 100.0, 1, rescored, planned)],
+                baseline,
+            )
+        };
+        // Ticks/sec and the ratio are judged; 1 % over the value passes…
+        let ok = verdicts(6060, 1000);
+        assert_eq!(ok.len(), 2);
+        assert!(ok.iter().all(Result::is_ok), "{ok:?}");
+        let ratio = ok[1].as_ref().expect("ratio within bound");
+        assert!(ratio.contains("6.0600 hosts rescored"), "{ratio}");
+        // …one rescore more fails, and so does a run that planned nothing.
+        for (rescored, planned) in [(6061, 1000), (0, 0)] {
+            let failed: Vec<String> = verdicts(rescored, planned)
+                .into_iter()
+                .filter_map(Result::err)
+                .collect();
+            assert_eq!(failed.len(), 1, "{failed:?}");
+            assert!(failed[0].contains("SEARCH-COST REGRESSION at 4096 hosts"));
+        }
+        // The artifact records the ratio per row.
+        let args = parse("").expect("defaults");
+        let json = render_json(&[row_with_search(64, 1.0, 1, 31, 5)], &args);
+        assert!(
+            json.contains("\"hosts_rescored_per_migration\": 6.2000"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -1,170 +1,165 @@
 //! Model-check of the planner's utilization-bucket index: arbitrary
-//! update sequences (insert / remove / re-score / touch-with-drift,
-//! mirroring what placements, drains, quarantines, and in-round trial
-//! moves do to a host) are applied both to a [`UtilizationIndex`] and to
-//! a naive membership/utilization/free-memory model, then the index is
-//! audited against a from-scratch recomputation:
+//! update sequences (in-place re-scores, as in-round tentative moves
+//! make, and whole-fleet refreshes in which hosts join or leave, as
+//! placements, drains and quarantines make between rounds) are applied
+//! both to a [`UtilizationIndex`] and to a naive
+//! membership/utilization/free-memory model. After **every** step the
+//! index must be exact:
 //!
-//! * every member host sits in exactly one bucket, every non-member in
-//!   none (the "operational hosts are indexed exactly once" invariant);
-//! * every *untouched* member sits in precisely the bucket its current
-//!   utilization quantizes to — touched hosts are the overlay and are
-//!   exempt until folded;
-//! * no untouched member's free memory exceeds its bucket's raise-only
-//!   free-memory upper bound — the soundness condition that makes the
-//!   walks' memory prune lossless (a stale-*high* bound is fine, a
-//!   too-low one would skip a feasible destination);
-//! * folding the overlay (re-scoring every touched host, as the
-//!   per-round refresh does) restores full bucket accuracy;
-//! * a fresh index rebuilt from the model's final state agrees with the
-//!   incrementally-maintained one bucket-for-bucket.
+//! * every member host sits in exactly one bucket — the one its current
+//!   utilization quantizes to — and every non-member in none;
+//! * every bucket's free-memory maximum equals the largest free memory
+//!   of the model's members in that bucket (`-inf` when it has none).
+//!   Too low would let a walk's memory prune skip a feasible
+//!   destination; too high would make it examine a bucket it could skip.
+//!
+//! Utilizations and free memory are drawn from coarse grids, so hosts
+//! often share a bucket and tie on memory — the cases where a bucket's
+//! maximum changes hands. At the end a fresh index rebuilt from the
+//! model's final state must agree bucket-for-bucket.
 //!
 //! A second property pins the fixed-shape capacity aggregate: a
 //! [`SumTree`] under arbitrary point updates must stay bitwise equal to
 //! [`pairwise_sum`] recomputed from scratch — that equality is what lets
 //! the indexed planner reuse scan's exact floating-point totals.
 
-use agile_core::{pairwise_sum, SumTree, UtilizationIndex};
+use agile_core::{pairwise_sum, IndexWorkCounters, SumTree, UtilizationIndex};
 use check::gen;
 
-/// One scripted index operation. Utilization arrives in permille so
-/// counterexamples shrink to readable integers; values above 1000
-/// exercise the over-committed (util > 1) clamp range.
+/// One scripted index operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Op {
-    /// Make the host a member (placement / un-quarantine); no-op if it
-    /// already is one.
-    Insert,
-    /// Remove the host (power-down / quarantine); no-op if absent.
-    Remove,
-    /// Change the host's utilization and re-bucket it immediately.
+    /// Re-file a member at a new utilization and free memory (an
+    /// in-round move or its undo); no-op for a non-member.
     Rescore,
-    /// Change the host's utilization but only mark it touched — the
-    /// in-round trial-move path, which defers re-bucketing to the fold.
-    TouchDrift,
+    /// Give the host the new utilization and free memory, then refresh
+    /// the whole index from the model (the per-round refresh pass).
+    Refresh,
+    /// As `Refresh`, but the host also joins or leaves (a host turning
+    /// operational, or powering down / entering quarantine).
+    Flip,
 }
 
+/// Utilization arrives as a multiple of 5% so counterexamples shrink to
+/// readable integers and hosts often share a bucket; values above 100%
+/// exercise the over-committed (util > 1) clamp range. Free memory
+/// arrives in 4 GB steps so bucket maxima often tie.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Step {
     op: Op,
     host: usize,
-    util_permille: u64,
-    /// Free memory in tenths of a GB (0..=32.0 GB), so migrations that
-    /// commit and release memory between re-scores are exercised.
-    mem_tenths: u64,
+    util_pct5: u64,
+    mem_gb4: u64,
 }
 
 fn steps(num_hosts: usize) -> gen::Gen<Vec<Step>> {
-    let step = gen::one_of(vec![Op::Insert, Op::Remove, Op::Rescore, Op::TouchDrift])
+    let step = gen::one_of(vec![Op::Rescore, Op::Refresh, Op::Flip])
         .zip(&gen::usize_in(0..=num_hosts - 1))
-        .zip(&gen::u64_in(0..=2500))
-        .zip(&gen::u64_in(0..=320))
-        .map(|(((op, host), util_permille), mem_tenths)| Step {
+        .zip(&gen::u64_in(0..=50))
+        .zip(&gen::u64_in(0..=8))
+        .map(|(((op, host), util_pct5), mem_gb4)| Step {
             op,
             host,
-            util_permille,
-            mem_tenths,
+            util_pct5,
+            mem_gb4,
         });
     gen::vec_of(&step, 0..=120)
 }
 
-/// Replays `script` against the index and the naive model, returning the
-/// model's final state: membership, utilization, and free memory.
+/// The naive model: membership, utilization and free memory per host.
+struct Model {
+    member: Vec<bool>,
+    utils: Vec<f64>,
+    mem: Vec<f64>,
+}
+
+impl Model {
+    /// Audits `index` against the model: the index's own membership
+    /// check, then every bucket's maximum against one recomputed here.
+    fn audit(&self, index: &UtilizationIndex) -> Result<(), String> {
+        index.check_membership(&self.member, &self.utils, &self.mem)?;
+        let mut max = vec![f64::NEG_INFINITY; UtilizationIndex::num_buckets()];
+        for h in (0..self.member.len()).filter(|&h| self.member[h]) {
+            let b = UtilizationIndex::bucket_of(self.utils[h]);
+            max[b] = max[b].max(self.mem[h]);
+        }
+        for (b, &m) in max.iter().enumerate() {
+            if index.bucket_mem_max(b) != m {
+                return Err(format!(
+                    "bucket {b}'s memory maximum is {} but the model's is {m}",
+                    index.bucket_mem_max(b)
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Replays `script` against the index and the model, auditing after
+/// every step; returns the model's final state.
 fn replay(
     index: &mut UtilizationIndex,
     num_hosts: usize,
     script: &[Step],
-) -> (Vec<bool>, Vec<f64>, Vec<f64>) {
+) -> Result<Model, String> {
     index.ensure_hosts(num_hosts);
-    let mut member = vec![false; num_hosts];
-    let mut utils = vec![0.0f64; num_hosts];
-    let mut mem = vec![0.0f64; num_hosts];
-    for s in script {
-        let util = s.util_permille as f64 / 1000.0;
-        let mem_free = s.mem_tenths as f64 / 10.0;
+    let mut model = Model {
+        member: vec![false; num_hosts],
+        utils: vec![0.0; num_hosts],
+        mem: vec![0.0; num_hosts],
+    };
+    let mut work = IndexWorkCounters::default();
+    for (i, s) in script.iter().enumerate() {
+        let (h, util, mem) = (s.host, s.util_pct5 as f64 * 0.05, s.mem_gb4 as f64 * 4.0);
+        if s.op == Op::Rescore && !model.member[h] {
+            continue;
+        }
+        (model.utils[h], model.mem[h]) = (util, mem);
         match s.op {
-            Op::Insert => {
-                if !member[s.host] {
-                    index.insert(s.host, util, mem_free);
-                    member[s.host] = true;
-                    utils[s.host] = util;
-                    mem[s.host] = mem_free;
-                }
-            }
-            Op::Remove => {
-                if member[s.host] {
-                    index.remove(s.host);
-                    member[s.host] = false;
-                }
-            }
             Op::Rescore => {
-                if member[s.host] {
-                    index.rescore(s.host, util, mem_free);
-                    utils[s.host] = util;
-                    mem[s.host] = mem_free;
-                }
+                index.rescore(h, util, mem);
             }
-            Op::TouchDrift => {
-                if member[s.host] {
-                    index.touch(s.host);
-                    utils[s.host] = util;
-                    mem[s.host] = mem_free;
+            Op::Refresh | Op::Flip => {
+                if s.op == Op::Flip {
+                    model.member[h] = !model.member[h];
                 }
+                let m = &model;
+                index.refresh(&mut work, |h| m.member[h].then(|| (m.utils[h], m.mem[h])));
             }
         }
+        model
+            .audit(index)
+            .map_err(|e| format!("after step {i} ({s:?}): {e}"))?;
     }
-    (member, utils, mem)
+    Ok(model)
 }
 
 #[test]
-fn index_matches_naive_oracle_after_arbitrary_update_sequences() {
+fn index_stays_exact_after_every_step_of_arbitrary_update_sequences() {
     let input = gen::usize_in(1..=24).and_then(|n| steps(n).map(move |s| (n, s)));
-    check::check("bucket index == naive oracle", &input, |(n, script)| {
+    check::check("bucket index == naive model", &input, |(n, script)| {
         let mut index = UtilizationIndex::new();
-        let (member, utils, mem) = replay(&mut index, *n, script);
-
-        // Membership + accuracy + memory-bound audit against the model,
-        // with touched hosts exempt (they are the overlay).
-        index
-            .check_membership(&member, &utils, &mem)
-            .map_err(|e| format!("{n} hosts, {script:?}: {e}"))?;
-
+        let model = replay(&mut index, *n, script).map_err(|e| format!("{n} hosts: {e}"))?;
         // A from-scratch index over the model's final state must agree
-        // bucket-for-bucket once the overlay is folded.
-        for &h in &index.touched_hosts().to_vec() {
-            let h = h as usize;
-            if index.is_indexed(h) {
-                index.rescore(h, utils[h], mem[h]);
-            }
-        }
-        index.clear_touched();
+        // bucket-for-bucket.
         let mut fresh = UtilizationIndex::new();
         fresh.ensure_hosts(*n);
-        for h in 0..*n {
-            if member[h] {
-                fresh.insert(h, utils[h], mem[h]);
-            }
-        }
+        fresh.refresh(&mut IndexWorkCounters::default(), |h| {
+            model.member[h].then(|| (model.utils[h], model.mem[h]))
+        });
         for b in 0..UtilizationIndex::num_buckets() {
             check::prop_assert_eq!(
                 index.bucket_hosts(b),
                 fresh.bucket_hosts(b),
                 "bucket {b} diverged from the from-scratch rebuild"
             );
-            // The incremental bound may sit above the fresh one (it is
-            // raise-only between refreshes) but never below it: the
-            // fresh bound is the exact per-bucket maximum free memory,
-            // and soundness demands the maintained bound covers it.
-            check::prop_assert!(
-                index.bucket_mem_ub(b) >= fresh.bucket_mem_ub(b),
-                "bucket {b} memory bound {} fell below the exact maximum {}",
-                index.bucket_mem_ub(b),
-                fresh.bucket_mem_ub(b)
+            check::prop_assert_eq!(
+                index.bucket_mem_max(b),
+                fresh.bucket_mem_max(b),
+                "bucket {b}'s memory maximum diverged from the from-scratch rebuild"
             );
         }
-        index
-            .check_membership(&member, &utils, &mem)
-            .map_err(|e| format!("post-fold: {e}"))
+        Ok(())
     });
 }
 

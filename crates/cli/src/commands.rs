@@ -463,6 +463,9 @@ fn breakeven(args: &[String]) -> CmdResult {
 /// scaleout bench artifact yields one per fleet size.
 struct PerfSection {
     label: String,
+    /// Fleet size of a scaleout artifact's section (`None` for a trace
+    /// or bare span summary): diffs pair sections by it.
+    hosts: Option<u64>,
     summary: SpanSummary,
     /// `(median, min, max)` wall seconds over a scaleout run's repeats,
     /// when the artifact records them (older artifacts do not).
@@ -514,71 +517,95 @@ fn print_attribution(summary: &SpanSummary) {
 }
 
 /// Per-path wall-time deltas between two runs, sorted by magnitude.
-/// Sections are matched positionally (trace vs trace, or size-by-size
-/// for two scaleout artifacts).
 fn perf_diff(path_a: &str, path_b: &str) -> CmdResult {
-    let a_sections = load_sections(path_a)?;
-    let b_sections = load_sections(path_b)?;
-    for (a, b) in a_sections.iter().zip(&b_sections) {
-        println!("== {} vs {}", a.label, b.label);
-        // Compare only down to the depth both sides recorded: a flat
-        // phase baseline against a full span tree diffs at the phase
-        // level instead of flagging every sub-span as new.
-        let deepest = |s: &SpanSummary| s.spans.iter().map(|x| x.depth).max().unwrap_or(1);
-        let cap = deepest(&a.summary).min(deepest(&b.summary));
-        let mut paths: Vec<&str> = a
-            .summary
-            .spans
-            .iter()
-            .filter(|s| s.depth <= cap)
-            .map(|s| s.path.as_str())
-            .collect();
-        for s in b.summary.spans.iter().filter(|s| s.depth <= cap) {
-            if !paths.contains(&s.path.as_str()) {
-                paths.push(&s.path);
-            }
-        }
-        let secs =
-            |summary: &SpanSummary, path: &str| summary.span(path).map_or(0.0, |s| s.total_secs);
-        let mut rows: Vec<(String, f64, f64, f64)> = paths
-            .iter()
-            .map(|p| {
-                let (sa, sb) = (secs(&a.summary, p), secs(&b.summary, p));
-                (p.to_string(), sa, sb, sb - sa)
-            })
-            .collect();
-        rows.sort_by(|x, y| y.3.abs().total_cmp(&x.3.abs()));
-        let table_rows: Vec<Vec<String>> = rows
-            .iter()
-            .map(|(path, sa, sb, delta)| {
-                let rel = if *sa > 0.0 {
-                    format!("{:+.1}%", 100.0 * delta / sa)
-                } else {
-                    "new".to_string()
-                };
-                vec![
-                    path.clone(),
-                    format!("{sa:.3}"),
-                    format!("{sb:.3}"),
-                    format!("{delta:+.3}"),
-                    rel,
-                ]
-            })
-            .collect();
-        print!(
-            "{}",
-            table(&["span", "a secs", "b secs", "delta", "rel"], &table_rows)
-        );
-        if let Some((path, sa, _, delta)) = rows.iter().find(|(_, _, _, d)| *d > 0.0) {
-            let rel = if *sa > 0.0 {
-                format!(" ({:+.1}%)", 100.0 * delta / sa)
-            } else {
-                String::new()
-            };
-            println!("biggest regression: {path} {delta:+.3} s{rel}");
+    print!(
+        "{}",
+        render_perf_diff(&load_sections(path_a)?, &load_sections(path_b)?)
+    );
+    Ok(())
+}
+
+/// Renders [`perf_diff`]'s tables. Scaleout sections pair by fleet size
+/// (`hosts=N`), the rest (a trace's single section) by position; a
+/// section with no partner is named as "only in a" or "only in b"
+/// rather than diffed against an unrelated size.
+fn render_perf_diff(a_sections: &[PerfSection], b_sections: &[PerfSection]) -> String {
+    let mut out = String::new();
+    let mut paired = vec![false; b_sections.len()];
+    for a in a_sections {
+        // Equal sizes pair; unsized sections pair first-unpaired-first.
+        let partner = (0..b_sections.len()).find(|&j| !paired[j] && b_sections[j].hosts == a.hosts);
+        let Some(j) = partner else {
+            out.push_str(&format!("== only in a: {}\n", a.label));
+            continue;
+        };
+        paired[j] = true;
+        diff_section(&mut out, a, &b_sections[j]);
+    }
+    for (b, _) in b_sections.iter().zip(&paired).filter(|(_, &p)| !p) {
+        out.push_str(&format!("== only in b: {}\n", b.label));
+    }
+    out
+}
+
+/// Appends one pair's delta table and its biggest regression to `out`.
+fn diff_section(out: &mut String, a: &PerfSection, b: &PerfSection) {
+    out.push_str(&format!("== {} vs {}\n", a.label, b.label));
+    // Compare only down to the depth both sides recorded: a flat phase
+    // baseline against a full span tree diffs at the phase level instead
+    // of flagging every sub-span as new.
+    let deepest = |s: &SpanSummary| s.spans.iter().map(|x| x.depth).max().unwrap_or(1);
+    let cap = deepest(&a.summary).min(deepest(&b.summary));
+    let mut paths: Vec<&str> = a
+        .summary
+        .spans
+        .iter()
+        .filter(|s| s.depth <= cap)
+        .map(|s| s.path.as_str())
+        .collect();
+    for s in b.summary.spans.iter().filter(|s| s.depth <= cap) {
+        if !paths.contains(&s.path.as_str()) {
+            paths.push(&s.path);
         }
     }
-    Ok(())
+    let secs = |summary: &SpanSummary, path: &str| summary.span(path).map_or(0.0, |s| s.total_secs);
+    let mut rows: Vec<(String, f64, f64, f64)> = paths
+        .iter()
+        .map(|p| {
+            let (sa, sb) = (secs(&a.summary, p), secs(&b.summary, p));
+            (p.to_string(), sa, sb, sb - sa)
+        })
+        .collect();
+    rows.sort_by(|x, y| y.3.abs().total_cmp(&x.3.abs()));
+    let table_rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(path, sa, sb, delta)| {
+            let rel = if *sa > 0.0 {
+                format!("{:+.1}%", 100.0 * delta / sa)
+            } else {
+                "new".to_string()
+            };
+            vec![
+                path.clone(),
+                format!("{sa:.3}"),
+                format!("{sb:.3}"),
+                format!("{delta:+.3}"),
+                rel,
+            ]
+        })
+        .collect();
+    out.push_str(&table(
+        &["span", "a secs", "b secs", "delta", "rel"],
+        &table_rows,
+    ));
+    if let Some((path, sa, _, delta)) = rows.iter().find(|(_, _, _, d)| *d > 0.0) {
+        let rel = if *sa > 0.0 {
+            format!(" ({:+.1}%)", 100.0 * delta / sa)
+        } else {
+            String::new()
+        };
+        out.push_str(&format!("biggest regression: {path} {delta:+.3} s{rel}\n"));
+    }
 }
 
 /// Loads attribution data from any artifact the toolchain produces: a
@@ -612,6 +639,7 @@ fn load_sections(path: &str) -> Result<Vec<PerfSection>, Box<dyn Error>> {
     if json.get("spans").is_some() {
         return Ok(vec![PerfSection {
             label: path.to_string(),
+            hosts: None,
             summary: SpanSummary::from_json(&json).map_err(|e| ArgError(format!("{e:?}")))?,
             spread: None,
         }]);
@@ -641,6 +669,7 @@ fn trace_section(record: &Json) -> Result<PerfSection, Box<dyn Error>> {
     let summary = SpanSummary::from_json(spans).map_err(|e| ArgError(format!("{e:?}")))?;
     Ok(PerfSection {
         label,
+        hosts: None,
         summary,
         spread: None,
     })
@@ -665,6 +694,7 @@ fn scaleout_section(run: &Json) -> Result<PerfSection, Box<dyn Error>> {
         if *spans != Json::Null {
             return Ok(PerfSection {
                 label,
+                hosts: Some(hosts),
                 summary: SpanSummary::from_json(spans).map_err(|e| ArgError(format!("{e:?}")))?,
                 spread,
             });
@@ -694,6 +724,7 @@ fn scaleout_section(run: &Json) -> Result<PerfSection, Box<dyn Error>> {
         .unwrap_or_else(|| spans.iter().map(|s| s.total_secs).sum());
     Ok(PerfSection {
         label,
+        hosts: Some(hosts),
         summary: SpanSummary { spans, wall_secs },
         spread,
     })
@@ -1058,6 +1089,50 @@ mod tests {
             bench.to_str().expect("utf8 path"),
         ]))
         .expect("self-diff renders");
+    }
+
+    #[test]
+    fn perf_diff_pairs_sections_by_fleet_size() {
+        let dir = std::env::temp_dir().join("agilepm-cli-test");
+        fs::create_dir_all(&dir).expect("temp dir");
+        let write = |name: &str, sizes: &[u64]| {
+            let runs: Vec<String> = sizes
+                .iter()
+                .map(|h| format!(r#"{{"hosts": {h}, "phases": {{"plan": {h}.0}}}}"#))
+                .collect();
+            let path = dir.join(name);
+            fs::write(&path, format!(r#"{{"baseline": [{}]}}"#, runs.join(",")))
+                .expect("write artifact");
+            load_sections(path.to_str().expect("utf8 path")).expect("artifact loads")
+        };
+        let baseline = write("pair_a.json", &[64, 256, 4096]);
+        let bench = write("pair_b.json", &[64, 4096]);
+        let headers = |out: &str| -> Vec<String> {
+            out.lines()
+                .filter(|l| l.starts_with("=="))
+                .map(str::to_string)
+                .collect()
+        };
+        let out = render_perf_diff(&baseline, &bench);
+        assert_eq!(
+            headers(&out),
+            [
+                "== hosts=64 vs hosts=64",
+                "== only in a: hosts=256",
+                "== hosts=4096 vs hosts=4096",
+            ],
+            "{out}"
+        );
+        assert_eq!(
+            headers(&render_perf_diff(&bench, &baseline)),
+            [
+                "== hosts=64 vs hosts=64",
+                "== hosts=4096 vs hosts=4096",
+                "== only in b: hosts=256",
+            ]
+        );
+        // Equal sizes diff to zero: no regression is reported.
+        assert!(!out.contains("biggest regression"), "{out}");
     }
 
     #[test]

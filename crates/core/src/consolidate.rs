@@ -225,12 +225,11 @@ fn scan_pick_candidate(
 }
 
 /// The indexed body of [`pick_candidate`]: the capacity aggregates come
-/// from the maintained [`SumTree`](crate::SumTree) roots, the touched
-/// overlay is scanned in full, and buckets ascend from 0 to the
-/// underload-threshold bucket until the first one holding a qualifying
-/// untouched host — which must contain the untouched minimum, because
-/// every host in a later bucket has strictly larger utilization. Merging
-/// the two lexicographic minima reproduces the scan's first-wins answer
+/// from the maintained [`SumTree`](crate::SumTree) roots, and buckets
+/// ascend from 0 to the underload-threshold bucket until the first one
+/// holding a qualifying host — which must contain the minimum, because
+/// every host in a later bucket has strictly larger utilization. The
+/// first minimum within it reproduces the scan's first-wins answer
 /// exactly.
 ///
 /// `work.plan.candidates_scanned` is charged with the hosts actually
@@ -254,38 +253,30 @@ fn pick_candidate_indexed(
     };
     let mut examined = 0u64;
     let mut best: Option<(f64, usize)> = None;
-    for &h in ctx.index.touched_hosts() {
-        let h = h as usize;
-        examined += 1;
-        if qualifies(ctx, h) {
-            crate::plan::lex_min(&mut best, (ctx.util(h), h));
-        }
-    }
     // Qualification requires util strictly below the underload threshold,
     // so no bucket past the threshold's own can hold a candidate.
     let limit = UtilizationIndex::bucket_of(cfg.underload_threshold());
-    'walk: for b in 0..=limit {
-        let mut found = false;
+    for b in 0..=limit {
         for &h in ctx.index.bucket_hosts(b) {
             let h = h as usize;
-            if ctx.index.is_touched(h) {
-                continue;
-            }
             examined += 1;
             if qualifies(ctx, h) {
                 let u = ctx.util(h);
-                crate::plan::lex_min(&mut best, (u, h));
-                found = true;
+                // Members ascend by index: strict `<` keeps the first of
+                // equal minima, like the scan's fold.
+                if best.is_none_or(|(bu, _)| u < bu) {
+                    best = Some((u, h));
+                }
                 // A qualifying host exactly on the bucket floor is
                 // unbeatable (see `UtilizationIndex::bucket_floor`):
                 // dense boundary buckets terminate in one hit.
                 if u.to_bits() == UtilizationIndex::bucket_floor(b).to_bits() {
-                    break 'walk;
+                    break;
                 }
             }
         }
-        if found {
-            break 'walk;
+        if best.is_some() {
+            break;
         }
     }
     ctx.work.candidates_scanned += examined;
@@ -388,9 +379,10 @@ fn undo_moves(ctx: &mut PlanContext, journal: &[MoveUndo]) {
         ctx.host_pred_cpu[u.from] = u.old_pred_from;
         ctx.host_pred_cpu[u.to] = u.old_pred_to;
         ctx.mem_committed[u.to] = u.old_mem_to;
-        // The endpoints' utilizations changed again; keep their overlay
-        // marks current for the index.
-        ctx.note_undone_move(u.from, u.to);
+        // The endpoints' utilizations (and the destination's free
+        // memory) changed back: re-file them so the index stays exact.
+        ctx.refile(u.from);
+        ctx.refile(u.to);
     }
 }
 
@@ -736,9 +728,9 @@ mod tests {
         assert!(actions.len() >= 2);
     }
 
-    /// Asserts every pick the round can make equals its scan twin: both
-    /// destination picks for every VM, the drain candidate, and the
-    /// capacity trees' roots, bitwise.
+    /// Asserts the index is exact and every pick the round can make
+    /// equals its scan twin: both destination picks for every VM, the
+    /// drain candidate, and the capacity trees' roots, bitwise.
     fn assert_picks_match_scans(
         ctx: &mut PlanContext,
         c: &ManagerConfig,
@@ -746,6 +738,7 @@ mod tests {
         recovery: &RecoveryTracker,
         world: &impl std::fmt::Debug,
     ) {
+        assert_eq!(ctx.check_index(), Ok(()), "{world:?}");
         for vm in 0..ctx.vm_host.len() {
             let scan = ctx.scan_least_loaded_destination(vm, c);
             assert_eq!(

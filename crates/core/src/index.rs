@@ -26,13 +26,13 @@
 //!   in the first non-empty qualifying bucket of an ascending
 //!   (descending) walk, and equal utilizations always share a bucket —
 //!   cross-bucket ordering can never reorder a tie.
-//! * **Lexicographic tie-breaks.** The scan twins use
-//!   `Iterator::min_by` (first-wins: lowest index among equal minima)
-//!   and `Iterator::max_by` (last-wins: highest index among equal
-//!   maxima). Both are exactly the lexicographic min/max of
-//!   `(utilization, host index)`, which is iteration-order independent —
-//!   so bucket walks and the touched-host overlay can be merged without
-//!   replaying the scan's exact visit order.
+//! * **Index-order tie-breaks.** The scan twins use `Iterator::min_by`
+//!   (first-wins: lowest index among equal minima) and
+//!   `Iterator::max_by` (last-wins: highest index among equal maxima).
+//!   Each bucket lists its hosts in ascending index order and a walk
+//!   takes its answer from a single bucket, so a strict `<` (first
+//!   wins) or a `>=` (last wins) within that bucket reproduces the
+//!   scan's choice among equal utilizations.
 //! * **Fixed-shape aggregates.** The drain-candidate capacity gate sums
 //!   active and arriving capacity. A running sum updated incrementally
 //!   would round differently from the scan's fold, so both paths use the
@@ -41,13 +41,15 @@
 //!   updates (the index) produce bitwise-equal roots by construction —
 //!   every tree node is a pure function of its leaves.
 //!
-//! Only the ordering key (predicted utilization) is indexed. All
-//! qualification predicates — operational, draining, hysteresis,
-//! quarantine, capacity gates, `can_accept` — are evaluated live per
-//! examined host, so the index can never serve a stale answer for
-//! anything but the ordering itself, and in-round moves are handled by
-//! marking the endpoints *touched*: touched hosts are skipped during
-//! bucket walks and re-examined linearly from the overlay instead.
+//! The index is exact at all times: every member sits in the bucket of
+//! its current utilization, and every bucket knows the exact maximum free
+//! memory of its members. A tentative move (or its undo) re-files both
+//! endpoints in place, so a walk never re-examines moved hosts apart from
+//! the buckets, and a destination walk skips in O(1) every bucket in
+//! which no member has room for the VM. Only the ordering key and the
+//! memory maximum are indexed; every qualification predicate —
+//! operational, draining, hysteresis, quarantine, capacity gates,
+//! `can_accept` — is evaluated live per examined host.
 
 use obs::Json;
 
@@ -66,8 +68,8 @@ pub enum PlanMode {
 /// Buckets per unit of utilization: fine enough that steady-state walks
 /// examine few hosts, coarse enough that bucket churn stays cheap.
 ///
-/// A destination walk must examine every untouched member of the bucket
-/// it stops in (the lexicographic tie-break needs all of them), so the
+/// A destination walk must examine every member of the bucket it stops
+/// in (the index-order tie-break needs all of them), so the
 /// per-pick cost floor is the population of one bucket around the
 /// packed-fleet utilization — at 64k hosts and 1/128 granularity that
 /// was hundreds of hosts per pick. Kept a power of two so every bucket
@@ -90,48 +92,39 @@ const NOT_INDEXED: u32 = u32::MAX;
 // because the planner's aggregates are its original and primary client.
 pub use simcore::{pairwise_sum, SumTree};
 
-/// Utilization-bucketed host index with a touched-host overlay, plus the
-/// capacity aggregates the drain gate needs ([`SumTree`]s for active and
-/// arriving capacity).
+/// Utilization-bucketed host index with an exact free-memory maximum per
+/// bucket, plus the capacity aggregates the drain gate needs
+/// ([`SumTree`]s for active and arriving capacity).
 ///
 /// Hosts are bucketed by quantized utilization
 /// (`floor(util × 1024)`, clamped); each bucket keeps its hosts sorted
 /// ascending so within-bucket iteration is in index order. Membership is
 /// the caller's notion of "operational": every operational host is in
-/// exactly one bucket, non-operational hosts are in none —
-/// [`check_membership`](Self::check_membership) verifies exactly that,
-/// and the model-check suite drives arbitrary
-/// insert/remove/rescore/touch sequences against a recomputed-from-
-/// scratch oracle.
-///
-/// The index stores only the ordering key. Callers evaluate every
-/// qualification predicate live per examined host and handle in-round
-/// utilization changes by [`touch`](Self::touch)ing the affected hosts:
-/// a touched host's stored bucket is ignored (walks skip it) and the
-/// caller re-examines the overlay linearly instead.
+/// exactly one bucket, non-operational hosts are in none. Each member is
+/// filed with its utilization and free memory, and each bucket holds the
+/// exact maximum of its members' filed free memory. Hosts join and
+/// leave at the per-round [`refresh`](Self::refresh); in-round changes
+/// re-file a member with [`rescore`](Self::rescore).
+/// [`check_membership`](Self::check_membership) verifies all of it
+/// against ground truth, and the model-check suite drives arbitrary
+/// rescore/refresh sequences against a recomputed-from-scratch model.
 #[derive(Debug, Clone, Default)]
 pub struct UtilizationIndex {
     /// `buckets[b]` = hosts with quantized utilization `b`, ascending.
     buckets: Vec<Vec<u32>>,
     /// Bucket of each host, `NOT_INDEXED` when absent.
     host_bucket: Vec<u32>,
-    /// Overlay membership flag per host.
-    touched_flag: Vec<bool>,
-    /// Overlay insertion list (order is irrelevant to callers — queries
-    /// over the overlay are lexicographic min/max, which are
-    /// order-independent).
-    touched: Vec<u32>,
-    /// Per-bucket upper bound on the free memory (GB) of any *untouched*
-    /// member host. Conservatively maintained: raised whenever a host is
-    /// inserted or rescored into a bucket, reset to exact values only at
-    /// the per-round refresh ([`reset_mem_ubs`](Self::reset_mem_ubs)
-    /// followed by a full re-insert/rescore pass). A stale-high bound is
-    /// harmless — a walk merely examines a bucket it could have skipped —
-    /// while the raise-only discipline guarantees the bound never drops
-    /// below a resident host's free memory, so skipping a bucket whose
-    /// bound cannot fit a VM is lossless. Touched hosts are exempt: they
-    /// live in the overlay, which every walk scans in full.
-    bucket_mem_ub: Vec<f64>,
+    /// Free memory (GB) each member was last filed with; meaningless for
+    /// non-members.
+    host_mem: Vec<f64>,
+    /// Exact maximum of `host_mem` over each bucket's members
+    /// (`-inf` for an empty bucket). Raised in O(1) when a member is filed
+    /// above it; recomputed from the bucket's members only when the
+    /// member holding it shrinks or leaves. A walk skips a bucket whose
+    /// maximum cannot fit the VM, so the bound must never sit below a
+    /// member's free memory — and, being exact, it never sits above all
+    /// of them either, so no skippable bucket is ever examined.
+    bucket_mem_max: Vec<f64>,
     /// Active capacity aggregate (leaf = capacity if operational and not
     /// draining, else 0.0). Maintained by the planning context.
     pub(crate) active_tree: SumTree,
@@ -183,36 +176,26 @@ impl UtilizationIndex {
     pub fn ensure_hosts(&mut self, num_hosts: usize) {
         if self.buckets.is_empty() {
             self.buckets = vec![Vec::new(); Self::num_buckets()];
-            self.bucket_mem_ub = vec![0.0; Self::num_buckets()];
+            self.bucket_mem_max = vec![f64::NEG_INFINITY; Self::num_buckets()];
         }
         if self.host_bucket.len() != num_hosts {
             for b in &mut self.buckets {
                 b.clear();
             }
-            self.bucket_mem_ub.fill(0.0);
+            self.bucket_mem_max.fill(f64::NEG_INFINITY);
             self.host_bucket.clear();
             self.host_bucket.resize(num_hosts, NOT_INDEXED);
-            self.touched_flag.clear();
-            self.touched_flag.resize(num_hosts, false);
-            self.touched.clear();
+            self.host_mem.clear();
+            self.host_mem.resize(num_hosts, 0.0);
         }
     }
 
-    /// Resets every bucket's free-memory upper bound to zero, ahead of a
-    /// refresh pass that re-inserts or rescores every member (each such
-    /// call raises its bucket's bound back to the member's live free
-    /// memory). Without the periodic reset the raise-only bounds would
-    /// ratchet upward forever and stop pruning anything.
-    pub fn reset_mem_ubs(&mut self) {
-        self.bucket_mem_ub.fill(0.0);
-    }
-
-    /// Upper bound on the free memory of any untouched host in bucket
-    /// `b`. A walk may skip the bucket entirely when the VM's memory
-    /// demand exceeds this bound (plus the feasibility slop) — no
-    /// resident host can accept it.
-    pub fn bucket_mem_ub(&self, b: usize) -> f64 {
-        self.bucket_mem_ub[b]
+    /// The exact maximum free memory (GB) of any member of bucket `b`
+    /// (`-inf` when the bucket is empty). A walk may skip the bucket
+    /// entirely when the VM's memory demand exceeds it (plus the
+    /// feasibility slop) — no member can accept the VM.
+    pub fn bucket_mem_max(&self, b: usize) -> f64 {
+        self.bucket_mem_max[b]
     }
 
     /// Whether `host` currently sits in a bucket.
@@ -233,29 +216,84 @@ impl UtilizationIndex {
         &self.buckets[b]
     }
 
-    /// Inserts `host` with utilization `util`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host is already indexed.
-    pub fn insert(&mut self, host: usize, util: f64, mem_free: f64) {
-        assert!(!self.is_indexed(host), "host {host} already indexed");
-        let b = Self::bucket_of(util);
-        let list = &mut self.buckets[b];
-        let pos = list.partition_point(|&h| (h as usize) < host);
-        list.insert(pos, host as u32);
-        self.host_bucket[host] = b as u32;
-        if mem_free > self.bucket_mem_ub[b] {
-            self.bucket_mem_ub[b] = mem_free;
-        }
-    }
-
-    /// Removes `host` from its bucket.
+    /// Re-files `host` at utilization `util` with `mem_free` GB free;
+    /// returns whether it changed bucket. Both buckets' memory maxima
+    /// stay exact.
     ///
     /// # Panics
     ///
     /// Panics if the host is not indexed.
-    pub fn remove(&mut self, host: usize) {
+    pub fn rescore(&mut self, host: usize, util: f64, mem_free: f64) -> bool {
+        let from = self
+            .bucket_of_host(host)
+            .unwrap_or_else(|| panic!("host {host} not indexed"));
+        let to = Self::bucket_of(util);
+        if from != to {
+            self.unlink(host);
+            self.link(host, to);
+        }
+        let old_mem = self.host_mem[host];
+        let held_max = old_mem == self.bucket_mem_max[from];
+        self.file_mem(host, to, mem_free);
+        // The old maximum's holder shrank (same bucket) or left (other
+        // bucket): only then can the bucket's maximum fall.
+        if held_max && (from != to || mem_free < old_mem) {
+            self.recompute_mem_max(from);
+        }
+        from != to
+    }
+
+    /// Re-files every host in one pass: `filing(h)` is
+    /// `Some((util, mem_free))` for a member and `None` for a non-member.
+    /// Inserts, removals and bucket changes are counted into `work`.
+    ///
+    /// The memory maxima are rebuilt by reset-then-raise: every bucket
+    /// starts at `-inf` and each member raises its final bucket once, so
+    /// they are exact when the pass ends without ever recomputing a
+    /// bucket from its members.
+    pub fn refresh(
+        &mut self,
+        work: &mut IndexWorkCounters,
+        mut filing: impl FnMut(usize) -> Option<(f64, f64)>,
+    ) {
+        work.refreshes += 1;
+        self.bucket_mem_max.fill(f64::NEG_INFINITY);
+        for h in 0..self.host_bucket.len() {
+            let current = self.bucket_of_host(h);
+            let Some((util, mem_free)) = filing(h) else {
+                if current.is_some() {
+                    self.unlink(h);
+                    work.removes += 1;
+                }
+                continue;
+            };
+            let b = Self::bucket_of(util);
+            match current {
+                None => {
+                    self.link(h, b);
+                    work.inserts += 1;
+                }
+                Some(old) if old != b => {
+                    self.unlink(h);
+                    self.link(h, b);
+                    work.rebuckets += 1;
+                }
+                Some(_) => {}
+            }
+            self.file_mem(h, b, mem_free);
+        }
+    }
+
+    /// Adds `host` to bucket `b`'s sorted list.
+    fn link(&mut self, host: usize, b: usize) {
+        let list = &mut self.buckets[b];
+        let pos = list.partition_point(|&h| (h as usize) < host);
+        list.insert(pos, host as u32);
+        self.host_bucket[host] = b as u32;
+    }
+
+    /// Takes `host` out of its bucket's list.
+    fn unlink(&mut self, host: usize) {
         let b = self.host_bucket[host];
         assert!(b != NOT_INDEXED, "host {host} not indexed");
         let list = &mut self.buckets[b as usize];
@@ -266,72 +304,31 @@ impl UtilizationIndex {
         self.host_bucket[host] = NOT_INDEXED;
     }
 
-    /// Moves `host` to the bucket for `util` if it changed; returns
-    /// whether a move happened. The destination bucket's free-memory
-    /// bound is raised to cover `mem_free` even when the bucket is
-    /// unchanged — an overlay fold can hand back a host whose free
-    /// memory grew (a rolled-back migration released its reservation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host is not indexed.
-    pub fn rescore(&mut self, host: usize, util: f64, mem_free: f64) -> bool {
-        let b = self.host_bucket[host];
-        assert!(b != NOT_INDEXED, "host {host} not indexed");
-        let target = Self::bucket_of(util) as u32;
-        if target == b {
-            if mem_free > self.bucket_mem_ub[b as usize] {
-                self.bucket_mem_ub[b as usize] = mem_free;
-            }
-            return false;
+    /// Files `host`'s free memory and raises bucket `b`'s maximum to it.
+    fn file_mem(&mut self, host: usize, b: usize, mem_free: f64) {
+        self.host_mem[host] = mem_free;
+        if mem_free > self.bucket_mem_max[b] {
+            self.bucket_mem_max[b] = mem_free;
         }
-        self.remove(host);
-        self.insert(host, util, mem_free);
-        true
     }
 
-    /// Marks `host` touched (its in-round utilization diverged from its
-    /// bucket); returns whether it was newly touched.
-    pub fn touch(&mut self, host: usize) -> bool {
-        if self.touched_flag[host] {
-            return false;
-        }
-        self.touched_flag[host] = true;
-        self.touched.push(host as u32);
-        true
+    /// Recomputes bucket `b`'s memory maximum from its members.
+    fn recompute_mem_max(&mut self, b: usize) {
+        let host_mem = &self.host_mem;
+        self.bucket_mem_max[b] = self.buckets[b]
+            .iter()
+            .map(|&h| host_mem[h as usize])
+            .fold(f64::NEG_INFINITY, f64::max);
     }
 
-    /// Whether `host` is in the touched overlay.
-    pub fn is_touched(&self, host: usize) -> bool {
-        self.touched_flag[host]
-    }
-
-    /// The touched overlay, in insertion order.
-    pub fn touched_hosts(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// Number of touched hosts.
-    pub fn overlay_len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Clears the touched overlay.
-    pub fn clear_touched(&mut self) {
-        for &h in &self.touched {
-            self.touched_flag[h as usize] = false;
-        }
-        self.touched.clear();
-    }
-
-    /// Verifies the membership invariant against ground truth: every
-    /// host with `member[h]` true sits in exactly one bucket — the
-    /// bucket of `utils[h]` unless the host is touched — every
-    /// non-member is in no bucket, every bucket list is strictly
-    /// ascending, and no untouched member's free memory (`mem_free[h]`)
-    /// exceeds its bucket's free-memory upper bound (which would let a
-    /// walk skip a feasible destination). Returns a description of the
-    /// first violation.
+    /// Verifies the index against ground truth: every host with
+    /// `member[h]` true sits in exactly one bucket — the bucket of
+    /// `utils[h]` — filed with `mem_free[h]`; every non-member is in no
+    /// bucket; every bucket list is strictly ascending; and every
+    /// bucket's memory maximum equals the largest `mem_free` among its
+    /// members (a lower one would let a walk skip a feasible destination,
+    /// a higher one would make it examine a bucket it could skip).
+    /// Returns a description of the first violation.
     pub fn check_membership(
         &self,
         member: &[bool],
@@ -340,11 +337,15 @@ impl UtilizationIndex {
     ) -> Result<(), String> {
         let mut seen = vec![0u32; member.len()];
         for (b, list) in self.buckets.iter().enumerate() {
+            if list.is_empty() && self.bucket_mem_max[b] == f64::NEG_INFINITY {
+                continue;
+            }
             for pair in list.windows(2) {
                 if pair[0] >= pair[1] {
                     return Err(format!("bucket {b} is not strictly ascending: {list:?}"));
                 }
             }
+            let mut max = f64::NEG_INFINITY;
             for &h in list {
                 let h = h as usize;
                 if h >= member.len() {
@@ -357,20 +358,26 @@ impl UtilizationIndex {
                         self.host_bucket[h]
                     ));
                 }
-                if !self.touched_flag[h] && Self::bucket_of(utils[h]) != b {
+                if Self::bucket_of(utils[h]) != b {
                     return Err(format!(
-                        "untouched host {h} (util {}) sits in bucket {b}, expected {}",
+                        "host {h} (util {}) sits in bucket {b}, expected {}",
                         utils[h],
                         Self::bucket_of(utils[h])
                     ));
                 }
-                if !self.touched_flag[h] && mem_free[h] > self.bucket_mem_ub[b] {
+                if self.host_mem[h] != mem_free[h] {
                     return Err(format!(
-                        "untouched host {h} has {} GB free but bucket {b}'s bound is {} — \
-                         a memory-pruned walk could skip a feasible destination",
-                        mem_free[h], self.bucket_mem_ub[b]
+                        "host {h} is filed with {} GB free but has {} GB",
+                        self.host_mem[h], mem_free[h]
                     ));
                 }
+                max = max.max(mem_free[h]);
+            }
+            if self.bucket_mem_max[b] != max {
+                return Err(format!(
+                    "bucket {b}'s memory maximum is {} GB but its freest member has {max} GB",
+                    self.bucket_mem_max[b]
+                ));
             }
         }
         for (h, &m) in member.iter().enumerate() {
@@ -390,11 +397,10 @@ impl UtilizationIndex {
 /// `work.index.*` siblings of [`crate::WorkCounters`].
 ///
 /// Like the plan counters these are pure functions of the scenario seed
-/// and count logical work on the coordinating side. They are
-/// mode-variant by design — a `Scan` run leaves them at zero — and the
-/// invariant catalog pins `rebuckets <= work.cluster.dirty_marks`: a
-/// host may only change bucket when some cluster observation actually
-/// changed.
+/// and count logical work on the coordinating side. The invariant
+/// catalog pins `rebuckets <= work.cluster.dirty_marks`: a refresh may
+/// only move a host when some cluster observation actually changed.
+/// In-round moves are counted apart, in `move_rebuckets`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexWorkCounters {
     /// Per-round index refresh passes.
@@ -405,9 +411,9 @@ pub struct IndexWorkCounters {
     pub inserts: u64,
     /// Hosts removed (hosts leaving the operational set).
     pub removes: u64,
-    /// Hosts re-bucketed by in-round overlay compaction (the overlay
-    /// exceeded its size bound mid-round and was folded back).
-    pub overlay_folds: u64,
+    /// Hosts moved between buckets in place by an in-round tentative
+    /// move or its undo (each endpoint is re-filed when it happens).
+    pub move_rebuckets: u64,
 }
 
 impl IndexWorkCounters {
@@ -419,7 +425,7 @@ impl IndexWorkCounters {
             ("rebuckets", self.rebuckets),
             ("inserts", self.inserts),
             ("removes", self.removes),
-            ("overlay_folds", self.overlay_folds),
+            ("move_rebuckets", self.move_rebuckets),
         ]
     }
 
@@ -477,77 +483,125 @@ mod tests {
         );
     }
 
-    #[test]
-    fn insert_remove_rescore_keep_membership() {
+    /// An index filed from `member`/`utils`/`mem` by one refresh pass.
+    fn filed(member: &[bool], utils: &[f64], mem: &[f64]) -> UtilizationIndex {
         let mut idx = UtilizationIndex::new();
-        idx.ensure_hosts(4);
+        idx.ensure_hosts(member.len());
+        idx.refresh(&mut IndexWorkCounters::default(), |h| {
+            member[h].then_some((utils[h], mem[h]))
+        });
+        idx
+    }
+
+    #[test]
+    fn rescore_keeps_membership_and_maxima_exact() {
         let mut utils = [0.1, 0.5, 0.5, 0.9];
         let mem = [4.0, 8.0, 2.0, 0.0];
         let member = [true, true, true, false];
-        for h in 0..3 {
-            idx.insert(h, utils[h], mem[h]);
-        }
+        let mut idx = filed(&member, &utils, &mem);
         idx.check_membership(&member, &utils, &mem).unwrap();
         // Hosts 1 and 2 share a bucket, ascending; the bucket's memory
-        // bound covers the freer of the two.
-        assert_eq!(idx.bucket_hosts(UtilizationIndex::bucket_of(0.5)), &[1, 2]);
-        assert_eq!(idx.bucket_mem_ub(UtilizationIndex::bucket_of(0.5)), 8.0);
+        // maximum is the freer of the two, and an empty bucket has none.
+        let b = UtilizationIndex::bucket_of(0.5);
+        assert_eq!(idx.bucket_hosts(b), &[1, 2]);
+        assert_eq!(idx.bucket_mem_max(b), 8.0);
+        assert_eq!(
+            idx.bucket_mem_max(UtilizationIndex::bucket_of(0.9)),
+            f64::NEG_INFINITY
+        );
         utils[1] = 0.2;
         assert!(idx.rescore(1, utils[1], mem[1]));
         assert!(!idx.rescore(1, utils[1], mem[1]));
+        // The holder left: the maximum falls to the remaining member.
+        assert_eq!(idx.bucket_mem_max(b), 2.0);
         idx.check_membership(&member, &utils, &mem).unwrap();
-        idx.remove(2);
         assert!(idx
-            .check_membership(&member, &utils, &mem)
+            .check_membership(&[true; 4], &utils, &mem)
             .unwrap_err()
-            .contains("member host 2"));
+            .contains("member host 3"));
     }
 
     #[test]
-    fn mem_bound_raises_only_and_resets_exactly() {
-        let mut idx = UtilizationIndex::new();
-        idx.ensure_hosts(2);
-        let utils = [0.4, 0.4];
-        idx.insert(0, utils[0], 6.0);
-        idx.insert(1, utils[1], 2.0);
+    fn mem_max_tracks_its_holder_exactly() {
+        let mut utils = [0.4, 0.4, 0.4];
         let b = UtilizationIndex::bucket_of(0.4);
-        assert_eq!(idx.bucket_mem_ub(b), 6.0);
-        // Same-bucket rescore with more free memory raises the bound…
-        assert!(!idx.rescore(1, utils[1], 9.0));
-        assert_eq!(idx.bucket_mem_ub(b), 9.0);
-        // …a lower value never lowers it (raise-only between resets)…
-        assert!(!idx.rescore(1, utils[1], 1.0));
-        assert_eq!(idx.bucket_mem_ub(b), 9.0);
-        // …and an under-bound ground truth is caught by the audit.
-        assert!(idx
-            .check_membership(&[true, true], &utils, &[6.0, 10.0])
-            .unwrap_err()
-            .contains("memory-pruned"));
-        // The refresh pattern — reset, then rescore every member —
-        // restores the exact per-bucket maximum.
-        idx.reset_mem_ubs();
-        assert!(!idx.rescore(0, utils[0], 6.0));
-        assert!(!idx.rescore(1, utils[1], 2.0));
-        assert_eq!(idx.bucket_mem_ub(b), 6.0);
-        idx.check_membership(&[true, true], &utils, &[6.0, 2.0])
-            .unwrap();
+        let mut mem = [6.0, 2.0, 6.0];
+        let mut idx = filed(&[true; 3], &utils, &mem);
+        assert_eq!(idx.bucket_mem_max(b), 6.0);
+        // A same-bucket rescore with more free memory raises it…
+        mem[1] = 9.0;
+        assert!(!idx.rescore(1, utils[1], mem[1]));
+        assert_eq!(idx.bucket_mem_max(b), 9.0);
+        // …the holder shrinking lowers it to the next-freest member…
+        mem[1] = 1.0;
+        assert!(!idx.rescore(1, utils[1], mem[1]));
+        assert_eq!(idx.bucket_mem_max(b), 6.0);
+        // …a tied holder shrinking leaves its twin's value in place…
+        mem[0] = 3.0;
+        assert!(!idx.rescore(0, utils[0], mem[0]));
+        assert_eq!(idx.bucket_mem_max(b), 6.0);
+        // …and a non-holder shrinking changes nothing.
+        mem[0] = 0.5;
+        assert!(!idx.rescore(0, utils[0], mem[0]));
+        assert_eq!(idx.bucket_mem_max(b), 6.0);
+        idx.check_membership(&[true; 3], &utils, &mem).unwrap();
+        // The last holder leaving exposes the remaining maximum.
+        utils[2] = 0.8;
+        assert!(idx.rescore(2, utils[2], mem[2]));
+        assert_eq!(idx.bucket_mem_max(b), 1.0);
+        idx.check_membership(&[true; 3], &utils, &mem).unwrap();
     }
 
     #[test]
-    fn touched_hosts_are_exempt_from_bucket_accuracy() {
+    fn audit_rejects_a_stale_memory_maximum_either_way() {
+        let utils = [0.4, 0.4];
+        let idx = filed(&[true, true], &utils, &[6.0, 2.0]);
+        // Ground truth freer than filed: the maximum is too low, and a
+        // memory-pruned walk could skip a feasible destination.
+        let err = idx
+            .check_membership(&[true, true], &utils, &[6.0, 10.0])
+            .unwrap_err();
+        assert!(err.contains("filed with 2 GB free"), "{err}");
+        // Ground truth tighter than filed: too high, a wasted examination.
+        let err = idx
+            .check_membership(&[true, true], &utils, &[5.0, 2.0])
+            .unwrap_err();
+        assert!(err.contains("filed with 6 GB free"), "{err}");
+        // A host filed in the wrong bucket is caught too.
+        let err = idx
+            .check_membership(&[true, true], &[0.7, 0.4], &[6.0, 2.0])
+            .unwrap_err();
+        assert!(err.contains("sits in bucket"), "{err}");
+    }
+
+    #[test]
+    fn refresh_refiles_every_host_and_rebuilds_exact_maxima() {
         let mut idx = UtilizationIndex::new();
-        idx.ensure_hosts(2);
-        let mut utils = [0.1, 0.8];
-        let mem = [4.0, 4.0];
-        idx.insert(0, utils[0], mem[0]);
-        idx.insert(1, utils[1], mem[1]);
-        utils[0] = 0.7; // drifted in-round
-        assert!(idx.check_membership(&[true, true], &utils, &mem).is_err());
-        assert!(idx.touch(0));
-        assert!(!idx.touch(0));
-        idx.check_membership(&[true, true], &utils, &mem).unwrap();
-        idx.clear_touched();
-        assert!(!idx.is_touched(0));
+        idx.ensure_hosts(4);
+        let mut work = IndexWorkCounters::default();
+        let mut member = [true, true, true, false];
+        let mut utils = [0.1, 0.5, 0.5, 0.9];
+        let mut mem = [4.0, 8.0, 2.0, 0.0];
+        let filing = |m: &[bool; 4], u: &[f64; 4], f: &[f64; 4]| {
+            let (m, u, f) = (*m, *u, *f);
+            move |h: usize| m[h].then_some((u[h], f[h]))
+        };
+        idx.refresh(&mut work, filing(&member, &utils, &mem));
+        idx.check_membership(&member, &utils, &mem).unwrap();
+        assert_eq!((work.refreshes, work.inserts), (1, 3));
+        // Host 1 (the bucket's holder) shrinks in place, host 2 moves,
+        // host 0 leaves and host 3 joins: one pass makes it all exact.
+        mem[1] = 1.0;
+        utils[2] = 0.7;
+        member[0] = false;
+        member[3] = true;
+        idx.refresh(&mut work, filing(&member, &utils, &mem));
+        idx.check_membership(&member, &utils, &mem).unwrap();
+        assert_eq!(idx.bucket_mem_max(UtilizationIndex::bucket_of(0.5)), 1.0);
+        assert_eq!(
+            (work.refreshes, work.inserts, work.removes, work.rebuckets),
+            (2, 4, 1, 1)
+        );
     }
 
     #[test]
@@ -557,7 +611,7 @@ mod tests {
             rebuckets: 2,
             inserts: 3,
             removes: 4,
-            overlay_folds: 5,
+            move_rebuckets: 5,
         };
         let mut values: Vec<u64> = w.entries().iter().map(|&(_, v)| v).collect();
         values.sort_unstable();

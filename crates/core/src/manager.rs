@@ -239,7 +239,8 @@ impl VirtManager {
     }
 
     /// Deterministic counts of the utilization-index maintenance work done
-    /// so far (refreshes, re-buckets, inserts, removes, overlay folds).
+    /// so far (refreshes, re-buckets, inserts, removes, and re-buckets by
+    /// in-round moves).
     /// All zero under the `Oracle` policy, which never plans.
     pub fn index_work_counters(&self) -> IndexWorkCounters {
         self.ctx.index_work
@@ -373,8 +374,10 @@ impl VirtManager {
         // capacity wake (which rewrites `draining`/`arriving` directly)
         // and before overload mitigation, whose per-VM least-loaded picks
         // are the first index consumers whether or not consolidation
-        // runs; every later mutation flows through
-        // `move_vm`/`set_draining_trial`, which keep the index current.
+        // runs. Every later mutation keeps the index exact in place:
+        // `move_vm` and the trial undo re-file both endpoints' buckets
+        // and memory maxima, and `set_draining_trial` updates the
+        // capacity tree.
         tracer.enter(s_index);
         ctx.refresh_index();
         tracer.exit(s_index);

@@ -242,7 +242,9 @@ pub struct PlacementStore {
     power_claimed: Vec<bool>,
     /// Hosts claimed as migration destinations this round (may not park).
     inbound_claimed: Vec<bool>,
-    touched_hosts: Vec<usize>,
+    /// Hosts with a power or inbound claim this round (cleared by
+    /// [`begin_round`](Self::begin_round)).
+    claimed_hosts: Vec<usize>,
     /// Lazily-materialized committed-memory view of destination hosts,
     /// seeded from ground truth on first touch and advanced per accepted
     /// claim — mirrors the planner's own `mem_committed` arithmetic.
@@ -260,7 +262,7 @@ impl PlacementStore {
             touched_vms: Vec::new(),
             power_claimed: vec![false; num_hosts],
             inbound_claimed: vec![false; num_hosts],
-            touched_hosts: Vec::new(),
+            claimed_hosts: Vec::new(),
             mem_view: vec![0.0; num_hosts],
             mem_loaded: vec![false; num_hosts],
             touched_mem: Vec::new(),
@@ -301,11 +303,11 @@ impl PlacementStore {
             self.vm_claimed[vm] = false;
         }
         self.touched_vms.clear();
-        for &h in &self.touched_hosts {
+        for &h in &self.claimed_hosts {
             self.power_claimed[h] = false;
             self.inbound_claimed[h] = false;
         }
-        self.touched_hosts.clear();
+        self.claimed_hosts.clear();
         for &h in &self.touched_mem {
             self.mem_loaded[h] = false;
         }
@@ -418,13 +420,13 @@ impl PlacementStore {
                 self.mem_view[to.index()] = base + facts.vm_mem_gb(vm);
                 if !self.inbound_claimed[to.index()] {
                     self.inbound_claimed[to.index()] = true;
-                    self.touched_hosts.push(to.index());
+                    self.claimed_hosts.push(to.index());
                 }
             }
             ManagementAction::PowerUp { host } | ManagementAction::PowerDown { host, .. } => {
                 if !self.power_claimed[host.index()] {
                     self.power_claimed[host.index()] = true;
-                    self.touched_hosts.push(host.index());
+                    self.claimed_hosts.push(host.index());
                 }
             }
         }

@@ -10,12 +10,6 @@ use cluster::ServiceClass;
 
 use crate::{ClusterObservation, IndexWorkCounters, ManagerConfig, UtilizationIndex, WorkCounters};
 
-/// Touched-overlay size bound: past this many in-round-moved hosts the
-/// overlay is folded back into the buckets, so overlay scans during
-/// mass-consolidation waves stay O(bound) instead of growing with every
-/// committed drain.
-const OVERLAY_FOLD_LIMIT: usize = 128;
-
 /// Mutable planning view of the cluster for one round.
 ///
 /// The manager owns one instance and [`rebuild`](Self::rebuild)s it each
@@ -72,29 +66,13 @@ pub(crate) struct PlanContext {
     pub index_work: IndexWorkCounters,
 }
 
-/// Lexicographic minimum over `(utilization, host index)` — exactly
-/// `Iterator::min_by` on utilization over ascending indices (first-wins
-/// on ties), but iteration-order independent.
-pub(crate) fn lex_min(best: &mut Option<(f64, usize)>, cand: (f64, usize)) {
-    let replace = match *best {
-        None => true,
-        Some((u, h)) => cand.0 < u || (cand.0 == u && cand.1 < h),
-    };
-    if replace {
-        *best = Some(cand);
-    }
-}
-
-/// Lexicographic maximum over `(utilization, host index)` — exactly
-/// `Iterator::max_by` on utilization over ascending indices (last-wins
-/// on ties), but iteration-order independent.
-pub(crate) fn lex_max(best: &mut Option<(f64, usize)>, cand: (f64, usize)) {
-    let replace = match *best {
-        None => true,
-        Some((u, h)) => cand.0 > u || (cand.0 == u && cand.1 > h),
-    };
-    if replace {
-        *best = Some(cand);
+/// Utilization of a host carrying `pred` cores of predicted demand on
+/// `cap` cores (0 for a zero-capacity host).
+fn util_of(pred: f64, cap: f64) -> f64 {
+    if cap > 0.0 {
+        pred / cap
+    } else {
+        0.0
     }
 }
 
@@ -189,7 +167,7 @@ impl PlanContext {
     /// Rebuilds the utilization-bucket index and capacity aggregates for
     /// this round's predictions.
     ///
-    /// Every host is re-scored (one divide and compare) but only hosts
+    /// Every host is re-filed (one divide and compare) but only hosts
     /// whose *bucket* changed pay list surgery — counted as
     /// `work.index.rebuckets`, which the invariant catalog bounds by
     /// `work.cluster.dirty_marks`: a bucket can only move when some
@@ -197,38 +175,17 @@ impl PlanContext {
     pub fn refresh_index(&mut self) {
         let n = self.num_hosts();
         self.index.ensure_hosts(n);
-        self.index.clear_touched();
-        // Every member is re-inserted or rescored below, so the
-        // raise-only free-memory bounds can be recomputed exactly here.
-        self.index.reset_mem_ubs();
-        self.index_work.refreshes += 1;
-        for h in 0..n {
-            let member = self.operational[h];
-            let mem_free = self.mem_capacity[h] - self.mem_committed[h];
-            match (self.index.is_indexed(h), member) {
-                (false, true) => {
-                    self.index.insert(h, self.util(h), mem_free);
-                    self.index_work.inserts += 1;
-                }
-                (true, false) => {
-                    self.index.remove(h);
-                    self.index_work.removes += 1;
-                }
-                (true, true) => {
-                    if self.index.rescore(h, self.util(h), mem_free) {
-                        self.index_work.rebuckets += 1;
-                    }
-                }
-                (false, false) => {}
-            }
-        }
+        let (ops, pred, cap) = (&self.operational, &self.host_pred_cpu, &self.cpu_capacity);
+        let (mem_cap, mem_committed) = (&self.mem_capacity, &self.mem_committed);
+        self.index.refresh(&mut self.index_work, |h| {
+            ops[h].then(|| (util_of(pred[h], cap[h]), mem_cap[h] - mem_committed[h]))
+        });
         // Capacity aggregates: fixed-shape pairwise trees whose roots are
         // bitwise equal to the scan path's `pairwise_sum` over the same
         // leaves. Rebuilt per refresh, leaf-updated on trial drain flips.
         let ops = &self.operational;
         let draining = &self.draining;
         let arriving = &self.arriving;
-        let cap = &self.cpu_capacity;
         self.index
             .active_tree
             .rebuild(n, |h| if ops[h] && !draining[h] { cap[h] } else { 0.0 });
@@ -251,44 +208,33 @@ impl PlanContext {
             0.0
         };
         self.index.valid = true;
-        debug_assert_eq!(
-            self.index.check_membership(
-                &self.operational,
-                &(0..n).map(|h| self.util(h)).collect::<Vec<_>>(),
-                &(0..n)
-                    .map(|h| self.mem_capacity[h] - self.mem_committed[h])
-                    .collect::<Vec<_>>(),
-            ),
-            Ok(())
-        );
+        debug_assert_eq!(self.check_index(), Ok(()));
     }
 
-    /// Marks `host`'s bucket stale after an in-round utilization change
-    /// (a tentative move or its undo). No-op before the round's refresh.
-    ///
-    /// Folds the overlay back into the buckets past its size bound so
-    /// overlay scans stay O(bound) during mass-consolidation waves.
-    fn touch_host(&mut self, host: usize) {
-        if !self.index.valid {
-            return;
-        }
-        self.index.touch(host);
-        if self.index.overlay_len() > OVERLAY_FOLD_LIMIT {
-            self.fold_overlay();
-        }
+    /// Audits the index against the plan's live utilizations and free
+    /// memory ([`UtilizationIndex::check_membership`]).
+    pub(crate) fn check_index(&self) -> Result<(), String> {
+        let n = self.num_hosts();
+        self.index.check_membership(
+            &self.operational,
+            &(0..n).map(|h| self.util(h)).collect::<Vec<_>>(),
+            &(0..n).map(|h| self.mem_free(h)).collect::<Vec<_>>(),
+        )
     }
 
-    /// Re-buckets every touched host at its current utilization and
-    /// clears the overlay.
-    fn fold_overlay(&mut self) {
-        for i in 0..self.index.overlay_len() {
-            let h = self.index.touched_hosts()[i] as usize;
-            let mem_free = self.mem_capacity[h] - self.mem_committed[h];
-            if self.index.is_indexed(h) && self.index.rescore(h, self.util(h), mem_free) {
-                self.index_work.overlay_folds += 1;
-            }
+    /// Re-files `host` in the index after an in-round change to its
+    /// utilization or memory (a tentative move or its undo), counting a
+    /// bucket change as `work.index.move_rebuckets`. No-op before the
+    /// round's refresh and for hosts outside the index.
+    pub(crate) fn refile(&mut self, host: usize) {
+        if self.index.valid
+            && self.index.is_indexed(host)
+            && self
+                .index
+                .rescore(host, self.util(host), self.mem_free(host))
+        {
+            self.index_work.move_rebuckets += 1;
         }
-        self.index.clear_touched();
     }
 
     /// Flips `draining[host]` for a consolidation trial (or its
@@ -313,11 +259,12 @@ impl PlanContext {
 
     /// Predicted utilization of `host` under the tentative plan.
     pub fn util(&self, host: usize) -> f64 {
-        if self.cpu_capacity[host] > 0.0 {
-            self.host_pred_cpu[host] / self.cpu_capacity[host]
-        } else {
-            0.0
-        }
+        util_of(self.host_pred_cpu[host], self.cpu_capacity[host])
+    }
+
+    /// Uncommitted memory of `host` under the tentative plan, GB.
+    pub fn mem_free(&self, host: usize) -> f64 {
+        self.mem_capacity[host] - self.mem_committed[host]
     }
 
     /// Whether `host` can accept `vm` under the plan: operational, not
@@ -359,18 +306,10 @@ impl PlanContext {
         self.inbound_moves[to] += 1;
         // One move per VM per round.
         self.migrating_vm[vm] = true;
-        // Both endpoints' utilizations changed; their stored buckets are
-        // stale until the overlay folds or the next refresh.
-        self.touch_host(from);
-        self.touch_host(to);
-    }
-
-    /// Marks both endpoints of an undone move stale (the undo restores
-    /// their utilizations bitwise, but not necessarily to the bucketed
-    /// values if earlier committed moves touched the same hosts).
-    pub fn note_undone_move(&mut self, from: usize, to: usize) {
-        self.touch_host(from);
-        self.touch_host(to);
+        // Both endpoints' utilizations changed (and the destination's
+        // free memory): re-file them so the index stays exact.
+        self.refile(from);
+        self.refile(to);
     }
 
     /// Movable VMs on `host` (placed there and not migrating).
@@ -488,12 +427,43 @@ impl PlanContext {
             })
     }
 
-    /// The indexed body of [`least_loaded_destination`]: the touched
-    /// overlay is scanned in full, then buckets ascend until the first
-    /// one holding a feasible untouched host — which must contain the
-    /// untouched minimum, because every host in a later bucket has
-    /// strictly larger utilization. The two lexicographic minima merge
-    /// into the global first-wins answer.
+    /// The highest bucket a host feasible for `vm` on CPU grounds can
+    /// occupy. `can_accept` demands `host_pred + vm_pred ≤ target ×
+    /// capacity (+1e-9)`, i.e. `util ≤ target − vm_pred / capacity
+    /// (+slop)`. `vm_pred / max_cap` underestimates every host's own
+    /// `vm_pred / cap` deduction, and the `1e-9` core slop translates to
+    /// at most `1e-9 / min_cap` in utilization, so every bucket above
+    /// `target − vm_pred / max_cap + 1e-9 / min_cap` holds only hosts
+    /// that would reject the VM, for any capacity mix.
+    fn cpu_ceiling_bucket(&self, vm: usize, cfg: &ManagerConfig) -> usize {
+        let slop = if self.index.min_host_cap > 0.0 {
+            1e-9 / self.index.min_host_cap
+        } else {
+            0.0
+        };
+        let vm_util = if self.index.max_host_cap > 0.0 {
+            self.predicted_vm[vm] / self.index.max_host_cap
+        } else {
+            0.0
+        };
+        UtilizationIndex::bucket_of(cfg.target_utilization() - vm_util + slop)
+    }
+
+    /// Whether no member of bucket `b` has the memory to take `vm`:
+    /// `can_accept` needs `vm_mem ≤ free + 1e-9`, and the bucket's
+    /// maximum is exactly its freest member's free memory. At steady
+    /// state this skips the dense packed-to-memory buckets without
+    /// examining a single host.
+    fn bucket_lacks_memory(&self, b: usize, vm: usize) -> bool {
+        self.vm_mem[vm] > self.index.bucket_mem_max(b) + 1e-9
+    }
+
+    /// The indexed body of [`least_loaded_destination`]: buckets ascend
+    /// up to the CPU ceiling until the first one holding a feasible host
+    /// — which must contain the minimum, because every host in a later
+    /// bucket has strictly larger utilization. Without the ceiling a
+    /// pick with *no* feasible destination would ascend through the
+    /// entire packed fleet, paying one `can_accept` per host.
     ///
     /// [`least_loaded_destination`]: Self::least_loaded_destination
     fn least_loaded_destination_indexed(
@@ -503,77 +473,41 @@ impl PlanContext {
     ) -> Option<usize> {
         let mut examined = 0u64;
         let mut best: Option<(f64, usize)> = None;
-        for &h in self.index.touched_hosts() {
-            let h = h as usize;
-            examined += 1;
-            if self.can_accept(h, vm, cfg) {
-                lex_min(&mut best, (self.util(h), h));
-            }
-        }
-        // CPU-feasibility ceiling — the mirror image of the descending
-        // walk's start bound: `can_accept` demands
-        // `util ≤ target − vm_pred / cap (+1e-9/cap)`, and
-        // `vm_pred / max_cap` underestimates every host's own deduction,
-        // so a bucket whose floor exceeds `target − vm_pred/max_cap
-        // (+slop)` holds only hosts that reject the VM on CPU grounds.
-        // Without this stop a pick with *no* feasible destination
-        // ascends through the entire packed fleet, paying one
-        // `can_accept` per host — the dominant cost at 64k hosts.
-        let slop = if self.index.min_host_cap > 0.0 {
-            1e-9 / self.index.min_host_cap
-        } else {
-            0.0
-        };
-        let vm_util = if self.index.max_host_cap > 0.0 {
-            self.predicted_vm[vm] / self.index.max_host_cap
-        } else {
-            0.0
-        };
-        let stop = UtilizationIndex::bucket_of(cfg.target_utilization() - vm_util + slop);
-        'walk: for b in 0..=stop {
-            // Memory prune: `can_accept` needs `vm_mem ≤ free + 1e-9`,
-            // and the bound dominates every untouched member's free
-            // memory, so a bucket below the VM's demand holds no
-            // feasible destination. At steady state this skips the dense
-            // packed-to-memory buckets without examining a single host.
-            if self.vm_mem[vm] > self.index.bucket_mem_ub(b) + 1e-9 {
+        for b in 0..=self.cpu_ceiling_bucket(vm, cfg) {
+            if self.bucket_lacks_memory(b, vm) {
                 continue;
             }
-            let mut found = false;
             for &h in self.index.bucket_hosts(b) {
                 let h = h as usize;
-                if self.index.is_touched(h) {
-                    continue;
-                }
                 examined += 1;
                 if self.can_accept(h, vm, cfg) {
                     let u = self.util(h);
-                    lex_min(&mut best, (u, h));
-                    found = true;
+                    // Strict `<`: members ascend by index, so the first
+                    // of equal minima wins, as in the scan's `min_by`.
+                    if best.is_none_or(|(bu, _)| u < bu) {
+                        best = Some((u, h));
+                    }
                     // A feasible host sitting exactly on the bucket floor
                     // is unbeatable: later in-bucket hosts have util ≥
                     // the floor and a larger index, later buckets are
-                    // strictly higher, and the overlay already merged.
+                    // strictly higher.
                     if u.to_bits() == UtilizationIndex::bucket_floor(b).to_bits() {
-                        break 'walk;
+                        break;
                     }
                 }
             }
-            if found {
-                break 'walk;
+            if best.is_some() {
+                break;
             }
         }
         self.work.hosts_rescored += examined;
         best.map(|(_, h)| h)
     }
 
-    /// The indexed body of [`tightest_destination`]: overlay scan plus a
-    /// descending bucket walk. The walk starts at the highest bucket any
-    /// *feasible* host can occupy for **this** VM: `can_accept` demands
-    /// `host_pred + vm_pred ≤ target × capacity (+1e-9)`, i.e.
-    /// `util ≤ target − vm_pred / capacity (+slop)`, so every bucket
-    /// above `target − vm_pred / max_capacity` holds only hosts that
-    /// would reject the VM on CPU grounds. At steady state the fleet's
+    /// The indexed body of [`tightest_destination`]: buckets descend from
+    /// the CPU ceiling — the highest bucket any host feasible for
+    /// **this** VM can occupy — until the first one holding a feasible
+    /// host, which must contain the maximum. At steady state the fleet's
     /// packed hosts cluster *just below target* — exactly the dense
     /// buckets this VM-specific bound skips — which is what keeps the
     /// per-pick examination count sublinear instead of degenerating to a
@@ -583,50 +517,24 @@ impl PlanContext {
     fn tightest_destination_indexed(&mut self, vm: usize, cfg: &ManagerConfig) -> Option<usize> {
         let mut examined = 0u64;
         let mut best: Option<(f64, usize)> = None;
-        for &h in self.index.touched_hosts() {
-            let h = h as usize;
-            examined += 1;
-            if self.can_accept(h, vm, cfg) {
-                lex_max(&mut best, (self.util(h), h));
-            }
-        }
-        // The `1e-9` core slop translates to at most `1e-9 / min_cap` in
-        // utilization; widening the start bucket by that much keeps the
-        // prune conservative for any capacity scale. `vm_pred / max_cap`
-        // underestimates every host's own `vm_pred / cap` deduction, so
-        // the threshold stays an upper bound for heterogeneous fleets.
-        let slop = if self.index.min_host_cap > 0.0 {
-            1e-9 / self.index.min_host_cap
-        } else {
-            0.0
-        };
-        let vm_util = if self.index.max_host_cap > 0.0 {
-            self.predicted_vm[vm] / self.index.max_host_cap
-        } else {
-            0.0
-        };
-        let start = UtilizationIndex::bucket_of(cfg.target_utilization() - vm_util + slop);
-        'walk: for b in (0..=start).rev() {
-            // Memory prune — same bound as the ascending walk: no
-            // untouched member of a bucket below the VM's memory demand
-            // can accept it.
-            if self.vm_mem[vm] > self.index.bucket_mem_ub(b) + 1e-9 {
+        for b in (0..=self.cpu_ceiling_bucket(vm, cfg)).rev() {
+            if self.bucket_lacks_memory(b, vm) {
                 continue;
             }
-            let mut found = false;
             for &h in self.index.bucket_hosts(b) {
                 let h = h as usize;
-                if self.index.is_touched(h) {
-                    continue;
-                }
                 examined += 1;
                 if self.can_accept(h, vm, cfg) {
-                    lex_max(&mut best, (self.util(h), h));
-                    found = true;
+                    let u = self.util(h);
+                    // `>=`: members ascend by index, so the last of equal
+                    // maxima wins, as in the scan's `max_by`.
+                    if best.is_none_or(|(bu, _)| u >= bu) {
+                        best = Some((u, h));
+                    }
                 }
             }
-            if found {
-                break 'walk;
+            if best.is_some() {
+                break;
             }
         }
         self.work.hosts_rescored += examined;
