@@ -55,7 +55,8 @@ fn main() {
             ManagerConfig::new(PowerPolicy::reactive_suspend()),
             hosts,
             hosts * 4,
-        );
+        )
+        .expect("default config is valid");
         time(&format!("manager_plan_{hosts}_hosts"), 3, 20, || {
             mgr.plan(&obs).expect("well-shaped observation").len()
         });

@@ -9,8 +9,10 @@
 //! RSS exceeds the entry's `peak_rss_kb` by more than its `rss_margin`,
 //! or its hosts rescored per planned migration exceeds the entry's
 //! `hosts_rescored_per_migration` by more than 1 % — the CI perf smoke
-//! gate.
+//! gate. A file it cannot write, read or parse exits 2; a closed stdout only
+//! silences the progress lines.
 
+use std::io::Write;
 use std::time::Instant;
 
 use agile_core::PowerPolicy;
@@ -161,38 +163,96 @@ fn main() {
         PowerPolicy::reactive_suspend()
     };
 
+    let mut console = Console::new(std::io::stdout().lock());
     let mut rows = Vec::new();
     for &hosts in &args.sizes {
         let row = measure(hosts, &args, policy);
-        let before = BEFORE.iter().find(|(h, _, _)| *h == hosts);
-        println!(
-            "{:>5} hosts {:>6} vms: {:>8.0} ticks/s ({:.2} s wall, median {:.2} s, max {:.2} s \
-             over {}, peak RSS {} MB){}",
-            row.hosts,
-            row.vms,
-            row.ticks_per_sec,
-            row.wall_secs,
-            row.wall_secs_median,
-            row.wall_secs_max,
-            args.repeat,
-            row.peak_rss_kb / 1024,
-            match before {
-                Some((_, tps, _)) => format!(", {:.1}x vs pre-opt", row.ticks_per_sec / tps),
-                None => String::new(),
-            },
-        );
+        console.line(&row_line(&row, args.repeat));
         rows.push(row);
     }
+    std::process::exit(finish(&rows, &args, &mut console));
+}
 
-    let json = render_json(&rows, &args);
-    std::fs::write(&args.out_path, &json).expect("write benchmark json");
-    println!("wrote {}", args.out_path);
+/// Progress output that outlives its reader: the first failed write (a
+/// closed pipe, say) silences every later line instead of panicking, so
+/// the run still writes its artifact and checks its baseline.
+struct Console<W: Write> {
+    out: Option<W>,
+}
 
-    if let Some(path) = &args.baseline {
-        let text = std::fs::read_to_string(path).expect("read baseline");
-        check_baseline(&rows, &text);
-        println!("baseline check passed ({path})");
+impl<W: Write> Console<W> {
+    fn new(out: W) -> Self {
+        Console { out: Some(out) }
     }
+
+    fn line(&mut self, text: &str) {
+        if let Some(out) = &mut self.out {
+            if writeln!(out, "{text}").and_then(|()| out.flush()).is_err() {
+                self.out = None;
+            }
+        }
+    }
+}
+
+/// One size's summary line.
+fn row_line(row: &Row, repeat: usize) -> String {
+    let before = BEFORE.iter().find(|(h, _, _)| *h == row.hosts);
+    format!(
+        "{:>5} hosts {:>6} vms: {:>8.0} ticks/s ({:.2} s wall, median {:.2} s, max {:.2} s \
+         over {repeat}, peak RSS {} MB){}",
+        row.hosts,
+        row.vms,
+        row.ticks_per_sec,
+        row.wall_secs,
+        row.wall_secs_median,
+        row.wall_secs_max,
+        row.peak_rss_kb / 1024,
+        match before {
+            Some((_, tps, _)) => format!(", {:.1}x vs pre-opt", row.ticks_per_sec / tps),
+            None => String::new(),
+        },
+    )
+}
+
+/// Writes the artifact, then checks it against the baseline if one was
+/// given, and returns the exit code: 0, 1 when a threshold is missed
+/// (each miss on stderr), or 2 when a file cannot be written, read or
+/// parsed (`scaleout: <path>: <error>` on stderr).
+fn finish<W: Write>(rows: &[Row], args: &Args, console: &mut Console<W>) -> i32 {
+    fn file_error(path: &str, e: impl std::fmt::Display) -> i32 {
+        eprintln!("scaleout: {path}: {e}");
+        2
+    }
+    if let Err(e) = std::fs::write(&args.out_path, render_json(rows, args)) {
+        return file_error(&args.out_path, e);
+    }
+    console.line(&format!("wrote {}", args.out_path));
+    let Some(path) = &args.baseline else {
+        return 0;
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) => return file_error(path, e),
+    };
+    let verdicts = match baseline_verdicts(rows, &text) {
+        Ok(verdicts) => verdicts,
+        Err(e) => return file_error(path, e),
+    };
+    let mut failed = false;
+    for verdict in verdicts {
+        match verdict {
+            Ok(line) => console.line(&line),
+            Err(message) => {
+                eprintln!("{message}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        return 1;
+    }
+    console.line(&format!("baseline check passed ({path})"));
+    0
 }
 
 fn measure(hosts: usize, args: &Args, policy: PowerPolicy) -> Row {
@@ -367,29 +427,12 @@ const DEFAULT_FLOOR: f64 = 0.7;
 /// fails any change that makes destination picks examine more hosts.
 const SEARCH_COST_MARGIN: f64 = 0.01;
 
-/// Fails the process if any measured size misses a threshold of its
-/// baseline entry (see [`baseline_verdicts`]).
-fn check_baseline(rows: &[Row], baseline: &str) {
-    let mut failed = false;
-    for verdict in baseline_verdicts(rows, baseline) {
-        match verdict {
-            Ok(line) => println!("{line}"),
-            Err(message) => {
-                eprintln!("{message}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
 /// Judges every measured size against its baseline entry: `Ok` with a
 /// summary line for each threshold met, `Err` with the regression for
 /// each one missed. The baseline file holds a `baseline` array of
 /// `{"hosts": N, "ticks_per_sec": X, "phases": {...}}` entries, where
-/// `phases` maps each phase to its wall seconds at baseline time.
+/// `phases` maps each phase to its wall seconds at baseline time. A file
+/// that is not such JSON is an `Err` of its own.
 ///
 /// * Ticks/sec must reach `floor × ticks_per_sec` (`floor` defaults to
 ///   [`DEFAULT_FLOOR`]). On a regression the phase whose *share* of
@@ -401,26 +444,24 @@ fn check_baseline(rows: &[Row], baseline: &str) {
 /// * An entry that records `hosts_rescored_per_migration` also bounds
 ///   the planner's search cost: the run's ratio must stay within that
 ///   value × (1 + [`SEARCH_COST_MARGIN`]).
-fn baseline_verdicts(rows: &[Row], baseline: &str) -> Vec<Result<String, String>> {
-    let parsed = Json::parse(baseline).expect("baseline file is valid JSON");
+type Verdicts = Vec<Result<String, String>>;
+
+fn baseline_verdicts(rows: &[Row], baseline: &str) -> Result<Verdicts, String> {
+    let parsed = Json::parse(baseline).map_err(|e| e.to_string())?;
     let entries = parsed
         .get("baseline")
         .and_then(Json::as_array)
-        .expect("baseline file has a `baseline` array");
+        .ok_or("no `baseline` array")?;
     let mut verdicts = Vec::new();
     for entry in entries {
-        let hosts = entry.get("hosts").and_then(Json::as_f64).expect("hosts") as usize;
-        let base_tps = entry
-            .get("ticks_per_sec")
-            .and_then(Json::as_f64)
-            .expect("ticks_per_sec");
+        let number = |key: &str| entry.get(key).and_then(Json::as_f64);
+        let required = |key: &str| number(key).ok_or(format!("an entry lacks `{key}`"));
+        let hosts = required("hosts")? as usize;
+        let base_tps = required("ticks_per_sec")?;
         let Some(row) = rows.iter().find(|r| r.hosts == hosts) else {
             continue;
         };
-        let floor_frac = entry
-            .get("floor")
-            .and_then(Json::as_f64)
-            .unwrap_or(DEFAULT_FLOOR);
+        let floor_frac = number("floor").unwrap_or(DEFAULT_FLOOR);
         let floor = floor_frac * base_tps;
         verdicts.push(if row.ticks_per_sec < floor {
             let mut message = format!(
@@ -439,11 +480,8 @@ fn baseline_verdicts(rows: &[Row], baseline: &str) -> Vec<Result<String, String>
                 row.ticks_per_sec, base_tps, floor
             ))
         });
-        if let Some(base_rss) = entry.get("peak_rss_kb").and_then(Json::as_f64) {
-            let margin = entry
-                .get("rss_margin")
-                .and_then(Json::as_f64)
-                .expect("an entry with peak_rss_kb sets rss_margin");
+        if let Some(base_rss) = number("peak_rss_kb") {
+            let margin = required("rss_margin")?;
             let ceiling = base_rss * (1.0 + margin);
             let rss = row.peak_rss_kb;
             verdicts.push(if rss as f64 > ceiling {
@@ -459,10 +497,7 @@ fn baseline_verdicts(rows: &[Row], baseline: &str) -> Vec<Result<String, String>
                 ))
             });
         }
-        if let Some(base) = entry
-            .get("hosts_rescored_per_migration")
-            .and_then(Json::as_f64)
-        {
+        if let Some(base) = number("hosts_rescored_per_migration") {
             let ceiling = base * (1.0 + SEARCH_COST_MARGIN);
             verdicts.push(match row.hosts_rescored_per_migration() {
                 Some(ratio) if ratio <= ceiling => Ok(format!(
@@ -480,7 +515,7 @@ fn baseline_verdicts(rows: &[Row], baseline: &str) -> Vec<Result<String, String>
             });
         }
     }
-    verdicts
+    Ok(verdicts)
 }
 
 /// Names the phase whose share of attributed wall time grew the most
@@ -617,15 +652,13 @@ mod tests {
             {"hosts": 4096, "ticks_per_sec": 100.0, "floor": 0.5,
              "peak_rss_kb": 100000, "rss_margin": 0.1}
         ]}"#;
+        let verdicts = |rows: &[Row]| baseline_verdicts(rows, baseline).expect("valid baseline");
         let failures = |rows: &[Row]| -> Vec<String> {
-            baseline_verdicts(rows, baseline)
-                .into_iter()
-                .filter_map(Result::err)
-                .collect()
+            verdicts(rows).into_iter().filter_map(Result::err).collect()
         };
         // Within every threshold: two checks at 4096 hosts, one at 64.
         let ok = [row(64, 700.0, 1), row(4096, 50.0, 110_000)];
-        assert_eq!(baseline_verdicts(&ok, baseline).len(), 3);
+        assert_eq!(verdicts(&ok).len(), 3);
         assert!(failures(&ok).is_empty());
         // The default floor is 70 %.
         let slow = failures(&[row(64, 699.0, 1)]);
@@ -640,7 +673,7 @@ mod tests {
         assert_eq!(fat.len(), 1);
         assert!(fat[0].contains("RSS REGRESSION at 4096 hosts"), "{fat:?}");
         // Sizes the baseline does not list are not judged.
-        assert!(baseline_verdicts(&[row(1024, 1.0, u64::MAX)], baseline).is_empty());
+        assert!(verdicts(&[row(1024, 1.0, u64::MAX)]).is_empty());
     }
 
     #[test]
@@ -649,10 +682,8 @@ mod tests {
             {"hosts": 4096, "ticks_per_sec": 100.0, "hosts_rescored_per_migration": 6.0}
         ]}"#;
         let verdicts = |rescored: u64, planned: u64| {
-            baseline_verdicts(
-                &[row_with_search(4096, 100.0, 1, rescored, planned)],
-                baseline,
-            )
+            let rows = [row_with_search(4096, 100.0, 1, rescored, planned)];
+            baseline_verdicts(&rows, baseline).expect("valid baseline")
         };
         // Ticks/sec and the ratio are judged; 1 % over the value passes…
         let ok = verdicts(6060, 1000);
@@ -676,6 +707,74 @@ mod tests {
             json.contains("\"hosts_rescored_per_migration\": 6.2000"),
             "{json}"
         );
+    }
+
+    /// A stdout whose reader has gone: every write fails.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_stdout_still_writes_the_artifact_and_checks_the_baseline() {
+        let dir = std::env::temp_dir().join(format!("scaleout-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = |name: &str| dir.join(name).to_str().expect("utf8 path").to_string();
+        let args = |out: &str, baseline: Option<&str>| Args {
+            out_path: path(out),
+            baseline: baseline.map(path),
+            ..parse("").expect("defaults")
+        };
+        let write_baseline = |text: &str| {
+            std::fs::write(path("baseline.json"), text).expect("write baseline");
+        };
+        write_baseline(r#"{"baseline": [{"hosts": 64, "ticks_per_sec": 1000.0}]}"#);
+        let (rows, slow) = ([row(64, 700.0, 1)], [row(64, 699.0, 1)]);
+        let mut console = Console::new(ClosedPipe);
+        console.line(&row_line(&rows[0], 1));
+        let code = finish(
+            &rows,
+            &args("out.json", Some("baseline.json")),
+            &mut console,
+        );
+        assert_eq!(code, 0);
+        let artifact = std::fs::read_to_string(path("out.json")).expect("artifact written");
+        assert!(artifact.contains("\"hosts\": 64"), "{artifact}");
+        // The first failed write silenced the console for good.
+        assert!(console.out.is_none());
+        // A missed threshold still fails the run.
+        let code = finish(
+            &slow,
+            &args("slow.json", Some("baseline.json")),
+            &mut console,
+        );
+        assert_eq!(code, 1);
+        // Files that cannot be written, read or parsed exit 2, not a panic.
+        let missing = "no-such-dir/x.json";
+        assert_eq!(finish(&rows, &args(missing, None), &mut console), 2);
+        assert_eq!(
+            finish(&rows, &args("x.json", Some(missing)), &mut console),
+            2
+        );
+        for (text, error) in [
+            ("{\"baseline\": [", "unexpected end"),
+            ("{}", "no `baseline` array"),
+            ("{\"baseline\": [{\"hosts\": 64}]}", "lacks `ticks_per_sec`"),
+        ] {
+            let err = baseline_verdicts(&rows, text).expect_err(text);
+            assert!(err.contains(error), "{text}: {err}");
+            write_baseline(text);
+            let code = finish(&rows, &args("x.json", Some("baseline.json")), &mut console);
+            assert_eq!(code, 2, "{text}");
+        }
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

@@ -180,7 +180,9 @@ fn run(args: &[String]) -> CmdResult {
     let policy = parse_policy(flags.str_or("policy", "suspend"))?;
     let scenario = build_scenario(&flags)?;
     let resume_fail = flags.f64_or("resume-fail", 0.0)?;
-    let failures = FailureModel::try_new(resume_fail, 0.0)
+    let failures = FailureModel::new(resume_fail, 0.0);
+    failures
+        .try_validate()
         .map_err(|e| ArgError(format!("`--resume-fail`: {e}")))?;
     let mut experiment = configure(&flags, scenario, policy)?;
     let schedulers = flags.positive_usize_or("schedulers", 1)?;

@@ -7,9 +7,10 @@ use simcore::SimDuration;
 
 use crate::{PredictorConfig, RecoveryConfig};
 
-/// A rejected configuration value, returned by the `try_with_*` builder
-/// variants on [`ManagerConfig`] and [`RecoveryConfig`] (the `with_*`
-/// builders panic with the same message instead).
+/// A rejected configuration value, returned by
+/// [`ManagerConfig::try_validate`] and the checks it runs on its nested
+/// [`RecoveryConfig`] and [`PredictorConfig`] (the `with_*` setters only
+/// store).
 ///
 /// Marked `#[non_exhaustive]`: more variants may appear as knobs grow
 /// validation, so downstream matches need a wildcard arm.
@@ -263,101 +264,24 @@ impl ManagerConfig {
     }
 
     /// Sets the consolidation headroom: the manager packs hosts up to this
-    /// predicted utilization.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < t <= 1` and `t` stays below the overload
-    /// threshold. [`try_with_target_utilization`](Self::try_with_target_utilization)
-    /// is the non-panicking variant.
-    pub fn with_target_utilization(self, t: f64) -> Self {
-        match self.try_with_target_utilization(t) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_target_utilization`](Self::with_target_utilization).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless `0 < t <= 1`.
-    pub fn try_with_target_utilization(mut self, t: f64) -> Result<Self, ConfigError> {
-        if !(t > 0.0 && t <= 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "target",
-                value: t,
-                constraint: "outside (0,1]",
-            });
-        }
+    /// predicted utilization, in `(0, 1]` and below the overload
+    /// threshold.
+    pub fn with_target_utilization(mut self, t: f64) -> Self {
         self.target_utilization = t;
-        Ok(self)
+        self
     }
 
-    /// Sets the DRM overload trigger.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < t <= 1.5` and it stays above the target.
-    /// [`try_with_overload_threshold`](Self::try_with_overload_threshold)
-    /// is the non-panicking variant.
-    pub fn with_overload_threshold(self, t: f64) -> Self {
-        match self.try_with_overload_threshold(t) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_overload_threshold`](Self::with_overload_threshold).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless `0 < t <= 1.5`.
-    pub fn try_with_overload_threshold(mut self, t: f64) -> Result<Self, ConfigError> {
-        if !(t > 0.0 && t <= 1.5) {
-            return Err(ConfigError::OutOfRange {
-                field: "overload threshold",
-                value: t,
-                constraint: "out of range",
-            });
-        }
+    /// Sets the DRM overload trigger, in `(0, 1.5]` and above the target.
+    pub fn with_overload_threshold(mut self, t: f64) -> Self {
         self.overload_threshold = t;
-        Ok(self)
+        self
     }
 
     /// Sets the underload threshold below which a host becomes an
-    /// evacuation candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= t < 1` and it stays below the target.
-    /// [`try_with_underload_threshold`](Self::try_with_underload_threshold)
-    /// is the non-panicking variant.
-    pub fn with_underload_threshold(self, t: f64) -> Self {
-        match self.try_with_underload_threshold(t) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_underload_threshold`](Self::with_underload_threshold).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless `0 <= t < 1`.
-    pub fn try_with_underload_threshold(mut self, t: f64) -> Result<Self, ConfigError> {
-        if !(0.0..1.0).contains(&t) {
-            return Err(ConfigError::OutOfRange {
-                field: "underload threshold",
-                value: t,
-                constraint: "out of range",
-            });
-        }
+    /// evacuation candidate, in `[0, 1)` and below the target.
+    pub fn with_underload_threshold(mut self, t: f64) -> Self {
         self.underload_threshold = t;
-        Ok(self)
+        self
     }
 
     /// Sets the minimum in-service residency before a host may be drained.
@@ -379,164 +303,43 @@ impl ManagerConfig {
         self
     }
 
-    /// Caps migrations emitted per management round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    /// [`try_with_max_migrations_per_round`](Self::try_with_max_migrations_per_round)
-    /// is the non-panicking variant.
-    pub fn with_max_migrations_per_round(self, n: usize) -> Self {
-        match self.try_with_max_migrations_per_round(n) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_max_migrations_per_round`](Self::with_max_migrations_per_round).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `n` is zero.
-    pub fn try_with_max_migrations_per_round(mut self, n: usize) -> Result<Self, ConfigError> {
-        if n == 0 {
-            return Err(ConfigError::Invalid {
-                message: "need at least one migration per round",
-            });
-        }
+    /// Caps migrations emitted per management round (at least one).
+    pub fn with_max_migrations_per_round(mut self, n: usize) -> Self {
         self.max_migrations_per_round = n;
-        Ok(self)
+        self
     }
 
-    /// Caps hosts newly selected for draining per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    /// [`try_with_max_drains_per_round`](Self::try_with_max_drains_per_round)
-    /// is the non-panicking variant.
-    pub fn with_max_drains_per_round(self, n: usize) -> Self {
-        match self.try_with_max_drains_per_round(n) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_max_drains_per_round`](Self::with_max_drains_per_round).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `n` is zero.
-    pub fn try_with_max_drains_per_round(mut self, n: usize) -> Result<Self, ConfigError> {
-        if n == 0 {
-            return Err(ConfigError::Invalid {
-                message: "need at least one drain per round",
-            });
-        }
+    /// Caps hosts newly selected for draining per round (at least one).
+    pub fn with_max_drains_per_round(mut self, n: usize) -> Self {
         self.max_drains_per_round = n;
-        Ok(self)
+        self
     }
 
     /// Sets the utilization spread (hottest minus coldest host) beyond
-    /// which DRM rebalances even without an overload.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < t <= 1`.
-    /// [`try_with_imbalance_threshold`](Self::try_with_imbalance_threshold)
-    /// is the non-panicking variant.
-    pub fn with_imbalance_threshold(self, t: f64) -> Self {
-        match self.try_with_imbalance_threshold(t) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of
-    /// [`with_imbalance_threshold`](Self::with_imbalance_threshold).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless `0 < t <= 1`.
-    pub fn try_with_imbalance_threshold(mut self, t: f64) -> Result<Self, ConfigError> {
-        if !(t > 0.0 && t <= 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "imbalance threshold",
-                value: t,
-                constraint: "out of range",
-            });
-        }
+    /// which DRM rebalances even without an overload, in `(0, 1]`.
+    pub fn with_imbalance_threshold(mut self, t: f64) -> Self {
         self.imbalance_threshold = t;
-        Ok(self)
+        self
     }
 
     /// Sets the drain dead-band: the surplus capacity (as a fraction of
     /// one host) that must exist *beyond* the wake trigger before a new
     /// drain starts. Zero disables the dead-band, leaving the hysteresis
     /// timers as the only flap damper (how experiment F11 isolates them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `f` is negative or not finite.
-    /// [`try_with_drain_deadband`](Self::try_with_drain_deadband) is the
-    /// non-panicking variant.
-    pub fn with_drain_deadband(self, f: f64) -> Self {
-        match self.try_with_drain_deadband(f) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("bad {e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_drain_deadband`](Self::with_drain_deadband).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] if `f` is negative or not
-    /// finite.
-    pub fn try_with_drain_deadband(mut self, f: f64) -> Result<Self, ConfigError> {
-        if !(f.is_finite() && f >= 0.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "dead-band",
-                value: f,
-                constraint: "must be finite and non-negative",
-            });
-        }
+    /// Must be finite and non-negative.
+    pub fn with_drain_deadband(mut self, f: f64) -> Self {
         self.drain_deadband_frac = f;
-        Ok(self)
+        self
     }
 
     /// Enables proactive pre-waking: capacity decisions also consider the
-    /// learned time-of-day demand profile `lookahead` into the future, so
-    /// slow boots can be started before a *recurring* ramp arrives.
-    /// Choose a lookahead at least as long as the wake transition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lookahead` is zero.
-    /// [`try_with_prewake`](Self::try_with_prewake) is the non-panicking
-    /// variant.
-    pub fn with_prewake(self, lookahead: SimDuration) -> Self {
-        match self.try_with_prewake(lookahead) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_prewake`](Self::with_prewake).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `lookahead` is zero.
-    pub fn try_with_prewake(mut self, lookahead: SimDuration) -> Result<Self, ConfigError> {
-        if lookahead.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "lookahead must be non-zero",
-            });
-        }
+    /// learned time-of-day demand profile `lookahead` (non-zero) into the
+    /// future, so slow boots can be started before a *recurring* ramp
+    /// arrives. Choose a lookahead at least as long as the wake
+    /// transition.
+    pub fn with_prewake(mut self, lookahead: SimDuration) -> Self {
         self.prewake_lookahead = Some(lookahead);
-        Ok(self)
+        self
     }
 
     /// Sets the consolidation packing policy.
@@ -546,47 +349,75 @@ impl ManagerConfig {
     }
 
     /// Sets the demand predictor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the predictor configuration is invalid.
     pub fn with_predictor(mut self, p: PredictorConfig) -> Self {
-        p.validate();
         self.predictor = p;
         self
     }
 
     /// Sets the failure-recovery policy (bounded retries, quarantine,
-    /// fleet fail-safe). [`RecoveryConfig`]'s own builders validate the
-    /// individual knobs.
+    /// fleet fail-safe).
     pub fn with_recovery(mut self, r: RecoveryConfig) -> Self {
         self.recovery = r;
         self
     }
 
-    /// Checks the cross-field invariants (underload < target < overload).
-    /// [`crate::VirtManager::new`] calls this, so an inconsistent
-    /// configuration fails fast at manager construction rather than
-    /// mid-simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thresholds are not strictly ordered.
-    /// [`try_validate`](Self::try_validate) is the non-panicking variant.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible variant of [`validate`](Self::validate): checks the
-    /// cross-field invariants (underload < target < overload).
+    /// Checks every knob: each one's range in field order (the nested
+    /// predictor and recovery configurations included), then the
+    /// threshold order underload < target < overload. The setters only
+    /// store, so [`crate::VirtManager::new`] and the simulator's builder
+    /// call this before a run starts.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::Ordering`] if the thresholds are not
-    /// strictly ordered.
+    /// The first violation: [`ConfigError::OutOfRange`] or
+    /// [`ConfigError::Invalid`] for a knob outside its range,
+    /// [`ConfigError::Ordering`] if the thresholds are not strictly
+    /// ordered.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
+        let out_of_range = |field, value: f64, constraint| {
+            Err(ConfigError::OutOfRange {
+                field,
+                value,
+                constraint,
+            })
+        };
+        let t = self.target_utilization;
+        if !(t > 0.0 && t <= 1.0) {
+            return out_of_range("target", t, "outside (0,1]");
+        }
+        let t = self.overload_threshold;
+        if !(t > 0.0 && t <= 1.5) {
+            return out_of_range("overload threshold", t, "out of range");
+        }
+        let t = self.underload_threshold;
+        if !(0.0..1.0).contains(&t) {
+            return out_of_range("underload threshold", t, "out of range");
+        }
+        if self.max_migrations_per_round == 0 {
+            return Err(ConfigError::Invalid {
+                message: "need at least one migration per round",
+            });
+        }
+        if self.max_drains_per_round == 0 {
+            return Err(ConfigError::Invalid {
+                message: "need at least one drain per round",
+            });
+        }
+        let t = self.imbalance_threshold;
+        if !(t > 0.0 && t <= 1.0) {
+            return out_of_range("imbalance threshold", t, "out of range");
+        }
+        let f = self.drain_deadband_frac;
+        if !(f.is_finite() && f >= 0.0) {
+            return out_of_range("dead-band", f, "must be finite and non-negative");
+        }
+        if self.prewake_lookahead.is_some_and(|d| d.is_zero()) {
+            return Err(ConfigError::Invalid {
+                message: "lookahead must be non-zero",
+            });
+        }
+        self.predictor.try_validate()?;
+        self.recovery.try_validate()?;
         if self.underload_threshold >= self.target_utilization {
             return Err(ConfigError::Ordering {
                 lower: "underload",
@@ -739,26 +570,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn imbalance_threshold_validated() {
-        let _ = ManagerConfig::new(PowerPolicy::always_on()).with_imbalance_threshold(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be below overload")]
-    fn target_above_overload_rejected() {
-        ManagerConfig::new(PowerPolicy::always_on())
-            .with_target_utilization(0.95)
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "must be below target")]
-    fn underload_above_target_rejected() {
-        ManagerConfig::new(PowerPolicy::always_on())
-            .with_underload_threshold(0.7)
-            .with_target_utilization(0.69)
-            .validate();
+    fn try_validate_rejects_each_bad_knob() {
+        let c = || ManagerConfig::new(PowerPolicy::always_on());
+        let window_0 = PredictorConfig::WindowMax { window: 0 };
+        let no_retry = RecoveryConfig::new().with_max_retries(0);
+        for (cfg, expected) in [
+            (c().with_imbalance_threshold(0.0), "out of range"),
+            (c().with_target_utilization(0.95), "must be below overload"),
+            (c().with_target_utilization(0.6), "must be below target"),
+            (c().with_target_utilization(1.2), "target 1.2 outside (0,1]"),
+            (c().with_overload_threshold(1.6), "threshold 1.6 out of"),
+            (c().with_underload_threshold(1.0), "threshold 1 out of"),
+            (c().with_max_migrations_per_round(0), "one migration per"),
+            (c().with_max_drains_per_round(0), "one drain per round"),
+            (c().with_drain_deadband(-1.0), "dead-band -1 must be"),
+            (c().with_prewake(SimDuration::ZERO), "lookahead must be"),
+            (c().with_predictor(window_0), "window must be positive"),
+            (c().with_recovery(no_retry), "one retry before"),
+        ] {
+            let err = cfg.try_validate().unwrap_err().to_string();
+            assert!(err.contains(expected), "{err} lacks {expected}");
+        }
     }
 
     #[test]
@@ -769,6 +601,6 @@ mod tests {
             .with_target_utilization(0.5)
             .with_underload_threshold(0.3)
             .with_overload_threshold(0.9);
-        cfg.validate();
+        assert_eq!(cfg.try_validate(), Ok(()));
     }
 }

@@ -30,8 +30,9 @@
 //! use agile_core::{ManagerConfig, PowerPolicy, VirtManager};
 //!
 //! let config = ManagerConfig::new(PowerPolicy::reactive_suspend());
-//! let manager = VirtManager::new(config, 16, 64);
+//! let manager = VirtManager::new(config, 16, 64)?;
 //! assert_eq!(manager.config().policy(), &PowerPolicy::reactive_suspend());
+//! # Ok::<(), agile_core::ConfigError>(())
 //! ```
 
 #![forbid(unsafe_code)]

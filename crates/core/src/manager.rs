@@ -9,7 +9,7 @@ use power::PowerState;
 
 use crate::plan::PlanContext;
 use crate::{
-    consolidate, drm, ActionReason, ClusterObservation, DayProfile, DecisionActions,
+    consolidate, drm, ActionReason, ClusterObservation, ConfigError, DayProfile, DecisionActions,
     DecisionRecord, DecisionTrigger, HysteresisGate, IndexWorkCounters, ManagementAction,
     ManagerConfig, PowerPolicy, Predictor, RecoveryTracker, WorkCounters,
 };
@@ -112,8 +112,9 @@ impl Error for PlanError {}
 /// ```
 /// use agile_core::{ManagerConfig, PowerPolicy, VirtManager};
 ///
-/// let mut mgr = VirtManager::new(ManagerConfig::new(PowerPolicy::always_on()), 4, 16);
+/// let mgr = VirtManager::new(ManagerConfig::new(PowerPolicy::always_on()), 4, 16)?;
 /// assert_eq!(mgr.stats().rounds, 0);
+/// # Ok::<(), agile_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct VirtManager {
@@ -161,21 +162,26 @@ impl VirtManager {
     /// Creates a manager for a cluster of `num_hosts` hosts and `num_vms`
     /// VMs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `config` violates its cross-field invariants (see
-    /// [`ManagerConfig::validate`]).
-    pub fn new(config: ManagerConfig, num_hosts: usize, num_vms: usize) -> Self {
-        config.validate();
+    /// The first [`ConfigError`] of [`ManagerConfig::try_validate`]: a
+    /// knob outside its range or thresholds out of order.
+    pub fn new(
+        config: ManagerConfig,
+        num_hosts: usize,
+        num_vms: usize,
+    ) -> Result<Self, ConfigError> {
+        config.try_validate()?;
         let predictors = (0..num_vms)
             .map(|_| Predictor::new(config.predictor()))
             .collect();
         let gate = HysteresisGate::new(config.min_on_time(), config.min_off_time(), num_hosts);
         let profile = config
             .prewake_lookahead()
-            .map(|_| DayProfile::new(SimDuration::from_mins(30), 0.5));
+            .map(|_| DayProfile::new(SimDuration::from_mins(30), 0.5))
+            .transpose()?;
         let recovery = RecoveryTracker::new(config.recovery().clone(), num_hosts);
-        VirtManager {
+        Ok(VirtManager {
             config,
             predictors,
             gate,
@@ -188,7 +194,7 @@ impl VirtManager {
             predicted_buf: Vec::new(),
             ctx: PlanContext::default(),
             actions_hist: Histogram::new(),
-        }
+        })
     }
 
     /// The configuration.
@@ -769,7 +775,7 @@ mod tests {
     #[test]
     fn always_on_never_touches_power() {
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
-        let mut mgr = VirtManager::new(cfg, 3, 3);
+        let mut mgr = VirtManager::new(cfg, 3, 3).unwrap();
         // Wildly underloaded: a power-managing policy would drain hosts.
         let o = obs(
             SimTime::ZERO,
@@ -787,7 +793,7 @@ mod tests {
     #[test]
     fn oracle_never_acts() {
         let cfg = ManagerConfig::new(PowerPolicy::oracle());
-        let mut mgr = VirtManager::new(cfg, 2, 2);
+        let mut mgr = VirtManager::new(cfg, 2, 2).unwrap();
         let o = obs(
             SimTime::ZERO,
             &[(PowerState::On, &[0.5, 0.5]), (PowerState::On, &[])],
@@ -797,7 +803,7 @@ mod tests {
 
     #[test]
     fn consolidates_and_parks_underloaded_host() {
-        let mut mgr = VirtManager::new(agile_config(), 2, 2);
+        let mut mgr = VirtManager::new(agile_config(), 2, 2).unwrap();
         // Two lightly-loaded hosts: host 1 should drain into host 0.
         let o = obs(
             SimTime::ZERO,
@@ -842,7 +848,7 @@ mod tests {
             .with_spare_hosts(0)
             .with_min_on_time(SimDuration::ZERO)
             .with_predictor(crate::PredictorConfig::LastValue);
-        let mut mgr = VirtManager::new(cfg, 2, 1);
+        let mut mgr = VirtManager::new(cfg, 2, 1).unwrap();
         let o = obs(
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[])],
@@ -862,7 +868,7 @@ mod tests {
 
     #[test]
     fn wakes_suspended_host_when_demand_rises() {
-        let mut mgr = VirtManager::new(agile_config(), 2, 2);
+        let mut mgr = VirtManager::new(agile_config(), 2, 2).unwrap();
         // Host 1 is suspended; demand on host 0 nearly saturates it.
         let mut o = obs(
             SimTime::ZERO,
@@ -881,7 +887,7 @@ mod tests {
 
     #[test]
     fn prefers_suspended_over_off_when_waking() {
-        let mut mgr = VirtManager::new(agile_config(), 3, 2);
+        let mut mgr = VirtManager::new(agile_config(), 3, 2).unwrap();
         let mut o = obs(
             SimTime::ZERO,
             &[
@@ -909,7 +915,7 @@ mod tests {
 
     #[test]
     fn cancels_drain_before_waking() {
-        let mut mgr = VirtManager::new(agile_config(), 2, 2);
+        let mut mgr = VirtManager::new(agile_config(), 2, 2).unwrap();
         // Round 1: drain host 1.
         let o = obs(
             SimTime::ZERO,
@@ -933,7 +939,7 @@ mod tests {
     #[test]
     fn spare_pool_keeps_extra_host() {
         let cfg = agile_config().with_spare_hosts(1);
-        let mut mgr = VirtManager::new(cfg, 2, 1);
+        let mut mgr = VirtManager::new(cfg, 2, 1).unwrap();
         // One VM, trivially fits on host 0; with one spare required,
         // host 1 must NOT be drained.
         let o = obs(
@@ -946,7 +952,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut mgr = VirtManager::new(agile_config(), 2, 2);
+        let mut mgr = VirtManager::new(agile_config(), 2, 2).unwrap();
         let o = obs(
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
@@ -958,7 +964,7 @@ mod tests {
 
     #[test]
     fn reasons_align_with_actions() {
-        let mut mgr = VirtManager::new(agile_config(), 2, 2);
+        let mut mgr = VirtManager::new(agile_config(), 2, 2).unwrap();
         // Consolidation round: the migration off host 1 must be
         // attributed to consolidation.
         let o = obs(
@@ -993,7 +999,7 @@ mod tests {
     #[test]
     fn quarantined_host_is_not_woken() {
         let cfg = agile_config().with_recovery(crate::RecoveryConfig::new().with_max_retries(1));
-        let mut mgr = VirtManager::new(cfg, 2, 2);
+        let mut mgr = VirtManager::new(cfg, 2, 2).unwrap();
         // Host 1 is suspended and just failed a resume: one strike
         // quarantines it, so even saturating demand must not wake it.
         let mut o = obs(
@@ -1019,7 +1025,7 @@ mod tests {
         let recovery = crate::RecoveryConfig::new()
             .with_max_retries(10)
             .with_backoff(SimDuration::from_mins(2), SimDuration::from_mins(32));
-        let mut mgr = VirtManager::new(agile_config().with_recovery(recovery), 2, 2);
+        let mut mgr = VirtManager::new(agile_config().with_recovery(recovery), 2, 2).unwrap();
         let mut o = obs(
             SimTime::ZERO,
             &[(PowerState::On, &[4.0, 3.5]), (PowerState::Suspended, &[])],
@@ -1050,7 +1056,7 @@ mod tests {
             .with_max_retries(100)
             .with_health(0.001, 0.05)
             .with_failsafe(SimDuration::from_mins(30), 1);
-        let mut mgr = VirtManager::new(agile_config().with_recovery(recovery), 2, 2);
+        let mut mgr = VirtManager::new(agile_config().with_recovery(recovery), 2, 2).unwrap();
         // Wildly underloaded — without the fail-safe this consolidates
         // (see `consolidates_and_parks_underloaded_host`) — but one
         // fleet failure trips the single-failure fail-safe.
@@ -1087,8 +1093,8 @@ mod tests {
             .with_max_retries(100)
             .with_failsafe(SimDuration::from_hours(2), 1);
         let cfg = agile_config().with_recovery(recovery);
-        let mut mgr = VirtManager::new(cfg, 2, 3);
-        let mut oracle = VirtManager::new(ManagerConfig::new(PowerPolicy::oracle()), 2, 3);
+        let mut mgr = VirtManager::new(cfg, 2, 3).unwrap();
+        let mut oracle = VirtManager::new(ManagerConfig::new(PowerPolicy::oracle()), 2, 3).unwrap();
         // Host 0 is overloaded (7.5 of 8 cores) and reported a failure,
         // which holds the single-failure fail-safe for two hours.
         for round in 1..=3u64 {
@@ -1115,7 +1121,8 @@ mod tests {
             agile_config().with_recovery(crate::RecoveryConfig::new().with_max_retries(1)),
             2,
             2,
-        );
+        )
+        .unwrap();
         // Round 1: host 1 drains normally.
         let o = obs(
             SimTime::ZERO,
@@ -1147,7 +1154,7 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_observation() {
-        let mut mgr = VirtManager::new(agile_config(), 3, 4);
+        let mut mgr = VirtManager::new(agile_config(), 3, 4).unwrap();
         let o = obs(SimTime::ZERO, &[(PowerState::On, &[1.0, 0.5])]);
         let err = mgr.plan(&o).expect_err("1 host / 2 VMs against 3 / 4");
         assert_eq!(

@@ -6,6 +6,8 @@
 //! predictor is unnecessary — experiment T12 quantifies this by swapping
 //! predictors under both power-state regimes.
 
+use crate::ConfigError;
+
 /// Which prediction algorithm to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PredictorConfig {
@@ -26,20 +28,27 @@ pub enum PredictorConfig {
 }
 
 impl PredictorConfig {
-    /// Validates the configuration.
+    /// Checks the algorithm's parameter.
+    /// [`crate::ManagerConfig::try_validate`] runs this on the manager's
+    /// predictor.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `alpha` is outside `(0, 1]` or `window` is zero.
-    pub fn validate(&self) {
+    /// [`ConfigError::OutOfRange`] if `alpha` is outside `(0, 1]`,
+    /// [`ConfigError::Invalid`] if `window` is zero.
+    pub fn try_validate(&self) -> Result<(), ConfigError> {
         match *self {
-            PredictorConfig::LastValue => {}
-            PredictorConfig::Ewma { alpha } => {
-                assert!(alpha > 0.0 && alpha <= 1.0, "alpha {alpha} outside (0, 1]");
+            PredictorConfig::Ewma { alpha } if !(alpha > 0.0 && alpha <= 1.0) => {
+                Err(ConfigError::OutOfRange {
+                    field: "alpha",
+                    value: alpha,
+                    constraint: "outside (0, 1]",
+                })
             }
-            PredictorConfig::WindowMax { window } => {
-                assert!(window > 0, "window must be positive");
-            }
+            PredictorConfig::WindowMax { window: 0 } => Err(ConfigError::Invalid {
+                message: "window must be positive",
+            }),
+            _ => Ok(()),
         }
     }
 }
@@ -76,14 +85,9 @@ enum State {
 }
 
 impl Predictor {
-    /// Creates a predictor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see
-    /// [`PredictorConfig::validate`]).
+    /// Creates a predictor. The configuration is not checked here: the
+    /// manager checks it once, in [`PredictorConfig::try_validate`].
     pub fn new(config: PredictorConfig) -> Self {
-        config.validate();
         let state = match config {
             PredictorConfig::WindowMax { .. } => State::Window(Vec::new()),
             _ => State::Scalar(None),
@@ -175,14 +179,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "alpha")]
-    fn rejects_bad_alpha() {
-        Predictor::new(PredictorConfig::Ewma { alpha: 0.0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn rejects_zero_window() {
-        Predictor::new(PredictorConfig::WindowMax { window: 0 });
+    fn try_validate_rejects_bad_parameters() {
+        for (config, expected) in [
+            (PredictorConfig::Ewma { alpha: 0.0 }, "alpha 0 outside"),
+            (PredictorConfig::WindowMax { window: 0 }, "window"),
+        ] {
+            let err = config.try_validate().unwrap_err().to_string();
+            assert!(err.contains(expected), "{err} lacks {expected}");
+        }
+        assert_eq!(PredictorConfig::LastValue.try_validate(), Ok(()));
     }
 }

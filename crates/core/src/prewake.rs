@@ -21,13 +21,14 @@ use crate::ConfigError;
 /// use agile_core::DayProfile;
 /// use simcore::{SimDuration, SimTime};
 ///
-/// let mut p = DayProfile::new(SimDuration::from_mins(30), 0.5);
+/// let mut p = DayProfile::new(SimDuration::from_mins(30), 0.5)?;
 /// p.observe(SimTime::from_secs(9 * 3600), 120.0); // 9am, day 1
 /// // Next day, same time-of-day: the forecast knows.
 /// let tomorrow = SimTime::from_secs((24 + 9) * 3600);
 /// assert_eq!(p.forecast(tomorrow), Some(120.0));
 /// // A never-observed bucket has no forecast.
 /// assert_eq!(p.forecast(SimTime::from_secs(3 * 3600)), None);
+/// # Ok::<(), agile_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DayProfile {
@@ -40,22 +41,11 @@ pub struct DayProfile {
 impl DayProfile {
     /// Creates a profile with the given bucket length and EWMA factor.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `bucket_len` is zero, does not divide 24 h evenly, or
-    /// `alpha` is outside `(0, 1]`. [`try_new`](Self::try_new) is the
-    /// non-panicking variant.
-    pub fn new(bucket_len: SimDuration, alpha: f64) -> Self {
-        match Self::try_new(bucket_len, alpha) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`new`](Self::new): rejects a zero bucket
-    /// length, a bucket length that does not divide 24 h evenly, and an
-    /// EWMA factor outside `(0, 1]`.
-    pub fn try_new(bucket_len: SimDuration, alpha: f64) -> Result<Self, ConfigError> {
+    /// [`ConfigError`] for a zero bucket length, a bucket length that
+    /// does not divide 24 h evenly, or an EWMA factor outside `(0, 1]`.
+    pub fn new(bucket_len: SimDuration, alpha: f64) -> Result<Self, ConfigError> {
         if bucket_len.is_zero() {
             return Err(ConfigError::Invalid {
                 message: "bucket length must be non-zero",
@@ -139,7 +129,7 @@ mod tests {
     use super::*;
 
     fn profile() -> DayProfile {
-        DayProfile::new(SimDuration::from_hours(1), 0.5)
+        DayProfile::new(SimDuration::from_hours(1), 0.5).unwrap()
     }
 
     #[test]
@@ -192,30 +182,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "divide 24 h evenly")]
-    fn rejects_uneven_bucket() {
-        DayProfile::new(SimDuration::from_mins(7), 0.5);
-    }
-
-    #[test]
-    fn try_new_reports_each_rejection() {
-        assert!(matches!(
-            DayProfile::try_new(SimDuration::ZERO, 0.5),
-            Err(ConfigError::Invalid { message }) if message.contains("non-zero")
-        ));
-        assert!(matches!(
-            DayProfile::try_new(SimDuration::from_mins(7), 0.5),
-            Err(ConfigError::Invalid { message }) if message.contains("divide 24 h")
-        ));
-        assert!(matches!(
-            DayProfile::try_new(SimDuration::from_mins(30), 0.0),
-            Err(ConfigError::OutOfRange { field: "alpha", .. })
-        ));
-        assert!(matches!(
-            DayProfile::try_new(SimDuration::from_mins(30), 1.5),
-            Err(ConfigError::OutOfRange { field: "alpha", .. })
-        ));
-        assert!(DayProfile::try_new(SimDuration::from_mins(30), 1.0).is_ok());
+    fn new_reports_each_rejection() {
+        for (bucket_len, alpha, expected) in [
+            (SimDuration::from_mins(7), 0.5, "divide 24 h evenly"),
+            (SimDuration::ZERO, 0.5, "bucket length must be non-zero"),
+            (SimDuration::from_mins(30), 0.0, "alpha 0 outside (0,1]"),
+            (SimDuration::from_mins(30), 1.5, "alpha 1.5 outside (0,1]"),
+        ] {
+            let err = DayProfile::new(bucket_len, alpha).unwrap_err().to_string();
+            assert!(err.contains(expected), "{err} lacks {expected}");
+        }
+        assert!(DayProfile::new(SimDuration::from_mins(30), 1.0).is_ok());
     }
 
     /// Regression: an observation at exactly `k·24 h` belongs to the

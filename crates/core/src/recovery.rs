@@ -83,182 +83,86 @@ impl RecoveryConfig {
         }
     }
 
-    /// Sets the consecutive-failure count that quarantines a host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    /// [`try_with_max_retries`](Self::try_with_max_retries) is the
-    /// non-panicking variant.
-    pub fn with_max_retries(self, n: u32) -> Self {
-        match self.try_with_max_retries(n) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_max_retries`](Self::with_max_retries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `n` is zero.
-    pub fn try_with_max_retries(mut self, n: u32) -> Result<Self, ConfigError> {
-        if n == 0 {
-            return Err(ConfigError::Invalid {
-                message: "need at least one retry before quarantine",
-            });
-        }
+    /// Sets the consecutive-failure count that quarantines a host (at
+    /// least one).
+    pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
-        Ok(self)
+        self
     }
 
-    /// Sets the exponential-backoff base and cap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is zero or `cap < base`.
-    /// [`try_with_backoff`](Self::try_with_backoff) is the non-panicking
-    /// variant.
-    pub fn with_backoff(self, base: SimDuration, cap: SimDuration) -> Self {
-        match self.try_with_backoff(base, cap) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_backoff`](Self::with_backoff).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `base` is zero or `cap < base`.
-    pub fn try_with_backoff(
-        mut self,
-        base: SimDuration,
-        cap: SimDuration,
-    ) -> Result<Self, ConfigError> {
-        if base.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "backoff base must be non-zero",
-            });
-        }
-        if cap < base {
-            return Err(ConfigError::Invalid {
-                message: "backoff cap below base",
-            });
-        }
+    /// Sets the exponential-backoff base (non-zero) and cap (at least the
+    /// base).
+    pub fn with_backoff(mut self, base: SimDuration, cap: SimDuration) -> Self {
         self.backoff_base = base;
         self.backoff_cap = cap;
-        Ok(self)
+        self
     }
 
     /// Sets the health floor below which a host is quarantined and the
-    /// per-clean-round recovery increment.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both lie in `(0, 1)`.
-    /// [`try_with_health`](Self::try_with_health) is the non-panicking
-    /// variant.
-    pub fn with_health(self, floor: f64, recovery: f64) -> Self {
-        match self.try_with_health(floor, recovery) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_health`](Self::with_health).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::OutOfRange`] unless both lie in `(0, 1)`.
-    pub fn try_with_health(mut self, floor: f64, recovery: f64) -> Result<Self, ConfigError> {
-        if !(floor > 0.0 && floor < 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "health floor",
-                value: floor,
-                constraint: "outside (0,1)",
-            });
-        }
-        if !(recovery > 0.0 && recovery < 1.0) {
-            return Err(ConfigError::OutOfRange {
-                field: "health recovery",
-                value: recovery,
-                constraint: "outside (0,1)",
-            });
-        }
+    /// per-clean-round recovery increment, both in `(0, 1)`.
+    pub fn with_health(mut self, floor: f64, recovery: f64) -> Self {
         self.health_floor = floor;
         self.health_recovery = recovery;
-        Ok(self)
+        self
     }
 
-    /// Sets the quarantine probation window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is zero.
-    /// [`try_with_probation`](Self::try_with_probation) is the
-    /// non-panicking variant.
-    pub fn with_probation(self, d: SimDuration) -> Self {
-        match self.try_with_probation(d) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`with_probation`](Self::with_probation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] if `d` is zero.
-    pub fn try_with_probation(mut self, d: SimDuration) -> Result<Self, ConfigError> {
-        if d.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "probation must be non-zero",
-            });
-        }
+    /// Sets the quarantine probation window (non-zero).
+    pub fn with_probation(mut self, d: SimDuration) -> Self {
         self.probation = d;
-        Ok(self)
+        self
     }
 
     /// Sets the fleet fail-safe: trip after `trip` failures inside
-    /// `window`; clear when the window drains to `trip / 2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero or `trip` is zero.
-    /// [`try_with_failsafe`](Self::try_with_failsafe) is the non-panicking
-    /// variant.
-    pub fn with_failsafe(self, window: SimDuration, trip: u32) -> Self {
-        match self.try_with_failsafe(window, trip) {
-            Ok(cfg) => cfg,
-            Err(e) => panic!("{e}"),
-        }
+    /// `window`; clear when the window drains to `trip / 2`. Both must be
+    /// non-zero.
+    pub fn with_failsafe(mut self, window: SimDuration, trip: u32) -> Self {
+        self.failsafe_window = window;
+        self.failsafe_trip = trip;
+        self
     }
 
-    /// Fallible variant of [`with_failsafe`](Self::with_failsafe).
+    /// Checks every knob's range in field order, then that the backoff
+    /// cap is at least its base. [`crate::ManagerConfig::try_validate`]
+    /// runs this on the manager's recovery policy.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::Invalid`] if `window` is zero or `trip` is
-    /// zero.
-    pub fn try_with_failsafe(
-        mut self,
-        window: SimDuration,
-        trip: u32,
-    ) -> Result<Self, ConfigError> {
-        if window.is_zero() {
-            return Err(ConfigError::Invalid {
-                message: "fail-safe window must be non-zero",
-            });
+    /// The first violation: [`ConfigError::Invalid`] for a zero count or
+    /// window or an inverted backoff, [`ConfigError::OutOfRange`] for a
+    /// health knob outside `(0, 1)`.
+    pub fn try_validate(&self) -> Result<(), ConfigError> {
+        let invalid = |message| Err(ConfigError::Invalid { message });
+        if self.max_retries == 0 {
+            return invalid("need at least one retry before quarantine");
         }
-        if trip == 0 {
-            return Err(ConfigError::Invalid {
-                message: "fail-safe trip threshold must be non-zero",
-            });
+        if self.backoff_base.is_zero() {
+            return invalid("backoff base must be non-zero");
         }
-        self.failsafe_window = window;
-        self.failsafe_trip = trip;
-        Ok(self)
+        for (field, value) in [
+            ("health floor", self.health_floor),
+            ("health recovery", self.health_recovery),
+        ] {
+            if !(value > 0.0 && value < 1.0) {
+                return Err(ConfigError::OutOfRange {
+                    field,
+                    value,
+                    constraint: "outside (0,1)",
+                });
+            }
+        }
+        if self.probation.is_zero() {
+            return invalid("probation must be non-zero");
+        }
+        if self.failsafe_window.is_zero() {
+            return invalid("fail-safe window must be non-zero");
+        }
+        if self.failsafe_trip == 0 {
+            return invalid("fail-safe trip threshold must be non-zero");
+        }
+        if self.backoff_cap < self.backoff_base {
+            return invalid("backoff cap below base");
+        }
+        Ok(())
     }
 
     /// Consecutive failures before quarantine.
@@ -698,8 +602,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backoff cap below base")]
-    fn rejects_inverted_backoff() {
-        let _ = RecoveryConfig::new().with_backoff(mins(10), mins(2));
+    fn try_validate_rejects_each_bad_knob() {
+        let c = RecoveryConfig::new;
+        for (cfg, expected) in [
+            (
+                c().with_backoff(mins(10), mins(2)),
+                "backoff cap below base",
+            ),
+            (c().with_max_retries(0), "one retry before quarantine"),
+            (c().with_backoff(mins(0), mins(2)), "base must be non-zero"),
+            (c().with_health(1.0, 0.05), "health floor 1 outside (0,1)"),
+            (c().with_health(0.25, 0.0), "recovery 0 outside (0,1)"),
+            (c().with_probation(mins(0)), "probation must be non-zero"),
+            (c().with_failsafe(mins(0), 4), "window must be non-zero"),
+            (c().with_failsafe(mins(30), 0), "trip threshold must be"),
+        ] {
+            let err = cfg.try_validate().unwrap_err().to_string();
+            assert!(err.contains(expected), "{err} lacks {expected}");
+        }
+        assert_eq!(c().try_validate(), Ok(()));
     }
 }

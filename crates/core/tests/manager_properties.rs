@@ -125,7 +125,8 @@ fn planned_actions_are_well_formed() {
             let config = ManagerConfig::for_fleet(policy, obs.hosts.len(), obs.vms.len())
                 .with_min_on_time(SimDuration::ZERO)
                 .with_predictor(PredictorConfig::LastValue);
-            let mut mgr = VirtManager::new(config, obs.hosts.len(), obs.vms.len());
+            let mut mgr =
+                VirtManager::new(config, obs.hosts.len(), obs.vms.len()).expect("valid config");
             let actions = mgr.plan(obs).expect("well-shaped observation");
             prop_assert!(
                 mgr.last_round_reasons().len() == actions.len(),
@@ -199,7 +200,7 @@ fn consolidation_never_parks_a_host_receiving_vms() {
     let config = ManagerConfig::for_fleet(PowerPolicy::reactive_suspend(), 10, obs.vms.len())
         .with_min_on_time(SimDuration::ZERO)
         .with_predictor(PredictorConfig::LastValue);
-    let mut mgr = VirtManager::new(config, 10, obs.vms.len());
+    let mut mgr = VirtManager::new(config, 10, obs.vms.len()).expect("valid config");
     let actions = mgr.plan(&obs).expect("well-shaped observation");
     let reasons = mgr.last_round_reasons();
     let onto_9 = actions
@@ -236,7 +237,8 @@ fn always_on_never_power_manages() {
         |obs| {
             let config =
                 ManagerConfig::for_fleet(PowerPolicy::always_on(), obs.hosts.len(), obs.vms.len());
-            let mut mgr = VirtManager::new(config, obs.hosts.len(), obs.vms.len());
+            let mut mgr =
+                VirtManager::new(config, obs.hosts.len(), obs.vms.len()).expect("valid config");
             for action in mgr.plan(obs).expect("well-shaped observation") {
                 prop_assert!(!action.is_power_action(), "power action {action}");
             }
@@ -259,7 +261,8 @@ fn migration_budget_respected() {
             )
             .with_max_migrations_per_round(*budget)
             .with_min_on_time(SimDuration::ZERO);
-            let mut mgr = VirtManager::new(config, obs.hosts.len(), obs.vms.len());
+            let mut mgr =
+                VirtManager::new(config, obs.hosts.len(), obs.vms.len()).expect("valid config");
             let migrations = mgr
                 .plan(obs)
                 .expect("well-shaped observation")
@@ -283,7 +286,7 @@ fn planning_is_deterministic() {
                 obs.hosts.len(),
                 obs.vms.len(),
             );
-            VirtManager::new(config, obs.hosts.len(), obs.vms.len())
+            VirtManager::new(config, obs.hosts.len(), obs.vms.len()).expect("valid config")
         };
         let a = mk().plan(obs);
         let b = mk().plan(obs);

@@ -43,37 +43,29 @@ pub struct DvfsModel {
 }
 
 impl DvfsModel {
-    /// Builds a model from operating points.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the inputs [`try_new`](Self::try_new) rejects.
+    /// Builds a model from operating points, ordered by strictly
+    /// increasing frequency up to nominal (1.0).
     pub fn new(levels: Vec<DvfsLevel>) -> Self {
-        Self::try_new(levels).unwrap_or_else(|e| panic!("{e}"))
+        DvfsModel { levels }
     }
 
-    /// Builds a model from operating points, rejecting bad inputs instead
-    /// of panicking.
+    /// Checks every level's frequency and power scale lie in `(0, 1]`,
+    /// then that frequencies strictly increase up to nominal.
+    /// [`HostPowerProfile::try_validate`](crate::HostPowerProfile::try_validate)
+    /// runs this on an attached model.
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] if `levels` is empty, frequencies are not strictly
-    /// increasing in `(0, 1]`, the top level is not nominal (1.0), or any
-    /// power scale is outside `(0, 1]`.
-    pub fn try_new(levels: Vec<DvfsLevel>) -> Result<Self, ConfigError> {
-        if levels.is_empty() {
+    /// [`ConfigError`] if there are no levels, a level is out of range,
+    /// frequencies do not strictly increase, or the top level is not
+    /// nominal.
+    pub fn try_validate(&self) -> Result<(), ConfigError> {
+        let Some(top) = self.levels.last() else {
             return Err(ConfigError::Invalid {
                 message: "need at least one DVFS level",
             });
-        }
-        for pair in levels.windows(2) {
-            if pair[0].freq_frac >= pair[1].freq_frac {
-                return Err(ConfigError::Invalid {
-                    message: "levels must be strictly increasing in frequency",
-                });
-            }
-        }
-        for l in &levels {
+        };
+        for l in &self.levels {
             if !(l.freq_frac > 0.0 && l.freq_frac <= 1.0) {
                 return Err(ConfigError::OutOfRange {
                     field: "frequency fraction",
@@ -89,12 +81,21 @@ impl DvfsModel {
                 });
             }
         }
-        if levels.last().expect("non-empty").freq_frac != 1.0 {
+        if self
+            .levels
+            .windows(2)
+            .any(|pair| pair[0].freq_frac >= pair[1].freq_frac)
+        {
+            return Err(ConfigError::Invalid {
+                message: "levels must be strictly increasing in frequency",
+            });
+        }
+        if top.freq_frac != 1.0 {
             return Err(ConfigError::Invalid {
                 message: "top level must be nominal frequency",
             });
         }
-        Ok(DvfsModel { levels })
+        Ok(())
     }
 
     /// A 2013-era server ladder: 40/60/80/100 % clocks with near-cubic
@@ -217,48 +218,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "top level must be nominal")]
-    fn rejects_missing_nominal_level() {
-        DvfsModel::new(vec![DvfsLevel {
-            freq_frac: 0.5,
-            dyn_power_scale: 0.4,
-        }]);
-    }
-
-    #[test]
-    fn try_new_reports_each_rejection() {
-        use crate::ConfigError;
-        assert_eq!(
-            DvfsModel::try_new(vec![]).unwrap_err(),
-            ConfigError::Invalid {
-                message: "need at least one DVFS level"
-            }
-        );
-        let unordered = vec![
-            DvfsLevel {
-                freq_frac: 0.8,
-                dyn_power_scale: 0.6,
-            },
-            DvfsLevel {
-                freq_frac: 0.4,
-                dyn_power_scale: 0.3,
-            },
-        ];
-        assert!(matches!(
-            DvfsModel::try_new(unordered).unwrap_err(),
-            ConfigError::Invalid { .. }
-        ));
-        let bad_scale = vec![DvfsLevel {
-            freq_frac: 1.0,
-            dyn_power_scale: 1.5,
-        }];
-        assert!(matches!(
-            DvfsModel::try_new(bad_scale).unwrap_err(),
-            ConfigError::OutOfRange {
-                field: "dynamic power scale",
-                ..
-            }
-        ));
-        assert!(DvfsModel::try_new(DvfsModel::typical_2013().levels().to_vec()).is_ok());
+    fn try_validate_reports_each_rejection() {
+        let level = |freq_frac, dyn_power_scale| DvfsLevel {
+            freq_frac,
+            dyn_power_scale,
+        };
+        for (levels, expected) in [
+            (vec![level(0.5, 0.4)], "top level must be nominal"),
+            (vec![], "need at least one DVFS level"),
+            (vec![level(1.0, 1.0); 2], "strictly increasing"),
+            (vec![level(1.0, 1.5)], "power scale 1.5 outside (0,1]"),
+            (vec![level(1.5, 1.0)], "fraction 1.5 outside (0,1]"),
+        ] {
+            let err = DvfsModel::new(levels).try_validate().unwrap_err();
+            assert!(err.to_string().contains(expected), "{err} lacks {expected}");
+        }
+        assert_eq!(DvfsModel::typical_2013().try_validate(), Ok(()));
     }
 }

@@ -7,11 +7,11 @@ use simcore::SimTime;
 
 use crate::{PowerState, TransitionKind};
 
-/// A rejected model-configuration value, returned by the `try_new`
-/// constructor variants on [`crate::HostPowerProfile`] and
-/// [`crate::DvfsModel`] (the panicking constructors are thin wrappers
-/// with the same message). Mirrors the `try_*` convention of
-/// `agile_core::ConfigError`, which this crate cannot depend on.
+/// A rejected model-configuration value, returned by
+/// [`crate::HostPowerProfile::try_validate`] and
+/// [`crate::DvfsModel::try_validate`] (the constructors and setters only
+/// store). Mirrors `agile_core::ConfigError`, which this crate cannot
+/// depend on.
 ///
 /// Marked `#[non_exhaustive]`: more variants may appear as the models
 /// grow validation, so downstream matches need a wildcard arm.

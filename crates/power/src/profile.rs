@@ -57,11 +57,9 @@ pub struct HostPowerProfile {
 }
 
 impl HostPowerProfile {
-    /// Builds a custom profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the inputs [`try_new`](Self::try_new) rejects.
+    /// Builds a custom profile. Both low-power draws must be finite,
+    /// non-negative and at most the curve's idle power;
+    /// [`try_validate`](Self::try_validate) checks them.
     pub fn new(
         name: impl Into<String>,
         curve: PowerCurve,
@@ -69,44 +67,7 @@ impl HostPowerProfile {
         off_power_w: f64,
         transitions: TransitionTable,
     ) -> Self {
-        Self::try_new(name, curve, suspend_power_w, off_power_w, transitions)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Builds a custom profile, rejecting bad inputs instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if either low-power draw is negative/non-finite, or
-    /// exceeds the curve's idle power (a "low-power" state that draws more
-    /// than idle indicates a configuration error).
-    pub fn try_new(
-        name: impl Into<String>,
-        curve: PowerCurve,
-        suspend_power_w: f64,
-        off_power_w: f64,
-        transitions: TransitionTable,
-    ) -> Result<Self, ConfigError> {
-        if !suspend_power_w.is_finite() || suspend_power_w < 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "suspend power",
-                value: suspend_power_w,
-                constraint: "must be finite and >= 0",
-            });
-        }
-        if !off_power_w.is_finite() || off_power_w < 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "off power",
-                value: off_power_w,
-                constraint: "must be finite and >= 0",
-            });
-        }
-        if suspend_power_w > curve.idle_w() || off_power_w > curve.idle_w() {
-            return Err(ConfigError::Invalid {
-                message: "low-power draw exceeds idle draw",
-            });
-        }
-        Ok(HostPowerProfile {
+        HostPowerProfile {
             name: name.into(),
             curve,
             suspend_power_w,
@@ -115,7 +76,42 @@ impl HostPowerProfile {
             transitions,
             psu: None,
             dvfs: None,
-        })
+        }
+    }
+
+    /// Checks each low-power draw is finite and non-negative (suspend,
+    /// off, then package idle), then that none exceeds the curve's idle
+    /// power (a "low-power" state that draws more than idle indicates a
+    /// configuration error), then the attached DVFS model, if any.
+    ///
+    /// # Errors
+    ///
+    /// The first violation as a [`ConfigError`].
+    pub fn try_validate(&self) -> Result<(), ConfigError> {
+        let draws = [
+            ("suspend power", Some(self.suspend_power_w)),
+            ("off power", Some(self.off_power_w)),
+            ("package-idle power", self.package_idle_power_w),
+        ];
+        for (field, draw) in draws {
+            if let Some(value) = draw.filter(|w| !w.is_finite() || *w < 0.0) {
+                return Err(ConfigError::OutOfRange {
+                    field,
+                    value,
+                    constraint: "must be finite and >= 0",
+                });
+            }
+        }
+        let idle_w = self.curve.idle_w();
+        if draws
+            .iter()
+            .any(|(_, draw)| draw.is_some_and(|w| w > idle_w))
+        {
+            return Err(ConfigError::Invalid {
+                message: "low-power draw exceeds idle draw",
+            });
+        }
+        self.dvfs.as_ref().map_or(Ok(()), DvfsModel::try_validate)
     }
 
     /// Attaches a PSU conversion-loss model: all powers reported by
@@ -137,50 +133,16 @@ impl HostPowerProfile {
     /// Adds the C6-class package-idle rung: resting draw `power_w`, with
     /// `park`/`unpark` transitions. The rung sits between `On` and
     /// `Suspended` on the ladder — it must draw less than idle.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the inputs [`try_with_package_idle`](Self::try_with_package_idle)
-    /// rejects.
     pub fn with_package_idle(
-        self,
-        power_w: f64,
-        park: TransitionSpec,
-        unpark: TransitionSpec,
-    ) -> Self {
-        self.try_with_package_idle(power_w, park, unpark)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Adds the package-idle rung, rejecting bad inputs instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] if `power_w` is negative/non-finite or exceeds the
-    /// curve's idle power.
-    pub fn try_with_package_idle(
         mut self,
         power_w: f64,
         park: TransitionSpec,
         unpark: TransitionSpec,
-    ) -> Result<Self, ConfigError> {
-        if !power_w.is_finite() || power_w < 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "package-idle power",
-                value: power_w,
-                constraint: "must be finite and >= 0",
-            });
-        }
-        if power_w > self.curve.idle_w() {
-            return Err(ConfigError::Invalid {
-                message: "low-power draw exceeds idle draw",
-            });
-        }
+    ) -> Self {
         self.name = format!("{}+c6", self.name);
         self.package_idle_power_w = Some(power_w);
         self.transitions = self.transitions.with_package_idle(park, unpark);
-        Ok(self)
+        self
     }
 
     /// Attaches a DVFS model: while `On`, the host is assumed to run at
@@ -559,21 +521,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "low-power draw exceeds idle draw")]
-    fn rejects_suspend_above_idle() {
-        HostPowerProfile::new(
-            "bad",
-            PowerCurve::linear(100.0, 200.0),
-            150.0,
-            5.0,
-            TransitionTable::without_suspend(
-                TransitionSpec::new(SimDuration::from_secs(10), 100.0),
-                TransitionSpec::new(SimDuration::from_secs(10), 100.0),
-            ),
-        );
-    }
-
-    #[test]
     fn ladder_preset_orders_rungs_shallow_to_deep() {
         let p = HostPowerProfile::prototype_rack_ladder();
         assert!(p.supports_package_idle());
@@ -631,45 +578,44 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_inputs() {
-        let table = || {
-            TransitionTable::without_suspend(
-                TransitionSpec::new(SimDuration::from_secs(10), 100.0),
-                TransitionSpec::new(SimDuration::from_secs(10), 100.0),
+    fn try_validate_rejects_bad_inputs() {
+        let rack = HostPowerProfile::prototype_rack;
+        let custom = |suspend_w, off_w| {
+            let table = rack().transitions().clone();
+            HostPowerProfile::new(
+                "bad",
+                PowerCurve::linear(100.0, 200.0),
+                suspend_w,
+                off_w,
+                table,
             )
         };
-        let err = HostPowerProfile::try_new(
-            "bad",
-            PowerCurve::linear(100.0, 200.0),
-            f64::NAN,
-            5.0,
-            table(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, crate::ConfigError::OutOfRange { field, .. } if field.contains("suspend"))
-        );
-        let err =
-            HostPowerProfile::try_new("bad", PowerCurve::linear(100.0, 200.0), 5.0, 150.0, table())
-                .unwrap_err();
-        assert_eq!(
-            err,
-            crate::ConfigError::Invalid {
-                message: "low-power draw exceeds idle draw"
-            }
-        );
-    }
-
-    #[test]
-    fn try_with_package_idle_rejects_draw_above_idle() {
-        let err = HostPowerProfile::prototype_rack()
-            .try_with_package_idle(
-                200.0,
-                TransitionSpec::new(SimDuration::from_millis(500), 140.0),
-                TransitionSpec::new(SimDuration::from_secs(2), 180.0),
-            )
-            .unwrap_err();
-        assert!(matches!(err, crate::ConfigError::Invalid { .. }));
+        let spec = TransitionSpec::new(SimDuration::from_secs(1), 100.0);
+        let c6 = |power_w| rack().with_package_idle(power_w, spec, spec);
+        let no_nominal = DvfsModel::new(vec![crate::DvfsLevel {
+            freq_frac: 0.5,
+            dyn_power_scale: 0.4,
+        }]);
+        for (profile, expected) in [
+            (custom(150.0, 5.0), "low-power draw exceeds idle draw"),
+            (custom(5.0, 150.0), "low-power draw exceeds idle draw"),
+            (custom(f64::NAN, 5.0), "suspend power NaN must be"),
+            (custom(5.0, -1.0), "off power -1 must be finite"),
+            (c6(200.0), "low-power draw exceeds idle draw"),
+            (c6(-1.0), "package-idle power -1 must be"),
+            (rack().with_dvfs(no_nominal), "top level must be nominal"),
+        ] {
+            let err = profile.try_validate().unwrap_err().to_string();
+            assert!(err.contains(expected), "{err} lacks {expected}");
+        }
+        for preset in [
+            HostPowerProfile::prototype_blade_ladder(),
+            HostPowerProfile::legacy_rack(),
+            HostPowerProfile::ideal_proportional(),
+            HostPowerProfile::prototype_rack_ladder().with_dvfs(DvfsModel::typical_2013()),
+        ] {
+            assert_eq!(preset.try_validate(), Ok(()), "{preset}");
+        }
     }
 
     #[test]

@@ -138,8 +138,9 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] for an inconsistent configuration
-    /// (zero horizon, control interval longer than the horizon, invalid
-    /// manager thresholds, or cluster/profile capture requested from an
+    /// (zero horizon, control interval longer than the horizon, a manager,
+    /// failure, host power or DVFS-baseline model that fails its
+    /// `try_validate`, or cluster/profile capture requested from an
     /// analytic mode);
     /// [`SimError::InitialPlacement`] / [`SimError::TraceIo`] as for the
     /// engine.
@@ -162,6 +163,18 @@ impl SimulationBuilder {
             .resolve_config()
             .try_validate()
             .map_err(|e| invalid(format!("manager config: {e}")))?;
+        self.experiment.failures().try_validate()?;
+        for (i, spec) in self.experiment.scenario().host_specs().iter().enumerate() {
+            let profile = spec.profile();
+            profile
+                .try_validate()
+                .map_err(|e| invalid(format!("host {i} profile {}: {e}", profile.name())))?;
+        }
+        if let Some(model) = &self.dvfs {
+            model
+                .try_validate()
+                .map_err(|e| invalid(format!("DVFS baseline: {e}")))?;
+        }
         let knobs @ (schedulers, _, _) = self.experiment.control_plane_knobs();
         if schedulers == 0 {
             return Err(invalid(
@@ -295,8 +308,9 @@ pub struct SimOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scenario;
-    use agile_core::{ManagerConfig, PowerPolicy};
+    use crate::{FailureModel, Scenario};
+    use agile_core::{ManagerConfig, PowerPolicy, PredictorConfig, RecoveryConfig};
+    use power::{HostPowerProfile, PowerCurve};
     use simcore::SimDuration;
 
     fn experiment(seed: u64) -> Experiment {
@@ -341,13 +355,44 @@ mod tests {
     #[test]
     fn invalid_manager_config_is_an_error_not_a_panic() {
         // The default underload threshold (0.65) sits above this target:
-        // the legacy entry points panicked inside `VirtManager::new`; the
-        // builder reports the inconsistency as a value.
+        // the builder reports the inconsistency as a value.
         let cfg = ManagerConfig::new(PowerPolicy::reactive_suspend()).with_target_utilization(0.6);
         let e = Experiment::new(Scenario::small_test(5)).manager_config(cfg);
         let err = SimulationBuilder::new(e).build().unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }));
         assert!(err.to_string().contains("must be below"), "{err}");
+    }
+
+    #[test]
+    fn every_config_type_is_checked_at_build() {
+        let (b, mins) = (SimulationBuilder::new, SimDuration::from_mins);
+        let mgr = |config: ManagerConfig| b(experiment(12).manager_config(config));
+        let cfg = || ManagerConfig::new(PowerPolicy::reactive_suspend());
+        let inverted = RecoveryConfig::new().with_backoff(mins(10), mins(2));
+        let alpha_0 = PredictorConfig::Ewma { alpha: 0.0 };
+        let hangs = FailureModel::new(0.1, 0.0).with_hangs(0.1, 0.5);
+        let table = HostPowerProfile::prototype_rack().transitions().clone();
+        let hot = HostPowerProfile::new("hot", PowerCurve::linear(100.0, 200.0), 150.0, 5.0, table);
+        let hot_hosts = Experiment::new(Scenario::small_test(12).with_host_profile(hot));
+        let no_nominal = DvfsModel::new(vec![power::DvfsLevel {
+            freq_frac: 0.5,
+            dyn_power_scale: 0.4,
+        }]);
+        let dvfs = b(experiment(12)).dvfs_baseline(no_nominal);
+        for (builder, expected) in [
+            (mgr(cfg().with_recovery(inverted)), "backoff cap below"),
+            (mgr(cfg().with_predictor(alpha_0)), "alpha 0 outside"),
+            (b(experiment(12).failure_model(hangs)), "hang factor 0.5"),
+            (b(hot_hosts), "host 0 profile hot: low-power draw exceeds"),
+            (dvfs, "DVFS baseline: top level must be nominal"),
+        ] {
+            match builder.build() {
+                Err(SimError::InvalidConfig { message }) => {
+                    assert!(message.contains(expected), "{message} lacks {expected}");
+                }
+                other => panic!("{expected}: got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1070,6 +1070,7 @@ mod tests {
             scenario.host_specs().len(),
             scenario.fleet().len(),
         )
+        .unwrap()
     }
 
     #[test]

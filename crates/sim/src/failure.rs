@@ -69,12 +69,6 @@ fn check_prob(p: f64) -> Result<(), SimError> {
     }
 }
 
-fn assert_prob(p: f64) {
-    if let Err(e) = check_prob(p) {
-        panic!("{e}");
-    }
-}
-
 impl FailureModel {
     /// No injected failures (the default).
     pub fn none() -> Self {
@@ -91,15 +85,9 @@ impl FailureModel {
     }
 
     /// Creates a model with the given per-attempt transition failure
-    /// probabilities and no other failure kinds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability is outside `[0, 1)` — a probability
-    /// of 1.0 would make the host permanently unrecoverable.
+    /// probabilities, each in `[0, 1)` (a probability of 1.0 would make
+    /// the host permanently unrecoverable), and no other failure kinds.
     pub fn new(resume_failure_prob: f64, boot_failure_prob: f64) -> Self {
-        assert_prob(resume_failure_prob);
-        assert_prob(boot_failure_prob);
         FailureModel {
             resume_failure_prob,
             boot_failure_prob,
@@ -107,124 +95,64 @@ impl FailureModel {
         }
     }
 
-    /// Fallible [`new`](FailureModel::new): the same validation, but an
-    /// out-of-range probability comes back as
-    /// [`SimError::InvalidConfig`] instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err` if either probability is outside `[0, 1)`.
-    pub fn try_new(resume_failure_prob: f64, boot_failure_prob: f64) -> Result<Self, SimError> {
-        check_prob(resume_failure_prob)?;
-        check_prob(boot_failure_prob)?;
-        Ok(FailureModel {
-            resume_failure_prob,
-            boot_failure_prob,
-            ..FailureModel::none()
-        })
-    }
-
     /// Adds per-attempt migration aborts: each live migration fails at
-    /// its scheduled completion with probability `prob`, leaving the VM
-    /// on its source host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob` is outside `[0, 1)`.
+    /// its scheduled completion with probability `prob` (in `[0, 1)`),
+    /// leaving the VM on its source host.
     pub fn with_migration_failures(mut self, prob: f64) -> Self {
-        assert_prob(prob);
         self.migration_failure_prob = prob;
         self
     }
 
-    /// Fallible
-    /// [`with_migration_failures`](FailureModel::with_migration_failures).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `prob` is outside `[0, 1)`.
-    pub fn try_with_migration_failures(mut self, prob: f64) -> Result<Self, SimError> {
-        check_prob(prob)?;
-        self.migration_failure_prob = prob;
-        Ok(self)
-    }
-
     /// Adds transition hangs: each power transition hangs with
-    /// probability `prob`, stretching to `factor`× its nominal latency
-    /// before failing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prob` is outside `[0, 1)` or `factor < 1`.
-    pub fn with_hangs(self, prob: f64, factor: f64) -> Self {
-        match self.try_with_hangs(prob, factor) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`with_hangs`](FailureModel::with_hangs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `prob` is outside `[0, 1)`
-    /// or `factor < 1`.
-    pub fn try_with_hangs(mut self, prob: f64, factor: f64) -> Result<Self, SimError> {
-        check_prob(prob)?;
-        if !(factor.is_finite() && factor >= 1.0) {
-            return Err(SimError::InvalidConfig {
-                message: format!("hang factor {factor} must be >= 1"),
-            });
-        }
+    /// probability `prob` (in `[0, 1)`), stretching to `factor`× (at
+    /// least 1×) its nominal latency before failing.
+    pub fn with_hangs(mut self, prob: f64, factor: f64) -> Self {
         self.hang_prob = prob;
         self.hang_factor = factor;
-        Ok(self)
+        self
     }
 
     /// Adds correlated rack outage bursts: hosts are grouped into racks
     /// of `rack_size` contiguous indices, and each control epoch each
-    /// rack independently starts a burst with probability `prob` lasting
-    /// `duration`; every power transition completing on a bursting rack
-    /// fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rack_size == 0`, `prob` is outside `[0, 1)`, or
-    /// `duration` is zero while `prob > 0`.
-    pub fn with_rack_bursts(self, rack_size: usize, prob: f64, duration: SimDuration) -> Self {
-        match self.try_with_rack_bursts(rack_size, prob, duration) {
-            Ok(m) => m,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`with_rack_bursts`](FailureModel::with_rack_bursts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] if `rack_size == 0`, `prob`
-    /// is outside `[0, 1)`, or `duration` is zero while `prob > 0`.
-    pub fn try_with_rack_bursts(
-        mut self,
-        rack_size: usize,
-        prob: f64,
-        duration: SimDuration,
-    ) -> Result<Self, SimError> {
-        if rack_size == 0 {
-            return Err(SimError::InvalidConfig {
-                message: "rack size must be positive".to_string(),
-            });
-        }
-        check_prob(prob)?;
-        if prob > 0.0 && duration == SimDuration::ZERO {
-            return Err(SimError::InvalidConfig {
-                message: "rack burst duration must be positive".to_string(),
-            });
-        }
+    /// rack independently starts a burst with probability `prob` (in
+    /// `[0, 1)`) lasting `duration`; every power transition completing on
+    /// a bursting rack fails. With `prob > 0`, `rack_size` and `duration`
+    /// must be non-zero.
+    pub fn with_rack_bursts(mut self, rack_size: usize, prob: f64, duration: SimDuration) -> Self {
         self.rack_size = rack_size;
         self.rack_burst_prob = prob;
         self.rack_burst_duration = duration;
-        Ok(self)
+        self
+    }
+
+    /// Checks every probability lies in `[0, 1)` and the hang factor is
+    /// at least 1, then — when rack bursts are on — that racks and
+    /// bursts are non-empty. The simulator's builder calls this before a
+    /// run starts.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] naming the first violation.
+    pub fn try_validate(&self) -> Result<(), SimError> {
+        let invalid = |message: String| Err(SimError::InvalidConfig { message });
+        check_prob(self.resume_failure_prob)?;
+        check_prob(self.boot_failure_prob)?;
+        check_prob(self.migration_failure_prob)?;
+        check_prob(self.hang_prob)?;
+        let factor = self.hang_factor;
+        if !(factor.is_finite() && factor >= 1.0) {
+            return invalid(format!("hang factor {factor} must be >= 1"));
+        }
+        check_prob(self.rack_burst_prob)?;
+        if self.rack_burst_prob > 0.0 {
+            if self.rack_size == 0 {
+                return invalid("rack size must be positive".to_string());
+            }
+            if self.rack_burst_duration.is_zero() {
+                return invalid("rack burst duration must be positive".to_string());
+            }
+        }
+        Ok(())
     }
 
     /// Probability one resume attempt fails.
@@ -329,44 +257,27 @@ mod tests {
     }
 
     #[test]
-    fn try_variants_mirror_the_panicking_constructors() {
-        assert_eq!(
-            FailureModel::try_new(0.1, 0.02).unwrap(),
-            FailureModel::new(0.1, 0.02)
-        );
-        let err = FailureModel::try_new(1.0, 0.0).unwrap_err();
-        assert!(format!("{err}").contains("outside [0, 1)"), "{err}");
-        assert!(FailureModel::none()
-            .try_with_migration_failures(-0.1)
-            .is_err());
-        assert!(FailureModel::none().try_with_hangs(0.1, 0.5).is_err());
-        assert!(FailureModel::none()
-            .try_with_rack_bursts(0, 0.1, SimDuration::from_secs(60))
-            .is_err());
-        assert!(FailureModel::none()
-            .try_with_rack_bursts(4, 0.1, SimDuration::ZERO)
-            .is_err());
-        let ok = FailureModel::none()
-            .try_with_rack_bursts(8, 0.01, SimDuration::from_secs(600))
-            .unwrap();
-        assert_eq!(ok.rack_size(), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0, 1)")]
-    fn rejects_certain_failure() {
-        FailureModel::new(1.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be >= 1")]
-    fn rejects_shrinking_hang() {
-        FailureModel::none().with_hangs(0.1, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "rack burst duration")]
-    fn rejects_zero_length_burst() {
-        FailureModel::none().with_rack_bursts(4, 0.1, SimDuration::ZERO);
+    fn try_validate_rejects_each_bad_knob() {
+        let (none, secs) = (FailureModel::none, SimDuration::from_secs);
+        let zero = SimDuration::ZERO;
+        for (model, expected) in [
+            (FailureModel::new(1.0, 0.0), "outside [0, 1)"),
+            (none().with_hangs(0.1, 0.5), "must be >= 1"),
+            (none().with_rack_bursts(4, 0.1, zero), "rack burst duration"),
+            (FailureModel::new(0.0, f64::NAN), "probability NaN outside"),
+            (none().with_migration_failures(-0.1), "probability -0.1"),
+            (none().with_hangs(1.0, 4.0), "probability 1 outside"),
+            (none().with_rack_bursts(0, 0.1, secs(9)), "rack size must"),
+            (none().with_rack_bursts(4, 1.5, secs(60)), "probability 1.5"),
+        ] {
+            let err = model.try_validate().unwrap_err().to_string();
+            assert!(err.contains(expected), "{err} lacks {expected}");
+        }
+        // Racks matter only while bursts are on: a zero rack size with a
+        // zero burst probability is the inert default, not an error.
+        let inert = none().with_rack_bursts(0, 0.0, zero);
+        assert_eq!((inert.try_validate(), inert.rack_size()), (Ok(()), 0));
+        let bursty = none().with_rack_bursts(8, 0.01, secs(600));
+        assert_eq!(bursty.try_validate(), Ok(()));
     }
 }

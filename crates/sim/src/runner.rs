@@ -122,6 +122,11 @@ impl Experiment {
         self
     }
 
+    /// The fault-injection model.
+    pub(crate) fn failures(&self) -> &FailureModel {
+        &self.failures
+    }
+
     /// Enables the audit log (entries land in [`SimReport::events`]).
     /// Ignored by the analytic (`Oracle`/DVFS) paths, which take no
     /// management actions.
@@ -223,7 +228,10 @@ impl Experiment {
             self.resolve_config(),
             self.scenario.host_specs().len(),
             self.scenario.fleet().len(),
-        );
+        )
+        .map_err(|e| SimError::InvalidConfig {
+            message: format!("manager config: {e}"),
+        })?;
         let mut sim = DatacenterSim::new(&self.scenario, Some(manager), interval, self.horizon)?;
         sim.set_control_plane(self.schedulers, self.view_staleness, self.control_latency);
         sim.set_failure_model(self.failures);

@@ -730,6 +730,15 @@ mod tests {
     }
 
     #[test]
+    fn headroom_beyond_full_load_is_an_error_not_a_panic() {
+        let err = SweepBuilder::headroom(4, 16, &[1.2], LowPowerMode::Suspend, 1)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("target 1.2"), "{err}");
+    }
+
+    #[test]
     fn replications_summarize_each_leg_across_seeds() {
         let rows = SweepBuilder::scale(&[4], &[PowerPolicy::reactive_suspend()], 13)
             .replications(3)
