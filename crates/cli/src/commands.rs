@@ -107,7 +107,8 @@ fn parse_policy(name: &str) -> Result<PowerPolicy, ArgError> {
                 if secs == 0 {
                     return Err(ArgError("wake SLO must be positive".to_string()));
                 }
-                return Ok(PowerPolicy::joint_ladder(SimDuration::from_secs(secs)));
+                let slo = span(&format!("wake SLO in `{other}`"), secs, 1000)?;
+                return Ok(PowerPolicy::joint_ladder(slo));
             }
             Err(ArgError(format!(
                 "unknown policy `{other}` (always-on | suspend | off | oracle | ladder[:SECS])"
@@ -151,8 +152,18 @@ fn configure(
     }
     Ok(Experiment::new(scenario)
         .policy(policy)
-        .horizon(SimDuration::from_hours(hours))
-        .control_interval(SimDuration::from_mins(interval)))
+        .horizon(span("`--hours`", hours, 3_600_000)?)
+        .control_interval(span("`--interval-mins`", interval, 60_000)?))
+}
+
+/// `count` units of `unit_ms` milliseconds each, or an error naming
+/// `what` when the span does not fit the simulated clock's u64
+/// milliseconds.
+fn span(what: &str, count: u64, unit_ms: u64) -> Result<SimDuration, ArgError> {
+    count
+        .checked_mul(unit_ms)
+        .map(SimDuration::from_millis)
+        .ok_or_else(|| ArgError(format!("{what}: {count} overflows the simulated clock")))
 }
 
 fn run(args: &[String]) -> CmdResult {
@@ -839,6 +850,42 @@ mod tests {
         assert_flag_rejected(
             "`--resume-fail`",
             &[&fail("2"), &fail("1"), &fail("-0.5"), &fail("nan")],
+        );
+    }
+
+    // Each value below is one unit past u64::MAX milliseconds.
+
+    #[test]
+    fn hours_past_the_simulated_clock_are_rejected() {
+        let line = ["run", "--hosts", "4", "--hours", "5124095576031"];
+        assert_flag_rejected("`--hours`", &[&line]);
+    }
+
+    #[test]
+    fn interval_past_the_simulated_clock_is_rejected() {
+        let line = ["run", "--hosts", "4", "--interval-mins", "307445734561826"];
+        assert_flag_rejected("`--interval-mins`", &[&line]);
+    }
+
+    #[test]
+    fn wake_slo_past_the_simulated_clock_is_rejected() {
+        let slo = "ladder:18446744073709552";
+        let line = ["run", "--hosts", "4", "--policy", slo];
+        assert_flag_rejected(&format!("`{slo}`"), &[&line]);
+    }
+
+    #[test]
+    fn analytic_runs_reject_a_trace_file() {
+        let trace = std::env::temp_dir().join("agilepm-cli-analytic-trace.jsonl");
+        let _ = fs::remove_file(&trace);
+        let trace = trace.to_str().expect("utf8 path");
+        let line = ["run", "--policy", "oracle", "--hosts", "4", "--hours", "1"];
+        let err = dispatch(&argv(&[&line[..], &["--trace-out", trace]].concat()))
+            .expect_err("an Oracle run has no event loop to trace");
+        assert!(err.to_string().contains("no event loop to trace"), "{err}");
+        assert!(
+            !std::path::Path::new(trace).exists(),
+            "no trace file appears"
         );
     }
 

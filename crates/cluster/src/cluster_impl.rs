@@ -975,13 +975,6 @@ impl Cluster {
         self.hosts.iter().map(|h| h.capacity().cpu_cores).sum()
     }
 
-    /// Enables power-trace recording on every host (for trace experiments).
-    pub fn enable_power_traces(&mut self) {
-        for host in &mut self.hosts {
-            host.power_mut().enable_trace();
-        }
-    }
-
     /// Capacity of `host` (convenience passthrough).
     ///
     /// # Panics

@@ -4,10 +4,7 @@
 //! can evaluate an [`Experiment`]: the discrete-event engine (optionally
 //! distributed across concurrent schedulers, optionally profiled,
 //! optionally returning the final cluster), the analytic `Oracle` bound,
-//! and the analytic DVFS-only baseline. The four legacy entry points
-//! (`Experiment::run`, `run_detailed`, `run_profiled`,
-//! `run_dvfs_baseline`) were removed after their one-release
-//! deprecation window.
+//! and the analytic DVFS-only baseline.
 //!
 //! The builder validates the whole configuration up front:
 //! [`SimulationBuilder::build`] returns [`SimError::InvalidConfig`]
@@ -37,6 +34,7 @@ use cluster::Cluster;
 use obs::SpanSummary;
 use power::DvfsModel;
 
+use crate::engine::DatacenterSim;
 use crate::{Experiment, SimError, SimReport};
 
 /// Builder for a validated, ready-to-run [`Simulation`].
@@ -138,15 +136,16 @@ impl SimulationBuilder {
     /// # Errors
     ///
     /// [`SimError::InvalidConfig`] for an inconsistent configuration
-    /// (zero horizon, control interval longer than the horizon, a manager,
-    /// failure, host power or DVFS-baseline model that fails its
-    /// `try_validate`, or cluster/profile capture requested from an
-    /// analytic mode);
+    /// (a scenario, manager, failure, host power or DVFS-baseline model
+    /// that fails its `try_validate`, zero horizon, control interval
+    /// longer than the horizon, or cluster capture, profiling or a trace
+    /// file requested from an analytic mode);
     /// [`SimError::InitialPlacement`] / [`SimError::TraceIo`] as for the
     /// engine.
     pub fn build(self) -> Result<Simulation, SimError> {
         let invalid = |message: String| SimError::InvalidConfig { message };
-        let horizon = self.experiment.horizon_duration();
+        self.experiment.scenario().try_validate()?;
+        let horizon = self.experiment.horizon;
         if horizon.as_secs_f64() <= 0.0 {
             return Err(invalid("horizon must be non-zero".to_string()));
         }
@@ -163,7 +162,7 @@ impl SimulationBuilder {
             .resolve_config()
             .try_validate()
             .map_err(|e| invalid(format!("manager config: {e}")))?;
-        self.experiment.failures().try_validate()?;
+        self.experiment.failures.try_validate()?;
         for (i, spec) in self.experiment.scenario().host_specs().iter().enumerate() {
             let profile = spec.profile();
             profile
@@ -202,6 +201,9 @@ impl SimulationBuilder {
             if self.profiling {
                 return Err(invalid(format!("{mode} has no event loop to profile")));
             }
+            if self.experiment.trace_path.is_some() {
+                return Err(invalid(format!("{mode} has no event loop to trace")));
+            }
             if knobs != (1, 0, 0) {
                 return Err(invalid(format!("{mode} has no schedulers to distribute")));
             }
@@ -217,10 +219,7 @@ impl SimulationBuilder {
             return Ok(Simulation { inner });
         }
 
-        let mut sim = self.experiment.build_sim()?;
-        if self.profiling {
-            sim.enable_profiling();
-        }
+        let sim = DatacenterSim::new(&self.experiment, self.profiling)?;
         Ok(Simulation {
             inner: SimKind::Engine {
                 sim: Box::new(sim),
@@ -242,7 +241,7 @@ pub struct Simulation {
 enum SimKind {
     Engine {
         /// Boxed: the engine is much larger than the analytic variants.
-        sim: Box<crate::DatacenterSim>,
+        sim: Box<DatacenterSim>,
         capture_cluster: bool,
     },
     Oracle {
@@ -379,12 +378,15 @@ mod tests {
             dyn_power_scale: 0.4,
         }]);
         let dvfs = b(experiment(12)).dvfs_baseline(no_nominal);
+        let donor = Scenario::small_test(12);
+        let no_hosts = Scenario::new("empty", Vec::new(), donor.fleet().clone(), mins(5), 12);
         for (builder, expected) in [
             (mgr(cfg().with_recovery(inverted)), "backoff cap below"),
             (mgr(cfg().with_predictor(alpha_0)), "alpha 0 outside"),
             (b(experiment(12).failure_model(hangs)), "hang factor 0.5"),
             (b(hot_hosts), "host 0 profile hot: low-power draw exceeds"),
             (dvfs, "DVFS baseline: top level must be nominal"),
+            (b(Experiment::new(no_hosts)), "scenario needs hosts"),
         ] {
             match builder.build() {
                 Err(SimError::InvalidConfig { message }) => {
@@ -397,17 +399,20 @@ mod tests {
 
     #[test]
     fn oracle_rejects_cluster_capture() {
-        let e = Experiment::new(Scenario::small_test(6)).policy(PowerPolicy::oracle());
-        let err = SimulationBuilder::new(e.clone())
-            .capture_cluster(true)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("no cluster"));
-        let err = SimulationBuilder::new(e)
-            .profiling(true)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("no event loop"));
+        let oracle = Experiment::new(Scenario::small_test(6)).policy(PowerPolicy::oracle());
+        let b = |e: &Experiment| SimulationBuilder::new(e.clone());
+        let trace = std::env::temp_dir().join("never.jsonl");
+        let traced = |e: &Experiment| b(&e.clone().trace_path(&trace));
+        let dvfs = traced(&experiment(6)).dvfs_baseline(DvfsModel::typical_2013());
+        for (builder, expected) in [
+            (b(&oracle).capture_cluster(true), "no cluster to capture"),
+            (b(&oracle).profiling(true), "no event loop to profile"),
+            (traced(&oracle), "Oracle policy has no event loop to trace"),
+            (dvfs, "DVFS baseline has no event loop to trace"),
+        ] {
+            let err = builder.build().unwrap_err();
+            assert!(err.to_string().contains(expected), "{err}");
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ use crate::demand::DemandWindow;
 use crate::events::{EventKind, EventRecord};
 use crate::metrics::MetricsCollector;
 use crate::trace::{self, SimTelemetry};
-use crate::{FailureModel, Scenario, SimError, SimReport};
-use obs::{NullSink, SpanName, SpanSummary, SpanTracer, TraceSink};
+use crate::{Experiment, FailureModel, SimError, SimReport};
+use obs::{JsonlSink, NullSink, SpanName, SpanSummary, SpanTracer, TraceSink};
 use power::TransitionKind;
 use simcore::RngStream;
 use workload::Lifetime;
@@ -68,13 +68,22 @@ struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// One fresh scheduler over the whole fleet: no staleness, no latency.
-    fn new(manager: VirtManager, num_hosts: usize, num_vms: usize) -> Self {
+    /// `schedulers` identical replicas of `manager` over fixed contiguous
+    /// host partitions, remote partitions observed `staleness` control
+    /// rounds late, and plans committing `latency` rounds after they are
+    /// computed — all arbitrated by the conflict-checked
+    /// [`PlacementStore`].
+    fn new(
+        manager: VirtManager,
+        (schedulers, staleness, latency): (usize, usize, usize),
+        num_hosts: usize,
+        num_vms: usize,
+    ) -> Self {
         ControlPlane {
-            schedulers: vec![manager],
-            partitions: pool::shard_ranges(num_hosts, 1),
-            staleness: 0,
-            latency: 0,
+            schedulers: vec![manager; schedulers],
+            partitions: pool::shard_ranges(num_hosts, schedulers),
+            staleness,
+            latency,
             history: VecDeque::new(),
             pending: VecDeque::new(),
             store: PlacementStore::new(num_hosts, num_vms),
@@ -170,11 +179,8 @@ fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
     out
 }
 
-/// The datacenter simulator.
-///
-/// Most callers should use [`crate::Experiment`]; `DatacenterSim` is the
-/// lower-level API for drivers that need custom instrumentation (e.g.
-/// per-host power traces).
+/// The datacenter simulator behind [`crate::SimulationBuilder`]'s engine
+/// mode.
 ///
 /// Each control tick the simulator (1) applies the fleet's demand to the
 /// cluster, (2) records metrics, (3) hands the control plane's schedulers
@@ -184,14 +190,13 @@ fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
 /// moved since the manager planned) are counted as failures, not errors —
 /// exactly how a real management plane behaves.
 #[derive(Debug)]
-pub struct DatacenterSim {
+pub(crate) struct DatacenterSim {
     cluster: Cluster,
     /// Every VM's demand per control tick, read from the scenario's
     /// shared traces a window of ticks ahead.
     demand: DemandWindow,
-    /// The control plane holding the managers; `None` runs an unmanaged
-    /// cluster.
-    control: Option<ControlPlane>,
+    /// The control plane holding the managers.
+    control: ControlPlane,
     queue: EventQueue<Event>,
     control_interval: SimDuration,
     horizon: SimDuration,
@@ -241,22 +246,34 @@ pub struct DatacenterSim {
 }
 
 impl DatacenterSim {
-    /// Builds the simulator and performs the initial VM placement
-    /// (round-robin across hosts, memory-checked).
+    /// Builds the run `experiment` describes in one step: performs the
+    /// initial VM placement (round-robin across hosts, memory-checked),
+    /// installs the control plane's scheduler replicas, and attaches the
+    /// failure model, the audit log, the trace sink and, with
+    /// `profiling`, the span tracer.
     ///
-    /// A manager runs as the control plane's single scheduler over a
-    /// fresh view with same-round commits; `manager: None` runs an
-    /// unmanaged cluster (used by calibration code).
+    /// Span tracing covers the tick phases
+    /// (`demand`/`observe`/`plan`/`execute`/`dispatch`) plus the nested
+    /// sub-steps the manager records under `plan`
+    /// (`rescore`/`overload`/`consolidate` > `candidate_scan`/`trial` >
+    /// `undo`/...) and the executor records under `execute`
+    /// (`migration`/`power`). Its numbers only ever leave through the
+    /// `run-summary` trace record and the out-of-band span summary —
+    /// never the report, which must stay bit-deterministic.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InitialPlacement`] if any VM fits on no host.
-    pub fn new(
-        scenario: &Scenario,
-        manager: Option<VirtManager>,
-        control_interval: SimDuration,
-        horizon: SimDuration,
-    ) -> Result<Self, SimError> {
+    /// [`SimError::InvalidConfig`] if the manager config is rejected,
+    /// [`SimError::InitialPlacement`] if any VM fits on no host, and
+    /// [`SimError::TraceIo`] if the trace file cannot be created.
+    pub(crate) fn new(experiment: &Experiment, profiling: bool) -> Result<Self, SimError> {
+        let scenario = experiment.scenario();
+        let config = experiment.resolve_config();
+        let policy_label = config.policy().label().to_string();
+        let manager = VirtManager::new(config, scenario.host_specs().len(), scenario.fleet().len())
+            .map_err(|e| SimError::InvalidConfig {
+                message: format!("manager config: {e}"),
+            })?;
         let mut cluster = Cluster::new(
             scenario.host_specs().to_vec(),
             scenario.fleet().vm_specs().to_vec(),
@@ -264,13 +281,18 @@ impl DatacenterSim {
         );
         let lifetimes = scenario.fleet().lifetimes().lifetimes();
         place_round_robin(&mut cluster, lifetimes)?;
-
-        let policy_label = manager
-            .as_ref()
-            .map(|m| m.config().policy().label().to_string())
-            .unwrap_or_else(|| "Unmanaged".to_string());
+        let sink: Box<dyn TraceSink> = match &experiment.trace_path {
+            Some(path) => Box::new(JsonlSink::create(path).map_err(|e| SimError::TraceIo {
+                path: path.display().to_string(),
+                message: e.to_string(),
+            })?),
+            None => Box::new(NullSink),
+        };
 
         let mut tracer = SpanTracer::new();
+        if profiling {
+            tracer.enable();
+        }
         let s_demand = tracer.name("demand");
         let s_observe = tracer.name("observe");
         let s_plan = tracer.name("plan");
@@ -279,6 +301,7 @@ impl DatacenterSim {
         let s_migration = tracer.name("migration");
         let s_power = tracer.name("power");
 
+        let (control_interval, horizon) = (experiment.resolved_interval(), experiment.horizon);
         let mut queue = EventQueue::new();
         queue.schedule(SimTime::ZERO, Event::Control);
         // Lifecycle events for transient VMs.
@@ -296,7 +319,8 @@ impl DatacenterSim {
         }
 
         let num_hosts = cluster.num_hosts();
-        let control = manager.map(|m| ControlPlane::new(m, num_hosts, cluster.num_vms()));
+        let knobs = experiment.control_plane_knobs();
+        let control = ControlPlane::new(manager, knobs, num_hosts, cluster.num_vms());
         Ok(DatacenterSim {
             cluster,
             demand: DemandWindow::new(scenario.fleet(), control_interval, horizon),
@@ -308,7 +332,7 @@ impl DatacenterSim {
             scenario_name: scenario.name().to_string(),
             seed: scenario.seed(),
             policy_label,
-            failures: FailureModel::none(),
+            failures: experiment.failures,
             // Each injection kind draws from its own substream (created
             // unconditionally) so enabling one knob never perturbs the
             // draw positions of another — and a knob at zero consumes no
@@ -321,8 +345,8 @@ impl DatacenterSim {
             rack_bursts: Vec::new(),
             placement_retries: 0,
             rejected_admissions: 0,
-            event_log: None,
-            sink: Box::new(NullSink),
+            event_log: experiment.record_events.then(Vec::new),
+            sink,
             telemetry: SimTelemetry::new(),
             tracer,
             s_demand,
@@ -339,38 +363,6 @@ impl DatacenterSim {
         })
     }
 
-    /// Enables the audit log (see [`crate::events`]); entries land in
-    /// [`SimReport::events`]. Off by default.
-    pub fn enable_event_log(&mut self) {
-        if self.event_log.is_none() {
-            self.event_log = Some(Vec::new());
-        }
-    }
-
-    /// Streams trace records into `sink` (power transitions, migrations,
-    /// VM lifecycle, manager decisions, and one final `run-summary`).
-    /// Defaults to [`obs::NullSink`], which costs one branch per event.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = sink;
-    }
-
-    /// The trace sink, e.g. to read counts back after a run.
-    pub fn trace_sink(&self) -> &dyn TraceSink {
-        self.sink.as_ref()
-    }
-
-    /// Turns on wall-clock span tracing: the tick phases
-    /// (`demand`/`observe`/`plan`/`execute`/`dispatch`) plus the nested
-    /// sub-steps the manager records under `plan`
-    /// (`rescore`/`overload`/`consolidate` > `candidate_scan`/`trial` >
-    /// `undo`/...) and the executor records under `execute`
-    /// (`migration`/`power`). The numbers only ever leave through the
-    /// `run-summary` trace record and the out-of-band span summary —
-    /// never the report, which must stay bit-deterministic.
-    pub fn enable_profiling(&mut self) {
-        self.tracer.enable();
-    }
-
     fn log(&mut self, time: SimTime, kind: EventKind) {
         self.telemetry.count_event(&kind);
         if self.sink.enabled() {
@@ -379,60 +371,6 @@ impl DatacenterSim {
         if let Some(log) = &mut self.event_log {
             log.push(EventRecord { time, kind });
         }
-    }
-
-    /// Enables power-transition fault injection (off by default).
-    pub fn set_failure_model(&mut self, failures: FailureModel) {
-        self.failures = failures;
-    }
-
-    /// Re-partitions the control plane before the run: `schedulers`
-    /// planner replicas over fixed contiguous host partitions, remote
-    /// partitions observed `staleness` control rounds late, and plans
-    /// committing `latency` rounds after they are computed — all
-    /// arbitrated by the conflict-checked [`PlacementStore`]. The manager
-    /// passed to [`new`](Self::new) is the replica template: each replica
-    /// starts from an identical clone.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unmanaged simulator, `schedulers == 0`, or more
-    /// schedulers than hosts; [`crate::SimulationBuilder::build`] rejects
-    /// these with [`SimError::InvalidConfig`] before calling this.
-    pub(crate) fn set_control_plane(
-        &mut self,
-        schedulers: usize,
-        staleness: usize,
-        latency: usize,
-    ) {
-        let num_hosts = self.cluster.num_hosts();
-        assert!(
-            (1..=num_hosts).contains(&schedulers),
-            "need 1..={num_hosts} schedulers, got {schedulers}"
-        );
-        let control = self
-            .control
-            .as_mut()
-            .expect("control plane requires a managed simulator");
-        control.schedulers.truncate(1);
-        for _ in 1..schedulers {
-            let replica = control.schedulers[0].clone();
-            control.schedulers.push(replica);
-        }
-        control.partitions = pool::shard_ranges(num_hosts, schedulers);
-        control.staleness = staleness;
-        control.latency = latency;
-    }
-
-    /// Enables per-host power traces (memory-heavy; off by default).
-    pub fn enable_power_traces(&mut self) {
-        self.cluster.enable_power_traces();
-    }
-
-    /// Read access to the cluster (e.g. to pull host power traces after
-    /// a run captured it via `SimulationBuilder::capture_cluster`).
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
     }
 
     /// Runs to the horizon and returns every output the engine produces:
@@ -519,8 +457,7 @@ impl DatacenterSim {
         // Unlike the wall-clock spans these are pure functions of the
         // scenario seed, so they may — must — enter the report: the
         // differential suite then verifies them like any other metric.
-        let managers = self.control.iter().flat_map(|c| &c.schedulers);
-        for m in managers {
+        for m in &self.control.schedulers {
             for (name, value) in m.work_counters().entries() {
                 let id = self
                     .telemetry
@@ -538,40 +475,33 @@ impl DatacenterSim {
         }
         // Batches still aging in the latency queue at the horizon never
         // commit: count them expired so the commit ledger stays balanced.
-        if let Some(control) = &mut self.control {
-            while let Some(round) = control.pending.pop_front() {
-                for action in round.iter().flatten() {
-                    control.store.note_expired(action);
-                }
+        let control = &mut self.control;
+        while let Some(round) = control.pending.pop_front() {
+            for action in round.iter().flatten() {
+                control.store.note_expired(action);
             }
         }
-        if let Some(control) = &self.control {
-            let commit = control.store.stats();
-            debug_assert!(commit.is_balanced(), "commit ledger out of balance");
-            for (name, value) in commit.entries() {
-                let id = self
-                    .telemetry
-                    .registry
-                    .counter(&format!("work.commit.{name}"));
-                self.telemetry.registry.add(id, value);
-            }
-            // How many planners produced the ledger above; invariants use
-            // this to scale bounds that charge one unit of work per
-            // planner (e.g. index re-buckets per cluster dirty mark).
-            let id = self.telemetry.registry.counter("work.commit.schedulers");
-            self.telemetry
+        let commit = control.store.stats();
+        debug_assert!(commit.is_balanced(), "commit ledger out of balance");
+        for (name, value) in commit.entries() {
+            let id = self
+                .telemetry
                 .registry
-                .add(id, control.schedulers.len() as u64);
+                .counter(&format!("work.commit.{name}"));
+            self.telemetry.registry.add(id, value);
         }
+        // How many planners produced the ledger above; invariants use
+        // this to scale bounds that charge one unit of work per planner
+        // (e.g. index re-buckets per cluster dirty mark).
+        let id = self.telemetry.registry.counter("work.commit.schedulers");
+        self.telemetry
+            .registry
+            .add(id, control.schedulers.len() as u64);
         let dirty = self.telemetry.registry.counter("work.cluster.dirty_marks");
         self.telemetry
             .registry
             .add(dirty, self.cluster.dirty_marks());
-        let stats = self
-            .control
-            .as_ref()
-            .map(|control| fold_round_stats(&control.schedulers))
-            .unwrap_or_default();
+        let stats = fold_round_stats(&self.control.schedulers);
         let report = self.collector.finalize(
             self.scenario_name,
             self.policy_label,
@@ -777,9 +707,7 @@ impl DatacenterSim {
         self.tracer.exit(self.s_demand);
 
         // 2. Management round.
-        if self.control.is_some() {
-            self.control_round(now)?;
-        }
+        self.control_round(now)?;
         self.collector
             .record_power(now, self.cluster.total_power_w());
         self.telemetry.registry.set(
@@ -803,14 +731,13 @@ impl DatacenterSim {
     /// The observation carries this tick's demand vector, so it must
     /// run after the tick's demand update.
     fn control_round(&mut self, now: SimTime) -> Result<(), SimError> {
-        let mut control = self.control.take().expect("caller checked");
-
         self.tracer.enter(self.s_observe);
         let mut obs = std::mem::take(&mut self.obs_buf);
         self.fill_observation(now, &mut obs);
         self.tracer.exit(self.s_observe);
 
         self.tracer.enter(self.s_plan);
+        let control = &mut self.control;
         let n = control.schedulers.len();
         let merge = control.views_diverge() && !control.history.is_empty();
         let mut batches: Vec<Vec<ManagementAction>> = Vec::with_capacity(n);
@@ -867,8 +794,8 @@ impl DatacenterSim {
             control.store.begin_round();
             for (sched, batch) in round.into_iter().enumerate() {
                 for action in batch {
-                    let admitted = control.store.admit(
-                        &control.partitions[sched],
+                    let admitted = self.control.store.admit(
+                        &self.control.partitions[sched],
                         &action,
                         &ClusterFacts {
                             cluster: &self.cluster,
@@ -888,8 +815,6 @@ impl DatacenterSim {
             }
             self.tracer.exit(self.s_execute);
         }
-
-        self.control = Some(control);
         Ok(())
     }
 
@@ -1062,79 +987,39 @@ fn place_round_robin(cluster: &mut Cluster, lifetimes: &[Lifetime]) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scenario;
     use agile_core::{ManagerConfig, PowerPolicy, VmObservation};
 
-    fn manager(policy: PowerPolicy, scenario: &Scenario) -> VirtManager {
-        VirtManager::new(
-            ManagerConfig::new(policy),
-            scenario.host_specs().len(),
-            scenario.fleet().len(),
-        )
-        .unwrap()
+    /// `policy` run for `hours` on `s` by a plain `ManagerConfig::new`
+    /// manager (no fleet scaling).
+    fn experiment(s: &Scenario, policy: PowerPolicy, hours: u64) -> Experiment {
+        Experiment::new(s.clone())
+            .manager_config(ManagerConfig::new(policy))
+            .horizon(SimDuration::from_hours(hours))
+    }
+
+    fn simulate(experiment: &Experiment) -> (SimReport, Cluster) {
+        let sim = DatacenterSim::new(experiment, false).unwrap();
+        sim.run_inner().map(|(r, c, _)| (r, c)).unwrap()
     }
 
     #[test]
-    fn unmanaged_run_integrates_energy() {
+    fn always_on_run_integrates_energy_with_every_host_on() {
         let s = Scenario::small_test(1);
-        let sim =
-            DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(2)).unwrap();
-        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
+        let always_on = experiment(&s, PowerPolicy::always_on(), 2);
+        let (report, _) = simulate(&always_on);
         assert!(report.energy_j > 0.0);
-        assert_eq!(report.policy, "Unmanaged");
-        assert_eq!(report.migrations, 0);
+        assert_eq!(report.policy, "AlwaysOn");
+        assert_eq!(report.power_ups + report.power_downs, 0);
         // All four hosts stay on the whole time.
         assert_eq!(report.avg_hosts_on, 4.0);
     }
 
     #[test]
-    fn always_on_matches_unmanaged_energy_closely() {
-        let s = Scenario::small_test(2);
-        let unmanaged = DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(4))
-            .unwrap()
-            .run_inner()
-            .map(|(r, _, _)| r)
-            .unwrap();
-        let managed = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::always_on(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(4),
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _)| r)
-        .unwrap();
-        // Base DRM may migrate a little, but energy should be within a few
-        // percent of the unmanaged cluster (all hosts stay on).
-        let ratio = managed.energy_j / unmanaged.energy_j;
-        assert!((0.95..1.05).contains(&ratio), "ratio {ratio}");
-        assert_eq!(managed.power_ups + managed.power_downs, 0);
-    }
-
-    #[test]
     fn suspend_policy_saves_energy_on_diurnal_load() {
         let s = Scenario::datacenter(8, 32, 3);
-        let horizon = SimDuration::from_hours(24);
-        let base = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::always_on(), &s)),
-            s.demand_step(),
-            horizon,
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _)| r)
-        .unwrap();
-        let pm = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            horizon,
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _)| r)
-        .unwrap();
+        let (base, _) = simulate(&experiment(&s, PowerPolicy::always_on(), 24));
+        let (pm, _) = simulate(&experiment(&s, PowerPolicy::reactive_suspend(), 24));
         assert!(
             pm.savings_vs(&base) > 0.15,
             "expected >15% savings, got {:.1}% (pm {:.1} kWh vs base {:.1} kWh)",
@@ -1168,8 +1053,8 @@ mod tests {
         let traces = vec![DemandTrace::from_samples(SimDuration::from_mins(5), vec![0.1]); 3];
         let fleet = Fleet::from_parts(vms, traces);
         let s = Scenario::new("tiny", hosts, fleet, SimDuration::from_mins(5), 1);
-        let err =
-            DatacenterSim::new(&s, None, s.demand_step(), SimDuration::from_hours(1)).unwrap_err();
+        let e = experiment(&s, PowerPolicy::always_on(), 1);
+        let err = DatacenterSim::new(&e, false).unwrap_err();
         assert!(matches!(err, SimError::InitialPlacement { .. }));
     }
 
@@ -1184,21 +1069,12 @@ mod tests {
             .filter(|l| l.departure.is_some())
             .count();
         assert!(transient > 5, "want real churn, got {transient}");
-        let (report, cluster) = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(24),
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, c, _)| (r, c))
-        .unwrap();
+        let (report, cluster) = simulate(&experiment(&s, PowerPolicy::reactive_suspend(), 24));
         assert!(report.energy_j > 0.0);
         // Departed VMs must not still be placed at the end.
         for (i, life) in s.fleet().lifetimes().lifetimes().iter().enumerate() {
             if let Some(d) = life.departure {
-                if d <= simcore::SimTime::ZERO + SimDuration::from_hours(24) {
+                if d <= SimTime::ZERO + report.horizon {
                     assert!(
                         cluster
                             .placement()
@@ -1216,15 +1092,8 @@ mod tests {
     fn event_log_records_lifecycle() {
         use crate::events::EventKind;
         let s = Scenario::datacenter(4, 16, 8);
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(6),
-        )
-        .unwrap();
-        sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
+        let plain = experiment(&s, PowerPolicy::reactive_suspend(), 6);
+        let (report, _) = simulate(&plain.clone().record_events());
         assert!(!report.events.is_empty());
         // Every started migration has a completion, in time order.
         let starts = report
@@ -1240,17 +1109,7 @@ mod tests {
         assert_eq!(starts, dones);
         assert!(report.events.windows(2).all(|w| w[0].time <= w[1].time));
         // Without enabling, the log stays empty.
-        let plain = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(6),
-        )
-        .unwrap()
-        .run_inner()
-        .map(|(r, _, _)| r)
-        .unwrap();
-        assert!(plain.events.is_empty());
+        assert!(simulate(&plain).0.events.is_empty());
     }
 
     #[test]
@@ -1271,8 +1130,8 @@ mod tests {
             VmSpec::new(Resources::new(1.0, 4.0)),
         ];
         let traces = vec![DemandTrace::from_samples(SimDuration::from_mins(5), vec![0.1]); 2];
-        let horizon = SimDuration::from_hours(1);
-        let late = SimTime::ZERO + horizon - SimDuration::from_mins(2);
+        // Two minutes before the one-hour horizon.
+        let late = SimTime::ZERO + SimDuration::from_mins(58);
         let fleet =
             Fleet::from_parts(vms, traces).with_lifetime_plan(LifetimePlan::from_lifetimes(vec![
                 Lifetime::PERMANENT,
@@ -1282,9 +1141,7 @@ mod tests {
                 },
             ]));
         let s = Scenario::new("full-house", hosts, fleet, SimDuration::from_mins(5), 1);
-        let mut sim = DatacenterSim::new(&s, None, SimDuration::from_mins(5), horizon).unwrap();
-        sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
+        let (report, _) = simulate(&experiment(&s, PowerPolicy::always_on(), 1).record_events());
         // The silent-drop bug: previously this arrival vanished without a
         // trace. Now it is a counted, logged rejection.
         assert_eq!(report.rejected_admissions, 1);
@@ -1296,21 +1153,16 @@ mod tests {
         assert_eq!(report.metrics.counter("sim.vm.rejected"), 1);
     }
 
+    /// A logged day of reactive suspend on `s` under `failures`.
+    fn faulty_day(s: &Scenario, failures: FailureModel) -> (SimReport, Cluster) {
+        let e = experiment(s, PowerPolicy::reactive_suspend(), 24);
+        simulate(&e.failure_model(failures).record_events())
+    }
+
     #[test]
     fn migration_failures_keep_vm_on_source_and_ledger_exact() {
         let s = Scenario::datacenter(6, 24, 11);
-        let mk = |p: f64| {
-            let mut sim = DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                SimDuration::from_hours(24),
-            )
-            .unwrap();
-            sim.set_failure_model(FailureModel::none().with_migration_failures(p));
-            sim.enable_event_log();
-            sim.run_inner().map(|(r, c, _)| (r, c)).unwrap()
-        };
+        let mk = |p: f64| faulty_day(&s, FailureModel::none().with_migration_failures(p));
         let (report, cluster) = mk(0.3);
         assert!(
             report.migration_failures > 0,
@@ -1332,16 +1184,7 @@ mod tests {
     #[test]
     fn hangs_stretch_transitions_and_always_fail() {
         let s = Scenario::datacenter(6, 24, 12);
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(24),
-        )
-        .unwrap();
-        sim.set_failure_model(FailureModel::none().with_hangs(0.4, 8.0));
-        sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
+        let (report, _) = faulty_day(&s, FailureModel::none().with_hangs(0.4, 8.0));
         assert!(report.hung_transitions > 0, "p=0.4 must hang something");
         let stuck = report
             .events
@@ -1363,20 +1206,8 @@ mod tests {
     #[test]
     fn rack_bursts_fail_correlated_transitions() {
         let s = Scenario::datacenter(8, 32, 13);
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(24),
-        )
-        .unwrap();
-        sim.set_failure_model(FailureModel::none().with_rack_bursts(
-            4,
-            0.05,
-            SimDuration::from_mins(30),
-        ));
-        sim.enable_event_log();
-        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
+        let bursts = FailureModel::none().with_rack_bursts(4, 0.05, SimDuration::from_mins(30));
+        let (report, _) = faulty_day(&s, bursts);
         assert!(
             report.transition_failures > 0,
             "a day of 5%-per-epoch rack bursts must catch some transitions"
@@ -1393,21 +1224,11 @@ mod tests {
     fn injected_failures_are_bit_reproducible() {
         let run = || {
             let s = Scenario::datacenter_churn(6, 36, 0.5, 14);
-            let mut sim = DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                SimDuration::from_hours(24),
-            )
-            .unwrap();
-            sim.set_failure_model(
-                FailureModel::new(0.1, 0.05)
-                    .with_migration_failures(0.1)
-                    .with_hangs(0.1, 4.0)
-                    .with_rack_bursts(3, 0.02, SimDuration::from_mins(20)),
-            );
-            sim.enable_event_log();
-            sim.run_inner().map(|(r, _, _)| r).unwrap()
+            let failures = FailureModel::new(0.1, 0.05)
+                .with_migration_failures(0.1)
+                .with_hangs(0.1, 4.0)
+                .with_rack_bursts(3, 0.02, SimDuration::from_mins(20));
+            faulty_day(&s, failures).0
         };
         let a = run();
         let b = run();
@@ -1422,16 +1243,7 @@ mod tests {
     fn deterministic_runs() {
         let run = || {
             let s = Scenario::datacenter(4, 16, 9);
-            DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                SimDuration::from_hours(6),
-            )
-            .unwrap()
-            .run_inner()
-            .map(|(r, _, _)| r)
-            .unwrap()
+            simulate(&experiment(&s, PowerPolicy::reactive_suspend(), 6)).0
         };
         let a = run();
         let b = run();
@@ -1443,18 +1255,8 @@ mod tests {
         // With one scheduler the merge degenerates to the fresh view, so
         // any staleness setting reproduces the fresh plane.
         let s = Scenario::datacenter(6, 24, 23);
-        let horizon = SimDuration::from_hours(12);
-        let run = |staleness: usize| {
-            let mut sim = DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                horizon,
-            )
-            .unwrap();
-            sim.set_control_plane(1, staleness, 0);
-            sim.run_inner().map(|(r, _, _)| r).unwrap()
-        };
+        let e = experiment(&s, PowerPolicy::reactive_suspend(), 12);
+        let run = |staleness: usize| simulate(&e.clone().view_staleness(staleness)).0;
         assert_eq!(run(0), run(5));
     }
 
@@ -1462,16 +1264,9 @@ mod tests {
     fn multi_scheduler_plane_is_deterministic_and_ledger_balanced() {
         let run = || {
             let s = Scenario::datacenter(8, 32, 22);
-            let mut sim = DatacenterSim::new(
-                &s,
-                Some(manager(PowerPolicy::reactive_suspend(), &s)),
-                s.demand_step(),
-                SimDuration::from_hours(24),
-            )
-            .unwrap();
-            sim.set_control_plane(4, 2, 1);
-            sim.enable_event_log();
-            sim.run_inner().map(|(r, _, _)| r).unwrap()
+            let e = experiment(&s, PowerPolicy::reactive_suspend(), 24);
+            let plane = e.schedulers(4).view_staleness(2).control_latency(1);
+            simulate(&plane.record_events()).0
         };
         let a = run();
         let b = run();
@@ -1502,15 +1297,8 @@ mod tests {
         // latency = 1: the final tick's plan is still aging when the
         // horizon closes, so whatever it planned expires.
         let s = Scenario::datacenter(6, 24, 24);
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            s.demand_step(),
-            SimDuration::from_hours(12),
-        )
-        .unwrap();
-        sim.set_control_plane(2, 0, 1);
-        let report = sim.run_inner().map(|(r, _, _)| r).unwrap();
+        let e = experiment(&s, PowerPolicy::reactive_suspend(), 12);
+        let (report, _) = simulate(&e.schedulers(2).control_latency(1));
         let m = &report.metrics;
         assert_eq!(
             m.counter("work.commit.planned"),
@@ -1548,16 +1336,11 @@ mod tests {
         // observes: every VM the manager sees must equal the naive build
         // taken just before the tick, at the tick's time.
         let s = Scenario::datacenter_churn(8, 48, 0.5, 11);
-        let horizon = SimDuration::from_hours(2);
-        let mut sim = DatacenterSim::new(
-            &s,
-            Some(manager(PowerPolicy::reactive_suspend(), &s)),
-            SimDuration::from_secs(5),
-            horizon,
-        )
-        .unwrap();
-        sim.set_failure_model(FailureModel::new(0.2, 0.2).with_migration_failures(0.2));
-        let end = SimTime::ZERO + horizon;
+        let e = experiment(&s, PowerPolicy::reactive_suspend(), 2)
+            .control_interval(SimDuration::from_secs(5))
+            .failure_model(FailureModel::new(0.2, 0.2).with_migration_failures(0.2));
+        let mut sim = DatacenterSim::new(&e, false).unwrap();
+        let end = SimTime::ZERO + e.horizon;
         let (mut rounds, mut inactive, mut unplaced, mut migrating) = (0, 0, 0, 0);
         while let Some((now, event)) = sim.next_event(end) {
             // Nothing between popping a control event and observing

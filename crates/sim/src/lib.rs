@@ -13,8 +13,6 @@
 //! * [`SimulationBuilder`] — the single entry point that validates and
 //!   runs an experiment (*how*: profiling, cluster capture, analytic
 //!   DVFS mode) and produces a [`SimOutput`].
-//! * [`DatacenterSim`] — the underlying event loop, for callers that need
-//!   custom instrumentation.
 //! * [`sweeps::SweepBuilder`] — the one sweep engine: axis values ×
 //!   legs × replication seeds, executed through the bounded worker pool
 //!   (wake latency, load proportionality, headroom, scale-out, ...).
@@ -54,7 +52,6 @@ pub mod sweeps;
 mod trace;
 
 pub use builder::{SimOutput, Simulation, SimulationBuilder};
-pub use engine::DatacenterSim;
 pub use error::SimError;
 pub use events::{EventKind, EventRecord};
 pub use failure::FailureModel;

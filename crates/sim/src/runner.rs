@@ -2,21 +2,20 @@
 
 use std::path::PathBuf;
 
-use agile_core::{ManagerConfig, PlanMode, PowerPolicy, RoundStats, VirtManager};
-use obs::{JsonlSink, MetricsSnapshot};
+use agile_core::{ManagerConfig, PlanMode, PowerPolicy, RoundStats};
+use obs::MetricsSnapshot;
 use simcore::{SimDuration, SimTime};
 
 use crate::demand::DemandWindow;
 use crate::metrics::MetricsCollector;
-use crate::{DatacenterSim, FailureModel, Scenario, SimError, SimReport};
+use crate::{FailureModel, Scenario, SimReport};
 
 /// A configured simulation run: scenario × policy × horizon.
 ///
 /// `Experiment` describes *what* to simulate; hand it to
 /// [`crate::SimulationBuilder`] to choose *how* to run it (profiling,
 /// cluster capture) and to execute. The builder is the only
-/// entry point — the legacy `Experiment::run*` shims were removed after
-/// their one-release deprecation window.
+/// entry point.
 ///
 /// The [`PowerPolicy::Oracle`] policy is evaluated analytically — ideal
 /// consolidation with free transitions on the same hardware curves — and
@@ -51,11 +50,11 @@ use crate::{DatacenterSim, FailureModel, Scenario, SimError, SimReport};
 pub struct Experiment {
     scenario: Scenario,
     config: ConfigSource,
-    horizon: SimDuration,
+    pub(crate) horizon: SimDuration,
     control_interval: Option<SimDuration>,
-    failures: FailureModel,
-    record_events: bool,
-    trace_path: Option<PathBuf>,
+    pub(crate) failures: FailureModel,
+    pub(crate) record_events: bool,
+    pub(crate) trace_path: Option<PathBuf>,
     schedulers: usize,
     view_staleness: usize,
     control_latency: usize,
@@ -122,11 +121,6 @@ impl Experiment {
         self
     }
 
-    /// The fault-injection model.
-    pub(crate) fn failures(&self) -> &FailureModel {
-        &self.failures
-    }
-
     /// Enables the audit log (entries land in [`SimReport::events`]).
     /// Ignored by the analytic (`Oracle`/DVFS) paths, which take no
     /// management actions.
@@ -136,9 +130,10 @@ impl Experiment {
     }
 
     /// Streams trace records (JSON Lines, constant memory) to `path`.
-    /// Ignored by the analytic (`Oracle`/DVFS) paths, which have no
-    /// event loop. The path is stored, not opened — the sink is created
-    /// when the run starts, so `Experiment` stays `Clone`.
+    /// The analytic (`Oracle`/DVFS) paths have no event loop to trace,
+    /// so [`crate::SimulationBuilder::build`] rejects it there. The path
+    /// is stored, not opened — the sink is created when the run is
+    /// built, so `Experiment` stays `Clone`.
     pub fn trace_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.trace_path = Some(path.into());
         self
@@ -215,39 +210,6 @@ impl Experiment {
             .unwrap_or_else(|| self.scenario.demand_step())
     }
 
-    /// The simulated horizon.
-    pub(crate) fn horizon_duration(&self) -> SimDuration {
-        self.horizon
-    }
-
-    pub(crate) fn build_sim(&self) -> Result<DatacenterSim, SimError> {
-        let interval = self
-            .control_interval
-            .unwrap_or_else(|| self.scenario.demand_step());
-        let manager = VirtManager::new(
-            self.resolve_config(),
-            self.scenario.host_specs().len(),
-            self.scenario.fleet().len(),
-        )
-        .map_err(|e| SimError::InvalidConfig {
-            message: format!("manager config: {e}"),
-        })?;
-        let mut sim = DatacenterSim::new(&self.scenario, Some(manager), interval, self.horizon)?;
-        sim.set_control_plane(self.schedulers, self.view_staleness, self.control_latency);
-        sim.set_failure_model(self.failures);
-        if self.record_events {
-            sim.enable_event_log();
-        }
-        if let Some(path) = &self.trace_path {
-            let sink = JsonlSink::create(path).map_err(|e| SimError::TraceIo {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?;
-            sim.set_trace_sink(Box::new(sink));
-        }
-        Ok(sim)
-    }
-
     /// The analytic DVFS-only evaluation behind the builder's DVFS mode
     /// ([`crate::SimulationBuilder::dvfs_baseline`]): every host stays on
     /// and independently clocks down to the lowest sufficient frequency
@@ -255,64 +217,17 @@ impl Experiment {
     /// consolidation, no power states — the classic alternative the
     /// paper's platform low-power states are contrasted against.
     /// Serves everything (violations zero) since capacity never leaves.
-    /// Demand is read through the engine's demand window, so only VMs
-    /// inside their lifetimes count.
     pub(crate) fn dvfs_report(&self, dvfs: &power::DvfsModel) -> SimReport {
-        let interval = self
-            .control_interval
-            .unwrap_or_else(|| self.scenario.demand_step());
         let hosts = self.scenario.host_specs();
-        let num_hosts = hosts.len();
         let total_cap: f64 = hosts.iter().map(|h| h.capacity().cpu_cores).sum();
-        let fleet = self.scenario.fleet();
-        let mut window = DemandWindow::new(fleet, interval, self.horizon);
-
-        let mut collector = MetricsCollector::new(interval);
-        let mut energy_j = 0.0;
-        let end = SimTime::ZERO + self.horizon;
-        let mut t = SimTime::ZERO;
-        let mut hosts_on = simcore::TimeSeries::new();
-        let mut util_acc = simcore::Welford::new();
-        while t <= end {
-            let demand: f64 = window.row(t).iter().sum();
-            let fleet_util = (demand / total_cap).clamp(0.0, 1.0);
-            util_acc.push(fleet_util);
-            collector.record_latency_sample(fleet_util, demand);
-            let power: f64 = hosts
+        self.analytic_report("DVFS-only", |demand| {
+            let util = (demand / total_cap).clamp(0.0, 1.0);
+            let power = hosts
                 .iter()
-                .map(|h| dvfs.best_power_w(h.profile().curve(), fleet_util))
+                .map(|h| dvfs.best_power_w(h.profile().curve(), util))
                 .sum();
-            hosts_on.record(t, num_hosts as f64);
-            collector.record_power(t, power);
-            let dt = interval
-                .as_secs_f64()
-                .min(end.since(t).as_secs_f64().max(0.0));
-            if t < end {
-                energy_j += power * dt;
-            }
-            t += interval;
-        }
-
-        let mut report = collector.finalize(
-            self.scenario.name().to_string(),
-            "DVFS-only".to_string(),
-            self.scenario.seed(),
-            self.horizon,
-            num_hosts,
-            fleet.len(),
-            energy_j,
-            0,
-            RoundStats::default(),
-            0.0,
-            0.0,
-            crate::metrics::FaultCounters::default(),
-            Vec::new(),
-            MetricsSnapshot::new(),
-        );
-        report.avg_hosts_on = num_hosts as f64;
-        report.avg_util_on = util_acc.mean();
-        report.hosts_on_series = hosts_on;
-        report
+            (power, hosts.len(), util)
+        })
     }
 
     /// The analytic proportionality bound: at every tick, the smallest
@@ -320,17 +235,12 @@ impl Experiment {
     /// carry the offered demand runs at equal utilization on its real
     /// power curves; everything else draws zero; transitions are free and
     /// instant. Works for heterogeneous fleets; for a uniform fleet it
-    /// reduces to the classic ceil(demand/capacity) bound. Demand is read
-    /// through the engine's demand window, so only VMs inside their
-    /// lifetimes count.
+    /// reduces to the classic ceil(demand/capacity) bound. Serves
+    /// everything by construction.
     pub(crate) fn run_oracle(&self) -> SimReport {
-        let interval = self
-            .control_interval
-            .unwrap_or_else(|| self.scenario.demand_step());
         let hosts = self.scenario.host_specs();
-        let num_hosts = hosts.len();
         // Most efficient hosts first (capacity per peak watt).
-        let mut order: Vec<usize> = (0..num_hosts).collect();
+        let mut order: Vec<usize> = (0..hosts.len()).collect();
         let efficiency = |i: usize| {
             let h = &hosts[i];
             h.capacity().cpu_cores / h.profile().curve().peak_w().max(1e-9)
@@ -340,17 +250,7 @@ impl Experiment {
                 .partial_cmp(&efficiency(a))
                 .expect("efficiency is finite")
         });
-        let fleet = self.scenario.fleet();
-        let mut window = DemandWindow::new(fleet, interval, self.horizon);
-
-        let mut collector = MetricsCollector::new(interval);
-        let mut energy_j = 0.0;
-        let end = SimTime::ZERO + self.horizon;
-        let mut t = SimTime::ZERO;
-        let mut hosts_on = simcore::TimeSeries::new();
-        let mut util_acc = simcore::Welford::new();
-        while t <= end {
-            let demand: f64 = window.row(t).iter().sum();
+        self.analytic_report(PowerPolicy::oracle().label(), |demand| {
             // Take the shortest efficient prefix that fits the demand.
             let mut n = 0usize;
             let mut cap_sum = 0.0;
@@ -368,15 +268,41 @@ impl Experiment {
             } else {
                 0.0
             };
-            util_acc.push(util);
-            collector.record_latency_sample(util, demand);
-            let power: f64 = order[..n]
+            let power = order[..n]
                 .iter()
                 .map(|&i| hosts[i].profile().curve().power_at(util))
                 .sum();
-            hosts_on.record(t, n as f64);
+            (power, n, util)
+        })
+    }
+
+    /// The tick loop both analytic baselines share: each control tick,
+    /// `tick` maps the fleet's offered demand (read through the engine's
+    /// demand window, so only VMs inside their lifetimes count) to the
+    /// fleet's draw in watts, the hosts on, and their utilization. Energy
+    /// integrates the draw with the last partial interval clipped to the
+    /// horizon; the report carries no actions, faults or violations.
+    fn analytic_report(
+        &self,
+        policy: &str,
+        mut tick: impl FnMut(f64) -> (f64, usize, f64),
+    ) -> SimReport {
+        let interval = self.resolved_interval();
+        let fleet = self.scenario.fleet();
+        let mut window = DemandWindow::new(fleet, interval, self.horizon);
+        let mut collector = MetricsCollector::new(interval);
+        let mut energy_j = 0.0;
+        let end = SimTime::ZERO + self.horizon;
+        let mut t = SimTime::ZERO;
+        let mut hosts_on = simcore::TimeSeries::new();
+        let mut util_acc = simcore::Welford::new();
+        while t <= end {
+            let demand: f64 = window.row(t).iter().sum();
+            let (power, on, util) = tick(demand);
+            util_acc.push(util);
+            collector.record_latency_sample(util, demand);
+            hosts_on.record(t, on as f64);
             collector.record_power(t, power);
-            // The last partial interval is clipped to the horizon.
             let dt = interval
                 .as_secs_f64()
                 .min(end.since(t).as_secs_f64().max(0.0));
@@ -388,10 +314,10 @@ impl Experiment {
 
         let mut report = collector.finalize(
             self.scenario.name().to_string(),
-            PowerPolicy::oracle().label().to_string(),
+            policy.to_string(),
             self.scenario.seed(),
             self.horizon,
-            num_hosts,
+            self.scenario.host_specs().len(),
             fleet.len(),
             energy_j,
             0,
@@ -402,7 +328,6 @@ impl Experiment {
             Vec::new(),
             MetricsSnapshot::new(),
         );
-        // Oracle serves everything by construction.
         report.avg_hosts_on = hosts_on.time_weighted_mean(end).unwrap_or(0.0);
         report.avg_util_on = util_acc.mean();
         report.hosts_on_series = hosts_on;

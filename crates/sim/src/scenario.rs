@@ -35,13 +35,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Builds a scenario from parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no hosts, the fleet is empty, or `demand_step`
-    /// is zero. Use [`try_new`](Self::try_new) to get these as values
-    /// instead.
+    /// Builds a scenario from parts. Only stores:
+    /// [`try_validate`](Self::try_validate) checks the parts, and
+    /// [`crate::SimulationBuilder::build`] runs it first.
     pub fn new(
         name: impl Into<String>,
         host_specs: Vec<HostSpec>,
@@ -49,46 +45,37 @@ impl Scenario {
         demand_step: SimDuration,
         seed: u64,
     ) -> Self {
-        match Self::try_new(name, host_specs, fleet, demand_step, seed) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds a scenario from parts, reporting inconsistencies as values
-    /// — the `try_*` counterpart of [`new`](Self::new), for drivers that
-    /// assemble worlds from external input (CLI arguments, sweep specs).
-    ///
-    /// # Errors
-    ///
-    /// [`crate::SimError::InvalidConfig`] if there are no hosts, the
-    /// fleet is empty, or `demand_step` is zero.
-    pub fn try_new(
-        name: impl Into<String>,
-        host_specs: Vec<HostSpec>,
-        fleet: Fleet,
-        demand_step: SimDuration,
-        seed: u64,
-    ) -> Result<Self, crate::SimError> {
-        let invalid = |message: &str| crate::SimError::InvalidConfig {
-            message: message.to_string(),
-        };
-        if host_specs.is_empty() {
-            return Err(invalid("scenario needs hosts"));
-        }
-        if fleet.is_empty() {
-            return Err(invalid("scenario needs VMs"));
-        }
-        if demand_step.is_zero() {
-            return Err(invalid("demand step must be non-zero"));
-        }
-        Ok(Scenario {
+        Scenario {
             name: name.into(),
             host_specs,
             fleet,
             demand_step,
             seed,
-        })
+        }
+    }
+
+    /// Checks that the scenario can be simulated.
+    ///
+    /// # Errors
+    ///
+    /// [`crate::SimError::InvalidConfig`] if there are no hosts, the
+    /// fleet is empty, or the demand step is zero.
+    pub fn try_validate(&self) -> Result<(), crate::SimError> {
+        let invalid = |message: &str| {
+            Err(crate::SimError::InvalidConfig {
+                message: message.to_string(),
+            })
+        };
+        if self.host_specs.is_empty() {
+            return invalid("scenario needs hosts");
+        }
+        if self.fleet.is_empty() {
+            return invalid("scenario needs VMs");
+        }
+        if self.demand_step.is_zero() {
+            return invalid("demand step must be non-zero");
+        }
+        Ok(())
     }
 
     /// A tiny world for tests and the quickstart example: 4 prototype
@@ -279,55 +266,23 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_inconsistencies_as_values() {
+    fn try_validate_reports_inconsistencies_as_values() {
         use crate::SimError;
         let donor = Scenario::small_test(1);
-        let step = donor.demand_step();
-        let err =
-            Scenario::try_new("no-hosts", Vec::new(), donor.fleet().clone(), step, 1).unwrap_err();
-        assert!(matches!(err, SimError::InvalidConfig { .. }));
-        assert!(err.to_string().contains("needs hosts"), "{err}");
-        let err = Scenario::try_new(
-            "no-vms",
-            donor.host_specs().to_vec(),
-            Fleet::from_parts(Vec::new(), Vec::new()),
-            step,
-            1,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("needs VMs"), "{err}");
-        let err = Scenario::try_new(
-            "no-step",
-            donor.host_specs().to_vec(),
-            donor.fleet().clone(),
-            SimDuration::ZERO,
-            1,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("non-zero"), "{err}");
-        // The happy path matches the panicking constructor.
-        let ok = Scenario::try_new(
-            "ok",
-            donor.host_specs().to_vec(),
-            donor.fleet().clone(),
-            step,
-            1,
-        )
-        .unwrap();
-        assert_eq!(ok.host_specs().len(), donor.host_specs().len());
-        assert_eq!(ok.fleet(), donor.fleet());
-    }
-
-    #[test]
-    #[should_panic(expected = "scenario needs hosts")]
-    fn new_still_panics_on_empty_hosts() {
-        let donor = Scenario::small_test(1);
-        let _ = Scenario::new(
-            "bad",
-            Vec::new(),
-            donor.fleet().clone(),
-            donor.demand_step(),
-            1,
-        );
+        let (hosts, fleet, step) = (donor.host_specs(), donor.fleet(), donor.demand_step());
+        let new = |hosts: &[HostSpec], fleet: &Fleet, step| {
+            Scenario::new("parts", hosts.to_vec(), fleet.clone(), step, 1)
+        };
+        let no_vms = Fleet::from_parts(Vec::new(), Vec::new());
+        for (scenario, expected) in [
+            (new(&[], fleet, step), "needs hosts"),
+            (new(hosts, &no_vms, step), "needs VMs"),
+            (new(hosts, fleet, SimDuration::ZERO), "non-zero"),
+        ] {
+            let err = scenario.try_validate().unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig { .. }));
+            assert!(err.to_string().contains(expected), "{err}");
+        }
+        assert!(new(hosts, fleet, step).try_validate().is_ok());
     }
 }

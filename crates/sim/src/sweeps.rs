@@ -200,13 +200,13 @@ impl SweepBuilder<SimDuration> {
             let fleet = presets::flash_crowd(0.12, 0.85, SimDuration::from_mins(90))
                 .generate(vms, horizon, step, seed);
             let profile = HostPowerProfile::prototype_rack().with_resume_latency(latency);
-            let scenario = Scenario::try_new(
+            let scenario = Scenario::new(
                 format!("flash-crowd-{hosts}x{vms}"),
                 Scenario::uniform_hosts(hosts, profile),
                 fleet,
                 step,
                 seed,
-            )?;
+            );
             let config = ManagerConfig::for_fleet(PowerPolicy::reactive_suspend(), hosts, vms)
                 .with_min_on_time(SimDuration::from_mins(5))
                 .with_max_migrations_per_round(vms.max(8));
