@@ -48,10 +48,9 @@ fn main() {
     );
 
     // The raw disabled enter/exit pair: an early-return no-op that never
-    // touches the tracer's arena or event ring — node_count and
-    // event_count staying at zero is the allocation-free evidence (the
-    // arena and ring are the only growable state the hot path can
-    // reach).
+    // touches the tracer's arena — node_count staying at the root is the
+    // allocation-free evidence (the arena is the only growable state the
+    // hot path can reach).
     let mut disabled = SpanTracer::new();
     let tick = disabled.name("tick");
     bench::microbench::time("span_enter_exit_disabled_100k", 8, 64, || {
@@ -65,7 +64,6 @@ fn main() {
         1, // just the preallocated root
         "disabled tracer touched its arena"
     );
-    assert_eq!(disabled.event_count(), 0, "disabled tracer recorded events");
     let mut enabled = SpanTracer::enabled();
     let tick = enabled.name("tick");
     bench::microbench::time("span_enter_exit_enabled_100k", 8, 64, || {

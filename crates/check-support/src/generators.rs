@@ -11,7 +11,7 @@ use agile_core::PowerPolicy;
 use check::gen::{self, Gen};
 use dcsim::{Experiment, FailureModel, Scenario};
 use simcore::SimDuration;
-use workload::{presets, DemandTrace, FleetSpec};
+use workload::presets;
 
 /// Which workload family a generated scenario draws; shrinks toward the
 /// canonical diurnal day.
@@ -116,14 +116,6 @@ pub fn scenario_spec() -> Gen<ScenarioSpec> {
 pub fn policy() -> Gen<PowerPolicy> {
     gen::one_of(vec![
         PowerPolicy::always_on(),
-        PowerPolicy::reactive_suspend(),
-        PowerPolicy::reactive_off(),
-    ])
-}
-
-/// The power-managing policies only (suspend shrinks first).
-pub fn managed_policy() -> Gen<PowerPolicy> {
-    gen::one_of(vec![
         PowerPolicy::reactive_suspend(),
         PowerPolicy::reactive_off(),
     ])
@@ -308,51 +300,6 @@ pub fn failure_spec(max_permille: u16) -> Gen<FailureSpec> {
         )
 }
 
-/// Dense demand traces: 1–`max_len` samples in `[0, 1]` at a 5-minute
-/// step; shrinks toward a single zero sample.
-pub fn demand_trace(max_len: usize) -> Gen<DemandTrace> {
-    gen::vec_of(&gen::f64_unit(), 1..=max_len.max(1))
-        .map(|samples| DemandTrace::from_samples(SimDuration::from_mins(5), samples))
-}
-
-/// Which preset fleet mix to draw; shrinks toward the diurnal mix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetMix {
-    /// Enterprise diurnal web/app/batch.
-    Diurnal,
-    /// Diurnal plus fleet-correlated spikes.
-    Spiky,
-    /// Week-long diurnal with damped weekends.
-    Weekly,
-    /// Flat demand at this percent of capacity.
-    Steady {
-        /// Demand level in percent, in `[10, 80]`.
-        level_pct: u8,
-    },
-}
-
-impl FleetMix {
-    /// The corresponding preset [`FleetSpec`].
-    pub fn build(&self) -> FleetSpec {
-        match self {
-            FleetMix::Diurnal => presets::enterprise_diurnal(),
-            FleetMix::Spiky => presets::enterprise_with_spikes(),
-            FleetMix::Weekly => presets::enterprise_weekly(),
-            FleetMix::Steady { level_pct } => presets::steady(f64::from(*level_pct) / 100.0),
-        }
-    }
-}
-
-/// All preset fleet mixes.
-pub fn fleet_mix() -> Gen<FleetMix> {
-    gen::choice(vec![
-        gen::constant(FleetMix::Diurnal),
-        gen::constant(FleetMix::Spiky),
-        gen::constant(FleetMix::Weekly),
-        gen::u64_in(10..=80).map(|p| FleetMix::Steady { level_pct: p as u8 }),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,28 +362,5 @@ mod tests {
         assert_eq!(spec.migration_permille, 0);
         assert_eq!(spec.hang_permille, 0);
         assert_eq!(spec.rack_burst_permille, 0);
-    }
-
-    #[test]
-    fn demand_traces_are_unit_bounded() {
-        check::check("trace samples in [0,1]", &demand_trace(32), |trace| {
-            check::prop_assert!(!trace.is_empty(), "empty trace");
-            for k in 0..trace.len() {
-                let s = trace.sample(k);
-                check::prop_assert!((0.0..=1.0).contains(&s), "sample {s} out of [0,1]");
-            }
-            Ok(())
-        });
-    }
-
-    #[test]
-    fn fleet_mixes_generate_fleets() {
-        check::check_cases("fleet mixes generate", 8, &fleet_mix(), |mix| {
-            let fleet =
-                mix.build()
-                    .generate(6, SimDuration::from_hours(2), SimDuration::from_mins(5), 7);
-            check::prop_assert_eq!(fleet.len(), 6);
-            Ok(())
-        });
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! The [`check`] crate knows nothing about datacenters; this layer does.
 //! [`generators`] produces arbitrary (but small and fast) worlds —
-//! scenarios, policies, failure models, demand traces, fleet mixes — as
-//! shrink-friendly spec values. [`invariants`] is the catalog of
-//! properties every finished run must satisfy: energy and capacity
-//! conservation, event-log time ordering, placement sanity, JSON
-//! round-tripping, and the Oracle ≤ managed ≤ always-on energy ladder.
+//! scenarios, policies, failure models — as shrink-friendly spec
+//! values. [`invariants`] is the catalog of properties every finished
+//! run must satisfy: energy and capacity conservation, event-log time
+//! ordering, placement sanity, JSON round-tripping, and the Oracle ≤
+//! managed ≤ always-on energy ladder.
 //!
 //! The differential-verification suite (`tests/differential.rs` at the
 //! workspace root) combines both: generated scenarios run through the
@@ -29,9 +29,8 @@ pub fn run_experiment(experiment: Experiment) -> Result<SimReport, SimError> {
 }
 
 pub use generators::{
-    default_schedulers, demand_trace, experiment_spec, failure_spec, fleet_mix, ladder_policy,
-    managed_policy, policy, scenario_spec, scheduler_count, workload_kind, ExperimentSpec,
-    FailureSpec, FleetMix, ScenarioSpec, WorkloadKind,
+    default_schedulers, experiment_spec, failure_spec, ladder_policy, policy, scenario_spec,
+    scheduler_count, workload_kind, ExperimentSpec, FailureSpec, ScenarioSpec, WorkloadKind,
 };
 pub use invariants::{
     check_cluster, check_commit_ledger, check_energy_breakdown, check_energy_ordering,

@@ -23,8 +23,9 @@
 //! [`pairwise_sum`] recomputed from scratch — that equality is what lets
 //! the indexed planner reuse scan's exact floating-point totals.
 
-use agile_core::{pairwise_sum, IndexWorkCounters, SumTree, UtilizationIndex};
+use agile_core::{IndexWorkCounters, UtilizationIndex};
 use check::gen;
+use simcore::{pairwise_sum, SumTree};
 
 /// One scripted index operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

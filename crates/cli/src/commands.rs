@@ -876,17 +876,35 @@ mod tests {
 
     #[test]
     fn analytic_runs_reject_a_trace_file() {
-        let trace = std::env::temp_dir().join("agilepm-cli-analytic-trace.jsonl");
-        let _ = fs::remove_file(&trace);
-        let trace = trace.to_str().expect("utf8 path");
+        let dir = std::env::temp_dir();
+        let trace = dir.join("agilepm-cli-analytic-trace.jsonl");
+        let events = dir.join("agilepm-cli-analytic-events.csv");
+        let (trace, events) = (trace.to_str().unwrap(), events.to_str().unwrap());
         let line = ["run", "--policy", "oracle", "--hosts", "4", "--hours", "1"];
-        let err = dispatch(&argv(&[&line[..], &["--trace-out", trace]].concat()))
-            .expect_err("an Oracle run has no event loop to trace");
-        assert!(err.to_string().contains("no event loop to trace"), "{err}");
-        assert!(
-            !std::path::Path::new(trace).exists(),
-            "no trace file appears"
-        );
+        for (extra, expected) in [
+            (["--trace-out", trace], "no event loop to trace"),
+            (["--resume-fail", "0.5"], "no transitions to fail"),
+            (["--events", events], "takes no actions to log"),
+        ] {
+            for path in [trace, events] {
+                let _ = fs::remove_file(path);
+            }
+            let err = dispatch(&argv(&[&line[..], &extra].concat()))
+                .expect_err("an Oracle run has no event loop");
+            assert!(err.to_string().contains(expected), "{err}");
+            for path in [trace, events] {
+                assert!(!std::path::Path::new(path).exists(), "{path} appears");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_failed_trace_write_fails_the_run() {
+        let line = ["run", "--hosts", "4", "--hours", "1"];
+        let err = dispatch(&argv(&[&line[..], &["--trace-out", "/dev/full"]].concat()))
+            .expect_err("a trace that lost records must not pass as written");
+        assert!(err.to_string().contains("/dev/full"), "{err}");
     }
 
     #[test]

@@ -6,9 +6,9 @@ use power::{PowerState, TransitionKind};
 use simcore::{pairwise_sum, SimTime, SumTree};
 
 use crate::argmax::ArgmaxTree;
+use crate::migration::{self, CPU_TAX_CORES};
 use crate::{
-    ClusterError, Host, HostId, HostSpec, Migration, MigrationModel, PlacementMap, Resources,
-    ServiceClass, VmId, VmSpec,
+    ClusterError, Host, HostId, HostSpec, Migration, PlacementMap, ServiceClass, VmId, VmSpec,
 };
 
 /// Reusable scratch for [`Cluster::apply_demand_into`]: the per-host
@@ -29,7 +29,7 @@ fn reset_zeroed(v: &mut Vec<f64>, n: usize) {
 
 /// Result of applying one round of VM demand to the cluster.
 ///
-/// Produced by [`Cluster::apply_demand`]; the simulator derives its
+/// Produced by [`Cluster::apply_demand_into`]; the simulator derives its
 /// performance metrics (unserved demand, violations) from this.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DemandOutcome {
@@ -76,8 +76,6 @@ pub struct Cluster {
     migrations: Vec<Option<Migration>>,
     /// Per-host count of inbound migrations (capacity reservations).
     inbound: Vec<u32>,
-    model: MigrationModel,
-    migrations_started: u64,
     migrations_completed: u64,
     migrations_failed: u64,
     migration_busy_secs: f64,
@@ -108,12 +106,6 @@ pub struct Cluster {
     host_mem_committed: Vec<f64>,
     /// Reusable buffers for [`apply_demand_into`](Self::apply_demand_into).
     scratch: DemandScratch,
-    /// Running count of in-flight migrations, maintained at
-    /// [`begin_migration`](Self::begin_migration) /
-    /// [`complete_migration`](Self::complete_migration) /
-    /// [`fail_migration`](Self::fail_migration) so the per-migration
-    /// contention lookup never rescans the whole migration table.
-    in_flight_migrations: usize,
     /// Deterministic count of cache invalidations (dirty marks) at
     /// mutation sites. Counted where state *changes* — never at the
     /// read-and-clear revalidation sites, which fire whenever a reader
@@ -126,23 +118,12 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Creates a cluster with all hosts `On` and all VMs unplaced, using
-    /// the default [`MigrationModel`].
-    pub fn new(host_specs: Vec<HostSpec>, vm_specs: Vec<VmSpec>, t0: SimTime) -> Self {
-        Self::with_migration_model(host_specs, vm_specs, MigrationModel::default(), t0)
-    }
-
-    /// Creates a cluster with an explicit migration model.
+    /// Creates a cluster with all hosts `On` and all VMs unplaced.
     ///
     /// # Panics
     ///
     /// Panics if there are no hosts.
-    pub fn with_migration_model(
-        host_specs: Vec<HostSpec>,
-        vm_specs: Vec<VmSpec>,
-        model: MigrationModel,
-        t0: SimTime,
-    ) -> Self {
+    pub fn new(host_specs: Vec<HostSpec>, vm_specs: Vec<VmSpec>, t0: SimTime) -> Self {
         assert!(!host_specs.is_empty(), "cluster needs at least one host");
         let hosts: Vec<Host> = host_specs
             .iter()
@@ -160,8 +141,6 @@ impl Cluster {
             placement,
             migrations,
             inbound,
-            model,
-            migrations_started: 0,
             migrations_completed: 0,
             migrations_failed: 0,
             migration_busy_secs: 0.0,
@@ -174,7 +153,6 @@ impl Cluster {
             on_count,
             host_mem_committed,
             scratch: DemandScratch::default(),
-            in_flight_migrations: 0,
             dirty_marks: 0,
         }
     }
@@ -248,11 +226,6 @@ impl Cluster {
         self.placement.vm_hosts()
     }
 
-    /// The migration model in use.
-    pub fn migration_model(&self) -> &MigrationModel {
-        &self.model
-    }
-
     /// VMs currently on `host` (excluding inbound migrations).
     ///
     /// # Panics
@@ -269,11 +242,6 @@ impl Cluster {
     /// Panics if `vm` is out of range.
     pub fn migration_of(&self, vm: VmId) -> Option<Migration> {
         self.migrations[vm.index()]
-    }
-
-    /// Total live migrations started so far.
-    pub fn migrations_started(&self) -> u64 {
-        self.migrations_started
     }
 
     /// Total live migrations completed so far.
@@ -317,17 +285,7 @@ impl Cluster {
             .sum()
     }
 
-    /// Ids of hosts currently in the `On` state.
-    pub fn operational_hosts(&self) -> Vec<HostId> {
-        self.hosts
-            .iter()
-            .filter(|h| h.is_operational())
-            .map(|h| h.id())
-            .collect()
-    }
-
-    /// Number of hosts currently in the `On` state — O(1) (prefer this
-    /// over `operational_hosts().len()` in per-tick code).
+    /// Number of hosts currently in the `On` state — O(1).
     pub fn num_operational_hosts(&self) -> usize {
         debug_assert_eq!(
             self.on_count,
@@ -547,11 +505,7 @@ impl Cluster {
         if spec.mem_gb() > self.mem_free_gb(to) + 1e-9 {
             return Err(ClusterError::InsufficientCapacity { host: to, vm });
         }
-        // The running counter replaces an O(VMs) rescan of the migration
-        // table — at fleet scale that rescan, once per started migration,
-        // dominated the execute phase.
-        let in_flight = self.in_flight_migrations;
-        let duration = self.model.duration_for_with_load(spec.mem_gb(), in_flight);
+        let duration = migration::duration_for(spec.mem_gb());
         self.migration_busy_secs += duration.as_secs_f64();
         let completes_at = now + duration;
         self.migrations[vm.index()] = Some(Migration {
@@ -560,11 +514,9 @@ impl Cluster {
             to,
             completes_at,
         });
-        self.in_flight_migrations += 1;
         self.inbound[to.index()] += 1;
         self.host_mem_committed[to.index()] += spec.mem_gb();
         self.note_free_changed(to.index());
-        self.migrations_started += 1;
         self.dirty_marks += 2;
         Ok(completes_at)
     }
@@ -588,7 +540,6 @@ impl Cluster {
             .take()
             .ok_or(ClusterError::VmMigrating(vm))?; // "not migrating" reuses the closest variant
         debug_assert_eq!(migration.completes_at, now, "migration completion mistimed");
-        self.in_flight_migrations -= 1;
         self.inbound[migration.to.index()] -= 1;
         self.placement.relocate(vm, migration.to);
         // The inbound reservation becomes the placed footprint on the
@@ -620,7 +571,6 @@ impl Cluster {
         debug_assert_eq!(migration.completes_at, now, "migration abort mistimed");
         // Reverse the destination-side reservation made at begin time; the
         // source-side placement and footprint never moved.
-        self.in_flight_migrations -= 1;
         self.inbound[migration.to.index()] -= 1;
         self.host_mem_committed[migration.to.index()] -= self.vms[vm.index()].mem_gb();
         self.note_free_changed(migration.to.index());
@@ -752,27 +702,16 @@ impl Cluster {
     // ----- demand -----------------------------------------------------
 
     /// Applies one round of per-VM CPU demand (cores, indexed by
-    /// `VmId::index()`), updating every host's utilization and returning
-    /// the served/unserved accounting.
+    /// `VmId::index()`), updating every host's utilization and writing
+    /// the served/unserved accounting into `out`.
     ///
     /// A VM's demand is served by its *current* host (the source during a
-    /// live migration); in-flight migrations add the model's CPU tax to
-    /// both endpoints. Demand beyond a host's CPU capacity, or from
-    /// unplaced VMs, is unserved.
+    /// live migration); in-flight migrations add the 0.5-core migration
+    /// CPU tax to both endpoints. Demand beyond a host's CPU capacity, or
+    /// from unplaced VMs, is unserved.
     ///
-    /// # Panics
-    ///
-    /// Panics if `vm_demand_cores.len() != self.num_vms()`.
-    pub fn apply_demand(&mut self, now: SimTime, vm_demand_cores: &[f64]) -> DemandOutcome {
-        let mut out = DemandOutcome::default();
-        self.apply_demand_into(now, vm_demand_cores, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`apply_demand`](Self::apply_demand):
-    /// writes the outcome into a caller-owned buffer and reuses the
-    /// cluster's internal scratch vectors, so steady-state ticks allocate
-    /// nothing once buffers reach fleet size.
+    /// `out` and the cluster's internal scratch vectors are reused, so
+    /// steady-state ticks allocate nothing once buffers reach fleet size.
     ///
     /// # Panics
     ///
@@ -829,12 +768,11 @@ impl Cluster {
         }
         // Migration CPU tax on both endpoints — infrastructure overhead,
         // served ahead of VM demand (the hypervisor does not yield).
-        let tax = self.model.cpu_tax_cores();
         let host_tax = &mut scratch.tax;
         reset_zeroed(host_tax, n);
         for m in self.migrations.iter().flatten() {
-            host_tax[m.from.index()] += tax;
-            host_tax[m.to.index()] += tax;
+            host_tax[m.from.index()] += CPU_TAX_CORES;
+            host_tax[m.to.index()] += CPU_TAX_CORES;
         }
 
         // Serve each host (tax first, then interactive, then batch) and
@@ -969,26 +907,20 @@ impl Cluster {
             .map(|h| h.capacity().cpu_cores)
             .sum()
     }
-
-    /// Total aggregate CPU capacity of all hosts, in cores.
-    pub fn total_capacity_cores(&self) -> f64 {
-        self.hosts.iter().map(|h| h.capacity().cpu_cores).sum()
-    }
-
-    /// Capacity of `host` (convenience passthrough).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is out of range.
-    pub fn capacity_of(&self, host: HostId) -> Resources {
-        self.hosts[host.index()].capacity()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Resources;
     use power::HostPowerProfile;
+
+    /// One demand round into a fresh outcome.
+    fn apply(c: &mut Cluster, now: SimTime, vm_demand_cores: &[f64]) -> DemandOutcome {
+        let mut out = DemandOutcome::default();
+        c.apply_demand_into(now, vm_demand_cores, &mut out);
+        out
+    }
 
     fn small_cluster() -> Cluster {
         let hosts = vec![
@@ -1129,7 +1061,7 @@ mod tests {
             PowerState::Suspended
         );
         assert_eq!(c.hosts_in_state(PowerState::Suspended), vec![HostId(1)]);
-        assert_eq!(c.operational_hosts(), vec![HostId(0), HostId(2)]);
+        assert_eq!(c.hosts_in_state(PowerState::On), vec![HostId(0), HostId(2)]);
     }
 
     #[test]
@@ -1164,7 +1096,7 @@ mod tests {
         demand[0] = 1.5;
         demand[1] = 2.0;
         demand[2] = 1.0; // unplaced -> unserved
-        let out = c.apply_demand(SimTime::from_secs(60), &demand);
+        let out = apply(&mut c, SimTime::from_secs(60), &demand);
         assert!((out.offered_cores - 4.5).abs() < 1e-9);
         assert!((out.served_cores - 3.5).abs() < 1e-9);
         assert!((out.unserved_cores - 1.0).abs() < 1e-9);
@@ -1178,7 +1110,7 @@ mod tests {
         c.place(VmId(0), HostId(0)).unwrap();
         let mut demand = vec![0.0; 6];
         demand[0] = 100.0; // cap is 2.0
-        let out = c.apply_demand(SimTime::from_secs(1), &demand);
+        let out = apply(&mut c, SimTime::from_secs(1), &demand);
         assert!((out.offered_cores - 2.0).abs() < 1e-9);
     }
 
@@ -1197,7 +1129,7 @@ mod tests {
         c.place(VmId(1), HostId(0)).unwrap();
         // 6 cores demanded, 4 available: interactive fully served, batch
         // absorbs the whole shortfall.
-        let out = c.apply_demand(SimTime::from_secs(1), &[3.0, 3.0]);
+        let out = apply(&mut c, SimTime::from_secs(1), &[3.0, 3.0]);
         assert!((out.unserved_interactive_cores - 0.0).abs() < 1e-9);
         assert!((out.unserved_batch_cores - 2.0).abs() < 1e-9);
         assert!((out.offered_interactive_cores - 3.0).abs() < 1e-9);
@@ -1217,7 +1149,7 @@ mod tests {
         let mut c = Cluster::new(hosts, vms, SimTime::ZERO);
         c.place(VmId(0), HostId(0)).unwrap();
         c.place(VmId(1), HostId(0)).unwrap();
-        let out = c.apply_demand(SimTime::from_secs(1), &[3.0, 3.0]);
+        let out = apply(&mut c, SimTime::from_secs(1), &[3.0, 3.0]);
         assert!((out.unserved_interactive_cores - 2.0).abs() < 1e-9);
         assert_eq!(out.unserved_batch_cores, 0.0);
     }
@@ -1232,7 +1164,7 @@ mod tests {
         let mut c = Cluster::new(hosts, vms, SimTime::ZERO);
         c.place(VmId(0), HostId(0)).unwrap();
         c.place(VmId(1), HostId(0)).unwrap();
-        let out = c.apply_demand(SimTime::from_secs(1), &[3.0, 3.0]);
+        let out = apply(&mut c, SimTime::from_secs(1), &[3.0, 3.0]);
         assert!((out.offered_cores - 6.0).abs() < 1e-9);
         assert!((out.served_cores - 4.0).abs() < 1e-9);
         assert!((out.unserved_cores - 2.0).abs() < 1e-9);
@@ -1240,42 +1172,42 @@ mod tests {
     }
 
     #[test]
-    fn migration_tax_counts_on_both_hosts() {
-        let mut c = small_cluster();
-        c.place(VmId(0), HostId(0)).unwrap();
-        c.begin_migration(VmId(0), HostId(1), SimTime::ZERO)
-            .unwrap();
-        let out = c.apply_demand(SimTime::from_secs(1), &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let tax = c.migration_model().cpu_tax_cores();
-        assert!((out.host_demand_cores[0] - (1.0 + tax)).abs() < 1e-9);
-        assert!((out.host_demand_cores[1] - tax).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contended_migrations_take_longer() {
+    fn migrations_run_at_one_operating_point() {
+        use simcore::SimDuration;
+        // mem × 8 × 1.3 / 10 Gb/s, floored at 1 s.
+        assert_eq!(migration::duration_for(0.01), SimDuration::from_secs(1));
         let hosts = vec![
             HostSpec::new(
-                Resources::new(16.0, 128.0),
+                Resources::new(16.0, 64.0),
                 HostPowerProfile::prototype_rack()
             );
-            3
+            8
         ];
-        let vms = vec![VmSpec::new(Resources::new(2.0, 8.0)); 4];
-        let model = MigrationModel::new(10.0, 1.0, 0.0).with_contention(1.0);
-        let mut c = Cluster::with_migration_model(hosts, vms, model, SimTime::ZERO);
-        for i in 0..4 {
-            c.place(VmId(i), HostId(0)).unwrap();
-        }
-        let d0 = c
-            .begin_migration(VmId(0), HostId(1), SimTime::ZERO)
-            .unwrap();
-        let d1 = c
-            .begin_migration(VmId(1), HostId(1), SimTime::ZERO)
-            .unwrap();
-        // Second migration shares the single channel: twice as long.
-        let base = d0.since(SimTime::ZERO).as_secs_f64();
-        let second = d1.since(SimTime::ZERO).as_secs_f64();
-        assert!((second / base - 2.0).abs() < 0.01, "{second} vs {base}");
+        let mem = [2.0, 8.0, 32.0, 8.0];
+        let vms = mem
+            .iter()
+            .map(|&gb| VmSpec::new(Resources::new(2.0, gb)))
+            .collect();
+        let mut c = Cluster::new(hosts, vms, SimTime::ZERO);
+        // Every VM migrates at once, host i to host i + 4: no migration
+        // slows another, so both 8 GB VMs take the same time.
+        let millis: Vec<u64> = (0..4)
+            .map(|i| {
+                c.place(VmId(i), HostId(i)).unwrap();
+                let done = c
+                    .begin_migration(VmId(i), HostId(i + 4), SimTime::ZERO)
+                    .unwrap();
+                done.since(SimTime::ZERO).as_millis()
+            })
+            .collect();
+        assert_eq!(millis, [2080, 8320, 33_280, 8320]);
+        // A migrating VM's demand stays on its source, and both endpoints
+        // of every copy pay the 0.5-core tax on top of it.
+        let out = apply(&mut c, SimTime::from_secs(1), &[1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(
+            out.host_demand_cores,
+            [1.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
+        );
     }
 
     #[test]
@@ -1290,9 +1222,7 @@ mod tests {
     #[test]
     fn capacity_queries() {
         let c = small_cluster();
-        assert_eq!(c.total_capacity_cores(), 24.0);
         assert_eq!(c.operational_capacity_cores(), 24.0);
-        assert_eq!(c.capacity_of(HostId(1)), Resources::new(8.0, 32.0));
     }
 
     /// Compares every incremental read with its scan fold bitwise — what
@@ -1340,7 +1270,11 @@ mod tests {
             .begin_migration(VmId(2), HostId(0), SimTime::ZERO)
             .unwrap();
         probe(&c, "migration begun");
-        c.apply_demand(SimTime::from_secs(1), &[1.5, 0.5, 1.0, 0.0, 0.0, 0.0]);
+        apply(
+            &mut c,
+            SimTime::from_secs(1),
+            &[1.5, 0.5, 1.0, 0.0, 0.0, 0.0],
+        );
         probe(&c, "demand mid-migration");
         c.complete_migration(VmId(2), done).unwrap();
         c.unplace(VmId(1)).unwrap();
@@ -1350,7 +1284,7 @@ mod tests {
             .unwrap();
         probe(&c, "suspend begun");
         c.complete_power_transition(HostId(1), off).unwrap();
-        c.apply_demand(off, &[2.0, 0.0, 0.5, 0.0, 0.0, 0.0]);
+        apply(&mut c, off, &[2.0, 0.0, 0.5, 0.0, 0.0, 0.0]);
         probe(&c, "suspended");
         let on = c
             .begin_power_transition(
@@ -1368,7 +1302,7 @@ mod tests {
         let mut c = small_cluster();
         c.place(VmId(0), HostId(0)).unwrap();
         let demand = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        let reference = c.apply_demand(SimTime::from_secs(1), &demand);
+        let reference = apply(&mut c, SimTime::from_secs(1), &demand);
         // A reused (dirty) outcome buffer must produce identical results.
         let mut out = DemandOutcome {
             offered_cores: 99.0,

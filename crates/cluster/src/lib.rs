@@ -2,16 +2,17 @@
 //!
 //! Models the managed datacenter at the granularity the ISCA'13 paper's
 //! management layer operates on: physical hosts with capacity and a power
-//! state, virtual machines with resource footprints, a placement map, and a
-//! live-migration cost model.
+//! state, virtual machines with resource footprints, a placement map, and
+//! live migrations that cost time and CPU.
 //!
 //! * [`HostId`] / [`VmId`] — typed identifiers.
 //! * [`Resources`] — CPU (cores) and memory (GB) vectors.
 //! * [`VmSpec`] / [`Host`] — the managed entities; each host couples its
 //!   capacity with a [`power::PowerStateMachine`].
 //! * [`PlacementMap`] — the VM→host assignment with integrity checks.
-//! * [`MigrationModel`] — live-migration duration and CPU overhead as a
-//!   function of VM memory size and network bandwidth.
+//! * [`Migration`] — one in-flight live migration; its duration grows
+//!   with VM memory over a fixed 10 Gb/s network, and both endpoints pay
+//!   a CPU tax while it runs.
 //! * [`Cluster`] — the facade tying it together; the simulator and the
 //!   manager only talk to this type.
 //!
@@ -52,7 +53,7 @@ pub use cluster_impl::{Cluster, DemandOutcome};
 pub use error::ClusterError;
 pub use host::{Host, HostSpec};
 pub use ids::{HostId, VmId};
-pub use migration::{Migration, MigrationModel};
+pub use migration::Migration;
 pub use placement::PlacementMap;
 pub use resources::Resources;
 pub use vm::{ServiceClass, VmSpec};

@@ -2,117 +2,32 @@
 //!
 //! Live migration copies a VM's memory over the management network while
 //! the VM keeps running on the source host. We model the standard
-//! pre-copy behaviour the paper's testbed (ESX vMotion-class) exhibits:
+//! pre-copy behaviour the paper's testbed (ESX vMotion-class) exhibits,
+//! at that testbed's one operating point:
 //!
-//! * duration ≈ `mem × dirty_factor / bandwidth` — the dirty-page factor
-//!   (> 1) accounts for re-copying pages dirtied during the copy;
+//! * duration = `mem × 8 × 1.3 / 10 Gb/s`, at least 1 s — the 1.3
+//!   dirty-page factor accounts for re-copying pages dirtied during the
+//!   copy, and the floor for fixed setup and switch-over cost;
 //! * the VM consumes CPU on the *source* until the final switch-over;
-//! * both endpoints pay a CPU tax while the copy runs.
+//! * both endpoints pay a 0.5-core CPU tax while the copy runs.
 
 use simcore::{SimDuration, SimTime};
 
 use crate::{HostId, VmId};
 
-/// Parameters of the live-migration model.
-///
-/// # Example
-///
-/// ```
-/// use cluster::MigrationModel;
-///
-/// let m = MigrationModel::default();
-/// // An 8 GB VM takes ~10 s over 10 Gb/s with default dirty factor 1.3.
-/// let d = m.duration_for(8.0);
-/// assert!((8.0..16.0).contains(&d.as_secs_f64()), "{d}");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MigrationModel {
-    /// Usable migration network bandwidth, gigabits per second.
-    bandwidth_gbps: f64,
-    /// Memory re-copy multiplier (≥ 1.0) for pages dirtied mid-copy.
-    dirty_factor: f64,
-    /// Extra CPU consumed on each endpoint while a migration runs, in
-    /// cores.
-    cpu_tax_cores: f64,
-    /// Concurrent migrations the network carries at full speed; beyond
-    /// this, migrations share bandwidth (`None` = uncontended).
-    concurrent_channels: Option<f64>,
-}
+/// Usable migration network bandwidth, gigabits per second.
+const BANDWIDTH_GBPS: f64 = 10.0;
 
-impl MigrationModel {
-    /// Creates a model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if bandwidth is not positive, `dirty_factor < 1.0`, or the
-    /// CPU tax is negative.
-    pub fn new(bandwidth_gbps: f64, dirty_factor: f64, cpu_tax_cores: f64) -> Self {
-        assert!(
-            bandwidth_gbps.is_finite() && bandwidth_gbps > 0.0,
-            "bad bandwidth {bandwidth_gbps}"
-        );
-        assert!(
-            dirty_factor.is_finite() && dirty_factor >= 1.0,
-            "dirty factor must be >= 1, got {dirty_factor}"
-        );
-        assert!(
-            cpu_tax_cores.is_finite() && cpu_tax_cores >= 0.0,
-            "bad cpu tax {cpu_tax_cores}"
-        );
-        MigrationModel {
-            bandwidth_gbps,
-            dirty_factor,
-            cpu_tax_cores,
-            concurrent_channels: None,
-        }
-    }
+/// Memory re-copy multiplier for pages dirtied mid-copy.
+const DIRTY_FACTOR: f64 = 1.3;
 
-    /// Enables bandwidth contention: up to `channels` migrations run at
-    /// full speed; beyond that, a migration started with `k` others in
-    /// flight is slowed by `(k+1)/channels`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels` is not strictly positive.
-    pub fn with_contention(mut self, channels: f64) -> Self {
-        assert!(
-            channels.is_finite() && channels > 0.0,
-            "bad channel count {channels}"
-        );
-        self.concurrent_channels = Some(channels);
-        self
-    }
+/// Extra CPU consumed on each endpoint while a migration runs, in cores.
+pub(crate) const CPU_TAX_CORES: f64 = 0.5;
 
-    /// How long migrating a VM with `mem_gb` of memory takes on an
-    /// uncontended network.
-    pub fn duration_for(&self, mem_gb: f64) -> SimDuration {
-        self.duration_for_with_load(mem_gb, 0)
-    }
-
-    /// How long the migration takes when `in_flight` others are already
-    /// running (bandwidth sharing under contention, if enabled).
-    pub fn duration_for_with_load(&self, mem_gb: f64, in_flight: usize) -> SimDuration {
-        let mut secs = mem_gb * 8.0 * self.dirty_factor / self.bandwidth_gbps;
-        if let Some(channels) = self.concurrent_channels {
-            let slowdown = ((in_flight as f64 + 1.0) / channels).max(1.0);
-            secs *= slowdown;
-        }
-        // Even a tiny VM has fixed setup/switch-over cost.
-        SimDuration::from_secs_f64(secs.max(1.0))
-    }
-
-    /// CPU tax per endpoint while a migration runs, in cores.
-    pub fn cpu_tax_cores(&self) -> f64 {
-        self.cpu_tax_cores
-    }
-}
-
-impl Default for MigrationModel {
-    /// 10 Gb/s management network, 1.3× dirty factor, 0.5-core tax —
-    /// typical of the paper's testbed class.
-    fn default() -> Self {
-        MigrationModel::new(10.0, 1.3, 0.5)
-    }
+/// How long migrating a VM with `mem_gb` of memory takes.
+pub(crate) fn duration_for(mem_gb: f64) -> SimDuration {
+    let secs = mem_gb * 8.0 * DIRTY_FACTOR / BANDWIDTH_GBPS;
+    SimDuration::from_secs_f64(secs.max(1.0))
 }
 
 /// One in-flight live migration.
@@ -126,54 +41,4 @@ pub struct Migration {
     pub to: HostId,
     /// When the switch-over completes.
     pub completes_at: SimTime,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn duration_scales_with_memory() {
-        let m = MigrationModel::default();
-        let small = m.duration_for(2.0);
-        let large = m.duration_for(32.0);
-        assert!(large.as_secs_f64() > 10.0 * small.as_secs_f64());
-    }
-
-    #[test]
-    fn duration_scales_inverse_with_bandwidth() {
-        let slow = MigrationModel::new(1.0, 1.0, 0.0);
-        let fast = MigrationModel::new(10.0, 1.0, 0.0);
-        let d_slow = slow.duration_for(10.0).as_secs_f64();
-        let d_fast = fast.duration_for(10.0).as_secs_f64();
-        assert!((d_slow / d_fast - 10.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn tiny_vm_has_floor_cost() {
-        let m = MigrationModel::default();
-        assert!(m.duration_for(0.01).as_secs_f64() >= 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dirty factor")]
-    fn rejects_dirty_factor_below_one() {
-        MigrationModel::new(10.0, 0.5, 0.0);
-    }
-
-    #[test]
-    fn contention_slows_concurrent_migrations() {
-        let m = MigrationModel::new(10.0, 1.0, 0.0).with_contention(4.0);
-        let alone = m.duration_for_with_load(16.0, 0);
-        let within_channels = m.duration_for_with_load(16.0, 3);
-        let crowded = m.duration_for_with_load(16.0, 7);
-        assert_eq!(alone, within_channels);
-        assert!((crowded.as_secs_f64() / alone.as_secs_f64() - 2.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn no_contention_by_default() {
-        let m = MigrationModel::default();
-        assert_eq!(m.duration_for_with_load(8.0, 100), m.duration_for(8.0));
-    }
 }

@@ -59,15 +59,6 @@ impl PlacementMap {
         self.host_to_vms[host.index()].iter().copied().collect()
     }
 
-    /// Number of VMs on `host`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is out of range.
-    pub fn count_on(&self, host: HostId) -> usize {
-        self.host_to_vms[host.index()].len()
-    }
-
     /// Whether `host` has no VMs.
     ///
     /// # Panics
@@ -160,7 +151,7 @@ mod tests {
         let mut m = PlacementMap::new(3, 2);
         m.place(VmId(0), HostId(0));
         m.place(VmId(1), HostId(0));
-        assert_eq!(m.count_on(HostId(0)), 2);
+        assert_eq!(m.vms_on(HostId(0)).len(), 2);
         assert_eq!(m.relocate(VmId(1), HostId(2)), HostId(0));
         assert_eq!(m.host_of(VmId(1)), Some(HostId(2)));
         assert_eq!(m.remove(VmId(0)), HostId(0));

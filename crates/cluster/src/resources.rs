@@ -17,7 +17,6 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 ///
 /// let host = Resources::new(16.0, 64.0);
 /// let vm = Resources::new(2.0, 8.0);
-/// assert!(vm.fits_in(&host));
 /// assert_eq!(host - vm, Resources::new(14.0, 56.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,47 +48,11 @@ impl Resources {
         Resources { cpu_cores, mem_gb }
     }
 
-    /// Whether this vector fits within `capacity` on both dimensions
-    /// (with a small epsilon to absorb floating-point accumulation).
-    pub fn fits_in(&self, capacity: &Resources) -> bool {
-        const EPS: f64 = 1e-9;
-        self.cpu_cores <= capacity.cpu_cores + EPS && self.mem_gb <= capacity.mem_gb + EPS
-    }
-
     /// Componentwise saturating subtraction (never goes negative).
     pub fn saturating_sub(&self, other: &Resources) -> Resources {
         Resources {
             cpu_cores: (self.cpu_cores - other.cpu_cores).max(0.0),
             mem_gb: (self.mem_gb - other.mem_gb).max(0.0),
-        }
-    }
-
-    /// The larger utilization fraction of the two dimensions relative to
-    /// `capacity` — the binding constraint. Dimensions with zero capacity
-    /// count as fully utilized if any demand exists.
-    pub fn utilization_of(&self, capacity: &Resources) -> f64 {
-        fn frac(demand: f64, cap: f64) -> f64 {
-            if cap > 0.0 {
-                demand / cap
-            } else if demand > 0.0 {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        frac(self.cpu_cores, capacity.cpu_cores).max(frac(self.mem_gb, capacity.mem_gb))
-    }
-
-    /// Componentwise scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn scale(&self, factor: f64) -> Resources {
-        assert!(factor.is_finite() && factor >= 0.0, "bad factor {factor}");
-        Resources {
-            cpu_cores: self.cpu_cores * factor,
-            mem_gb: self.mem_gb * factor,
         }
     }
 }
@@ -163,34 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn fits_requires_both_dimensions() {
-        let cap = Resources::new(8.0, 32.0);
-        assert!(Resources::new(8.0, 32.0).fits_in(&cap));
-        assert!(!Resources::new(8.1, 1.0).fits_in(&cap));
-        assert!(!Resources::new(1.0, 33.0).fits_in(&cap));
-    }
-
-    #[test]
-    fn fits_tolerates_fp_accumulation() {
-        let cap = Resources::new(1.0, 1.0);
-        // Sum of ten 0.1s slightly exceeds 1.0 in floating point.
-        let sum: Resources = (0..10).map(|_| Resources::new(0.1, 0.1)).sum();
-        assert!(sum.fits_in(&cap));
-    }
-
-    #[test]
-    fn utilization_is_binding_dimension() {
-        let cap = Resources::new(10.0, 100.0);
-        assert_eq!(Resources::new(5.0, 10.0).utilization_of(&cap), 0.5);
-        assert_eq!(Resources::new(1.0, 90.0).utilization_of(&cap), 0.9);
-        assert_eq!(Resources::ZERO.utilization_of(&cap), 0.0);
-        assert_eq!(
-            Resources::new(1.0, 0.0).utilization_of(&Resources::ZERO),
-            1.0
-        );
-    }
-
-    #[test]
     fn saturating_sub_clamps() {
         let a = Resources::new(1.0, 1.0);
         let b = Resources::new(2.0, 0.5);
@@ -198,9 +133,8 @@ mod tests {
     }
 
     #[test]
-    fn scale_and_sum() {
+    fn sum() {
         let a = Resources::new(2.0, 4.0);
-        assert_eq!(a.scale(1.5), Resources::new(3.0, 6.0));
         let total: Resources = vec![a, a, a].into_iter().sum();
         assert_eq!(total, Resources::new(6.0, 12.0));
     }

@@ -64,11 +64,6 @@ impl VmSpec {
         self
     }
 
-    /// The VM's configured resources as a vector.
-    pub fn resources(&self) -> Resources {
-        self.resources
-    }
-
     /// Maximum cores the VM can consume.
     pub fn cpu_cap_cores(&self) -> f64 {
         self.resources.cpu_cores
@@ -92,7 +87,6 @@ mod tests {
     #[test]
     fn accessors() {
         let vm = VmSpec::new(Resources::new(4.0, 16.0));
-        assert_eq!(vm.resources(), Resources::new(4.0, 16.0));
         assert_eq!(vm.cpu_cap_cores(), 4.0);
         assert_eq!(vm.mem_gb(), 16.0);
         assert_eq!(vm.service_class(), ServiceClass::Interactive);

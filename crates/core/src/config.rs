@@ -155,14 +155,6 @@ impl PowerPolicy {
         }
     }
 
-    /// The wake-latency SLO, for the ladder policy.
-    pub fn wake_slo(&self) -> Option<SimDuration> {
-        match self {
-            PowerPolicy::JointLadder { wake_slo } => Some(*wake_slo),
-            _ => None,
-        }
-    }
-
     /// Whether this policy consolidates and power-cycles hosts.
     pub fn is_power_managed(&self) -> bool {
         matches!(
@@ -220,7 +212,6 @@ pub struct ManagerConfig {
     spare_hosts: usize,
     max_migrations_per_round: usize,
     max_drains_per_round: usize,
-    imbalance_threshold: f64,
     drain_deadband_frac: f64,
     prewake_lookahead: Option<SimDuration>,
     packing: PackingPolicy,
@@ -244,7 +235,6 @@ impl ManagerConfig {
             spare_hosts: 1,
             max_migrations_per_round: 8,
             max_drains_per_round: 2,
-            imbalance_threshold: 0.25,
             drain_deadband_frac: 0.5,
             prewake_lookahead: None,
             packing: PackingPolicy::default(),
@@ -257,10 +247,12 @@ impl ManagerConfig {
     /// scale with fleet size, so consolidation keeps pace with the demand
     /// swing on large clusters.
     pub fn for_fleet(policy: PowerPolicy, num_hosts: usize, num_vms: usize) -> Self {
-        ManagerConfig::new(policy)
-            .with_spare_hosts((num_hosts / 32).max(1))
-            .with_max_migrations_per_round((num_vms / 8).max(8))
-            .with_max_drains_per_round((num_hosts / 16).max(2))
+        ManagerConfig {
+            max_drains_per_round: (num_hosts / 16).max(2),
+            ..ManagerConfig::new(policy)
+                .with_spare_hosts((num_hosts / 32).max(1))
+                .with_max_migrations_per_round((num_vms / 8).max(8))
+        }
     }
 
     /// Sets the consolidation headroom: the manager packs hosts up to this
@@ -306,19 +298,6 @@ impl ManagerConfig {
     /// Caps migrations emitted per management round (at least one).
     pub fn with_max_migrations_per_round(mut self, n: usize) -> Self {
         self.max_migrations_per_round = n;
-        self
-    }
-
-    /// Caps hosts newly selected for draining per round (at least one).
-    pub fn with_max_drains_per_round(mut self, n: usize) -> Self {
-        self.max_drains_per_round = n;
-        self
-    }
-
-    /// Sets the utilization spread (hottest minus coldest host) beyond
-    /// which DRM rebalances even without an overload, in `(0, 1]`.
-    pub fn with_imbalance_threshold(mut self, t: f64) -> Self {
-        self.imbalance_threshold = t;
         self
     }
 
@@ -398,15 +377,6 @@ impl ManagerConfig {
                 message: "need at least one migration per round",
             });
         }
-        if self.max_drains_per_round == 0 {
-            return Err(ConfigError::Invalid {
-                message: "need at least one drain per round",
-            });
-        }
-        let t = self.imbalance_threshold;
-        if !(t > 0.0 && t <= 1.0) {
-            return out_of_range("imbalance threshold", t, "out of range");
-        }
         let f = self.drain_deadband_frac;
         if !(f.is_finite() && f >= 0.0) {
             return out_of_range("dead-band", f, "must be finite and non-negative");
@@ -477,14 +447,10 @@ impl ManagerConfig {
         self.max_migrations_per_round
     }
 
-    /// Drain-selection cap per round.
+    /// Drain-selection cap per round: 2, or one per 16 hosts from
+    /// [`for_fleet`](Self::for_fleet).
     pub fn max_drains_per_round(&self) -> usize {
         self.max_drains_per_round
-    }
-
-    /// Utilization spread that triggers DRM rebalancing.
-    pub fn imbalance_threshold(&self) -> f64 {
-        self.imbalance_threshold
     }
 
     /// Drain dead-band as a fraction of one host's capacity.
@@ -545,7 +511,6 @@ mod tests {
             .with_min_off_time(SimDuration::from_mins(1))
             .with_spare_hosts(2)
             .with_max_migrations_per_round(16)
-            .with_max_drains_per_round(4)
             .with_predictor(PredictorConfig::LastValue);
         assert_eq!(cfg.target_utilization(), 0.8);
         assert_eq!(cfg.overload_threshold(), 0.95);
@@ -553,7 +518,6 @@ mod tests {
         assert_eq!(cfg.min_on_time(), SimDuration::from_mins(20));
         assert_eq!(cfg.spare_hosts(), 2);
         assert_eq!(cfg.max_migrations_per_round(), 16);
-        assert_eq!(cfg.max_drains_per_round(), 4);
         assert_eq!(cfg.predictor(), PredictorConfig::LastValue);
     }
 
@@ -575,14 +539,12 @@ mod tests {
         let window_0 = PredictorConfig::WindowMax { window: 0 };
         let no_retry = RecoveryConfig::new().with_max_retries(0);
         for (cfg, expected) in [
-            (c().with_imbalance_threshold(0.0), "out of range"),
             (c().with_target_utilization(0.95), "must be below overload"),
             (c().with_target_utilization(0.6), "must be below target"),
             (c().with_target_utilization(1.2), "target 1.2 outside (0,1]"),
             (c().with_overload_threshold(1.6), "threshold 1.6 out of"),
             (c().with_underload_threshold(1.0), "threshold 1 out of"),
             (c().with_max_migrations_per_round(0), "one migration per"),
-            (c().with_max_drains_per_round(0), "one drain per round"),
             (c().with_drain_deadband(-1.0), "dead-band -1 must be"),
             (c().with_prewake(SimDuration::ZERO), "lookahead must be"),
             (c().with_predictor(window_0), "window must be positive"),

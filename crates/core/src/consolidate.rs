@@ -8,11 +8,11 @@
 
 use cluster::{HostId, VmId};
 use obs::SpanTracer;
-use simcore::SimTime;
+use simcore::{pairwise_sum, SimTime};
 
 use crate::plan::PlanContext;
 use crate::{
-    pairwise_sum, HysteresisGate, ManagementAction, ManagerConfig, PackingPolicy, RecoveryTracker,
+    HysteresisGate, ManagementAction, ManagerConfig, PackingPolicy, RecoveryTracker,
     UtilizationIndex,
 };
 
@@ -165,7 +165,7 @@ fn pick_candidate(
 }
 
 /// Active and arriving capacity recomputed from scratch with the
-/// fixed-shape pairwise reduction the index's [`SumTree`](crate::SumTree)s
+/// fixed-shape pairwise reduction the index's [`SumTree`](simcore::SumTree)s
 /// maintain, so the two are bitwise equal by construction (every tree
 /// node is a pure function of its leaves).
 fn scan_capacity(ctx: &PlanContext) -> (f64, f64) {
@@ -225,7 +225,7 @@ fn scan_pick_candidate(
 }
 
 /// The indexed body of [`pick_candidate`]: the capacity aggregates come
-/// from the maintained [`SumTree`](crate::SumTree) roots, and buckets
+/// from the maintained [`SumTree`](simcore::SumTree) roots, and buckets
 /// ascend from 0 to the underload-threshold bucket until the first one
 /// holding a qualifying host — which must contain the minimum, because
 /// every host in a later bucket has strictly larger utilization. The

@@ -18,6 +18,10 @@ use cluster::{HostId, VmId};
 use crate::plan::PlanContext;
 use crate::{ManagementAction, ManagerConfig};
 
+/// Utilization spread (hottest minus coldest active host) beyond which
+/// DRM rebalances even without an overload.
+const IMBALANCE_THRESHOLD: f64 = 0.25;
+
 /// Plans migrations that relieve overloaded hosts.
 ///
 /// Mutates `ctx` to reflect the tentative moves, appends the actions, and
@@ -100,7 +104,7 @@ pub(crate) fn rebalance(
             .min_by(|a, b| by_util(a, b))
             .expect("non-empty");
         let spread = ctx.util(hottest) - ctx.util(coldest);
-        if spread <= cfg.imbalance_threshold() {
+        if spread <= IMBALANCE_THRESHOLD {
             return;
         }
         // Move the VM whose size best halves the spread without

@@ -93,16 +93,6 @@ impl HysteresisGate {
     pub fn record_power_down(&mut self, host: HostId, now: SimTime) {
         self.last_down[host.index()] = Some(now);
     }
-
-    /// The configured minimum in-service residency.
-    pub fn min_on_time(&self) -> SimDuration {
-        self.min_on_time
-    }
-
-    /// The configured minimum parked residency.
-    pub fn min_off_time(&self) -> SimDuration {
-        self.min_off_time
-    }
 }
 
 #[cfg(test)]
@@ -136,12 +126,5 @@ mod tests {
         g.record_power_down(HostId(1), SimTime::from_secs(0));
         assert!(!g.may_power_up_nonurgent(HostId(1), SimTime::from_secs(299)));
         assert!(g.may_power_up_nonurgent(HostId(1), SimTime::from_secs(300)));
-    }
-
-    #[test]
-    fn accessors() {
-        let g = gate();
-        assert_eq!(g.min_on_time(), SimDuration::from_mins(10));
-        assert_eq!(g.min_off_time(), SimDuration::from_mins(5));
     }
 }

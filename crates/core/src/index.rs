@@ -36,10 +36,11 @@
 //! * **Fixed-shape aggregates.** The drain-candidate capacity gate sums
 //!   active and arriving capacity. A running sum updated incrementally
 //!   would round differently from the scan's fold, so both paths use the
-//!   same fixed-shape pairwise reduction: [`pairwise_sum`] recomputed
-//!   from scratch (the scan twin) and [`SumTree`] with O(log n) leaf
-//!   updates (the index) produce bitwise-equal roots by construction —
-//!   every tree node is a pure function of its leaves.
+//!   same fixed-shape pairwise reduction:
+//!   [`pairwise_sum`](simcore::pairwise_sum) recomputed from scratch
+//!   (the scan twin) and [`SumTree`] with O(log n) leaf updates (the
+//!   index) produce bitwise-equal roots by construction — every tree
+//!   node is a pure function of its leaves.
 //!
 //! The index is exact at all times: every member sits in the bucket of
 //! its current utilization, and every bucket knows the exact maximum free
@@ -87,10 +88,7 @@ const MAX_BUCKET: usize = 2048;
 /// Sentinel for "host is not in any bucket".
 const NOT_INDEXED: u32 = u32::MAX;
 
-// The fixed-shape pairwise-summation pair lives in `simcore` (the
-// cluster's cached power/capacity totals use it too); re-exported here
-// because the planner's aggregates are its original and primary client.
-pub use simcore::{pairwise_sum, SumTree};
+use simcore::SumTree;
 
 /// Utilization-bucketed host index with an exact free-memory maximum per
 /// bucket, plus the capacity aggregates the drain gate needs
@@ -443,6 +441,7 @@ impl IndexWorkCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::pairwise_sum;
 
     #[test]
     fn pairwise_matches_tree_after_updates() {

@@ -197,11 +197,6 @@ impl VirtManager {
         })
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ManagerConfig {
-        &self.config
-    }
-
     /// Cumulative action counts.
     pub fn stats(&self) -> &RoundStats {
         &self.stats
@@ -219,22 +214,6 @@ impl VirtManager {
     /// plans.
     pub fn last_decision(&self) -> Option<&DecisionRecord> {
         self.last_decision.as_ref()
-    }
-
-    /// The failure-recovery tracker: per-host backoff, health, and
-    /// quarantine state plus the fleet fail-safe.
-    pub fn recovery(&self) -> &RecoveryTracker {
-        &self.recovery
-    }
-
-    /// Hosts currently marked for evacuation.
-    pub fn draining_hosts(&self) -> Vec<HostId> {
-        self.draining
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d)
-            .map(|(i, _)| HostId(i as u32))
-            .collect()
     }
 
     /// Deterministic counts of the planning work done so far (candidate
@@ -729,6 +708,12 @@ mod tests {
     use power::breakeven::LowPowerMode;
     use simcore::{SimDuration, SimTime};
 
+    /// Hosts currently marked for evacuation.
+    fn draining_hosts(mgr: &VirtManager) -> Vec<HostId> {
+        let draining = mgr.draining.iter().enumerate().filter(|(_, &d)| d);
+        draining.map(|(i, _)| HostId(i as u32)).collect()
+    }
+
     /// Synthetic observation builder: hosts described by (state, vm demands).
     fn obs(now: SimTime, hosts: &[(PowerState, &[f64])]) -> ClusterObservation {
         let mut host_obs = Vec::new();
@@ -820,7 +805,7 @@ mod tests {
             )),
             "{actions:?}"
         );
-        assert_eq!(mgr.draining_hosts(), vec![HostId(1)]);
+        assert_eq!(draining_hosts(&mgr), vec![HostId(1)]);
 
         // Next round: host 1 is evacuated -> power-down with suspend.
         let o2 = obs(
@@ -838,7 +823,7 @@ mod tests {
             )),
             "{actions2:?}"
         );
-        assert!(mgr.draining_hosts().is_empty());
+        assert!(draining_hosts(&mgr).is_empty());
         assert_eq!(mgr.stats().power_downs_requested, 1);
     }
 
@@ -922,7 +907,7 @@ mod tests {
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
         mgr.plan(&o).expect("well-shaped observation");
-        assert_eq!(mgr.draining_hosts(), vec![HostId(1)]);
+        assert_eq!(draining_hosts(&mgr), vec![HostId(1)]);
         // Round 2: demand explodes before the drain finished; the drain
         // must be cancelled rather than waking anything (nothing to wake).
         let o2 = obs(
@@ -930,7 +915,7 @@ mod tests {
             &[(PowerState::On, &[7.0]), (PowerState::On, &[6.0])],
         );
         let actions = mgr.plan(&o2).expect("well-shaped observation");
-        assert!(mgr.draining_hosts().is_empty());
+        assert!(draining_hosts(&mgr).is_empty());
         assert!(actions
             .iter()
             .all(|a| !matches!(a, ManagementAction::PowerDown { .. })));
@@ -1009,7 +994,7 @@ mod tests {
         o.hosts[1].evacuated = true;
         o.hosts[1].failed_transitions = 1;
         let actions = mgr.plan(&o).expect("well-shaped observation");
-        assert!(mgr.recovery().is_quarantined(1));
+        assert!(mgr.recovery.is_quarantined(1));
         assert!(
             actions
                 .iter()
@@ -1034,7 +1019,7 @@ mod tests {
         o.hosts[1].failed_transitions = 1;
         // Round 1: inside the 2-minute backoff window — no wake.
         let actions = mgr.plan(&o).expect("well-shaped observation");
-        assert!(!mgr.recovery().is_quarantined(1));
+        assert!(!mgr.recovery.is_quarantined(1));
         assert!(actions
             .iter()
             .all(|a| !matches!(a, ManagementAction::PowerUp { .. })));
@@ -1066,9 +1051,9 @@ mod tests {
         );
         o.hosts[0].failed_transitions = 1;
         let actions = mgr.plan(&o).expect("well-shaped observation");
-        assert!(mgr.recovery().failsafe_active());
+        assert!(mgr.recovery.failsafe_active());
         assert!(actions.is_empty(), "{actions:?}");
-        assert!(mgr.draining_hosts().is_empty());
+        assert!(draining_hosts(&mgr).is_empty());
         let d = mgr.last_decision().unwrap();
         assert!(d.failsafe);
         assert_eq!(mgr.stats().failsafe_rounds, 1);
@@ -1078,7 +1063,7 @@ mod tests {
         let mut o2 = o.clone();
         o2.now = SimTime::from_secs(40 * 60);
         let actions2 = mgr.plan(&o2).expect("well-shaped observation");
-        assert!(!mgr.recovery().failsafe_active());
+        assert!(!mgr.recovery.failsafe_active());
         assert!(
             actions2
                 .iter()
@@ -1105,7 +1090,7 @@ mod tests {
             o.hosts[0].failed_transitions = 1;
             let actions = mgr.plan(&o).expect("well-shaped observation");
             oracle.plan(&o).expect("well-shaped observation");
-            assert!(mgr.recovery().failsafe_active());
+            assert!(mgr.recovery.failsafe_active());
             let d = mgr.last_decision().unwrap();
             assert!(d.failsafe);
             assert!(d.actions.overload_migrations >= 1, "{actions:?}");
@@ -1129,7 +1114,7 @@ mod tests {
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
         mgr.plan(&o).expect("well-shaped observation");
-        assert_eq!(mgr.draining_hosts(), vec![HostId(1)]);
+        assert_eq!(draining_hosts(&mgr), vec![HostId(1)]);
         // Round 2: host 1 is evacuated but reports a transition failure
         // (e.g. a previous suspend attempt failed): the drain is
         // cancelled and no power-down is issued.
@@ -1139,7 +1124,7 @@ mod tests {
         );
         o2.hosts[1].failed_transitions = 1;
         let actions2 = mgr.plan(&o2).expect("well-shaped observation");
-        assert!(mgr.recovery().is_quarantined(1));
+        assert!(mgr.recovery.is_quarantined(1));
         assert!(
             actions2
                 .iter()
@@ -1148,7 +1133,7 @@ mod tests {
         );
         // Quarantine cancels host 1's drain (it may still *serve*, so the
         // planner is free to consolidate onto it — just never cycle it).
-        assert!(!mgr.draining_hosts().contains(&HostId(1)));
+        assert!(!draining_hosts(&mgr).contains(&HostId(1)));
         assert_eq!(mgr.last_decision().unwrap().quarantined_hosts, 1);
     }
 

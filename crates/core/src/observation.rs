@@ -67,16 +67,6 @@ impl HostObservation {
         (self.mem_capacity - self.mem_committed).max(0.0)
     }
 
-    /// Measured utilization fraction (demand may exceed capacity under
-    /// overload, so this can exceed 1.0).
-    pub fn utilization(&self) -> f64 {
-        if self.cpu_capacity > 0.0 {
-            self.cpu_demand / self.cpu_capacity
-        } else {
-            0.0
-        }
-    }
-
     /// Whether the host is serving load (`On`).
     pub fn is_operational(&self) -> bool {
         self.state.is_operational()
@@ -329,7 +319,6 @@ mod tests {
     fn host_derived_quantities() {
         let h = host(PowerState::On, 4.0);
         assert_eq!(h.mem_free(), 8.0);
-        assert_eq!(h.utilization(), 0.5);
         assert!(h.is_operational());
         assert!(h.is_arriving_or_on());
     }
@@ -340,12 +329,6 @@ mod tests {
         assert!(host(PowerState::Booting, 0.0).is_arriving_or_on());
         assert!(!host(PowerState::Suspended, 0.0).is_arriving_or_on());
         assert!(!host(PowerState::Suspending, 0.0).is_arriving_or_on());
-    }
-
-    #[test]
-    fn overload_utilization_exceeds_one() {
-        let h = host(PowerState::On, 12.0);
-        assert_eq!(h.utilization(), 1.5);
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl Predictor {
             State::Window(w) => w.iter().copied().fold(0.0, f64::max),
         }
     }
-
-    /// The configuration this predictor runs.
-    pub fn config(&self) -> PredictorConfig {
-        self.config
-    }
 }
 
 #[cfg(test)]

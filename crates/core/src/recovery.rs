@@ -34,6 +34,9 @@ use simcore::{SimDuration, SimTime};
 
 use crate::{ClusterObservation, ConfigError};
 
+/// How long a quarantined host stays out of the wake and park pools.
+const PROBATION: SimDuration = SimDuration::from_mins(60);
+
 /// Knobs of the failure-recovery policy.
 ///
 /// # Example
@@ -44,9 +47,8 @@ use crate::{ClusterObservation, ConfigError};
 ///
 /// let cfg = RecoveryConfig::new()
 ///     .with_max_retries(2)
-///     .with_backoff(SimDuration::from_mins(1), SimDuration::from_mins(16))
-///     .with_probation(SimDuration::from_mins(30));
-/// assert_eq!(cfg.max_retries(), 2);
+///     .with_backoff(SimDuration::from_mins(1), SimDuration::from_mins(16));
+/// assert_eq!(cfg.try_validate(), Ok(()));
 /// ```
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +58,6 @@ pub struct RecoveryConfig {
     backoff_cap: SimDuration,
     health_floor: f64,
     health_recovery: f64,
-    probation: SimDuration,
     failsafe_window: SimDuration,
     failsafe_trip: u32,
 }
@@ -77,7 +78,6 @@ impl RecoveryConfig {
             backoff_cap: SimDuration::from_mins(32),
             health_floor: 0.25,
             health_recovery: 0.05,
-            probation: SimDuration::from_mins(60),
             failsafe_window: SimDuration::from_mins(30),
             failsafe_trip: 8,
         }
@@ -103,12 +103,6 @@ impl RecoveryConfig {
     pub fn with_health(mut self, floor: f64, recovery: f64) -> Self {
         self.health_floor = floor;
         self.health_recovery = recovery;
-        self
-    }
-
-    /// Sets the quarantine probation window (non-zero).
-    pub fn with_probation(mut self, d: SimDuration) -> Self {
-        self.probation = d;
         self
     }
 
@@ -150,9 +144,6 @@ impl RecoveryConfig {
                 });
             }
         }
-        if self.probation.is_zero() {
-            return invalid("probation must be non-zero");
-        }
         if self.failsafe_window.is_zero() {
             return invalid("fail-safe window must be non-zero");
         }
@@ -165,44 +156,9 @@ impl RecoveryConfig {
         Ok(())
     }
 
-    /// Consecutive failures before quarantine.
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
-    }
-
-    /// Backoff after the first consecutive failure.
-    pub fn backoff_base(&self) -> SimDuration {
-        self.backoff_base
-    }
-
     /// Upper bound on any backoff window.
     pub fn backoff_cap(&self) -> SimDuration {
         self.backoff_cap
-    }
-
-    /// Health score below which a host is quarantined.
-    pub fn health_floor(&self) -> f64 {
-        self.health_floor
-    }
-
-    /// Health earned back per clean operational round.
-    pub fn health_recovery(&self) -> f64 {
-        self.health_recovery
-    }
-
-    /// Quarantine probation window.
-    pub fn probation(&self) -> SimDuration {
-        self.probation
-    }
-
-    /// Fleet fail-safe sliding window.
-    pub fn failsafe_window(&self) -> SimDuration {
-        self.failsafe_window
-    }
-
-    /// Fleet failures inside the window that trip the fail-safe.
-    pub fn failsafe_trip(&self) -> u32 {
-        self.failsafe_trip
     }
 }
 
@@ -295,7 +251,7 @@ impl RecoveryTracker {
                 if self.consecutive[i] >= self.config.max_retries
                     || self.health[i] < self.config.health_floor
                 {
-                    let release = now + self.config.probation;
+                    let release = now + PROBATION;
                     match self.quarantined_until[i] {
                         // Monotone during probation: only ever extend.
                         Some(cur) => self.quarantined_until[i] = Some(cur.max(release)),
@@ -365,11 +321,6 @@ impl RecoveryTracker {
         !self.is_quarantined(host) && !self.in_backoff(host, now)
     }
 
-    /// The host's current health score in `[0, 1]`.
-    pub fn health(&self, host: usize) -> f64 {
-        self.health[host]
-    }
-
     /// Whether the fleet fail-safe is tripped.
     pub fn failsafe_active(&self) -> bool {
         self.failsafe
@@ -437,7 +388,7 @@ mod tests {
             assert!(!t.failsafe_active());
         }
         assert_eq!(*t.stats(), RecoveryStats::default());
-        assert_eq!(t.health(0), 1.0);
+        assert_eq!(t.health[0], 1.0);
     }
 
     #[test]
@@ -464,9 +415,7 @@ mod tests {
 
     #[test]
     fn retries_exhausted_quarantines_then_readmits() {
-        let cfg = RecoveryConfig::new()
-            .with_max_retries(3)
-            .with_probation(mins(60));
+        let cfg = RecoveryConfig::new().with_max_retries(3);
         let mut t = RecoveryTracker::new(cfg, 1);
         t.observe(&obs(SimTime::from_secs(0), &[1], &[PowerState::On]));
         t.observe(&obs(SimTime::from_secs(300), &[2], &[PowerState::On]));
@@ -483,14 +432,12 @@ mod tests {
         assert!(!t.is_quarantined(0));
         assert_eq!(t.stats().readmissions, 1);
         assert!(t.may_power_cycle(0, after + mins(60)));
-        assert!((t.health(0) - RecoveryConfig::new().health_floor()).abs() < 1e-12);
+        assert!((t.health[0] - RecoveryConfig::new().health_floor).abs() < 1e-12);
     }
 
     #[test]
     fn quarantine_release_is_monotone_during_probation() {
-        let cfg = RecoveryConfig::new()
-            .with_max_retries(1)
-            .with_probation(mins(60));
+        let cfg = RecoveryConfig::new().with_max_retries(1);
         let mut t = RecoveryTracker::new(cfg, 1);
         t.observe(&obs(SimTime::from_secs(0), &[1], &[PowerState::On]));
         let first = t.quarantine_release(0).unwrap();
@@ -533,7 +480,7 @@ mod tests {
     fn clean_rounds_restore_health() {
         let mut t = RecoveryTracker::new(RecoveryConfig::new(), 1);
         t.observe(&obs(SimTime::ZERO, &[1], &[PowerState::On]));
-        let degraded = t.health(0);
+        let degraded = t.health[0];
         assert!((degraded - 0.5).abs() < 1e-12);
         for round in 1..=20u64 {
             t.observe(&obs(
@@ -542,7 +489,7 @@ mod tests {
                 &[PowerState::On],
             ));
         }
-        assert_eq!(t.health(0), 1.0);
+        assert_eq!(t.health[0], 1.0);
         assert_eq!(t.consecutive[0], 0);
     }
 
@@ -559,7 +506,7 @@ mod tests {
                 &[PowerState::Suspended],
             ));
         }
-        assert!((t.health(0) - 0.5).abs() < 1e-12);
+        assert!((t.health[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -613,7 +560,6 @@ mod tests {
             (c().with_backoff(mins(0), mins(2)), "base must be non-zero"),
             (c().with_health(1.0, 0.05), "health floor 1 outside (0,1)"),
             (c().with_health(0.25, 0.0), "recovery 0 outside (0,1)"),
-            (c().with_probation(mins(0)), "probation must be non-zero"),
             (c().with_failsafe(mins(0), 4), "window must be non-zero"),
             (c().with_failsafe(mins(30), 0), "trip threshold must be"),
         ] {

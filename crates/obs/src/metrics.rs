@@ -91,11 +91,6 @@ impl Histogram {
         self.count
     }
 
-    /// Non-finite samples rejected (excluded from every aggregate).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Sum of all samples.
     pub fn sum(&self) -> f64 {
         self.sum
@@ -118,17 +113,6 @@ impl Histogram {
     /// Largest sample (`None` when empty).
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Non-empty buckets as `(upper_bound, count)`, in order. The last
-    /// bucket's bound is `f64::INFINITY`.
-    pub fn buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_upper(i), c))
-            .collect()
     }
 
     /// An upper bound on the `q`-quantile (`q` in `[0, 1]`) from bucket
@@ -242,24 +226,10 @@ impl MetricsRegistry {
         self.counters[id.0].1 += n;
     }
 
-    /// Current value of a counter.
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1
-    }
-
     /// Sets a gauge.
     #[inline]
     pub fn set(&mut self, id: GaugeId, value: f64) {
         self.gauges[id.0].1 = value;
-    }
-
-    /// Raises a gauge to `value` if it is higher (peak tracking).
-    #[inline]
-    pub fn set_max(&mut self, id: GaugeId, value: f64) {
-        let g = &mut self.gauges[id.0].1;
-        if value > *g {
-            *g = value;
-        }
     }
 
     /// Records a histogram sample.
@@ -518,8 +488,7 @@ mod tests {
         let g = reg.gauge("queue.peak");
         reg.inc(c);
         reg.add(c, 4);
-        reg.set_max(g, 10.0);
-        reg.set_max(g, 3.0);
+        reg.set(g, 10.0);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("events.total"), 5);
         assert_eq!(snap.get("queue.peak"), Some(&MetricValue::Gauge(10.0)));
@@ -533,7 +502,7 @@ mod tests {
         assert_eq!(a, b);
         reg.inc(a);
         reg.inc(b);
-        assert_eq!(reg.counter_value(a), 2);
+        assert_eq!(reg.snapshot().counter("x"), 2);
     }
 
     #[test]
@@ -546,8 +515,8 @@ mod tests {
         assert_eq!(h.min(), Some(0.0));
         assert_eq!(h.max(), Some(100_000.0));
         // 0.5 and 0.6: 0.5 lands in the (0.25, 0.5] bucket, 0.6 in (0.5, 1].
-        let buckets = h.buckets();
-        assert!(buckets.len() >= 4, "{buckets:?}");
+        let filled = h.counts.iter().filter(|&&c| c > 0).count();
+        assert!(filled >= 4, "{:?}", h.counts);
         // Quantile upper bounds are conservative and ordered.
         let p50 = h.quantile_upper(0.5).unwrap();
         let p99 = h.quantile_upper(0.99).unwrap();
@@ -566,13 +535,13 @@ mod tests {
         h.observe(f64::NEG_INFINITY);
         h.observe(4.0);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.dropped(), 3);
+        assert_eq!(h.dropped, 3);
         assert_eq!(h.sum(), 6.0);
         assert_eq!(h.mean(), 3.0);
         assert_eq!(h.min(), Some(2.0));
         assert_eq!(h.max(), Some(4.0));
         // No bucket absorbed the rejects.
-        assert_eq!(h.buckets().iter().map(|&(_, c)| c).sum::<u64>(), 2);
+        assert_eq!(h.counts.iter().sum::<u64>(), 2);
         // The dropped count survives the JSON round trip.
         let mut reg = MetricsRegistry::new();
         let id = reg.histogram("with.nans");
@@ -583,7 +552,7 @@ mod tests {
         assert_eq!(back, snap);
         match back.get("with.nans") {
             Some(MetricValue::Histogram(h)) => {
-                assert_eq!(h.dropped(), 1);
+                assert_eq!(h.dropped, 1);
                 assert_eq!(h.count(), 1);
             }
             other => panic!("unexpected entry {other:?}"),

@@ -1,11 +1,10 @@
-//! Streaming trace sinks.
+//! The streaming trace writer.
 //!
-//! A [`TraceSink`] receives one [`Json`] record per telemetry event. The
-//! contract that keeps week-long runs feasible: sinks either stream
-//! (constant resident memory, like [`JsonlSink`]) or are explicitly
-//! test-only ([`MemorySink`]). Hot paths must check [`TraceSink::enabled`]
-//! before building a record so the disabled case ([`NullSink`]) costs one
-//! branch and no allocation.
+//! [`JsonlSink`] writes one [`Json`] record per line through a writer
+//! and keeps resident memory at the writer's buffer, however long the
+//! run. A write error must not abort a simulation, so the sink latches
+//! the first one, writes nothing after it, and returns it from
+//! [`flush`](JsonlSink::flush).
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -13,119 +12,15 @@ use std::path::Path;
 
 use crate::json::Json;
 
-/// A destination for telemetry records.
-///
-/// `Debug` is a supertrait so producers holding a `Box<dyn TraceSink>`
-/// can stay `#[derive(Debug)]`.
-pub trait TraceSink: std::fmt::Debug {
-    /// Whether emitting is worthwhile. Producers should skip record
-    /// construction entirely when this is `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Consumes one record.
-    fn emit(&mut self, record: &Json);
-
-    /// Flushes buffered output (no-op for non-buffering sinks).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error for file-backed sinks.
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Records emitted so far.
-    fn records_emitted(&self) -> u64;
-}
-
-/// Discards everything without looking at it; `enabled()` is `false`, so
-/// producers never even build records. The zero-overhead default.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn emit(&mut self, _record: &Json) {}
-
-    fn records_emitted(&self) -> u64 {
-        0
-    }
-}
-
-/// Counts records and discards them — measures trace volume without
-/// paying for storage.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingSink {
-    emitted: u64,
-}
-
-impl CountingSink {
-    /// A fresh counter.
-    pub fn new() -> Self {
-        CountingSink::default()
-    }
-}
-
-impl TraceSink for CountingSink {
-    fn emit(&mut self, _record: &Json) {
-        self.emitted += 1;
-    }
-
-    fn records_emitted(&self) -> u64 {
-        self.emitted
-    }
-}
-
-/// Buffers records in memory — for tests and short interactive runs
-/// only (memory grows with the horizon).
-#[derive(Debug, Default, Clone)]
-pub struct MemorySink {
-    records: Vec<Json>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        MemorySink::default()
-    }
-
-    /// The records received so far, in order.
-    pub fn records(&self) -> &[Json] {
-        &self.records
-    }
-
-    /// Consumes the sink, returning its records.
-    pub fn into_records(self) -> Vec<Json> {
-        self.records
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn emit(&mut self, record: &Json) {
-        self.records.push(record.clone());
-    }
-
-    fn records_emitted(&self) -> u64 {
-        self.records.len() as u64
-    }
-}
-
-/// Streams records as JSON Lines (one compact document per line) through
-/// a [`BufWriter`]. Resident memory is the buffer size, independent of
-/// how many records pass through.
+/// Streams records as JSON Lines (one compact document per line).
 pub struct JsonlSink<W: Write> {
     writer: W,
-    emitted: u64,
-    bytes: u64,
+    /// The first write error, returned by the next flush.
+    error: Option<io::Error>,
 }
 
 impl JsonlSink<BufWriter<File>> {
-    /// Creates (truncating) a JSONL file sink at `path`.
+    /// Creates (truncating) a buffered JSONL file sink at `path`.
     ///
     /// # Errors
     ///
@@ -141,42 +36,41 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
-            emitted: 0,
-            bytes: 0,
+            error: None,
         }
     }
 
-    /// Bytes written so far (before any buffering still in flight).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn emit(&mut self, record: &Json) {
+    /// Writes one record as a line. After a write error this is a
+    /// no-op; the error surfaces at [`flush`](Self::flush).
+    pub fn emit(&mut self, record: &Json) {
+        if self.error.is_some() {
+            return;
+        }
         let mut line = record.to_string_compact();
         line.push('\n');
-        // Trace output is advisory; a full disk must not abort the
-        // simulation. Errors surface at flush().
-        let _ = self.writer.write_all(line.as_bytes());
-        self.emitted += 1;
-        self.bytes += line.len() as u64;
+        if let Err(e) = self.writer.write_all(line.as_bytes()) {
+            self.error = Some(e);
+        }
     }
 
-    fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-
-    fn records_emitted(&self) -> u64 {
-        self.emitted
+    /// Flushes buffered output.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error any earlier [`emit`](Self::emit) hit,
+    /// else the flush's own.
+    pub fn flush(&mut self) -> io::Result<()> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.writer.flush(),
+        }
     }
 }
 
 impl<W: Write> std::fmt::Debug for JsonlSink<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JsonlSink")
-            .field("emitted", &self.emitted)
-            .field("bytes", &self.bytes)
+            .field("error", &self.error)
             .finish_non_exhaustive()
     }
 }
@@ -190,33 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled_and_counts_nothing() {
-        let mut s = NullSink;
-        assert!(!s.enabled());
-        s.emit(&record(1));
-        assert_eq!(s.records_emitted(), 0);
-    }
-
-    #[test]
-    fn counting_sink_counts() {
-        let mut s = CountingSink::new();
-        assert!(s.enabled());
-        for i in 0..5 {
-            s.emit(&record(i));
-        }
-        assert_eq!(s.records_emitted(), 5);
-    }
-
-    #[test]
-    fn memory_sink_keeps_order() {
-        let mut s = MemorySink::new();
-        s.emit(&record(1));
-        s.emit(&record(2));
-        assert_eq!(s.records()[0].get("seq").unwrap().as_i64(), Some(1));
-        assert_eq!(s.records()[1].get("seq").unwrap().as_i64(), Some(2));
-    }
-
-    #[test]
     fn jsonl_sink_writes_one_line_per_record() {
         let mut buf = Vec::new();
         {
@@ -224,8 +91,6 @@ mod tests {
             s.emit(&record(1));
             s.emit(&record(2));
             s.flush().unwrap();
-            assert_eq!(s.records_emitted(), 2);
-            assert!(s.bytes_written() > 0);
         }
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -234,5 +99,30 @@ mod tests {
             let v = Json::parse(line).unwrap();
             assert_eq!(v.get("seq").unwrap().as_i64(), Some(i as i64 + 1));
         }
+    }
+
+    /// A full disk: counts write attempts and fails every one.
+    struct Full(usize);
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            self.0 += 1;
+            Err(io::Error::new(io::ErrorKind::StorageFull, "disk full"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn first_write_error_is_latched_until_flush() {
+        let mut s = JsonlSink::new(Full(0));
+        s.emit(&record(1));
+        // Nothing is written after the failure.
+        s.emit(&record(2));
+        assert_eq!(s.writer.0, 1);
+        let err = s.flush().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 }

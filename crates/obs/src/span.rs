@@ -3,23 +3,19 @@
 //! [`SpanTracer`] records *nested* wall-clock spans:
 //! `plan > consolidate > candidate_scan`, `execute > migration`, and so
 //! on. Each distinct call path gets one arena node holding cumulative
-//! wall time and call count, and a bounded ring of recent span events
-//! preserves individual start/duration pairs for chrome://tracing
-//! export.
+//! wall time and call count.
 //!
 //! The tracer follows the crate's design rule — observe, never steer:
 //! wall time never feeds simulation state, and a disabled tracer costs a
 //! single branch per [`enter`](SpanTracer::enter)/[`exit`](SpanTracer::exit)
 //! with no clock read and no allocation. When enabled, allocation happens
-//! only the first time a call path or the event ring is seen (warmup);
-//! steady-state ticks allocate nothing.
+//! only the first time a call path is seen (warmup); steady-state ticks
+//! allocate nothing.
 //!
 //! Aggregated results freeze into a [`SpanSummary`] — a depth-annotated
 //! table of paths with total and self time — which serializes to JSON
-//! for the end-of-run trace record, renders as an attribution table via
-//! [`Display`](fmt::Display), and exports as chrome://tracing JSON
-//! ([`SpanTracer::to_chrome_json`]) or collapsed-stack flamegraph text
-//! ([`SpanTracer::to_collapsed`]).
+//! for the end-of-run trace record and renders as an attribution table
+//! via [`Display`](fmt::Display).
 
 use std::fmt::{self, Write as _};
 use std::time::{Duration, Instant};
@@ -44,23 +40,6 @@ struct SpanNode {
     total: Duration,
 }
 
-/// One completed span occurrence, kept in the bounded event ring for
-/// chrome://tracing export.
-#[derive(Debug, Clone, Copy)]
-struct SpanEvent {
-    /// Index into the name table.
-    name: usize,
-    /// Nesting depth (1 = top-level span).
-    depth: u32,
-    /// Start, microseconds since the tracer's epoch.
-    start_us: u64,
-    /// Duration, microseconds.
-    dur_us: u64,
-}
-
-/// Default capacity of the recent-event ring.
-const DEFAULT_EVENT_CAPACITY: usize = 4096;
-
 /// Hierarchical wall-clock span tracer.
 ///
 /// ```
@@ -83,14 +62,6 @@ pub struct SpanTracer {
     nodes: Vec<SpanNode>,
     /// Open spans: (arena node, start instant).
     stack: Vec<(usize, Instant)>,
-    /// Ring buffer of recent completed events.
-    events: Vec<SpanEvent>,
-    /// Next write position in the ring.
-    head: usize,
-    /// Events overwritten after the ring filled.
-    dropped: u64,
-    /// Ring capacity (0 disables event capture, aggregation still runs).
-    capacity: usize,
     created: Instant,
 }
 
@@ -107,10 +78,6 @@ impl SpanTracer {
                 total: Duration::ZERO,
             }],
             stack: Vec::new(),
-            events: Vec::new(),
-            head: 0,
-            dropped: 0,
-            capacity: DEFAULT_EVENT_CAPACITY,
             created: Instant::now(),
         }
     }
@@ -130,18 +97,6 @@ impl SpanTracer {
     /// Whether the tracer is recording.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Caps the recent-event ring at `capacity` completed spans
-    /// (aggregated totals are unaffected; `0` disables event capture).
-    pub fn set_event_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        self.events.truncate(capacity);
-        self.head = if capacity == 0 {
-            0
-        } else {
-            self.head % capacity.max(1)
-        };
     }
 
     /// Interns a span name. Call once at setup and reuse the handle on
@@ -183,25 +138,9 @@ impl SpanTracer {
             self.nodes[node].name, name.0,
             "SpanTracer::exit name does not match the innermost open span"
         );
-        let dur = t0.elapsed();
         let n = &mut self.nodes[node];
         n.calls += 1;
-        n.total += dur;
-        if self.capacity > 0 {
-            let event = SpanEvent {
-                name: name.0,
-                depth: self.stack.len() as u32 + 1,
-                start_us: t0.duration_since(self.created).as_micros() as u64,
-                dur_us: dur.as_micros() as u64,
-            };
-            if self.events.len() < self.capacity {
-                self.events.push(event);
-            } else {
-                self.events[self.head] = event;
-                self.dropped += 1;
-            }
-            self.head = (self.head + 1) % self.capacity;
-        }
+        n.total += t0.elapsed();
     }
 
     /// Finds or creates the arena node for `name` under `parent`.
@@ -228,16 +167,6 @@ impl SpanTracer {
     /// tests can assert the disabled path allocates nothing.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Completed events currently buffered in the ring.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Events overwritten after the ring filled.
-    pub fn events_dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Freezes the call-path arena into a [`SpanSummary`] (depth-first
@@ -276,51 +205,6 @@ impl SpanTracer {
             });
             self.collect(c, &path, depth + 1, out);
         }
-    }
-
-    /// Renders the buffered recent events as chrome://tracing JSON
-    /// (load via `chrome://tracing` or <https://ui.perfetto.dev>).
-    pub fn to_chrome_json(&self) -> Json {
-        let len = self.events.len();
-        let start = if len < self.capacity.max(1) {
-            0
-        } else {
-            self.head
-        };
-        let events: Vec<Json> = (0..len)
-            .map(|k| {
-                let e = &self.events[(start + k) % len.max(1)];
-                Json::obj([
-                    ("name", Json::Str(self.names[e.name].clone())),
-                    ("ph", Json::Str("X".into())),
-                    ("ts", Json::Int(e.start_us as i64)),
-                    ("dur", Json::Int(e.dur_us as i64)),
-                    ("pid", Json::Int(0)),
-                    ("tid", Json::Int(e.depth as i64)),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("traceEvents", Json::Array(events)),
-            ("displayTimeUnit", Json::Str("ms".into())),
-        ])
-    }
-
-    /// Renders the aggregated call paths as collapsed-stack flamegraph
-    /// text: one `path;to;span <self-microseconds>` line per path, ready
-    /// for `flamegraph.pl` or any compatible renderer.
-    pub fn to_collapsed(&self) -> String {
-        let mut out = String::new();
-        for s in self.summary().spans {
-            if s.calls > 0 {
-                let micros = (s.self_secs * 1e6).round() as u64;
-                out.push_str(&s.path);
-                out.push(' ');
-                out.push_str(&micros.to_string());
-                out.push('\n');
-            }
-        }
-        out
     }
 }
 
@@ -533,10 +417,9 @@ mod tests {
             t.exit(b);
             t.exit(a);
         }
-        // No arena nodes beyond the root, no buffered events: the
-        // disabled hot path never allocates.
+        // No arena nodes beyond the root: the disabled hot path never
+        // allocates.
         assert_eq!(t.node_count(), 1);
-        assert_eq!(t.event_count(), 0);
         assert!(t.summary().spans.is_empty());
     }
 
@@ -572,25 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_is_bounded() {
-        let mut t = SpanTracer::enabled();
-        t.set_event_capacity(4);
-        let a = t.name("x");
-        for _ in 0..10 {
-            t.enter(a);
-            t.exit(a);
-        }
-        assert_eq!(t.event_count(), 4);
-        assert_eq!(t.events_dropped(), 6);
-        assert_eq!(t.summary().span("x").unwrap().calls, 10);
-        let chrome = t.to_chrome_json();
-        let events = chrome.get("traceEvents").unwrap().as_array().unwrap();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[0].get("ph").unwrap().as_str(), Some("X"));
-    }
-
-    #[test]
-    fn exports_serialize_and_round_trip() {
+    fn summary_serializes_and_round_trips() {
         let mut t = SpanTracer::enabled();
         let plan = t.name("plan");
         let scan = t.name("scan");
@@ -601,8 +466,6 @@ mod tests {
         let summary = t.summary();
         let parsed = SpanSummary::from_json(&summary.to_json()).unwrap();
         assert_eq!(parsed, summary);
-        let collapsed = t.to_collapsed();
-        assert!(collapsed.contains("plan;scan "), "{collapsed}");
         let table = summary.to_string();
         assert!(table.contains("% parent"), "{table}");
         assert!(table.contains("  scan"), "{table}");

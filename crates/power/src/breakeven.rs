@@ -269,33 +269,6 @@ impl LadderSummary {
     }
 }
 
-/// Picks the deepest ladder rung of `profile` affordable against a
-/// latency SLO and an expected idle gap — see
-/// [`LadderSummary::deepest_affordable`].
-///
-/// # Example
-///
-/// ```
-/// use power::breakeven::{deepest_affordable_rung, LowPowerMode};
-/// use power::HostPowerProfile;
-/// use simcore::SimDuration;
-///
-/// let p = HostPowerProfile::prototype_rack_ladder();
-/// // A 5 s SLO only the C6 rung can meet.
-/// let rung = deepest_affordable_rung(&p, SimDuration::from_secs(5), None);
-/// assert_eq!(rung, Some(LowPowerMode::PackageIdle));
-/// // A 1-minute SLO admits S3, and S3 is deeper.
-/// let rung = deepest_affordable_rung(&p, SimDuration::from_mins(1), None);
-/// assert_eq!(rung, Some(LowPowerMode::Suspend));
-/// ```
-pub fn deepest_affordable_rung(
-    profile: &HostPowerProfile,
-    wake_slo: SimDuration,
-    expected_gap: Option<SimDuration>,
-) -> Option<LowPowerMode> {
-    LadderSummary::of(profile).deepest_affordable(wake_slo, expected_gap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,32 +355,29 @@ mod tests {
     }
 
     #[test]
-    fn deepest_affordable_rung_respects_slo_and_gap() {
+    fn deepest_affordable_respects_slo_and_gap() {
         let p = HostPowerProfile::prototype_rack_ladder();
         // A generous SLO with no gap estimate picks the deepest rung.
         assert_eq!(
-            deepest_affordable_rung(&p, SimDuration::from_hours(1), None),
+            LadderSummary::of(&p).deepest_affordable(SimDuration::from_hours(1), None),
             Some(LowPowerMode::Off)
         );
         // A short expected gap disqualifies S5 (its break-even is minutes)
         // but S3 still pays off.
         assert_eq!(
-            deepest_affordable_rung(
-                &p,
-                SimDuration::from_hours(1),
-                Some(SimDuration::from_mins(2))
-            ),
+            LadderSummary::of(&p)
+                .deepest_affordable(SimDuration::from_hours(1), Some(SimDuration::from_mins(2))),
             Some(LowPowerMode::Suspend)
         );
         // An SLO tighter than every wake latency leaves the host on.
         assert_eq!(
-            deepest_affordable_rung(&p, SimDuration::from_millis(100), None),
+            LadderSummary::of(&p).deepest_affordable(SimDuration::from_millis(100), None),
             None
         );
         // A 3-rung profile under a boot-sized SLO degenerates to suspend.
         let q = HostPowerProfile::prototype_rack();
         assert_eq!(
-            deepest_affordable_rung(&q, SimDuration::from_secs(12), None),
+            LadderSummary::of(&q).deepest_affordable(SimDuration::from_secs(12), None),
             Some(LowPowerMode::Suspend)
         );
     }

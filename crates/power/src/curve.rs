@@ -2,7 +2,7 @@
 
 /// Maps CPU utilization (`0.0..=1.0`) to active power draw in watts.
 ///
-/// Three families cover the hardware in the paper's evaluation:
+/// Two families cover the hardware in the paper's evaluation:
 ///
 /// * [`PowerCurve::linear`] — the classic `idle + (peak-idle)·u` model; a
 ///   good fit for the 2008–2013 servers the paper prototypes, whose idle
@@ -10,8 +10,6 @@
 ///   attacks).
 /// * [`PowerCurve::piecewise`] — SPECpower-style 11-point curves for
 ///   hardware whose draw is convex or concave in utilization.
-/// * [`PowerCurve::proportional`] — the ideal energy-proportional machine
-///   (`peak·u`), used as the theoretical bound in proportionality plots.
 ///
 /// # Example
 ///
@@ -36,11 +34,6 @@ pub enum PowerCurve {
     Piecewise {
         /// Knots sorted by utilization; must start at 0.0 and end at 1.0.
         points: Vec<(f64, f64)>,
-    },
-    /// Ideal energy-proportional machine: `peak_w · u`.
-    Proportional {
-        /// Power draw at full utilization, watts.
-        peak_w: f64,
     },
 }
 
@@ -89,22 +82,11 @@ impl PowerCurve {
         PowerCurve::Piecewise { points }
     }
 
-    /// Creates an ideal-proportional curve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peak_w` is negative or not finite.
-    pub fn proportional(peak_w: f64) -> Self {
-        assert!(peak_w.is_finite() && peak_w >= 0.0, "bad peak {peak_w}");
-        PowerCurve::Proportional { peak_w }
-    }
-
     /// Power draw at utilization `u` (clamped to `[0, 1]`), in watts.
     pub fn power_at(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
         match self {
             PowerCurve::Linear { idle_w, peak_w } => idle_w + (peak_w - idle_w) * u,
-            PowerCurve::Proportional { peak_w } => peak_w * u,
             PowerCurve::Piecewise { points } => {
                 // Find the segment containing u and interpolate.
                 let seg = points
@@ -157,14 +139,6 @@ mod tests {
         let c = PowerCurve::linear(100.0, 200.0);
         assert_eq!(c.power_at(-0.5), 100.0);
         assert_eq!(c.power_at(1.5), 200.0);
-    }
-
-    #[test]
-    fn proportional_is_zero_at_idle() {
-        let c = PowerCurve::proportional(250.0);
-        assert_eq!(c.power_at(0.0), 0.0);
-        assert_eq!(c.power_at(0.4), 100.0);
-        assert_eq!(c.idle_fraction(), 0.0);
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl DvfsModel {
         ])
     }
 
-    /// The operating points.
-    pub fn levels(&self) -> &[DvfsLevel] {
-        &self.levels
-    }
-
     /// The lowest level that can serve `util` of nominal capacity
     /// (falls back to nominal for overload).
     pub fn level_for(&self, util: f64) -> DvfsLevel {

@@ -94,11 +94,6 @@ impl EnergyMeter {
         self.total_j
     }
 
-    /// Total energy in kilowatt-hours.
-    pub fn total_kwh(&self) -> f64 {
-        self.total_j / 3.6e6
-    }
-
     /// Energy attributed to time spent in `state`, in joules.
     pub fn state_j(&self, state: PowerState) -> f64 {
         self.by_state_j[state.index()]
@@ -107,11 +102,6 @@ impl EnergyMeter {
     /// The recorded power trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&TimeSeries> {
         self.trace.as_ref()
-    }
-
-    /// The power level currently being integrated, in watts.
-    pub fn current_power_w(&self) -> f64 {
-        self.last_power_w
     }
 
     fn accumulate(&mut self, now: SimTime) {
@@ -159,13 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn kwh_conversion() {
-        let mut m = EnergyMeter::new(SimTime::ZERO, 1000.0);
-        m.sync(SimTime::from_secs(3600));
-        assert!((m.total_kwh() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn trace_records_when_enabled() {
         let mut m = EnergyMeter::new(SimTime::ZERO, 100.0);
         m.enable_trace();
@@ -188,7 +171,6 @@ mod tests {
         // Same instant again: zero-width interval, just a level change.
         m.set_power(SimTime::from_secs(10), 75.0, PowerState::On);
         assert_eq!(m.total_j(), 1000.0);
-        assert_eq!(m.current_power_w(), 75.0);
         m.sync(SimTime::from_secs(20));
         assert_eq!(m.total_j(), 1000.0 + 75.0 * 10.0);
     }

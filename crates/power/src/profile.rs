@@ -125,11 +125,6 @@ impl HostPowerProfile {
         self
     }
 
-    /// The attached PSU model, if any.
-    pub fn psu(&self) -> Option<&PsuModel> {
-        self.psu.as_ref()
-    }
-
     /// Adds the C6-class package-idle rung: resting draw `power_w`, with
     /// `park`/`unpark` transitions. The rung sits between `On` and
     /// `Suspended` on the ladder — it must draw less than idle.
@@ -155,11 +150,6 @@ impl HostPowerProfile {
         self.name = format!("{}+dvfs", self.name);
         self.dvfs = Some(dvfs);
         self
-    }
-
-    /// The attached DVFS model, if any.
-    pub fn dvfs(&self) -> Option<&DvfsModel> {
-        self.dvfs.as_ref()
     }
 
     /// The paper's main prototype class: a 2U rack server with a working
@@ -289,24 +279,6 @@ impl HostPowerProfile {
         )
     }
 
-    /// The theoretical energy-proportional machine: power tracks load
-    /// exactly and transitions are near-free. Used as the lower bound in
-    /// proportionality plots.
-    pub fn ideal_proportional() -> Self {
-        HostPowerProfile::new(
-            "ideal-proportional",
-            PowerCurve::proportional(315.0),
-            0.0,
-            0.0,
-            TransitionTable::with_suspend(
-                TransitionSpec::new(SimDuration::from_millis(1), 0.0),
-                TransitionSpec::new(SimDuration::from_millis(1), 0.0),
-                TransitionSpec::new(SimDuration::from_millis(1), 0.0),
-                TransitionSpec::new(SimDuration::from_millis(1), 0.0),
-            ),
-        )
-    }
-
     /// A copy of this profile with the resume latency replaced — used by the
     /// wake-latency sensitivity sweep (experiment F7).
     ///
@@ -366,11 +338,6 @@ impl HostPowerProfile {
     /// Whether the suspend/resume pair is available.
     pub fn supports_suspend(&self) -> bool {
         self.transitions.supports_suspend()
-    }
-
-    /// Whether the park/unpark (package-idle) pair is available.
-    pub fn supports_package_idle(&self) -> bool {
-        self.transitions.supports_package_idle()
     }
 
     /// The profile's power-state ladder: every supported low-power rung,
@@ -482,13 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn ideal_is_proportional() {
-        let p = HostPowerProfile::ideal_proportional();
-        assert_eq!(p.state_power_w(PowerState::On, 0.0), 0.0);
-        assert_eq!(p.state_power_w(PowerState::On, 0.5), 157.5);
-    }
-
-    #[test]
     fn state_power_dispatch() {
         let p = HostPowerProfile::prototype_rack();
         assert_eq!(p.state_power_w(PowerState::On, 1.0), 315.0);
@@ -523,7 +483,7 @@ mod tests {
     #[test]
     fn ladder_preset_orders_rungs_shallow_to_deep() {
         let p = HostPowerProfile::prototype_rack_ladder();
-        assert!(p.supports_package_idle());
+        assert!(p.transitions().supports_package_idle());
         let ladder = p.ladder();
         assert_eq!(ladder.len(), 3);
         assert_eq!(ladder[0].mode, LowPowerMode::PackageIdle);
@@ -539,7 +499,7 @@ mod tests {
     #[test]
     fn three_rung_preset_is_the_special_case() {
         let p = HostPowerProfile::prototype_rack();
-        assert!(!p.supports_package_idle());
+        assert!(!p.transitions().supports_package_idle());
         assert!(p.package_idle_power_w().is_none());
         let modes: Vec<_> = p.ladder().iter().map(|r| r.mode).collect();
         assert_eq!(modes, vec![LowPowerMode::Suspend, LowPowerMode::Off]);
@@ -561,7 +521,7 @@ mod tests {
         let base = HostPowerProfile::prototype_rack();
         let scaled = HostPowerProfile::prototype_rack().with_dvfs(crate::DvfsModel::typical_2013());
         assert!(scaled.name().ends_with("+dvfs"));
-        assert!(scaled.dvfs().is_some());
+        assert!(scaled.dvfs.is_some());
         assert!(
             scaled.state_power_w(PowerState::On, 0.3) < base.state_power_w(PowerState::On, 0.3)
         );
@@ -611,7 +571,6 @@ mod tests {
         for preset in [
             HostPowerProfile::prototype_blade_ladder(),
             HostPowerProfile::legacy_rack(),
-            HostPowerProfile::ideal_proportional(),
             HostPowerProfile::prototype_rack_ladder().with_dvfs(DvfsModel::typical_2013()),
         ] {
             assert_eq!(preset.try_validate(), Ok(()), "{preset}");
@@ -635,7 +594,7 @@ mod tests {
             );
         }
         assert!(wall.name().ends_with("+psu"));
-        assert!(wall.psu().is_some());
+        assert!(wall.psu.is_some());
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl PsuModel {
         )
     }
 
-    /// Rated DC output capacity, watts.
-    pub fn capacity_w(&self) -> f64 {
-        self.capacity_w
-    }
-
     /// Conversion efficiency at a given DC draw (load clamped to
     /// `[0, 1]` of capacity).
     pub fn efficiency_at(&self, dc_watts: f64) -> f64 {

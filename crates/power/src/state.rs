@@ -125,16 +125,6 @@ impl StateResidency {
             .fold(SimDuration::ZERO, |acc, &d| acc + d)
     }
 
-    /// Fraction of total time spent in `state` (0 if no time recorded).
-    pub fn fraction(&self, state: PowerState) -> f64 {
-        let total = self.total().as_secs_f64();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.in_state(state).as_secs_f64() / total
-        }
-    }
-
     fn add(&mut self, state: PowerState, d: SimDuration) {
         self.durations[state.index()] += d;
     }
@@ -178,7 +168,7 @@ pub struct PowerStateMachine {
     utilization: f64,
     meter: EnergyMeter,
     residency: StateResidency,
-    transition_counts: [u64; 6],
+    completed_transitions: u64,
     failed_transitions: u64,
     /// Memoized `state_power_w(state, utilization)`, refreshed on every
     /// state or utilization change so [`power_w`](Self::power_w) — called
@@ -218,7 +208,7 @@ impl PowerStateMachine {
             utilization: 0.0,
             meter: EnergyMeter::new(t0, power),
             residency: StateResidency::default(),
-            transition_counts: [0; 6],
+            completed_transitions: 0,
             failed_transitions: 0,
             cached_power_w: power,
         }
@@ -275,19 +265,9 @@ impl PowerStateMachine {
         &self.residency
     }
 
-    /// How many transitions of `kind` have completed.
-    pub fn completed_transitions(&self, kind: TransitionKind) -> u64 {
-        self.transition_counts[kind.index()]
-    }
-
     /// Total completed power-state transitions of all kinds.
     pub fn total_transitions(&self) -> u64 {
-        self.transition_counts.iter().sum()
-    }
-
-    /// How long the machine has been in its current state as of `now`.
-    pub fn time_in_state(&self, now: SimTime) -> SimDuration {
-        now.since(self.state_entered)
+        self.completed_transitions
     }
 
     /// Reports a new CPU utilization (only meaningful while `On`; ignored
@@ -358,7 +338,7 @@ impl PowerStateMachine {
         let power = self.profile.state_power_w(target, self.utilization);
         self.cached_power_w = power;
         self.meter.set_power(now, power, target);
-        self.transition_counts[kind.index()] += 1;
+        self.completed_transitions += 1;
         Ok(target)
     }
 
@@ -478,7 +458,7 @@ mod tests {
         assert_eq!(m.pending(), Some((TransitionKind::Suspend, done)));
 
         assert_eq!(m.complete(done).unwrap(), PowerState::Suspended);
-        assert_eq!(m.completed_transitions(TransitionKind::Suspend), 1);
+        assert_eq!(m.total_transitions(), 1);
 
         let done2 = m.begin(TransitionKind::Resume, done).unwrap();
         assert_eq!(m.state(), PowerState::Resuming);
@@ -576,8 +556,8 @@ mod tests {
             m.residency().in_state(PowerState::Suspended),
             SimDuration::from_secs(30)
         );
-        let frac_on = m.residency().fraction(PowerState::On);
-        assert!(frac_on > 0.0 && frac_on < 1.0);
+        let on = m.residency().in_state(PowerState::On);
+        assert!(on > SimDuration::ZERO && on < m.residency().total());
     }
 
     #[test]
@@ -607,7 +587,7 @@ mod tests {
         let done2 = m.begin(TransitionKind::Resume, done).unwrap();
         assert_eq!(m.fail_pending(done2).unwrap(), PowerState::Off);
         assert_eq!(m.failed_transitions(), 1);
-        assert_eq!(m.completed_transitions(TransitionKind::Resume), 0);
+        assert_eq!(m.total_transitions(), 1);
         // Recovery path: boot from off.
         let done3 = m.begin(TransitionKind::Boot, done2).unwrap();
         assert_eq!(m.complete(done3).unwrap(), PowerState::On);
@@ -689,7 +669,7 @@ mod tests {
         assert!(!m.is_operational());
         assert_eq!(m.complete(done).unwrap(), PowerState::PackageIdle);
         assert!(PowerState::PackageIdle.is_stable());
-        assert_eq!(m.completed_transitions(TransitionKind::Park), 1);
+        assert_eq!(m.total_transitions(), 1);
 
         let done2 = m.begin(TransitionKind::Unpark, done).unwrap();
         assert_eq!(m.state(), PowerState::Unparking);

@@ -109,18 +109,6 @@ impl TransitionKind {
             | TransitionKind::Unpark => PowerState::Off,
         }
     }
-
-    /// Dense index for per-kind arrays (transition counts).
-    pub(crate) fn index(self) -> usize {
-        match self {
-            TransitionKind::Suspend => 0,
-            TransitionKind::Resume => 1,
-            TransitionKind::Shutdown => 2,
-            TransitionKind::Boot => 3,
-            TransitionKind::Park => 4,
-            TransitionKind::Unpark => 5,
-        }
-    }
 }
 
 impl fmt::Display for TransitionKind {

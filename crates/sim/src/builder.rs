@@ -35,7 +35,7 @@ use obs::SpanSummary;
 use power::DvfsModel;
 
 use crate::engine::DatacenterSim;
-use crate::{Experiment, SimError, SimReport};
+use crate::{Experiment, FailureModel, SimError, SimReport};
 
 /// Builder for a validated, ready-to-run [`Simulation`].
 ///
@@ -138,8 +138,9 @@ impl SimulationBuilder {
     /// [`SimError::InvalidConfig`] for an inconsistent configuration
     /// (a scenario, manager, failure, host power or DVFS-baseline model
     /// that fails its `try_validate`, zero horizon, control interval
-    /// longer than the horizon, or cluster capture, profiling or a trace
-    /// file requested from an analytic mode);
+    /// longer than the horizon, or cluster capture, profiling, a trace
+    /// file, fault injection or the audit log requested from an analytic
+    /// mode);
     /// [`SimError::InitialPlacement`] / [`SimError::TraceIo`] as for the
     /// engine.
     pub fn build(self) -> Result<Simulation, SimError> {
@@ -203,6 +204,12 @@ impl SimulationBuilder {
             }
             if self.experiment.trace_path.is_some() {
                 return Err(invalid(format!("{mode} has no event loop to trace")));
+            }
+            if self.experiment.failures != FailureModel::none() {
+                return Err(invalid(format!("{mode} has no transitions to fail")));
+            }
+            if self.experiment.record_events {
+                return Err(invalid(format!("{mode} takes no actions to log")));
             }
             if knobs != (1, 0, 0) {
                 return Err(invalid(format!("{mode} has no schedulers to distribute")));
@@ -307,7 +314,7 @@ pub struct SimOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FailureModel, Scenario};
+    use crate::Scenario;
     use agile_core::{ManagerConfig, PowerPolicy, PredictorConfig, RecoveryConfig};
     use power::{HostPowerProfile, PowerCurve};
     use simcore::SimDuration;
@@ -403,12 +410,30 @@ mod tests {
         let b = |e: &Experiment| SimulationBuilder::new(e.clone());
         let trace = std::env::temp_dir().join("never.jsonl");
         let traced = |e: &Experiment| b(&e.clone().trace_path(&trace));
-        let dvfs = traced(&experiment(6)).dvfs_baseline(DvfsModel::typical_2013());
+        let dvfs = |e: Experiment| b(&e).dvfs_baseline(DvfsModel::typical_2013());
+        let faulty = |e: &Experiment| e.clone().failure_model(FailureModel::new(0.5, 0.0));
+        let logged = |e: &Experiment| e.clone().record_events();
         for (builder, expected) in [
             (b(&oracle).capture_cluster(true), "no cluster to capture"),
             (b(&oracle).profiling(true), "no event loop to profile"),
             (traced(&oracle), "Oracle policy has no event loop to trace"),
-            (dvfs, "DVFS baseline has no event loop to trace"),
+            (
+                dvfs(experiment(6).trace_path(&trace)),
+                "DVFS baseline has no event loop to trace",
+            ),
+            (
+                b(&faulty(&oracle)),
+                "Oracle policy has no transitions to fail",
+            ),
+            (
+                dvfs(faulty(&experiment(6))),
+                "DVFS baseline has no transitions to fail",
+            ),
+            (b(&logged(&oracle)), "Oracle policy takes no actions to log"),
+            (
+                dvfs(logged(&experiment(6))),
+                "DVFS baseline takes no actions to log",
+            ),
         ] {
             let err = builder.build().unwrap_err();
             assert!(err.to_string().contains(expected), "{err}");

@@ -1,6 +1,8 @@
 //! The discrete-event simulation loop.
 
 use std::collections::VecDeque;
+use std::fs::File;
+use std::io::BufWriter;
 use std::ops::Range;
 
 use agile_core::{
@@ -16,7 +18,7 @@ use crate::events::{EventKind, EventRecord};
 use crate::metrics::MetricsCollector;
 use crate::trace::{self, SimTelemetry};
 use crate::{Experiment, FailureModel, SimError, SimReport};
-use obs::{JsonlSink, NullSink, SpanName, SpanSummary, SpanTracer, TraceSink};
+use obs::{JsonlSink, SpanName, SpanSummary, SpanTracer};
 use power::TransitionKind;
 use simcore::RngStream;
 use workload::Lifetime;
@@ -219,7 +221,9 @@ pub(crate) struct DatacenterSim {
     placement_retries: u64,
     rejected_admissions: u64,
     event_log: Option<Vec<EventRecord>>,
-    sink: Box<dyn TraceSink>,
+    /// The JSONL trace writer and the path it writes (as displayed in
+    /// errors), when the experiment asked for a trace file.
+    sink: Option<(JsonlSink<BufWriter<File>>, String)>,
     telemetry: SimTelemetry,
     /// Hierarchical wall-clock tracer. Top-level spans are the tick
     /// phases (`demand`/`observe`/`plan`/`execute`/`dispatch`); the
@@ -281,12 +285,16 @@ impl DatacenterSim {
         );
         let lifetimes = scenario.fleet().lifetimes().lifetimes();
         place_round_robin(&mut cluster, lifetimes)?;
-        let sink: Box<dyn TraceSink> = match &experiment.trace_path {
-            Some(path) => Box::new(JsonlSink::create(path).map_err(|e| SimError::TraceIo {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?),
-            None => Box::new(NullSink),
+        let sink = match &experiment.trace_path {
+            Some(path) => {
+                let shown = path.display().to_string();
+                let sink = JsonlSink::create(path).map_err(|e| SimError::TraceIo {
+                    path: shown.clone(),
+                    message: e.to_string(),
+                })?;
+                Some((sink, shown))
+            }
+            None => None,
         };
 
         let mut tracer = SpanTracer::new();
@@ -365,8 +373,8 @@ impl DatacenterSim {
 
     fn log(&mut self, time: SimTime, kind: EventKind) {
         self.telemetry.count_event(&kind);
-        if self.sink.enabled() {
-            self.sink.emit(&trace::event_json(time, &kind));
+        if let Some((sink, _)) = &mut self.sink {
+            sink.emit(&trace::event_json(time, &kind));
         }
         if let Some(log) = &mut self.event_log {
             log.push(EventRecord { time, kind });
@@ -525,12 +533,15 @@ impl DatacenterSim {
             self.telemetry.registry.snapshot(),
         );
         let spans = self.tracer.is_enabled().then(|| self.tracer.summary());
-        if self.sink.enabled() {
-            self.sink
-                .emit(&trace::run_summary_json(&report, spans.as_ref()));
+        if let Some((sink, path)) = &mut self.sink {
+            sink.emit(&trace::run_summary_json(&report, spans.as_ref()));
+            // The run reached its horizon either way; a trace that lost
+            // records still fails it, so no partial file passes as whole.
+            sink.flush().map_err(|e| SimError::TraceIo {
+                path: path.clone(),
+                message: e.to_string(),
+            })?;
         }
-        // Trace output is advisory; a failed flush must not fail the run.
-        let _ = self.sink.flush();
         Ok((report, self.cluster, spans))
     }
 
@@ -778,10 +789,10 @@ impl DatacenterSim {
         self.telemetry
             .registry
             .observe(self.telemetry.actions_per_round, total_kept as f64);
-        if self.sink.enabled() {
+        if let Some((sink, _)) = &mut self.sink {
             for m in &control.schedulers {
                 if let Some(decision) = m.last_decision() {
-                    self.sink.emit(&decision.to_json());
+                    sink.emit(&decision.to_json());
                 }
             }
         }

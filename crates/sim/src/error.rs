@@ -19,7 +19,8 @@ pub enum SimError {
     /// An unrecoverable cluster error inside the event loop (indicates a
     /// bug — recoverable action failures are counted, not raised).
     Cluster(ClusterError),
-    /// The trace output file could not be created.
+    /// The trace output file could not be created, or a write to it
+    /// failed (the run still went to its horizon).
     TraceIo {
         /// Where the sink was supposed to write.
         path: String,
@@ -47,7 +48,7 @@ impl fmt::Display for SimError {
             SimError::Cluster(e) => write!(f, "cluster error during simulation: {e}"),
             SimError::Plan(e) => write!(f, "planning failed: {e}"),
             SimError::TraceIo { path, message } => {
-                write!(f, "cannot open trace output {path}: {message}")
+                write!(f, "cannot write trace output {path}: {message}")
             }
             SimError::InvalidConfig { message } => {
                 write!(f, "invalid simulation configuration: {message}")

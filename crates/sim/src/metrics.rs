@@ -338,11 +338,6 @@ impl SimReport {
         1.0 - self.energy_j / baseline.energy_j
     }
 
-    /// Fraction of offered demand that was served.
-    pub fn served_fraction(&self) -> f64 {
-        1.0 - self.unserved_ratio
-    }
-
     /// Renders the full report as a JSON object (scalar fields by name,
     /// series as `[millis, value]` pair arrays, events in the trace
     /// schema, metrics via [`MetricsSnapshot::to_json`]).
@@ -628,7 +623,6 @@ mod tests {
         assert_eq!(r.violation_fraction, 0.5);
         // 1 core * 1800 s unserved over 8 core*1800*... offered = 4*1800*2
         assert!((r.unserved_ratio - 1.0 / 8.0).abs() < 1e-12);
-        assert!((r.served_fraction() - 7.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -114,16 +114,18 @@ impl Experiment {
         }
     }
 
-    /// Enables power-transition fault injection (default: none). Ignored
-    /// by the `Oracle` policy, whose transitions are hypothetical.
+    /// Enables power-transition fault injection (default: none). The
+    /// analytic (`Oracle`/DVFS) paths take no transitions to fail, so
+    /// [`crate::SimulationBuilder::build`] rejects a non-default model
+    /// there.
     pub fn failure_model(mut self, failures: FailureModel) -> Self {
         self.failures = failures;
         self
     }
 
     /// Enables the audit log (entries land in [`SimReport::events`]).
-    /// Ignored by the analytic (`Oracle`/DVFS) paths, which take no
-    /// management actions.
+    /// The analytic (`Oracle`/DVFS) paths take no management actions to
+    /// log, so [`crate::SimulationBuilder::build`] rejects it there.
     pub fn record_events(mut self) -> Self {
         self.record_events = true;
         self

@@ -5,11 +5,8 @@
 //! axis value becomes one or more simulation *legs* (comparison columns
 //! — e.g. always-on vs. managed), and [`SweepBuilder::run`] executes the
 //! whole grid through the bounded worker pool, returning one typed
-//! [`SweepRow`] per value in axis order. Rows carry the per-leg reports
-//! at the base seed plus per-leg [`ReplicationSummary`] statistics; ask
-//! for [`replications`](SweepBuilder::replications) to rerun the grid
-//! across consecutive seeds and get mean ± deviation instead of a
-//! single-draw number.
+//! [`SweepRow`] per value in axis order, carrying the per-leg reports.
+//! Mean ± deviation across seeds comes from [`crate::replicate`].
 //!
 //! One family constructor exists per classic experiment
 //! (`SweepBuilder::wake_latency`, `::scale`, `::slo_frontier`, ...) and
@@ -21,12 +18,11 @@ use power::HostPowerProfile;
 use simcore::SimDuration;
 use workload::presets;
 
-use crate::replication::{summarize, ReplicationSummary};
 use crate::{Experiment, FailureModel, Scenario, SimError, SimReport, SimulationBuilder};
 
 /// How one axis value becomes the simulation legs of its row, at one
-/// seed. Must be a pure function of `(value, seed)` so replication and
-/// pooled execution stay bit-reproducible.
+/// seed. Must be a pure function of `(value, seed)` so pooled execution
+/// stays bit-reproducible.
 type LegsFn<X> = Box<dyn Fn(&X, u64) -> Result<Vec<SimulationBuilder>, SimError> + Send + Sync>;
 
 /// One row of a sweep: the axis value plus its simulation legs.
@@ -34,21 +30,18 @@ type LegsFn<X> = Box<dyn Fn(&X, u64) -> Result<Vec<SimulationBuilder>, SimError>
 pub struct SweepRow<X> {
     /// The axis value of this row.
     pub value: X,
-    /// One report per leg, in leg order, at the sweep's base seed.
+    /// One report per leg, in leg order, at the sweep's seed.
     pub reports: Vec<SimReport>,
-    /// Per-leg statistics across the replication seeds (a single-run
-    /// summary when no replication was requested).
-    pub summaries: Vec<ReplicationSummary>,
 }
 
 impl<X> SweepRow<X> {
-    /// The first (often only) leg's base-seed report.
+    /// The first (often only) leg's report.
     pub fn report(&self) -> &SimReport {
         &self.reports[0]
     }
 }
 
-/// A declarative sweep: axis values × legs × replication seeds, executed
+/// A declarative sweep: axis values × legs at one seed, executed
 /// through the bounded worker pool.
 ///
 /// Results are independent of pool scheduling: every leg is a pure
@@ -75,7 +68,6 @@ impl<X> SweepRow<X> {
 pub struct SweepBuilder<X> {
     values: Vec<X>,
     seed: u64,
-    replications: usize,
     legs: LegsFn<X>,
 }
 
@@ -84,7 +76,6 @@ impl<X: std::fmt::Debug> std::fmt::Debug for SweepBuilder<X> {
         f.debug_struct("SweepBuilder")
             .field("values", &self.values)
             .field("seed", &self.seed)
-            .field("replications", &self.replications)
             .finish_non_exhaustive()
     }
 }
@@ -101,22 +92,8 @@ impl<X: Sync> SweepBuilder<X> {
         SweepBuilder {
             values,
             seed,
-            replications: 1,
             legs: Box::new(legs),
         }
-    }
-
-    /// Reruns the whole grid at `count` consecutive seeds (`seed`,
-    /// `seed + 1`, ...) and summarizes each leg across them. The row
-    /// reports stay those of the base seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `count == 0`.
-    pub fn replications(mut self, count: usize) -> Self {
-        assert!(count >= 1, "need at least one replication");
-        self.replications = count;
-        self
     }
 
     /// Executes the grid through the bounded worker pool and returns one
@@ -125,58 +102,23 @@ impl<X: Sync> SweepBuilder<X> {
     /// # Errors
     ///
     /// Propagates the first failing run in output order (axis order,
-    /// then seed order, then leg order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the legs closure returns a different number of legs for
-    /// different seeds of the same value (it must be a pure function of
-    /// the axis value's shape).
+    /// then leg order).
     pub fn run(self) -> Result<Vec<SweepRow<X>>, SimError> {
-        let SweepBuilder {
-            values,
-            seed,
-            replications: k,
-            legs,
-        } = self;
+        let SweepBuilder { values, seed, legs } = self;
         let results: Vec<Result<Vec<SimReport>, SimError>> =
-            simcore::pool::run_indexed(values.len() * k, |i| {
-                let value = &values[i / k];
-                let rep = (i % k) as u64;
-                legs(value, seed.wrapping_add(rep))?
+            simcore::pool::run_indexed(values.len(), |i| {
+                legs(&values[i], seed)?
                     .into_iter()
                     .map(SimulationBuilder::run_report)
                     .collect()
             });
-        let mut results = results.into_iter();
         values
             .into_iter()
-            .map(|value| {
-                // [replication][leg], in seed order.
-                let reps: Vec<Vec<SimReport>> = (0..k)
-                    .map(|_| results.next().expect("one result per job"))
-                    .collect::<Result<_, _>>()?;
-                let legs_n = reps[0].len();
-                assert!(
-                    reps.iter().all(|r| r.len() == legs_n),
-                    "legs must not depend on the seed"
-                );
-                let summaries = (0..legs_n)
-                    .map(|j| {
-                        if k == 1 {
-                            summarize(std::slice::from_ref(&reps[0][j]))
-                        } else {
-                            let leg: Vec<SimReport> =
-                                reps.iter().map(|rep| rep[j].clone()).collect();
-                            summarize(&leg)
-                        }
-                    })
-                    .collect();
-                let reports = reps.into_iter().next().expect("at least one replication");
+            .zip(results)
+            .map(|(value, reports)| {
                 Ok(SweepRow {
                     value,
-                    reports,
-                    summaries,
+                    reports: reports?,
                 })
             })
             .collect()
@@ -736,27 +678,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
         assert!(err.to_string().contains("target 1.2"), "{err}");
-    }
-
-    #[test]
-    fn replications_summarize_each_leg_across_seeds() {
-        let rows = SweepBuilder::scale(&[4], &[PowerPolicy::reactive_suspend()], 13)
-            .replications(3)
-            .run()
-            .unwrap();
-        assert_eq!(rows.len(), 1);
-        let summary = &rows[0].summaries[0];
-        assert_eq!(summary.runs, 3);
-        assert_eq!(summary.policy, "PM-Suspend(S3)");
-        assert!(summary.energy_kwh.mean > 0.0);
-        assert!(summary.energy_kwh.std_dev > 0.0, "distinct seeds must vary");
-        // The row report stays the base seed's run.
-        let base = SweepBuilder::scale(&[4], &[PowerPolicy::reactive_suspend()], 13)
-            .run()
-            .unwrap();
-        assert_eq!(rows[0].reports[0], base[0].reports[0]);
-        assert_eq!(base[0].summaries[0].runs, 1);
-        assert_eq!(base[0].summaries[0].energy_kwh.std_dev, 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Trace-record schema and the engine's metric registrations.
 //!
-//! Every record the engine hands a [`obs::TraceSink`] is a flat JSON
+//! Every record the engine streams to an [`obs::JsonlSink`] is a flat JSON
 //! object with a `record` discriminator and, where meaningful, a
 //! `t_seconds` simulated timestamp:
 //!

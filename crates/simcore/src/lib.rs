@@ -11,9 +11,9 @@
 //!   (SplitMix64) with the distribution samplers the workload and placement
 //!   layers need. Using our own tiny PRNG keeps results stable across
 //!   dependency upgrades.
-//! * [`TimeSeries`], [`Histogram`], [`Welford`] — the measurement toolkit
-//!   used by the simulator's metrics pipeline (time-weighted integrals,
-//!   percentiles, online moments).
+//! * [`TimeSeries`], [`percentile`], [`Welford`] — the measurement
+//!   toolkit used by the simulator's metrics pipeline (time-weighted
+//!   integrals, percentiles, online moments).
 //! * [`pool`] — a bounded worker pool for running independent jobs (whole
 //!   simulations, sweep points) in parallel with index-ordered results.
 //!
@@ -44,6 +44,6 @@ mod time;
 pub use event::EventQueue;
 pub use rng::RngStream;
 pub use series::{SeriesPoint, TimeSeries};
-pub use stats::{percentile, Histogram, Welford};
+pub use stats::{percentile, Welford};
 pub use sumtree::{pairwise_sum, SumTree};
 pub use time::{SimDuration, SimTime};

@@ -172,12 +172,6 @@ impl RngStream {
         -u.ln() / lambda
     }
 
-    /// Log-normal draw parameterized by the mean and standard deviation of
-    /// the underlying normal.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Picks an index in `[0, weights.len())` proportionally to `weights`.
     ///
     /// # Panics
@@ -202,14 +196,6 @@ impl RngStream {
             x -= w;
         }
         weights.len() - 1 // floating-point slop: last non-zero bucket
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -325,16 +311,5 @@ mod tests {
     #[should_panic(expected = "weights sum to zero")]
     fn weighted_index_rejects_all_zero() {
         RngStream::new(6).weighted_index(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = RngStream::new(7);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
     }
 }

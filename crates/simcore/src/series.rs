@@ -1,6 +1,6 @@
 //! Step-function time series used for power traces and utilization records.
 
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 
 /// One sample of a time series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,32 +169,6 @@ impl TimeSeries {
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.min(v))))
     }
 
-    /// Resamples the series onto a regular grid of `step`-spaced instants
-    /// starting at the first sample, ending at or before `end`. Each output
-    /// point is the step-function value at that instant.
-    ///
-    /// Used to print plot-ready rows at a fixed cadence regardless of event
-    /// density.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `step` is zero.
-    pub fn resample(&self, step: SimDuration, end: SimTime) -> Vec<SeriesPoint> {
-        assert!(!step.is_zero(), "step must be non-zero");
-        let Some(first) = self.points.first() else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        let mut t = first.time;
-        while t <= end {
-            if let Some(v) = self.value_at(t) {
-                out.push(SeriesPoint { time: t, value: v });
-            }
-            t += step;
-        }
-        out
-    }
-
     /// Pointwise sum of several series, sampled on the union of their
     /// breakpoints. Series contribute zero before their first sample.
     ///
@@ -300,16 +274,6 @@ mod tests {
         assert_eq!(ts.max(), Some(30.0));
         assert_eq!(ts.min(), Some(10.0));
         assert_eq!(TimeSeries::new().max(), None);
-    }
-
-    #[test]
-    fn resample_grid() {
-        let mut ts = TimeSeries::new();
-        ts.record(s(0), 1.0);
-        ts.record(s(25), 2.0);
-        let pts = ts.resample(SimDuration::from_secs(10), s(40));
-        let vals: Vec<f64> = pts.iter().map(|p| p.value).collect();
-        assert_eq!(vals, vec![1.0, 1.0, 1.0, 2.0, 2.0]);
     }
 
     #[test]

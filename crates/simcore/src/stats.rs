@@ -1,4 +1,4 @@
-//! Summary statistics: online moments, percentiles, and histograms.
+//! Summary statistics: online moments and percentiles.
 
 /// Welford's online algorithm for mean and variance.
 ///
@@ -148,105 +148,6 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// A fixed-range linear histogram.
-///
-/// Samples below the range land in the first bucket, above it in the last;
-/// the histogram never loses counts. Used for latency and utilization
-/// distributions in reports.
-///
-/// # Example
-///
-/// ```
-/// use simcore::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 1.0, 10);
-/// h.push(0.05);
-/// h.push(0.95);
-/// assert_eq!(h.count(), 2);
-/// assert_eq!(h.bucket_counts()[0], 1);
-/// assert_eq!(h.bucket_counts()[9], 1);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram covering `[lo, hi)` with `buckets` equal-width
-    /// buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; buckets],
-            total: 0,
-        }
-    }
-
-    /// Adds a sample, clamping out-of-range values to the edge buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN.
-    pub fn push(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN sample");
-        let n = self.counts.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            (((x - self.lo) / (self.hi - self.lo)) * n as f64) as usize
-        };
-        self.counts[idx.min(n - 1)] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-bucket counts.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The lower edge of bucket `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn bucket_lo(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len(), "bucket {i} out of range");
-        self.lo + (self.hi - self.lo) * i as f64 / self.counts.len() as f64
-    }
-
-    /// Fraction of samples at or below the upper edge of bucket `i`
-    /// (empirical CDF evaluated on bucket boundaries).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn cdf_at(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len(), "bucket {i} out of range");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let cum: u64 = self.counts[..=i].iter().sum();
-        cum as f64 / self.total as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,19 +221,5 @@ mod tests {
         // Ranks that touch the NaN propagate it instead of panicking.
         assert!(percentile(&data, 100.0).unwrap().is_nan());
         assert!(percentile(&[f64::NAN], 50.0).unwrap().is_nan());
-    }
-
-    #[test]
-    fn histogram_buckets_and_cdf() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 3.0, 9.9, -1.0, 100.0] {
-            h.push(x);
-        }
-        assert_eq!(h.count(), 6);
-        // -1.0 and 0.5, 1.5 land in bucket 0.. wait -1.0 -> bucket 0, 0.5->0, 1.5->0, 3.0->1, 9.9->4, 100->4
-        assert_eq!(h.bucket_counts(), &[3, 1, 0, 0, 2]);
-        assert!((h.cdf_at(1) - 4.0 / 6.0).abs() < 1e-12);
-        assert_eq!(h.cdf_at(4), 1.0);
-        assert_eq!(h.bucket_lo(1), 2.0);
     }
 }

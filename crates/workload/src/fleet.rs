@@ -60,26 +60,6 @@ impl VmClass {
         self.jitter_phase = false;
         self
     }
-
-    /// Class name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Per-VM resources.
-    pub fn resources(&self) -> Resources {
-        self.resources
-    }
-
-    /// The class demand process.
-    pub fn process(&self) -> &DemandProcess {
-        &self.process
-    }
-
-    /// Mixing weight.
-    pub fn weight(&self) -> f64 {
-        self.weight
-    }
 }
 
 /// A specification for generating a VM fleet.
@@ -119,11 +99,6 @@ impl FleetSpec {
             "at least one class needs positive weight"
         );
         FleetSpec { classes }
-    }
-
-    /// The classes.
-    pub fn classes(&self) -> &[VmClass] {
-        &self.classes
     }
 
     /// Generates `count` VMs with demand traces over `horizon` sampled at

@@ -36,11 +36,9 @@ mod fleet;
 pub mod io;
 mod lifetime;
 pub mod presets;
-mod stats;
 mod trace;
 
 pub use demand::{Ar1Noise, DemandProcess, Shape, SpikeProcess};
 pub use fleet::{Fleet, FleetSpec, VmClass};
 pub use lifetime::{Lifetime, LifetimePlan};
-pub use stats::TraceStats;
 pub use trace::DemandTrace;

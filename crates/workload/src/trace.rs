@@ -100,16 +100,6 @@ impl DemandTrace {
         self.samples.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Smallest sample (zero for an empty trace).
-    pub fn trough(&self) -> f64 {
-        let min = self.samples.iter().copied().fold(f64::INFINITY, f64::min);
-        if min.is_finite() {
-            min
-        } else {
-            0.0
-        }
-    }
-
     /// The trace's total span (`len × step`).
     pub fn span(&self) -> SimDuration {
         self.step * self.samples.len() as u64
@@ -134,19 +124,9 @@ mod tests {
         let t = DemandTrace::from_samples(SimDuration::from_secs(1), vec![0.0, 0.5, 1.0]);
         assert!((t.mean() - 0.5).abs() < 1e-12);
         assert_eq!(t.peak(), 1.0);
-        assert_eq!(t.trough(), 0.0);
         assert_eq!(t.span(), SimDuration::from_secs(3));
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn trough_is_smallest_sample_not_capped_at_one() {
-        // Regression: a fold seeded with 1.0 hid troughs above 1.0's
-        // complement — with all samples at 0.9 the trough is 0.9, and the
-        // seed must not drag it down to 1.0's old cap either way.
-        let t = DemandTrace::from_samples(SimDuration::from_secs(1), vec![0.9, 0.95]);
-        assert_eq!(t.trough(), 0.9);
     }
 
     #[test]
@@ -161,7 +141,6 @@ mod tests {
         assert_eq!(t.at(SimTime::ZERO), 0.0);
         assert_eq!(t.at(SimTime::from_secs(1000)), 0.0);
         assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.trough(), 0.0);
         assert_eq!(t.peak(), 0.0);
     }
 

@@ -198,7 +198,7 @@ fn pooled_sweep_matches_serial_loop() {
 #[test]
 fn jsonl_sink_does_not_perturb_the_simulation() {
     static SINK_SERIAL: AtomicU64 = AtomicU64::new(0);
-    check::check("JSONL sink == null sink", &experiment_spec(), |spec| {
+    check::check("JSONL sink == no sink", &experiment_spec(), |spec| {
         let scenario = spec.scenario.build();
         let path = std::env::temp_dir().join(format!(
             "agilepm-differential-{}-{}.jsonl",
@@ -212,7 +212,7 @@ fn jsonl_sink_does_not_perturb_the_simulation() {
         let _ = std::fs::remove_file(&path);
         let with_sink = with_sink?;
         let without = check_support::run_experiment(spec.experiment().record_events())
-            .map_err(|e| format!("{spec:?}: null run failed: {e:?}"))?;
+            .map_err(|e| format!("{spec:?}: sinkless run failed: {e:?}"))?;
         check::prop_assert!(trace_len > 0, "sink produced an empty trace file");
         assert_equivalent(&scenario, &with_sink, &without, "sink-vs-null")
     });

@@ -233,10 +233,9 @@ fn fleet_generation_counts() {
 }
 
 /// Every calibrated preset must present a monotonic power-state ladder:
-/// deeper rungs rest at lower power and wake slower. (The theoretical
-/// `ideal_proportional` machine is exempt — its rungs all rest at 0 W —
-/// as are the F7 resume-latency overrides, which perturb wake latency
-/// on purpose.)
+/// deeper rungs rest at lower power and wake slower. (The F7
+/// resume-latency overrides are exempt: they perturb wake latency on
+/// purpose.)
 #[test]
 fn calibrated_profiles_have_monotonic_ladders() {
     for profile in [

@@ -269,10 +269,10 @@ fn failing_hosts_eventually_return_or_stay_quarantined() {
                     *last = release;
                 }
             }
-            // Phase 2: failures stop. After probation plus the longest
-            // backoff, every host must be back in service.
+            // Phase 2: failures stop. After the one-hour probation plus
+            // the longest backoff, every host must be back in service.
             let quiet = SimTime::from_secs(24 * 300)
-                + config.probation()
+                + SimDuration::from_mins(60)
                 + config.backoff_cap()
                 + SimDuration::from_mins(5);
             observe(&mut tracker, quiet, &cumulative);
