@@ -20,15 +20,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Names kept public without a caller, each with its reason.
-allowlist=(
-  # The trace-file format's reader and writer are kept for the parked
-  # trace-replay work (ROADMAP item 4), which feeds recorded
-  # utilization traces to the simulator.
-  parse_trace_csv
-  write_trace_csv
-)
-
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 mkdir -p "$tmp/code" "$tmp/test"
@@ -64,9 +55,6 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
   for item in $items; do
     kind=${item%%:*}
     name=${item#*:}
-    for allowed in "${allowlist[@]}"; do
-      [[ $name == "$allowed" ]] && continue 2
-    done
     if [[ $kind == fn ]]; then
       # A call, a turbofish, a path, or the function passed as a value;
       # `x.name` alone is a field of the same name, not a use.

@@ -18,7 +18,9 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("run `agilepm help` for usage");
+            if e.is::<args::ArgError>() {
+                eprintln!("run `agilepm help` for usage");
+            }
             ExitCode::FAILURE
         }
     }

@@ -202,7 +202,7 @@ impl UtilizationIndex {
     }
 
     /// The bucket `host` currently sits in, if any.
-    pub fn bucket_of_host(&self, host: usize) -> Option<usize> {
+    fn bucket_of_host(&self, host: usize) -> Option<usize> {
         match self.host_bucket[host] {
             NOT_INDEXED => None,
             b => Some(b as usize),

@@ -25,9 +25,9 @@ use crate::ConfigError;
 /// p.observe(SimTime::from_secs(9 * 3600), 120.0); // 9am, day 1
 /// // Next day, same time-of-day: the forecast knows.
 /// let tomorrow = SimTime::from_secs((24 + 9) * 3600);
-/// assert_eq!(p.forecast(tomorrow), Some(120.0));
+/// assert_eq!(p.forecast_max(tomorrow, SimDuration::ZERO), Some(120.0));
 /// // A never-observed bucket has no forecast.
-/// assert_eq!(p.forecast(SimTime::from_secs(3 * 3600)), None);
+/// assert_eq!(p.forecast_max(SimTime::from_secs(3 * 3600), SimDuration::ZERO), None);
 /// # Ok::<(), agile_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +99,7 @@ impl DayProfile {
 
     /// The learned demand for the time-of-day bucket containing `t`, or
     /// `None` if that bucket has never been observed.
-    pub fn forecast(&self, t: SimTime) -> Option<f64> {
+    fn forecast(&self, t: SimTime) -> Option<f64> {
         let b = self.bucket_of(t);
         self.seen[b].then(|| self.buckets[b])
     }

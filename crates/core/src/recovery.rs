@@ -302,7 +302,7 @@ impl RecoveryTracker {
     }
 
     /// Whether `host` is still inside its post-failure backoff window.
-    pub fn in_backoff(&self, host: usize, now: SimTime) -> bool {
+    fn in_backoff(&self, host: usize, now: SimTime) -> bool {
         now < self.backoff_until[host]
     }
 

@@ -84,7 +84,7 @@ impl LowPowerMode {
     }
 
     /// Whether `profile` implements both of this rung's transitions.
-    pub fn supported_by(self, profile: &HostPowerProfile) -> bool {
+    fn supported_by(self, profile: &HostPowerProfile) -> bool {
         profile.transitions().spec(self.down()).is_some()
             && profile.transitions().spec(self.up()).is_some()
     }

@@ -123,7 +123,7 @@ impl DvfsModel {
 
     /// The lowest level that can serve `util` of nominal capacity
     /// (falls back to nominal for overload).
-    pub fn level_for(&self, util: f64) -> DvfsLevel {
+    fn level_for(&self, util: f64) -> DvfsLevel {
         let util = util.clamp(0.0, 1.0);
         *self
             .levels

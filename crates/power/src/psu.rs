@@ -25,7 +25,7 @@
 /// let wall = psu.wall_power_w(200.0);
 /// assert!((wall - 200.0 / 0.94).abs() < 1.0);
 /// // Light load is much less efficient.
-/// assert!(psu.efficiency_at(10.0) < 0.80);
+/// assert!(psu.wall_power_w(10.0) > 10.0 / 0.80);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PsuModel {
@@ -99,7 +99,7 @@ impl PsuModel {
 
     /// Conversion efficiency at a given DC draw (load clamped to
     /// `[0, 1]` of capacity).
-    pub fn efficiency_at(&self, dc_watts: f64) -> f64 {
+    fn efficiency_at(&self, dc_watts: f64) -> f64 {
         let load = (dc_watts / self.capacity_w).clamp(0.0, 1.0);
         let seg = self
             .knots

@@ -189,7 +189,7 @@ impl PowerStateMachine {
     /// # Panics
     ///
     /// Panics if `initial` is a transitional state.
-    pub fn with_initial_state(
+    fn with_initial_state(
         profile: impl Into<Arc<HostPowerProfile>>,
         initial: PowerState,
         t0: SimTime,

@@ -3,9 +3,12 @@
 //! ownership is built on.
 //!
 //! * [`run_indexed`] — parallelism *across* independent jobs (whole
-//!   simulations, sweep points). Workers claim indices atomically and
-//!   results come back in index order. A single run is always
-//!   single-threaded; cores pay by running runs side by side.
+//!   simulations, sweep points, fixed chunks of a fleet's demand traces
+//!   in `workload::FleetSpec::generate`). Workers claim indices
+//!   atomically and results come back in index order. A single run is
+//!   always single-threaded; cores pay by running runs side by side, or
+//!   by generating a scenario's traces in one fan-out before its run
+//!   starts.
 //! * [`shard_ranges`] — a pure `(len, shards)` split of `0..len` into
 //!   contiguous near-equal ranges.
 //!
@@ -23,7 +26,12 @@ use std::thread;
 /// worker threads; returns the results in index order.
 ///
 /// The worker count is `min(available_parallelism, num_jobs)`. With one
-/// worker the jobs run sequentially on the calling thread.
+/// worker the jobs run sequentially on the calling thread and no thread
+/// starts. The call opens one thread scope and joins it once, so it pays
+/// for jobs of milliseconds or more (a run, a sweep point, 4096 VMs'
+/// traces), not for per-tick work. A job may itself call `run_indexed`
+/// (a `run_all` experiment generating its fleet); the nested pool is
+/// bounded the same way.
 ///
 /// # Panics
 ///

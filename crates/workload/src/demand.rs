@@ -148,7 +148,7 @@ impl Shape {
     /// A copy with the phase replaced (for shapes that have one); other
     /// shapes are returned unchanged. Fleet generation uses this to
     /// de-synchronize VMs.
-    pub fn with_phase(self, new_phase: f64) -> Shape {
+    fn with_phase(self, new_phase: f64) -> Shape {
         match self {
             Shape::Diurnal {
                 base,
@@ -269,7 +269,7 @@ impl DemandProcess {
     ///
     /// Panics if the rate or magnitude is negative, or the mean duration
     /// is zero.
-    pub fn with_spikes(
+    fn with_spikes(
         mut self,
         rate_per_day: f64,
         magnitude: f64,
@@ -361,14 +361,25 @@ impl DemandProcess {
         rng: &mut RngStream,
         spike_windows: &[(SimTime, SimTime)],
     ) -> DemandTrace {
-        assert!(!step.is_zero(), "step must be non-zero");
-        let n = horizon.div_ceil(step);
-        assert!(n > 0, "horizon shorter than one step");
+        let n = sample_count(horizon, step);
+        self.fill_trace(step, n, rng, spike_windows, Vec::with_capacity(n))
+    }
 
-        let mut samples = Vec::with_capacity(n as usize);
+    /// Pushes the trace's `n` samples onto `samples`, an empty buffer,
+    /// and wraps it as the trace. Fleet generation allocates the
+    /// buffers on the calling thread and fills them on the pool.
+    pub(crate) fn fill_trace(
+        &self,
+        step: SimDuration,
+        n: usize,
+        rng: &mut RngStream,
+        spike_windows: &[(SimTime, SimTime)],
+        mut samples: Vec<f64>,
+    ) -> DemandTrace {
+        debug_assert!(samples.is_empty());
         let mut ar = 0.0f64;
         for k in 0..n {
-            let t = SimTime::ZERO + step * k;
+            let t = SimTime::ZERO + step * k as u64;
             let mut v = self.shape.value_at(t);
             if let Some(noise) = self.noise {
                 ar = noise.rho * ar
@@ -417,6 +428,18 @@ impl DemandProcess {
         }
         windows
     }
+}
+
+/// The number of samples in a trace over `horizon` at `step`.
+///
+/// # Panics
+///
+/// Panics if `step` is zero or `horizon` is zero.
+pub(crate) fn sample_count(horizon: SimDuration, step: SimDuration) -> usize {
+    assert!(!step.is_zero(), "step must be non-zero");
+    let n = horizon.div_ceil(step);
+    assert!(n > 0, "horizon shorter than one step");
+    n as usize
 }
 
 #[cfg(test)]
