@@ -2,10 +2,11 @@
 //!
 //! Each public `exp_*` function regenerates one table or figure of the
 //! paper's evaluation (see `DESIGN.md` for the experiment index) and
-//! returns its plain-text rendering. The binaries in `src/bin/` are thin
-//! wrappers; `run_all` executes the full evaluation.
+//! returns its plain-text rendering. The `run_all` binary holds the one
+//! table of experiment ids and titles and runs the full evaluation, or
+//! the experiments `--only ID,..` names.
 //!
-//! Scale note: the headline experiments run at 64 hosts / 256 VMs —
+//! Scale note: the headline experiments run at 64 hosts / 384 VMs —
 //! large enough for the fleet-level effects, small enough to regenerate
 //! in seconds. The scale-out sweep (F8) goes to 16384 hosts; base and PM
 //! runs at every size share one worker-pool batch.
@@ -34,9 +35,3 @@ pub const HEADLINE_HOSTS: usize = 64;
 pub const HEADLINE_VMS: usize = 384;
 /// The workspace-wide experiment seed.
 pub const SEED: u64 = 2013;
-
-/// Prints an experiment banner followed by its body.
-pub fn print_experiment(id: &str, title: &str, body: &str) {
-    println!("==== {id}: {title} ====");
-    println!("{body}");
-}

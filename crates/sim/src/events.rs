@@ -136,6 +136,19 @@ fn field_err(what: &str) -> JsonError {
     }
 }
 
+/// The instant `seconds` names, if it is a whole number of milliseconds
+/// in `SimTime`'s range: a negative, non-finite, sub-millisecond or
+/// past-`u64`-millisecond timestamp is `None`, not a clamped or rounded
+/// time. Whole milliseconds are exactly what [`SimTime::as_secs_f64`]
+/// writes back, so an accepted record re-serialises unchanged.
+fn time_from_seconds(seconds: f64) -> Option<SimTime> {
+    let millis = (seconds * 1000.0).round();
+    // 2^64 is exact in f64; every finite value below it fits a u64.
+    let in_range = (0.0..18_446_744_073_709_551_616.0).contains(&millis);
+    let time = SimTime::from_millis(millis as u64);
+    (in_range && time.as_secs_f64() == seconds).then_some(time)
+}
+
 impl EventRecord {
     /// Renders the event as a flat JSON object — the same schema the
     /// engine streams to trace sinks (`record` discriminator +
@@ -232,7 +245,9 @@ impl EventRecord {
     /// # Errors
     ///
     /// Returns a [`JsonError`] when the discriminator, phase, or any
-    /// required field is missing or of the wrong type.
+    /// required field is missing or of the wrong type, when `t_seconds`
+    /// is not a whole number of milliseconds in [`SimTime`]'s range, or
+    /// when the record has a field its kind does not write.
     pub fn from_json(json: &Json) -> Result<Self, JsonError> {
         let str_field = |k: &str| -> Result<&str, JsonError> {
             json.get(k)
@@ -248,14 +263,11 @@ impl EventRecord {
         };
         let vm = |k: &str| u32_field(k).map(VmId);
         let host = |k: &str| u32_field(k).map(HostId);
-        let time = SimTime::from_millis(
-            (json
-                .get("t_seconds")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| field_err("t_seconds"))?
-                * 1000.0)
-                .round() as u64,
-        );
+        let time = json
+            .get("t_seconds")
+            .and_then(Json::as_f64)
+            .and_then(time_from_seconds)
+            .ok_or_else(|| field_err("t_seconds"))?;
         let kind = match (
             str_field("record")?,
             json.get("phase").and_then(Json::as_str),
@@ -307,7 +319,17 @@ impl EventRecord {
                 })
             }
         };
-        Ok(EventRecord { time, kind })
+        let record = EventRecord { time, kind };
+        // Every field was read above, so an equal count means no field
+        // outside the record's schema (which a re-write would drop).
+        let fields = |j: &Json| j.as_object().map(<[_]>::len);
+        if fields(json) != fields(&record.to_json()) {
+            return Err(JsonError {
+                message: format!("{kind:?} event record has a field its kind does not write"),
+                offset: 0,
+            });
+        }
+        Ok(record)
     }
 }
 
@@ -429,6 +451,41 @@ mod tests {
             ("t_seconds", Json::Num(1.0)),
         ]);
         assert!(EventRecord::from_json(&j).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_fields_outside_the_schema() {
+        // A migration start relabelled as a completion still carries its
+        // destination, which a completion record does not write.
+        let text = r#"{"record":"migration","t_seconds":1,"phase":"completed","vm":3,"to_host":5}"#;
+        assert!(EventRecord::from_json(&Json::parse(text).unwrap()).is_err());
+        let text = r#"{"record":"action-rejected","t_seconds":1,"phase":"x"}"#;
+        assert!(EventRecord::from_json(&Json::parse(text).unwrap()).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_malformed_timestamps() {
+        let at = |t: &str| {
+            let text = format!(r#"{{"record":"action-rejected","t_seconds":{t}}}"#);
+            EventRecord::from_json(&Json::parse(&text).unwrap()).map(|e| e.time)
+        };
+        // Negative, non-finite (the writer's spelling of NaN/inf is
+        // `null`), past u64 milliseconds, and between milliseconds.
+        for t in [
+            "-5",
+            "-0.4",
+            "null",
+            "1e30",
+            "1.8446744073709552e16",
+            "1.0005",
+        ] {
+            let err = at(t).expect_err(t);
+            assert!(err.message.contains("t_seconds"), "{t}: {err}");
+        }
+        assert_eq!(at("0"), Ok(SimTime::ZERO));
+        assert_eq!(at("90.5"), Ok(SimTime::from_millis(90_500)));
+        let far = SimTime::from_millis(1 << 53);
+        assert_eq!(at(&format!("{:?}", far.as_secs_f64())), Ok(far));
     }
 
     /// Parses `fields` (with `{id}` substituted) as an event record.

@@ -1,0 +1,259 @@
+//! EXPERIMENTS.md quotes `bench_results.txt`, the archived output of
+//! `run_all`; this test keeps the quotes from drifting.
+//!
+//! * Every fenced block under an `## ID — …` heading must appear
+//!   verbatim, as consecutive lines, in the `==== ID: … ====` block.
+//! * Every table right after a `<!-- bench_results: ID -->` marker must
+//!   match a table of that block: doc rows find run rows by their first
+//!   cell, doc columns find run columns by header, and every number must
+//!   lie strictly within half a unit of its last printed digit (a tie
+//!   must be copied in full). Cells are compared after dropping `**`,
+//!   `%` and whitespace (so digit grouping too), with `×` read as `x` and
+//!   `—` as `-`.
+
+use std::collections::BTreeMap;
+
+const DOC: &str = include_str!("../EXPERIMENTS.md");
+const RESULTS: &str = include_str!("../bench_results.txt");
+
+/// Experiments whose tables or blocks EXPERIMENTS.md must keep checked.
+const REQUIRED: [&str; 7] = ["T5", "F7", "T9", "T13b", "F17", "T26", "T27"];
+
+/// Each experiment's archived lines, banner excluded.
+fn blocks() -> BTreeMap<&'static str, Vec<&'static str>> {
+    let mut blocks = BTreeMap::new();
+    let mut current: Option<&mut Vec<&str>> = None;
+    for line in RESULTS.lines() {
+        if let Some(rest) = line.strip_prefix("==== ") {
+            let id = rest.split(':').next().unwrap_or_default();
+            current = Some(blocks.entry(id).or_default());
+        } else if let Some(block) = current.as_mut() {
+            block.push(line);
+        }
+    }
+    blocks
+}
+
+/// A table as header cells and data rows.
+type Table = (Vec<String>, Vec<Vec<String>>);
+
+/// Every table `run_all` printed in `block`: a header line, a rule of
+/// dashes, then rows up to the next blank line. Header cells are
+/// separated by two or more spaces, row cells by any whitespace.
+fn run_tables(block: &[&str]) -> Result<Vec<Table>, String> {
+    let mut tables = Vec::new();
+    for (i, line) in block.iter().enumerate().skip(1) {
+        if line.is_empty() || !line.chars().all(|c| c == '-') {
+            continue;
+        }
+        let header: Vec<String> = block[i - 1]
+            .split("  ")
+            .map(str::trim)
+            .filter(|cell| !cell.is_empty())
+            .map(String::from)
+            .collect();
+        let mut rows = Vec::new();
+        for row in block[i + 1..].iter().take_while(|row| !row.is_empty()) {
+            let cells: Vec<String> = row.split_whitespace().map(String::from).collect();
+            if cells.len() != header.len() {
+                return Err(format!("run row {row:?} does not split into {header:?}"));
+            }
+            rows.push(cells);
+        }
+        tables.push((header, rows));
+    }
+    Ok(tables)
+}
+
+/// The markdown table starting at `lines[0]`.
+fn doc_table(lines: &[&str]) -> Table {
+    let cells = |line: &str| -> Vec<String> {
+        let line = line.trim().trim_start_matches('|').trim_end_matches('|');
+        line.split('|')
+            .map(|cell| cell.trim().to_string())
+            .collect()
+    };
+    let mut rows = lines.iter().take_while(|line| line.starts_with('|'));
+    let header = rows.next().map(|line| cells(line)).unwrap_or_default();
+    (header, rows.skip(1).map(|line| cells(line)).collect())
+}
+
+fn normalise(cell: &str) -> String {
+    cell.replace("**", "")
+        .chars()
+        .filter(|c| *c != '%' && !c.is_whitespace())
+        .map(|c| match c {
+            '×' => 'x',
+            '—' | '–' | '−' => '-',
+            c => c,
+        })
+        .collect()
+}
+
+#[derive(Debug, PartialEq)]
+enum Token {
+    /// A decimal number as mantissa and digits after the point.
+    Num(i128, u32),
+    Text(char),
+}
+
+fn tokens(cell: &str) -> Vec<Token> {
+    let chars: Vec<char> = normalise(cell).chars().collect();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < chars.len() {
+        let signed = matches!(chars[i], '+' | '-');
+        let start = i + usize::from(signed);
+        if !chars.get(start).is_some_and(char::is_ascii_digit) {
+            out.push(Token::Text(chars[i]));
+            i += 1;
+            continue;
+        }
+        let (mut mantissa, mut decimals, mut j, mut point) = (0i128, 0u32, start, false);
+        while let Some(&c) = chars.get(j) {
+            if let Some(d) = c.to_digit(10) {
+                mantissa = mantissa * 10 + i128::from(d);
+                decimals += u32::from(point);
+            } else if c == '.' && !point && chars.get(j + 1).is_some_and(char::is_ascii_digit) {
+                point = true;
+            } else {
+                break;
+            }
+            j += 1;
+        }
+        out.push(Token::Num(
+            if chars[i] == '-' { -mantissa } else { mantissa },
+            decimals,
+        ));
+        i = j;
+    }
+    out
+}
+
+/// Whether the doc cell quotes the run cell: the same text, and each
+/// number strictly within half a unit of the doc's last digit.
+fn quotes(doc: &str, run: &str) -> bool {
+    let (doc, run) = (tokens(doc), tokens(run));
+    doc.len() == run.len()
+        && doc.iter().zip(&run).all(|pair| match pair {
+            (&Token::Num(d, k), &Token::Num(r, m)) => {
+                let s = k.max(m);
+                let (d, r) = (d * 10i128.pow(s - k), r * 10i128.pow(s - m));
+                2 * (d - r).abs() < 10i128.pow(s - k)
+            }
+            (d, r) => d == r,
+        })
+}
+
+/// Every disagreement between a doc table and the run's tables.
+fn check_table(id: &str, doc: &Table, block: &[&str]) -> Vec<String> {
+    let key = |h: &str| normalise(h).to_lowercase();
+    let tables = match run_tables(block) {
+        Ok(tables) => tables,
+        Err(e) => return vec![format!("{id}: {e}")],
+    };
+    let columns = |run: &Table| -> Option<Vec<usize>> {
+        doc.0
+            .iter()
+            .map(|h| run.0.iter().position(|r| key(r) == key(h)))
+            .collect()
+    };
+    let Some((run, columns)) = tables
+        .iter()
+        .find_map(|run| columns(run).map(|cols| (run, cols)))
+    else {
+        return vec![format!("{id}: no run table has the columns {:?}", doc.0)];
+    };
+    if doc.1.is_empty() {
+        return vec![format!("{id}: the marked table has no rows")];
+    }
+    let mut errors = Vec::new();
+    for row in &doc.1 {
+        let found = run
+            .1
+            .iter()
+            .find(|r| normalise(&r[0]) == normalise(&row[0]));
+        let Some(run_row) = found else {
+            errors.push(format!("{id}: no run row {:?}", row[0]));
+            continue;
+        };
+        for (cell, &c) in row.iter().zip(&columns) {
+            if !quotes(cell, &run_row[c]) {
+                errors.push(format!(
+                    "{id}: row {:?} column {:?}: doc {cell:?}, run {:?}",
+                    row[0], run.0[c], run_row[c]
+                ));
+            }
+        }
+    }
+    errors
+}
+
+#[test]
+fn experiments_doc_quotes_bench_results() {
+    let blocks = blocks();
+    let lines: Vec<&str> = DOC.lines().collect();
+    let mut errors = Vec::new();
+    let mut checked = Vec::new();
+    let mut section: Option<&str> = None;
+    let mut i = 0;
+    while i < lines.len() {
+        let line = lines[i];
+        if let Some(heading) = line.strip_prefix("## ") {
+            section = heading.split_once(" — ").map(|(id, _)| id);
+        }
+        if let Some(id) = line
+            .strip_prefix("<!-- bench_results: ")
+            .and_then(|rest| rest.strip_suffix(" -->"))
+        {
+            checked.push(id);
+            let start = i + 1 + lines[i + 1..].iter().take_while(|l| l.is_empty()).count();
+            let table = doc_table(&lines[start..]);
+            match blocks.get(id) {
+                Some(block) => errors.extend(check_table(id, &table, block)),
+                None => errors.push(format!("{id}: no such block in bench_results.txt")),
+            }
+        }
+        if line.starts_with("```") {
+            let len = lines[i + 1..]
+                .iter()
+                .position(|l| l.starts_with("```"))
+                .expect("fenced block is closed");
+            let fenced = &lines[i + 1..i + 1 + len];
+            if let Some(id) = section {
+                checked.push(id);
+                let block = blocks.get(id).map_or(&[][..], Vec::as_slice);
+                if !block.windows(fenced.len()).any(|w| w == fenced) {
+                    errors.push(format!("{id}: fenced block is not in its run block"));
+                }
+            }
+            i += len + 1;
+        }
+        i += 1;
+    }
+    for id in REQUIRED {
+        if !checked.contains(&id) {
+            errors.push(format!("{id}: nothing in EXPERIMENTS.md is checked"));
+        }
+    }
+    assert!(errors.is_empty(), "{}", errors.join("\n"));
+}
+
+#[test]
+fn quoting_rounds_to_the_doc_precision() {
+    assert!(quotes("**0.078 %**", "0.078%"));
+    assert!(quotes("1.71 %", "1.7132%"));
+    assert!(quotes("21 326", "21326"));
+    assert!(quotes("1.86×", "1.86x"));
+    assert!(quotes("—", "-"));
+    assert!(quotes("0 / 0 / 157", "0/0/157"));
+    assert!(quotes("+29.4 %", "+29.4%"));
+    assert!(quotes("0", "0.0"));
+    // A one-digit edit, a tie rounded either way, a sign, a unit.
+    assert!(!quotes("1.72 %", "1.7132%"));
+    assert!(!quotes("80.3", "80.25"));
+    assert!(!quotes("80.2", "80.25"));
+    assert!(!quotes("-29.4 %", "+29.4%"));
+    assert!(!quotes("1.86", "1.86x"));
+    assert!(!quotes("0 / 1 / 157", "0/0/157"));
+}

@@ -2,6 +2,7 @@
 //! lifecycle churn, audit logging, and their interactions.
 
 use agilepm::core::{ClusterObservation, HostObservation, RecoveryConfig, RecoveryTracker};
+use agilepm::obs::Json;
 use agilepm::prelude::*;
 use agilepm::sim::events::EventKind;
 use check::{gen, prop_assert};
@@ -340,6 +341,185 @@ fn report_round_trips_through_json() {
     assert_eq!(back, report);
     let json2 = back.to_json().to_string_compact();
     assert_eq!(json2, json, "serialization must be stable");
+}
+
+/// One targeted edit of a report's JSON. Indices wrap around the
+/// report's fields, its events and an event's fields.
+#[derive(Debug, Clone)]
+enum Corruption {
+    /// Remove a top-level field.
+    Drop(usize),
+    /// Replace a top-level field's value.
+    Set(usize, Json),
+    /// Remove one field of one event.
+    DropInEvent(usize, usize),
+    /// Replace one field of one event.
+    SetInEvent(usize, usize, Json),
+}
+
+/// Values of every JSON type: wrong types for most fields, and numbers
+/// and strings that stress the typed ones (negative, fractional, past
+/// `i64`/`u64` milliseconds, non-finite, between milliseconds, and
+/// labels of the wrong record or phase).
+fn json_value() -> gen::Gen<Json> {
+    let nums = [
+        -5.0,
+        -0.4,
+        -0.0,
+        0.5,
+        1.0005,
+        3.0,
+        1e30,
+        -1e300,
+        1.8446744073709552e19,
+        f64::NAN,
+        f64::INFINITY,
+    ];
+    let labels = [
+        "",
+        "x",
+        "migration",
+        "started",
+        "completed",
+        "failed",
+        "stuck",
+        "arrived",
+        "deferred",
+        "departed",
+        "boot",
+        "On",
+        "Headroom",
+    ];
+    gen::choice(vec![
+        gen::one_of(vec![
+            Json::Null,
+            Json::Bool(true),
+            Json::Int(0),
+            Json::Int(-1),
+        ]),
+        gen::one_of(vec![
+            Json::Int(i64::MAX),
+            Json::Int(i64::MIN),
+            Json::Int(1 << 32),
+        ]),
+        gen::one_of(nums.map(Json::Num).to_vec()),
+        gen::i64_in(-2..=5_000).map(Json::Int),
+        gen::f64_in(-1.0, 1e6).map(Json::Num),
+        gen::one_of(labels.map(|s| Json::Str(s.to_string())).to_vec()),
+        gen::one_of(vec![
+            Json::Array(vec![]),
+            Json::Array(vec![Json::Int(1), Json::Num(2.0)]),
+            Json::Array(vec![Json::Array(vec![Json::Int(0), Json::Num(1.5)])]),
+            Json::obj([]),
+            Json::obj([("name", Json::Str("x".into()))]),
+        ]),
+    ])
+}
+
+fn corruption() -> gen::Gen<Corruption> {
+    let index = || gen::usize_in(0..=63);
+    gen::choice(vec![
+        index().map(Corruption::Drop),
+        index()
+            .zip(&json_value())
+            .map(|(f, v)| Corruption::Set(f, v)),
+        index()
+            .zip(&index())
+            .map(|(e, f)| Corruption::DropInEvent(e, f)),
+        index()
+            .zip(&index())
+            .zip(&json_value())
+            .map(|((e, f), v)| Corruption::SetInEvent(e, f, v)),
+    ])
+}
+
+/// Index `i` wrapped into `0..len` (0 when empty).
+fn wrap(i: usize, len: usize) -> usize {
+    i % len.max(1)
+}
+
+/// The fields of event `e` (wrapped) in a report's top-level members.
+fn event_fields(fields: &mut [(String, Json)], e: usize) -> Option<&mut Vec<(String, Json)>> {
+    let (_, Json::Array(events)) = fields.iter_mut().find(|(k, _)| k == "events")? else {
+        return None;
+    };
+    let i = wrap(e, events.len());
+    match events.get_mut(i)? {
+        Json::Object(event) => Some(event),
+        _ => None,
+    }
+}
+
+/// Applies `corruption` to `fields`, the report's top-level members.
+fn corrupt(fields: &mut Vec<(String, Json)>, corruption: &Corruption) {
+    match corruption {
+        Corruption::Drop(f) => {
+            fields.remove(wrap(*f, fields.len()));
+        }
+        Corruption::Set(f, v) => {
+            let i = wrap(*f, fields.len());
+            fields[i].1 = v.clone();
+        }
+        Corruption::DropInEvent(e, f) => {
+            if let Some(event) = event_fields(fields, *e) {
+                event.remove(wrap(*f, event.len()));
+            }
+        }
+        Corruption::SetInEvent(e, f, v) => {
+            if let Some(event) = event_fields(fields, *e) {
+                let i = wrap(*f, event.len());
+                event[i].1 = v.clone();
+            }
+        }
+    }
+}
+
+/// JSON equality up to number spelling: `5` and `5.0` are one number.
+fn same_json(a: &Json, b: &Json) -> bool {
+    match (a, b) {
+        (Json::Array(x), Json::Array(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same_json(a, b))
+        }
+        (Json::Object(x), Json::Object(y)) => {
+            x.len() == y.len()
+                && x.iter()
+                    .zip(y)
+                    .all(|((k, a), (l, b))| k == l && same_json(a, b))
+        }
+        (&Json::Int(i), &Json::Num(x)) | (&Json::Num(x), &Json::Int(i)) => i as f64 == x,
+        _ => a == b,
+    }
+}
+
+#[test]
+fn report_from_json_is_total_and_accepts_only_what_it_writes() {
+    let input = experiment_spec().zip(&failure_spec(200)).zip(&corruption());
+    check::check(
+        "corrupted report JSON parses to a typed error or round-trips",
+        &input,
+        |((spec, failures), corruption)| {
+            let report = check_support::run_experiment(
+                spec.experiment()
+                    .failure_model(failures.build())
+                    .record_events(),
+            )
+            .map_err(|e| format!("{spec:?}: run failed: {e:?}"))?;
+            let Json::Object(mut fields) = report.to_json() else {
+                unreachable!("a report renders as an object")
+            };
+            corrupt(&mut fields, corruption);
+            // Through the writer and parser, as a file would arrive.
+            let text = Json::Object(fields).to_string_compact();
+            let json = Json::parse(&text).map_err(|e| format!("writer output rejected: {e}"))?;
+            if let Ok(back) = SimReport::from_json(&json) {
+                prop_assert!(
+                    same_json(&back.to_json(), &json),
+                    "accepted JSON re-serialises differently: {corruption:?}"
+                );
+            }
+            Ok(())
+        },
+    );
 }
 
 #[test]
