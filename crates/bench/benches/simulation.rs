@@ -3,6 +3,8 @@
 //! enter/exit and trace reads. `scaleout` measures the same day at
 //! fleet scale.
 
+use std::hint::black_box;
+
 use agile_core::PowerPolicy;
 use bench::microbench::time;
 use dcsim::{Experiment, Scenario, SimulationBuilder};
@@ -42,13 +44,16 @@ fn main() {
     );
 
     // The raw enter/exit pair. Disabled, it is an early-return no-op
-    // (obs's own tests check that it never touches the arena).
+    // (obs's own tests check that it never touches the arena). The
+    // tracer and the name pass through `black_box` on every pair, or the
+    // compiler folds the whole disabled loop away.
     let mut disabled = SpanTracer::new();
     let tick = disabled.name("tick");
     time("span_enter_exit_disabled_100k", 8, 64, || {
         for _ in 0..100_000 {
-            disabled.enter(tick);
-            disabled.exit(tick);
+            let (tracer, name) = (black_box(&mut disabled), black_box(tick));
+            tracer.enter(name);
+            tracer.exit(name);
         }
     });
     let mut enabled = SpanTracer::enabled();

@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use power::breakeven::LadderSummary;
 use power::{HostPowerProfile, PowerState, PowerStateMachine};
 use simcore::SimTime;
 
@@ -51,7 +50,6 @@ pub struct Host {
     id: HostId,
     capacity: Resources,
     power: PowerStateMachine,
-    ladder: LadderSummary,
 }
 
 impl Host {
@@ -60,7 +58,6 @@ impl Host {
             id,
             capacity: spec.capacity,
             power: PowerStateMachine::new(Arc::clone(&spec.profile), t0),
-            ladder: LadderSummary::of(&spec.profile),
         }
     }
 
@@ -88,12 +85,6 @@ impl Host {
     /// transition counts).
     pub fn power(&self) -> &PowerStateMachine {
         &self.power
-    }
-
-    /// Precomputed summary of the host's power-state ladder — what a
-    /// management plane observes without holding the full profile.
-    pub fn ladder(&self) -> LadderSummary {
-        self.ladder
     }
 
     /// Mutable access to the power machine; the cluster uses this to drive

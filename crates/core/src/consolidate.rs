@@ -199,14 +199,10 @@ fn scan_pick_candidate(
 ) -> Option<usize> {
     let n = ctx.num_hosts();
     let (active_capacity, arriving_capacity) = scan_capacity(ctx);
-    let mut max_host_cap = 0.0f64;
-    for h in 0..n {
-        max_host_cap = max_host_cap.max(ctx.cpu_capacity[h]);
-    }
     // The dead-band separates the drain trigger from the wake trigger so
     // demand noise across a single threshold cannot cycle hosts.
     let required = ctx.total_predicted() / cfg.target_utilization()
-        + (cfg.spare_hosts() as f64 + cfg.drain_deadband_frac()) * max_host_cap;
+        + (cfg.spare_hosts() as f64 + cfg.drain_deadband_frac()) * ctx.max_host_cap;
     let pool_capacity = active_capacity + arriving_capacity;
     (0..n)
         .filter(|&h| drainable(ctx, cfg, gate, recovery, now, h, pool_capacity, required))
@@ -243,10 +239,8 @@ fn pick_candidate_indexed(
 ) -> Option<usize> {
     let active_capacity = ctx.index.active_tree.root();
     let arriving_capacity = ctx.index.arriving_tree.root();
-    let max_host_cap = ctx.index.max_host_cap;
-    let total_pred = ctx.total_predicted();
-    let required = total_pred / cfg.target_utilization()
-        + (cfg.spare_hosts() as f64 + cfg.drain_deadband_frac()) * max_host_cap;
+    let required = ctx.total_predicted() / cfg.target_utilization()
+        + (cfg.spare_hosts() as f64 + cfg.drain_deadband_frac()) * ctx.max_host_cap;
     let pool_capacity = active_capacity + arriving_capacity;
     let qualifies = |ctx: &PlanContext, h: usize| {
         drainable(ctx, cfg, gate, recovery, now, h, pool_capacity, required)
@@ -389,49 +383,10 @@ fn undo_moves(ctx: &mut PlanContext, journal: &[MoveUndo]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{all_on_world, host_spec, vm_spec};
     use crate::{ClusterObservation, HostObservation, PowerPolicy, RecoveryConfig, VmObservation};
     use power::PowerState;
     use simcore::SimDuration;
-
-    /// Builds an observation where host `h` carries `demands[h]`.
-    fn obs(host_demands: &[&[f64]]) -> (ClusterObservation, Vec<f64>) {
-        let mut hosts = Vec::new();
-        let mut vms = Vec::new();
-        let mut preds = Vec::new();
-        for (h, demands) in host_demands.iter().enumerate() {
-            hosts.push(HostObservation {
-                id: HostId(h as u32),
-                state: PowerState::On,
-                pending: None,
-                cpu_capacity: 8.0,
-                mem_capacity: 64.0,
-                mem_committed: demands.len() as f64 * 8.0,
-                cpu_demand: demands.iter().sum(),
-                evacuated: demands.is_empty(),
-                failed_transitions: 0,
-                ladder: Default::default(),
-            });
-            for &d in *demands {
-                vms.push(VmObservation {
-                    host: Some(HostId(h as u32)),
-                    cpu_demand: d,
-                    cpu_cap: 8.0,
-                    mem_gb: 8.0,
-                    migrating: false,
-                    service_class: Default::default(),
-                });
-                preds.push(d);
-            }
-        }
-        (
-            ClusterObservation {
-                now: SimTime::ZERO,
-                hosts,
-                vms: vms.into_iter().collect(),
-            },
-            preds,
-        )
-    }
 
     fn cfg() -> ManagerConfig {
         ManagerConfig::new(PowerPolicy::reactive_suspend()).with_spare_hosts(0)
@@ -445,11 +400,43 @@ mod tests {
         RecoveryTracker::new(RecoveryConfig::new(), n)
     }
 
+    /// Two 8-core, 64 GB hosts, built for the round: host 0 carries two
+    /// 24 GB VMs, host 1 one 40 GB VM and almost no free memory. VM `i`
+    /// is predicted at `demands[i]`.
+    fn memory_bound(demands: [f64; 3]) -> PlanContext {
+        let vms = [(0u32, 24.0), (0, 24.0), (1, 40.0)];
+        let o = ClusterObservation {
+            now: SimTime::ZERO,
+            hosts: [48.0, 40.0]
+                .map(|mem_committed| HostObservation {
+                    state: PowerState::On,
+                    mem_committed,
+                    ..HostObservation::default()
+                })
+                .to_vec(),
+            vms: vms
+                .iter()
+                .zip(demands)
+                .map(|(&(h, _), cpu_demand)| VmObservation {
+                    host: Some(HostId(h)),
+                    cpu_demand,
+                    migrating: false,
+                })
+                .collect(),
+        };
+        let hosts = [host_spec(8.0, 64.0), host_spec(8.0, 64.0)];
+        PlanContext::new(&hosts, &vms.map(|(_, mem)| vm_spec(8.0, mem))).with_round(
+            &o,
+            &demands,
+            &[false; 2],
+        )
+    }
+
     #[test]
     fn drains_underloaded_host() {
         // Three hosts, light load everywhere: the least-loaded empties.
-        let (o, preds) = obs(&[&[2.0, 1.0], &[1.5], &[0.5]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 3]);
+        let (inv, o, preds) = all_on_world(&[&[2.0, 1.0], &[1.5], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
         let c = cfg();
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -476,8 +463,8 @@ mod tests {
         // Same fleet as `drains_underloaded_host`, but the prime
         // candidate (host 2) is quarantined: the next-least-loaded host
         // must be picked instead.
-        let (o, preds) = obs(&[&[2.0, 1.0], &[1.5], &[0.5]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 3]);
+        let (inv, o, preds) = all_on_world(&[&[2.0, 1.0], &[1.5], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
         let c = cfg();
         let mut recovery = RecoveryTracker::new(RecoveryConfig::new().with_max_retries(1), 3);
         let mut failing = o.clone();
@@ -503,8 +490,8 @@ mod tests {
     #[test]
     fn keeps_enough_capacity() {
         // Heavy total load: no host can be spared.
-        let (o, preds) = obs(&[&[5.0], &[5.0], &[5.0]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 3]);
+        let (inv, o, preds) = all_on_world(&[&[5.0], &[5.0], &[5.0]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
         let c = cfg();
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -524,8 +511,8 @@ mod tests {
 
     #[test]
     fn hysteresis_blocks_recent_power_ups() {
-        let (o, preds) = obs(&[&[2.0], &[1.0], &[0.5]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 3]);
+        let (inv, o, preds) = all_on_world(&[&[2.0], &[1.0], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
         let c = cfg();
         let mut gate = HysteresisGate::new(SimDuration::from_mins(10), SimDuration::ZERO, 3);
         // Every host just powered up.
@@ -550,52 +537,7 @@ mod tests {
     #[test]
     fn all_or_nothing_rolls_back() {
         // Candidate host's VMs cannot all fit elsewhere (memory-bound).
-        let mut hosts = Vec::new();
-        let mut vms = Vec::new();
-        let mut preds = Vec::new();
-        // Host 0: tiny demand but two big-memory VMs; host 1: almost no
-        // free memory.
-        hosts.push(HostObservation {
-            id: HostId(0),
-            state: PowerState::On,
-            pending: None,
-            cpu_capacity: 8.0,
-            mem_capacity: 64.0,
-            mem_committed: 48.0,
-            cpu_demand: 0.4,
-            evacuated: false,
-            failed_transitions: 0,
-            ladder: Default::default(),
-        });
-        hosts.push(HostObservation {
-            id: HostId(1),
-            state: PowerState::On,
-            pending: None,
-            cpu_capacity: 8.0,
-            mem_capacity: 64.0,
-            mem_committed: 40.0,
-            cpu_demand: 2.0,
-            evacuated: false,
-            failed_transitions: 0,
-            ladder: Default::default(),
-        });
-        for (h, mem) in [(0u32, 24.0), (0, 24.0), (1, 40.0)] {
-            vms.push(VmObservation {
-                host: Some(HostId(h)),
-                cpu_demand: 0.2,
-                cpu_cap: 8.0,
-                mem_gb: mem,
-                migrating: false,
-                service_class: Default::default(),
-            });
-            preds.push(0.2);
-        }
-        let o = ClusterObservation {
-            now: SimTime::ZERO,
-            hosts,
-            vms: vms.into_iter().collect(),
-        };
-        let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
+        let mut ctx = memory_bound([0.2; 3]);
         let c = cfg();
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -625,56 +567,9 @@ mod tests {
         // cached fleet total must come back bit-exact after a rollback.
         // Same memory-bound fixture as `all_or_nothing_rolls_back`, at
         // the minimal fleet size that can attempt and fail a trial.
-        let mut hosts = Vec::new();
-        let mut vms = Vec::new();
-        let mut preds = Vec::new();
-        hosts.push(HostObservation {
-            id: HostId(0),
-            state: PowerState::On,
-            pending: None,
-            cpu_capacity: 8.0,
-            mem_capacity: 64.0,
-            mem_committed: 48.0,
-            cpu_demand: 0.4,
-            evacuated: false,
-            failed_transitions: 0,
-            ladder: Default::default(),
-        });
-        hosts.push(HostObservation {
-            id: HostId(1),
-            state: PowerState::On,
-            pending: None,
-            cpu_capacity: 8.0,
-            mem_capacity: 64.0,
-            mem_committed: 40.0,
-            cpu_demand: 2.0,
-            evacuated: false,
-            failed_transitions: 0,
-            ladder: Default::default(),
-        });
         // Awkward mantissas so a recomputed (re-associated) total would
         // differ in the low bits and fail this test.
-        for (h, mem, demand) in [
-            (0u32, 24.0, 0.1 + 0.2),
-            (0, 24.0, 1.0 / 3.0),
-            (1, 40.0, 0.7),
-        ] {
-            vms.push(VmObservation {
-                host: Some(HostId(h)),
-                cpu_demand: demand,
-                cpu_cap: 8.0,
-                mem_gb: mem,
-                migrating: false,
-                service_class: Default::default(),
-            });
-            preds.push(demand);
-        }
-        let o = ClusterObservation {
-            now: SimTime::ZERO,
-            hosts,
-            vms: vms.into_iter().collect(),
-        };
-        let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
+        let mut ctx = memory_bound([0.1 + 0.2, 1.0 / 3.0, 0.7]);
         let c = cfg();
         let before_total = ctx.total_predicted().to_bits();
         let before_hosts: Vec<u64> = ctx.host_pred_cpu.iter().map(|v| v.to_bits()).collect();
@@ -708,9 +603,9 @@ mod tests {
 
     #[test]
     fn continues_existing_drains_first() {
-        let (o, preds) = obs(&[&[0.5, 0.5], &[2.0], &[2.0]]);
+        let (inv, o, preds) = all_on_world(&[&[0.5, 0.5], &[2.0], &[2.0]]);
         // Host 0 was already marked draining in a previous round.
-        let mut ctx = PlanContext::new(&o, preds, &[true, false, false]);
+        let mut ctx = inv.with_round(&o, &preds, &[true, false, false]);
         let c = cfg();
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -773,8 +668,11 @@ mod tests {
     /// (3 + 3 on 8 cores, 1.5 + 1.5 on 4), so some feasible hosts sit in
     /// the very bucket a destination walk starts or stops at. The last
     /// argument names the world as
-    /// `(hosts, resuming-host mask, VMs, placement, demands)`.
-    fn for_each_small_world(mut f: impl FnMut(&ClusterObservation, &[f64], [usize; 5])) {
+    /// `(hosts, resuming-host mask, VMs, placement, demands)`; the first
+    /// is the world's inventory, as an unbuilt context.
+    fn for_each_small_world(
+        mut f: impl FnMut(&PlanContext, &ClusterObservation, &[f64], [usize; 5]),
+    ) {
         const CPU: [f64; 3] = [8.0, 4.0, 8.0];
         const VM_MEM: [f64; 4] = [8.0, 16.0, 8.0, 16.0];
         const GRID: [f64; 4] = [0.5, 1.5, 3.0, 7.0];
@@ -796,20 +694,14 @@ mod tests {
                         }
                         let hosts = (0..nh)
                             .map(|h| HostObservation {
-                                id: HostId(h as u32),
                                 state: if digit(resuming, 2, h) == 1 {
                                     PowerState::Resuming
                                 } else {
                                     PowerState::On
                                 },
-                                pending: None,
-                                cpu_capacity: CPU[h],
-                                mem_capacity: 32.0,
                                 mem_committed: mem[h],
-                                cpu_demand: 0.0,
                                 evacuated: mem[h] == 0.0,
-                                failed_transitions: 0,
-                                ladder: Default::default(),
+                                ..HostObservation::default()
                             })
                             .collect();
                         let mut o = ClusterObservation {
@@ -817,6 +709,9 @@ mod tests {
                             hosts,
                             vms: Default::default(),
                         };
+                        let host_specs: Vec<_> = (0..nh).map(|h| host_spec(CPU[h], 32.0)).collect();
+                        let vm_specs: Vec<_> = (0..nv).map(|v| vm_spec(8.0, VM_MEM[v])).collect();
+                        let inventory = PlanContext::new(&host_specs, &vm_specs);
                         for demands in 0..4usize.pow(nv as u32) {
                             let pred: Vec<f64> =
                                 (0..nv).map(|v| GRID[digit(demands, 4, v)]).collect();
@@ -824,13 +719,10 @@ mod tests {
                                 .map(|v| VmObservation {
                                     host: Some(HostId(host_of(v) as u32)),
                                     cpu_demand: pred[v],
-                                    cpu_cap: 8.0,
-                                    mem_gb: VM_MEM[v],
                                     migrating: false,
-                                    service_class: Default::default(),
                                 })
                                 .collect();
-                            f(&o, &pred, [nh, resuming, nv, place, demands]);
+                            f(&inventory, &o, &pred, [nh, resuming, nv, place, demands]);
                         }
                     }
                 }
@@ -846,13 +738,11 @@ mod tests {
         // in release builds as well, where the per-pick debug checks are
         // compiled out.
         let c = cfg();
-        let mut ctx = PlanContext::default();
         let (mut worlds, mut trials, mut moves) = (0u64, 0u64, 0u64);
-        for_each_small_world(|o, pred, world| {
+        for_each_small_world(|inventory, o, pred, world| {
             let nh = o.hosts.len();
             let (gate, recovery) = (open_gate(nh), clean_recovery(nh));
-            ctx.rebuild(o, pred, &[false; 3][..nh]);
-            ctx.refresh_index();
+            let mut ctx = inventory.clone().with_round(o, pred, &[false; 3][..nh]);
             worlds += 1;
             assert_picks_match_scans(&mut ctx, &c, &gate, &recovery, &world);
             if let Some(cand) = pick_candidate(&mut ctx, &c, &gate, &recovery, SimTime::ZERO) {

@@ -135,55 +135,15 @@ pub(crate) fn rebalance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClusterObservation, HostObservation, PowerPolicy, VmObservation};
-    use power::PowerState;
-    use simcore::SimTime;
-
-    fn obs(host_demands: &[&[f64]]) -> (ClusterObservation, Vec<f64>) {
-        let mut hosts = Vec::new();
-        let mut vms = Vec::new();
-        let mut preds = Vec::new();
-        for (h, demands) in host_demands.iter().enumerate() {
-            hosts.push(HostObservation {
-                id: HostId(h as u32),
-                state: PowerState::On,
-                pending: None,
-                cpu_capacity: 8.0,
-                mem_capacity: 64.0,
-                mem_committed: demands.len() as f64 * 8.0,
-                cpu_demand: demands.iter().sum(),
-                evacuated: demands.is_empty(),
-                failed_transitions: 0,
-                ladder: Default::default(),
-            });
-            for &d in *demands {
-                vms.push(VmObservation {
-                    host: Some(HostId(h as u32)),
-                    cpu_demand: d,
-                    cpu_cap: 8.0,
-                    mem_gb: 8.0,
-                    migrating: false,
-                    service_class: Default::default(),
-                });
-                preds.push(d);
-            }
-        }
-        (
-            ClusterObservation {
-                now: SimTime::ZERO,
-                hosts,
-                vms: vms.into_iter().collect(),
-            },
-            preds,
-        )
-    }
+    use crate::plan::all_on_world;
+    use crate::{PowerPolicy, VmObservation};
 
     #[test]
     fn relieves_overload_to_least_loaded() {
         // Host 0 at 7.5/8 (over 0.9 threshold); hosts 1 and 2 lightly
         // loaded.
-        let (o, preds) = obs(&[&[3.0, 2.5, 2.0], &[1.0], &[0.5]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 3]);
+        let (inv, o, preds) = all_on_world(&[&[3.0, 2.5, 2.0], &[1.0], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -203,8 +163,8 @@ mod tests {
 
     #[test]
     fn no_action_when_under_threshold() {
-        let (o, preds) = obs(&[&[3.0, 2.0], &[1.0]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
+        let (inv, o, preds) = all_on_world(&[&[3.0, 2.0], &[1.0]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -215,8 +175,8 @@ mod tests {
 
     #[test]
     fn respects_budget() {
-        let (o, preds) = obs(&[&[2.0, 2.0, 2.0, 2.0], &[], &[]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 3]);
+        let (inv, o, preds) = all_on_world(&[&[2.0, 2.0, 2.0, 2.0], &[], &[]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 1;
@@ -228,8 +188,8 @@ mod tests {
     #[test]
     fn stuck_when_no_destination_fits() {
         // Single host overloaded, no other host exists.
-        let (o, preds) = obs(&[&[4.0, 4.0]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false]);
+        let (inv, o, preds) = all_on_world(&[&[4.0, 4.0]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -240,8 +200,8 @@ mod tests {
     #[test]
     fn rebalance_narrows_spread() {
         // Host 0 hot (6.0/8), host 1 cold (0.5/8): spread 0.69 > 0.25.
-        let (o, preds) = obs(&[&[2.5, 2.0, 1.5], &[0.5]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
+        let (inv, o, preds) = all_on_world(&[&[2.5, 2.0, 1.5], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -255,8 +215,8 @@ mod tests {
 
     #[test]
     fn rebalance_idle_when_balanced() {
-        let (o, preds) = obs(&[&[2.0, 1.0], &[2.0]]);
-        let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
+        let (inv, o, preds) = all_on_world(&[&[2.0, 1.0], &[2.0]]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -267,9 +227,9 @@ mod tests {
 
     #[test]
     fn rebalance_skips_draining_hosts() {
-        let (o, preds) = obs(&[&[2.5, 2.0, 1.5], &[0.5], &[1.0]]);
+        let (inv, o, preds) = all_on_world(&[&[2.5, 2.0, 1.5], &[0.5], &[1.0]]);
         // The coldest host (1) is draining; moves must go to host 2.
-        let mut ctx = PlanContext::new(&o, preds, &[false, true, false]);
+        let mut ctx = inv.with_round(&o, &preds, &[false, true, false]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -283,13 +243,13 @@ mod tests {
 
     #[test]
     fn migrating_vms_are_not_moved_again() {
-        let (o, mut preds) = obs(&[&[4.0, 4.0], &[]]);
+        let (inv, o, mut preds) = all_on_world(&[&[4.0, 4.0], &[]]);
         preds[0] = 4.0;
         let mut o = o;
         let mut rows: Vec<VmObservation> = (0..o.vms.len()).filter_map(|i| o.vms.get(i)).collect();
         rows[0].migrating = true;
         o.vms = rows.into_iter().collect();
-        let mut ctx = PlanContext::new(&o, preds, &[false; 2]);
+        let mut ctx = inv.with_round(&o, &preds, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;

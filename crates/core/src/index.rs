@@ -128,13 +128,6 @@ pub struct UtilizationIndex {
     pub(crate) active_tree: SumTree,
     /// Arriving capacity aggregate (leaf = capacity if arriving).
     pub(crate) arriving_tree: SumTree,
-    /// Largest single-host capacity, recomputed per refresh (constant
-    /// within a round: capacities never change mid-round).
-    pub(crate) max_host_cap: f64,
-    /// Smallest strictly-positive host capacity (0.0 when none), used to
-    /// bound the `1e-9` feasibility slop in utilization terms when
-    /// pruning descending destination walks.
-    pub(crate) min_host_cap: f64,
     /// Whether the bucket contents describe the current round. Set by
     /// the per-round refresh, cleared when the planning context is
     /// rebuilt on fresh predictions.

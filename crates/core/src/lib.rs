@@ -11,8 +11,10 @@
 //!
 //! The pieces:
 //!
-//! * [`VirtManager`] — the control loop body. Each management round it
-//!   receives a [`ClusterObservation`] and emits [`ManagementAction`]s.
+//! * [`VirtManager`] — the control loop body. Built once from the
+//!   fleet's host and VM specs, each management round it receives a
+//!   [`ClusterObservation`] of what changed and emits
+//!   [`ManagementAction`]s.
 //! * [`PowerPolicy`] — `AlwaysOn` (base DRM, no power management),
 //!   `Reactive` with a [`power::breakeven::LowPowerMode`]
 //!   (suspend vs. full off), or `Oracle` (analytic proportional bound,
@@ -28,9 +30,14 @@
 //!
 //! ```
 //! use agile_core::{ManagerConfig, PowerPolicy, VirtManager};
+//! use cluster::{HostSpec, Resources, VmSpec};
+//! use power::HostPowerProfile;
 //!
+//! // The inventory: 16 rack hosts and 64 VMs, given once.
+//! let host = HostSpec::new(Resources::new(16.0, 64.0), HostPowerProfile::prototype_rack());
+//! let vm = VmSpec::new(Resources::new(2.0, 8.0));
 //! let config = ManagerConfig::new(PowerPolicy::reactive_suspend());
-//! let manager = VirtManager::new(config, 16, 64)?;
+//! let manager = VirtManager::new(config, &vec![host; 16], &[vm; 64])?;
 //! assert_eq!(manager.stats().rounds, 0);
 //! # Ok::<(), agile_core::ConfigError>(())
 //! ```

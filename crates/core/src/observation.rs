@@ -1,32 +1,27 @@
 //! The manager's view of the cluster at one management round.
 //!
 //! The observation deliberately carries only what a real management plane
-//! can see — power states, capacities, commitments, and measured demand —
-//! so policies cannot accidentally peek at simulator internals (e.g.
-//! future demand traces).
+//! polls each interval — power states, commitments, placement and
+//! measured demand — so policies cannot accidentally peek at simulator
+//! internals (e.g. future demand traces). What never changes — host
+//! capacities and power-state ladders, VM sizes and service classes — is
+//! the inventory the manager is given once, at construction
+//! ([`crate::VirtManager::new`]).
 
-use cluster::{HostId, ServiceClass, VmSpec};
-use power::breakeven::LadderSummary;
+use cluster::HostId;
 use power::{PowerState, TransitionKind};
 use simcore::SimTime;
 
-/// What the manager sees about one host.
+/// What the manager sees about one host this round. The host's id is its
+/// index in [`ClusterObservation::hosts`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostObservation {
-    /// The host's id.
-    pub id: HostId,
     /// Current power state.
     pub state: PowerState,
     /// In-flight power transition, if any.
     pub pending: Option<TransitionKind>,
-    /// CPU capacity, cores.
-    pub cpu_capacity: f64,
-    /// Memory capacity, GB.
-    pub mem_capacity: f64,
     /// Memory committed (placed VMs + inbound migration reservations), GB.
     pub mem_committed: f64,
-    /// Measured CPU demand this round (including migration tax), cores.
-    pub cpu_demand: f64,
     /// Whether the host currently hosts no VMs and has no inbound
     /// migrations (i.e. may be powered down).
     pub evacuated: bool,
@@ -35,68 +30,39 @@ pub struct HostObservation {
     /// manager diffs it against the previous round to detect fresh
     /// failures.
     pub failed_transitions: u64,
-    /// Summary of the host's power-state ladder (supported rungs with
-    /// wake latency and break-even gap) — the datasheet-class facts a
-    /// management plane knows about its fleet. Empty under profiles with
-    /// no low-power rungs.
-    pub ladder: LadderSummary,
 }
 
 impl Default for HostObservation {
-    /// A zero-capacity placeholder (`Off`, id 0), the base for
-    /// struct-update construction in tests and views.
+    /// An idle `Off` host, the base for struct-update construction in
+    /// tests and views.
     fn default() -> Self {
         HostObservation {
-            id: HostId(0),
             state: PowerState::Off,
             pending: None,
-            cpu_capacity: 0.0,
-            mem_capacity: 0.0,
             mem_committed: 0.0,
-            cpu_demand: 0.0,
             evacuated: false,
             failed_transitions: 0,
-            ladder: LadderSummary::default(),
         }
     }
 }
 
 impl HostObservation {
-    /// Free memory after commitments, GB.
-    pub fn mem_free(&self) -> f64 {
-        (self.mem_capacity - self.mem_committed).max(0.0)
-    }
-
     /// Whether the host is serving load (`On`).
     pub fn is_operational(&self) -> bool {
         self.state.is_operational()
     }
-
-    /// Whether the host is `On` or on its way to `On`.
-    pub fn is_arriving_or_on(&self) -> bool {
-        matches!(
-            self.state,
-            PowerState::On | PowerState::Resuming | PowerState::Booting
-        )
-    }
 }
 
-/// What the manager sees about one VM: one row of [`VmColumns`]. The
-/// VM's id is its row index.
+/// What the manager sees about one VM this round: one row of
+/// [`VmColumns`]. The VM's id is its row index.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct VmObservation {
     /// The host the VM currently runs on (`None` while unplaced).
     pub host: Option<HostId>,
     /// Measured CPU demand this round, cores.
     pub cpu_demand: f64,
-    /// Configured CPU cap, cores.
-    pub cpu_cap: f64,
-    /// Memory footprint, GB.
-    pub mem_gb: f64,
     /// Whether a live migration of this VM is in flight.
     pub migrating: bool,
-    /// The VM's service class (the manager prefers disrupting batch VMs).
-    pub service_class: ServiceClass,
 }
 
 /// The VM side of a [`ClusterObservation`], one column per fact and one
@@ -112,10 +78,7 @@ pub struct VmObservation {
 pub struct VmColumns {
     host: Vec<Option<HostId>>,
     cpu_demand: Vec<f64>,
-    cpu_cap: Vec<f64>,
-    mem_gb: Vec<f64>,
     migrating: Vec<bool>,
-    service_class: Vec<ServiceClass>,
 }
 
 impl VmColumns {
@@ -133,10 +96,7 @@ impl VmColumns {
     pub fn push(&mut self, vm: VmObservation) {
         self.host.push(vm.host);
         self.cpu_demand.push(vm.cpu_demand);
-        self.cpu_cap.push(vm.cpu_cap);
-        self.mem_gb.push(vm.mem_gb);
         self.migrating.push(vm.migrating);
-        self.service_class.push(vm.service_class);
     }
 
     /// Row `i`, or `None` past the end.
@@ -144,10 +104,7 @@ impl VmColumns {
         Some(VmObservation {
             host: *self.host.get(i)?,
             cpu_demand: self.cpu_demand[i],
-            cpu_cap: self.cpu_cap[i],
-            mem_gb: self.mem_gb[i],
             migrating: self.migrating[i],
-            service_class: self.service_class[i],
         })
     }
 
@@ -161,31 +118,15 @@ impl VmColumns {
         &self.cpu_demand
     }
 
-    /// Each VM's configured CPU cap, cores.
-    pub fn cpu_cap(&self) -> &[f64] {
-        &self.cpu_cap
-    }
-
-    /// Each VM's memory footprint, GB.
-    pub fn mem_gb(&self) -> &[f64] {
-        &self.mem_gb
-    }
-
     /// Whether each VM has a live migration in flight.
     pub fn migrating(&self) -> &[bool] {
         &self.migrating
     }
 
-    /// Each VM's service class.
-    pub fn service_class(&self) -> &[ServiceClass] {
-        &self.service_class
-    }
-
     /// Refills every column for one round, keeping the allocations. The
-    /// placement and the specs are copied; the round's demand column is
-    /// swapped in, so `cpu_demand` comes back holding the previous
-    /// round's column, ready to be overwritten as the next round's
-    /// demand buffer.
+    /// placement is copied; the round's demand column is swapped in, so
+    /// `cpu_demand` comes back holding the previous round's column, ready
+    /// to be overwritten as the next round's demand buffer.
     ///
     /// # Panics
     ///
@@ -194,55 +135,36 @@ impl VmColumns {
         &mut self,
         host: &[Option<HostId>],
         cpu_demand: &mut Vec<f64>,
-        specs: &[VmSpec],
         migrating: impl IntoIterator<Item = bool>,
     ) {
         let n = host.len();
         assert_eq!(cpu_demand.len(), n, "demand column length mismatch");
-        assert_eq!(specs.len(), n, "spec count mismatch");
         self.host.clear();
         self.host.extend_from_slice(host);
         std::mem::swap(&mut self.cpu_demand, cpu_demand);
-        self.cpu_cap.clear();
-        self.cpu_cap.extend(specs.iter().map(VmSpec::cpu_cap_cores));
-        self.mem_gb.clear();
-        self.mem_gb.extend(specs.iter().map(VmSpec::mem_gb));
         self.migrating.clear();
         self.migrating.extend(migrating);
         assert_eq!(self.migrating.len(), n, "migrating column length mismatch");
-        self.service_class.clear();
-        self.service_class
-            .extend(specs.iter().map(VmSpec::service_class));
     }
 
-    /// Overwrites `self` with `other`, column by column, reusing the
-    /// allocations (a derived `clone_from` would reallocate).
-    fn copy_from(&mut self, other: &VmColumns) {
-        self.host.clone_from(&other.host);
-        self.cpu_demand.clone_from(&other.cpu_demand);
-        self.cpu_cap.clone_from(&other.cpu_cap);
-        self.mem_gb.clone_from(&other.mem_gb);
-        self.migrating.clone_from(&other.migrating);
-        self.service_class.clone_from(&other.service_class);
-    }
-
-    /// Refills `self` with `stale`, then overwrites with `fresh` every row
-    /// whose fresh host satisfies `take_fresh` (`None` = unplaced).
+    /// Refills `self` with `stale`, column by column and reusing the
+    /// allocations (a derived `clone_from` would reallocate), then
+    /// overwrites with `fresh` every row whose fresh host satisfies
+    /// `take_fresh` (`None` = unplaced).
     pub(crate) fn splice(
         &mut self,
         fresh: &VmColumns,
         stale: &VmColumns,
         take_fresh: impl Fn(Option<HostId>) -> bool,
     ) {
-        self.copy_from(stale);
+        self.host.clone_from(&stale.host);
+        self.cpu_demand.clone_from(&stale.cpu_demand);
+        self.migrating.clone_from(&stale.migrating);
         for (i, &h) in fresh.host.iter().enumerate() {
             if take_fresh(h) {
                 self.host[i] = h;
                 self.cpu_demand[i] = fresh.cpu_demand[i];
-                self.cpu_cap[i] = fresh.cpu_cap[i];
-                self.mem_gb[i] = fresh.mem_gb[i];
                 self.migrating[i] = fresh.migrating[i];
-                self.service_class[i] = fresh.service_class[i];
             }
         }
     }
@@ -258,8 +180,10 @@ impl FromIterator<VmObservation> for VmColumns {
     }
 }
 
-/// A full snapshot handed to [`crate::VirtManager::plan`].
-#[derive(Debug, Clone, PartialEq)]
+/// A full snapshot handed to [`crate::VirtManager::plan`]. The default,
+/// an empty observation at time zero, is the initial state of reusable
+/// observation buffers (see the engine's per-tick buffer reuse).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusterObservation {
     /// The time of this management round.
     pub now: SimTime,
@@ -267,18 +191,6 @@ pub struct ClusterObservation {
     pub hosts: Vec<HostObservation>,
     /// Per-VM observations, indexed by `VmId::index()`.
     pub vms: VmColumns,
-}
-
-impl Default for ClusterObservation {
-    /// An empty observation at time zero — the initial state of reusable
-    /// observation buffers (see the engine's per-tick buffer reuse).
-    fn default() -> Self {
-        ClusterObservation {
-            now: SimTime::ZERO,
-            hosts: Vec::new(),
-            vms: VmColumns::default(),
-        }
-    }
 }
 
 impl ClusterObservation {
@@ -291,8 +203,9 @@ impl ClusterObservation {
     pub fn hosts_in_state(&self, state: PowerState) -> impl Iterator<Item = HostId> + '_ {
         self.hosts
             .iter()
-            .filter(move |h| h.state == state)
-            .map(|h| h.id)
+            .enumerate()
+            .filter(move |(_, h)| h.state == state)
+            .map(|(i, _)| HostId(i as u32))
     }
 }
 
@@ -300,64 +213,46 @@ impl ClusterObservation {
 mod tests {
     use super::*;
 
-    fn host(state: PowerState, demand: f64) -> HostObservation {
+    fn host(state: PowerState) -> HostObservation {
         HostObservation {
-            id: HostId(0),
             state,
-            pending: None,
-            cpu_capacity: 8.0,
-            mem_capacity: 32.0,
             mem_committed: 24.0,
-            cpu_demand: demand,
-            evacuated: false,
-            failed_transitions: 0,
-            ladder: LadderSummary::default(),
+            ..HostObservation::default()
         }
     }
 
     #[test]
-    fn host_derived_quantities() {
-        let h = host(PowerState::On, 4.0);
-        assert_eq!(h.mem_free(), 8.0);
-        assert!(h.is_operational());
-        assert!(h.is_arriving_or_on());
-    }
-
-    #[test]
-    fn arriving_states() {
-        assert!(host(PowerState::Resuming, 0.0).is_arriving_or_on());
-        assert!(host(PowerState::Booting, 0.0).is_arriving_or_on());
-        assert!(!host(PowerState::Suspended, 0.0).is_arriving_or_on());
-        assert!(!host(PowerState::Suspending, 0.0).is_arriving_or_on());
+    fn only_on_is_operational() {
+        assert!(host(PowerState::On).is_operational());
+        assert!(!host(PowerState::Resuming).is_operational());
     }
 
     #[test]
     fn observation_aggregates() {
         let obs = ClusterObservation {
             now: SimTime::ZERO,
-            hosts: vec![host(PowerState::On, 1.0), host(PowerState::Suspended, 0.0)],
+            hosts: vec![
+                host(PowerState::On),
+                host(PowerState::Suspended),
+                host(PowerState::Suspended),
+            ],
             vms: [
                 VmObservation {
                     host: Some(HostId(0)),
                     cpu_demand: 1.5,
-                    cpu_cap: 2.0,
-                    mem_gb: 8.0,
                     migrating: false,
-                    service_class: Default::default(),
                 },
                 VmObservation {
                     host: None,
                     cpu_demand: 0.5,
-                    cpu_cap: 2.0,
-                    mem_gb: 8.0,
                     migrating: false,
-                    service_class: Default::default(),
                 },
             ]
             .into_iter()
             .collect(),
         };
         assert_eq!(obs.total_vm_demand(), 2.0);
-        assert_eq!(obs.hosts_in_state(PowerState::Suspended).count(), 1);
+        let suspended: Vec<_> = obs.hosts_in_state(PowerState::Suspended).collect();
+        assert_eq!(suspended, [HostId(1), HostId(2)]);
     }
 }

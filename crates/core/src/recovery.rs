@@ -230,8 +230,7 @@ impl RecoveryTracker {
             "host count changed"
         );
         let now = obs.now;
-        for h in &obs.hosts {
-            let i = h.id.index();
+        for (i, h) in obs.hosts.iter().enumerate() {
             let delta = h.failed_transitions.saturating_sub(self.last_failed[i]);
             self.last_failed[i] = h.failed_transitions;
             if delta > 0 {
@@ -344,7 +343,6 @@ impl RecoveryTracker {
 mod tests {
     use super::*;
     use crate::HostObservation;
-    use cluster::HostId;
     use power::PowerState;
 
     /// One-host observation with the given cumulative failure counter.
@@ -352,18 +350,11 @@ mod tests {
         let hosts = failed
             .iter()
             .zip(states)
-            .enumerate()
-            .map(|(i, (&f, &state))| HostObservation {
-                id: HostId(i as u32),
+            .map(|(&f, &state)| HostObservation {
                 state,
-                pending: None,
-                cpu_capacity: 8.0,
-                mem_capacity: 64.0,
-                mem_committed: 0.0,
-                cpu_demand: 0.0,
                 evacuated: true,
                 failed_transitions: f,
-                ladder: Default::default(),
+                ..HostObservation::default()
             })
             .collect();
         ClusterObservation {

@@ -86,21 +86,23 @@ mod tests {
     use cluster::{HostId, VmId};
     use simcore::SimTime;
 
-    fn obs(now_secs: u64, cpu: f64, hosts: usize, vm_hosts: &[Option<u32>]) -> ClusterObservation {
+    /// Hosts tagged with `tag` GB committed and VMs with `tag` cores of
+    /// demand, so fresh and stale entries are told apart.
+    fn obs(now_secs: u64, tag: f64, hosts: usize, vm_hosts: &[Option<u32>]) -> ClusterObservation {
         ClusterObservation {
             now: SimTime::from_secs(now_secs),
-            hosts: (0..hosts)
-                .map(|i| HostObservation {
-                    id: HostId(i as u32),
-                    cpu_demand: cpu,
+            hosts: vec![
+                HostObservation {
+                    mem_committed: tag,
                     ..HostObservation::default()
-                })
-                .collect(),
+                };
+                hosts
+            ],
             vms: vm_hosts
                 .iter()
                 .map(|h| VmObservation {
                     host: h.map(HostId),
-                    cpu_demand: cpu,
+                    cpu_demand: tag,
                     ..VmObservation::default()
                 })
                 .collect(),
@@ -115,10 +117,8 @@ mod tests {
         merge_view(&mut view, &fresh, &stale, &(0..2));
         assert_eq!(view.now, fresh.now);
         // Hosts 0-1 fresh, hosts 2-3 stale.
-        assert_eq!(view.hosts[0].cpu_demand, 2.0);
-        assert_eq!(view.hosts[1].cpu_demand, 2.0);
-        assert_eq!(view.hosts[2].cpu_demand, 1.0);
-        assert_eq!(view.hosts[3].cpu_demand, 1.0);
+        let tags: Vec<f64> = view.hosts.iter().map(|h| h.mem_committed).collect();
+        assert_eq!(tags, [2.0, 2.0, 1.0, 1.0]);
         // VM 0 sits on an owned host: fresh. VM 1 moved to remote host 3:
         // stale entry (which still believes host 1). VM 2 is unplaced in
         // the fresh view: fresh wins.

@@ -55,6 +55,20 @@ impl WorkCounters {
         ]
     }
 
+    /// Folds another scheduler replica's counters into `self`: every
+    /// count adds, and `undo_depth_max`, a maximum, keeps the larger
+    /// value.
+    pub fn merge(&mut self, other: &WorkCounters) {
+        self.candidates_scanned += other.candidates_scanned;
+        self.trials_attempted += other.trials_attempted;
+        self.trials_rolled_back += other.trials_rolled_back;
+        self.rollback_moves += other.rollback_moves;
+        self.undo_depth_max = self.undo_depth_max.max(other.undo_depth_max);
+        self.hosts_rescored += other.hosts_rescored;
+        self.migrations_planned += other.migrations_planned;
+        self.fold_elements += other.fold_elements;
+    }
+
     /// JSON object rendering (for bench artifacts).
     pub fn to_json(&self) -> Json {
         Json::Object(
@@ -70,9 +84,9 @@ impl WorkCounters {
 mod tests {
     use super::*;
 
-    #[test]
-    fn entries_cover_every_field_once() {
-        let w = WorkCounters {
+    /// Every field set, each to a distinct value.
+    fn sample() -> WorkCounters {
+        WorkCounters {
             candidates_scanned: 1,
             trials_attempted: 2,
             trials_rolled_back: 3,
@@ -81,12 +95,35 @@ mod tests {
             hosts_rescored: 6,
             migrations_planned: 7,
             fold_elements: 8,
-        };
+        }
+    }
+
+    #[test]
+    fn entries_cover_every_field_once() {
+        let w = sample();
         let entries = w.entries();
         let mut values: Vec<u64> = entries.iter().map(|&(_, v)| v).collect();
         values.sort_unstable();
         assert_eq!(values, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         let json = w.to_json();
         assert_eq!(json.get("undo_depth_max").unwrap().as_i64(), Some(5));
+    }
+
+    #[test]
+    fn merge_sums_counts_and_keeps_the_deepest_undo() {
+        let a = WorkCounters {
+            undo_depth_max: 24,
+            ..sample()
+        };
+        let mut b = sample();
+        b.merge(&a);
+        for ((name, v), (_, one)) in b.entries().into_iter().zip(sample().entries()) {
+            let want = if name == "undo_depth_max" {
+                24
+            } else {
+                2 * one
+            };
+            assert_eq!(v, want, "{name}");
+        }
     }
 }

@@ -9,38 +9,40 @@ use agile_core::{
 };
 use check::gen::{boolean, choice, f64_in, u64_in, usize_in, vec_of, Gen};
 use check::prop_assert;
-use cluster::{HostId, ServiceClass};
-use power::PowerState;
+use cluster::{HostId, HostSpec, Resources, ServiceClass, VmSpec};
+use power::{HostPowerProfile, PowerState};
 use simcore::{SimDuration, SimTime};
-
-const HOST_CAP: f64 = 16.0;
-const HOST_MEM: f64 = 128.0;
 
 /// Raw material for one VM: (cpu demand, host pick, is-batch).
 type RawVm = ((f64, u64), bool);
 
-/// Decodes raw generator choices into a structurally valid observation:
-/// VMs land only on operational hosts (the cluster invariant), and host
-/// commitments are the sums of their VMs.
-fn build_observation(states: Vec<usize>, raw_vms: Vec<RawVm>) -> ClusterObservation {
+/// A round's observation and the specs of its VMs; every host is a
+/// 16-core, 128 GB rack host.
+type World = (Vec<VmSpec>, ClusterObservation);
+
+/// A manager under `config` for `world`'s fleet.
+fn manager(config: ManagerConfig, (vms, obs): &World) -> VirtManager {
+    let host = HostSpec::new(
+        Resources::new(16.0, 128.0),
+        HostPowerProfile::prototype_rack(),
+    );
+    VirtManager::new(config, &vec![host; obs.hosts.len()], vms).expect("valid config")
+}
+
+/// Decodes raw generator choices into a structurally valid world: VMs
+/// of 2 cores and 4 GB land only on operational hosts (the cluster
+/// invariant), and host commitments are the sums of their VMs.
+fn build_world(states: Vec<usize>, raw_vms: Vec<RawVm>) -> World {
     let mut hosts: Vec<HostObservation> = states
         .iter()
-        .enumerate()
-        .map(|(i, &s)| HostObservation {
-            id: HostId(i as u32),
+        .map(|&s| HostObservation {
             state: match s {
                 0 => PowerState::On,
                 1 => PowerState::Suspended,
                 _ => PowerState::Off,
             },
-            pending: None,
-            cpu_capacity: HOST_CAP,
-            mem_capacity: HOST_MEM,
-            mem_committed: 0.0, // filled below
-            cpu_demand: 0.0,
             evacuated: true,
-            failed_transitions: 0,
-            ladder: Default::default(),
+            ..HostObservation::default()
         })
         .collect();
     let operational: Vec<usize> = hosts
@@ -49,7 +51,7 @@ fn build_observation(states: Vec<usize>, raw_vms: Vec<RawVm>) -> ClusterObservat
         .filter(|(_, h)| h.state == PowerState::On)
         .map(|(i, _)| i)
         .collect();
-    let mut vms = Vec::new();
+    let (mut specs, mut vms) = (Vec::new(), Vec::new());
     for ((demand, pick), batch) in raw_vms {
         let host = if operational.is_empty() {
             None
@@ -58,34 +60,33 @@ fn build_observation(states: Vec<usize>, raw_vms: Vec<RawVm>) -> ClusterObservat
         };
         if let Some(h) = host {
             hosts[h].mem_committed += 4.0;
-            hosts[h].cpu_demand += demand;
             hosts[h].evacuated = false;
         }
         vms.push(VmObservation {
             host: host.map(|h| HostId(h as u32)),
             cpu_demand: demand,
-            cpu_cap: 2.0,
-            mem_gb: 4.0,
             migrating: false,
-            service_class: if batch {
-                ServiceClass::Batch
-            } else {
-                ServiceClass::Interactive
-            },
         });
+        let class = if batch {
+            ServiceClass::Batch
+        } else {
+            ServiceClass::Interactive
+        };
+        specs.push(VmSpec::new(Resources::new(2.0, 4.0)).with_class(class));
     }
-    ClusterObservation {
+    let obs = ClusterObservation {
         now: SimTime::from_secs(600),
         hosts,
         vms: vms.into_iter().collect(),
-    }
+    };
+    (specs, obs)
 }
 
-/// Arbitrary structurally valid observations, with up to 9 hot VMs
+/// Arbitrary structurally valid worlds, with up to 9 hot VMs
 /// (1.8-2.0 cores) on the first operational host so overload mitigation
 /// can run in the same round as consolidation; shrinks toward two all-on
 /// hosts and one idle interactive VM on the first host.
-fn observations(max_hosts: usize, max_vms: usize) -> Gen<ClusterObservation> {
+fn observations(max_hosts: usize, max_vms: usize) -> Gen<World> {
     let states = vec_of(&usize_in(0..=2), 2..=max_hosts);
     let raw_vms = vec_of(
         &f64_in(0.0, 2.0).zip(&u64_in(0..=u64::MAX)).zip(&boolean()),
@@ -94,7 +95,7 @@ fn observations(max_hosts: usize, max_vms: usize) -> Gen<ClusterObservation> {
     let hot = vec_of(&f64_in(1.8, 2.0), 0..=9);
     states.zip(&raw_vms).zip(&hot).map(|((s, v), hot)| {
         let hot = hot.into_iter().map(|d| ((d, 0), false));
-        build_observation(s, hot.chain(v).collect())
+        build_world(s, hot.chain(v).collect())
     })
 }
 
@@ -116,7 +117,8 @@ fn planned_actions_are_well_formed() {
         "planned actions well-formed",
         &env.with_cases(cases),
         &worlds.zip(&boolean()),
-        |(obs, suspend)| {
+        |(world, suspend)| {
+            let obs = &world.1;
             let policy = if *suspend {
                 PowerPolicy::reactive_suspend()
             } else {
@@ -125,8 +127,7 @@ fn planned_actions_are_well_formed() {
             let config = ManagerConfig::for_fleet(policy, obs.hosts.len(), obs.vms.len())
                 .with_min_on_time(SimDuration::ZERO)
                 .with_predictor(PredictorConfig::LastValue);
-            let mut mgr =
-                VirtManager::new(config, obs.hosts.len(), obs.vms.len()).expect("valid config");
+            let mut mgr = manager(config, world);
             let actions = mgr.plan(obs).expect("well-shaped observation");
             prop_assert!(
                 mgr.last_round_reasons().len() == actions.len(),
@@ -195,13 +196,14 @@ fn consolidation_never_parks_a_host_receiving_vms() {
     for h in 1..=8u64 {
         raw_vms.extend((0..3).map(|_| ((2.0, h), false)));
     }
-    let obs = build_observation(states, raw_vms);
+    let world = build_world(states, raw_vms);
+    let obs = &world.1;
     assert!(obs.hosts[9].evacuated);
     let config = ManagerConfig::for_fleet(PowerPolicy::reactive_suspend(), 10, obs.vms.len())
         .with_min_on_time(SimDuration::ZERO)
         .with_predictor(PredictorConfig::LastValue);
-    let mut mgr = VirtManager::new(config, 10, obs.vms.len()).expect("valid config");
-    let actions = mgr.plan(&obs).expect("well-shaped observation");
+    let mut mgr = manager(config, &world);
+    let actions = mgr.plan(obs).expect("well-shaped observation");
     let reasons = mgr.last_round_reasons();
     let onto_9 = actions
         .iter()
@@ -234,11 +236,11 @@ fn always_on_never_power_manages() {
     check::check(
         "AlwaysOn never power-manages",
         &observations(6, 16),
-        |obs| {
+        |world| {
+            let obs = &world.1;
             let config =
                 ManagerConfig::for_fleet(PowerPolicy::always_on(), obs.hosts.len(), obs.vms.len());
-            let mut mgr =
-                VirtManager::new(config, obs.hosts.len(), obs.vms.len()).expect("valid config");
+            let mut mgr = manager(config, world);
             for action in mgr.plan(obs).expect("well-shaped observation") {
                 prop_assert!(!action.is_power_action(), "power action {action}");
             }
@@ -253,7 +255,8 @@ fn migration_budget_respected() {
     check::check(
         "migration budget respected",
         &observations(8, 24).zip(&usize_in(1..=3)),
-        |(obs, budget)| {
+        |(world, budget)| {
+            let obs = &world.1;
             let config = ManagerConfig::for_fleet(
                 PowerPolicy::reactive_suspend(),
                 obs.hosts.len(),
@@ -261,8 +264,7 @@ fn migration_budget_respected() {
             )
             .with_max_migrations_per_round(*budget)
             .with_min_on_time(SimDuration::ZERO);
-            let mut mgr =
-                VirtManager::new(config, obs.hosts.len(), obs.vms.len()).expect("valid config");
+            let mut mgr = manager(config, world);
             let migrations = mgr
                 .plan(obs)
                 .expect("well-shaped observation")
@@ -279,14 +281,15 @@ fn migration_budget_respected() {
 /// deterministic.
 #[test]
 fn planning_is_deterministic() {
-    check::check("planning is deterministic", &observations(6, 16), |obs| {
+    check::check("planning is deterministic", &observations(6, 16), |world| {
+        let obs = &world.1;
         let mk = || {
             let config = ManagerConfig::for_fleet(
                 PowerPolicy::reactive_suspend(),
                 obs.hosts.len(),
                 obs.vms.len(),
             );
-            VirtManager::new(config, obs.hosts.len(), obs.vms.len()).expect("valid config")
+            manager(config, world)
         };
         let a = mk().plan(obs);
         let b = mk().plan(obs);

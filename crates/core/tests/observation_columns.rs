@@ -9,7 +9,7 @@ use agile_core::schedview::{merge_view, owns_action};
 use agile_core::{ClusterObservation, HostObservation, ManagementAction, VmColumns, VmObservation};
 use check::gen::{boolean, f64_in, usize_in, vec_of, Gen};
 use check::{prop_assert, prop_assert_eq};
-use cluster::{HostId, ServiceClass, VmId};
+use cluster::{HostId, VmId};
 use simcore::{pool, SimTime};
 
 const MAX_HOSTS: usize = 8;
@@ -18,22 +18,14 @@ const MAX_HOSTS: usize = 8;
 fn rows() -> Gen<(usize, VmObservation)> {
     usize_in(0..=MAX_HOSTS + 2)
         .zip(&f64_in(0.0, 4.0))
-        .zip(&f64_in(1.0, 16.0))
-        .zip(&boolean().zip(&boolean()))
-        .map(|(((pick, demand), mem), (migrating, batch))| {
+        .zip(&boolean())
+        .map(|((pick, demand), migrating)| {
             (
                 pick,
                 VmObservation {
                     host: None,
                     cpu_demand: demand,
-                    cpu_cap: 4.0,
-                    mem_gb: mem,
                     migrating,
-                    service_class: if batch {
-                        ServiceClass::Batch
-                    } else {
-                        ServiceClass::Interactive
-                    },
                 },
             )
         })
@@ -57,18 +49,16 @@ fn worlds() -> Gen<(usize, Vec<VmObservation>, Vec<VmObservation>)> {
         })
 }
 
-/// An observation over `hosts` hosts, tagged with `demand` so fresh and
-/// stale host entries are told apart.
-fn observation(now: u64, hosts: usize, demand: f64, vms: &[VmObservation]) -> ClusterObservation {
+/// An observation over `hosts` hosts, tagged with `tag` GB committed so
+/// fresh and stale host entries are told apart.
+fn observation(now: u64, hosts: usize, tag: f64, vms: &[VmObservation]) -> ClusterObservation {
+    let host = HostObservation {
+        mem_committed: tag,
+        ..HostObservation::default()
+    };
     ClusterObservation {
         now: SimTime::from_secs(now),
-        hosts: (0..hosts)
-            .map(|i| HostObservation {
-                id: HostId(i as u32),
-                cpu_demand: demand,
-                ..HostObservation::default()
-            })
-            .collect(),
+        hosts: vec![host; hosts],
         vms: vms.iter().copied().collect(),
     }
 }
@@ -125,7 +115,7 @@ fn columnar_merge_and_ownership_match_the_record_reference() {
                     prop_assert_eq!(view.now, fresh.now);
                     for (i, h) in view.hosts.iter().enumerate() {
                         let want = if owned.contains(&i) { 2.0 } else { 1.0 };
-                        prop_assert_eq!(h.cpu_demand, want);
+                        prop_assert_eq!(h.mem_committed, want);
                     }
                     let reference = reference_merge(fresh_rows, stale_rows, &owned);
                     let rows: Vec<_> = (0..view.vms.len())

@@ -184,8 +184,8 @@ pub struct RungSummary {
 /// A copyable per-profile summary of the power-state ladder: one entry
 /// per supported rung, ordered shallow→deep, carrying exactly what a
 /// planning round needs — wake latency and break-even gap — without
-/// holding the profile itself. Cheap enough to embed in per-host
-/// observation snapshots.
+/// holding the profile itself. A manager summarizes each host's profile
+/// once, as part of its inventory.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LadderSummary {
     rungs: [Option<RungSummary>; 3],

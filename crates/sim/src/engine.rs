@@ -7,7 +7,7 @@ use std::ops::Range;
 
 use agile_core::{
     schedview, ClusterObservation, HostObservation, ManagementAction, PlacementFacts,
-    PlacementStore, RoundStats, VirtManager,
+    PlacementStore, RoundStats, VirtManager, WorkCounters,
 };
 use cluster::{Cluster, ClusterError, DemandOutcome, HostId, VmId};
 use power::PowerState;
@@ -274,7 +274,7 @@ impl DatacenterSim {
         let scenario = experiment.scenario();
         let config = experiment.resolve_config();
         let policy_label = config.policy().label().to_string();
-        let manager = VirtManager::new(config, scenario.host_specs().len(), scenario.fleet().len())
+        let manager = VirtManager::new(config, scenario.host_specs(), scenario.fleet().vm_specs())
             .map_err(|e| SimError::InvalidConfig {
                 message: format!("manager config: {e}"),
             })?;
@@ -394,12 +394,18 @@ impl DatacenterSim {
     pub(crate) fn run_inner(
         mut self,
     ) -> Result<(SimReport, Cluster, Option<SpanSummary>), SimError> {
+        self.run_to_horizon()?;
+        self.finish()
+    }
+
+    /// Handles every event due by the horizon.
+    fn run_to_horizon(&mut self) -> Result<(), SimError> {
         let end = SimTime::ZERO + self.horizon;
         self.generate_rack_bursts(end);
         while let Some((now, event)) = self.next_event(end) {
             self.handle(now, event, end)?;
         }
-        self.finish()
+        Ok(())
     }
 
     /// Pops the next event due by `end`, tracking the peak queue length.
@@ -465,14 +471,18 @@ impl DatacenterSim {
         // Unlike the wall-clock spans these are pure functions of the
         // scenario seed, so they may — must — enter the report: the
         // differential suite then verifies them like any other metric.
+        let mut work = WorkCounters::default();
         for m in &self.control.schedulers {
-            for (name, value) in m.work_counters().entries() {
-                let id = self
-                    .telemetry
-                    .registry
-                    .counter(&format!("work.plan.{name}"));
-                self.telemetry.registry.add(id, value);
-            }
+            work.merge(&m.work_counters());
+        }
+        for (name, value) in work.entries() {
+            let id = self
+                .telemetry
+                .registry
+                .counter(&format!("work.plan.{name}"));
+            self.telemetry.registry.add(id, value);
+        }
+        for m in &self.control.schedulers {
             for (name, value) in m.index_work_counters().entries() {
                 let id = self
                     .telemetry
@@ -924,38 +934,27 @@ impl DatacenterSim {
 
     /// Refills the reusable observation buffer from the cluster and the
     /// tick's demand update — the zero-alloc replacement for collecting
-    /// fresh host/VM vectors every round.
+    /// fresh host/VM vectors every round. Only what changes is copied:
+    /// the manager was given the host and VM specs at construction.
     ///
     /// The VM side is copied column by column: hosts from the placement
     /// map, and the demand column is the tick's own `demand_buf`,
     /// swapped in rather than re-evaluated.
     fn fill_observation(&mut self, now: SimTime, obs: &mut ClusterObservation) {
         let cluster = &self.cluster;
-        let host_demand = &self.outcome_buf.host_demand_cores;
         obs.now = now;
         obs.hosts.clear();
-        obs.hosts.extend(
-            cluster
-                .hosts()
-                .iter()
-                .enumerate()
-                .map(|(i, h)| HostObservation {
-                    id: h.id(),
-                    state: h.power_state(),
-                    pending: h.power().pending().map(|(kind, _)| kind),
-                    cpu_capacity: h.capacity().cpu_cores,
-                    mem_capacity: h.capacity().mem_gb,
-                    mem_committed: cluster.mem_committed_gb(h.id()),
-                    cpu_demand: host_demand[i],
-                    evacuated: cluster.is_evacuated(h.id()),
-                    failed_transitions: h.power().failed_transitions(),
-                    ladder: h.ladder(),
-                }),
-        );
+        obs.hosts
+            .extend(cluster.hosts().iter().map(|h| HostObservation {
+                state: h.power_state(),
+                pending: h.power().pending().map(|(kind, _)| kind),
+                mem_committed: cluster.mem_committed_gb(h.id()),
+                evacuated: cluster.is_evacuated(h.id()),
+                failed_transitions: h.power().failed_transitions(),
+            }));
         obs.vms.refill(
             cluster.vm_hosts(),
             &mut self.demand_buf,
-            cluster.vm_specs(),
             cluster
                 .vm_ids()
                 .map(|vm| cluster.migration_of(vm).is_some()),
@@ -1277,11 +1276,24 @@ mod tests {
             let s = Scenario::datacenter(8, 32, 22);
             let e = experiment(&s, PowerPolicy::reactive_suspend(), 24);
             let plane = e.schedulers(4).view_staleness(2).control_latency(1);
-            simulate(&plane.record_events()).0
+            let mut sim = DatacenterSim::new(&plane.record_events(), false).unwrap();
+            sim.run_to_horizon().unwrap();
+            let undo_depths: Vec<u64> = sim
+                .control
+                .schedulers
+                .iter()
+                .map(|m| m.work_counters().undo_depth_max)
+                .collect();
+            (sim.finish().unwrap().0, undo_depths)
         };
-        let a = run();
-        let b = run();
+        let (a, undo_depths) = run();
+        let (b, _) = run();
         assert_eq!(a, b);
+        // A maximum folds across replicas as the deepest replica's own
+        // value, not as a sum.
+        let deepest = *undo_depths.iter().max().unwrap();
+        assert!(undo_depths.iter().sum::<u64>() > deepest, "{undo_depths:?}");
+        assert_eq!(a.metrics.counter("work.plan.undo_depth_max"), deepest);
         // The stale-view fleet still saves power...
         assert!(a.power_downs > 0, "stale schedulers must still park hosts");
         // ...and the commit ledger closes exactly.
@@ -1322,7 +1334,7 @@ mod tests {
 
     /// VM `i` as a naive observer sees it at `now`: the scenario's
     /// demand trace evaluated afresh, placement and migration read off
-    /// the cluster, cap, memory and class from the VM's spec.
+    /// the cluster.
     fn naive_vm(sim: &DatacenterSim, s: &Scenario, i: usize, now: SimTime) -> VmObservation {
         let vm = VmId(i as u32);
         let spec = sim.cluster.vm(vm).expect("vm in range");
@@ -1333,10 +1345,7 @@ mod tests {
             } else {
                 0.0
             },
-            cpu_cap: spec.cpu_cap_cores(),
-            mem_gb: spec.mem_gb(),
             migrating: sim.cluster.migration_of(vm).is_some(),
-            service_class: spec.service_class(),
         }
     }
 

@@ -59,7 +59,8 @@ impl Scenario {
     /// # Errors
     ///
     /// [`crate::SimError::InvalidConfig`] if there are no hosts, the
-    /// fleet is empty, or the demand step is zero.
+    /// fleet is empty, the demand step is zero, or the seed is past
+    /// `i64::MAX` (a report stores it as a JSON integer).
     pub fn try_validate(&self) -> Result<(), crate::SimError> {
         let invalid = |message: &str| {
             Err(crate::SimError::InvalidConfig {
@@ -74,6 +75,9 @@ impl Scenario {
         }
         if self.demand_step.is_zero() {
             return invalid("demand step must be non-zero");
+        }
+        if i64::try_from(self.seed).is_err() {
+            return invalid("seed must be at most i64::MAX (9223372036854775807)");
         }
         Ok(())
     }
@@ -270,19 +274,25 @@ mod tests {
         use crate::SimError;
         let donor = Scenario::small_test(1);
         let (hosts, fleet, step) = (donor.host_specs(), donor.fleet(), donor.demand_step());
-        let new = |hosts: &[HostSpec], fleet: &Fleet, step| {
-            Scenario::new("parts", hosts.to_vec(), fleet.clone(), step, 1)
+        let new = |hosts: &[HostSpec], fleet: &Fleet, step, seed| {
+            Scenario::new("parts", hosts.to_vec(), fleet.clone(), step, seed)
         };
         let no_vms = Fleet::from_parts(Vec::new(), Vec::new());
+        let past_i64 = i64::MAX as u64 + 1;
         for (scenario, expected) in [
-            (new(&[], fleet, step), "needs hosts"),
-            (new(hosts, &no_vms, step), "needs VMs"),
-            (new(hosts, fleet, SimDuration::ZERO), "non-zero"),
+            (new(&[], fleet, step, 1), "needs hosts"),
+            (new(hosts, &no_vms, step, 1), "needs VMs"),
+            (new(hosts, fleet, SimDuration::ZERO, 1), "non-zero"),
+            (new(hosts, fleet, step, past_i64), "at most i64::MAX"),
+            (new(hosts, fleet, step, u64::MAX), "at most i64::MAX"),
         ] {
             let err = scenario.try_validate().unwrap_err();
             assert!(matches!(err, SimError::InvalidConfig { .. }));
             assert!(err.to_string().contains(expected), "{err}");
         }
-        assert!(new(hosts, fleet, step).try_validate().is_ok());
+        assert!(new(hosts, fleet, step, 1).try_validate().is_ok());
+        assert!(new(hosts, fleet, step, i64::MAX as u64)
+            .try_validate()
+            .is_ok());
     }
 }

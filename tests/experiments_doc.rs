@@ -1,5 +1,6 @@
 //! EXPERIMENTS.md quotes `bench_results.txt`, the archived output of
-//! `run_all`; this test keeps the quotes from drifting.
+//! `run_all`, and DESIGN.md's experiment index names the fleet each
+//! experiment runs; these tests keep both from drifting.
 //!
 //! * Every fenced block under an `## ID — …` heading must appear
 //!   verbatim, as consecutive lines, in the `==== ID: … ====` block.
@@ -10,14 +11,25 @@
 //!   must be copied in full). Cells are compared after dropping `**`,
 //!   `%` and whitespace (so digit grouping too), with `×` read as `x` and
 //!   `—` as `-`.
+//! * Every DESIGN.md index row whose workload cell names a fleet size
+//!   (`N hosts`, `N VMs`, `N racks`, `N blades`) must name what the ID's
+//!   block prints; a range `a → b hosts` must be the first and last row
+//!   of the block's `hosts` column.
 
 use std::collections::BTreeMap;
 
 const DOC: &str = include_str!("../EXPERIMENTS.md");
+const DESIGN: &str = include_str!("../DESIGN.md");
 const RESULTS: &str = include_str!("../bench_results.txt");
 
 /// Experiments whose tables or blocks EXPERIMENTS.md must keep checked.
 const REQUIRED: [&str; 7] = ["T5", "F7", "T9", "T13b", "F17", "T26", "T27"];
+
+/// Experiments whose DESIGN.md index row must name a checked fleet size.
+const REQUIRED_FLEETS: [&str; 4] = ["F4", "F8", "F15", "T27"];
+
+/// Units a fleet size is counted in.
+const FLEET_UNITS: [&str; 4] = ["hosts", "VMs", "racks", "blades"];
 
 /// Each experiment's archived lines, banner excluded.
 fn blocks() -> BTreeMap<&'static str, Vec<&'static str>> {
@@ -237,6 +249,113 @@ fn experiments_doc_quotes_bench_results() {
         }
     }
     assert!(errors.is_empty(), "{}", errors.join("\n"));
+}
+
+/// `text` as words, with digit grouping (`24 576`) joined and
+/// punctuation trimmed from each word's ends.
+fn words(text: &str) -> Vec<String> {
+    let chars: Vec<char> = text.chars().collect();
+    let joined: String = chars
+        .iter()
+        .enumerate()
+        .filter(|&(i, &c)| {
+            let digit = |j: usize| chars.get(j).is_some_and(char::is_ascii_digit);
+            !(c == ' ' && i > 0 && digit(i - 1) && digit(i + 1))
+        })
+        .map(|(_, &c)| c)
+        .collect();
+    joined
+        .split_whitespace()
+        .map(|w| w.trim_matches(|c: char| !c.is_alphanumeric()).to_string())
+        .filter(|w| !w.is_empty())
+        .collect()
+}
+
+/// A fleet size a workload cell names, as `(lo, hi, unit)`: a count
+/// when `lo == hi`, else a range `lo → hi`.
+type FleetSize = (u64, u64, String);
+
+/// Every fleet size named in `cell`. `→` is punctuation to [`words`],
+/// so a range reads `lo hi unit`.
+fn fleet_sizes(cell: &str) -> Vec<FleetSize> {
+    let w = words(cell);
+    let num = |i: usize| w.get(i).and_then(|s| s.parse::<u64>().ok());
+    let units = w.iter().enumerate().skip(1);
+    let units = units.filter(|(_, u)| FLEET_UNITS.contains(&u.as_str()));
+    units
+        .filter_map(|(i, unit)| {
+            let hi = num(i - 1)?;
+            let lo = i.checked_sub(2).and_then(num).unwrap_or(hi);
+            Some((lo, hi, unit.clone()))
+        })
+        .collect()
+}
+
+/// Whether run `block` prints `size`: a count as `N unit` in its text,
+/// a range as the first and last row of a table's `unit` column.
+fn prints(block: &[&str], (lo, hi, unit): &FleetSize) -> bool {
+    if lo == hi {
+        let w = words(&block.join("\n"));
+        return w
+            .windows(2)
+            .any(|p| p[0] == hi.to_string() && p[1] == *unit);
+    }
+    let tables = run_tables(block).unwrap_or_default();
+    tables.iter().any(|(header, rows)| {
+        let Some(c) = header.iter().position(|h| h == unit) else {
+            return false;
+        };
+        let value = |row: Option<&Vec<String>>| row.and_then(|r| r[c].parse::<u64>().ok());
+        (value(rows.first()), value(rows.last())) == (Some(*lo), Some(*hi))
+    })
+}
+
+#[test]
+fn design_index_names_the_fleets_the_runs_print() {
+    let blocks = blocks();
+    let index = DESIGN
+        .split_once("## Experiment index")
+        .expect("DESIGN.md has an experiment index")
+        .1;
+    let rows = index.lines().skip_while(|l| !l.starts_with('|')).skip(2);
+    let (mut errors, mut checked) = (Vec::new(), Vec::new());
+    for row in rows.take_while(|l| l.starts_with('|')) {
+        let cells: Vec<&str> = row.trim_matches('|').split('|').map(str::trim).collect();
+        let id = cells[0].trim_matches('*');
+        let sizes = fleet_sizes(cells[2]);
+        if sizes.is_empty() {
+            continue;
+        }
+        checked.push(id.to_string());
+        let Some(block) = blocks.get(id) else {
+            errors.push(format!("{id}: no such block in bench_results.txt"));
+            continue;
+        };
+        for size in sizes.iter().filter(|s| !prints(block, s)) {
+            errors.push(format!("{id}: the run does not print {size:?}"));
+        }
+    }
+    for id in REQUIRED_FLEETS {
+        if !checked.iter().any(|c| c == id) {
+            errors.push(format!("{id}: its index row names no fleet size"));
+        }
+    }
+    assert!(errors.is_empty(), "{}", errors.join("\n"));
+}
+
+#[test]
+fn fleet_sizes_read_counts_ranges_and_grouping() {
+    let size = |lo, hi, unit: &str| (lo, hi, unit.to_string());
+    let t27 = fleet_sizes("4096 hosts / 24 576 VMs, 24 h");
+    assert_eq!(t27, [size(4096, 4096, "hosts"), size(24576, 24576, "VMs")]);
+    assert_eq!(fleet_sizes("8 → 16 hosts"), [size(8, 16, "hosts")]);
+    assert_eq!(fleet_sizes("5 seeds × 4 policies"), []);
+    let f8 = ["hosts  kWh", "---------", "    8    41", "   16    83"];
+    assert!(prints(&f8, &size(8, 16, "hosts")));
+    assert!(!prints(&f8, &size(8, 32, "hosts")));
+    let f4 = ["at 64 hosts / 384 VMs:"];
+    assert!(prints(&f4, &size(384, 384, "VMs")));
+    assert!(!prints(&f4, &size(256, 256, "VMs")));
 }
 
 #[test]

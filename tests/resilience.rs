@@ -230,18 +230,11 @@ fn failing_hosts_eventually_return_or_stay_quarantined() {
             let observe = |tracker: &mut RecoveryTracker, now: SimTime, cumulative: &[u64]| {
                 let hosts = cumulative
                     .iter()
-                    .enumerate()
-                    .map(|(i, &failed)| HostObservation {
-                        id: HostId(i as u32),
+                    .map(|&failed| HostObservation {
                         state: PowerState::On,
-                        pending: None,
-                        cpu_capacity: 8.0,
-                        mem_capacity: 64.0,
-                        mem_committed: 0.0,
-                        cpu_demand: 0.0,
                         evacuated: true,
                         failed_transitions: failed,
-                        ladder: Default::default(),
+                        ..HostObservation::default()
                     })
                     .collect();
                 tracker.observe(&ClusterObservation {
