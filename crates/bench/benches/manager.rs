@@ -11,6 +11,13 @@ use simcore::{RngStream, SimTime};
 /// VMs per host in the synthetic fleet.
 const VMS_PER_HOST: usize = 4;
 
+/// The drifting fleet: hosts, VMs per host, VMs that change host between
+/// consecutive rounds, and rounds in its cycle.
+const DRIFT_HOSTS: usize = 16_384;
+const DRIFT_VMS_PER_HOST: usize = 6;
+const DRIFT_MOVES: usize = 32;
+const DRIFT_ROUNDS: usize = 8;
+
 /// A synthetic steady-state observation: `hosts` 16-core, 128 GB hosts,
 /// each carrying 4 VMs of 2 cores and 4 GB.
 fn observation(hosts: usize) -> ClusterObservation {
@@ -37,6 +44,47 @@ fn observation(hosts: usize) -> ClusterObservation {
     }
 }
 
+/// A cycle of `DRIFT_ROUNDS` observations of `DRIFT_HOSTS` 16-core,
+/// 128 GB hosts carrying 6 VMs each, placed round-robin (VM `i` starts
+/// on host `i % hosts`). Every round draws fresh demand and moves
+/// `DRIFT_MOVES` VMs to other hosts, so each round re-buckets hosts and
+/// patches host lists, unlike a replayed frozen observation.
+fn drifting_rounds() -> Vec<ClusterObservation> {
+    let mut rng = RngStream::new(13);
+    let vms = DRIFT_HOSTS * DRIFT_VMS_PER_HOST;
+    let mut placement: Vec<usize> = (0..vms).map(|i| i % DRIFT_HOSTS).collect();
+    let mut rounds = Vec::with_capacity(DRIFT_ROUNDS);
+    for r in 0..DRIFT_ROUNDS {
+        for _ in 0..DRIFT_MOVES {
+            let vm = rng.below(vms as u64) as usize;
+            placement[vm] = rng.below(DRIFT_HOSTS as u64) as usize;
+        }
+        let mut hosts = vec![
+            HostObservation {
+                state: PowerState::On,
+                ..HostObservation::default()
+            };
+            DRIFT_HOSTS
+        ];
+        for &h in &placement {
+            hosts[h].mem_committed += 4.0;
+        }
+        rounds.push(ClusterObservation {
+            now: SimTime::from_secs(300 * (r as u64 + 1)),
+            hosts,
+            vms: placement
+                .iter()
+                .map(|&h| VmObservation {
+                    host: Some(HostId(h as u32)),
+                    cpu_demand: rng.uniform(0.2, 1.8),
+                    migrating: false,
+                })
+                .collect(),
+        });
+    }
+    rounds
+}
+
 fn main() {
     let host = HostSpec::new(
         Resources::new(16.0, 128.0),
@@ -55,4 +103,23 @@ fn main() {
             mgr.plan(&obs).expect("well-shaped observation").len()
         });
     }
+
+    let rounds = drifting_rounds();
+    let mut mgr = VirtManager::new(
+        ManagerConfig::new(PowerPolicy::reactive_suspend()),
+        &vec![host; DRIFT_HOSTS],
+        &vec![vm; DRIFT_HOSTS * DRIFT_VMS_PER_HOST],
+    )
+    .expect("default config is valid");
+    let mut round = 0;
+    time(
+        &format!("manager_round_{DRIFT_HOSTS}_hosts_drifting"),
+        DRIFT_ROUNDS,
+        2 * DRIFT_ROUNDS,
+        || {
+            round += 1;
+            let obs = &rounds[round % DRIFT_ROUNDS];
+            mgr.plan(obs).expect("well-shaped observation").len()
+        },
+    );
 }

@@ -18,6 +18,14 @@
 //! maximum changes hands. At the end a fresh index rebuilt from the
 //! model's final state must agree bucket-for-bucket.
 //!
+//! The model also keeps the bucket the index last filed each host in
+//! (by a refresh or an in-round re-score) and counts, per refresh, the
+//! hosts that join, leave or change bucket against it. After every step
+//! the index's `inserts`, `removes` and `rebuckets` counters must equal
+//! those counts — the `work.index.*` figures the counter baseline pins.
+//! So a host re-scored into another bucket in-round and refreshed back
+//! counts as a bucket change.
+//!
 //! A second property pins the fixed-shape capacity aggregate: a
 //! [`SumTree`] under arbitrary point updates must stay bitwise equal to
 //! [`pairwise_sum`] recomputed from scratch — that equality is what lets
@@ -67,14 +75,33 @@ fn steps(num_hosts: usize) -> gen::Gen<Vec<Step>> {
     gen::vec_of(&step, 0..=120)
 }
 
-/// The naive model: membership, utilization and free memory per host.
+/// The naive model: membership, utilization and free memory per host,
+/// the bucket the index last filed each host in, and the refresh counts.
 struct Model {
     member: Vec<bool>,
     utils: Vec<f64>,
     mem: Vec<f64>,
+    filed: Vec<Option<usize>>,
+    work: IndexWorkCounters,
 }
 
 impl Model {
+    /// Counts one refresh: every host's new bucket against the one it
+    /// was last filed in.
+    fn refresh(&mut self) {
+        self.work.refreshes += 1;
+        for h in 0..self.member.len() {
+            let now = self.member[h].then(|| UtilizationIndex::bucket_of(self.utils[h]));
+            match (self.filed[h], now) {
+                (None, Some(_)) => self.work.inserts += 1,
+                (Some(_), None) => self.work.removes += 1,
+                (Some(a), Some(b)) if a != b => self.work.rebuckets += 1,
+                _ => {}
+            }
+            self.filed[h] = now;
+        }
+    }
+
     /// Audits `index` against the model: the index's own membership
     /// check, then every bucket's maximum against one recomputed here.
     fn audit(&self, index: &UtilizationIndex) -> Result<(), String> {
@@ -108,6 +135,8 @@ fn replay(
         member: vec![false; num_hosts],
         utils: vec![0.0; num_hosts],
         mem: vec![0.0; num_hosts],
+        filed: vec![None; num_hosts],
+        work: IndexWorkCounters::default(),
     };
     let mut work = IndexWorkCounters::default();
     for (i, s) in script.iter().enumerate() {
@@ -119,6 +148,7 @@ fn replay(
         match s.op {
             Op::Rescore => {
                 index.rescore(h, util, mem);
+                model.filed[h] = Some(UtilizationIndex::bucket_of(util));
             }
             Op::Refresh | Op::Flip => {
                 if s.op == Op::Flip {
@@ -126,11 +156,18 @@ fn replay(
                 }
                 let m = &model;
                 index.refresh(&mut work, |h| m.member[h].then(|| (m.utils[h], m.mem[h])));
+                model.refresh();
             }
         }
         model
             .audit(index)
             .map_err(|e| format!("after step {i} ({s:?}): {e}"))?;
+        if work != model.work {
+            return Err(format!(
+                "after step {i} ({s:?}): index counted {work:?}, the model {:?}",
+                model.work
+            ));
+        }
     }
     Ok(model)
 }

@@ -341,14 +341,14 @@ struct MoveUndo {
 
 impl MoveUndo {
     fn capture(ctx: &PlanContext, vm: usize, to: usize) -> Self {
-        let from = ctx.vm_host[vm].expect("journaling unplaced VM");
+        let from = ctx.vm_host[vm].expect("journaling unplaced VM").index();
         MoveUndo {
             vm,
             from,
             to,
             from_idx: ctx.vms_by_host[from]
                 .iter()
-                .position(|&v| v == vm)
+                .position(|&v| v as usize == vm)
                 .expect("VM missing from its host list"),
             old_pred_from: ctx.host_pred_cpu[from],
             old_pred_to: ctx.host_pred_cpu[to],
@@ -363,9 +363,9 @@ impl MoveUndo {
 fn undo_moves(ctx: &mut PlanContext, journal: &[MoveUndo]) {
     for u in journal.iter().rev() {
         let popped = ctx.vms_by_host[u.to].pop();
-        debug_assert_eq!(popped, Some(u.vm), "undo out of order");
-        ctx.vms_by_host[u.from].insert(u.from_idx, u.vm);
-        ctx.vm_host[u.vm] = Some(u.from);
+        debug_assert_eq!(popped, Some(u.vm as u32), "undo out of order");
+        ctx.vms_by_host[u.from].insert(u.from_idx, u.vm as u32);
+        ctx.vm_host[u.vm] = Some(HostId(u.from as u32));
         // Trial moves only ever pick non-migrating VMs, so the flag's
         // prior value is always false.
         ctx.migrating_vm[u.vm] = false;
@@ -425,18 +425,14 @@ mod tests {
                 .collect(),
         };
         let hosts = [host_spec(8.0, 64.0), host_spec(8.0, 64.0)];
-        PlanContext::new(&hosts, &vms.map(|(_, mem)| vm_spec(8.0, mem))).with_round(
-            &o,
-            &demands,
-            &[false; 2],
-        )
+        PlanContext::new(&hosts, &vms.map(|(_, mem)| vm_spec(8.0, mem))).with_round(&o, &[false; 2])
     }
 
     #[test]
     fn drains_underloaded_host() {
         // Three hosts, light load everywhere: the least-loaded empties.
-        let (inv, o, preds) = all_on_world(&[&[2.0, 1.0], &[1.5], &[0.5]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
+        let (inv, o) = all_on_world(&[&[2.0, 1.0], &[1.5], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &[false; 3]);
         let c = cfg();
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -463,8 +459,8 @@ mod tests {
         // Same fleet as `drains_underloaded_host`, but the prime
         // candidate (host 2) is quarantined: the next-least-loaded host
         // must be picked instead.
-        let (inv, o, preds) = all_on_world(&[&[2.0, 1.0], &[1.5], &[0.5]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
+        let (inv, o) = all_on_world(&[&[2.0, 1.0], &[1.5], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &[false; 3]);
         let c = cfg();
         let mut recovery = RecoveryTracker::new(RecoveryConfig::new().with_max_retries(1), 3);
         let mut failing = o.clone();
@@ -490,8 +486,8 @@ mod tests {
     #[test]
     fn keeps_enough_capacity() {
         // Heavy total load: no host can be spared.
-        let (inv, o, preds) = all_on_world(&[&[5.0], &[5.0], &[5.0]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
+        let (inv, o) = all_on_world(&[&[5.0], &[5.0], &[5.0]]);
+        let mut ctx = inv.with_round(&o, &[false; 3]);
         let c = cfg();
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -511,8 +507,8 @@ mod tests {
 
     #[test]
     fn hysteresis_blocks_recent_power_ups() {
-        let (inv, o, preds) = all_on_world(&[&[2.0], &[1.0], &[0.5]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
+        let (inv, o) = all_on_world(&[&[2.0], &[1.0], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &[false; 3]);
         let c = cfg();
         let mut gate = HysteresisGate::new(SimDuration::from_mins(10), SimDuration::ZERO, 3);
         // Every host just powered up.
@@ -555,7 +551,7 @@ mod tests {
         // partial, so everything must roll back.
         assert!(actions.is_empty(), "{actions:?}");
         assert!(!ctx.draining[0]);
-        assert_eq!(ctx.vm_host[0], Some(0));
+        assert_eq!(ctx.vm_host[0], Some(HostId(0)));
         assert_eq!(budget, 8);
     }
 
@@ -603,9 +599,9 @@ mod tests {
 
     #[test]
     fn continues_existing_drains_first() {
-        let (inv, o, preds) = all_on_world(&[&[0.5, 0.5], &[2.0], &[2.0]]);
+        let (inv, o) = all_on_world(&[&[0.5, 0.5], &[2.0], &[2.0]]);
         // Host 0 was already marked draining in a previous round.
-        let mut ctx = inv.with_round(&o, &preds, &[true, false, false]);
+        let mut ctx = inv.with_round(&o, &[true, false, false]);
         let c = cfg();
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -742,7 +738,7 @@ mod tests {
         for_each_small_world(|inventory, o, pred, world| {
             let nh = o.hosts.len();
             let (gate, recovery) = (open_gate(nh), clean_recovery(nh));
-            let mut ctx = inventory.clone().with_round(o, pred, &[false; 3][..nh]);
+            let mut ctx = inventory.clone().with_round(o, &[false; 3][..nh]);
             worlds += 1;
             assert_picks_match_scans(&mut ctx, &c, &gate, &recovery, &world);
             if let Some(cand) = pick_candidate(&mut ctx, &c, &gate, &recovery, SimTime::ZERO) {

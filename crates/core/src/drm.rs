@@ -142,8 +142,8 @@ mod tests {
     fn relieves_overload_to_least_loaded() {
         // Host 0 at 7.5/8 (over 0.9 threshold); hosts 1 and 2 lightly
         // loaded.
-        let (inv, o, preds) = all_on_world(&[&[3.0, 2.5, 2.0], &[1.0], &[0.5]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
+        let (inv, o) = all_on_world(&[&[3.0, 2.5, 2.0], &[1.0], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &[false; 3]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -163,8 +163,8 @@ mod tests {
 
     #[test]
     fn no_action_when_under_threshold() {
-        let (inv, o, preds) = all_on_world(&[&[3.0, 2.0], &[1.0]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 2]);
+        let (inv, o) = all_on_world(&[&[3.0, 2.0], &[1.0]]);
+        let mut ctx = inv.with_round(&o, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -175,8 +175,8 @@ mod tests {
 
     #[test]
     fn respects_budget() {
-        let (inv, o, preds) = all_on_world(&[&[2.0, 2.0, 2.0, 2.0], &[], &[]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 3]);
+        let (inv, o) = all_on_world(&[&[2.0, 2.0, 2.0, 2.0], &[], &[]]);
+        let mut ctx = inv.with_round(&o, &[false; 3]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 1;
@@ -188,8 +188,8 @@ mod tests {
     #[test]
     fn stuck_when_no_destination_fits() {
         // Single host overloaded, no other host exists.
-        let (inv, o, preds) = all_on_world(&[&[4.0, 4.0]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false]);
+        let (inv, o) = all_on_world(&[&[4.0, 4.0]]);
+        let mut ctx = inv.with_round(&o, &[false]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -200,8 +200,8 @@ mod tests {
     #[test]
     fn rebalance_narrows_spread() {
         // Host 0 hot (6.0/8), host 1 cold (0.5/8): spread 0.69 > 0.25.
-        let (inv, o, preds) = all_on_world(&[&[2.5, 2.0, 1.5], &[0.5]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 2]);
+        let (inv, o) = all_on_world(&[&[2.5, 2.0, 1.5], &[0.5]]);
+        let mut ctx = inv.with_round(&o, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -215,8 +215,8 @@ mod tests {
 
     #[test]
     fn rebalance_idle_when_balanced() {
-        let (inv, o, preds) = all_on_world(&[&[2.0, 1.0], &[2.0]]);
-        let mut ctx = inv.with_round(&o, &preds, &[false; 2]);
+        let (inv, o) = all_on_world(&[&[2.0, 1.0], &[2.0]]);
+        let mut ctx = inv.with_round(&o, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -227,9 +227,9 @@ mod tests {
 
     #[test]
     fn rebalance_skips_draining_hosts() {
-        let (inv, o, preds) = all_on_world(&[&[2.5, 2.0, 1.5], &[0.5], &[1.0]]);
+        let (inv, o) = all_on_world(&[&[2.5, 2.0, 1.5], &[0.5], &[1.0]]);
         // The coldest host (1) is draining; moves must go to host 2.
-        let mut ctx = inv.with_round(&o, &preds, &[false, true, false]);
+        let mut ctx = inv.with_round(&o, &[false, true, false]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;
@@ -243,13 +243,12 @@ mod tests {
 
     #[test]
     fn migrating_vms_are_not_moved_again() {
-        let (inv, o, mut preds) = all_on_world(&[&[4.0, 4.0], &[]]);
-        preds[0] = 4.0;
+        let (inv, o) = all_on_world(&[&[4.0, 4.0], &[]]);
         let mut o = o;
         let mut rows: Vec<VmObservation> = (0..o.vms.len()).filter_map(|i| o.vms.get(i)).collect();
         rows[0].migrating = true;
         o.vms = rows.into_iter().collect();
-        let mut ctx = inv.with_round(&o, &preds, &[false; 2]);
+        let mut ctx = inv.with_round(&o, &[false; 2]);
         let cfg = ManagerConfig::new(PowerPolicy::always_on());
         let mut actions = Vec::new();
         let mut budget = 8;

@@ -234,43 +234,42 @@ impl UtilizationIndex {
         from != to
     }
 
-    /// Re-files every host in one pass: `filing(h)` is
+    /// Refills the index in one ascending host pass: `filing(h)` is
     /// `Some((util, mem_free))` for a member and `None` for a non-member.
-    /// Inserts, removals and bucket changes are counted into `work`.
     ///
-    /// The memory maxima are rebuilt by reset-then-raise: every bucket
-    /// starts at `-inf` and each member raises its final bucket once, so
-    /// they are exact when the pass ends without ever recomputing a
-    /// bucket from its members.
+    /// Every bucket is emptied and each member pushed onto its bucket in
+    /// host order, so the lists come out ascending without a search or a
+    /// shift. Comparing each host's previous bucket with its new one
+    /// counts inserts, removals and bucket changes into `work`. The
+    /// memory maxima start at `-inf` and each member raises its bucket's
+    /// once, so they are exact when the pass ends.
     pub fn refresh(
         &mut self,
         work: &mut IndexWorkCounters,
         mut filing: impl FnMut(usize) -> Option<(f64, f64)>,
     ) {
         work.refreshes += 1;
+        for list in &mut self.buckets {
+            list.clear();
+        }
         self.bucket_mem_max.fill(f64::NEG_INFINITY);
         for h in 0..self.host_bucket.len() {
-            let current = self.bucket_of_host(h);
+            let previous = self.host_bucket[h];
             let Some((util, mem_free)) = filing(h) else {
-                if current.is_some() {
-                    self.unlink(h);
+                if previous != NOT_INDEXED {
                     work.removes += 1;
                 }
+                self.host_bucket[h] = NOT_INDEXED;
                 continue;
             };
             let b = Self::bucket_of(util);
-            match current {
-                None => {
-                    self.link(h, b);
-                    work.inserts += 1;
-                }
-                Some(old) if old != b => {
-                    self.unlink(h);
-                    self.link(h, b);
-                    work.rebuckets += 1;
-                }
-                Some(_) => {}
+            if previous == NOT_INDEXED {
+                work.inserts += 1;
+            } else if previous != b as u32 {
+                work.rebuckets += 1;
             }
+            self.buckets[b].push(h as u32);
+            self.host_bucket[h] = b as u32;
             self.file_mem(h, b, mem_free);
         }
     }
@@ -594,6 +593,12 @@ mod tests {
             (work.refreshes, work.inserts, work.removes, work.rebuckets),
             (2, 4, 1, 1)
         );
+        // A host moved to another bucket in-round and refreshed back at
+        // its old utilization changed bucket since it was last filed.
+        assert!(idx.rescore(1, 0.9, mem[1]));
+        idx.refresh(&mut work, filing(&member, &utils, &mem));
+        idx.check_membership(&member, &utils, &mem).unwrap();
+        assert_eq!((work.refreshes, work.rebuckets), (3, 2));
     }
 
     #[test]

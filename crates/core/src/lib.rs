@@ -21,8 +21,9 @@
 //!   evaluated by the simulator without a manager).
 //! * [`ManagerConfig`] — thresholds, headroom, hysteresis, prediction —
 //!   every knob the paper's sensitivity studies sweep.
-//! * [`Predictor`] — per-VM demand prediction (last-value / EWMA /
-//!   windowed max).
+//! * [`PredictorConfig`] — per-VM demand prediction (last-value / EWMA /
+//!   windowed max), kept as one column for the fleet and stepped once
+//!   per round.
 //! * [`HysteresisGate`] — minimum-residency timers that keep the manager
 //!   from flapping hosts between power states.
 //!
@@ -70,7 +71,7 @@ pub use index::{IndexWorkCounters, PlanMode, UtilizationIndex};
 pub use manager::{PlanError, RoundStats, VirtManager};
 pub use observation::{ClusterObservation, HostObservation, VmColumns, VmObservation};
 pub use placement::{CommitStats, ConflictReason, PlacementFacts, PlacementStore};
-pub use predict::{Predictor, PredictorConfig};
+pub use predict::PredictorConfig;
 pub use prewake::DayProfile;
 pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
 pub use work::WorkCounters;

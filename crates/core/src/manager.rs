@@ -7,10 +7,11 @@ use cluster::{HostId, HostSpec, VmSpec};
 use power::PowerState;
 
 use crate::plan::PlanContext;
+use crate::predict::Predictors;
 use crate::{
     consolidate, drm, ActionReason, ClusterObservation, ConfigError, DayProfile, DecisionActions,
     DecisionRecord, DecisionTrigger, HysteresisGate, IndexWorkCounters, ManagementAction,
-    ManagerConfig, PowerPolicy, Predictor, RecoveryTracker, WorkCounters,
+    ManagerConfig, PowerPolicy, RecoveryTracker, WorkCounters,
 };
 use obs::{Histogram, SpanTracer};
 use simcore::SimDuration;
@@ -125,7 +126,7 @@ impl Error for PlanError {}
 #[derive(Debug, Clone)]
 pub struct VirtManager {
     config: ManagerConfig,
-    predictors: Vec<Predictor>,
+    predictors: Predictors,
     gate: HysteresisGate,
     draining: Vec<bool>,
     recovery: RecoveryTracker,
@@ -133,11 +134,9 @@ pub struct VirtManager {
     last_reasons: Vec<ActionReason>,
     last_decision: Option<DecisionRecord>,
     stats: RoundStats,
-    /// Reusable per-round buffers: predictions and the planning context
-    /// keep their allocations across rounds so steady-state planning
-    /// allocates nothing. The context also holds the inventory, filled
-    /// once at construction.
-    predicted_buf: Vec<f64>,
+    /// The planning context keeps its allocations across rounds so
+    /// steady-state planning allocates nothing. It also holds the
+    /// inventory, filled once at construction.
     ctx: PlanContext,
     /// Log-bucket histogram of total actions per round — deterministic
     /// (counts actions, not time), feeds the decision record's
@@ -182,9 +181,7 @@ impl VirtManager {
     ) -> Result<Self, ConfigError> {
         config.try_validate()?;
         let num_hosts = hosts.len();
-        let predictors = (0..vms.len())
-            .map(|_| Predictor::new(config.predictor()))
-            .collect();
+        let predictors = Predictors::new(config.predictor(), vms.len());
         let gate = HysteresisGate::new(config.min_on_time(), config.min_off_time(), num_hosts);
         let profile = config
             .prewake_lookahead()
@@ -201,7 +198,6 @@ impl VirtManager {
             last_reasons: Vec::new(),
             last_decision: None,
             stats: RoundStats::default(),
-            predicted_buf: Vec::new(),
             ctx: PlanContext::new(hosts, vms),
             actions_hist: Histogram::new(),
         })
@@ -269,10 +265,10 @@ impl VirtManager {
         obs: &ClusterObservation,
         tracer: &mut SpanTracer,
     ) -> Result<Vec<ManagementAction>, PlanError> {
-        if obs.hosts.len() != self.draining.len() || obs.vms.len() != self.predictors.len() {
+        if obs.hosts.len() != self.ctx.num_hosts() || obs.vms.len() != self.ctx.num_vms() {
             return Err(PlanError::Shape {
-                expected_hosts: self.draining.len(),
-                expected_vms: self.predictors.len(),
+                expected_hosts: self.ctx.num_hosts(),
+                expected_vms: self.ctx.num_vms(),
                 actual_hosts: obs.hosts.len(),
                 actual_vms: obs.vms.len(),
             });
@@ -296,24 +292,13 @@ impl VirtManager {
         self.stats.quarantines = rstats.quarantines;
         self.stats.failsafe_rounds = rstats.failsafe_rounds;
 
-        // Feed the predictors and collect per-VM predictions into the
-        // reusable buffer.
-        self.predicted_buf.resize(obs.vms.len(), 0.0);
-        for (((&d, &c), p), o) in obs
-            .vms
-            .cpu_demand()
-            .iter()
-            .zip(&self.ctx.vm_cpu_cap)
-            .zip(&mut self.predictors)
-            .zip(&mut self.predicted_buf)
-        {
-            p.observe(d);
-            *o = p.predict().clamp(0.0, c);
-        }
+        // Feed the predictors and rebuild the planning view from this
+        // round's observation, in one pass.
+        self.ctx.rebuild(obs, &mut self.predictors, &self.draining);
 
         // Feed the time-of-day profile (proactive pre-waking).
         if let Some(profile) = &mut self.profile {
-            profile.observe(obs.now, obs.total_vm_demand());
+            profile.observe(obs.now, self.ctx.observed_demand);
         }
 
         if matches!(self.config.policy(), PowerPolicy::Oracle) {
@@ -325,7 +310,6 @@ impl VirtManager {
         }
 
         let mut ctx = std::mem::take(&mut self.ctx);
-        ctx.rebuild(obs, &self.predicted_buf, &self.draining);
 
         // Recovery gating: a quarantined host must not keep draining (its
         // power-down would never be issued), and a tripped fail-safe
@@ -461,7 +445,7 @@ impl VirtManager {
                 underload: capacity.underloaded_hosts > 0,
                 prewake: capacity.forecast.is_some_and(|f| f > predicted_demand),
             },
-            observed_demand: obs.total_vm_demand(),
+            observed_demand: self.ctx.observed_demand,
             predicted_demand,
             prewake_forecast: capacity.forecast,
             required_capacity: capacity.required,
@@ -680,7 +664,7 @@ impl VirtManager {
         let Some(forecast) = profile.forecast_max(obs.now, lookahead) else {
             return 0;
         };
-        let ramp = forecast - obs.total_vm_demand();
+        let ramp = forecast - ctx.observed_demand;
         if ramp <= 0.0 {
             return 0;
         }

@@ -73,8 +73,9 @@ pub struct VmObservation {
 /// own per-VM slices and the planner copies them again, instead of
 /// gathering fields out of records. The columns are private so they
 /// always have equal length; [`push`](Self::push), [`get`](Self::get) and
-/// `FromIterator` speak in [`VmObservation`] rows.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// `FromIterator` speak in [`VmObservation`] rows. `clone_from` copies
+/// column by column into the existing allocations.
+#[derive(Debug, Default, PartialEq)]
 pub struct VmColumns {
     host: Vec<Option<HostId>>,
     cpu_demand: Vec<f64>,
@@ -147,8 +148,7 @@ impl VmColumns {
         assert_eq!(self.migrating.len(), n, "migrating column length mismatch");
     }
 
-    /// Refills `self` with `stale`, column by column and reusing the
-    /// allocations (a derived `clone_from` would reallocate), then
+    /// Refills `self` with `stale`, reusing the allocations, then
     /// overwrites with `fresh` every row whose fresh host satisfies
     /// `take_fresh` (`None` = unplaced).
     pub(crate) fn splice(
@@ -157,9 +157,7 @@ impl VmColumns {
         stale: &VmColumns,
         take_fresh: impl Fn(Option<HostId>) -> bool,
     ) {
-        self.host.clone_from(&stale.host);
-        self.cpu_demand.clone_from(&stale.cpu_demand);
-        self.migrating.clone_from(&stale.migrating);
+        self.clone_from(stale);
         for (i, &h) in fresh.host.iter().enumerate() {
             if take_fresh(h) {
                 self.host[i] = h;
@@ -167,6 +165,24 @@ impl VmColumns {
                 self.migrating[i] = fresh.migrating[i];
             }
         }
+    }
+}
+
+impl Clone for VmColumns {
+    fn clone(&self) -> Self {
+        VmColumns {
+            host: self.host.clone(),
+            cpu_demand: self.cpu_demand.clone(),
+            migrating: self.migrating.clone(),
+        }
+    }
+
+    /// Column by column, reusing the allocations (a derived `clone_from`
+    /// would reallocate).
+    fn clone_from(&mut self, source: &Self) {
+        self.host.clone_from(&source.host);
+        self.cpu_demand.clone_from(&source.cpu_demand);
+        self.migrating.clone_from(&source.migrating);
     }
 }
 
@@ -182,8 +198,9 @@ impl FromIterator<VmObservation> for VmColumns {
 
 /// A full snapshot handed to [`crate::VirtManager::plan`]. The default,
 /// an empty observation at time zero, is the initial state of reusable
-/// observation buffers (see the engine's per-tick buffer reuse).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// observation buffers (see the engine's per-tick buffer reuse), and
+/// `clone_from` refills one in place.
+#[derive(Debug, Default, PartialEq)]
 pub struct ClusterObservation {
     /// The time of this management round.
     pub now: SimTime,
@@ -191,6 +208,23 @@ pub struct ClusterObservation {
     pub hosts: Vec<HostObservation>,
     /// Per-VM observations, indexed by `VmId::index()`.
     pub vms: VmColumns,
+}
+
+impl Clone for ClusterObservation {
+    fn clone(&self) -> Self {
+        ClusterObservation {
+            now: self.now,
+            hosts: self.hosts.clone(),
+            vms: self.vms.clone(),
+        }
+    }
+
+    /// Field by field, reusing the allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.now = source.now;
+        self.hosts.clone_from(&source.hosts);
+        self.vms.clone_from(&source.vms);
+    }
 }
 
 impl ClusterObservation {

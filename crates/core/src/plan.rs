@@ -6,19 +6,24 @@
 //! consistent (no destination is overcommitted by two moves that were
 //! each individually fine).
 
-use cluster::{HostSpec, ServiceClass, VmSpec};
+use cluster::{HostId, HostSpec, ServiceClass, VmSpec};
 use power::breakeven::{LadderSummary, LowPowerMode};
 use power::PowerState;
 
+use crate::predict::Predictors;
 use crate::{ClusterObservation, IndexWorkCounters, ManagerConfig, UtilizationIndex, WorkCounters};
 
 /// Mutable planning view of the cluster for one round.
 ///
 /// The manager builds one instance from its inventory
 /// ([`new`](Self::new)), which fills the static vectors and fleet
-/// constants once, and [`rebuild`](Self::rebuild)s the per-round vectors
-/// in place each round, so they keep their allocations and steady-state
-/// planning allocates nothing.
+/// constants once and sizes everything else. Each round
+/// [`rebuild`](Self::rebuild) refills the per-round vectors in place, in
+/// one ascending pass over the VM columns that also steps the
+/// predictors, so they keep their allocations and steady-state planning
+/// allocates nothing. Each host's VM list is carried across rounds: the
+/// rebuild takes off the previous round's tentative moves and patches
+/// only the VMs whose observed host changed.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanContext {
     /// Predicted demand per VM, cores.
@@ -51,8 +56,9 @@ pub(crate) struct PlanContext {
     pub draining: Vec<bool>,
     /// VM has a live migration in flight (not movable this round).
     pub migrating_vm: Vec<bool>,
-    /// Tentative host of each VM (by index), `None` if unplaced.
-    pub vm_host: Vec<Option<usize>>,
+    /// Tentative host of each VM (by index), `None` if unplaced. Carried
+    /// across rounds with `vms_by_host`: it names the list each VM is on.
+    pub vm_host: Vec<Option<HostId>>,
     /// CPU cap per VM, cores (inventory): bounds each prediction.
     pub vm_cpu_cap: Vec<f64>,
     /// Memory per VM, GB (inventory).
@@ -60,17 +66,25 @@ pub(crate) struct PlanContext {
     /// Whether each VM is batch-class, preferred for disruption
     /// (inventory).
     pub vm_batch: Vec<bool>,
-    /// VMs per host under the tentative plan.
-    pub vms_by_host: Vec<Vec<usize>>,
-    /// VMs tentatively moved onto each host this round. A receiving host
-    /// is no drain candidate: its inbound VMs are not movable
-    /// (`migrating_vm`), so a trial evacuation would look complete while
-    /// the host is filling up.
+    /// VM ids per host under the tentative plan. A rebuild leaves each
+    /// list ascending; a tentative move appends the VM to its new
+    /// host's list. Carried across rounds (see
+    /// [`rebuild`](Self::rebuild)).
+    pub vms_by_host: Vec<Vec<u32>>,
+    /// VMs tentatively moved onto each host this round, which are the
+    /// last entries of its `vms_by_host` list. A receiving host is no
+    /// drain candidate: its inbound VMs are not movable (`migrating_vm`),
+    /// so a trial evacuation would look complete while the host is
+    /// filling up.
     pub inbound_moves: Vec<u32>,
-    /// Sum of `predicted_vm`, computed once per rebuild (predictions are
+    /// Sum of `predicted_vm`, folded by the rebuild pass (predictions are
     /// immutable within a round, so hot paths read this instead of
     /// re-summing O(VMs)).
     total_predicted_cache: f64,
+    /// This round's total measured VM demand, cores, folded by the
+    /// rebuild pass in ascending VM order (bitwise
+    /// [`ClusterObservation::total_vm_demand`]).
+    pub observed_demand: f64,
     /// Deterministic op-counters, accumulated *across* rounds —
     /// [`rebuild`](Self::rebuild) deliberately leaves them untouched.
     pub work: WorkCounters,
@@ -133,15 +147,44 @@ pub(crate) fn test_world(
     (host_specs, vec![vm_spec(8.0, 8.0); obs.vms.len()], obs)
 }
 
-/// The [`test_world`] inventory (as an unbuilt context), observation and
-/// predictions of an all-`On` fleet where host `h` carries
-/// `host_demands[h]`, each VM predicted at its demand.
+/// The [`test_world`] inventory (as an unbuilt context) and observation
+/// of an all-`On` fleet where host `h` carries `host_demands[h]`.
 #[cfg(test)]
-pub(crate) fn all_on_world(host_demands: &[&[f64]]) -> (PlanContext, ClusterObservation, Vec<f64>) {
+pub(crate) fn all_on_world(host_demands: &[&[f64]]) -> (PlanContext, ClusterObservation) {
     let on: Vec<_> = host_demands.iter().map(|&d| (PowerState::On, d)).collect();
     let (hosts, vms, obs) = test_world(simcore::SimTime::ZERO, &on);
-    let preds = obs.vms.cpu_demand().to_vec();
-    (PlanContext::new(&hosts, &vms), obs, preds)
+    (PlanContext::new(&hosts, &vms), obs)
+}
+
+/// Moves `vm` from host `from`'s ascending list to host `to`'s (`None` =
+/// on no list), keeping both ascending.
+fn patch_placement(lists: &mut [Vec<u32>], vm: u32, from: Option<HostId>, to: Option<HostId>) {
+    if let Some(h) = from {
+        let list = &mut lists[h.index()];
+        let pos = list
+            .binary_search(&vm)
+            .expect("placed VM missing from its host's list");
+        list.remove(pos);
+    }
+    if let Some(h) = to {
+        let list = &mut lists[h.index()];
+        let pos = list
+            .binary_search(&vm)
+            .expect_err("VM listed on its new host twice");
+        list.insert(pos, vm);
+    }
+}
+
+/// Each host's VMs in ascending VM order, built from the host column
+/// alone: the reference the carried lists must equal.
+fn vms_by_host_from_scratch(num_hosts: usize, vm_hosts: &[Option<HostId>]) -> Vec<Vec<u32>> {
+    let mut lists = vec![Vec::new(); num_hosts];
+    for (i, h) in vm_hosts.iter().enumerate() {
+        if let Some(h) = h {
+            lists[h.index()].push(i as u32);
+        }
+    }
+    lists
 }
 
 /// Utilization of a host carrying `pred` cores of predicted demand on
@@ -156,8 +199,9 @@ fn util_of(pred: f64, cap: f64) -> f64 {
 
 impl PlanContext {
     /// A context for the fleet `hosts` × `vms`: the inventory vectors and
-    /// fleet constants are filled here, once, and the per-host round
-    /// vectors sized; the rest fill at the first [`rebuild`](Self::rebuild).
+    /// fleet constants are filled here, once, and the per-host and per-VM
+    /// round vectors sized (every VM on no host's list); the rest fill at
+    /// the first [`rebuild`](Self::rebuild).
     pub fn new(hosts: &[HostSpec], vms: &[VmSpec]) -> Self {
         let cpu_capacity: Vec<f64> = hosts.iter().map(|h| h.capacity().cpu_cores).collect();
         let positive = cpu_capacity.iter().copied().filter(|&c| c > 0.0);
@@ -175,6 +219,8 @@ impl PlanContext {
             min_host_cap: positive.reduce(f64::min).unwrap_or(0.0),
             host_pred_cpu: vec![0.0; hosts.len()],
             vms_by_host: vec![Vec::new(); hosts.len()],
+            predicted_vm: vec![0.0; vms.len()],
+            vm_host: vec![None; vms.len()],
             inbound_moves: vec![0; hosts.len()],
             cpu_capacity,
             vm_cpu_cap: vms.iter().map(VmSpec::cpu_cap_cores).collect(),
@@ -188,15 +234,12 @@ impl PlanContext {
     }
 
     /// This context rebuilt for one round and its index refreshed, as a
-    /// round's picks find it.
+    /// round's picks find it, each VM predicted at its demand (a fresh
+    /// last-value predictor).
     #[cfg(test)]
-    pub fn with_round(
-        mut self,
-        obs: &ClusterObservation,
-        predicted_vm: &[f64],
-        draining: &[bool],
-    ) -> Self {
-        self.rebuild(obs, predicted_vm, draining);
+    pub fn with_round(mut self, obs: &ClusterObservation, draining: &[bool]) -> Self {
+        let mut predictors = Predictors::new(crate::PredictorConfig::LastValue, obs.vms.len());
+        self.rebuild(obs, &mut predictors, draining);
         self.refresh_index();
         self
     }
@@ -204,43 +247,76 @@ impl PlanContext {
     /// Refills the per-round vectors in place from this round's
     /// observation, reusing every vector's allocation from the previous
     /// round. The inventory vectors are left as built.
-    pub fn rebuild(&mut self, obs: &ClusterObservation, predicted_vm: &[f64], draining: &[bool]) {
+    ///
+    /// The host lists and `vm_host` are carried from the previous round.
+    /// Its tentative moves come off first: each host's moved-in VMs are
+    /// the last `inbound_moves` entries of its list (a VM moves at most
+    /// once a round, and moves only ever append), and a moved VM already
+    /// left its source list, so cutting those entries and marking their
+    /// VMs listed nowhere leaves each list ascending and each VM's
+    /// `vm_host` naming the list it is on. Then one ascending pass over
+    /// the VM columns feeds each VM's demand to `predictors` and writes
+    /// its prediction (clamped to the VM's cap), adds it to its host's
+    /// predicted demand and the total, folds the measured total, and
+    /// moves the VM between lists, by sorted remove and insert, only
+    /// where its observed host differs from `vm_host`. Every sum folds
+    /// in ascending VM order from the start value the summed form uses,
+    /// so each is bitwise the from-scratch fold; a debug build checks
+    /// the lists against a from-scratch build.
+    pub fn rebuild(
+        &mut self,
+        obs: &ClusterObservation,
+        predictors: &mut Predictors,
+        draining: &[bool],
+    ) {
         let nh = self.num_hosts();
         assert_eq!(obs.hosts.len(), nh, "host count differs from the inventory");
         assert_eq!(draining.len(), nh, "drain set length mismatch");
         assert_eq!(
             obs.vms.len(),
-            self.vm_mem.len(),
+            self.num_vms(),
             "VM count differs from the inventory"
         );
-        assert_eq!(
-            predicted_vm.len(),
-            obs.vms.len(),
-            "prediction length mismatch"
-        );
 
-        self.predicted_vm.clear();
-        self.predicted_vm.extend_from_slice(predicted_vm);
-
-        // Keep inner per-host Vec allocations alive across rounds.
-        for v in &mut self.vms_by_host {
-            v.clear();
-        }
-
-        // VM hosts, per-host VM lists and host predicted demand in one
-        // pass over the host column. A host's predicted demand is the sum
-        // of its VMs' predictions in ascending VM order (migration tax is
-        // transient; plans are made on VM demand).
-        self.vm_host.clear();
-        self.host_pred_cpu.fill(0.0);
-        for (i, (&host, &pred)) in obs.vms.host().iter().zip(predicted_vm).enumerate() {
-            let h = host.map(|h| h.index());
-            if let Some(h) = h {
-                self.vms_by_host[h].push(i);
-                self.host_pred_cpu[h] += pred;
+        for (list, inbound) in self.vms_by_host.iter_mut().zip(&mut self.inbound_moves) {
+            if *inbound > 0 {
+                let kept = list.len() - *inbound as usize;
+                for &vm in &list[kept..] {
+                    self.vm_host[vm as usize] = None;
+                }
+                list.truncate(kept);
+                *inbound = 0;
             }
-            self.vm_host.push(h);
         }
+        let (hosts, demand) = (obs.vms.host(), obs.vms.cpu_demand());
+        self.host_pred_cpu.fill(0.0);
+        // `-0.0` is the neutral element `Iterator::sum` starts from.
+        let (mut total_predicted, mut observed) = (-0.0f64, -0.0f64);
+        predictors.step(demand, |i, p| {
+            let pred = p.clamp(0.0, self.vm_cpu_cap[i]);
+            self.predicted_vm[i] = pred;
+            total_predicted += pred;
+            observed += demand[i];
+            let host = hosts[i];
+            if host != self.vm_host[i] {
+                patch_placement(&mut self.vms_by_host, i as u32, self.vm_host[i], host);
+                self.vm_host[i] = host;
+            }
+            // A host's predicted demand is the sum of its VMs' predictions
+            // in ascending VM order (migration tax is transient; plans are
+            // made on VM demand).
+            if let Some(h) = host {
+                self.host_pred_cpu[h.index()] += pred;
+            }
+        });
+        self.total_predicted_cache = total_predicted;
+        self.observed_demand = observed;
+        debug_assert_eq!(observed.to_bits(), obs.total_vm_demand().to_bits());
+        debug_assert_eq!(
+            self.vms_by_host,
+            vms_by_host_from_scratch(nh, hosts),
+            "carried host lists differ from a from-scratch build"
+        );
 
         self.mem_committed.clear();
         self.mem_committed
@@ -256,10 +332,8 @@ impl PlanContext {
         );
         self.draining.clear();
         self.draining.extend_from_slice(draining);
-        self.inbound_moves.fill(0);
         self.migrating_vm.clear();
         self.migrating_vm.extend_from_slice(obs.vms.migrating());
-        self.total_predicted_cache = self.predicted_vm.iter().sum();
         // Fresh predictions: whatever the bucket index held last round no
         // longer describes the fleet. The per-round refresh revalidates.
         self.index.valid = false;
@@ -268,11 +342,12 @@ impl PlanContext {
     /// Rebuilds the utilization-bucket index and capacity aggregates for
     /// this round's predictions.
     ///
-    /// Every host is re-filed (one divide and compare) but only hosts
-    /// whose *bucket* changed pay list surgery — counted as
-    /// `work.index.rebuckets`, which the invariant catalog bounds by
-    /// `work.cluster.dirty_marks`: a bucket can only move when some
-    /// cluster observation actually changed.
+    /// The index is refilled in one ascending host pass (one divide and
+    /// one push per operational host; see [`UtilizationIndex::refresh`]).
+    /// Hosts whose bucket changed since the index last filed them are
+    /// counted as `work.index.rebuckets`, which the invariant catalog
+    /// bounds by `work.cluster.dirty_marks`: a bucket can only move when
+    /// some cluster observation actually changed.
     pub fn refresh_index(&mut self) {
         let n = self.num_hosts();
         self.index.ensure_hosts(n);
@@ -344,6 +419,11 @@ impl PlanContext {
         self.cpu_capacity.len()
     }
 
+    /// Number of VMs.
+    pub fn num_vms(&self) -> usize {
+        self.vm_mem.len()
+    }
+
     /// Predicted utilization of `host` under the tentative plan.
     pub fn util(&self, host: usize) -> f64 {
         util_of(self.host_pred_cpu[host], self.cpu_capacity[host])
@@ -361,7 +441,7 @@ impl PlanContext {
         if !self.operational[host] || self.draining[host] {
             return false;
         }
-        if self.vm_host[vm] == Some(host) {
+        if self.vm_host[vm] == Some(HostId(host as u32)) {
             return false;
         }
         if self.mem_committed[host] + self.vm_mem[vm] > self.mem_capacity[host] + 1e-9 {
@@ -382,14 +462,15 @@ impl PlanContext {
     ///
     /// Panics if the VM is unplaced or already at `to`.
     pub fn move_vm(&mut self, vm: usize, to: usize) {
-        let from = self.vm_host[vm].expect("moving unplaced VM");
+        let from = self.vm_host[vm].expect("moving unplaced VM").index();
         assert_ne!(from, to, "moving VM to its own host");
+        debug_assert!(!self.migrating_vm[vm], "VM {vm} moved twice in a round");
         self.host_pred_cpu[from] -= self.predicted_vm[vm];
         self.host_pred_cpu[to] += self.predicted_vm[vm];
         self.mem_committed[to] += self.vm_mem[vm];
-        self.vms_by_host[from].retain(|&v| v != vm);
-        self.vms_by_host[to].push(vm);
-        self.vm_host[vm] = Some(to);
+        self.vms_by_host[from].retain(|&v| v as usize != vm);
+        self.vms_by_host[to].push(vm as u32);
+        self.vm_host[vm] = Some(HostId(to as u32));
         self.inbound_moves[to] += 1;
         // One move per VM per round.
         self.migrating_vm[vm] = true;
@@ -403,7 +484,7 @@ impl PlanContext {
     pub fn movable_vms(&self, host: usize) -> Vec<usize> {
         self.vms_by_host[host]
             .iter()
-            .copied()
+            .map(|&v| v as usize)
             .filter(|&v| !self.migrating_vm[v])
             .collect()
     }
@@ -636,7 +717,7 @@ mod tests {
 
     /// Two `On` 8-core, 64 GB hosts; host 0 carries two 8 GB VMs
     /// predicted at 3 and 2 cores.
-    fn world2() -> (PlanContext, ClusterObservation, Vec<f64>) {
+    fn world2() -> (PlanContext, ClusterObservation) {
         all_on_world(&[&[3.0, 2.0], &[]])
     }
 
@@ -646,8 +727,8 @@ mod tests {
 
     #[test]
     fn builds_host_views_from_vms() {
-        let (inv, o, preds) = world2();
-        let ctx = inv.with_round(&o, &preds, &[false, false]);
+        let (inv, o) = world2();
+        let ctx = inv.with_round(&o, &[false, false]);
         assert_eq!(ctx.host_pred_cpu[0], 5.0);
         assert_eq!(ctx.host_pred_cpu[1], 0.0);
         assert_eq!(ctx.util(0), 5.0 / 8.0);
@@ -666,30 +747,30 @@ mod tests {
         ];
         let world: Vec<_> = states.iter().map(|&s| (s, &[][..])).collect();
         let (hosts, vms, o) = test_world(simcore::SimTime::ZERO, &world);
-        let ctx = PlanContext::new(&hosts, &vms).with_round(&o, &[], &[false; 5]);
+        let ctx = PlanContext::new(&hosts, &vms).with_round(&o, &[false; 5]);
         assert_eq!(ctx.arriving, [false, true, true, false, false]);
         assert_eq!(ctx.operational, [true, false, false, false, false]);
     }
 
     #[test]
     fn move_updates_both_sides() {
-        let (inv, o, preds) = world2();
-        let mut ctx = inv.with_round(&o, &preds, &[false, false]);
+        let (inv, o) = world2();
+        let mut ctx = inv.with_round(&o, &[false, false]);
         ctx.move_vm(0, 1);
         assert_eq!(ctx.host_pred_cpu[0], 2.0);
         assert_eq!(ctx.host_pred_cpu[1], 3.0);
         // Memory reserved on destination, retained on source.
         assert_eq!(ctx.mem_committed[1], 8.0);
         assert_eq!(ctx.mem_committed[0], 16.0);
-        assert_eq!(ctx.vm_host[0], Some(1));
+        assert_eq!(ctx.vm_host[0], Some(HostId(1)));
         assert!(ctx.migrating_vm[0]);
         assert_eq!(ctx.movable_vms(0), vec![1]);
     }
 
     #[test]
     fn can_accept_honours_target_and_memory() {
-        let (inv, o, preds) = world2();
-        let mut ctx = inv.with_round(&o, &preds, &[false, false]);
+        let (inv, o) = world2();
+        let mut ctx = inv.with_round(&o, &[false, false]);
         let cfg = cfg(); // target 0.75 -> 6.0 cores on an 8-core host
         assert!(ctx.can_accept(1, 0, &cfg));
         // Fill host 1's CPU near target.
@@ -702,18 +783,18 @@ mod tests {
 
     #[test]
     fn draining_and_non_operational_hosts_rejected() {
-        let (inv, mut o, preds) = world2();
-        let ctx = inv.clone().with_round(&o, &preds, &[false, true]);
+        let (inv, mut o) = world2();
+        let ctx = inv.clone().with_round(&o, &[false, true]);
         assert!(!ctx.can_accept(1, 0, &cfg()));
         o.hosts[1].state = PowerState::Suspended;
-        let ctx = inv.with_round(&o, &preds, &[false, false]);
+        let ctx = inv.with_round(&o, &[false, false]);
         assert!(!ctx.can_accept(1, 0, &cfg()));
     }
 
     #[test]
     fn destination_selection_prefers_right_ends() {
-        let (inv, o, _) = all_on_world(&[&[3.0, 2.0], &[], &[]]);
-        let mut ctx = inv.with_round(&o, &[1.0, 1.0], &[false, false, false]);
+        let (inv, o) = all_on_world(&[&[1.0, 1.0], &[], &[]]);
+        let mut ctx = inv.with_round(&o, &[false, false, false]);
         ctx.host_pred_cpu[1] = 3.0; // host1 busier than host2
         ctx.refresh_index();
         let cfg = cfg();

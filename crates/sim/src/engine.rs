@@ -786,11 +786,15 @@ impl DatacenterSim {
         }
         if control.views_diverge() {
             // Snapshot after planning: this round's fresh observation is
-            // the youngest entry a future stale view can see.
-            control.history.push_back(obs.clone());
-            if control.history.len() > control.staleness {
-                control.history.pop_front();
-            }
+            // the youngest entry a future stale view can see. A full ring
+            // hands its oldest snapshot back to be refilled in place.
+            let mut snapshot = if control.history.len() == control.staleness {
+                control.history.pop_front().expect("staleness is positive")
+            } else {
+                ClusterObservation::default()
+            };
+            snapshot.clone_from(&obs);
+            control.history.push_back(snapshot);
         }
         self.obs_buf = obs;
         self.tracer.exit(self.s_plan);
