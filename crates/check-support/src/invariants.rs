@@ -7,6 +7,7 @@
 
 use cluster::Cluster;
 use dcsim::{EventKind, Scenario, SimReport};
+use power::breakeven::LadderSummary;
 use power::{HostPowerProfile, PowerState};
 
 /// Slack multiplier on the physical power ceiling: transition states may
@@ -264,11 +265,12 @@ pub fn check_no_vm_double_placed(report: &SimReport) -> Result<(), String> {
     Ok(())
 }
 
-/// The audit log must be time-ordered, and when events were recorded the
-/// fault ledger must be *exact*: `PowerFailed`, `MigrationFailed`,
-/// `PowerStuck`, and `VmArrivalRejected` entries must each agree with
-/// their report counter, and no VM may be both admitted and rejected
-/// (the silent-drop class of bug).
+/// The audit log must be time-ordered, and when events were recorded
+/// every event-derived report count must be *exact*: the
+/// `MigrationCompleted`, `MigrationFailed`, `PowerFailed`, `PowerStuck`,
+/// `VmArrivalDeferred`, `VmArrivalRejected` and `ActionRejected` entries
+/// must each agree with their report counter, and no VM may be both
+/// admitted and rejected (the silent-drop class of bug).
 pub fn check_event_log(report: &SimReport) -> Result<(), String> {
     for pair in report.events.windows(2) {
         if pair[1].time < pair[0].time {
@@ -279,29 +281,29 @@ pub fn check_event_log(report: &SimReport) -> Result<(), String> {
         }
     }
     if !report.events.is_empty() {
-        let mut failed = 0u64;
-        let mut migrations_failed = 0u64;
-        let mut stuck = 0u64;
-        let mut rejected = 0u64;
+        let mut ledger = [
+            ("migrations", 0u64, report.migrations),
+            ("migration_failures", 0, report.migration_failures),
+            ("transition_failures", 0, report.transition_failures),
+            ("hung_transitions", 0, report.hung_transitions),
+            ("placement_retries", 0, report.placement_retries),
+            ("rejected_admissions", 0, report.rejected_admissions),
+            ("action_failures", 0, report.action_failures),
+        ];
         for e in &report.events {
-            match e.kind {
-                EventKind::PowerFailed { .. } => failed += 1,
-                EventKind::MigrationFailed { .. } => migrations_failed += 1,
-                EventKind::PowerStuck { .. } => stuck += 1,
-                EventKind::VmArrivalRejected { .. } => rejected += 1,
-                _ => {}
-            }
+            let slot = match e.kind {
+                EventKind::MigrationCompleted { .. } => 0,
+                EventKind::MigrationFailed { .. } => 1,
+                EventKind::PowerFailed { .. } => 2,
+                EventKind::PowerStuck { .. } => 3,
+                EventKind::VmArrivalDeferred { .. } => 4,
+                EventKind::VmArrivalRejected { .. } => 5,
+                EventKind::ActionRejected => 6,
+                _ => continue,
+            };
+            ledger[slot].1 += 1;
         }
-        for (name, events, counter) in [
-            ("transition_failures", failed, report.transition_failures),
-            (
-                "migration_failures",
-                migrations_failed,
-                report.migration_failures,
-            ),
-            ("hung_transitions", stuck, report.hung_transitions),
-            ("rejected_admissions", rejected, report.rejected_admissions),
-        ] {
+        for (name, events, counter) in ledger {
             if events != counter {
                 return Err(format!(
                     "{events} {name} events but the report counter says {counter}"
@@ -392,27 +394,25 @@ pub fn check_cluster(cluster: &Cluster) -> Result<(), String> {
 /// the check is applied to the presets and to generated ladder worlds
 /// rather than enforced at construction.
 pub fn check_ladder_monotonic(profile: &HostPowerProfile) -> Result<(), String> {
-    let ladder = profile.ladder();
+    let ladder: Vec<_> = LadderSummary::of(profile).rungs().collect();
     for pair in ladder.windows(2) {
-        let (shallow, deep) = (&pair[0], &pair[1]);
-        if deep.resting_power_w >= shallow.resting_power_w {
+        let ((shallow, s), (deep, d)) = (pair[0], pair[1]);
+        let (shallow_w, deep_w) = (
+            shallow.resting_power_w(profile),
+            deep.resting_power_w(profile),
+        );
+        if deep_w >= shallow_w {
             return Err(format!(
-                "{}: rung {} rests at {} W, not below the shallower {} ({} W)",
+                "{}: rung {deep} rests at {deep_w} W, not below the shallower {shallow} ({shallow_w} W)",
                 profile.name(),
-                deep.mode,
-                deep.resting_power_w,
-                shallow.mode,
-                shallow.resting_power_w
             ));
         }
-        if deep.wake_latency < shallow.wake_latency {
+        if d.wake_latency < s.wake_latency {
             return Err(format!(
-                "{}: rung {} wakes in {}, faster than the shallower {} ({})",
+                "{}: rung {deep} wakes in {}, faster than the shallower {shallow} ({})",
                 profile.name(),
-                deep.mode,
-                deep.wake_latency,
-                shallow.mode,
-                shallow.wake_latency
+                d.wake_latency,
+                s.wake_latency
             ));
         }
     }

@@ -76,8 +76,6 @@ pub struct Cluster {
     migrations: Vec<Option<Migration>>,
     /// Per-host count of inbound migrations (capacity reservations).
     inbound: Vec<u32>,
-    migrations_completed: u64,
-    migrations_failed: u64,
     migration_busy_secs: f64,
     /// Incrementally-maintained total-power aggregate: a fixed-shape
     /// pairwise tree whose root is bitwise equal to [`pairwise_sum`] over
@@ -141,8 +139,6 @@ impl Cluster {
             placement,
             migrations,
             inbound,
-            migrations_completed: 0,
-            migrations_failed: 0,
             migration_busy_secs: 0.0,
             power_tree: RefCell::new(SumTree::new()),
             power_stale: Cell::new(true),
@@ -242,16 +238,6 @@ impl Cluster {
     /// Panics if `vm` is out of range.
     pub fn migration_of(&self, vm: VmId) -> Option<Migration> {
         self.migrations[vm.index()]
-    }
-
-    /// Total live migrations completed so far.
-    pub fn migrations_completed(&self) -> u64 {
-        self.migrations_completed
-    }
-
-    /// Total live migrations that aborted mid-flight (fault injection).
-    pub fn migrations_failed(&self) -> u64 {
-        self.migrations_failed
     }
 
     /// Cumulative wall-clock seconds of live-migration activity started so
@@ -547,7 +533,6 @@ impl Cluster {
         // the source gives the memory up.
         self.host_mem_committed[migration.from.index()] -= self.vms[vm.index()].mem_gb();
         self.note_free_changed(migration.from.index());
-        self.migrations_completed += 1;
         self.dirty_marks += 2;
         Ok(migration)
     }
@@ -574,7 +559,6 @@ impl Cluster {
         self.inbound[migration.to.index()] -= 1;
         self.host_mem_committed[migration.to.index()] -= self.vms[vm.index()].mem_gb();
         self.note_free_changed(migration.to.index());
-        self.migrations_failed += 1;
         self.dirty_marks += 2;
         Ok(migration)
     }
@@ -689,14 +673,6 @@ impl Cluster {
                 self.on_count -= 1;
             }
         }
-    }
-
-    /// Total power-state transitions that failed across all hosts.
-    pub fn failed_transitions(&self) -> u64 {
-        self.hosts
-            .iter()
-            .map(|h| h.power().failed_transitions())
-            .sum()
     }
 
     // ----- demand -----------------------------------------------------
@@ -973,7 +949,7 @@ mod tests {
         assert_eq!(m.to, HostId(1));
         assert_eq!(c.placement().host_of(VmId(0)), Some(HostId(1)));
         assert!(c.is_evacuated(HostId(0)));
-        assert_eq!(c.migrations_completed(), 1);
+        assert!(c.migration_of(VmId(0)).is_none());
     }
 
     #[test]
@@ -991,8 +967,6 @@ mod tests {
         assert_eq!(c.mem_committed_gb(HostId(0)), 8.0);
         assert_eq!(c.mem_committed_gb(HostId(1)), 0.0);
         assert!(c.is_evacuated(HostId(1)));
-        assert_eq!(c.migrations_failed(), 1);
-        assert_eq!(c.migrations_completed(), 0);
         assert!(c.migration_of(VmId(0)).is_none());
         // The VM can retry the same move afterwards.
         let done2 = c.begin_migration(VmId(0), HostId(1), done).unwrap();
@@ -1021,7 +995,7 @@ mod tests {
         // The old instant no longer completes; the stretched one fails.
         assert!(c.complete_power_transition(HostId(0), done).is_err());
         c.fail_power_transition(HostId(0), stuck).unwrap();
-        assert_eq!(c.failed_transitions(), 1);
+        assert_eq!(c.host(HostId(0)).unwrap().power().failed_transitions(), 1);
         assert!(c.host(HostId(0)).unwrap().is_operational());
     }
 

@@ -60,6 +60,18 @@ pub struct DecisionActions {
     pub power_downs: u64,
 }
 
+impl DecisionActions {
+    /// Adds another round's (or another scheduler's) counts into `self`.
+    pub fn merge(&mut self, other: &DecisionActions) {
+        self.migrations += other.migrations;
+        self.overload_migrations += other.overload_migrations;
+        self.consolidation_migrations += other.consolidation_migrations;
+        self.rebalance_migrations += other.rebalance_migrations;
+        self.power_ups += other.power_ups;
+        self.power_downs += other.power_downs;
+    }
+}
+
 /// One management round's inputs and outputs.
 ///
 /// Produced by `VirtManager::plan` and retrievable via
@@ -67,7 +79,8 @@ pub struct DecisionActions {
 /// sink as a `manager-decision` record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
-    /// Management round number (1-based, matches `RoundStats::rounds`).
+    /// Management round number: 1-based, counting the rounds this
+    /// manager has planned (a refused observation is no round).
     pub round: u64,
     /// Simulated time of the observation.
     pub now: SimTime,

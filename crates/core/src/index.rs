@@ -52,8 +52,6 @@
 //! operational, draining, hysteresis, quarantine, capacity gates,
 //! `can_accept` — is evaluated live per examined host.
 
-use obs::Json;
-
 /// Has no effect: the utilization-bucket index is the only planner (each
 /// pick is checked against a full-fleet scan in debug builds instead).
 /// Kept only because the frozen `perfbench` benchmark still names
@@ -418,16 +416,6 @@ impl IndexWorkCounters {
             ("move_rebuckets", self.move_rebuckets),
         ]
     }
-
-    /// JSON object rendering (for bench artifacts).
-    pub fn to_json(&self) -> Json {
-        Json::Object(
-            self.entries()
-                .iter()
-                .map(|&(k, v)| (k.to_string(), Json::Int(v as i64)))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -613,6 +601,6 @@ mod tests {
         let mut values: Vec<u64> = w.entries().iter().map(|&(_, v)| v).collect();
         values.sort_unstable();
         assert_eq!(values, vec![1, 2, 3, 4, 5]);
-        assert_eq!(w.to_json().get("rebuckets").unwrap().as_i64(), Some(2));
+        assert!(w.entries().contains(&("rebuckets", 2)));
     }
 }

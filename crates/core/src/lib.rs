@@ -39,7 +39,7 @@
 //! let vm = VmSpec::new(Resources::new(2.0, 8.0));
 //! let config = ManagerConfig::new(PowerPolicy::reactive_suspend());
 //! let manager = VirtManager::new(config, &vec![host; 16], &[vm; 64])?;
-//! assert_eq!(manager.stats().rounds, 0);
+//! assert!(manager.last_decision().is_none());
 //! # Ok::<(), agile_core::ConfigError>(())
 //! ```
 
@@ -68,7 +68,7 @@ pub use config::{ConfigError, ManagerConfig, PackingPolicy, PowerPolicy};
 pub use decision::{DecisionActions, DecisionRecord, DecisionTrigger};
 pub use hysteresis::HysteresisGate;
 pub use index::{IndexWorkCounters, PlanMode, UtilizationIndex};
-pub use manager::{PlanError, RoundStats, VirtManager};
+pub use manager::{PlanError, VirtManager};
 pub use observation::{ClusterObservation, HostObservation, VmColumns, VmObservation};
 pub use placement::{CommitStats, ConflictReason, PlacementFacts, PlacementStore};
 pub use predict::PredictorConfig;

@@ -16,40 +16,6 @@ use crate::{
 use obs::{Histogram, SpanTracer};
 use simcore::SimDuration;
 
-/// Cumulative counts of actions the manager has requested — the
-/// "management overhead" the paper compares against base DRM (experiment
-/// T9).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Management rounds executed.
-    pub rounds: u64,
-    /// Live migrations requested.
-    pub migrations_requested: u64,
-    /// Host power-ups requested.
-    pub power_ups_requested: u64,
-    /// Host power-downs requested.
-    pub power_downs_requested: u64,
-    /// Migrations attributed to overload mitigation (base DRM work).
-    pub overload_migrations: u64,
-    /// Migrations attributed to consolidation (power-management work).
-    pub consolidation_migrations: u64,
-    /// Migrations attributed to background rebalancing.
-    pub rebalance_migrations: u64,
-    /// Fresh power-transition failures the recovery tracker detected.
-    pub failures_detected: u64,
-    /// Hosts newly quarantined by the recovery tracker.
-    pub quarantines: u64,
-    /// Rounds planned with the fleet fail-safe tripped.
-    pub failsafe_rounds: u64,
-}
-
-impl RoundStats {
-    /// Total power actions (up + down).
-    pub fn power_actions(&self) -> u64 {
-        self.power_ups_requested + self.power_downs_requested
-    }
-}
-
 /// Why [`VirtManager::plan`] refused an observation.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches need a wildcard arm.
@@ -120,7 +86,7 @@ impl Error for PlanError {}
 /// let vm = VmSpec::new(Resources::new(2.0, 8.0));
 /// let config = ManagerConfig::new(PowerPolicy::always_on());
 /// let mgr = VirtManager::new(config, &vec![host; 4], &[vm; 16])?;
-/// assert_eq!(mgr.stats().rounds, 0);
+/// assert!(mgr.last_decision().is_none());
 /// # Ok::<(), agile_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -133,7 +99,9 @@ pub struct VirtManager {
     profile: Option<DayProfile>,
     last_reasons: Vec<ActionReason>,
     last_decision: Option<DecisionRecord>,
-    stats: RoundStats,
+    /// Management rounds planned so far; the latest is
+    /// [`DecisionRecord::round`].
+    round: u64,
     /// The planning context keeps its allocations across rounds so
     /// steady-state planning allocates nothing. It also holds the
     /// inventory, filled once at construction.
@@ -197,15 +165,10 @@ impl VirtManager {
             profile,
             last_reasons: Vec::new(),
             last_decision: None,
-            stats: RoundStats::default(),
+            round: 0,
             ctx: PlanContext::new(hosts, vms),
             actions_hist: Histogram::new(),
         })
-    }
-
-    /// Cumulative action counts.
-    pub fn stats(&self) -> &RoundStats {
-        &self.stats
     }
 
     /// Why each action of the most recent [`plan`](Self::plan) round was
@@ -273,7 +236,7 @@ impl VirtManager {
                 actual_vms: obs.vms.len(),
             });
         }
-        self.stats.rounds += 1;
+        self.round += 1;
 
         let s_rescore = tracer.name("rescore");
         let s_wake = tracer.name("capacity_wake");
@@ -287,10 +250,6 @@ impl VirtManager {
         // Detect fresh transition failures before any planning: backoff,
         // quarantine, and the fleet fail-safe gate the steps below.
         self.recovery.observe(obs);
-        let rstats = *self.recovery.stats();
-        self.stats.failures_detected = rstats.failures_observed;
-        self.stats.quarantines = rstats.quarantines;
-        self.stats.failsafe_rounds = rstats.failsafe_rounds;
 
         // Feed the predictors and rebuild the planning view from this
         // round's observation, in one pass.
@@ -407,38 +366,22 @@ impl VirtManager {
         for (a, reason) in actions.iter().zip(&reasons) {
             match a {
                 ManagementAction::Migrate { .. } => {
-                    self.stats.migrations_requested += 1;
                     round_actions.migrations += 1;
                     match reason {
-                        ActionReason::OverloadMitigation => {
-                            self.stats.overload_migrations += 1;
-                            round_actions.overload_migrations += 1;
-                        }
-                        ActionReason::Consolidation => {
-                            self.stats.consolidation_migrations += 1;
-                            round_actions.consolidation_migrations += 1;
-                        }
-                        ActionReason::Rebalance => {
-                            self.stats.rebalance_migrations += 1;
-                            round_actions.rebalance_migrations += 1;
-                        }
+                        ActionReason::OverloadMitigation => round_actions.overload_migrations += 1,
+                        ActionReason::Consolidation => round_actions.consolidation_migrations += 1,
+                        ActionReason::Rebalance => round_actions.rebalance_migrations += 1,
                         _ => {}
                     }
                 }
-                ManagementAction::PowerUp { .. } => {
-                    self.stats.power_ups_requested += 1;
-                    round_actions.power_ups += 1;
-                }
-                ManagementAction::PowerDown { .. } => {
-                    self.stats.power_downs_requested += 1;
-                    round_actions.power_downs += 1;
-                }
+                ManagementAction::PowerUp { .. } => round_actions.power_ups += 1,
+                ManagementAction::PowerDown { .. } => round_actions.power_downs += 1,
             }
         }
         self.last_reasons = reasons;
         self.actions_hist.observe(actions.len() as f64);
         self.last_decision = Some(DecisionRecord {
-            round: self.stats.rounds,
+            round: self.round,
             now: obs.now,
             trigger: DecisionTrigger {
                 overload: capacity.overloaded_hosts > 0,
@@ -740,7 +683,8 @@ mod tests {
         );
         let actions = mgr.plan(&o).expect("well-shaped observation");
         assert!(actions.iter().all(|a| !a.is_power_action()));
-        assert_eq!(mgr.stats().power_actions(), 0);
+        let counted = mgr.last_decision().unwrap().actions;
+        assert_eq!(counted.power_ups + counted.power_downs, 0);
     }
 
     #[test]
@@ -792,7 +736,7 @@ mod tests {
             "{actions2:?}"
         );
         assert!(draining_hosts(&mgr).is_empty());
-        assert_eq!(mgr.stats().power_downs_requested, 1);
+        assert_eq!(mgr.last_decision().unwrap().actions.power_downs, 1);
     }
 
     #[test]
@@ -835,7 +779,7 @@ mod tests {
                 .any(|a| matches!(a, ManagementAction::PowerUp { host: HostId(1) })),
             "{actions:?}"
         );
-        assert_eq!(mgr.stats().power_ups_requested, 1);
+        assert_eq!(mgr.last_decision().unwrap().actions.power_ups, 1);
     }
 
     #[test]
@@ -904,15 +848,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn decision_record_numbers_the_round_and_counts_its_migrations() {
         let mut mgr = manager(agile_config(), 2, 2);
         let o = obs(
             SimTime::ZERO,
             &[(PowerState::On, &[1.0]), (PowerState::On, &[0.5])],
         );
         mgr.plan(&o).expect("well-shaped observation");
-        assert_eq!(mgr.stats().rounds, 1);
-        assert!(mgr.stats().migrations_requested >= 1);
+        let d = mgr.last_decision().unwrap();
+        assert_eq!(d.round, 1);
+        assert!(d.actions.migrations >= 1);
     }
 
     #[test]
@@ -932,8 +877,9 @@ mod tests {
             .position(|a| matches!(a, ManagementAction::Migrate { .. }))
             .expect("consolidation migrates");
         assert_eq!(reasons[migration_idx], crate::ActionReason::Consolidation);
-        assert_eq!(mgr.stats().consolidation_migrations, 1);
-        assert_eq!(mgr.stats().overload_migrations, 0);
+        let counted = mgr.last_decision().unwrap().actions;
+        assert_eq!(counted.consolidation_migrations, 1);
+        assert_eq!(counted.overload_migrations, 0);
 
         // Park round: power-down attributed to Park.
         let o2 = obs(
@@ -969,8 +915,8 @@ mod tests {
                 .all(|a| !matches!(a, ManagementAction::PowerUp { .. })),
             "{actions:?}"
         );
-        assert_eq!(mgr.stats().quarantines, 1);
-        assert_eq!(mgr.stats().failures_detected, 1);
+        assert_eq!(mgr.recovery.stats().quarantines, 1);
+        assert_eq!(mgr.recovery.stats().failures_observed, 1);
     }
 
     #[test]
@@ -1024,7 +970,7 @@ mod tests {
         assert!(draining_hosts(&mgr).is_empty());
         let d = mgr.last_decision().unwrap();
         assert!(d.failsafe);
-        assert_eq!(mgr.stats().failsafe_rounds, 1);
+        assert_eq!(mgr.recovery.stats().failsafe_rounds, 1);
 
         // Once the window drains the fail-safe clears and consolidation
         // resumes.
@@ -1195,7 +1141,7 @@ mod tests {
         );
         assert!(err.to_string().contains("3 hosts and 4 VMs"), "{err}");
         // A refused observation is no round: nothing was counted or kept.
-        assert_eq!(mgr.stats().rounds, 0);
+        assert_eq!(mgr.round, 0);
         assert!(mgr.last_decision().is_none());
     }
 }

@@ -10,8 +10,6 @@
 //! and the O(hosts) scan per drain pick is visible directly, without
 //! wall-clock noise.
 
-use obs::Json;
-
 /// Deterministic counts of planning and execution work.
 ///
 /// The manager accumulates these across rounds (they survive planning
@@ -68,16 +66,6 @@ impl WorkCounters {
         self.migrations_planned += other.migrations_planned;
         self.fold_elements += other.fold_elements;
     }
-
-    /// JSON object rendering (for bench artifacts).
-    pub fn to_json(&self) -> Json {
-        Json::Object(
-            self.entries()
-                .iter()
-                .map(|&(k, v)| (k.to_string(), Json::Int(v as i64)))
-                .collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -105,8 +93,7 @@ mod tests {
         let mut values: Vec<u64> = entries.iter().map(|&(_, v)| v).collect();
         values.sort_unstable();
         assert_eq!(values, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        let json = w.to_json();
-        assert_eq!(json.get("undo_depth_max").unwrap().as_i64(), Some(5));
+        assert!(entries.contains(&("undo_depth_max", 5)));
     }
 
     #[test]

@@ -226,6 +226,11 @@ impl MetricsRegistry {
         self.counters[id.0].1 += n;
     }
 
+    /// A counter's current value.
+    pub fn count(&self, id: CounterId) -> u64 {
+        self.counters[id.0].1
+    }
+
     /// Sets a gauge.
     #[inline]
     pub fn set(&mut self, id: GaugeId, value: f64) {

@@ -224,13 +224,21 @@ impl LadderSummary {
         self.rungs.iter().all(Option::is_none)
     }
 
+    /// The supported rungs with their modes, ordered shallow→deep.
+    pub fn rungs(&self) -> impl Iterator<Item = (LowPowerMode, RungSummary)> {
+        let rungs = self.rungs;
+        LowPowerMode::ALL
+            .into_iter()
+            .zip(rungs)
+            .filter_map(|(mode, rung)| Some((mode, rung?)))
+    }
+
     /// The shallowest rung whose wake latency fits `wake_slo` — the rung
     /// a warm-pool host parks in.
     pub fn shallowest_within(&self, wake_slo: SimDuration) -> Option<LowPowerMode> {
-        LowPowerMode::ALL
-            .iter()
-            .copied()
-            .find(|&mode| self.rung(mode).is_some_and(|r| r.wake_latency <= wake_slo))
+        self.rungs()
+            .find(|(_, rung)| rung.wake_latency <= wake_slo)
+            .map(|(mode, _)| mode)
     }
 
     /// Picks the deepest rung that is *affordable* against a latency SLO
@@ -247,25 +255,13 @@ impl LadderSummary {
         wake_slo: SimDuration,
         expected_gap: Option<SimDuration>,
     ) -> Option<LowPowerMode> {
-        let mut best = None;
-        for mode in LowPowerMode::ALL {
-            let Some(rung) = self.rung(mode) else {
-                continue;
-            };
-            if rung.wake_latency > wake_slo {
-                continue;
-            }
-            let pays_off = match expected_gap {
-                None => true,
-                Some(gap) => rung.break_even.is_some_and(|be| be <= gap),
-            };
-            if pays_off {
-                // ALL is ordered shallow→deep: keep overwriting with
-                // deeper SLO-feasible rungs.
-                best = Some(mode);
-            }
-        }
-        best
+        self.rungs()
+            .filter(|(_, rung)| {
+                rung.wake_latency <= wake_slo
+                    && expected_gap.is_none_or(|gap| rung.break_even.is_some_and(|be| be <= gap))
+            })
+            .last()
+            .map(|(mode, _)| mode)
     }
 }
 

@@ -54,7 +54,7 @@ pub use curve::PowerCurve;
 pub use dvfs::{DvfsLevel, DvfsModel};
 pub use energy::EnergyMeter;
 pub use error::{ConfigError, PowerError};
-pub use profile::{HostPowerProfile, LadderRung};
+pub use profile::HostPowerProfile;
 pub use psu::PsuModel;
 pub use state::{PowerState, PowerStateMachine, StateResidency};
 pub use transition::{TransitionKind, TransitionSpec, TransitionTable};

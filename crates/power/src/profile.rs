@@ -14,23 +14,10 @@ use std::fmt;
 
 use simcore::SimDuration;
 
-use crate::breakeven::LowPowerMode;
 use crate::{
     ConfigError, DvfsModel, PowerCurve, PowerState, PsuModel, TransitionKind, TransitionSpec,
     TransitionTable,
 };
-
-/// One rung of a profile's power-state ladder, ordered shallow→deep:
-/// lower wake latency, higher resting draw.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LadderRung {
-    /// The low-power mode this rung parks the host in.
-    pub mode: LowPowerMode,
-    /// Resting draw in the rung's stable state, watts (DC side).
-    pub resting_power_w: f64,
-    /// Latency of the rung's wake transition back to `On`.
-    pub wake_latency: SimDuration,
-}
 
 /// A named, immutable description of one server model's power behaviour.
 ///
@@ -340,25 +327,6 @@ impl HostPowerProfile {
         self.transitions.supports_suspend()
     }
 
-    /// The profile's power-state ladder: every supported low-power rung,
-    /// ordered shallow→deep (package idle, then suspend, then off), with
-    /// each rung's resting draw and wake latency. The classic presets
-    /// yield the 2-rung {S3, S5} ladder; `*_ladder` presets add C6.
-    pub fn ladder(&self) -> Vec<LadderRung> {
-        LowPowerMode::ALL
-            .iter()
-            .filter_map(|&mode| {
-                let up = self.transitions.spec(mode.up())?;
-                self.transitions.spec(mode.down())?;
-                Some(LadderRung {
-                    mode,
-                    resting_power_w: mode.resting_power_w(self),
-                    wake_latency: up.latency(),
-                })
-            })
-            .collect()
-    }
-
     /// Power draw in `state` at utilization `util` (only `On` uses
     /// `util`). If a PSU model is attached, this is AC wall power;
     /// otherwise it is whatever side the profile was calibrated on.
@@ -418,6 +386,7 @@ impl fmt::Display for HostPowerProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breakeven::{LadderSummary, LowPowerMode};
 
     #[test]
     fn prototype_preserves_paper_relationships() {
@@ -484,15 +453,14 @@ mod tests {
     fn ladder_preset_orders_rungs_shallow_to_deep() {
         let p = HostPowerProfile::prototype_rack_ladder();
         assert!(p.transitions().supports_package_idle());
-        let ladder = p.ladder();
-        assert_eq!(ladder.len(), 3);
-        assert_eq!(ladder[0].mode, LowPowerMode::PackageIdle);
-        assert_eq!(ladder[1].mode, LowPowerMode::Suspend);
-        assert_eq!(ladder[2].mode, LowPowerMode::Off);
+        let ladder: Vec<_> = LadderSummary::of(&p).rungs().collect();
+        let modes: Vec<_> = ladder.iter().map(|&(mode, _)| mode).collect();
+        assert_eq!(modes, LowPowerMode::ALL);
         // Deeper rung ⇒ lower resting power, longer wake.
         for pair in ladder.windows(2) {
-            assert!(pair[0].resting_power_w > pair[1].resting_power_w);
-            assert!(pair[0].wake_latency < pair[1].wake_latency);
+            let ((shallow, s), (deep, d)) = (pair[0], pair[1]);
+            assert!(shallow.resting_power_w(&p) > deep.resting_power_w(&p));
+            assert!(s.wake_latency < d.wake_latency);
         }
     }
 
@@ -501,7 +469,10 @@ mod tests {
         let p = HostPowerProfile::prototype_rack();
         assert!(!p.transitions().supports_package_idle());
         assert!(p.package_idle_power_w().is_none());
-        let modes: Vec<_> = p.ladder().iter().map(|r| r.mode).collect();
+        let modes: Vec<_> = LadderSummary::of(&p)
+            .rungs()
+            .map(|(mode, _)| mode)
+            .collect();
         assert_eq!(modes, vec![LowPowerMode::Suspend, LowPowerMode::Off]);
     }
 

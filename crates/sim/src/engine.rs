@@ -6,8 +6,8 @@ use std::io::BufWriter;
 use std::ops::Range;
 
 use agile_core::{
-    schedview, ClusterObservation, HostObservation, ManagementAction, PlacementFacts,
-    PlacementStore, RoundStats, VirtManager, WorkCounters,
+    schedview, ClusterObservation, DecisionActions, HostObservation, ManagementAction,
+    PlacementFacts, PlacementStore, VirtManager, WorkCounters,
 };
 use cluster::{Cluster, ClusterError, DemandOutcome, HostId, VmId};
 use power::PowerState;
@@ -67,6 +67,9 @@ struct ControlPlane {
     store: PlacementStore,
     /// Reusable merge buffer for the per-scheduler view.
     view_buf: ClusterObservation,
+    /// Every scheduler's per-round [`DecisionActions`] summed over the
+    /// run: the report's planner counts.
+    planned: DecisionActions,
 }
 
 impl ControlPlane {
@@ -90,6 +93,7 @@ impl ControlPlane {
             pending: VecDeque::new(),
             store: PlacementStore::new(num_hosts, num_vms),
             view_buf: ClusterObservation::default(),
+            planned: DecisionActions::default(),
         }
     }
 
@@ -158,29 +162,6 @@ impl PlacementFacts for ClusterFacts<'_> {
     }
 }
 
-/// Sums per-scheduler round statistics into one fleet-wide view. Every
-/// counter adds up across schedulers except `rounds`, which is the same
-/// control-tick count for each replica (scheduler 0's is taken).
-fn fold_round_stats(schedulers: &[VirtManager]) -> RoundStats {
-    let mut out = RoundStats::default();
-    for (i, m) in schedulers.iter().enumerate() {
-        let s = m.stats();
-        if i == 0 {
-            out.rounds = s.rounds;
-        }
-        out.migrations_requested += s.migrations_requested;
-        out.power_ups_requested += s.power_ups_requested;
-        out.power_downs_requested += s.power_downs_requested;
-        out.overload_migrations += s.overload_migrations;
-        out.consolidation_migrations += s.consolidation_migrations;
-        out.rebalance_migrations += s.rebalance_migrations;
-        out.failures_detected += s.failures_detected;
-        out.quarantines += s.quarantines;
-        out.failsafe_rounds += s.failsafe_rounds;
-    }
-    out
-}
-
 /// The datacenter simulator behind [`crate::SimulationBuilder`]'s engine
 /// mode.
 ///
@@ -213,13 +194,10 @@ pub(crate) struct DatacenterSim {
     /// Hosts whose in-flight transition hung: at its (stretched)
     /// completion it force-fails without consuming a random draw.
     hung: Vec<bool>,
-    hung_transitions: u64,
     /// Correlated rack-outage windows `(start, end)` bucketed by rack,
     /// pre-generated at run start; transitions completing inside one of
     /// their rack's windows force-fail.
     rack_bursts: Vec<Vec<(SimTime, SimTime)>>,
-    placement_retries: u64,
-    rejected_admissions: u64,
     event_log: Option<Vec<EventRecord>>,
     /// The JSONL trace writer and the path it writes (as displayed in
     /// errors), when the experiment asked for a trace file.
@@ -349,10 +327,7 @@ impl DatacenterSim {
             migration_fail_rng: RngStream::new(scenario.seed()).substream(0x4D16),
             hang_rng: RngStream::new(scenario.seed()).substream(0x57CC),
             hung: vec![false; num_hosts],
-            hung_transitions: 0,
             rack_bursts: Vec::new(),
-            placement_retries: 0,
-            rejected_admissions: 0,
             event_log: experiment.record_events.then(Vec::new),
             sink,
             telemetry: SimTelemetry::new(),
@@ -515,11 +490,17 @@ impl DatacenterSim {
         self.telemetry
             .registry
             .add(id, control.schedulers.len() as u64);
+        // Every migration the cluster accepted logged its start.
+        let started = self
+            .telemetry
+            .registry
+            .count(self.telemetry.migrations_started);
+        let executed = self.telemetry.registry.counter("work.migrations.executed");
+        self.telemetry.registry.add(executed, started);
         let dirty = self.telemetry.registry.counter("work.cluster.dirty_marks");
         self.telemetry
             .registry
             .add(dirty, self.cluster.dirty_marks());
-        let stats = fold_round_stats(&self.control.schedulers);
         let report = self.collector.finalize(
             self.scenario_name,
             self.policy_label,
@@ -528,17 +509,9 @@ impl DatacenterSim {
             self.cluster.num_hosts(),
             self.cluster.num_vms(),
             self.cluster.total_energy_j(),
-            self.cluster.migrations_completed(),
-            stats,
+            self.control.planned,
             self.cluster.migration_busy_secs(),
             self.cluster.transition_busy_secs(),
-            crate::metrics::FaultCounters {
-                transition_failures: self.cluster.failed_transitions(),
-                placement_retries: self.placement_retries,
-                migration_failures: self.cluster.migrations_failed(),
-                rejected_admissions: self.rejected_admissions,
-                hung_transitions: self.hung_transitions,
-            },
             self.event_log.take().unwrap_or_default(),
             self.telemetry.registry.snapshot(),
         );
@@ -654,7 +627,6 @@ impl DatacenterSim {
             .delay_power_transition(host, stuck)
             .expect("transition just began");
         self.hung[host.index()] = true;
-        self.hung_transitions += 1;
         self.log(now, EventKind::PowerStuck { host, kind });
         stuck
     }
@@ -680,7 +652,6 @@ impl DatacenterSim {
                 // Capacity crunch: retry after the next management round
                 // (which will wake hosts once the VM's demand shows up as
                 // unserved pressure).
-                self.placement_retries += 1;
                 self.log(now, EventKind::VmArrivalDeferred { vm });
                 let retry = now + self.control_interval;
                 if retry <= end {
@@ -688,7 +659,6 @@ impl DatacenterSim {
                 } else {
                     // The horizon closes before another attempt: record
                     // the rejection instead of dropping the VM silently.
-                    self.rejected_admissions += 1;
                     self.log(now, EventKind::VmArrivalRejected { vm });
                 }
             }
@@ -803,9 +773,10 @@ impl DatacenterSim {
         self.telemetry
             .registry
             .observe(self.telemetry.actions_per_round, total_kept as f64);
-        if let Some((sink, _)) = &mut self.sink {
-            for m in &control.schedulers {
-                if let Some(decision) = m.last_decision() {
+        for m in &control.schedulers {
+            if let Some(decision) = m.last_decision() {
+                control.planned.merge(&decision.actions);
+                if let Some((sink, _)) = &mut self.sink {
                     sink.emit(&decision.to_json());
                 }
             }
@@ -856,27 +827,17 @@ impl DatacenterSim {
         self.tracer.enter(span);
         let result = self.execute(action, now);
         self.tracer.exit(span);
-        match result {
-            Ok(()) => {
-                if is_migrate {
-                    self.telemetry
-                        .registry
-                        .inc(self.telemetry.work_migrations_executed);
-                }
+        if let Err(e) = result {
+            debug_assert!(
+                recoverable(&e),
+                "engine bug: unrecoverable action failure {e}"
+            );
+            if is_migrate {
+                self.telemetry
+                    .registry
+                    .inc(self.telemetry.work_migrations_aborted);
             }
-            Err(e) => {
-                debug_assert!(
-                    recoverable(&e),
-                    "engine bug: unrecoverable action failure {e}"
-                );
-                if is_migrate {
-                    self.telemetry
-                        .registry
-                        .inc(self.telemetry.work_migrations_aborted);
-                }
-                self.collector.record_action_failure();
-                self.log(now, EventKind::ActionRejected);
-            }
+            self.log(now, EventKind::ActionRejected);
         }
     }
 
@@ -1188,7 +1149,12 @@ mod tests {
             .filter(|e| matches!(e.kind, EventKind::MigrationFailed { .. }))
             .count() as u64;
         assert_eq!(failed_events, report.migration_failures);
-        assert_eq!(report.migrations, cluster.migrations_completed());
+        let completed_events = report
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::MigrationCompleted { .. }))
+            .count() as u64;
+        assert_eq!(completed_events, report.migrations);
         assert!(cluster.placement().check_invariants());
         // Injection off keeps the field at zero.
         let (clean, _) = mk(0.0);

@@ -1,6 +1,6 @@
 //! Measurement pipeline: per-tick collection and the final report.
 
-use agile_core::RoundStats;
+use agile_core::DecisionActions;
 use cluster::{Cluster, DemandOutcome};
 use obs::{Json, JsonError, MetricsSnapshot};
 
@@ -10,22 +10,6 @@ use simcore::{SimDuration, SimTime, TimeSeries, Welford};
 /// Demand below this many cores counts as zero when deciding whether a
 /// tick had a violation (absorbs floating-point dust).
 const VIOLATION_EPS_CORES: f64 = 1e-6;
-
-/// Fault-and-churn tallies the engine hands to
-/// [`MetricsCollector::finalize`] in one bundle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FaultCounters {
-    /// Power transitions that failed (fault injection).
-    pub transition_failures: u64,
-    /// Arriving VMs deferred at least one round for capacity.
-    pub placement_retries: u64,
-    /// Live migrations that aborted mid-flight (fault injection).
-    pub migration_failures: u64,
-    /// Deferred arrivals that ran out of horizon and were rejected.
-    pub rejected_admissions: u64,
-    /// Power transitions that hung (stuck intervals, fault injection).
-    pub hung_transitions: u64,
-}
 
 /// Collects metrics during a run; folded into a [`SimReport`] at the end.
 #[derive(Debug, Clone)]
@@ -44,7 +28,6 @@ pub(crate) struct MetricsCollector {
     violation_ticks: u64,
     ticks: u64,
     util_on: Welford,
-    action_failures: u64,
     latency_weighted_sum: f64,
     latency_weight: f64,
     peak_latency_factor: f64,
@@ -67,7 +50,6 @@ impl MetricsCollector {
             violation_ticks: 0,
             ticks: 0,
             util_on: Welford::new(),
-            action_failures: 0,
             latency_weighted_sum: 0.0,
             latency_weight: 0.0,
             peak_latency_factor: 1.0,
@@ -129,13 +111,11 @@ impl MetricsCollector {
         self.power_series.record(now, watts);
     }
 
-    /// Counts a management action the cluster rejected (stale plan).
-    pub fn record_action_failure(&mut self) {
-        self.action_failures += 1;
-    }
-
     /// Produces the final report. `energy_j` comes from the cluster's
-    /// exact meters, not the sampled power series.
+    /// exact meters, not the sampled power series. `planned` is the run's
+    /// sum of every scheduler's per-round [`DecisionActions`]; each
+    /// event count is read from its one registry counter in `metrics`
+    /// (all zero in the empty snapshot of an analytic run).
     #[allow(clippy::too_many_arguments)]
     pub fn finalize(
         self,
@@ -146,16 +126,15 @@ impl MetricsCollector {
         num_hosts: usize,
         num_vms: usize,
         energy_j: f64,
-        migrations: u64,
-        manager_stats: RoundStats,
+        planned: DecisionActions,
         migration_busy_secs: f64,
         transition_busy_secs: f64,
-        faults: FaultCounters,
         events: Vec<EventRecord>,
         metrics: MetricsSnapshot,
     ) -> SimReport {
         let hours = horizon.as_hours_f64();
         let host_secs = num_hosts as f64 * horizon.as_secs_f64();
+        let migrations = metrics.counter("sim.migrations.completed");
         SimReport {
             scenario,
             policy,
@@ -186,19 +165,19 @@ impl MetricsCollector {
                 0.0
             },
             migrations,
-            overload_migrations: manager_stats.overload_migrations,
-            consolidation_migrations: manager_stats.consolidation_migrations,
-            rebalance_migrations: manager_stats.rebalance_migrations,
-            power_ups: manager_stats.power_ups_requested,
-            power_downs: manager_stats.power_downs_requested,
+            overload_migrations: planned.overload_migrations,
+            consolidation_migrations: planned.consolidation_migrations,
+            rebalance_migrations: planned.rebalance_migrations,
+            power_ups: planned.power_ups,
+            power_downs: planned.power_downs,
             migrations_per_hour: migrations as f64 / hours,
-            power_actions_per_hour: manager_stats.power_actions() as f64 / hours,
+            power_actions_per_hour: (planned.power_ups + planned.power_downs) as f64 / hours,
             avg_hosts_on: self
                 .hosts_on_series
                 .time_weighted_mean(SimTime::ZERO + horizon)
                 .unwrap_or(0.0),
             avg_util_on: self.util_on.mean(),
-            action_failures: self.action_failures,
+            action_failures: metrics.counter("sim.actions.rejected"),
             migration_overhead_frac: if host_secs > 0.0 {
                 migration_busy_secs / host_secs
             } else {
@@ -209,11 +188,11 @@ impl MetricsCollector {
             } else {
                 0.0
             },
-            transition_failures: faults.transition_failures,
-            placement_retries: faults.placement_retries,
-            migration_failures: faults.migration_failures,
-            rejected_admissions: faults.rejected_admissions,
-            hung_transitions: faults.hung_transitions,
+            transition_failures: metrics.counter("sim.power.failed"),
+            placement_retries: metrics.counter("sim.vm.deferred"),
+            migration_failures: metrics.counter("sim.migrations.failed"),
+            rejected_admissions: metrics.counter("sim.vm.rejected"),
+            hung_transitions: metrics.counter("sim.power.stuck"),
             events,
             metrics,
             avg_latency_factor: if self.latency_weight > 0.0 {
@@ -257,7 +236,7 @@ pub struct SimReport {
     pub unserved_interactive_ratio: f64,
     /// Unserved fraction of *batch-class* demand (absorbs overload).
     pub unserved_batch_ratio: f64,
-    /// Completed live migrations.
+    /// Completed live migrations (`sim.migrations.completed`).
     pub migrations: u64,
     /// Requested migrations attributed to overload mitigation (base DRM).
     pub overload_migrations: u64,
@@ -277,26 +256,30 @@ pub struct SimReport {
     pub avg_hosts_on: f64,
     /// Average CPU utilization of powered-on capacity.
     pub avg_util_on: f64,
-    /// Management actions the cluster rejected as stale.
+    /// Management actions the cluster rejected as stale
+    /// (`sim.actions.rejected`).
     pub action_failures: u64,
     /// Fraction of total host-time spent carrying live migrations — the
     /// time-based management overhead the paper compares to base DRM.
     pub migration_overhead_frac: f64,
     /// Fraction of total host-time spent in transitional power states.
     pub transition_overhead_frac: f64,
-    /// Power transitions that failed (fault injection).
+    /// Power transitions that failed (fault injection;
+    /// `sim.power.failed`).
     pub transition_failures: u64,
-    /// Arriving VMs that had to wait at least one round for capacity
-    /// (lifecycle churn).
+    /// Arrivals deferred a round for capacity, counted per deferral
+    /// (lifecycle churn; `sim.vm.deferred`).
     pub placement_retries: u64,
     /// Live migrations that aborted mid-flight (fault injection); the VM
-    /// stayed on its source host.
+    /// stayed on its source host (`sim.migrations.failed`).
     pub migration_failures: u64,
     /// Deferred arrivals whose retry would have landed past the horizon:
-    /// the admission was rejected outright instead of silently dropped.
+    /// the admission was rejected outright instead of silently dropped
+    /// (`sim.vm.rejected`).
     pub rejected_admissions: u64,
     /// Power transitions that hung in a stuck interval before failing
-    /// (fault injection); also counted in `transition_failures`.
+    /// (fault injection; `sim.power.stuck`); also counted in
+    /// `transition_failures`.
     pub hung_transitions: u64,
     /// The audit log (empty unless event recording was enabled).
     pub events: Vec<EventRecord>,
@@ -345,7 +328,7 @@ impl SimReport {
         Json::obj([
             ("scenario", Json::Str(self.scenario.clone())),
             ("policy", Json::Str(self.policy.clone())),
-            ("seed", Json::Int(self.seed as i64)),
+            ("seed", seed_to_json(self.seed)),
             ("horizon_millis", Json::Int(self.horizon.as_millis() as i64)),
             ("num_hosts", Json::Int(self.num_hosts as i64)),
             ("num_vms", Json::Int(self.num_vms as i64)),
@@ -460,7 +443,11 @@ impl SimReport {
         Ok(SimReport {
             scenario: str_f("scenario")?,
             policy: str_f("policy")?,
-            seed: u64_f("seed")?,
+            seed: json
+                .get("seed")
+                .and_then(Json::as_i64)
+                .map(|bits| bits as u64)
+                .ok_or_else(|| report_field_err("seed"))?,
             horizon: SimDuration::from_millis(u64_f("horizon_millis")?),
             num_hosts: u64_f("num_hosts")? as usize,
             num_vms: u64_f("num_vms")? as usize,
@@ -497,6 +484,13 @@ impl SimReport {
             unserved_series: series_f("unserved_series")?,
         })
     }
+}
+
+/// A seed as JSON: its 64 bits as a JSON integer, so a seed past
+/// `i64::MAX` is written negative and [`SimReport::from_json`] reads
+/// the same bits back. Every writer of a seed goes through here.
+pub(crate) fn seed_to_json(seed: u64) -> Json {
+    Json::Int(seed as i64)
 }
 
 fn report_field_err(field: &str) -> JsonError {
@@ -586,6 +580,11 @@ mod tests {
     }
 
     fn finalize(c: MetricsCollector) -> SimReport {
+        let mut registry = obs::MetricsRegistry::new();
+        for (name, n) in [("sim.migrations.completed", 6), ("sim.power.failed", 3)] {
+            let id = registry.counter(name);
+            registry.add(id, n);
+        }
         c.finalize(
             "test".into(),
             "AlwaysOn".into(),
@@ -594,22 +593,16 @@ mod tests {
             1,
             1,
             3.6e6, // exactly 1 kWh
-            6,
-            RoundStats {
-                rounds: 12,
-                migrations_requested: 6,
-                power_ups_requested: 2,
-                power_downs_requested: 2,
-                ..RoundStats::default()
+            DecisionActions {
+                migrations: 6,
+                power_ups: 2,
+                power_downs: 2,
+                ..DecisionActions::default()
             },
             36.0, // migration busy seconds
             72.0, // transition busy seconds
-            FaultCounters {
-                transition_failures: 3,
-                ..FaultCounters::default()
-            },
             Vec::new(),
-            MetricsSnapshot::new(),
+            registry.snapshot(),
         )
     }
 
@@ -657,6 +650,68 @@ mod tests {
         let text = r.to_json().to_string_compact();
         let back = SimReport::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, r, "round-trip must preserve every sample");
+    }
+
+    #[test]
+    fn event_counts_come_from_their_registry_counters() {
+        let owners = [
+            ("sim.migrations.completed", 1),
+            ("sim.migrations.failed", 2),
+            ("sim.power.failed", 3),
+            ("sim.power.stuck", 4),
+            ("sim.vm.deferred", 5),
+            ("sim.vm.rejected", 6),
+            ("sim.actions.rejected", 7),
+            ("sim.migrations.started", 8),
+        ];
+        let mut registry = obs::MetricsRegistry::new();
+        for (name, n) in owners {
+            let id = registry.counter(name);
+            registry.add(id, n);
+        }
+        let r = MetricsCollector::new(SimDuration::from_mins(30)).finalize(
+            "test".into(),
+            "AlwaysOn".into(),
+            1,
+            SimDuration::from_hours(1),
+            1,
+            1,
+            0.0,
+            DecisionActions::default(),
+            0.0,
+            0.0,
+            Vec::new(),
+            registry.snapshot(),
+        );
+        let counts = [
+            r.migrations,
+            r.migration_failures,
+            r.transition_failures,
+            r.hung_transitions,
+            r.placement_retries,
+            r.rejected_admissions,
+            r.action_failures,
+        ];
+        assert_eq!(counts, [1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn seeds_past_i64_max_round_trip_through_json() {
+        let cluster = one_host_cluster();
+        for seed in [i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let mut c = MetricsCollector::new(SimDuration::from_mins(30));
+            c.record_tick(SimTime::ZERO, &outcome(2.0, 2.0), &cluster);
+            let mut r = finalize(c);
+            r.seed = seed;
+            let text = r.to_json().to_string_compact();
+            let back = SimReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, r, "seed {seed}");
+            let summary = crate::trace::run_summary_json(&r, None);
+            assert_eq!(summary.get("seed"), r.to_json().get("seed"), "seed {seed}");
+        }
+        // Seeds up to i64::MAX keep their plain spelling.
+        let r = finalize(MetricsCollector::new(SimDuration::from_mins(30)));
+        assert!(r.to_json().to_string_compact().contains("\"seed\":1,"));
     }
 
     #[test]

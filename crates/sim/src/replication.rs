@@ -100,19 +100,6 @@ pub fn replicate(
         .iter()
         .map(|&seed| experiment(seed))
         .collect::<Result<_, _>>()?;
-    Ok(summarize(&reports))
-}
-
-/// Reduces same-configuration reports (one per seed) to a
-/// [`ReplicationSummary`] — the shared reducer behind [`replicate`] and
-/// [`crate::sweeps::SweepBuilder::replications`].
-///
-/// # Panics
-///
-/// Panics if `reports` is empty or the reports disagree on the policy
-/// label.
-pub(crate) fn summarize(reports: &[SimReport]) -> ReplicationSummary {
-    assert!(!reports.is_empty(), "need at least one report");
     let policy = reports[0].policy.clone();
     assert!(
         reports.iter().all(|r| r.policy == policy),
@@ -121,7 +108,7 @@ pub(crate) fn summarize(reports: &[SimReport]) -> ReplicationSummary {
     let collect = |f: fn(&SimReport) -> f64| {
         MetricStats::from_samples(&reports.iter().map(f).collect::<Vec<_>>())
     };
-    ReplicationSummary {
+    Ok(ReplicationSummary {
         policy,
         runs: reports.len(),
         energy_kwh: collect(|r| r.energy_kwh()),
@@ -129,7 +116,7 @@ pub(crate) fn summarize(reports: &[SimReport]) -> ReplicationSummary {
         migrations_per_hour: collect(|r| r.migrations_per_hour),
         power_actions_per_hour: collect(|r| r.power_actions_per_hour),
         avg_hosts_on: collect(|r| r.avg_hosts_on),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use agile_core::{ManagerConfig, PlanMode, PowerPolicy, RoundStats};
+use agile_core::{DecisionActions, ManagerConfig, PlanMode, PowerPolicy};
 use obs::MetricsSnapshot;
 use simcore::{SimDuration, SimTime};
 
@@ -322,11 +322,9 @@ impl Experiment {
             self.scenario.host_specs().len(),
             fleet.len(),
             energy_j,
-            0,
-            RoundStats::default(),
+            DecisionActions::default(),
             0.0,
             0.0,
-            crate::metrics::FaultCounters::default(),
             Vec::new(),
             MetricsSnapshot::new(),
         );

@@ -40,7 +40,7 @@ pub(crate) fn run_summary_json(report: &SimReport, spans: Option<&SpanSummary>) 
         ("record", Json::Str("run-summary".into())),
         ("scenario", Json::Str(report.scenario.clone())),
         ("policy", Json::Str(report.policy.clone())),
-        ("seed", Json::Int(report.seed as i64)),
+        ("seed", crate::metrics::seed_to_json(report.seed)),
         ("horizon_secs", Json::Num(report.horizon.as_secs_f64())),
         ("energy_kwh", Json::Num(report.energy_kwh())),
         ("unserved_ratio", Json::Num(report.unserved_ratio)),
@@ -96,9 +96,6 @@ pub(crate) struct SimTelemetry {
     pub transition_secs: HistogramId,
     /// `sim.manager.actions_per_round`.
     pub actions_per_round: HistogramId,
-    /// `work.migrations.executed` — planned migrations the cluster
-    /// accepted and began. Deterministic (counts events, not time).
-    pub work_migrations_executed: CounterId,
     /// `work.migrations.aborted` — planned migrations the cluster
     /// refused (plan/world races). Deterministic.
     pub work_migrations_aborted: CounterId,
@@ -128,7 +125,6 @@ impl SimTelemetry {
         let migration_secs = registry.histogram("sim.migration.duration_secs");
         let transition_secs = registry.histogram("sim.power.transition_secs");
         let actions_per_round = registry.histogram("sim.manager.actions_per_round");
-        let work_migrations_executed = registry.counter("work.migrations.executed");
         let work_migrations_aborted = registry.counter("work.migrations.aborted");
         let hosts_on = registry.gauge("sim.hosts_on");
         let peak_queue = registry.gauge("sim.queue.peak");
@@ -151,7 +147,6 @@ impl SimTelemetry {
             migration_secs,
             transition_secs,
             actions_per_round,
-            work_migrations_executed,
             work_migrations_aborted,
             hosts_on,
             peak_queue,

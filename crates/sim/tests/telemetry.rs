@@ -71,12 +71,10 @@ fn trace_sink_choice_does_not_change_the_report() {
 fn metrics_snapshot_matches_report_counters() {
     let report = SimulationBuilder::new(experiment(23)).run_report().unwrap();
     let m = &report.metrics;
-    assert_eq!(m.counter("sim.migrations.completed"), report.migrations);
     assert_eq!(
         m.counter("sim.power.ups") + m.counter("sim.power.downs"),
         report.power_ups + report.power_downs
     );
-    assert_eq!(m.counter("sim.actions.rejected"), report.action_failures);
     assert!(m.counter("sim.rounds") > 0);
     // Residency histograms cover the whole horizon for every host: the
     // per-host residency totals sum to hosts x horizon.

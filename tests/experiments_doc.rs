@@ -15,8 +15,12 @@
 //!   (`N hosts`, `N VMs`, `N racks`, `N blades`) must name what the ID's
 //!   block prints; a range `a → b hosts` must be the first and last row
 //!   of the block's `hosts` column.
+//! * DESIGN.md's "Metrics registry" paragraph must name exactly the
+//!   `sim.*` metrics a churn-and-faults day registers.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+use agilepm::prelude::*;
 
 const DOC: &str = include_str!("../EXPERIMENTS.md");
 const DESIGN: &str = include_str!("../DESIGN.md");
@@ -341,6 +345,43 @@ fn design_index_names_the_fleets_the_runs_print() {
         }
     }
     assert!(errors.is_empty(), "{}", errors.join("\n"));
+}
+
+#[test]
+fn design_registry_paragraph_names_every_sim_metric_a_run_registers() {
+    let paragraph = DESIGN
+        .split_once("**Metrics registry**")
+        .expect("DESIGN.md describes the metrics registry")
+        .1
+        .split("\n\n")
+        .next()
+        .unwrap_or_default();
+    let named: BTreeSet<&str> = paragraph
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|name| name.starts_with("sim."))
+        .collect();
+    let failures = FailureModel::new(0.1, 0.05)
+        .with_migration_failures(0.1)
+        .with_hangs(0.1, 4.0);
+    let day = Experiment::new(Scenario::datacenter_churn(6, 36, 0.5, 14))
+        .policy(PowerPolicy::reactive_suspend())
+        .failure_model(failures);
+    let report = SimulationBuilder::new(day).run_report().unwrap();
+    let registered: BTreeSet<&str> = report
+        .metrics
+        .entries
+        .iter()
+        .map(|e| e.name.as_str())
+        .filter(|name| name.starts_with("sim."))
+        .collect();
+    let unknown: Vec<_> = named.difference(&registered).collect();
+    let unnamed: Vec<_> = registered.difference(&named).collect();
+    assert!(
+        unknown.is_empty() && unnamed.is_empty(),
+        "named but not registered: {unknown:?}; registered but not named: {unnamed:?}"
+    );
 }
 
 #[test]
