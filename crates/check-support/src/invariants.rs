@@ -152,7 +152,7 @@ pub fn check_work_counters(report: &SimReport) -> Result<(), String> {
     Ok(())
 }
 
-/// The placement store's commit ledger must balance exactly:
+/// The control plane's commit ledger must balance exactly:
 ///
 /// * every planned action has exactly one fate —
 ///   `planned == accepted + rejected + dropped_unowned + expired`;
@@ -160,7 +160,13 @@ pub fn check_work_counters(report: &SimReport) -> Result<(), String> {
 /// * per-kind migration sub-counters never exceed their parents;
 /// * the engine-level `sim.commits.rejected` event counter agrees with
 ///   the store's `work.commit.rejected`, and when the audit log was
-///   recorded, so does the number of `CommitRejected` entries.
+///   recorded, so does the number of `CommitRejected` entries;
+/// * the report's planner counts are the actions the schedulers kept
+///   after the ownership filter: `overload_ + consolidation_ +
+///   rebalance_migrations == work.plan.migrations_planned −
+///   work.commit.migrations_dropped`, and `power_ups + power_downs ==
+///   work.commit.planned − work.commit.dropped_unowned −` those
+///   migrations.
 ///
 /// Trivially true (all zeros) on runs without a control plane.
 pub fn check_commit_ledger(report: &SimReport) -> Result<(), String> {
@@ -204,6 +210,23 @@ pub fn check_commit_ledger(report: &SimReport) -> Result<(), String> {
                 "{sub} {kind} but only {parent} commits {parent_name} in total"
             ));
         }
+    }
+    let migrations =
+        report.overload_migrations + report.consolidation_migrations + report.rebalance_migrations;
+    let migrations_dropped = c("work.commit.migrations_dropped");
+    let migrations_planned = c("work.plan.migrations_planned");
+    if migrations + migrations_dropped != migrations_planned {
+        return Err(format!(
+            "the report requests {migrations} migrations, but {migrations_planned} were planned \
+             and {migrations_dropped} dropped as unowned"
+        ));
+    }
+    let power = report.power_ups + report.power_downs;
+    if power + migrations + dropped != planned {
+        return Err(format!(
+            "the report requests {power} power actions and {migrations} migrations, but \
+             {planned} actions were planned and {dropped} dropped as unowned"
+        ));
     }
     let engine_rejections = c("sim.commits.rejected");
     if engine_rejections != rejected {
@@ -509,6 +532,29 @@ mod tests {
         report.unserved_ratio = 1.5; // physically impossible
         let err = check_report(&scenario, &report).unwrap_err();
         assert!(err.contains("unserved_ratio"), "{err}");
+    }
+
+    #[test]
+    fn ledger_rejects_planner_counts_of_unowned_actions() {
+        let report = SimulationBuilder::new(
+            Experiment::new(Scenario::datacenter(8, 32, 22))
+                .policy(PowerPolicy::reactive_suspend())
+                .horizon(SimDuration::from_hours(24))
+                .schedulers(4),
+        )
+        .run_report()
+        .unwrap();
+        check_commit_ledger(&report).unwrap();
+        assert!(report.metrics.counter("work.commit.dropped_unowned") > 0);
+        // One unowned migration or power action counted as requested.
+        let mut migrations = report.clone();
+        migrations.consolidation_migrations += 1;
+        let err = check_commit_ledger(&migrations).unwrap_err();
+        assert!(err.contains("dropped as unowned"), "{err}");
+        let mut power = report;
+        power.power_downs += 1;
+        let err = check_commit_ledger(&power).unwrap_err();
+        assert!(err.contains("power actions"), "{err}");
     }
 
     #[test]

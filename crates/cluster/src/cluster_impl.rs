@@ -49,8 +49,6 @@ pub struct DemandOutcome {
     pub unserved_interactive_cores: f64,
     /// Unserved batch demand (batch absorbs overload first).
     pub unserved_batch_cores: f64,
-    /// Per-host CPU utilization in `[0, 1]` (0 for non-operational hosts).
-    pub host_utilization: Vec<f64>,
     /// Per-host raw CPU demand (including migration tax), in cores.
     pub host_demand_cores: Vec<f64>,
 }
@@ -753,9 +751,7 @@ impl Cluster {
 
         // Serve each host (tax first, then interactive, then batch) and
         // fold its served/unserved contributions in host-index order.
-        let utilization = &mut out.host_utilization;
         let host_demand = &mut out.host_demand_cores;
-        utilization.resize(n, 0.0);
         host_demand.resize(n, 0.0);
         let mut served = 0.0f64;
         let mut unserved = unserved_unplaced;
@@ -777,13 +773,12 @@ impl Cluster {
                 unserved += demand - s;
                 unserved_interactive += interactive - served_interactive;
                 unserved_batch += batch - served_batch;
-                utilization[i] = if cap > 0.0 { s / cap } else { 0.0 };
-                host.power_mut().set_utilization(now, utilization[i]);
+                let utilization = if cap > 0.0 { s / cap } else { 0.0 };
+                host.power_mut().set_utilization(now, utilization);
             } else {
                 unserved += demand;
                 unserved_interactive += interactive;
                 unserved_batch += batch;
-                utilization[i] = 0.0;
             }
         }
         // Migration tax is overhead, not offered VM demand; keep the
@@ -1074,8 +1069,12 @@ mod tests {
         assert!((out.offered_cores - 4.5).abs() < 1e-9);
         assert!((out.served_cores - 3.5).abs() < 1e-9);
         assert!((out.unserved_cores - 1.0).abs() < 1e-9);
-        assert!((out.host_utilization[0] - 3.5 / 8.0).abs() < 1e-9);
-        assert_eq!(out.host_utilization[1], 0.0);
+        assert!((out.host_demand_cores[0] - 3.5).abs() < 1e-9);
+        assert_eq!(out.host_demand_cores[1], 0.0);
+        // Host 0 serves 3.5 of its 8 cores and draws its power there.
+        let power = c.host(HostId(0)).unwrap().power();
+        let want = power.profile().state_power_w(PowerState::On, 3.5 / 8.0);
+        assert!((power.power_w() - want).abs() < 1e-9);
     }
 
     #[test]
@@ -1142,7 +1141,13 @@ mod tests {
         assert!((out.offered_cores - 6.0).abs() < 1e-9);
         assert!((out.served_cores - 4.0).abs() < 1e-9);
         assert!((out.unserved_cores - 2.0).abs() < 1e-9);
-        assert_eq!(out.host_utilization[0], 1.0);
+        assert!((out.host_demand_cores[0] - 6.0).abs() < 1e-9);
+        // Saturated: the host draws its full-utilization power.
+        let power = c.host(HostId(0)).unwrap().power();
+        assert_eq!(
+            power.power_w(),
+            power.profile().state_power_w(PowerState::On, 1.0)
+        );
     }
 
     #[test]
@@ -1280,14 +1285,12 @@ mod tests {
         // A reused (dirty) outcome buffer must produce identical results.
         let mut out = DemandOutcome {
             offered_cores: 99.0,
-            host_utilization: vec![7.0; 9],
-            host_demand_cores: vec![3.0; 1],
+            host_demand_cores: vec![7.0; 9],
             ..DemandOutcome::default()
         };
         c.apply_demand_into(SimTime::from_secs(2), &demand, &mut out);
-        assert_eq!(out.host_utilization.len(), c.num_hosts());
+        assert_eq!(out.host_demand_cores.len(), c.num_hosts());
         assert_eq!(out.offered_cores, reference.offered_cores);
-        assert_eq!(out.host_utilization, reference.host_utilization);
         assert_eq!(out.host_demand_cores, reference.host_demand_cores);
     }
 }

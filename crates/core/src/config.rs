@@ -208,7 +208,6 @@ pub struct ManagerConfig {
     overload_threshold: f64,
     underload_threshold: f64,
     min_on_time: SimDuration,
-    min_off_time: SimDuration,
     spare_hosts: usize,
     max_migrations_per_round: usize,
     max_drains_per_round: usize,
@@ -231,7 +230,6 @@ impl ManagerConfig {
             overload_threshold: 0.90,
             underload_threshold: 0.65,
             min_on_time: SimDuration::from_mins(10),
-            min_off_time: SimDuration::from_mins(5),
             spare_hosts: 1,
             max_migrations_per_round: 8,
             max_drains_per_round: 2,
@@ -279,12 +277,6 @@ impl ManagerConfig {
     /// Sets the minimum in-service residency before a host may be drained.
     pub fn with_min_on_time(mut self, d: SimDuration) -> Self {
         self.min_on_time = d;
-        self
-    }
-
-    /// Sets the minimum parked residency before a non-urgent wake.
-    pub fn with_min_off_time(mut self, d: SimDuration) -> Self {
-        self.min_off_time = d;
         self
     }
 
@@ -432,11 +424,6 @@ impl ManagerConfig {
         self.min_on_time
     }
 
-    /// Minimum parked residency before non-urgent wake.
-    pub fn min_off_time(&self) -> SimDuration {
-        self.min_off_time
-    }
-
     /// Spare powered-on hosts kept beyond predicted need.
     pub fn spare_hosts(&self) -> usize {
         self.spare_hosts
@@ -508,7 +495,6 @@ mod tests {
             .with_overload_threshold(0.95)
             .with_underload_threshold(0.3)
             .with_min_on_time(SimDuration::from_mins(20))
-            .with_min_off_time(SimDuration::from_mins(1))
             .with_spare_hosts(2)
             .with_max_migrations_per_round(16)
             .with_predictor(PredictorConfig::LastValue);

@@ -41,9 +41,7 @@ pub(crate) fn plan_consolidation(
     tracer.enter(s_drain);
     for host in 0..ctx.num_hosts() {
         if ctx.draining[host] && ctx.operational[host] {
-            let before = actions.len();
             evacuate(ctx, cfg, host, actions, budget, None);
-            ctx.work.migrations_planned += (actions.len() - before) as u64;
         }
     }
     tracer.exit(s_drain);
@@ -83,7 +81,6 @@ pub(crate) fn plan_consolidation(
             actions.append(&mut trial_actions);
             *budget = trial_budget;
             new_drains += 1;
-            ctx.work.migrations_planned += journal.len() as u64;
             true
         } else {
             tracer.enter(s_undo);

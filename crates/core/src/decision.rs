@@ -9,6 +9,8 @@
 use obs::{Json, Quantiles};
 use simcore::SimTime;
 
+use crate::{ActionReason, ManagementAction};
+
 /// What pushed the planner off the steady state this round.
 ///
 /// The three flags are independent — a round can simultaneously mitigate
@@ -61,14 +63,23 @@ pub struct DecisionActions {
 }
 
 impl DecisionActions {
-    /// Adds another round's (or another scheduler's) counts into `self`.
-    pub fn merge(&mut self, other: &DecisionActions) {
-        self.migrations += other.migrations;
-        self.overload_migrations += other.overload_migrations;
-        self.consolidation_migrations += other.consolidation_migrations;
-        self.rebalance_migrations += other.rebalance_migrations;
-        self.power_ups += other.power_ups;
-        self.power_downs += other.power_downs;
+    /// Counts one action under the planning step that produced it. The
+    /// manager's decision record and the control plane's kept-action
+    /// count both go through here, so the two cannot bucket differently.
+    pub(crate) fn count(&mut self, action: &ManagementAction, reason: ActionReason) {
+        match action {
+            ManagementAction::Migrate { .. } => {
+                self.migrations += 1;
+                match reason {
+                    ActionReason::OverloadMitigation => self.overload_migrations += 1,
+                    ActionReason::Consolidation => self.consolidation_migrations += 1,
+                    ActionReason::Rebalance => self.rebalance_migrations += 1,
+                    ActionReason::CapacityWake | ActionReason::Park => {}
+                }
+            }
+            ManagementAction::PowerUp { .. } => self.power_ups += 1,
+            ManagementAction::PowerDown { .. } => self.power_downs += 1,
+        }
     }
 }
 

@@ -58,7 +58,6 @@ pub(crate) fn mitigate_overloads(
                 continue; // this VM fits nowhere; try a smaller one
             };
             ctx.move_vm(vm, dest);
-            ctx.work.migrations_planned += 1;
             actions.push(ManagementAction::Migrate {
                 vm: VmId(vm as u32),
                 to: HostId(dest as u32),
@@ -123,7 +122,6 @@ pub(crate) fn rebalance(
             return; // nothing movable closes the gap
         };
         ctx.move_vm(vm, coldest);
-        ctx.work.migrations_planned += 1;
         actions.push(ManagementAction::Migrate {
             vm: VmId(vm as u32),
             to: HostId(coldest as u32),

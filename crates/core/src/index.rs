@@ -382,7 +382,7 @@ impl UtilizationIndex {
 }
 
 /// Deterministic op-counters for the index maintenance work, the
-/// `work.index.*` siblings of [`crate::WorkCounters`].
+/// `work.index.*` siblings of the planner's `work.plan.*` counters.
 ///
 /// Like the plan counters these are pure functions of the scenario seed
 /// and count logical work on the coordinating side. The invariant

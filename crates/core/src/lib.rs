@@ -26,6 +26,10 @@
 //!   per round.
 //! * [`HysteresisGate`] — minimum-residency timers that keep the manager
 //!   from flapping hosts between power states.
+//! * [`ControlPlane`] — N replicas of one manager over fixed host
+//!   partitions with stale views, a control-loop latency and a
+//!   conflict-checked commit point; it keeps only the actions each
+//!   replica owns and counts them, once, as the run's planner counts.
 //!
 //! # Example
 //!
@@ -49,6 +53,7 @@
 mod action;
 mod config;
 mod consolidate;
+mod control;
 mod decision;
 mod drm;
 mod hysteresis;
@@ -60,18 +65,18 @@ mod plan;
 mod predict;
 mod prewake;
 mod recovery;
-pub mod schedview;
 mod work;
 
 pub use action::{ActionReason, ManagementAction};
 pub use config::{ConfigError, ManagerConfig, PackingPolicy, PowerPolicy};
+pub use control::ControlPlane;
 pub use decision::{DecisionActions, DecisionRecord, DecisionTrigger};
 pub use hysteresis::HysteresisGate;
 pub use index::{IndexWorkCounters, PlanMode, UtilizationIndex};
 pub use manager::{PlanError, VirtManager};
 pub use observation::{ClusterObservation, HostObservation, VmColumns, VmObservation};
-pub use placement::{CommitStats, ConflictReason, PlacementFacts, PlacementStore};
+pub use placement::{ConflictReason, PlacementFacts};
 pub use predict::PredictorConfig;
 pub use prewake::DayProfile;
 pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
-pub use work::WorkCounters;
+use work::WorkCounters;

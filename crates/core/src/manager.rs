@@ -16,6 +16,11 @@ use crate::{
 use obs::{Histogram, SpanTracer};
 use simcore::SimDuration;
 
+/// How long a parked host stays parked before a non-urgent wake
+/// (spare-pool top-up) may bring it back; urgent capacity wakes ignore
+/// it.
+const MIN_OFF_TIME: SimDuration = SimDuration::from_mins(5);
+
 /// Why [`VirtManager::plan`] refused an observation.
 ///
 /// Marked `#[non_exhaustive]`: downstream matches need a wildcard arm.
@@ -150,7 +155,7 @@ impl VirtManager {
         config.try_validate()?;
         let num_hosts = hosts.len();
         let predictors = Predictors::new(config.predictor(), vms.len());
-        let gate = HysteresisGate::new(config.min_on_time(), config.min_off_time(), num_hosts);
+        let gate = HysteresisGate::new(config.min_on_time(), MIN_OFF_TIME, num_hosts);
         let profile = config
             .prewake_lookahead()
             .map(|_| DayProfile::new(SimDuration::from_mins(30), 0.5))
@@ -171,6 +176,11 @@ impl VirtManager {
         })
     }
 
+    /// The fleet this manager was built for: `(hosts, VMs)`.
+    pub(crate) fn fleet_size(&self) -> (usize, usize) {
+        (self.ctx.num_hosts(), self.ctx.num_vms())
+    }
+
     /// Why each action of the most recent [`plan`](Self::plan) round was
     /// taken, aligned index-for-index with the returned actions.
     pub fn last_round_reasons(&self) -> &[ActionReason] {
@@ -188,7 +198,7 @@ impl VirtManager {
     /// Deterministic counts of the planning work done so far (candidate
     /// scans, trial evacuations, rollbacks, destination re-scores),
     /// accumulated across rounds.
-    pub fn work_counters(&self) -> WorkCounters {
+    pub(crate) fn work_counters(&self) -> WorkCounters {
         self.ctx.work
     }
 
@@ -196,7 +206,7 @@ impl VirtManager {
     /// so far (refreshes, re-buckets, inserts, removes, and re-buckets by
     /// in-round moves).
     /// All zero under the `Oracle` policy, which never plans.
-    pub fn index_work_counters(&self) -> IndexWorkCounters {
+    pub(crate) fn index_work_counters(&self) -> IndexWorkCounters {
         self.ctx.index_work
     }
 
@@ -363,21 +373,10 @@ impl VirtManager {
         self.ctx = ctx;
 
         let mut round_actions = DecisionActions::default();
-        for (a, reason) in actions.iter().zip(&reasons) {
-            match a {
-                ManagementAction::Migrate { .. } => {
-                    round_actions.migrations += 1;
-                    match reason {
-                        ActionReason::OverloadMitigation => round_actions.overload_migrations += 1,
-                        ActionReason::Consolidation => round_actions.consolidation_migrations += 1,
-                        ActionReason::Rebalance => round_actions.rebalance_migrations += 1,
-                        _ => {}
-                    }
-                }
-                ManagementAction::PowerUp { .. } => round_actions.power_ups += 1,
-                ManagementAction::PowerDown { .. } => round_actions.power_downs += 1,
-            }
+        for (action, &reason) in actions.iter().zip(&reasons) {
+            round_actions.count(action, reason);
         }
+        self.ctx.work.migrations_planned += round_actions.migrations;
         self.last_reasons = reasons;
         self.actions_hist.observe(actions.len() as f64);
         self.last_decision = Some(DecisionRecord {
@@ -664,7 +663,6 @@ mod tests {
         ManagerConfig::new(PowerPolicy::reactive_suspend())
             .with_spare_hosts(0)
             .with_min_on_time(SimDuration::ZERO)
-            .with_min_off_time(SimDuration::ZERO)
             .with_predictor(crate::PredictorConfig::LastValue)
     }
 

@@ -1,5 +1,5 @@
-//! The shared placement store: the commit point of the distributed
-//! control plane.
+//! The placement store: the conflict check at the commit point of the
+//! [`ControlPlane`](crate::ControlPlane).
 //!
 //! With one scheduler over a fresh view, plans are self-consistent by
 //! construction — the planner saw the whole fleet an instant ago and
@@ -14,9 +14,10 @@
 //!
 //! ## Commit protocol
 //!
-//! Each control round the simulator presents one batch per scheduler, in
-//! scheduler order, action order within a batch. [`PlacementStore::admit`]
-//! checks every action against
+//! Each due round the control plane opens a claim round
+//! ([`PlacementStore::begin_round`]) and presents one batch per
+//! scheduler, in scheduler order, action order within a batch.
+//! [`PlacementStore::admit`] checks every action against
 //!
 //! * **ground truth** at commit time (a [`PlacementFacts`] adapter over
 //!   the live cluster), which catches stale beliefs: the VM moved, the
@@ -26,12 +27,13 @@
 //!   same host headroom consumed twice, power actions colliding with
 //!   inbound migrations.
 //!
-//! Accepted actions update the ledger (claims fold in arbitration order:
+//! Accepted actions update the claims (they fold in arbitration order:
 //! scheduler id, then plan order); rejected actions are dropped with a
 //! [`ConflictReason`] and the owning scheduler simply re-plans from a
 //! fresher view next round. Because arbitration order is a pure function
 //! of the batch contents, the whole control plane stays bit-reproducible
-//! at any scheduler count.
+//! at any scheduler count. The store counts nothing: the control plane
+//! keeps the commit ledger, the fate of every planned action.
 //!
 //! The headroom check mirrors the planner's own admission arithmetic
 //! (`mem_committed + vm_mem > mem_capacity + 1e-9`, destination-add with
@@ -133,99 +135,6 @@ impl std::fmt::Display for ConflictReason {
     }
 }
 
-/// Deterministic commit-ledger counters, folded into the metrics
-/// snapshot as `work.commit.*` (same discipline as
-/// [`WorkCounters`](crate::WorkCounters)).
-///
-/// The ledger identity `planned == accepted + rejected +
-/// dropped_unowned + expired` holds at the end of every run: every
-/// planned action is either committed, rejected by the store, filtered
-/// as out-of-partition at plan time, or still in flight when the
-/// horizon ended.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommitStats {
-    /// Actions emitted by any scheduler's planner.
-    pub planned: u64,
-    /// Actions admitted by the store and handed to the cluster.
-    pub accepted: u64,
-    /// Actions refused by the store's conflict check.
-    pub rejected: u64,
-    /// Actions filtered at plan time because their subject lay outside
-    /// the planning scheduler's partition (per its own view).
-    pub dropped_unowned: u64,
-    /// Actions still in the control-latency window when the run ended.
-    pub expired: u64,
-    /// The migration-only slices of `rejected`/`dropped_unowned`/
-    /// `expired` — these close the planner's migration ledger
-    /// (`work.plan.migrations_planned == work.migrations.executed +
-    /// work.migrations.aborted + the three below`).
-    pub migrations_rejected: u64,
-    /// See `migrations_rejected`.
-    pub migrations_dropped: u64,
-    /// See `migrations_rejected`.
-    pub migrations_expired: u64,
-    /// Rejections attributed to [`ConflictReason::VmBusy`].
-    pub rejected_vm_busy: u64,
-    /// Rejections attributed to [`ConflictReason::VmRace`].
-    pub rejected_vm_race: u64,
-    /// Rejections attributed to [`ConflictReason::NotOwner`].
-    pub rejected_not_owner: u64,
-    /// Rejections attributed to [`ConflictReason::DestUnavailable`].
-    pub rejected_dest_unavailable: u64,
-    /// Rejections attributed to [`ConflictReason::Headroom`].
-    pub rejected_headroom: u64,
-    /// Rejections attributed to [`ConflictReason::PowerClash`].
-    pub rejected_power_clash: u64,
-    /// Rejections attributed to [`ConflictReason::PowerStale`].
-    pub rejected_power_stale: u64,
-}
-
-impl CommitStats {
-    /// All counters as `(name, value)` pairs in a stable order, for
-    /// folding into a metrics registry under a `work.commit.` prefix.
-    pub fn entries(&self) -> [(&'static str, u64); 15] {
-        [
-            ("planned", self.planned),
-            ("accepted", self.accepted),
-            ("rejected", self.rejected),
-            ("dropped_unowned", self.dropped_unowned),
-            ("expired", self.expired),
-            ("migrations_rejected", self.migrations_rejected),
-            ("migrations_dropped", self.migrations_dropped),
-            ("migrations_expired", self.migrations_expired),
-            ("rejected_vm_busy", self.rejected_vm_busy),
-            ("rejected_vm_race", self.rejected_vm_race),
-            ("rejected_not_owner", self.rejected_not_owner),
-            ("rejected_dest_unavailable", self.rejected_dest_unavailable),
-            ("rejected_headroom", self.rejected_headroom),
-            ("rejected_power_clash", self.rejected_power_clash),
-            ("rejected_power_stale", self.rejected_power_stale),
-        ]
-    }
-
-    /// The ledger identity every finished run must satisfy.
-    pub fn is_balanced(&self) -> bool {
-        self.planned == self.accepted + self.rejected + self.dropped_unowned + self.expired
-    }
-
-    fn note_rejected(&mut self, action: &ManagementAction, reason: ConflictReason) {
-        self.rejected += 1;
-        if !action.is_power_action() {
-            self.migrations_rejected += 1;
-        }
-        let slot = match reason {
-            ConflictReason::VmBusy => &mut self.rejected_vm_busy,
-            ConflictReason::VmRace => &mut self.rejected_vm_race,
-            ConflictReason::NotOwner => &mut self.rejected_not_owner,
-            ConflictReason::DestUnavailable => &mut self.rejected_dest_unavailable,
-            ConflictReason::Headroom => &mut self.rejected_headroom,
-            ConflictReason::PowerClash => &mut self.rejected_power_clash,
-            ConflictReason::PowerStale => &mut self.rejected_power_stale,
-        };
-        *slot += 1;
-    }
-}
-
 /// The shared, conflict-checked placement store (see the module docs for
 /// the protocol).
 ///
@@ -234,7 +143,7 @@ impl CommitStats {
 /// [`begin_round`](Self::begin_round), so a quiet round costs nothing
 /// even at 65536 hosts.
 #[derive(Debug)]
-pub struct PlacementStore {
+pub(crate) struct PlacementStore {
     /// VMs claimed for migration this round.
     vm_claimed: Vec<bool>,
     touched_vms: Vec<usize>,
@@ -251,12 +160,11 @@ pub struct PlacementStore {
     mem_view: Vec<f64>,
     mem_loaded: Vec<bool>,
     touched_mem: Vec<usize>,
-    stats: CommitStats,
 }
 
 impl PlacementStore {
     /// A store for a fleet of `num_hosts` hosts and `num_vms` VMs.
-    pub fn new(num_hosts: usize, num_vms: usize) -> Self {
+    pub(crate) fn new(num_hosts: usize, num_vms: usize) -> Self {
         PlacementStore {
             vm_claimed: vec![false; num_vms],
             touched_vms: Vec::new(),
@@ -266,39 +174,12 @@ impl PlacementStore {
             mem_view: vec![0.0; num_hosts],
             mem_loaded: vec![false; num_hosts],
             touched_mem: Vec::new(),
-            stats: CommitStats::default(),
-        }
-    }
-
-    /// Commit-ledger counters accumulated so far.
-    pub fn stats(&self) -> &CommitStats {
-        &self.stats
-    }
-
-    /// Records an action emitted by a planner (before any filtering).
-    pub fn note_planned(&mut self, _action: &ManagementAction) {
-        self.stats.planned += 1;
-    }
-
-    /// Records an action filtered at plan time as out-of-partition.
-    pub fn note_dropped_unowned(&mut self, action: &ManagementAction) {
-        self.stats.dropped_unowned += 1;
-        if !action.is_power_action() {
-            self.stats.migrations_dropped += 1;
-        }
-    }
-
-    /// Records an action still in the latency window at end of run.
-    pub fn note_expired(&mut self, action: &ManagementAction) {
-        self.stats.expired += 1;
-        if !action.is_power_action() {
-            self.stats.migrations_expired += 1;
         }
     }
 
     /// Opens a new commit round: clears the claim ledger (in O(claims)
     /// of the previous round).
-    pub fn begin_round(&mut self) {
+    pub(crate) fn begin_round(&mut self) {
         for &vm in &self.touched_vms {
             self.vm_claimed[vm] = false;
         }
@@ -315,8 +196,8 @@ impl PlacementStore {
     }
 
     /// Checks one action against ground truth and the round's claim
-    /// ledger; on success the claims are recorded, on failure the stats
-    /// are charged and the caller must drop the action.
+    /// ledger; on success the claims are recorded, on failure the caller
+    /// must drop the action.
     ///
     /// `owned` is the committing scheduler's host partition; it gates
     /// migration sources (the VM's *actual* host must be owned — a stale
@@ -327,19 +208,15 @@ impl PlacementStore {
     /// # Errors
     ///
     /// Returns the [`ConflictReason`] that refused the action.
-    pub fn admit<F: PlacementFacts>(
+    pub(crate) fn admit<F: PlacementFacts>(
         &mut self,
         owned: &Range<usize>,
         action: &ManagementAction,
         facts: &F,
     ) -> Result<(), ConflictReason> {
         let verdict = self.check(owned, action, facts);
-        match verdict {
-            Ok(()) => {
-                self.stats.accepted += 1;
-                self.claim(action, facts);
-            }
-            Err(reason) => self.stats.note_rejected(action, reason),
+        if verdict.is_ok() {
+            self.claim(action, facts);
         }
         verdict
     }
@@ -518,14 +395,6 @@ mod tests {
             Err(ConflictReason::PowerStale),
             "waking an On host is stale"
         );
-        let stats = store.stats();
-        assert_eq!(
-            stats.planned, 0,
-            "planned is noted by the engine, not admit"
-        );
-        assert_eq!(stats.accepted, 2);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.rejected_power_stale, 1);
     }
 
     #[test]
@@ -565,7 +434,6 @@ mod tests {
             store.admit(&(1..2), &migrate(1, 2), &world),
             Err(ConflictReason::Headroom)
         );
-        assert_eq!(store.stats().rejected_headroom, 1);
     }
 
     #[test]
@@ -633,48 +501,6 @@ mod tests {
             store.admit(&all, &migrate(1, 3), &world),
             Err(ConflictReason::DestUnavailable)
         );
-    }
-
-    #[test]
-    fn ledger_identity_balances() {
-        let world = World::new(4, 4);
-        let mut store = PlacementStore::new(4, 4);
-        let all = 0..4usize;
-        store.begin_round();
-        for action in [migrate(0, 1), migrate(0, 2), migrate(1, 1)] {
-            store.note_planned(&action);
-            let _ = store.admit(&all, &action, &world);
-        }
-        store.note_planned(&migrate(2, 3));
-        store.note_dropped_unowned(&migrate(2, 3));
-        store.note_planned(&migrate(3, 1));
-        store.note_expired(&migrate(3, 1));
-        let stats = store.stats();
-        assert!(stats.is_balanced(), "{stats:?}");
-        assert_eq!(stats.planned, 5);
-        assert_eq!(stats.accepted, 2);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.migrations_dropped, 1);
-        assert_eq!(stats.migrations_expired, 1);
-    }
-
-    #[test]
-    fn entries_cover_every_counter_in_stable_order() {
-        let stats = CommitStats {
-            planned: 1,
-            accepted: 2,
-            rejected: 3,
-            ..CommitStats::default()
-        };
-        let entries = stats.entries();
-        assert_eq!(entries[0], ("planned", 1));
-        assert_eq!(entries[1], ("accepted", 2));
-        assert_eq!(entries[2], ("rejected", 3));
-        let names: Vec<&str> = entries.iter().map(|(n, _)| *n).collect();
-        let mut unique = names.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), names.len(), "duplicate counter name");
     }
 
     #[test]

@@ -13,11 +13,10 @@
 /// Deterministic counts of planning and execution work.
 ///
 /// The manager accumulates these across rounds (they survive planning
-/// context rebuilds between rounds) and the engine
-/// folds them into the metrics snapshot as `work.*` counters at the end
-/// of a run.
+/// context rebuilds between rounds) and the control plane folds its
+/// replicas' counters into `work.plan.*` entries when the run closes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkCounters {
+pub(crate) struct WorkCounters {
     /// Hosts examined by consolidation's drain-candidate scans.
     pub candidates_scanned: u64,
     /// All-or-nothing trial evacuations attempted.
@@ -31,7 +30,9 @@ pub struct WorkCounters {
     /// Hosts examined by destination-selection scans
     /// (best-fit / least-loaded placement).
     pub hosts_rescored: u64,
-    /// Migration actions the manager committed to plans.
+    /// Migration actions the manager planned: each round's
+    /// [`DecisionActions::migrations`](crate::DecisionActions::migrations),
+    /// added once per round.
     pub migrations_planned: u64,
     /// Elements folded by consolidation's capacity-aggregate reductions.
     pub fold_elements: u64,

@@ -23,7 +23,8 @@
 //! patching (every VM arrives), so only the debug twin catches a patch
 //! that both would get wrong, such as a skipped arrival.
 
-use agile_core::schedview::merge_view;
+use std::ops::Range;
+
 use agile_core::{
     ClusterObservation, HostObservation, ManagerConfig, PowerPolicy, PredictorConfig, VirtManager,
     VmObservation,
@@ -110,6 +111,32 @@ fn fresh_rounds(hosts: usize, rounds: &[Round]) -> Vec<ClusterObservation> {
     out
 }
 
+/// A scheduler's view as the control plane splices it: the hosts of
+/// `owned` and the VMs on them (and unplaced VMs) from `fresh`, the rest
+/// from `stale`.
+fn merged_view(
+    fresh: &ClusterObservation,
+    stale: &ClusterObservation,
+    owned: &Range<usize>,
+) -> ClusterObservation {
+    let mut view = fresh.clone();
+    for h in (0..fresh.hosts.len()).filter(|h| !owned.contains(h)) {
+        view.hosts[h] = stale.hosts[h];
+    }
+    let remote = |v: usize| fresh.vms.host()[v].is_some_and(|h| !owned.contains(&h.index()));
+    view.vms = (0..fresh.vms.len())
+        .map(|v| {
+            if remote(v) {
+                stale.vms.get(v)
+            } else {
+                fresh.vms.get(v)
+            }
+            .unwrap()
+        })
+        .collect();
+    view
+}
+
 #[test]
 fn carried_host_lists_plan_like_a_from_scratch_build() {
     check::check(
@@ -149,24 +176,22 @@ fn carried_host_lists_plan_like_a_from_scratch_build() {
                 })
                 .collect();
             let fresh = fresh_rounds(*hosts, rounds);
-            let mut merged = ClusterObservation::default();
             for (r, obs) in fresh.iter().enumerate() {
                 for (s, owned) in partitions.iter().enumerate() {
                     // Remote partitions are seen one round late, as in the
-                    // engine's staleness ring.
+                    // control plane's staleness ring.
                     let view = if r > 0 && partitions.len() > 1 {
-                        merge_view(&mut merged, obs, &fresh[r - 1], owned);
-                        &merged
+                        merged_view(obs, &fresh[r - 1], owned)
                     } else {
-                        obs
+                        obs.clone()
                     };
                     let (always_on, managed) = &mut carried[s];
-                    let got = always_on.plan(view).expect("well-shaped view");
+                    let got = always_on.plan(&view).expect("well-shaped view");
                     let want = manager(PowerPolicy::always_on())
-                        .plan(view)
+                        .plan(&view)
                         .expect("well-shaped view");
                     check::prop_assert_eq!(got, want, "round {r}, scheduler {s}");
-                    managed.plan(view).expect("well-shaped view");
+                    managed.plan(&view).expect("well-shaped view");
                 }
             }
             Ok(())

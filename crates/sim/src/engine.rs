@@ -1,17 +1,15 @@
 //! The discrete-event simulation loop.
 
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::BufWriter;
-use std::ops::Range;
 
 use agile_core::{
-    schedview, ClusterObservation, DecisionActions, HostObservation, ManagementAction,
-    PlacementFacts, PlacementStore, VirtManager, WorkCounters,
+    ClusterObservation, ControlPlane, HostObservation, ManagementAction, PlacementFacts,
+    VirtManager,
 };
 use cluster::{Cluster, ClusterError, DemandOutcome, HostId, VmId};
 use power::PowerState;
-use simcore::{pool, EventQueue, SimDuration, SimTime};
+use simcore::{EventQueue, SimDuration, SimTime};
 
 use crate::demand::DemandWindow;
 use crate::events::{EventKind, EventRecord};
@@ -38,75 +36,8 @@ enum Event {
     VmDepart(VmId),
 }
 
-/// The control plane every managed run plans through: N scheduler
-/// replicas over fixed host partitions (one by default), a
-/// conflict-checked placement store, and the staleness / control-latency
-/// machinery (see `DESIGN.md`, "Distributed control plane").
-#[derive(Debug)]
-struct ControlPlane {
-    /// One planner replica per partition, in partition order. Each plans
-    /// over the whole fleet from its own merged view; the ownership
-    /// filter keeps only the actions whose subject it owns.
-    schedulers: Vec<VirtManager>,
-    /// `partitions[s]` is scheduler `s`'s owned host-index range
-    /// (contiguous, disjoint, covering — `pool::shard_ranges`).
-    partitions: Vec<Range<usize>>,
-    /// Remote partitions are observed through a snapshot this many
-    /// control rounds old (0 = fully fresh).
-    staleness: usize,
-    /// Plans computed at tick `t` commit at tick `t + latency`.
-    latency: usize,
-    /// Ring of past observations backing the stale remote view; only
-    /// maintained when `staleness > 0` and more than one scheduler runs.
-    history: VecDeque<ClusterObservation>,
-    /// In-flight action batches: `pending[k][s]` is scheduler `s`'s
-    /// filtered batch planned `k` pops ago. Commits pop from the front
-    /// once the queue is deeper than `latency`.
-    pending: VecDeque<Vec<Vec<ManagementAction>>>,
-    /// The shared placement store arbitrating every commit.
-    store: PlacementStore,
-    /// Reusable merge buffer for the per-scheduler view.
-    view_buf: ClusterObservation,
-    /// Every scheduler's per-round [`DecisionActions`] summed over the
-    /// run: the report's planner counts.
-    planned: DecisionActions,
-}
-
-impl ControlPlane {
-    /// `schedulers` identical replicas of `manager` over fixed contiguous
-    /// host partitions, remote partitions observed `staleness` control
-    /// rounds late, and plans committing `latency` rounds after they are
-    /// computed — all arbitrated by the conflict-checked
-    /// [`PlacementStore`].
-    fn new(
-        manager: VirtManager,
-        (schedulers, staleness, latency): (usize, usize, usize),
-        num_hosts: usize,
-        num_vms: usize,
-    ) -> Self {
-        ControlPlane {
-            schedulers: vec![manager; schedulers],
-            partitions: pool::shard_ranges(num_hosts, schedulers),
-            staleness,
-            latency,
-            history: VecDeque::new(),
-            pending: VecDeque::new(),
-            store: PlacementStore::new(num_hosts, num_vms),
-            view_buf: ClusterObservation::default(),
-            planned: DecisionActions::default(),
-        }
-    }
-
-    /// Whether per-scheduler views diverge at all: with one scheduler (or
-    /// zero staleness) every view is the fresh observation and the merge
-    /// is skipped entirely.
-    fn views_diverge(&self) -> bool {
-        self.staleness > 0 && self.schedulers.len() > 1
-    }
-}
-
-/// [`PlacementFacts`] over the live cluster: the ground truth the store's
-/// conflict check consults at commit time.
+/// [`PlacementFacts`] over the live cluster: the ground truth the control
+/// plane's conflict check consults at commit time.
 struct ClusterFacts<'a> {
     cluster: &'a Cluster,
 }
@@ -166,19 +97,20 @@ impl PlacementFacts for ClusterFacts<'_> {
 /// mode.
 ///
 /// Each control tick the simulator (1) applies the fleet's demand to the
-/// cluster, (2) records metrics, (3) hands the control plane's schedulers
-/// an observation and commits the actions they return through its
-/// placement store, scheduling completion events for migrations and
-/// power transitions. Actions that the cluster rejects (because the world
-/// moved since the manager planned) are counted as failures, not errors —
-/// exactly how a real management plane behaves.
+/// cluster, (2) records metrics, (3) hands the control plane an
+/// observation and executes the due actions it admits, scheduling
+/// completion events for migrations and power transitions. Actions that
+/// the cluster rejects (because the world moved since the manager
+/// planned) are counted as failures, not errors — exactly how a real
+/// management plane behaves.
 #[derive(Debug)]
 pub(crate) struct DatacenterSim {
     cluster: Cluster,
     /// Every VM's demand per control tick, read from the scenario's
     /// shared traces a window of ticks ahead.
     demand: DemandWindow,
-    /// The control plane holding the managers.
+    /// The control plane: the scheduler replicas, their views, the
+    /// latency queue and the commit ledger.
     control: ControlPlane,
     queue: EventQueue<Event>,
     control_interval: SimDuration,
@@ -305,8 +237,7 @@ impl DatacenterSim {
         }
 
         let num_hosts = cluster.num_hosts();
-        let knobs = experiment.control_plane_knobs();
-        let control = ControlPlane::new(manager, knobs, num_hosts, cluster.num_vms());
+        let control = ControlPlane::new(manager, experiment.control_plane_knobs());
         Ok(DatacenterSim {
             cluster,
             demand: DemandWindow::new(scenario.fleet(), control_interval, horizon),
@@ -446,50 +377,13 @@ impl DatacenterSim {
         // Unlike the wall-clock spans these are pure functions of the
         // scenario seed, so they may — must — enter the report: the
         // differential suite then verifies them like any other metric.
-        let mut work = WorkCounters::default();
-        for m in &self.control.schedulers {
-            work.merge(&m.work_counters());
-        }
-        for (name, value) in work.entries() {
-            let id = self
-                .telemetry
-                .registry
-                .counter(&format!("work.plan.{name}"));
+        // Closing the plane expires the batches still aging in its
+        // latency queue, so the commit ledger stays balanced.
+        let (kept, work) = self.control.close();
+        for (name, value) in work {
+            let id = self.telemetry.registry.counter(&name);
             self.telemetry.registry.add(id, value);
         }
-        for m in &self.control.schedulers {
-            for (name, value) in m.index_work_counters().entries() {
-                let id = self
-                    .telemetry
-                    .registry
-                    .counter(&format!("work.index.{name}"));
-                self.telemetry.registry.add(id, value);
-            }
-        }
-        // Batches still aging in the latency queue at the horizon never
-        // commit: count them expired so the commit ledger stays balanced.
-        let control = &mut self.control;
-        while let Some(round) = control.pending.pop_front() {
-            for action in round.iter().flatten() {
-                control.store.note_expired(action);
-            }
-        }
-        let commit = control.store.stats();
-        debug_assert!(commit.is_balanced(), "commit ledger out of balance");
-        for (name, value) in commit.entries() {
-            let id = self
-                .telemetry
-                .registry
-                .counter(&format!("work.commit.{name}"));
-            self.telemetry.registry.add(id, value);
-        }
-        // How many planners produced the ledger above; invariants use
-        // this to scale bounds that charge one unit of work per planner
-        // (e.g. index re-buckets per cluster dirty mark).
-        let id = self.telemetry.registry.counter("work.commit.schedulers");
-        self.telemetry
-            .registry
-            .add(id, control.schedulers.len() as u64);
         // Every migration the cluster accepted logged its start.
         let started = self
             .telemetry
@@ -509,7 +403,7 @@ impl DatacenterSim {
             self.cluster.num_hosts(),
             self.cluster.num_vms(),
             self.cluster.total_energy_j(),
-            self.control.planned,
+            kept,
             self.cluster.migration_busy_secs(),
             self.cluster.transition_busy_secs(),
             self.event_log.take().unwrap_or_default(),
@@ -714,10 +608,10 @@ impl DatacenterSim {
         Ok(())
     }
 
-    /// One management round of the control plane: observe, plan per
-    /// scheduler over its merged view, filter each plan to owned
-    /// subjects, queue the batches behind the control-loop latency, and
-    /// commit the due round through the placement store's conflict check.
+    /// One management round: observe, let the control plane plan (each
+    /// scheduler over its merged view, filtered to the actions it owns,
+    /// queued behind the control-loop latency), then commit the due
+    /// round's actions that the plane admits.
     ///
     /// The observation carries this tick's demand vector, so it must
     /// run after the tick's demand update.
@@ -728,89 +622,42 @@ impl DatacenterSim {
         self.tracer.exit(self.s_observe);
 
         self.tracer.enter(self.s_plan);
-        let control = &mut self.control;
-        let n = control.schedulers.len();
-        let merge = control.views_diverge() && !control.history.is_empty();
-        let mut batches: Vec<Vec<ManagementAction>> = Vec::with_capacity(n);
-        let mut total_kept = 0usize;
-        for s in 0..n {
-            let owned = &control.partitions[s];
-            if merge {
-                let stale = control.history.front().expect("history checked non-empty");
-                schedview::merge_view(&mut control.view_buf, &obs, stale, owned);
-            }
-            let view = if merge { &control.view_buf } else { &obs };
-            let mut actions = control.schedulers[s].plan_traced(view, &mut self.tracer)?;
-            let store = &mut control.store;
-            actions.retain(|action| {
-                store.note_planned(action);
-                // With one scheduler every subject is owned.
-                let kept = n == 1 || schedview::owns_action(view, owned, action);
-                if !kept {
-                    store.note_dropped_unowned(action);
-                }
-                kept
-            });
-            total_kept += actions.len();
-            batches.push(actions);
-        }
-        if control.views_diverge() {
-            // Snapshot after planning: this round's fresh observation is
-            // the youngest entry a future stale view can see. A full ring
-            // hands its oldest snapshot back to be refilled in place.
-            let mut snapshot = if control.history.len() == control.staleness {
-                control.history.pop_front().expect("staleness is positive")
-            } else {
-                ClusterObservation::default()
-            };
-            snapshot.clone_from(&obs);
-            control.history.push_back(snapshot);
-        }
+        let kept = self.control.plan(&obs, &mut self.tracer)?;
         self.obs_buf = obs;
         self.tracer.exit(self.s_plan);
 
         self.telemetry.registry.inc(self.telemetry.rounds);
         self.telemetry
             .registry
-            .observe(self.telemetry.actions_per_round, total_kept as f64);
-        for m in &control.schedulers {
-            if let Some(decision) = m.last_decision() {
-                control.planned.merge(&decision.actions);
-                if let Some((sink, _)) = &mut self.sink {
-                    sink.emit(&decision.to_json());
-                }
+            .observe(self.telemetry.actions_per_round, kept as f64);
+        if let Some((sink, _)) = &mut self.sink {
+            for decision in self.control.decisions() {
+                sink.emit(&decision.to_json());
             }
         }
 
-        // Commit the round that has aged past the control-loop latency.
-        control.pending.push_back(batches);
-        if control.pending.len() > control.latency {
-            let round = control.pending.pop_front().expect("just pushed");
-            self.tracer.enter(self.s_execute);
-            control.store.begin_round();
-            for (sched, batch) in round.into_iter().enumerate() {
-                for action in batch {
-                    let admitted = self.control.store.admit(
-                        &self.control.partitions[sched],
-                        &action,
-                        &ClusterFacts {
-                            cluster: &self.cluster,
+        let Some(round) = self.control.due_round() else {
+            return Ok(());
+        };
+        self.tracer.enter(self.s_execute);
+        for (sched, batch) in round.into_iter().enumerate() {
+            for action in batch {
+                let facts = ClusterFacts {
+                    cluster: &self.cluster,
+                };
+                match self.control.admit(sched, &action, &facts) {
+                    Ok(()) => self.dispatch_action(action, now),
+                    Err(reason) => self.log(
+                        now,
+                        EventKind::CommitRejected {
+                            scheduler: sched as u32,
+                            reason,
                         },
-                    );
-                    match admitted {
-                        Ok(()) => self.dispatch_action(action, now),
-                        Err(reason) => self.log(
-                            now,
-                            EventKind::CommitRejected {
-                                scheduler: sched as u32,
-                                reason,
-                            },
-                        ),
-                    }
+                    ),
                 }
             }
-            self.tracer.exit(self.s_execute);
         }
+        self.tracer.exit(self.s_execute);
         Ok(())
     }
 
@@ -1231,39 +1078,15 @@ mod tests {
     }
 
     #[test]
-    fn single_scheduler_plane_ignores_staleness() {
-        // With one scheduler the merge degenerates to the fresh view, so
-        // any staleness setting reproduces the fresh plane.
-        let s = Scenario::datacenter(6, 24, 23);
-        let e = experiment(&s, PowerPolicy::reactive_suspend(), 12);
-        let run = |staleness: usize| simulate(&e.clone().view_staleness(staleness)).0;
-        assert_eq!(run(0), run(5));
-    }
-
-    #[test]
     fn multi_scheduler_plane_is_deterministic_and_ledger_balanced() {
         let run = || {
             let s = Scenario::datacenter(8, 32, 22);
             let e = experiment(&s, PowerPolicy::reactive_suspend(), 24);
             let plane = e.schedulers(4).view_staleness(2).control_latency(1);
-            let mut sim = DatacenterSim::new(&plane.record_events(), false).unwrap();
-            sim.run_to_horizon().unwrap();
-            let undo_depths: Vec<u64> = sim
-                .control
-                .schedulers
-                .iter()
-                .map(|m| m.work_counters().undo_depth_max)
-                .collect();
-            (sim.finish().unwrap().0, undo_depths)
+            simulate(&plane.record_events()).0
         };
-        let (a, undo_depths) = run();
-        let (b, _) = run();
-        assert_eq!(a, b);
-        // A maximum folds across replicas as the deepest replica's own
-        // value, not as a sum.
-        let deepest = *undo_depths.iter().max().unwrap();
-        assert!(undo_depths.iter().sum::<u64>() > deepest, "{undo_depths:?}");
-        assert_eq!(a.metrics.counter("work.plan.undo_depth_max"), deepest);
+        let a = run();
+        assert_eq!(a, run());
         // The stale-view fleet still saves power...
         assert!(a.power_downs > 0, "stale schedulers must still park hosts");
         // ...and the commit ledger closes exactly.
@@ -1286,20 +1109,31 @@ mod tests {
     }
 
     #[test]
-    fn control_latency_expires_the_last_batches() {
-        // latency = 1: the final tick's plan is still aging when the
-        // horizon closes, so whatever it planned expires.
-        let s = Scenario::datacenter(6, 24, 24);
-        let e = experiment(&s, PowerPolicy::reactive_suspend(), 12);
-        let (report, _) = simulate(&e.schedulers(2).control_latency(1));
+    fn planner_counts_are_the_kept_actions() {
+        // Four schedulers each plan the whole fleet; the report counts
+        // only what each one kept. Nothing is refused at commit here, so
+        // the kept actions are exactly the ones the cluster started.
+        let s = Scenario::datacenter(64, 384, 7);
+        let e = Experiment::new(s)
+            .policy(PowerPolicy::reactive_suspend())
+            .horizon(SimDuration::from_hours(24))
+            .schedulers(4);
+        let (report, _) = simulate(&e);
         let m = &report.metrics;
+        let requested = report.overload_migrations
+            + report.consolidation_migrations
+            + report.rebalance_migrations;
+        assert_eq!(m.counter("work.commit.rejected"), 0);
+        assert_eq!(requested, m.counter("sim.migrations.started"));
         assert_eq!(
-            m.counter("work.commit.planned"),
-            m.counter("work.commit.accepted")
-                + m.counter("work.commit.rejected")
-                + m.counter("work.commit.dropped_unowned")
-                + m.counter("work.commit.expired")
+            report.power_ups + report.power_downs,
+            m.counter("sim.power.ups") + m.counter("sim.power.downs")
         );
+        assert_eq!(
+            (requested, report.power_ups + report.power_downs),
+            (824, 103)
+        );
+        assert!(m.counter("work.commit.dropped_unowned") > 0);
     }
 
     /// VM `i` as a naive observer sees it at `now`: the scenario's

@@ -112,8 +112,9 @@ impl MetricsCollector {
     }
 
     /// Produces the final report. `energy_j` comes from the cluster's
-    /// exact meters, not the sampled power series. `planned` is the run's
-    /// sum of every scheduler's per-round [`DecisionActions`]; each
+    /// exact meters, not the sampled power series. `planned` counts the
+    /// actions the control plane's schedulers kept after the ownership
+    /// filter, by planning step (see [`DecisionActions`]); each
     /// event count is read from its one registry counter in `metrics`
     /// (all zero in the empty snapshot of an analytic run).
     #[allow(clippy::too_many_arguments)]
@@ -574,7 +575,6 @@ mod tests {
             offered_batch_cores: 0.0,
             unserved_interactive_cores: offered - served,
             unserved_batch_cores: 0.0,
-            host_utilization: vec![served / 8.0],
             host_demand_cores: vec![offered],
         }
     }
