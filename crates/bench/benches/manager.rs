@@ -1,10 +1,12 @@
 //! Micro-benchmarks of one management round at fleet scale.
 
 use agile_core::{
-    ClusterObservation, HostObservation, ManagerConfig, PowerPolicy, VirtManager, VmObservation,
+    ClusterObservation, ControlPlane, HostObservation, ManagerConfig, PowerPolicy, VirtManager,
+    VmObservation,
 };
 use bench::microbench::time;
 use cluster::{HostId, HostSpec, Resources, VmSpec};
+use obs::SpanTracer;
 use power::{HostPowerProfile, PowerState};
 use simcore::{RngStream, SimTime};
 
@@ -17,6 +19,12 @@ const DRIFT_HOSTS: usize = 16_384;
 const DRIFT_VMS_PER_HOST: usize = 6;
 const DRIFT_MOVES: usize = 32;
 const DRIFT_ROUNDS: usize = 8;
+
+/// The control-plane round: hosts, scheduler replicas, and how many
+/// rounds old a replica's view of the other partitions is.
+const PLANE_HOSTS: usize = 4096;
+const PLANE_SCHEDULERS: usize = 4;
+const PLANE_STALENESS: usize = 1;
 
 /// A synthetic steady-state observation: `hosts` 16-core, 128 GB hosts,
 /// each carrying 4 VMs of 2 cores and 4 GB.
@@ -107,7 +115,7 @@ fn main() {
     let rounds = drifting_rounds();
     let mut mgr = VirtManager::new(
         ManagerConfig::new(PowerPolicy::reactive_suspend()),
-        &vec![host; DRIFT_HOSTS],
+        &vec![host.clone(); DRIFT_HOSTS],
         &vec![vm; DRIFT_HOSTS * DRIFT_VMS_PER_HOST],
     )
     .expect("default config is valid");
@@ -120,6 +128,30 @@ fn main() {
             round += 1;
             let obs = &rounds[round % DRIFT_ROUNDS];
             mgr.plan(obs).expect("well-shaped observation").len()
+        },
+    );
+
+    // One steady-state round of the scheduler replicas over stale views;
+    // each round's kept batches come due at once and are dropped unadmitted.
+    let obs = observation(PLANE_HOSTS);
+    let mgr = VirtManager::new(
+        ManagerConfig::new(PowerPolicy::reactive_suspend()),
+        &vec![host; PLANE_HOSTS],
+        &vec![vm; PLANE_HOSTS * VMS_PER_HOST],
+    )
+    .expect("default config is valid");
+    let mut plane = ControlPlane::new(mgr, (PLANE_SCHEDULERS, PLANE_STALENESS, 0));
+    let mut tracer = SpanTracer::new();
+    time(
+        &format!("control_plane_round_{PLANE_HOSTS}_hosts_{PLANE_SCHEDULERS}_schedulers"),
+        3,
+        20,
+        || {
+            let kept = plane
+                .plan(&obs, &mut tracer)
+                .expect("well-shaped observation");
+            plane.due_round();
+            kept
         },
     );
 }

@@ -21,6 +21,17 @@
 //! Every planned action meets exactly one fate, so the commit ledger
 //! closes: `planned == accepted + rejected + dropped_unowned + expired`.
 //!
+//! A round has two phases. In the fan-out, the replicas plan side by
+//! side on the machine's cores (`simcore::pool::for_each_mut`), each
+//! splicing its own view, planning into its own span tracer and writing
+//! nothing another replica reads. The fold then runs serially in
+//! scheduler order: it grafts each replica's spans under the caller's,
+//! filters and counts its plan, and queues its batch. A replica's plan is
+//! a pure function of its own state and its view, and every
+//! order-dependent step is in the fold, so a round is the same on any
+//! number of cores. With one scheduler (or one core) the fan-out is a
+//! plain loop and starts no thread.
+//!
 //! A scheduler's view is a pure index-wise splice of the fresh and the
 //! stale observation, so it is a deterministic function of
 //! `(fresh, stale, partition)`. With one scheduler (the default) the
@@ -45,11 +56,8 @@ use crate::{
 /// conflict-checked commit point (see the module docs for the round).
 #[derive(Debug)]
 pub struct ControlPlane {
-    /// One planner replica per partition, in partition order.
-    schedulers: Vec<VirtManager>,
-    /// `partitions[s]` is scheduler `s`'s owned host-index range
-    /// (contiguous, disjoint, covering — `pool::shard_ranges`).
-    partitions: Vec<Range<usize>>,
+    /// One replica per partition, in partition order.
+    schedulers: Vec<Replica>,
     /// Remote partitions are observed through a snapshot this many
     /// control rounds old (0 = fully fresh).
     staleness: usize,
@@ -65,33 +73,69 @@ pub struct ControlPlane {
     store: PlacementStore,
     /// The fate of every planned action.
     ledger: CommitStats,
-    /// Reusable merge buffer for a scheduler's view.
-    view_buf: ClusterObservation,
     /// Every kept action, counted by the step that planned it.
     kept: DecisionActions,
+    /// Whether a round has been planned yet (the first one runs on the
+    /// calling thread; see [`plan`](Self::plan)).
+    warm: bool,
+}
+
+/// One scheduler replica and everything its share of a round writes, so
+/// replicas can plan side by side without sharing a byte.
+#[derive(Debug)]
+struct Replica {
+    /// The planner.
+    manager: VirtManager,
+    /// The owned host-index range (contiguous, disjoint from and covering
+    /// with the other replicas' — `pool::shard_ranges`).
+    owned: Range<usize>,
+    /// Reusable merge buffer for the replica's view; stays empty unless
+    /// views diverge.
+    view: ClusterObservation,
+    /// The replica's planner spans of the round, grafted into the
+    /// caller's tracer once the round is folded; enabled only when the
+    /// caller's is.
+    tracer: SpanTracer,
+    /// The round's plan, before the ownership filter.
+    planned: Result<Vec<ManagementAction>, PlanError>,
 }
 
 impl ControlPlane {
-    /// `schedulers` identical replicas of `manager` over fixed contiguous
-    /// partitions of its fleet's hosts, remote partitions observed
-    /// `staleness` rounds late, and plans committing `latency` rounds
-    /// after they are computed.
+    /// `schedulers` identical replicas of `manager` (at most one per host)
+    /// over fixed contiguous partitions of its fleet's hosts, remote
+    /// partitions observed `staleness` rounds late, and plans committing
+    /// `latency` rounds after they are computed.
     pub fn new(
         manager: VirtManager,
         (schedulers, staleness, latency): (usize, usize, usize),
     ) -> Self {
         let (num_hosts, num_vms) = manager.fleet_size();
+        let partitions = pool::shard_ranges(num_hosts, schedulers);
+        // `vec!` moves `manager` into the last replica rather than
+        // cloning it: a lone scheduler's fleet-sized state is never
+        // copied and freed.
+        let managers = vec![manager; partitions.len()];
+        let schedulers = partitions
+            .into_iter()
+            .zip(managers)
+            .map(|(owned, manager)| Replica {
+                manager,
+                owned,
+                view: ClusterObservation::default(),
+                tracer: SpanTracer::new(),
+                planned: Ok(Vec::new()),
+            })
+            .collect();
         ControlPlane {
-            schedulers: vec![manager; schedulers],
-            partitions: pool::shard_ranges(num_hosts, schedulers),
+            schedulers,
             staleness,
             latency,
             history: VecDeque::new(),
             pending: VecDeque::new(),
             store: PlacementStore::new(num_hosts, num_vms),
             ledger: CommitStats::default(),
-            view_buf: ClusterObservation::default(),
             kept: DecisionActions::default(),
+            warm: false,
         }
     }
 
@@ -102,11 +146,15 @@ impl ControlPlane {
         self.staleness > 0 && self.schedulers.len() > 1
     }
 
-    /// Plans one round: each replica plans over its merged view of `obs`,
-    /// its plan is filtered to the actions it owns, and the kept batches
-    /// join the latency queue. Each planner step records its span under
-    /// the caller's current span of `tracer`. Returns how many actions
-    /// were kept.
+    /// Plans one round in two phases. First every replica plans over its
+    /// merged view of `obs`, side by side on the machine's cores
+    /// (`pool::for_each_mut`; the plane's first round on the calling
+    /// thread), each into its own buffers. Then, serially in scheduler
+    /// order, each replica's planner spans are grafted under the caller's
+    /// current span of `tracer`, its plan is filtered to the actions it
+    /// owns, and the kept batch joins the latency queue. Every
+    /// order-dependent step is in the serial phase, so the round is the
+    /// same on any number of cores. Returns how many actions were kept.
     ///
     /// # Errors
     ///
@@ -119,17 +167,39 @@ impl ControlPlane {
     ) -> Result<usize, PlanError> {
         let lone = self.schedulers.len() == 1;
         let merge = self.views_diverge() && !self.history.is_empty();
+        let stale = self.history.front().filter(|_| merge);
+        let trace = tracer.is_enabled();
+        let plan = |replica: &mut Replica| {
+            if trace {
+                replica.tracer.enable();
+            }
+            let view = match stale {
+                Some(stale) => {
+                    merge_view(&mut replica.view, obs, stale, &replica.owned);
+                    &replica.view
+                }
+                None => obs,
+            };
+            replica.planned = replica.manager.plan_traced(view, &mut replica.tracer);
+        };
+        // A replica's first round sizes every fleet-wide buffer it keeps.
+        // Planning that round on the calling thread puts those buffers in
+        // the main allocator arena, where a serial plane puts them, and
+        // leaves the workers only per-round scratch to allocate.
+        if self.warm {
+            pool::for_each_mut(&mut self.schedulers, plan);
+        } else {
+            self.schedulers.iter_mut().for_each(plan);
+            self.warm = true;
+        }
         let mut batches = Vec::with_capacity(self.schedulers.len());
         let mut total_kept = 0;
-        for (scheduler, owned) in self.schedulers.iter_mut().zip(&self.partitions) {
-            if merge {
-                let stale = self.history.front().expect("history checked non-empty");
-                merge_view(&mut self.view_buf, obs, stale, owned);
-            }
-            let view = if merge { &self.view_buf } else { obs };
-            let mut actions = scheduler.plan_traced(view, tracer)?;
-            let mut reasons = scheduler.last_round_reasons().iter();
-            let (ledger, kept) = (&mut self.ledger, &mut self.kept);
+        for replica in &mut self.schedulers {
+            tracer.absorb(&mut replica.tracer);
+            let mut actions = std::mem::replace(&mut replica.planned, Ok(Vec::new()))?;
+            let view = if merge { &replica.view } else { obs };
+            let mut reasons = replica.manager.last_round_reasons().iter();
+            let (ledger, kept, owned) = (&mut self.ledger, &mut self.kept, &replica.owned);
             actions.retain(|action| {
                 let reason = *reasons.next().expect("one reason per planned action");
                 ledger.planned += 1;
@@ -137,8 +207,7 @@ impl ControlPlane {
                 if owns {
                     kept.count(action, reason);
                 } else {
-                    ledger.dropped_unowned += 1;
-                    ledger.migrations_dropped += u64::from(!action.is_power_action());
+                    ledger.note_dropped(action);
                 }
                 owns
             });
@@ -186,7 +255,9 @@ impl ControlPlane {
         action: &ManagementAction,
         facts: &F,
     ) -> Result<(), ConflictReason> {
-        let verdict = self.store.admit(&self.partitions[scheduler], action, facts);
+        let verdict = self
+            .store
+            .admit(&self.schedulers[scheduler].owned, action, facts);
         match verdict {
             Ok(()) => self.ledger.accepted += 1,
             Err(reason) => self.ledger.note_rejected(action, reason),
@@ -199,7 +270,7 @@ impl ControlPlane {
     pub fn decisions(&self) -> impl Iterator<Item = &DecisionRecord> {
         self.schedulers
             .iter()
-            .filter_map(VirtManager::last_decision)
+            .filter_map(|replica| replica.manager.last_decision())
     }
 
     /// Ends the run: every batch still in the latency queue expires.
@@ -209,35 +280,46 @@ impl ControlPlane {
     /// and `undo_depth_max` keeps the deepest replica's value.
     pub fn close(mut self) -> (DecisionActions, Vec<(String, u64)>) {
         for action in self.pending.drain(..).flatten().flatten() {
-            self.ledger.expired += 1;
-            self.ledger.migrations_expired += u64::from(!action.is_power_action());
+            self.ledger.note_expired(&action);
         }
         debug_assert!(self.ledger.is_balanced(), "commit ledger out of balance");
-        let mut work = WorkCounters::default();
-        let mut index = IndexWorkCounters::default().entries();
-        for m in &self.schedulers {
-            work.merge(&m.work_counters());
-            for (sum, (_, value)) in index.iter_mut().zip(m.index_work_counters().entries()) {
-                sum.1 += value;
-            }
-        }
-        let mut entries: Vec<(String, u64)> = [
-            ("work.plan.", &work.entries()[..]),
-            ("work.index.", &index[..]),
-            ("work.commit.", &self.ledger.entries()[..]),
-        ]
-        .iter()
-        .flat_map(|(prefix, list)| {
-            list.iter()
-                .map(move |(name, value)| (format!("{prefix}{name}"), *value))
-        })
-        .collect();
-        // How many planners produced the ledger; invariants scale bounds
-        // that charge one unit of work per planner by it.
-        let schedulers = self.schedulers.len() as u64;
-        entries.push(("work.commit.schedulers".to_string(), schedulers));
-        (self.kept, entries)
+        let managers = self.schedulers.iter().map(|replica| &replica.manager);
+        (self.kept, work_entries(managers, &self.ledger))
     }
+}
+
+/// The plane's `work.*` counters: every `work.plan.*` and `work.index.*`
+/// counter folded across `managers`, every `work.commit.*` counter of
+/// `ledger`, and `work.commit.schedulers`.
+fn work_entries<'a>(
+    managers: impl Iterator<Item = &'a VirtManager>,
+    ledger: &CommitStats,
+) -> Vec<(String, u64)> {
+    let mut work = WorkCounters::default();
+    let mut index = IndexWorkCounters::default().entries();
+    let mut schedulers = 0;
+    for m in managers {
+        work.merge(&m.work_counters());
+        for (sum, (_, value)) in index.iter_mut().zip(m.index_work_counters().entries()) {
+            sum.1 += value;
+        }
+        schedulers += 1;
+    }
+    let mut entries: Vec<(String, u64)> = [
+        ("work.plan.", &work.entries()[..]),
+        ("work.index.", &index[..]),
+        ("work.commit.", &ledger.entries()[..]),
+    ]
+    .iter()
+    .flat_map(|(prefix, list)| {
+        list.iter()
+            .map(move |(name, value)| (format!("{prefix}{name}"), *value))
+    })
+    .collect();
+    // How many planners produced the ledger; invariants scale bounds
+    // that charge one unit of work per planner by it.
+    entries.push(("work.commit.schedulers".to_string(), schedulers));
+    entries
 }
 
 /// The commit ledger: the fate of every planned action, folded into the
@@ -299,6 +381,16 @@ impl CommitStats {
     /// The ledger identity every finished run must satisfy.
     fn is_balanced(&self) -> bool {
         self.planned == self.accepted + self.rejected + self.dropped_unowned + self.expired
+    }
+
+    fn note_dropped(&mut self, action: &ManagementAction) {
+        self.dropped_unowned += 1;
+        self.migrations_dropped += u64::from(!action.is_power_action());
+    }
+
+    fn note_expired(&mut self, action: &ManagementAction) {
+        self.expired += 1;
+        self.migrations_expired += u64::from(!action.is_power_action());
     }
 
     fn note_rejected(&mut self, action: &ManagementAction, reason: ConflictReason) {
@@ -373,7 +465,7 @@ fn owns_action(view: &ClusterObservation, owned: &Range<usize>, action: &Managem
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::test_world;
+    use crate::plan::{host_spec, test_world, vm_spec};
     use crate::{HostObservation, ManagerConfig, PowerPolicy, PredictorConfig, VmObservation};
     use check::gen::{boolean, f64_in, usize_in, vec_of, Gen};
     use check::{prop_assert, prop_assert_eq};
@@ -420,18 +512,18 @@ mod tests {
         // Identical replicas plan alike over one fresh view, and the
         // partitions split that plan: the plane keeps it exactly once.
         assert_eq!(kept, want);
-        assert!(kept.migrations > 0 && kept.power_downs > 0 && kept.power_ups > 0);
+        assert!(kept.migrations() > 0 && kept.power_downs > 0 && kept.power_ups > 0);
         let planned = c("work.commit.planned");
         let dropped = c("work.commit.dropped_unowned");
         assert_eq!(dropped, planned / 2);
         assert_eq!(c("work.commit.expired"), planned - dropped);
         assert_eq!(
-            kept.migrations,
+            kept.migrations(),
             c("work.plan.migrations_planned") - c("work.commit.migrations_dropped")
         );
         assert_eq!(
             kept.power_ups + kept.power_downs,
-            planned - dropped - kept.migrations
+            planned - dropped - kept.migrations()
         );
         // Counts add across replicas; a maximum keeps the deepest one.
         let lone_work = lone.work_counters();
@@ -556,6 +648,201 @@ mod tests {
                         }
                     }
                 }
+                Ok(())
+            },
+        );
+    }
+
+    /// One round of a [`PlaneRun`]: whether each host is on (else
+    /// suspended), and each VM's host pick and demand.
+    type Round = (Vec<bool>, Vec<(usize, f64)>);
+
+    /// A plane shape `(schedulers, staleness, latency)`, a fleet size and
+    /// a run of rounds over that fleet.
+    type PlaneRun = ((usize, usize, usize), usize, Vec<Round>);
+
+    /// Plane runs of 2–5 schedulers. A VM's pick at or past the fleet
+    /// size, or on a suspended host, leaves it unplaced.
+    fn plane_runs() -> Gen<PlaneRun> {
+        let shape = usize_in(2..=5)
+            .zip(&usize_in(0..=2))
+            .zip(&usize_in(0..=1))
+            .map(|((schedulers, staleness), latency)| (schedulers, staleness, latency));
+        shape
+            .zip(&usize_in(2..=MAX_HOSTS).zip(&usize_in(0..=24)))
+            .and_then(|(shape, (hosts, vms))| {
+                let vm = usize_in(0..=hosts).zip(&f64_in(0.0, 8.0));
+                let round = vec_of(&boolean(), hosts..=hosts).zip(&vec_of(&vm, vms..=vms));
+                vec_of(&round, 2..=6).map(move |rounds| (shape, hosts, rounds))
+            })
+    }
+
+    /// One round's observation at `now` of the fleet `plane_runs`
+    /// describes: 8 GB per placed VM.
+    fn round_observation(now: u64, on: &[bool], vms: &[(usize, f64)]) -> ClusterObservation {
+        let mut hosts: Vec<HostObservation> = on
+            .iter()
+            .map(|&on| HostObservation {
+                state: if on {
+                    PowerState::On
+                } else {
+                    PowerState::Suspended
+                },
+                evacuated: true,
+                ..HostObservation::default()
+            })
+            .collect();
+        let vms = vms
+            .iter()
+            .map(|&(pick, cpu_demand)| {
+                let host = on
+                    .get(pick)
+                    .is_some_and(|&on| on)
+                    .then_some(HostId(pick as u32));
+                if let Some(h) = host {
+                    hosts[h.index()].mem_committed += 8.0;
+                    hosts[h.index()].evacuated = false;
+                }
+                VmObservation {
+                    host,
+                    cpu_demand,
+                    migrating: false,
+                }
+            })
+            .collect();
+        ClusterObservation {
+            now: SimTime::from_secs(now),
+            hosts,
+            vms,
+        }
+    }
+
+    /// Ground truth read off one observation, for admitting a due round.
+    struct ObservedFacts<'a>(&'a ClusterObservation);
+
+    impl PlacementFacts for ObservedFacts<'_> {
+        fn host_of(&self, vm: VmId) -> Option<HostId> {
+            self.0.vms.host()[vm.index()]
+        }
+        fn is_migrating(&self, vm: VmId) -> bool {
+            self.0.vms.migrating()[vm.index()]
+        }
+        fn vm_mem_gb(&self, _: VmId) -> f64 {
+            8.0
+        }
+        fn mem_committed_gb(&self, host: HostId) -> f64 {
+            self.0.hosts[host.index()].mem_committed
+        }
+        fn mem_capacity_gb(&self, _: HostId) -> f64 {
+            64.0
+        }
+        fn is_operational(&self, host: HostId) -> bool {
+            self.0.hosts[host.index()].is_operational()
+        }
+        fn power_state(&self, host: HostId) -> PowerState {
+            self.0.hosts[host.index()].state
+        }
+        fn has_pending_transition(&self, _: HostId) -> bool {
+            false
+        }
+        fn is_evacuated(&self, host: HostId) -> bool {
+            self.0.hosts[host.index()].evacuated
+        }
+    }
+
+    /// The plane's replicas, planned side by side, do exactly what clones
+    /// of its manager do planned one by one on this thread, each over its
+    /// own merged view: the same decisions, kept batches, verdicts,
+    /// planner counts and `work.*` counters, round after round.
+    #[test]
+    fn fanned_out_rounds_match_replicas_planned_one_by_one() {
+        let config = ManagerConfig::new(PowerPolicy::reactive_suspend())
+            .with_spare_hosts(0)
+            .with_min_on_time(SimDuration::ZERO)
+            .with_predictor(PredictorConfig::LastValue);
+        check::check(
+            "fanned-out plane rounds match a serial reference",
+            &plane_runs(),
+            |(shape, hosts, rounds)| {
+                let (staleness, latency) = (shape.1, shape.2);
+                let num_vms = rounds[0].1.len();
+                let inventory = (
+                    vec![host_spec(8.0, 64.0); *hosts],
+                    vec![vm_spec(8.0, 8.0); num_vms],
+                );
+                let manager = VirtManager::new(config.clone(), &inventory.0, &inventory.1)
+                    .map_err(|e| e.to_string())?;
+                let mut plane = ControlPlane::new(manager.clone(), *shape);
+                let partitions = pool::shard_ranges(*hosts, shape.0);
+                let mut replicas = vec![manager; partitions.len()];
+                let (mut history, mut pending) = (VecDeque::new(), VecDeque::new());
+                let mut store = PlacementStore::new(*hosts, num_vms);
+                let (mut ledger, mut kept) = (CommitStats::default(), DecisionActions::default());
+                let mut merged = ClusterObservation::default();
+                for (r, (on, vms)) in rounds.iter().enumerate() {
+                    let obs = round_observation(300 * r as u64, on, vms);
+                    plane
+                        .plan(&obs, &mut SpanTracer::enabled())
+                        .map_err(|e| e.to_string())?;
+                    let mut batches = Vec::new();
+                    for (manager, owned) in replicas.iter_mut().zip(&partitions) {
+                        let view = match history.front() {
+                            Some(stale) => {
+                                merge_view(&mut merged, &obs, stale, owned);
+                                &merged
+                            }
+                            None => &obs,
+                        };
+                        let mut actions = manager.plan(view).map_err(|e| e.to_string())?;
+                        let mut reasons = manager.last_round_reasons().iter();
+                        actions.retain(|action| {
+                            let reason = *reasons.next().expect("one reason per action");
+                            ledger.planned += 1;
+                            let owns = owns_action(view, owned, action);
+                            if owns {
+                                kept.count(action, reason);
+                            } else {
+                                ledger.note_dropped(action);
+                            }
+                            owns
+                        });
+                        batches.push(actions);
+                    }
+                    if staleness > 0 {
+                        history.push_back(obs.clone());
+                        if history.len() > staleness {
+                            history.pop_front();
+                        }
+                    }
+                    pending.push_back(batches);
+                    let want: Vec<_> = replicas
+                        .iter()
+                        .filter_map(VirtManager::last_decision)
+                        .collect();
+                    prop_assert_eq!(plane.decisions().collect::<Vec<_>>(), want);
+                    let due = plane.due_round();
+                    let want = (pending.len() > latency).then(|| pending.pop_front().unwrap());
+                    prop_assert_eq!(&due, &want);
+                    let Some(due) = due else { continue };
+                    store.begin_round();
+                    for (s, batch) in due.iter().enumerate() {
+                        for action in batch {
+                            let facts = ObservedFacts(&obs);
+                            let verdict = store.admit(&partitions[s], action, &facts);
+                            match verdict {
+                                Ok(()) => ledger.accepted += 1,
+                                Err(reason) => ledger.note_rejected(action, reason),
+                            }
+                            prop_assert_eq!(plane.admit(s, action, &facts), verdict);
+                        }
+                    }
+                }
+                for action in pending.iter().flatten().flatten() {
+                    ledger.note_expired(action);
+                }
+                let (plane_kept, plane_work) = plane.close();
+                prop_assert_eq!(plane_kept, kept);
+                prop_assert_eq!(plane_work, work_entries(replicas.iter(), &ledger));
                 Ok(())
             },
         );

@@ -48,8 +48,6 @@ impl DecisionTrigger {
 /// produced them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionActions {
-    /// Live migrations requested (all reasons).
-    pub migrations: u64,
     /// Migrations relieving overloaded hosts.
     pub overload_migrations: u64,
     /// Migrations evacuating underloaded hosts.
@@ -63,20 +61,25 @@ pub struct DecisionActions {
 }
 
 impl DecisionActions {
+    /// Live migrations requested: every migration is counted under
+    /// exactly one of the three migration steps.
+    pub fn migrations(&self) -> u64 {
+        self.overload_migrations + self.consolidation_migrations + self.rebalance_migrations
+    }
+
     /// Counts one action under the planning step that produced it. The
     /// manager's decision record and the control plane's kept-action
     /// count both go through here, so the two cannot bucket differently.
     pub(crate) fn count(&mut self, action: &ManagementAction, reason: ActionReason) {
         match action {
-            ManagementAction::Migrate { .. } => {
-                self.migrations += 1;
-                match reason {
-                    ActionReason::OverloadMitigation => self.overload_migrations += 1,
-                    ActionReason::Consolidation => self.consolidation_migrations += 1,
-                    ActionReason::Rebalance => self.rebalance_migrations += 1,
-                    ActionReason::CapacityWake | ActionReason::Park => {}
+            ManagementAction::Migrate { .. } => match reason {
+                ActionReason::OverloadMitigation => self.overload_migrations += 1,
+                ActionReason::Consolidation => self.consolidation_migrations += 1,
+                ActionReason::Rebalance => self.rebalance_migrations += 1,
+                ActionReason::CapacityWake | ActionReason::Park => {
+                    unreachable!("the capacity wake and parking plan only power actions")
                 }
-            }
+            },
             ManagementAction::PowerUp { .. } => self.power_ups += 1,
             ManagementAction::PowerDown { .. } => self.power_downs += 1,
         }
@@ -174,7 +177,7 @@ impl DecisionRecord {
                 Json::Int(self.quarantined_hosts as i64),
             ),
             ("failsafe", Json::Bool(self.failsafe)),
-            ("migrations", Json::Int(self.actions.migrations as i64)),
+            ("migrations", Json::Int(self.actions.migrations() as i64)),
             (
                 "overload_migrations",
                 Json::Int(self.actions.overload_migrations as i64),
@@ -239,7 +242,6 @@ mod tests {
             quarantined_hosts: 1,
             failsafe: false,
             actions: DecisionActions {
-                migrations: 2,
                 overload_migrations: 2,
                 ..DecisionActions::default()
             },
@@ -296,6 +298,7 @@ mod tests {
         assert_eq!(j.get("round").unwrap().as_i64(), Some(3));
         assert_eq!(j.get("t_seconds").unwrap().as_f64(), Some(900.0));
         assert_eq!(j.get("prewake_forecast").unwrap().as_f64(), Some(14.0));
+        assert_eq!(j.get("migrations").unwrap().as_i64(), Some(2));
         assert_eq!(j.get("overload_migrations").unwrap().as_i64(), Some(2));
         assert_eq!(j.get("quarantined_hosts").unwrap().as_i64(), Some(1));
         assert_eq!(j.get("failsafe").unwrap().as_bool(), Some(false));

@@ -376,7 +376,7 @@ impl VirtManager {
         for (action, &reason) in actions.iter().zip(&reasons) {
             round_actions.count(action, reason);
         }
-        self.ctx.work.migrations_planned += round_actions.migrations;
+        self.ctx.work.migrations_planned += round_actions.migrations();
         self.last_reasons = reasons;
         self.actions_hist.observe(actions.len() as f64);
         self.last_decision = Some(DecisionRecord {
@@ -855,7 +855,7 @@ mod tests {
         mgr.plan(&o).expect("well-shaped observation");
         let d = mgr.last_decision().unwrap();
         assert_eq!(d.round, 1);
-        assert!(d.actions.migrations >= 1);
+        assert!(d.actions.migrations() >= 1);
     }
 
     #[test]

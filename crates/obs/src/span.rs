@@ -163,6 +163,40 @@ impl SpanTracer {
         node
     }
 
+    /// Grafts `child`'s call-path tree under the currently open span (or
+    /// at the top level): each of its paths adds its calls and wall time
+    /// to the same path here, created on first sight in `child`'s
+    /// first-seen order, so the summary reads as if `child`'s spans had
+    /// been recorded here inline. `child`'s totals are then zeroed; its
+    /// arena and names stay, so a tracer absorbed every round allocates
+    /// only for paths it has not seen before. A disabled `child` recorded
+    /// nothing and adds nothing.
+    ///
+    /// This lets work that runs on another thread trace into its own
+    /// tracer and be folded in afterwards, in a fixed order.
+    pub fn absorb(&mut self, child: &mut SpanTracer) {
+        debug_assert!(child.stack.is_empty(), "absorbing a tracer with open spans");
+        if !self.enabled || !child.enabled {
+            return;
+        }
+        let parent = self.stack.last().map_or(0, |&(node, _)| node);
+        self.graft(child, 0, parent);
+    }
+
+    /// Adds the subtree of `child`'s node `from` into the subtree of this
+    /// tracer's node `into`, depth first, zeroing what it copies.
+    fn graft(&mut self, child: &mut SpanTracer, from: usize, into: usize) {
+        for k in 0..child.nodes[from].children.len() {
+            let c = child.nodes[from].children[k];
+            let name = self.name(&child.names[child.nodes[c].name]);
+            let node = self.child_of(into, name.0);
+            let source = &mut child.nodes[c];
+            self.nodes[node].calls += std::mem::take(&mut source.calls);
+            self.nodes[node].total += std::mem::take(&mut source.total);
+            self.graft(child, c, node);
+        }
+    }
+
     /// Number of arena nodes allocated (1 = just the root). Exposed so
     /// tests can assert the disabled path allocates nothing.
     pub fn node_count(&self) -> usize {
@@ -452,6 +486,94 @@ mod tests {
         // Totals include children; self excludes them.
         let plan_stat = s.span("plan").unwrap();
         assert!(plan_stat.total_secs >= plan_stat.self_secs);
+    }
+
+    /// Records `rounds` rounds of a planner-like tree under whatever span
+    /// `t` has open.
+    fn planner_spans(t: &mut SpanTracer, rounds: usize) {
+        let [rescore, consolidate, scan, trial, park] =
+            ["rescore", "consolidate", "scan", "trial", "park"].map(|n| t.name(n));
+        for r in 0..rounds {
+            t.enter(rescore);
+            t.exit(rescore);
+            t.enter(consolidate);
+            // A path first seen in a later round, under an existing one.
+            if r > 0 {
+                t.enter(trial);
+                t.exit(trial);
+            }
+            t.enter(scan);
+            t.exit(scan);
+            t.exit(consolidate);
+            t.enter(park);
+            t.exit(park);
+        }
+    }
+
+    /// `(path, depth, calls)` of every span, in summary order.
+    fn shape(t: &SpanTracer) -> Vec<(String, u32, u64)> {
+        let spans = t.summary().spans;
+        spans
+            .into_iter()
+            .map(|s| (s.path, s.depth, s.calls))
+            .collect()
+    }
+
+    #[test]
+    fn absorbing_a_tree_matches_recording_it_inline() {
+        let mut inline = SpanTracer::enabled();
+        let mut grafted = SpanTracer::enabled();
+        let mut children = [SpanTracer::enabled(), SpanTracer::enabled()];
+        for round in 0..3 {
+            for t in [&mut inline, &mut grafted] {
+                let plan = t.name("plan");
+                t.enter(plan);
+            }
+            // Two replicas per round, the second one round behind.
+            planner_spans(&mut inline, 1 + round);
+            planner_spans(&mut children[0], 1 + round);
+            planner_spans(&mut inline, round);
+            planner_spans(&mut children[1], round);
+            let total = |ts: &[&SpanTracer]| -> Duration {
+                ts.iter().flat_map(|t| &t.nodes).map(|n| n.total).sum()
+            };
+            let before = total(&[&grafted, &children[0], &children[1]]);
+            for child in &mut children {
+                grafted.absorb(child);
+                assert!(child
+                    .nodes
+                    .iter()
+                    .all(|n| n.calls == 0 && n.total.is_zero()));
+            }
+            // Totals add: the children's time moved here, none was lost.
+            assert_eq!(total(&[&grafted]), before);
+            for t in [&mut inline, &mut grafted] {
+                let plan = t.name("plan");
+                t.exit(plan);
+            }
+            assert_eq!(shape(&grafted), shape(&inline), "round {round}");
+        }
+        assert_eq!(grafted.node_count(), inline.node_count());
+        assert_eq!(shape(&grafted)[0], ("plan".to_string(), 1, 3));
+        assert_eq!(shape(&grafted)[3], ("plan;consolidate;scan".into(), 3, 9));
+    }
+
+    #[test]
+    fn absorbing_a_disabled_tracer_adds_no_node() {
+        let mut t = SpanTracer::enabled();
+        let plan = t.name("plan");
+        let mut child = SpanTracer::new();
+        planner_spans(&mut child, 2);
+        t.enter(plan);
+        t.absorb(&mut child);
+        t.exit(plan);
+        assert_eq!(t.node_count(), 2);
+        // Nor does a disabled tracer take anything in.
+        let mut off = SpanTracer::new();
+        let mut on = SpanTracer::enabled();
+        planner_spans(&mut on, 1);
+        off.absorb(&mut on);
+        assert_eq!(off.node_count(), 1);
     }
 
     #[test]

@@ -62,11 +62,13 @@ impl SimulationBuilder {
         }
     }
 
-    /// Has no effect: every run is single-threaded (run independent
-    /// simulations side by side with `simcore::pool::run_indexed` to use
-    /// more cores). Kept only because the frozen `perfbench` benchmark
-    /// still calls it; ROADMAP item 2's benchmark change removes those
-    /// calls and then this setter.
+    /// Has no effect: a run's tick is single-threaded, and the one fan-out
+    /// inside a run (the control plane's scheduler replicas) sizes itself
+    /// to the machine's cores. Run independent simulations side by side
+    /// with `simcore::pool::run_indexed` to use more cores. Kept only
+    /// because the frozen `perfbench` benchmark still calls it; ROADMAP
+    /// item 2's benchmark change removes those calls and then this
+    /// setter.
     pub fn threads(self, _threads: usize) -> Self {
         self
     }

@@ -594,7 +594,6 @@ mod tests {
             1,
             3.6e6, // exactly 1 kWh
             DecisionActions {
-                migrations: 6,
                 power_ups: 2,
                 power_downs: 2,
                 ..DecisionActions::default()

@@ -5,10 +5,12 @@
 //! * [`run_indexed`] — parallelism *across* independent jobs (whole
 //!   simulations, sweep points, fixed chunks of a fleet's demand traces
 //!   in `workload::FleetSpec::generate`). Workers claim indices
-//!   atomically and results come back in index order. A single run is
-//!   always single-threaded; cores pay by running runs side by side, or
-//!   by generating a scenario's traces in one fan-out before its run
-//!   starts.
+//!   atomically and results come back in index order.
+//! * [`for_each_mut`] — parallelism over a slice of independent items,
+//!   each mutated in place. Inside a run, this is the control plane's
+//!   one fan-out: each scheduler replica plans its round on its own
+//!   state, and the caller folds the results serially afterwards. The
+//!   tick's fleet passes stay serial.
 //! * [`shard_ranges`] — a pure `(len, shards)` split of `0..len` into
 //!   contiguous near-equal ranges.
 //!
@@ -74,6 +76,56 @@ where
         .collect()
 }
 
+/// Calls `f` once on every item, in place, on a bounded set of threads.
+///
+/// The worker count is `min(available_parallelism, items.len())`, and the
+/// items are split into that many contiguous [`shard_ranges`] chunks. The
+/// calling thread runs the first chunk itself and one scoped thread
+/// starts per further chunk. With one worker (one item, or one core) this
+/// is a plain loop on the calling thread and no thread starts. Each call
+/// opens and joins one thread scope, so it pays only for items that take
+/// a millisecond or more each.
+///
+/// # Panics
+///
+/// Panics with the first panic `f` raised, in chunk order, once every
+/// chunk has stopped.
+pub fn for_each_mut<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(&mut T) + Sync,
+{
+    // The length test comes first: reading the core count costs file
+    // reads (cgroup quotas), more than a small world's whole round.
+    let workers = match items.len() {
+        0 | 1 => 1,
+        len => thread::available_parallelism().map_or(1, |n| n.get().min(len)),
+    };
+    if workers <= 1 {
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let f = &f;
+    let ranges = shard_ranges(items.len(), workers);
+    let (first, mut rest) = items.split_at_mut(ranges[0].len());
+    thread::scope(|scope| {
+        let workers: Vec<_> = ranges[1..]
+            .iter()
+            .map(|range| {
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                rest = tail;
+                scope.spawn(move || chunk.iter_mut().for_each(f))
+            })
+            .collect();
+        first.iter_mut().for_each(f);
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
 /// Splits `0..len` into at most `shards` fixed, contiguous, near-equal,
 /// non-empty ranges covering the whole span in order.
 ///
@@ -126,6 +178,28 @@ mod tests {
         for (i, c) in counters.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "job {i}");
         }
+    }
+
+    #[test]
+    fn for_each_mut_visits_every_item_once_in_place() {
+        for len in [0usize, 1, 2, 7, 64] {
+            let mut items: Vec<(usize, u32)> = (0..len).map(|i| (i, 0)).collect();
+            for_each_mut(&mut items, |item| item.1 += 1);
+            for (i, item) in items.iter().enumerate() {
+                assert_eq!(*item, (i, 1), "len={len} item {i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn for_each_mut_propagates_a_worker_panic() {
+        let mut items: Vec<usize> = (0..7).collect();
+        for_each_mut(&mut items, |&mut i| {
+            if i == 5 {
+                panic!("item {i} failed");
+            }
+        });
     }
 
     #[test]
