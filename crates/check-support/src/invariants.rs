@@ -121,8 +121,9 @@ pub fn check_work_counters(report: &SimReport) -> Result<(), String> {
     // A planned migration has exactly four fates: the cluster executed
     // or aborted it, or the commit layer refused it (conflict), dropped
     // it (not the planner's partition), or expired it (control latency
-    // outlived the horizon). Under the direct (single-planner) path the
-    // commit terms are all zero and this is the classic two-fate ledger.
+    // outlived the horizon). With one scheduler and no control latency
+    // (the default plane) the commit terms stay zero and this is the
+    // classic two-fate ledger.
     let commit_migrations = c("work.commit.migrations_rejected")
         + c("work.commit.migrations_dropped")
         + c("work.commit.migrations_expired");
@@ -138,8 +139,7 @@ pub fn check_work_counters(report: &SimReport) -> Result<(), String> {
     // per operational host per demand sweep). Each scheduler in a
     // distributed control plane maintains its own index, so the bound
     // scales with the planner count (`work.commit.schedulers`, 1 by
-    // default). Trivially true in scan mode, where every
-    // `work.index.*` counter stays zero.
+    // default).
     let rebuckets = c("work.index.rebuckets");
     let schedulers = c("work.commit.schedulers").max(1);
     let dirty = c("work.cluster.dirty_marks") * schedulers;
@@ -168,7 +168,9 @@ pub fn check_work_counters(report: &SimReport) -> Result<(), String> {
 ///   work.commit.planned − work.commit.dropped_unowned −` those
 ///   migrations.
 ///
-/// Trivially true (all zeros) on runs without a control plane.
+/// Every managed run plans through the control plane. Only the analytic
+/// Oracle and DVFS runs have none; they count nothing, so the ledger
+/// holds trivially (all zeros).
 pub fn check_commit_ledger(report: &SimReport) -> Result<(), String> {
     let c = |name: &str| report.metrics.counter(name);
     let planned = c("work.commit.planned");
@@ -498,8 +500,10 @@ pub fn check_energy_ordering(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{experiment_spec, scheduler_count};
     use agile_core::PowerPolicy;
     use dcsim::{Experiment, SimulationBuilder};
+    use obs::MetricValue;
     use simcore::SimDuration;
 
     #[test]
@@ -555,6 +559,64 @@ mod tests {
         power.power_downs += 1;
         let err = check_commit_ledger(&power).unwrap_err();
         assert!(err.contains("power actions"), "{err}");
+    }
+
+    /// `report` with counter `name` set to `value`.
+    fn with_counter(report: &SimReport, name: &str, value: u64) -> SimReport {
+        let mut cooked = report.clone();
+        let entry = cooked.metrics.entries.iter_mut().find(|e| e.name == name);
+        entry.expect("every run registers the counter").value = MetricValue::Counter(value);
+        cooked
+    }
+
+    /// Each clause of `check_work_counters` rejects the corruption it
+    /// exists for. Every corruption raises one counter that only its own
+    /// clause reads, on a correct generated report, so exactly that
+    /// clause fires, and the commit ledger still balances.
+    #[test]
+    fn work_counter_clauses_each_reject_their_corruption() {
+        let input = experiment_spec().zip(&scheduler_count());
+        check::check("work-counter corruptions", &input, |(spec, n)| {
+            let experiment = spec.experiment().schedulers((*n).min(spec.scenario.hosts));
+            let report = SimulationBuilder::new(experiment)
+                .run_report()
+                .map_err(|e| format!("run failed: {e:?}"))?;
+            check_work_counters(&report)?;
+            let c = |name: &str| report.metrics.counter(name);
+            let schedulers = c("work.commit.schedulers").max(1);
+            let corruptions = [
+                (
+                    "work.plan.trials_attempted",
+                    c("work.plan.candidates_scanned") + 1,
+                    "candidates scanned",
+                ),
+                (
+                    "work.plan.trials_rolled_back",
+                    c("work.plan.trials_attempted") + 1,
+                    "trials attempted",
+                ),
+                (
+                    "work.migrations.aborted",
+                    c("work.migrations.aborted") + 1,
+                    "refused at commit",
+                ),
+                (
+                    "work.index.rebuckets",
+                    c("work.cluster.dirty_marks") * schedulers + 1,
+                    "cluster dirty marks",
+                ),
+            ];
+            for (name, value, clause) in corruptions {
+                let cooked = with_counter(&report, name, value);
+                let err = match check_work_counters(&cooked) {
+                    Ok(()) => return Err(format!("{name} = {value} passed")),
+                    Err(err) => err,
+                };
+                check::prop_assert!(err.contains(clause), "{name} = {value}: {err}");
+                check_commit_ledger(&cooked).map_err(|e| format!("{name} = {value}: {e}"))?;
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -10,11 +10,10 @@ use cluster::{HostId, VmId};
 use obs::SpanTracer;
 use simcore::{pairwise_sum, SimTime};
 
+use crate::index::UtilizationIndex;
 use crate::plan::PlanContext;
-use crate::{
-    HysteresisGate, ManagementAction, ManagerConfig, PackingPolicy, RecoveryTracker,
-    UtilizationIndex,
-};
+use crate::work::Count;
+use crate::{HysteresisGate, ManagementAction, ManagerConfig, PackingPolicy, RecoveryTracker};
 
 /// Continues evacuating hosts already marked as draining, then selects new
 /// drain candidates while spare capacity allows.
@@ -66,7 +65,7 @@ pub(crate) fn plan_consolidation(
         journal.clear();
         let mut trial_budget = *budget;
         ctx.set_draining_trial(candidate, true);
-        ctx.work.trials_attempted += 1;
+        ctx.work.add(Count::TrialsAttempted, 1);
         tracer.enter(s_trial);
         let complete = evacuate(
             ctx,
@@ -76,7 +75,7 @@ pub(crate) fn plan_consolidation(
             &mut trial_budget,
             Some(&mut journal),
         );
-        ctx.work.undo_depth_max = ctx.work.undo_depth_max.max(journal.len() as u64);
+        ctx.work.raise(Count::UndoDepthMax, journal.len() as u64);
         let committed = if complete {
             actions.append(&mut trial_actions);
             *budget = trial_budget;
@@ -87,8 +86,8 @@ pub(crate) fn plan_consolidation(
             undo_moves(ctx, &journal);
             tracer.exit(s_undo);
             ctx.set_draining_trial(candidate, false);
-            ctx.work.trials_rolled_back += 1;
-            ctx.work.rollback_moves += journal.len() as u64;
+            ctx.work.add(Count::TrialsRolledBack, 1);
+            ctx.work.add(Count::RollbackMoves, journal.len() as u64);
             false
         };
         tracer.exit(s_trial);
@@ -270,7 +269,7 @@ fn pick_candidate_indexed(
             break;
         }
     }
-    ctx.work.candidates_scanned += examined;
+    ctx.work.add(Count::CandidatesScanned, examined);
     best.map(|(_, h)| h)
 }
 
@@ -579,7 +578,7 @@ mod tests {
             &mut SpanTracer::new(),
         );
         assert!(
-            ctx.work.trials_rolled_back > 0,
+            ctx.work.get(Count::TrialsRolledBack) > 0,
             "fixture no longer exercises a rollback"
         );
         assert_eq!(

@@ -46,9 +46,10 @@ use obs::SpanTracer;
 use simcore::pool;
 
 use crate::placement::PlacementStore;
+use crate::work::{Count, WorkTable};
 use crate::{
-    ClusterObservation, ConflictReason, DecisionActions, DecisionRecord, IndexWorkCounters,
-    ManagementAction, PlacementFacts, PlanError, VirtManager, WorkCounters,
+    ClusterObservation, ConflictReason, DecisionActions, DecisionRecord, ManagementAction,
+    PlacementFacts, PlanError, VirtManager,
 };
 
 /// N scheduler replicas of one manager over fixed contiguous host
@@ -71,8 +72,12 @@ pub struct ControlPlane {
     pending: VecDeque<Vec<Vec<ManagementAction>>>,
     /// The round's claim ledger arbitrating every commit.
     store: PlacementStore,
-    /// The fate of every planned action.
-    ledger: CommitStats,
+    /// The commit ledger: the fate of every planned action, in the
+    /// `work.commit.*` slots. Every planned action is committed, rejected
+    /// at commit, filtered as out-of-partition at plan time, or still in
+    /// the latency queue when the run ends, so at the end
+    /// `planned == accepted + rejected + dropped_unowned + expired`.
+    ledger: WorkTable,
     /// Every kept action, counted by the step that planned it.
     kept: DecisionActions,
     /// Whether a round has been planned yet (the first one runs on the
@@ -133,7 +138,7 @@ impl ControlPlane {
             history: VecDeque::new(),
             pending: VecDeque::new(),
             store: PlacementStore::new(num_hosts, num_vms),
-            ledger: CommitStats::default(),
+            ledger: WorkTable::default(),
             kept: DecisionActions::default(),
             warm: false,
         }
@@ -202,12 +207,13 @@ impl ControlPlane {
             let (ledger, kept, owned) = (&mut self.ledger, &mut self.kept, &replica.owned);
             actions.retain(|action| {
                 let reason = *reasons.next().expect("one reason per planned action");
-                ledger.planned += 1;
+                ledger.add(Count::Planned, 1);
                 let owns = lone || owns_action(view, owned, action);
                 if owns {
                     kept.count(action, reason);
                 } else {
-                    ledger.note_dropped(action);
+                    ledger.add(Count::DroppedUnowned, 1);
+                    ledger.add(Count::MigrationsDropped, migrations(action));
                 }
                 owns
             });
@@ -258,10 +264,7 @@ impl ControlPlane {
         let verdict = self
             .store
             .admit(&self.schedulers[scheduler].owned, action, facts);
-        match verdict {
-            Ok(()) => self.ledger.accepted += 1,
-            Err(reason) => self.ledger.note_rejected(action, reason),
-        }
+        count_verdict(&mut self.ledger, action, verdict);
         verdict
     }
 
@@ -276,137 +279,58 @@ impl ControlPlane {
     /// Ends the run: every batch still in the latency queue expires.
     /// Returns the kept actions counted by planning step (the report's
     /// planner counts) and every `work.plan.*`, `work.index.*` and
-    /// `work.commit.*` counter, folded across the replicas: counts add,
-    /// and `undo_depth_max` keeps the deepest replica's value.
-    pub fn close(mut self) -> (DecisionActions, Vec<(String, u64)>) {
+    /// `work.commit.*` counter: the commit ledger with each replica's
+    /// table folded in (counts add, `undo_depth_max` keeps the deepest
+    /// replica's value) and `work.commit.schedulers`, the replica count.
+    pub fn close(mut self) -> (DecisionActions, Vec<(&'static str, u64)>) {
         for action in self.pending.drain(..).flatten().flatten() {
-            self.ledger.note_expired(&action);
+            count_expired(&mut self.ledger, &action);
         }
-        debug_assert!(self.ledger.is_balanced(), "commit ledger out of balance");
-        let managers = self.schedulers.iter().map(|replica| &replica.manager);
-        (self.kept, work_entries(managers, &self.ledger))
-    }
-}
-
-/// The plane's `work.*` counters: every `work.plan.*` and `work.index.*`
-/// counter folded across `managers`, every `work.commit.*` counter of
-/// `ledger`, and `work.commit.schedulers`.
-fn work_entries<'a>(
-    managers: impl Iterator<Item = &'a VirtManager>,
-    ledger: &CommitStats,
-) -> Vec<(String, u64)> {
-    let mut work = WorkCounters::default();
-    let mut index = IndexWorkCounters::default().entries();
-    let mut schedulers = 0;
-    for m in managers {
-        work.merge(&m.work_counters());
-        for (sum, (_, value)) in index.iter_mut().zip(m.index_work_counters().entries()) {
-            sum.1 += value;
+        debug_assert!(is_balanced(&self.ledger), "commit ledger out of balance");
+        for replica in &self.schedulers {
+            self.ledger.merge(replica.manager.work());
         }
-        schedulers += 1;
+        self.ledger
+            .add(Count::Schedulers, self.schedulers.len() as u64);
+        (self.kept, self.ledger.entries().collect())
     }
-    let mut entries: Vec<(String, u64)> = [
-        ("work.plan.", &work.entries()[..]),
-        ("work.index.", &index[..]),
-        ("work.commit.", &ledger.entries()[..]),
-    ]
-    .iter()
-    .flat_map(|(prefix, list)| {
-        list.iter()
-            .map(move |(name, value)| (format!("{prefix}{name}"), *value))
-    })
-    .collect();
-    // How many planners produced the ledger; invariants scale bounds
-    // that charge one unit of work per planner by it.
-    entries.push(("work.commit.schedulers".to_string(), schedulers));
-    entries
 }
 
-/// The commit ledger: the fate of every planned action, folded into the
-/// metrics snapshot as `work.commit.*`.
-///
-/// `planned == accepted + rejected + dropped_unowned + expired` holds at
-/// the end of every run: every planned action is either committed,
-/// rejected at commit, filtered as out-of-partition at plan time, or
-/// still in the latency queue when the run ended.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct CommitStats {
-    /// Actions emitted by any scheduler's planner.
-    planned: u64,
-    /// Actions admitted and handed to the caller.
-    accepted: u64,
-    /// Actions refused by the conflict check.
-    rejected: u64,
-    /// Actions filtered at plan time because their subject lay outside
-    /// the planning scheduler's partition (per its own view).
-    dropped_unowned: u64,
-    /// Actions still in the latency queue when the run ended.
-    expired: u64,
-    /// The migration-only slices of `rejected`/`dropped_unowned`/
-    /// `expired` — these close the planner's migration ledger
-    /// (`work.plan.migrations_planned == work.migrations.executed +
-    /// work.migrations.aborted + the three below`).
-    migrations_rejected: u64,
-    /// See `migrations_rejected`.
-    migrations_dropped: u64,
-    /// See `migrations_rejected`.
-    migrations_expired: u64,
-    /// Rejections per [`ConflictReason`], in declaration order.
-    rejected_by_reason: [u64; 7],
+/// 1 for a migration, 0 for a power action: the increment of a fate's
+/// `work.commit.migrations_*` slice.
+fn migrations(action: &ManagementAction) -> u64 {
+    u64::from(!action.is_power_action())
 }
 
-impl CommitStats {
-    /// All counters as `(name, value)` pairs in a stable order.
-    fn entries(&self) -> [(&'static str, u64); 15] {
-        let by = self.rejected_by_reason;
-        [
-            ("planned", self.planned),
-            ("accepted", self.accepted),
-            ("rejected", self.rejected),
-            ("dropped_unowned", self.dropped_unowned),
-            ("expired", self.expired),
-            ("migrations_rejected", self.migrations_rejected),
-            ("migrations_dropped", self.migrations_dropped),
-            ("migrations_expired", self.migrations_expired),
-            ("rejected_vm_busy", by[0]),
-            ("rejected_vm_race", by[1]),
-            ("rejected_not_owner", by[2]),
-            ("rejected_dest_unavailable", by[3]),
-            ("rejected_headroom", by[4]),
-            ("rejected_power_clash", by[5]),
-            ("rejected_power_stale", by[6]),
-        ]
+/// Counts a commit verdict in `ledger`: accepted, or rejected under its
+/// [`ConflictReason`].
+fn count_verdict(
+    ledger: &mut WorkTable,
+    action: &ManagementAction,
+    verdict: Result<(), ConflictReason>,
+) {
+    match verdict {
+        Ok(()) => ledger.add(Count::Accepted, 1),
+        Err(reason) => {
+            ledger.add(Count::Rejected, 1);
+            ledger.add(Count::MigrationsRejected, migrations(action));
+            ledger.add(Count::rejected_by(reason), 1);
+        }
     }
+}
 
-    /// The ledger identity every finished run must satisfy.
-    fn is_balanced(&self) -> bool {
-        self.planned == self.accepted + self.rejected + self.dropped_unowned + self.expired
-    }
+/// Counts an action still in the latency queue when the run ended.
+fn count_expired(ledger: &mut WorkTable, action: &ManagementAction) {
+    ledger.add(Count::Expired, 1);
+    ledger.add(Count::MigrationsExpired, migrations(action));
+}
 
-    fn note_dropped(&mut self, action: &ManagementAction) {
-        self.dropped_unowned += 1;
-        self.migrations_dropped += u64::from(!action.is_power_action());
-    }
-
-    fn note_expired(&mut self, action: &ManagementAction) {
-        self.expired += 1;
-        self.migrations_expired += u64::from(!action.is_power_action());
-    }
-
-    fn note_rejected(&mut self, action: &ManagementAction, reason: ConflictReason) {
-        self.rejected += 1;
-        self.migrations_rejected += u64::from(!action.is_power_action());
-        let slot = match reason {
-            ConflictReason::VmBusy => 0,
-            ConflictReason::VmRace => 1,
-            ConflictReason::NotOwner => 2,
-            ConflictReason::DestUnavailable => 3,
-            ConflictReason::Headroom => 4,
-            ConflictReason::PowerClash => 5,
-            ConflictReason::PowerStale => 6,
-        };
-        self.rejected_by_reason[slot] += 1;
-    }
+/// The ledger identity every finished run satisfies: each planned action
+/// met exactly one fate.
+fn is_balanced(ledger: &WorkTable) -> bool {
+    let c = |count| ledger.get(count);
+    c(Count::Planned)
+        == c(Count::Accepted) + c(Count::Rejected) + c(Count::DroppedUnowned) + c(Count::Expired)
 }
 
 /// Splices a scheduler's merged view into `into`: fresh entries for the
@@ -508,7 +432,7 @@ mod tests {
             assert!(plane.due_round().is_none());
         }
         let (kept, work) = plane.close();
-        let c = |name: &str| work.iter().find(|(n, _)| n == name).unwrap().1;
+        let c = |name: &str| work.iter().find(|(n, _)| *n == name).unwrap().1;
         // Identical replicas plan alike over one fresh view, and the
         // partitions split that plan: the plane keeps it exactly once.
         assert_eq!(kept, want);
@@ -526,13 +450,16 @@ mod tests {
             planned - dropped - kept.migrations()
         );
         // Counts add across replicas; a maximum keeps the deepest one.
-        let lone_work = lone.work_counters();
+        let lone_work = lone.work();
         assert_eq!(
             c("work.plan.migrations_planned"),
-            2 * lone_work.migrations_planned
+            2 * lone_work.get(Count::MigrationsPlanned)
         );
-        assert!(lone_work.undo_depth_max > 0);
-        assert_eq!(c("work.plan.undo_depth_max"), lone_work.undo_depth_max);
+        assert!(lone_work.get(Count::UndoDepthMax) > 0);
+        assert_eq!(
+            c("work.plan.undo_depth_max"),
+            lone_work.get(Count::UndoDepthMax)
+        );
         assert_eq!(c("work.commit.schedulers"), 2);
     }
 
@@ -777,7 +704,7 @@ mod tests {
                 let mut replicas = vec![manager; partitions.len()];
                 let (mut history, mut pending) = (VecDeque::new(), VecDeque::new());
                 let mut store = PlacementStore::new(*hosts, num_vms);
-                let (mut ledger, mut kept) = (CommitStats::default(), DecisionActions::default());
+                let (mut ledger, mut kept) = (WorkTable::default(), DecisionActions::default());
                 let mut merged = ClusterObservation::default();
                 for (r, (on, vms)) in rounds.iter().enumerate() {
                     let obs = round_observation(300 * r as u64, on, vms);
@@ -797,12 +724,13 @@ mod tests {
                         let mut reasons = manager.last_round_reasons().iter();
                         actions.retain(|action| {
                             let reason = *reasons.next().expect("one reason per action");
-                            ledger.planned += 1;
+                            ledger.add(Count::Planned, 1);
                             let owns = owns_action(view, owned, action);
                             if owns {
                                 kept.count(action, reason);
                             } else {
-                                ledger.note_dropped(action);
+                                ledger.add(Count::DroppedUnowned, 1);
+                                ledger.add(Count::MigrationsDropped, migrations(action));
                             }
                             owns
                         });
@@ -829,20 +757,21 @@ mod tests {
                         for action in batch {
                             let facts = ObservedFacts(&obs);
                             let verdict = store.admit(&partitions[s], action, &facts);
-                            match verdict {
-                                Ok(()) => ledger.accepted += 1,
-                                Err(reason) => ledger.note_rejected(action, reason),
-                            }
+                            count_verdict(&mut ledger, action, verdict);
                             prop_assert_eq!(plane.admit(s, action, &facts), verdict);
                         }
                     }
                 }
                 for action in pending.iter().flatten().flatten() {
-                    ledger.note_expired(action);
+                    count_expired(&mut ledger, action);
                 }
+                for manager in &replicas {
+                    ledger.merge(manager.work());
+                }
+                ledger.add(Count::Schedulers, replicas.len() as u64);
                 let (plane_kept, plane_work) = plane.close();
                 prop_assert_eq!(plane_kept, kept);
-                prop_assert_eq!(plane_work, work_entries(replicas.iter(), &ledger));
+                prop_assert_eq!(plane_work, ledger.entries().collect::<Vec<_>>());
                 Ok(())
             },
         );

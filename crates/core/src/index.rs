@@ -88,6 +88,8 @@ const NOT_INDEXED: u32 = u32::MAX;
 
 use simcore::SumTree;
 
+use crate::work::{Count, WorkTable};
+
 /// Utilization-bucketed host index with an exact free-memory maximum per
 /// bucket, plus the capacity aggregates the drain gate needs
 /// ([`SumTree`]s for active and arriving capacity).
@@ -102,10 +104,10 @@ use simcore::SumTree;
 /// leave at the per-round [`refresh`](Self::refresh); in-round changes
 /// re-file a member with [`rescore`](Self::rescore).
 /// [`check_membership`](Self::check_membership) verifies all of it
-/// against ground truth, and the model-check suite drives arbitrary
+/// against ground truth, and this module's model check drives arbitrary
 /// rescore/refresh sequences against a recomputed-from-scratch model.
 #[derive(Debug, Clone, Default)]
-pub struct UtilizationIndex {
+pub(crate) struct UtilizationIndex {
     /// `buckets[b]` = hosts with quantized utilization `b`, ascending.
     buckets: Vec<Vec<u32>>,
     /// Bucket of each host, `NOT_INDEXED` when absent.
@@ -133,18 +135,13 @@ pub struct UtilizationIndex {
 }
 
 impl UtilizationIndex {
-    /// Empty index.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The bucket a utilization value quantizes to.
-    pub fn bucket_of(util: f64) -> usize {
+    pub(crate) fn bucket_of(util: f64) -> usize {
         ((util * BUCKETS_PER_UNIT).floor() as isize).clamp(0, MAX_BUCKET as isize) as usize
     }
 
     /// Number of bucket slots (fixed).
-    pub fn num_buckets() -> usize {
+    fn num_buckets() -> usize {
         MAX_BUCKET + 1
     }
 
@@ -155,14 +152,14 @@ impl UtilizationIndex {
     /// utilization ≥ the floor and a larger index), which lets dense
     /// boundary buckets — thousands of idle hosts at exactly 0.0 —
     /// terminate in one examination.
-    pub fn bucket_floor(b: usize) -> f64 {
+    pub(crate) fn bucket_floor(b: usize) -> f64 {
         b as f64 / BUCKETS_PER_UNIT
     }
 
     /// Sizes the per-host tables for `num_hosts`, preserving bucket
     /// contents for hosts that remain in range (allocations are reused
     /// across rounds).
-    pub fn ensure_hosts(&mut self, num_hosts: usize) {
+    pub(crate) fn ensure_hosts(&mut self, num_hosts: usize) {
         if self.buckets.is_empty() {
             self.buckets = vec![Vec::new(); Self::num_buckets()];
             self.bucket_mem_max = vec![f64::NEG_INFINITY; Self::num_buckets()];
@@ -183,12 +180,12 @@ impl UtilizationIndex {
     /// (`-inf` when the bucket is empty). A walk may skip the bucket
     /// entirely when the VM's memory demand exceeds it (plus the
     /// feasibility slop) — no member can accept the VM.
-    pub fn bucket_mem_max(&self, b: usize) -> f64 {
+    pub(crate) fn bucket_mem_max(&self, b: usize) -> f64 {
         self.bucket_mem_max[b]
     }
 
     /// Whether `host` currently sits in a bucket.
-    pub fn is_indexed(&self, host: usize) -> bool {
+    pub(crate) fn is_indexed(&self, host: usize) -> bool {
         self.host_bucket[host] != NOT_INDEXED
     }
 
@@ -201,7 +198,7 @@ impl UtilizationIndex {
     }
 
     /// Hosts in bucket `b`, ascending by index.
-    pub fn bucket_hosts(&self, b: usize) -> &[u32] {
+    pub(crate) fn bucket_hosts(&self, b: usize) -> &[u32] {
         &self.buckets[b]
     }
 
@@ -212,7 +209,7 @@ impl UtilizationIndex {
     /// # Panics
     ///
     /// Panics if the host is not indexed.
-    pub fn rescore(&mut self, host: usize, util: f64, mem_free: f64) -> bool {
+    pub(crate) fn rescore(&mut self, host: usize, util: f64, mem_free: f64) -> bool {
         let from = self
             .bucket_of_host(host)
             .unwrap_or_else(|| panic!("host {host} not indexed"));
@@ -241,12 +238,12 @@ impl UtilizationIndex {
     /// counts inserts, removals and bucket changes into `work`. The
     /// memory maxima start at `-inf` and each member raises its bucket's
     /// once, so they are exact when the pass ends.
-    pub fn refresh(
+    pub(crate) fn refresh(
         &mut self,
-        work: &mut IndexWorkCounters,
+        work: &mut WorkTable,
         mut filing: impl FnMut(usize) -> Option<(f64, f64)>,
     ) {
-        work.refreshes += 1;
+        work.add(Count::IndexRefreshes, 1);
         for list in &mut self.buckets {
             list.clear();
         }
@@ -255,16 +252,16 @@ impl UtilizationIndex {
             let previous = self.host_bucket[h];
             let Some((util, mem_free)) = filing(h) else {
                 if previous != NOT_INDEXED {
-                    work.removes += 1;
+                    work.add(Count::Removes, 1);
                 }
                 self.host_bucket[h] = NOT_INDEXED;
                 continue;
             };
             let b = Self::bucket_of(util);
             if previous == NOT_INDEXED {
-                work.inserts += 1;
+                work.add(Count::Inserts, 1);
             } else if previous != b as u32 {
-                work.rebuckets += 1;
+                work.add(Count::Rebuckets, 1);
             }
             self.buckets[b].push(h as u32);
             self.host_bucket[h] = b as u32;
@@ -317,7 +314,7 @@ impl UtilizationIndex {
     /// members (a lower one would let a walk skip a feasible destination,
     /// a higher one would make it examine a bucket it could skip).
     /// Returns a description of the first violation.
-    pub fn check_membership(
+    pub(crate) fn check_membership(
         &self,
         member: &[bool],
         utils: &[f64],
@@ -381,46 +378,10 @@ impl UtilizationIndex {
     }
 }
 
-/// Deterministic op-counters for the index maintenance work, the
-/// `work.index.*` siblings of the planner's `work.plan.*` counters.
-///
-/// Like the plan counters these are pure functions of the scenario seed
-/// and count logical work on the coordinating side. The invariant
-/// catalog pins `rebuckets <= work.cluster.dirty_marks`: a refresh may
-/// only move a host when some cluster observation actually changed.
-/// In-round moves are counted apart, in `move_rebuckets`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexWorkCounters {
-    /// Per-round index refresh passes.
-    pub refreshes: u64,
-    /// Hosts moved between buckets by a refresh (utilization drift).
-    pub rebuckets: u64,
-    /// Hosts newly inserted (initial build, hosts turning operational).
-    pub inserts: u64,
-    /// Hosts removed (hosts leaving the operational set).
-    pub removes: u64,
-    /// Hosts moved between buckets in place by an in-round tentative
-    /// move or its undo (each endpoint is re-filed when it happens).
-    pub move_rebuckets: u64,
-}
-
-impl IndexWorkCounters {
-    /// `(name suffix, value)` pairs in stable order, for folding into a
-    /// metrics registry under a `work.index.` prefix.
-    pub fn entries(&self) -> [(&'static str, u64); 5] {
-        [
-            ("refreshes", self.refreshes),
-            ("rebuckets", self.rebuckets),
-            ("inserts", self.inserts),
-            ("removes", self.removes),
-            ("move_rebuckets", self.move_rebuckets),
-        ]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use check::gen;
     use simcore::pairwise_sum;
 
     #[test]
@@ -464,9 +425,9 @@ mod tests {
 
     /// An index filed from `member`/`utils`/`mem` by one refresh pass.
     fn filed(member: &[bool], utils: &[f64], mem: &[f64]) -> UtilizationIndex {
-        let mut idx = UtilizationIndex::new();
+        let mut idx = UtilizationIndex::default();
         idx.ensure_hosts(member.len());
-        idx.refresh(&mut IndexWorkCounters::default(), |h| {
+        idx.refresh(&mut WorkTable::default(), |h| {
             member[h].then_some((utils[h], mem[h]))
         });
         idx
@@ -555,9 +516,12 @@ mod tests {
 
     #[test]
     fn refresh_refiles_every_host_and_rebuilds_exact_maxima() {
-        let mut idx = UtilizationIndex::new();
+        let mut idx = UtilizationIndex::default();
         idx.ensure_hosts(4);
-        let mut work = IndexWorkCounters::default();
+        let mut work = WorkTable::default();
+        let counts = |work: &WorkTable, counts: &[Count]| -> Vec<u64> {
+            counts.iter().map(|&c| work.get(c)).collect()
+        };
         let mut member = [true, true, true, false];
         let mut utils = [0.1, 0.5, 0.5, 0.9];
         let mut mem = [4.0, 8.0, 2.0, 0.0];
@@ -567,7 +531,10 @@ mod tests {
         };
         idx.refresh(&mut work, filing(&member, &utils, &mem));
         idx.check_membership(&member, &utils, &mem).unwrap();
-        assert_eq!((work.refreshes, work.inserts), (1, 3));
+        assert_eq!(
+            counts(&work, &[Count::IndexRefreshes, Count::Inserts]),
+            [1, 3]
+        );
         // Host 1 (the bucket's holder) shrinks in place, host 2 moves,
         // host 0 leaves and host 3 joins: one pass makes it all exact.
         mem[1] = 1.0;
@@ -578,29 +545,255 @@ mod tests {
         idx.check_membership(&member, &utils, &mem).unwrap();
         assert_eq!(idx.bucket_mem_max(UtilizationIndex::bucket_of(0.5)), 1.0);
         assert_eq!(
-            (work.refreshes, work.inserts, work.removes, work.rebuckets),
-            (2, 4, 1, 1)
+            counts(
+                &work,
+                &[
+                    Count::IndexRefreshes,
+                    Count::Inserts,
+                    Count::Removes,
+                    Count::Rebuckets
+                ]
+            ),
+            [2, 4, 1, 1]
         );
         // A host moved to another bucket in-round and refreshed back at
         // its old utilization changed bucket since it was last filed.
         assert!(idx.rescore(1, 0.9, mem[1]));
         idx.refresh(&mut work, filing(&member, &utils, &mem));
         idx.check_membership(&member, &utils, &mem).unwrap();
-        assert_eq!((work.refreshes, work.rebuckets), (3, 2));
+        assert_eq!(
+            counts(&work, &[Count::IndexRefreshes, Count::Rebuckets]),
+            [3, 2]
+        );
     }
 
-    #[test]
-    fn index_counter_entries_cover_every_field_once() {
-        let w = IndexWorkCounters {
-            refreshes: 1,
-            rebuckets: 2,
-            inserts: 3,
-            removes: 4,
-            move_rebuckets: 5,
+    /// One scripted index operation of the model check.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Op {
+        /// Re-file a member at a new utilization and free memory (an
+        /// in-round move or its undo); no-op for a non-member.
+        Rescore,
+        /// Give the host the new utilization and free memory, then refresh
+        /// the whole index from the model (the per-round refresh pass).
+        Refresh,
+        /// As `Refresh`, but the host also joins or leaves (a host turning
+        /// operational, or powering down / entering quarantine).
+        Flip,
+    }
+
+    /// Utilization arrives as a multiple of 5% so counterexamples shrink to
+    /// readable integers and hosts often share a bucket; values above 100%
+    /// exercise the over-committed (util > 1) clamp range. Free memory
+    /// arrives in 4 GB steps so bucket maxima often tie.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Step {
+        op: Op,
+        host: usize,
+        util_pct5: u64,
+        mem_gb4: u64,
+    }
+
+    fn steps(num_hosts: usize) -> gen::Gen<Vec<Step>> {
+        let step = gen::one_of(vec![Op::Rescore, Op::Refresh, Op::Flip])
+            .zip(&gen::usize_in(0..=num_hosts - 1))
+            .zip(&gen::u64_in(0..=50))
+            .zip(&gen::u64_in(0..=8))
+            .map(|(((op, host), util_pct5), mem_gb4)| Step {
+                op,
+                host,
+                util_pct5,
+                mem_gb4,
+            });
+        gen::vec_of(&step, 0..=120)
+    }
+
+    /// The naive model: membership, utilization and free memory per host,
+    /// the bucket the index last filed each host in, and the refresh counts.
+    struct Model {
+        member: Vec<bool>,
+        utils: Vec<f64>,
+        mem: Vec<f64>,
+        filed: Vec<Option<usize>>,
+        work: WorkTable,
+    }
+
+    impl Model {
+        /// Counts one refresh: every host's new bucket against the one it
+        /// was last filed in.
+        fn refresh(&mut self) {
+            self.work.add(Count::IndexRefreshes, 1);
+            for h in 0..self.member.len() {
+                let now = self.member[h].then(|| UtilizationIndex::bucket_of(self.utils[h]));
+                match (self.filed[h], now) {
+                    (None, Some(_)) => self.work.add(Count::Inserts, 1),
+                    (Some(_), None) => self.work.add(Count::Removes, 1),
+                    (Some(a), Some(b)) if a != b => self.work.add(Count::Rebuckets, 1),
+                    _ => {}
+                }
+                self.filed[h] = now;
+            }
+        }
+
+        /// Audits `index` against the model: the index's own membership
+        /// check, then every bucket's maximum against one recomputed here.
+        fn audit(&self, index: &UtilizationIndex) -> Result<(), String> {
+            index.check_membership(&self.member, &self.utils, &self.mem)?;
+            let mut max = vec![f64::NEG_INFINITY; UtilizationIndex::num_buckets()];
+            for h in (0..self.member.len()).filter(|&h| self.member[h]) {
+                let b = UtilizationIndex::bucket_of(self.utils[h]);
+                max[b] = max[b].max(self.mem[h]);
+            }
+            for (b, &m) in max.iter().enumerate() {
+                if index.bucket_mem_max(b) != m {
+                    return Err(format!(
+                        "bucket {b}'s memory maximum is {} but the model's is {m}",
+                        index.bucket_mem_max(b)
+                    ));
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// Replays `script` against the index and the model, auditing after
+    /// every step; returns the model's final state.
+    fn replay(
+        index: &mut UtilizationIndex,
+        num_hosts: usize,
+        script: &[Step],
+    ) -> Result<Model, String> {
+        index.ensure_hosts(num_hosts);
+        let mut model = Model {
+            member: vec![false; num_hosts],
+            utils: vec![0.0; num_hosts],
+            mem: vec![0.0; num_hosts],
+            filed: vec![None; num_hosts],
+            work: WorkTable::default(),
         };
-        let mut values: Vec<u64> = w.entries().iter().map(|&(_, v)| v).collect();
-        values.sort_unstable();
-        assert_eq!(values, vec![1, 2, 3, 4, 5]);
-        assert!(w.entries().contains(&("rebuckets", 2)));
+        let mut work = WorkTable::default();
+        for (i, s) in script.iter().enumerate() {
+            let (h, util, mem) = (s.host, s.util_pct5 as f64 * 0.05, s.mem_gb4 as f64 * 4.0);
+            if s.op == Op::Rescore && !model.member[h] {
+                continue;
+            }
+            (model.utils[h], model.mem[h]) = (util, mem);
+            match s.op {
+                Op::Rescore => {
+                    index.rescore(h, util, mem);
+                    model.filed[h] = Some(UtilizationIndex::bucket_of(util));
+                }
+                Op::Refresh | Op::Flip => {
+                    if s.op == Op::Flip {
+                        model.member[h] = !model.member[h];
+                    }
+                    let m = &model;
+                    index.refresh(&mut work, |h| m.member[h].then(|| (m.utils[h], m.mem[h])));
+                    model.refresh();
+                }
+            }
+            model
+                .audit(index)
+                .map_err(|e| format!("after step {i} ({s:?}): {e}"))?;
+            if work != model.work {
+                return Err(format!(
+                    "after step {i} ({s:?}): index counted {work:?}, the model {:?}",
+                    model.work
+                ));
+            }
+        }
+        Ok(model)
+    }
+
+    /// Model check of the index: arbitrary update sequences (in-place
+    /// re-scores, as in-round tentative moves make, and whole-fleet
+    /// refreshes in which hosts join or leave, as placements, drains and
+    /// quarantines make between rounds) are applied both to an index and
+    /// to a naive membership/utilization/free-memory model. After
+    /// **every** step the index must be exact:
+    ///
+    /// * every member host sits in exactly one bucket — the one its
+    ///   current utilization quantizes to — and every non-member in none;
+    /// * every bucket's free-memory maximum equals the largest free memory
+    ///   of the model's members in that bucket (`-inf` when it has none).
+    ///   Too low would let a walk's memory prune skip a feasible
+    ///   destination; too high would make it examine a bucket it could
+    ///   skip.
+    ///
+    /// Utilizations and free memory are drawn from coarse grids, so hosts
+    /// often share a bucket and tie on memory — the cases where a bucket's
+    /// maximum changes hands. At the end a fresh index rebuilt from the
+    /// model's final state must agree bucket-for-bucket.
+    ///
+    /// The model also keeps the bucket the index last filed each host in
+    /// (by a refresh or an in-round re-score) and counts, per refresh, the
+    /// hosts that join, leave or change bucket against it. After every
+    /// step the index's `work.index.*` counts must equal the model's —
+    /// the figures the counter baseline pins. So a host re-scored into
+    /// another bucket in-round and refreshed back counts as a bucket
+    /// change.
+    #[test]
+    fn index_stays_exact_after_every_step_of_arbitrary_update_sequences() {
+        let input = gen::usize_in(1..=24).and_then(|n| steps(n).map(move |s| (n, s)));
+        check::check("bucket index == naive model", &input, |(n, script)| {
+            let mut index = UtilizationIndex::default();
+            let model = replay(&mut index, *n, script).map_err(|e| format!("{n} hosts: {e}"))?;
+            let mut fresh = UtilizationIndex::default();
+            fresh.ensure_hosts(*n);
+            fresh.refresh(&mut WorkTable::default(), |h| {
+                model.member[h].then(|| (model.utils[h], model.mem[h]))
+            });
+            for b in 0..UtilizationIndex::num_buckets() {
+                check::prop_assert_eq!(
+                    index.bucket_hosts(b),
+                    fresh.bucket_hosts(b),
+                    "bucket {b} diverged from the from-scratch rebuild"
+                );
+                check::prop_assert_eq!(
+                    index.bucket_mem_max(b),
+                    fresh.bucket_mem_max(b),
+                    "bucket {b}'s memory maximum diverged from the from-scratch rebuild"
+                );
+            }
+            Ok(())
+        });
+    }
+
+    /// The fixed-shape capacity aggregate: a [`SumTree`] under arbitrary
+    /// point updates stays bitwise equal to [`pairwise_sum`] recomputed
+    /// from scratch — the equality that lets the drain gate read the
+    /// scan's exact floating-point totals.
+    #[test]
+    fn sum_tree_stays_bitwise_equal_to_pairwise_recomputation() {
+        let input = gen::usize_in(0..=33).and_then(|n| {
+            let update = gen::usize_in(0..=n.max(1) - 1).zip(&gen::u64_in(0..=1_000_000));
+            gen::vec_of(&update, 0..=60).map(move |ups| (n, ups))
+        });
+        check::check("SumTree == pairwise_sum", &input, |(n, updates)| {
+            let mut leaves = vec![0.0f64; *n];
+            let mut tree = SumTree::new();
+            tree.rebuild(*n, |i| leaves[i]);
+            for &(i, raw) in updates {
+                if *n == 0 {
+                    break;
+                }
+                // Values with awkward mantissas so any re-association of
+                // the reduction order shows up as a bit difference.
+                let v = raw as f64 / 3.0 + (raw as f64).sqrt();
+                leaves[i] = v;
+                tree.set(i, v);
+            }
+            let reference = pairwise_sum(*n, |i| leaves[i]);
+            check::prop_assert_eq!(
+                tree.root().to_bits(),
+                reference.to_bits(),
+                "tree root {} != pairwise reference {}",
+                tree.root(),
+                reference
+            );
+            for (i, leaf) in leaves.iter().enumerate().take(*n) {
+                check::prop_assert_eq!(tree.leaf(i).to_bits(), leaf.to_bits());
+            }
+            Ok(())
+        });
     }
 }

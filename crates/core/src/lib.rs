@@ -72,11 +72,10 @@ pub use config::{ConfigError, ManagerConfig, PackingPolicy, PowerPolicy};
 pub use control::ControlPlane;
 pub use decision::{DecisionActions, DecisionRecord, DecisionTrigger};
 pub use hysteresis::HysteresisGate;
-pub use index::{IndexWorkCounters, PlanMode, UtilizationIndex};
+pub use index::PlanMode;
 pub use manager::{PlanError, VirtManager};
 pub use observation::{ClusterObservation, HostObservation, VmColumns, VmObservation};
 pub use placement::{ConflictReason, PlacementFacts};
 pub use predict::PredictorConfig;
 pub use prewake::DayProfile;
 pub use recovery::{RecoveryConfig, RecoveryStats, RecoveryTracker};
-use work::WorkCounters;

@@ -8,10 +8,11 @@ use power::PowerState;
 
 use crate::plan::PlanContext;
 use crate::predict::Predictors;
+use crate::work::{Count, WorkTable};
 use crate::{
     consolidate, drm, ActionReason, ClusterObservation, ConfigError, DayProfile, DecisionActions,
-    DecisionRecord, DecisionTrigger, HysteresisGate, IndexWorkCounters, ManagementAction,
-    ManagerConfig, PowerPolicy, RecoveryTracker, WorkCounters,
+    DecisionRecord, DecisionTrigger, HysteresisGate, ManagementAction, ManagerConfig, PowerPolicy,
+    RecoveryTracker,
 };
 use obs::{Histogram, SpanTracer};
 use simcore::SimDuration;
@@ -195,19 +196,11 @@ impl VirtManager {
         self.last_decision.as_ref()
     }
 
-    /// Deterministic counts of the planning work done so far (candidate
-    /// scans, trial evacuations, rollbacks, destination re-scores),
-    /// accumulated across rounds.
-    pub(crate) fn work_counters(&self) -> WorkCounters {
-        self.ctx.work
-    }
-
-    /// Deterministic counts of the utilization-index maintenance work done
-    /// so far (refreshes, re-buckets, inserts, removes, and re-buckets by
-    /// in-round moves).
-    /// All zero under the `Oracle` policy, which never plans.
-    pub(crate) fn index_work_counters(&self) -> IndexWorkCounters {
-        self.ctx.index_work
+    /// Deterministic counts of the planning and index-maintenance work
+    /// done so far, accumulated across rounds (all zero under the
+    /// `Oracle` policy, which never plans).
+    pub(crate) fn work(&self) -> &WorkTable {
+        &self.ctx.work
     }
 
     /// Runs one management round.
@@ -376,7 +369,9 @@ impl VirtManager {
         for (action, &reason) in actions.iter().zip(&reasons) {
             round_actions.count(action, reason);
         }
-        self.ctx.work.migrations_planned += round_actions.migrations();
+        self.ctx
+            .work
+            .add(Count::MigrationsPlanned, round_actions.migrations());
         self.last_reasons = reasons;
         self.actions_hist.observe(actions.len() as f64);
         self.last_decision = Some(DecisionRecord {
@@ -1007,8 +1002,8 @@ mod tests {
             assert!(d.failsafe);
             assert!(d.actions.overload_migrations >= 1, "{actions:?}");
             assert!(mgr.ctx.index.valid, "round {round}: index left invalid");
-            assert_eq!(mgr.index_work_counters().refreshes, round);
-            assert_eq!(oracle.index_work_counters().refreshes, 0);
+            assert_eq!(mgr.work().get(Count::IndexRefreshes), round);
+            assert_eq!(oracle.work().get(Count::IndexRefreshes), 0);
         }
     }
 

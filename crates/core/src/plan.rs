@@ -10,8 +10,10 @@ use cluster::{HostId, HostSpec, ServiceClass, VmSpec};
 use power::breakeven::{LadderSummary, LowPowerMode};
 use power::PowerState;
 
+use crate::index::UtilizationIndex;
 use crate::predict::Predictors;
-use crate::{ClusterObservation, IndexWorkCounters, ManagerConfig, UtilizationIndex, WorkCounters};
+use crate::work::{Count, WorkTable};
+use crate::{ClusterObservation, ManagerConfig};
 
 /// Mutable planning view of the cluster for one round.
 ///
@@ -85,17 +87,15 @@ pub(crate) struct PlanContext {
     /// rebuild pass in ascending VM order (bitwise
     /// [`ClusterObservation::total_vm_demand`]).
     pub observed_demand: f64,
-    /// Deterministic op-counters, accumulated *across* rounds —
-    /// [`rebuild`](Self::rebuild) deliberately leaves them untouched.
-    pub work: WorkCounters,
+    /// Deterministic planning and index-maintenance op-counters,
+    /// accumulated *across* rounds — [`rebuild`](Self::rebuild)
+    /// deliberately leaves them untouched.
+    pub work: WorkTable,
     /// Utilization-bucket index every pick walks. Invalidated by every
     /// rebuild (fresh predictions), revalidated by
     /// [`refresh_index`](Self::refresh_index) once per round, before the
     /// first pick.
     pub index: UtilizationIndex,
-    /// Index-maintenance op-counters, accumulated across rounds like
-    /// [`Self::work`].
-    pub index_work: IndexWorkCounters,
 }
 
 /// A test host of `cpu` cores and `mem` GB on the stock rack profile
@@ -353,7 +353,7 @@ impl PlanContext {
         self.index.ensure_hosts(n);
         let (ops, pred, cap) = (&self.operational, &self.host_pred_cpu, &self.cpu_capacity);
         let (mem_cap, mem_committed) = (&self.mem_capacity, &self.mem_committed);
-        self.index.refresh(&mut self.index_work, |h| {
+        self.index.refresh(&mut self.work, |h| {
             ops[h].then(|| (util_of(pred[h], cap[h]), mem_cap[h] - mem_committed[h]))
         });
         // Capacity aggregates: fixed-shape pairwise trees whose roots are
@@ -368,7 +368,7 @@ impl PlanContext {
         self.index
             .arriving_tree
             .rebuild(n, |h| if arriving[h] { cap[h] } else { 0.0 });
-        self.work.fold_elements += 2 * n as u64;
+        self.work.add(Count::FoldElements, 2 * n as u64);
         self.index.valid = true;
         debug_assert_eq!(self.check_index(), Ok(()));
     }
@@ -395,7 +395,7 @@ impl PlanContext {
                 .index
                 .rescore(host, self.util(host), self.mem_free(host))
         {
-            self.index_work.move_rebuckets += 1;
+            self.work.add(Count::MoveRebuckets, 1);
         }
     }
 
@@ -668,7 +668,7 @@ impl PlanContext {
                 break;
             }
         }
-        self.work.hosts_rescored += examined;
+        self.work.add(Count::HostsRescored, examined);
         best.map(|(_, h)| h)
     }
 
@@ -705,7 +705,7 @@ impl PlanContext {
                 break;
             }
         }
-        self.work.hosts_rescored += examined;
+        self.work.add(Count::HostsRescored, examined);
         best.map(|(_, h)| h)
     }
 }

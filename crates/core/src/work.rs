@@ -1,71 +1,171 @@
 //! Deterministic op-counters for the planning hot paths.
 //!
-//! [`WorkCounters`] counts *work*, not time: candidate scans, trial
-//! evacuations, rollbacks, destination re-scores. Every field is a pure
-//! function of the scenario seed — no clocks, no thread interleaving —
-//! so the counters repeat exactly from run to run, and the
-//! differential suite verifies them the same way it verifies
-//! energy totals. They are the superlinearity evidence for indexed
-//! candidate structures: plot `candidates_scanned` against fleet size
-//! and the O(hosts) scan per drain pick is visible directly, without
-//! wall-clock noise.
+//! [`WorkTable`] counts *work*, not time: candidate scans, trial
+//! evacuations, rollbacks, destination re-scores, index maintenance and
+//! the fate of every planned action. Every slot is a pure function of the
+//! scenario seed — no clocks, no thread interleaving — so the counters
+//! repeat exactly from run to run, and the differential suite verifies
+//! them the same way it verifies energy totals. They are the
+//! superlinearity evidence for indexed candidate structures: plot
+//! `candidates_scanned` against fleet size and the O(hosts) scan per
+//! drain pick is visible directly, without wall-clock noise.
+//!
+//! Each slot is one [`Count`] with its full metric name written once in
+//! `NAMES`. Each scheduler replica's planner counts into its own table,
+//! the control plane counts commit fates into another, and
+//! [`ControlPlane::close`](crate::ControlPlane::close) folds them with
+//! [`WorkTable::merge`] into the run's `work.*` entries.
 
-/// Deterministic counts of planning and execution work.
-///
-/// The manager accumulates these across rounds (they survive planning
-/// context rebuilds between rounds) and the control plane folds its
-/// replicas' counters into `work.plan.*` entries when the run closes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct WorkCounters {
+use crate::ConflictReason;
+
+/// One deterministic `work.*` count; its metric name is `NAMES[count]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Count {
     /// Hosts examined by consolidation's drain-candidate scans.
-    pub candidates_scanned: u64,
+    CandidatesScanned,
     /// All-or-nothing trial evacuations attempted.
-    pub trials_attempted: u64,
+    TrialsAttempted,
     /// Trial evacuations rolled back (candidate could not fully drain).
-    pub trials_rolled_back: u64,
+    TrialsRolledBack,
     /// Journaled moves reversed by rollbacks.
-    pub rollback_moves: u64,
-    /// Deepest undo journal observed across all trials.
-    pub undo_depth_max: u64,
-    /// Hosts examined by destination-selection scans
-    /// (best-fit / least-loaded placement).
-    pub hosts_rescored: u64,
-    /// Migration actions the manager planned: each round's
-    /// [`DecisionActions::migrations`](crate::DecisionActions::migrations),
-    /// added once per round.
-    pub migrations_planned: u64,
+    RollbackMoves,
+    /// Deepest undo journal of any trial: a maximum, not a sum.
+    UndoDepthMax,
+    /// Hosts examined by destination picks (best-fit / least-loaded).
+    HostsRescored,
+    /// Migrations planned: each round's
+    /// [`DecisionActions::migrations`](crate::DecisionActions::migrations).
+    MigrationsPlanned,
     /// Elements folded by consolidation's capacity-aggregate reductions.
-    pub fold_elements: u64,
+    FoldElements,
+    /// Per-round index refresh passes.
+    IndexRefreshes,
+    /// Hosts moved between buckets by a refresh (utilization drift).
+    Rebuckets,
+    /// Hosts newly indexed (initial build, hosts turning operational).
+    Inserts,
+    /// Hosts taken out of the index (leaving the operational set).
+    Removes,
+    /// Hosts moved between buckets by an in-round move or its undo.
+    MoveRebuckets,
+    /// Actions emitted by any scheduler's planner.
+    Planned,
+    /// Actions admitted at commit and handed to the caller.
+    Accepted,
+    /// Actions refused by the conflict check.
+    Rejected,
+    /// Actions filtered at plan time as outside the planning
+    /// scheduler's partition (per its own view).
+    DroppedUnowned,
+    /// Actions still in the latency queue when the run ended.
+    Expired,
+    /// The migration slice of `Rejected`.
+    MigrationsRejected,
+    /// The migration slice of `DroppedUnowned`.
+    MigrationsDropped,
+    /// The migration slice of `Expired`.
+    MigrationsExpired,
+    // Rejections per `ConflictReason` (see `rejected_by`).
+    RejectedVmBusy,
+    RejectedVmRace,
+    RejectedNotOwner,
+    RejectedDestUnavailable,
+    RejectedHeadroom,
+    RejectedPowerClash,
+    RejectedPowerStale,
+    /// Scheduler replicas whose tables were folded; invariants scale
+    /// bounds that charge one unit of work per planner by it.
+    Schedulers,
 }
 
-impl WorkCounters {
-    /// `(name suffix, value)` pairs in stable order, for folding into a
-    /// metrics registry under a `work.plan.` prefix.
-    pub fn entries(&self) -> [(&'static str, u64); 8] {
-        [
-            ("candidates_scanned", self.candidates_scanned),
-            ("trials_attempted", self.trials_attempted),
-            ("trials_rolled_back", self.trials_rolled_back),
-            ("rollback_moves", self.rollback_moves),
-            ("undo_depth_max", self.undo_depth_max),
-            ("hosts_rescored", self.hosts_rescored),
-            ("migrations_planned", self.migrations_planned),
-            ("fold_elements", self.fold_elements),
-        ]
+/// Number of slots: one per [`Count`].
+const SLOTS: usize = Count::Schedulers as usize + 1;
+
+/// Every slot's metric name, in [`Count`] declaration order.
+const NAMES: [&str; SLOTS] = [
+    "work.plan.candidates_scanned",
+    "work.plan.trials_attempted",
+    "work.plan.trials_rolled_back",
+    "work.plan.rollback_moves",
+    "work.plan.undo_depth_max",
+    "work.plan.hosts_rescored",
+    "work.plan.migrations_planned",
+    "work.plan.fold_elements",
+    "work.index.refreshes",
+    "work.index.rebuckets",
+    "work.index.inserts",
+    "work.index.removes",
+    "work.index.move_rebuckets",
+    "work.commit.planned",
+    "work.commit.accepted",
+    "work.commit.rejected",
+    "work.commit.dropped_unowned",
+    "work.commit.expired",
+    "work.commit.migrations_rejected",
+    "work.commit.migrations_dropped",
+    "work.commit.migrations_expired",
+    "work.commit.rejected_vm_busy",
+    "work.commit.rejected_vm_race",
+    "work.commit.rejected_not_owner",
+    "work.commit.rejected_dest_unavailable",
+    "work.commit.rejected_headroom",
+    "work.commit.rejected_power_clash",
+    "work.commit.rejected_power_stale",
+    "work.commit.schedulers",
+];
+
+impl Count {
+    /// The slot counting commits refused for `reason`.
+    pub(crate) fn rejected_by(reason: ConflictReason) -> Count {
+        match reason {
+            ConflictReason::VmBusy => Count::RejectedVmBusy,
+            ConflictReason::VmRace => Count::RejectedVmRace,
+            ConflictReason::NotOwner => Count::RejectedNotOwner,
+            ConflictReason::DestUnavailable => Count::RejectedDestUnavailable,
+            ConflictReason::Headroom => Count::RejectedHeadroom,
+            ConflictReason::PowerClash => Count::RejectedPowerClash,
+            ConflictReason::PowerStale => Count::RejectedPowerStale,
+        }
+    }
+}
+
+/// One value per [`Count`], accumulated across rounds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct WorkTable([u64; SLOTS]);
+
+impl WorkTable {
+    /// Adds `n` to `count`.
+    #[inline]
+    pub(crate) fn add(&mut self, count: Count, n: u64) {
+        self.0[count as usize] += n;
     }
 
-    /// Folds another scheduler replica's counters into `self`: every
-    /// count adds, and `undo_depth_max`, a maximum, keeps the larger
-    /// value.
-    pub fn merge(&mut self, other: &WorkCounters) {
-        self.candidates_scanned += other.candidates_scanned;
-        self.trials_attempted += other.trials_attempted;
-        self.trials_rolled_back += other.trials_rolled_back;
-        self.rollback_moves += other.rollback_moves;
-        self.undo_depth_max = self.undo_depth_max.max(other.undo_depth_max);
-        self.hosts_rescored += other.hosts_rescored;
-        self.migrations_planned += other.migrations_planned;
-        self.fold_elements += other.fold_elements;
+    /// Raises `count` to `value` if that is larger (for a maximum).
+    pub(crate) fn raise(&mut self, count: Count, value: u64) {
+        let slot = &mut self.0[count as usize];
+        *slot = (*slot).max(value);
+    }
+
+    /// The current value of `count`.
+    pub(crate) fn get(&self, count: Count) -> u64 {
+        self.0[count as usize]
+    }
+
+    /// Folds another table into `self`: every slot adds, except
+    /// `undo_depth_max`, a maximum, which keeps the larger value.
+    pub(crate) fn merge(&mut self, other: &WorkTable) {
+        for (slot, (sum, &value)) in self.0.iter_mut().zip(&other.0).enumerate() {
+            *sum = if slot == Count::UndoDepthMax as usize {
+                (*sum).max(value)
+            } else {
+                *sum + value
+            };
+        }
+    }
+
+    /// `(metric name, value)` for every slot, in [`Count`] order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        NAMES.into_iter().zip(self.0.iter().copied())
     }
 }
 
@@ -73,45 +173,34 @@ impl WorkCounters {
 mod tests {
     use super::*;
 
-    /// Every field set, each to a distinct value.
-    fn sample() -> WorkCounters {
-        WorkCounters {
-            candidates_scanned: 1,
-            trials_attempted: 2,
-            trials_rolled_back: 3,
-            rollback_moves: 4,
-            undo_depth_max: 5,
-            hosts_rescored: 6,
-            migrations_planned: 7,
-            fold_elements: 8,
+    #[test]
+    fn names_are_unique_prefixed_and_merge_adds_all_but_the_deepest_undo() {
+        let mut names = NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), SLOTS, "duplicate names");
+        for name in NAMES {
+            assert!(
+                ["work.plan.", "work.index.", "work.commit."]
+                    .iter()
+                    .any(|prefix| name.starts_with(prefix)),
+                "{name}"
+            );
         }
-    }
-
-    #[test]
-    fn entries_cover_every_field_once() {
-        let w = sample();
-        let entries = w.entries();
-        let mut values: Vec<u64> = entries.iter().map(|&(_, v)| v).collect();
-        values.sort_unstable();
-        assert_eq!(values, vec![1, 2, 3, 4, 5, 6, 7, 8]);
-        assert!(entries.contains(&("undo_depth_max", 5)));
-    }
-
-    #[test]
-    fn merge_sums_counts_and_keeps_the_deepest_undo() {
-        let a = WorkCounters {
-            undo_depth_max: 24,
-            ..sample()
-        };
-        let mut b = sample();
-        b.merge(&a);
-        for ((name, v), (_, one)) in b.entries().into_iter().zip(sample().entries()) {
-            let want = if name == "undo_depth_max" {
-                24
+        // Every slot set, each to a distinct value.
+        let sample = WorkTable(std::array::from_fn(|slot| slot as u64 + 1));
+        let mut deeper = sample;
+        deeper.raise(Count::UndoDepthMax, 100);
+        let mut merged = sample;
+        merged.merge(&deeper);
+        for (((name, got), (_, one)), slot) in merged.entries().zip(sample.entries()).zip(0..) {
+            let want = if name == "work.plan.undo_depth_max" {
+                100
             } else {
                 2 * one
             };
-            assert_eq!(v, want, "{name}");
+            assert_eq!(got, want, "{name}");
+            assert_eq!(one, slot + 1, "{name} is not slot {slot}");
         }
     }
 }

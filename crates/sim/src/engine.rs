@@ -381,7 +381,7 @@ impl DatacenterSim {
         // latency queue, so the commit ledger stays balanced.
         let (kept, work) = self.control.close();
         for (name, value) in work {
-            let id = self.telemetry.registry.counter(&name);
+            let id = self.telemetry.registry.counter(name);
             self.telemetry.registry.add(id, value);
         }
         // Every migration the cluster accepted logged its start.
