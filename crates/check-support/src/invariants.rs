@@ -98,8 +98,9 @@ pub fn check_report(scenario: &Scenario, report: &SimReport) -> Result<(), Strin
 
 /// The deterministic op-counters must be internally consistent: every
 /// trial evacuation scans at least one candidate first, a rollback
-/// implies an attempt, and every planned migration is accounted for as
-/// either executed or aborted by the cluster — no third fate.
+/// implies an attempt, every planned migration meets exactly one fate
+/// (executed or aborted by the cluster, or refused at commit), and index
+/// re-buckets never outrun the cluster's dirty marks.
 pub fn check_work_counters(report: &SimReport) -> Result<(), String> {
     let c = |name: &str| report.metrics.counter(name);
     let candidates = c("work.plan.candidates_scanned");

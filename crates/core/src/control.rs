@@ -286,7 +286,13 @@ impl ControlPlane {
         for action in self.pending.drain(..).flatten().flatten() {
             count_expired(&mut self.ledger, &action);
         }
-        debug_assert!(is_balanced(&self.ledger), "commit ledger out of balance");
+        // Every planned action met exactly one fate.
+        let c = |count| self.ledger.get(count);
+        debug_assert_eq!(
+            c(Count::Planned),
+            c(Count::Accepted) + c(Count::Rejected) + c(Count::DroppedUnowned) + c(Count::Expired),
+            "commit ledger out of balance"
+        );
         for replica in &self.schedulers {
             self.ledger.merge(replica.manager.work());
         }
@@ -323,14 +329,6 @@ fn count_verdict(
 fn count_expired(ledger: &mut WorkTable, action: &ManagementAction) {
     ledger.add(Count::Expired, 1);
     ledger.add(Count::MigrationsExpired, migrations(action));
-}
-
-/// The ledger identity every finished run satisfies: each planned action
-/// met exactly one fate.
-fn is_balanced(ledger: &WorkTable) -> bool {
-    let c = |count| ledger.get(count);
-    c(Count::Planned)
-        == c(Count::Accepted) + c(Count::Rejected) + c(Count::DroppedUnowned) + c(Count::Expired)
 }
 
 /// Splices a scheduler's merged view into `into`: fresh entries for the
